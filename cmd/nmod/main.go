@@ -124,10 +124,11 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 	defer sched.Close()
 
 	// The listener is wrapped for the zero-copy data plane: accepted
-	// conns cache a raw fd so unfiltered file-tier trace serves run
-	// sendfile(2) instead of the pooled copy, and ConnContext lets the
-	// trace handler pick the right serve tier per request. Counters
-	// are shared with the handler so /v1/stats sees both sides.
+	// conns cache a raw fd so the stored extents of file-tier trace
+	// serves run sendfile(2) instead of a user-space copy, and
+	// ConnContext lets the trace handler tell which bytes the conn
+	// already counted. Counters are shared with the handler so
+	// /v1/stats sees both sides.
 	mw, err := auth.NewMiddleware(acfg)
 	if err != nil {
 		return err

@@ -398,7 +398,7 @@ func (g *Gateway) submitTo(w http.ResponseWriter, r *http.Request, m *member, bo
 	defer resp.Body.Close()
 	m.markUp()
 	if resp.StatusCode != http.StatusOK {
-		g.copyResponse(w, r, resp, nil)
+		g.copyResponse(w, r, resp)
 		return true, nil
 	}
 	var info service.JobInfo
@@ -414,8 +414,8 @@ func (g *Gateway) submitTo(w http.ResponseWriter, r *http.Request, m *member, bo
 
 // jobProxy builds the handler for one by-ID route (suffix "" for
 // status/cancel, "/result", "/trace"): it routes on the ID's shard
-// prefix and proxies verbatim — including the trace stream's
-// chunking, filter query push-down, and X-Nmo-Trace-Md5 header.
+// prefix and proxies verbatim — including the trace stream's filter
+// query push-down, Content-Length, and X-Nmo-Trace-Md5 header.
 // JobInfo responses get their ID re-qualified so clients only ever
 // see gateway IDs. The suffix comes from the matched route, not the
 // request path, and the inner ID is re-escaped on the way out — an ID
@@ -483,72 +483,28 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 		service.WriteJSON(w, http.StatusOK, info)
 		return
 	}
-	g.copyResponse(w, r, resp, flusherFor(w))
-}
-
-// copyBufPool recycles the proxy copy buffers: 256 KB apiece, one per
-// in-flight streamed response instead of one allocation per request.
-var copyBufPool = sync.Pool{
-	New: func() interface{} { b := make([]byte, 256<<10); return &b },
-}
-
-// flushWriter flushes after every Write, keeping proxied trace streams
-// incremental through io.CopyBuffer. It deliberately does NOT
-// implement io.ReaderFrom — the pooled buffer below stays the copy
-// granularity, and each chunk reaches the client as soon as it is
-// relayed.
-type flushWriter struct {
-	w  io.Writer
-	fl http.Flusher
-}
-
-func (f flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if f.fl != nil {
-		f.fl.Flush()
-	}
-	return n, err
+	g.copyResponse(w, r, resp)
 }
 
 // copyResponse relays a member response through http.Client plumbing:
-// relevant headers, status, then the body. Sized responses pass
-// straight through io.Copy; unsized (chunked) responses — filtered
-// restreams — go through the pooled copy buffer, flushed
-// chunk-by-chunk when fl is set so trace streams stay incremental
-// through the gateway. This is the fallback relay (the splice proxy
-// handles trace bodies on zero-copy conns), so trace bytes moved here
-// count as fallback, and a broken copy is classified — client abort
-// vs upstream failure — instead of silently discarded.
-func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, fl http.Flusher) {
+// relevant headers, status, then the body in one io.Copy. Every body
+// it sees is sized — JSON documents, error envelopes, and trace plans
+// on the paths the splice relay does not take — so there is nothing to
+// buffer or flush. Trace bytes moved here count as fallback, and a
+// broken trace copy is classified — client abort vs upstream failure —
+// instead of silently discarded.
+func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response) {
 	for _, h := range []string{"Content-Type", "Content-Length", "X-Nmo-Trace-Md5"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	isTrace := resp.Header.Get("Content-Type") == "application/octet-stream"
 	w.WriteHeader(resp.StatusCode)
-	var n int64
-	var err error
-	if resp.ContentLength >= 0 {
-		n, err = io.Copy(w, resp.Body)
-	} else {
-		bufp := copyBufPool.Get().(*[]byte)
-		defer copyBufPool.Put(bufp)
-		var dst io.Writer = w
-		if fl != nil {
-			dst = flushWriter{w: w, fl: fl}
-		}
-		n, err = io.CopyBuffer(dst, resp.Body, *bufp)
-	}
-	if isTrace {
+	n, err := io.Copy(w, resp.Body)
+	if resp.Header.Get("Content-Type") == "application/octet-stream" {
 		g.zc.AddFallback(n)
 		g.zc.CountCopyErr(r.Context(), err)
 	}
-}
-
-func flusherFor(w http.ResponseWriter) http.Flusher {
-	fl, _ := w.(http.Flusher)
-	return fl
 }
 
 // handleStats fans /v1/stats out to every member and merges the

@@ -3,7 +3,7 @@
 // of nmod shards, so identical jobs from any client land on the shard
 // whose single-flight cache already holds (or is computing) the
 // result. It proxies the whole job API — status, cancel, result, and
-// chunked trace streaming with the ?from/to/core push-down intact —
+// sized trace streams with the ?from/to/core push-down intact —
 // and merges /v1/stats across members into one fleet view.
 //
 // Placement must respect the same constraint structure the scheduler's

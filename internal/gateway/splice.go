@@ -29,9 +29,9 @@ import (
 // Failure ladder: anything that goes wrong before the shard's first
 // response byte (dial, stale pooled conn, header timeout) falls back
 // to the classic http.Client relay — at most one extra round trip.
-// Unsized (chunked filtered) and non-200 responses relay through the
-// normal copy on the same conn. Errors mid-body are terminal for both
-// sockets, counted and classified like any other copy error.
+// Non-200 responses (error envelopes) relay through the normal copy on
+// the same conn. Errors mid-body are terminal for both sockets,
+// counted and classified like any other copy error.
 
 // upstreamPoolSize bounds idle splice conns per member. Trace reads
 // are few and heavy; four idle conns cover bursts without hoarding
@@ -156,13 +156,14 @@ func (uc *upstreamConn) roundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // relaySpliced forwards one shard response that arrived on a raw
-// upstream conn. Sized 200s splice; everything else takes the normal
-// relay on the same conn and gives the conn up (chunked framing makes
-// reuse bookkeeping not worth it for the rare path).
+// upstream conn. Every trace 200 is sized and splices; anything else
+// (an error envelope, or an unsized body from a non-conforming
+// upstream) takes the normal relay on the same conn and gives the conn
+// up — reuse bookkeeping is not worth it for the rare path.
 func (g *Gateway) relaySpliced(w http.ResponseWriter, r *http.Request, m *member, uc *upstreamConn, resp *http.Response) {
 	cl := resp.ContentLength
 	if resp.StatusCode != http.StatusOK || cl < 0 {
-		g.copyResponse(w, r, resp, flusherFor(w))
+		g.copyResponse(w, r, resp)
 		resp.Body.Close()
 		uc.close()
 		return
@@ -213,7 +214,7 @@ func (g *Gateway) relaySpliced(w http.ResponseWriter, r *http.Request, m *member
 		err = cerr
 	}
 	if remain := cl - buffered; err == nil && remain > 0 {
-		if fl := flusherFor(w); fl != nil {
+		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
 		ss := ssPool.Get().(*zerocopy.SocketSection)

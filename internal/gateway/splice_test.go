@@ -30,6 +30,20 @@ func serveZC(t *testing.T, handler http.Handler, ctr *zerocopy.Counters) string 
 	return "http://" + ln.Addr().String()
 }
 
+// waitGrow polls a data-plane counter until it exceeds before, for up
+// to five seconds, and returns its last value. The relay credits its
+// bytes after the body copy returns, so a client can hold the whole
+// body a moment before the counter moves.
+func waitGrow(read func() int64, before int64) int64 {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got := read(); got > before || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestGatewaySpliceRelay drives the full kernel-offload chain: the
 // shard sendfiles its spill file, the gateway splices the sized body
 // shard-socket → client-socket, and the client still sees bytes
@@ -92,15 +106,38 @@ func TestGatewaySpliceRelay(t *testing.T) {
 		}
 	}
 
-	// Filtered (chunked) streams must still flow — they take the
-	// non-splice relay on the same infrastructure.
+	// Filtered streams are sized span plans too: a core-filtered fetch
+	// through the gateway carries Content-Length and the shard's MD5
+	// header, and its body takes the splice relay like any other.
 	opt := service.NewTraceOptions()
 	opt.Core = 0
-	viaGW, _ := fetchTrace(t, client, info.ID, opt)
-	directF, _ := fetchTrace(t, service.NewClient(shardURL), inner, opt)
-	if len(viaGW) == 0 || !bytes.Equal(viaGW, directF) {
+	directF, md5F := fetchTrace(t, service.NewClient(shardURL), inner, opt)
+	if len(directF) < 64<<10 {
+		t.Fatalf("core-filtered body only %d bytes; too small to outgrow the upstream buffer", len(directF))
+	}
+	spliced := gw.ZeroCopy().SpliceBytes()
+	resp, err := http.Get(frontURL + "/v1/jobs/" + info.ID + "/trace?core=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaGW, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(viaGW)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("core-filtered stream not sized through the gateway: Content-Length %d, %d body bytes, Transfer-Encoding %v",
+			resp.ContentLength, len(viaGW), resp.TransferEncoding)
+	}
+	if got := resp.Header.Get("X-Nmo-Trace-Md5"); md5F == "" || got != md5F {
+		t.Errorf("core-filtered MD5 header via gateway %q, shard's %q", got, md5F)
+	}
+	if !bytes.Equal(viaGW, directF) {
 		t.Fatalf("filtered stream differs through the gateway: %d vs %d bytes",
 			len(viaGW), len(directF))
+	}
+	if runtime.GOOS == "linux" && waitGrow(gw.ZeroCopy().SpliceBytes, spliced) <= spliced {
+		t.Error("core-filtered fetch through the gateway moved no splice bytes")
 	}
 
 	if runtime.GOOS == "linux" {
@@ -164,7 +201,7 @@ func TestGatewaySpliceFallback(t *testing.T) {
 	if n := gw.ZeroCopy().SpliceBytes(); n != 0 {
 		t.Errorf("gateway counted %d splice bytes on non-zero-copy client conns", n)
 	}
-	if gw.ZeroCopy().FallbackBytes() == 0 {
+	if waitGrow(gw.ZeroCopy().FallbackBytes, 0) == 0 {
 		t.Error("fallback relay counted no trace bytes")
 	}
 }
@@ -189,7 +226,7 @@ func TestGatewaySpliceClientCancel(t *testing.T) {
 		w.Header().Set("Content-Length", strconv.Itoa(1<<20))
 		w.WriteHeader(http.StatusOK)
 		w.Write(make([]byte, 8<<10))
-		flusherFor(w).Flush()
+		w.(http.Flusher).Flush()
 		<-stall // promised 1 MiB, never delivers the rest
 	})
 	shardLn, err := net.Listen("tcp", "127.0.0.1:0")

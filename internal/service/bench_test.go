@@ -135,10 +135,12 @@ func BenchmarkServiceTraceStream(b *testing.B) {
 }
 
 // BenchmarkTraceServeFile contrasts the two storage tiers on the
-// unfiltered /trace path: "memory" serves from the resident blob,
-// "file" serves a demoted blob straight from its spill file (the
+// unfiltered /trace path — a one-extent span plan either way: "memory"
+// writes the extent out of the resident blob, "file" hands it to the
+// connection as a FileSection over the demoted blob's spill file (the
 // sendfile-eligible path, which never stages the payload on the Go
-// heap). The file tier's win shows up in allocs/op and B/op.
+// heap). The server is httptest, whose conns are never wrapped, so
+// the file leg measures net/http's own copy of the section.
 func BenchmarkTraceServeFile(b *testing.B) {
 	run := func(b *testing.B, cache *Cache, wantFile bool) {
 		sched := NewScheduler(SchedConfig{Workers: 1}, cache)
@@ -198,7 +200,8 @@ func BenchmarkTraceServeFile(b *testing.B) {
 // same demoted blob over real TCP: "sendfile" serves through a
 // wrapped listener (the production wiring — the body leaves via
 // sendfile(2) and never crosses user space), "fallback" through a
-// plain listener (the pooled 256 KiB copy). Both legs are driven by
+// plain listener (net/http copies the same FileSection through user
+// space). Both legs are driven by
 // the same raw keep-alive client that discards bodies through
 // zerocopy.Drainer (splice → /dev/null), so the receive side costs
 // page accounting on either leg — like a remote peer's NIC — instead

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"container/list"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -16,52 +14,32 @@ import (
 // data/path fields are immutable; demotion and promotion swap the
 // pointer atomically so in-flight serves keep whichever backing they
 // loaded. files pools open descriptors on the spill file so the hot
-// serve path pays os.Open once, not per request; mems pools readers
-// over the resident slice so the memory tier is allocation-free too.
+// serve path pays os.Open once, not per request.
 type blobBacking struct {
 	data  []byte // resident copy; nil once demoted to disk
 	path  string // spill file; "" for memory-only blobs
 	files sync.Pool
-	mems  sync.Pool
 }
 
 // fileHandle is one pooled serve handle: an open descriptor on the
-// spill file plus the reusable copy machinery around it (a
-// LimitedReader shell, a Writer shell, a 256 KiB chunk buffer, and a
-// zerocopy.FileSection). Pooling the whole kit makes a steady-state
-// file-tier serve allocation-free: on a zero-copy connection the
-// handler points fs at the descriptor and the blob moves by
-// sendfile(2) on the conn's cached raw fd; elsewhere the blob streams
-// through the bounded buffer. (Go's own net.sendFile allocates a
-// rawConn and closure per call — the regression that kept PR 7 on the
-// pooled copy; the cached-rawconn path in internal/zerocopy is what
-// finally made the kernel path win.) Either way the payload is never
-// staged on the heap in full.
+// spill file plus a reusable zerocopy.FileSection over it. Every read
+// through the handle is a pread (the section for extents, an
+// io.SectionReader for a filtered request's index and straddler
+// blocks), so the descriptor's own offset never moves and a pooled
+// handle needs no reset. On a zero-copy connection the handler points
+// fs at an extent and the bytes move by sendfile(2) on the conn's
+// cached raw fd; the payload is never staged on the heap in full.
 type fileHandle struct {
-	f   *os.File
-	lr  io.LimitedReader
-	out chunkWriter
-	buf []byte
-	fs  zerocopy.FileSection
+	f  *os.File
+	fs zerocopy.FileSection
 }
 
-// chunkWriter is a reusable plain-Writer shell: handing it to
-// io.CopyBuffer hides the ResponseWriter's ReaderFrom so the copy
-// actually uses the pooled buffer.
-type chunkWriter struct{ w io.Writer }
-
-func (cw *chunkWriter) Write(p []byte) (int, error) { return cw.w.Write(p) }
-
-// acquireFile returns a serve handle positioned at offset 0, reusing a
-// pooled one when available. Handles that fall out of the pool are
-// closed by the runtime's os.File cleanup, so an evicted backing leaks
-// nothing.
+// acquireFile returns a serve handle, reusing a pooled one when
+// available. Handles that fall out of the pool are closed by the
+// runtime's os.File cleanup, so an evicted backing leaks nothing.
 func (bk *blobBacking) acquireFile() (*fileHandle, error) {
 	if h, _ := bk.files.Get().(*fileHandle); h != nil {
-		if _, err := h.f.Seek(0, io.SeekStart); err == nil {
-			return h, nil
-		}
-		h.f.Close()
+		return h, nil
 	}
 	f, err := os.Open(bk.path)
 	if err != nil {
@@ -76,25 +54,6 @@ func (bk *blobBacking) acquireFile() (*fileHandle, error) {
 // releaseFile returns a handle from acquireFile to the pool.
 func (bk *blobBacking) releaseFile(h *fileHandle) { bk.files.Put(h) }
 
-// acquireMem returns a pooled reader positioned at the start of the
-// resident bytes — the memory-tier counterpart of acquireFile, so a
-// steady-state resident serve allocates nothing either.
-func (bk *blobBacking) acquireMem() *bytes.Reader {
-	r, _ := bk.mems.Get().(*bytes.Reader)
-	if r == nil {
-		r = new(bytes.Reader)
-	}
-	r.Reset(bk.data)
-	return r
-}
-
-// releaseMem returns a reader from acquireMem to the pool, dropping
-// its view of the data so a pooled reader never pins the slice.
-func (bk *blobBacking) releaseMem(r *bytes.Reader) {
-	r.Reset(nil)
-	bk.mems.Put(r)
-}
-
 // TraceBlob is one scenario's stored v2 (or v2.1) trace: the exact
 // bytes the run's writer sink produced, plus the stream's rolling MD5.
 // The trace endpoint serves the bytes verbatim (unfiltered requests
@@ -102,8 +61,8 @@ func (bk *blobBacking) releaseMem(r *bytes.Reader) {
 // filtered copy. A blob may be memory-resident, file-backed (spilled
 // to the cache directory and demoted), or both; the accessor methods
 // hide which, except that file-backed serves hand the handler a
-// pooled handle on the real *os.File so the payload streams through
-// one bounded buffer instead of being read back onto the heap.
+// pooled handle on the real *os.File so the payload leaves by
+// sendfile instead of being read back onto the heap.
 type TraceBlob struct {
 	Name string
 	MD5  [16]byte
@@ -153,9 +112,8 @@ func (b *TraceBlob) Bytes() ([]byte, error) {
 }
 
 // open pins the blob's current backing for one request: either the
-// resident bytes or a serve handle positioned at 0, drawn from the
-// backing's descriptor pool (the caller must return it with
-// bk.releaseFile). Every serve gets its own file offset, and an
+// resident bytes or a serve handle drawn from the backing's descriptor
+// pool (the caller must return it with bk.releaseFile). An
 // evicted-but-open file keeps serving to its in-flight readers under
 // POSIX unlink semantics.
 func (b *TraceBlob) open() (data []byte, h *fileHandle, bk *blobBacking, err error) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -231,7 +232,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Pin the blob's current backing for this request: resident bytes,
 	// or an open handle on its spill file (which keeps serving even if
 	// the cache deletes the file mid-response).
-	_, h, bk, err := blob.open()
+	data, h, bk, err := blob.open()
 	if err != nil || bk == nil {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound,
 			fmt.Sprintf("job %s: trace evicted from cache: %v", j.ID, err))
@@ -241,128 +242,68 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		defer bk.releaseFile(h)
 	}
 
-	zc := zerocopy.FromContext(r.Context())
+	// Every response is a span plan: literal segments (header,
+	// re-encoded straddler blocks, footer) plus extents of stored
+	// bytes. An unfiltered request is one extent over the whole blob
+	// with the stored rolling MD5; a filtered one is the RestreamExact
+	// output of the pinned backing in segment form. Either way size and
+	// checksum are known before the first byte, so the response is
+	// sized and carries X-Nmo-Trace-Md5 — the gateway splices it and
+	// clients detect truncation.
+	plan := &trace.RestreamPlan{
+		Segments: []trace.PlanSegment{{Len: blob.Size()}},
+		Size:     blob.Size(),
+		MD5:      blob.MD5,
+	}
+	if filtered {
+		var src io.ReadSeeker = bytes.NewReader(data)
+		if h != nil {
+			src = io.NewSectionReader(h.f, 0, blob.Size())
+		}
+		rd, err := trace.OpenV2(src)
+		if err == nil {
+			plan, err = trace.RestreamPlanExact(rd, lo, hi, core)
+		}
+		if err != nil {
+			obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
+			return
+		}
+	}
+
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if !filtered {
-		// Unfiltered: the stored bytes verbatim. The rolling MD5 is
-		// echoed so clients can verify without reading the tail first;
-		// Content-Length lets them preallocate and keeps the response
-		// sized through the proxy hop (and eligible for kernel
-		// offload). Three tiers, best first:
-		//
-		//   1. file-backed on a zero-copy conn — flush the sized
-		//      header, then io.Copy hands the pooled handle's
-		//      FileSection to the connection's ReadFrom, which drives
-		//      sendfile(2) on its cached raw fd: no per-request
-		//      allocation, no user-space byte.
-		//   2. file-backed otherwise (httptest, TLS, non-Linux, or the
-		//      kernel refused) — the classic pooled 256 KiB copy, zero
-		//      allocations in steady state.
-		//   3. memory-resident — one WriteTo straight out of the
-		//      resident slice through a pooled reader.
-		w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(blob.MD5[:]))
-		w.Header().Set("Content-Length", strconv.FormatInt(blob.Size(), 10))
-		w.WriteHeader(http.StatusOK)
-		var copyErr error
-		switch {
-		case h != nil && zc != nil:
-			flushHeader(w)
-			h.fs.Set(h.f, 0, blob.Size())
-			_, copyErr = io.Copy(w, &h.fs) // sendfile; bytes counted conn-side
-		case h != nil:
-			if h.buf == nil {
-				h.buf = make([]byte, 256<<10)
-			}
-			h.lr = io.LimitedReader{R: h.f, N: blob.Size()}
-			h.out.w = w
-			n, err := io.CopyBuffer(&h.out, &h.lr, h.buf)
-			h.out.w = nil
-			s.zc.AddFallback(n)
-			copyErr = err
-		default:
-			mr := bk.acquireMem()
-			n, err := io.Copy(w, mr)
-			bk.releaseMem(mr)
-			s.zc.AddFallback(n)
-			copyErr = err
-		}
-		s.zc.CountCopyErr(r.Context(), copyErr)
-		return
-	}
-
-	// Filtered, file-backed, no core predicate: serve from a span
-	// plan. The plan is the RestreamExact output described as literal
-	// segments (header, straddler blocks, footer) plus (offset,
-	// length) extents of provably-whole stored blocks — so the size
-	// and checksum are known before the first byte (a sized response
-	// with X-Nmo-Trace-Md5, which the gateway passes through), and
-	// every whole-block run sendfiles verbatim from the spill file on
-	// a zero-copy conn. Only straddlers and the envelope touch user
-	// space. Core filters are excluded: CoreMask aliases at 64 cores,
-	// so no block is ever provably whole and a plan would buffer the
-	// entire filtered stream.
-	if h != nil && core < 0 {
-		rd, err := trace.OpenV2(io.NewSectionReader(h.f, 0, blob.Size()))
-		if err != nil {
-			obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-			return
-		}
-		plan, err := trace.RestreamPlanExact(rd, lo, hi, core)
-		if err != nil {
-			obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-			return
-		}
-		w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
-		w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
-		w.WriteHeader(http.StatusOK)
-		flushHeader(w)
-		s.zc.CountCopyErr(r.Context(), s.servePlan(w, h, plan, zc))
-		return
-	}
-
-	// Filtered, memory-tier or core-predicated: restream chunked
-	// through the block-skip push-down, as before. Blocks the index
-	// proves entirely inside the predicate are spliced in their stored
-	// form; straddlers are exact-filtered. Errors past the header
-	// surface as a truncated chunked body (the client's OpenV2
-	// rejects it).
-	var src io.ReadSeeker
-	if h != nil {
-		src = io.NewSectionReader(h.f, 0, blob.Size())
-	} else {
-		mr := bk.acquireMem()
-		defer bk.releaseMem(mr)
-		src = mr
-	}
-	rd, err := trace.OpenV2(src)
-	if err != nil {
-		obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-		return
-	}
+	w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
+	w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
 	w.WriteHeader(http.StatusOK)
-	cw := countWriter{w: w}
-	_, _, err = trace.RestreamExact(rd, &cw, lo, hi, core)
-	s.zc.AddFallback(cw.n)
-	s.zc.CountCopyErr(r.Context(), err)
+	s.zc.CountCopyErr(r.Context(), s.servePlan(w, plan, data, h, zerocopy.FromContext(r.Context())))
 }
 
-// servePlan streams a span plan: literal segments through the normal
-// write path, extents through the handle's FileSection — sendfile on a
-// zero-copy conn, pread copy anywhere else. Byte-identical to the
-// chunked restream of the same predicate. On a wrapped conn the extent
-// bytes are credited conn-side (sendfile or fallback) by Conn.ReadFrom;
-// on anything else they stream through FileSection.Read invisibly, so
-// they are counted as fallback here to keep sendfile+splice+fallback
-// summing to total trace bytes served.
-func (s *Server) servePlan(w http.ResponseWriter, h *fileHandle, plan *trace.RestreamPlan, zc *zerocopy.Conn) error {
+// servePlan writes a span plan. Literal segments and memory-tier
+// extents go through w.Write. File extents go through the pinned
+// handle's FileSection: io.Copy hands it to the connection's ReadFrom,
+// which sendfiles on a zero-copy conn (or falls back to its pooled
+// copy). On a wrapped conn those bytes are credited conn-side; on any
+// other conn they stream through FileSection.Read unseen, so they are
+// counted as fallback here, keeping sendfile+splice+fallback equal to
+// the trace bytes served.
+func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data []byte, h *fileHandle, zc *zerocopy.Conn) error {
 	for _, seg := range plan.Segments {
-		if seg.Data != nil {
-			n, err := w.Write(seg.Data)
+		if seg.Data != nil || h == nil {
+			p := seg.Data
+			if p == nil {
+				p = data[seg.SrcOff : seg.SrcOff+seg.Len]
+			}
+			n, err := w.Write(p)
 			s.zc.AddFallback(int64(n))
 			if err != nil {
 				return err
 			}
 			continue
+		}
+		// Push out the header and any buffered literal first, so
+		// net/http's ReadFrom skips its 512-byte sniff prefix and hands
+		// the whole extent to the connection.
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
 		}
 		h.fs.Set(h.f, seg.SrcOff, seg.Len)
 		n, err := io.Copy(w, &h.fs)
@@ -376,32 +317,10 @@ func (s *Server) servePlan(w http.ResponseWriter, h *fileHandle, plan *trace.Res
 	return nil
 }
 
-// flushHeader pushes the written header onto the wire so net/http's
-// ReadFrom skips its 512-byte sniff prefix and hands the entire body
-// to the connection in one go.
-func flushHeader(w http.ResponseWriter) {
-	if fl, ok := w.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// countWriter tallies the bytes a chunked restream pushes through the
-// user-space path, so fallback accounting covers filtered serves too.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // traceFilter parses ?from/?to/?core into the canonical trace
 // predicate: timestamps in [lo, hi) (0 = unbounded) and an exact core
 // (-1 = all). filtered reports whether any filter was requested —
-// false selects the serve-verbatim fast path.
+// false serves the stored blob verbatim as a one-extent plan.
 func traceFilter(r *http.Request) (lo, hi uint64, core int, filtered bool, err error) {
 	q := r.URL.Query()
 	core = -1

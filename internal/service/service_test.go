@@ -42,7 +42,7 @@ func newTestScheduler(t *testing.T, cfg SchedConfig) *Scheduler {
 }
 
 // waitDone waits for a job's terminal state.
-func waitDone(t *testing.T, j *Job) JobInfo {
+func waitDone(t testing.TB, j *Job) JobInfo {
 	t.Helper()
 	select {
 	case <-j.Done():
@@ -67,7 +67,7 @@ func waitDone(t *testing.T, j *Job) JobInfo {
 
 // blobBytes materializes a blob for comparison (reading its spill
 // file when demoted), failing the test on a read error.
-func blobBytes(t *testing.T, b *TraceBlob) []byte {
+func blobBytes(t testing.TB, b *TraceBlob) []byte {
 	t.Helper()
 	data, err := b.Bytes()
 	if err != nil {

@@ -19,8 +19,8 @@
 //     answered from the cache — concurrent identical submissions
 //     coalesce onto one leader run and nothing simulates twice.
 //   - Streaming delivery: a finished job's v2 trace blobs are served
-//     over chunked HTTP, with ?from/to/core mapped onto the trace
-//     package's ScanHints block-skip push-down, and its aggregate
+//     as sized, checksummed span plans, with ?from/to/core mapped onto
+//     the trace package's block-skip push-down, and its aggregate
 //     summary (tables, percentiles, Eq. 1 accuracy) as JSON.
 //
 // Client is the thin Go client the remote CLI modes (nmoprof/nmostat

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nmo/internal/trace"
 	"nmo/internal/zerocopy"
@@ -43,7 +45,7 @@ func (cl countingListener) Accept() (net.Conn, error) {
 
 // runJob submits spec straight to the scheduler and returns its first
 // trace blob once the job is terminal.
-func runJob(t *testing.T, sched *Scheduler, spec JobSpec) *TraceBlob {
+func runJob(t testing.TB, sched *Scheduler, spec JobSpec) *TraceBlob {
 	t.Helper()
 	j, err := sched.Submit(spec)
 	if err != nil {
@@ -71,13 +73,29 @@ func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
 	}
 }
 
-// TestTraceServeMatrix crosses every serve tier the zero-copy rework
-// introduced: storage tier (memory vs spill file) × format (v2 vs
-// v2.1) × filter (none → sendfile, time-range → span plan, core →
-// chunked restream) × data plane (wrapped real-TCP conn vs unwrapped
-// httptest conn, the forced-fallback path). Every cell must produce
-// byte-identical bodies and identical X-Nmo-Trace-Md5 headers across
-// the two data planes — kernel offload may never change the wire.
+// waitGrow polls a data-plane counter until it exceeds before, for up
+// to five seconds, and returns its last value. The conn credits its
+// bytes after the final syscall returns, so a client can hold the
+// whole body a moment before the counter moves.
+func waitGrow(read func() int64, before int64) int64 {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got := read(); got > before || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTraceServeMatrix crosses the one span-plan serve path with every
+// input it sees: storage tier (memory vs spill file) × format (v2 vs
+// v2.1) × filter (none → one-extent plan, time-range, full span, core)
+// × data plane (wrapped real-TCP conn vs unwrapped httptest conn, the
+// forced-fallback path). Every cell must produce byte-identical bodies
+// and identical X-Nmo-Trace-Md5 headers across the two data planes —
+// kernel offload may never change the wire — and every body must be
+// the stored blob (unfiltered) or a local RestreamExact of it, with
+// the header equal to the body's footer MD5.
 func TestTraceServeMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, tier := range []string{"memory", "file"} {
@@ -118,7 +136,8 @@ func TestTraceServeMatrix(t *testing.T) {
 				}
 				id := info.ID
 
-				rd, err := trace.OpenV2(bytes.NewReader(blobBytes(t, blob)))
+				stored := blobBytes(t, blob)
+				rd, err := trace.OpenV2(bytes.NewReader(stored))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,8 +179,24 @@ func TestTraceServeMatrix(t *testing.T) {
 						t.Errorf("%s: X-Nmo-Trace-Md5 differs: zerocopy %q, fallback %q",
 							fc.name, zcMD5, fbMD5)
 					}
-					if _, err := trace.OpenV2(bytes.NewReader(zcBuf.Bytes())); err != nil {
-						t.Errorf("%s: served stream is not a valid v2 file: %v", fc.name, err)
+					got, err := trace.OpenV2(bytes.NewReader(zcBuf.Bytes()))
+					if err != nil {
+						t.Fatalf("%s: served stream is not a valid v2 file: %v", fc.name, err)
+					}
+					if sum := got.MD5(); zcMD5 != hex.EncodeToString(sum[:]) {
+						t.Errorf("%s: X-Nmo-Trace-Md5 %q is not the body's footer MD5 %x", fc.name, zcMD5, sum)
+					}
+					want := stored
+					if fc.name != "unfiltered" {
+						var ref bytes.Buffer
+						src, _ := trace.OpenV2(bytes.NewReader(stored))
+						if _, _, err := trace.RestreamExact(src, &ref, fc.opt.FromNs, fc.opt.ToNs, fc.opt.Core); err != nil {
+							t.Fatal(err)
+						}
+						want = ref.Bytes()
+					}
+					if !bytes.Equal(zcBuf.Bytes(), want) {
+						t.Errorf("%s: served %d bytes, local reference is %d bytes", fc.name, zcBuf.Len(), len(want))
 					}
 
 					// The kernel-offload tiers must actually engage on
@@ -173,19 +208,10 @@ func TestTraceServeMatrix(t *testing.T) {
 					// through CoreMask, so neither promises extents.)
 					if runtime.GOOS == "linux" && tier == "file" &&
 						(fc.name == "unfiltered" || fc.name == "fullspan") {
-						if got := zc.h.ZeroCopy().SendfileBytes(); got <= sfBefore {
+						if got := waitGrow(zc.h.ZeroCopy().SendfileBytes, sfBefore); got <= sfBefore {
 							t.Errorf("%s: sendfile bytes did not grow (%d → %d)",
 								fc.name, sfBefore, got)
 						}
-					}
-					// The span plan makes filtered file-tier responses
-					// sized and checksummed; the other filtered cells
-					// stay chunked and headerless.
-					wantMD5 := fc.name == "unfiltered" ||
-						(tier == "file" && (fc.name == "timerange" || fc.name == "fullspan"))
-					if (zcMD5 != "") != wantMD5 {
-						t.Errorf("%s/%s: md5 header presence = %t, want %t",
-							tier, fc.name, zcMD5 != "", wantMD5)
 					}
 				}
 			})
@@ -195,7 +221,7 @@ func TestTraceServeMatrix(t *testing.T) {
 
 // TestTraceServeKeepAlive proves the sendfile path preserves HTTP/1.1
 // framing: ten sequential downloads (unfiltered + filtered, so both
-// the offload and chunked paths run) over one client must reuse one
+// one-extent and straddler plans run) over one client must reuse one
 // TCP conn — if sendfile bytes escaped net/http's response accounting,
 // the Content-Length bookkeeping would break and the conn would die
 // after the first response.

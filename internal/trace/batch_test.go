@@ -218,6 +218,23 @@ func TestRestreamExact(t *testing.T) {
 		if rd2.Compressed() != compress {
 			t.Errorf("compress=%t: splice changed the format", compress)
 		}
+		if rd2.Meta().Workload != "wl" || len(rd2.Meta().Regions) != 2 {
+			t.Errorf("compress=%t: meta not preserved: %+v", compress, rd2.Meta())
+		}
+
+		// A predicate nothing matches still yields a valid, empty stream.
+		out.Reset()
+		n, _, err = RestreamExact(rd, &out, 1<<40, 0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := OpenV2(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("compress=%t: empty restream is not a valid v2 file: %v", compress, err)
+		}
+		if n != 0 || empty.TotalSamples() != 0 {
+			t.Errorf("compress=%t: empty restream wrote %d samples, reports %d", compress, n, empty.TotalSamples())
+		}
 
 		// Block-aligned time window [40_001, 80_001): block 1 (samples
 		// 40..79) is wholly inside, blocks 0 and 2 are ruled out by the
@@ -258,6 +275,9 @@ func TestRestreamExact(t *testing.T) {
 		var got []Sample
 		if err := rd3.Scan(ScanHints{}, func(s *Sample) { got = append(got, *s) }); err != nil {
 			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("compress=%t filtered: read back %d samples, want %d", compress, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {

@@ -2,56 +2,21 @@ package trace
 
 import "io"
 
-// Restream writes a filtered copy of an open v2 trace to w as a fresh,
-// self-describing v2 stream: blocks the hints rule out are skipped via
-// the footer index (their bytes are never read), surviving samples are
-// exact-filtered by keep and re-emitted through a new WriterV2 with its
-// own index and rolling MD5. blockSamples <= 0 keeps the source's
-// block granularity.
+// RestreamExact writes a filtered copy of rd to w as a fresh,
+// self-describing stream under the canonical service predicate —
+// timestamps in [lo, hi) (0 = unbounded) and an optional single core
+// (-1 = all) — preserving the source's block granularity and
+// compression mode. The footer index skips blocks the predicate rules
+// out (their bytes are never read); a block the index proves entirely
+// inside the predicate is spliced in its stored form (compressed
+// frames move without a decompress/recompress or sample
+// decode/re-encode round trip; raw blocks without even a sample
+// decode); boundary blocks are exact-filtered and re-encoded. The
+// output is a valid v2 or v2.1 stream with its own index and rolling
+// MD5, which a client can verify and re-query locally.
 //
-// This is the push-down boundary of the service layer's trace
-// endpoint: ?from/to/core become ScanHints (block skip on the server's
-// stored blob) plus a keep predicate (exact trim of the admitted
-// blocks), and the client receives a valid v2 file it can verify and
-// re-query locally. A nil keep with zero hints degenerates to a block-
-// by-block copy — but callers that want the original bytes (and the
-// original checksum) should serve the blob directly instead.
-//
-// Returns the number of samples written.
-func Restream(rd *ReaderV2, w io.Writer, h ScanHints, keep func(*Sample) bool, blockSamples int) (uint64, error) {
-	if blockSamples <= 0 {
-		blockSamples = rd.blockSamples
-	}
-	wr, err := NewWriterV2(w, rd.Meta(), blockSamples)
-	if err != nil {
-		return 0, err
-	}
-	scanErr := rd.Scan(h, func(s *Sample) {
-		if err != nil || (keep != nil && !keep(s)) {
-			return
-		}
-		err = wr.Emit(s)
-	})
-	if scanErr != nil {
-		return wr.Total(), scanErr
-	}
-	if err != nil {
-		return wr.Total(), err
-	}
-	return wr.Total(), wr.Close()
-}
-
-// RestreamExact writes a filtered copy of rd to w under the canonical
-// service predicate — timestamps in [lo, hi) (0 = unbounded) and an
-// optional single core (-1 = all) — preserving the source's block
-// granularity and compression mode. It improves on Restream by
-// splicing: a block the index proves entirely inside the predicate is
-// copied in its stored form (compressed frames move without a
-// decompress/recompress or sample decode/re-encode round trip; raw
-// blocks without even a sample decode), while boundary blocks are
-// exact-filtered and re-encoded as usual. The output is a valid v2 or
-// v2.1 stream with its own index and rolling MD5 — identical bytes to
-// the re-encode path, just cheaper.
+// The service serves the same bytes through RestreamPlanExact; this
+// streaming form is the reference its tests compare against.
 //
 // Returns the number of samples written and how many blocks were
 // spliced verbatim.
@@ -151,11 +116,12 @@ type RestreamPlan struct {
 }
 
 // RestreamPlanExact computes the span plan for the canonical service
-// predicate over rd (the RestreamExact semantics). The plan holds the
-// literal bytes in memory — bounded by the straddler blocks plus
-// header and footer, not the admitted payload — so it is only worth
-// building when whole blocks dominate; core filters (which can never
-// prove a block whole) should stream through RestreamExact instead.
+// predicate over rd (the RestreamExact semantics). The plan holds its
+// literal bytes in memory: header, footer, and every re-encoded
+// straddler block — at most the filtered output, which holds no more
+// samples than the source. A core filter never proves a block whole
+// (CoreMask aliases at 64 cores), so its plan is one literal of the
+// filtered stream.
 func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, error) {
 	col := &segmentCollector{}
 	wr, err := newWriterV2(col, rd.Meta(), rd.blockSamples, rd.compressed)

@@ -224,8 +224,7 @@ func (c *Conn) ReadFrom(r io.Reader) (int64, error) {
 	return c.TCPConn.ReadFrom(r)
 }
 
-// copyBufPool recycles the fallback copy buffers — 256 KiB, matching
-// the pooled serve path this package replaces.
+// copyBufPool recycles the fallback copy buffers, 256 KiB apiece.
 var copyBufPool = sync.Pool{
 	New: func() interface{} { b := make([]byte, 256<<10); return &b },
 }
@@ -350,8 +349,8 @@ func ConnContext(ctx context.Context, c net.Conn) context.Context {
 
 // FromContext returns the request's wrapped connection, or nil when
 // the server wasn't wired through WrapListener/ConnContext (httptest
-// servers, TLS, unix sockets) — the cue to serve through the classic
-// pooled-copy tier.
+// servers, TLS, unix sockets) — the cue that bytes copied to the
+// response move unseen by the conn-side counters.
 func FromContext(ctx context.Context) *Conn {
 	zc, _ := ctx.Value(ctxKey{}).(*Conn)
 	return zc
