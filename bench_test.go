@@ -370,21 +370,39 @@ func BenchmarkStreamingVsCollect(b *testing.B) {
 
 // BenchmarkEngineScenarioOverhead measures the per-scenario fixed cost
 // (machine construction + session setup) with a minimal workload: the
-// price the engine pays for share-nothing isolation.
+// price the engine pays for share-nothing isolation. The 2-core case
+// is the floor; the 64-core, 32-thread case has a sweep scenario's
+// shape, where machine width, per-core hierarchies and aux rings are
+// what a scenario pays to set up.
 func BenchmarkEngineScenarioOverhead(b *testing.B) {
-	cfg := nmo.DefaultConfig()
-	spec := machine.AmpereAltraMax().WithCores(2)
-	sc := engine.Scenario{
-		Name: "tiny", Spec: spec, Config: cfg,
-		Workload: func() (workloads.Workload, error) {
-			return nmo.NewStream(nmo.StreamConfig{Elems: 64, Threads: 1, Iters: 1}), nil
-		},
+	cases := []struct {
+		name           string
+		cores, threads int
+		sample         bool
+	}{
+		{"2-core", 2, 1, false},
+		{"64-core-32-thread", 64, 32, true},
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(sc); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := nmo.DefaultConfig()
+			if tc.sample {
+				cfg.Enable = true
+				cfg.Mode = nmo.ModeSample
+			}
+			sc := engine.Scenario{
+				Name: "tiny", Spec: machine.AmpereAltraMax().WithCores(tc.cores), Config: cfg,
+				Workload: func() (workloads.Workload, error) {
+					return nmo.NewStream(nmo.StreamConfig{Elems: 64 * tc.threads, Threads: tc.threads, Iters: 1}), nil
+				},
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -407,12 +425,46 @@ func BenchmarkMachineOpThroughput(b *testing.B) {
 	b.ReportMetric(float64(ops)/float64(b.N), "ops/run")
 }
 
+// BenchmarkCacheAccess times an L1-shaped cache (64 KB, 4-way) on its
+// two paths: "miss" walks addresses that never repeat, so every access
+// picks a victim; "hit" cycles over 256 lines that stay resident.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i) * 64)
-	}
+	b.Run("miss", func(b *testing.B) {
+		c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i) * 64)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%256) * 64)
+		}
+	})
+}
+
+// BenchmarkTLBAccess times the Altra's 48-entry TLB: "same-page" hits
+// one page over and over; "round-robin-64" cycles 64 pages, one more
+// than LRU can keep, so every access misses and replaces.
+func BenchmarkTLBAccess(b *testing.B) {
+	spec := machine.AmpereAltraMax()
+	page := uint64(spec.PageBytes)
+	b.Run("same-page", func(b *testing.B) {
+		t := memsim.NewTLB(spec.TLBEntries, spec.PageBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t.Access(uint64(i*8) % page)
+		}
+	})
+	b.Run("round-robin-64", func(b *testing.B) {
+		t := memsim.NewTLB(spec.TLBEntries, spec.PageBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t.Access(uint64(i%64) * page)
+		}
+	})
 }
 
 func BenchmarkSPEUnitHotPath(b *testing.B) {

@@ -33,10 +33,12 @@ type CoreStats struct {
 	TLBMiss uint64
 }
 
-// core is one simulated hardware thread.
+// core is one simulated hardware thread. Its hierarchy and op buffer
+// are built the first time it receives a stream (Machine.bind), so a
+// wide machine running a few threads pays only for the cores it uses.
 type core struct {
 	id     int
-	hier   *memsim.Hierarchy
+	hier   *memsim.Hierarchy // nil until the core first runs a stream
 	stream isa.Stream
 	probes []Probe
 
@@ -68,6 +70,7 @@ type Machine struct {
 	numa  *memsim.NUMADomain // nil for single-node machines
 
 	now      sim.Cycles
+	ran      bool // a Run has dirtied the shared SLC/DRAM/NUMA state
 	markerFn MarkerFunc
 	ticks    []TickFunc
 
@@ -89,22 +92,33 @@ func New(spec Spec) *Machine {
 	}
 	m.cores = make([]*core, spec.Cores)
 	for i := range m.cores {
-		h := &memsim.Hierarchy{
-			L1:   memsim.NewCache(spec.L1),
-			L2:   memsim.NewCache(spec.L2),
-			TLB:  memsim.NewTLB(spec.TLBEntries, spec.PageBytes),
-			SLC:  m.slc,
-			DRAM: m.dram,
-			Lat:  spec.Lat,
-		}
-		if m.numa != nil {
-			h.NUMA = m.numa
-			// Cores split evenly across sockets.
-			h.NodeID = i * spec.NUMA.Nodes / spec.Cores
-		}
-		m.cores[i] = &core{id: i, hier: h, buf: make([]isa.Op, 4096)}
+		m.cores[i] = &core{id: i}
 	}
 	return m
+}
+
+// bind readies core c's private hierarchy for a run: it resets the one
+// an earlier run dirtied, or builds the hierarchy and op buffer the
+// first time the core receives a stream (a fresh one is already reset).
+func (m *Machine) bind(c *core) {
+	if c.hier != nil {
+		c.hier.Reset()
+		return
+	}
+	c.hier = &memsim.Hierarchy{
+		L1:   memsim.NewCache(m.spec.L1),
+		L2:   memsim.NewCache(m.spec.L2),
+		TLB:  memsim.NewTLB(m.spec.TLBEntries, m.spec.PageBytes),
+		SLC:  m.slc,
+		DRAM: m.dram,
+		Lat:  m.spec.Lat,
+	}
+	if m.numa != nil {
+		c.hier.NUMA = m.numa
+		// Cores split evenly across sockets.
+		c.hier.NodeID = c.id * m.spec.NUMA.Nodes / m.spec.Cores
+	}
+	c.buf = make([]isa.Op, 4096)
 }
 
 // NUMA returns the socket domain (nil on single-node machines).
@@ -179,6 +193,7 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 	for i, s := range streams {
 		m.cores[i].stream = s
 		if s != nil {
+			m.bind(m.cores[i])
 			active++
 		} else {
 			m.cores[i].done = true
@@ -229,17 +244,21 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 	return res, nil
 }
 
-// reset prepares per-run state.
+// reset prepares per-run state. Shared devices are constructed in their
+// reset state, so a machine's first run skips clearing them; per-core
+// hierarchies are reset by bind, only on cores that run.
 func (m *Machine) reset() {
 	m.now = 0
 	m.rss, m.maxRSS = 0, 0
-	m.slc.Reset()
-	m.dram.Reset()
-	if m.numa != nil {
-		m.numa.Reset()
+	if m.ran {
+		m.slc.Reset()
+		m.dram.Reset()
+		if m.numa != nil {
+			m.numa.Reset()
+		}
 	}
+	m.ran = true
 	for _, c := range m.cores {
-		c.hier.Reset()
 		c.cycles = 0
 		c.retireAt = 0
 		c.done = false

@@ -1,11 +1,13 @@
 package machine
 
 import (
+	"reflect"
 	"testing"
 
 	"nmo/internal/isa"
 	"nmo/internal/memsim"
 	"nmo/internal/sim"
+	"nmo/internal/xrand"
 )
 
 func smallSpec(cores int) Spec {
@@ -309,6 +311,74 @@ func TestRunResetsBetweenRuns(t *testing.T) {
 	r2, _ := m.Run([]isa.Stream{seqLoads(1000, 0, 64)})
 	if r1.Wall != r2.Wall || r1.DRAMBytes != r2.DRAMBytes {
 		t.Errorf("state leaked across runs: %+v vs %+v", r1, r2)
+	}
+}
+
+// mixedStream is a seeded load/store mix over a 64 MiB region with a
+// hot subset, so a run touches every hierarchy level, takes TLB misses
+// and queues on DRAM.
+func mixedStream(seed uint64, n int) *isa.SliceStream {
+	rng := xrand.New(seed)
+	ops := make([]isa.Op, n)
+	for i := range ops {
+		addr := rng.Uint64n(64<<20) &^ 7
+		if rng.Bool(0.6) {
+			addr = rng.Uint64n(256<<10) &^ 7
+		}
+		kind := isa.KindLoad
+		if rng.Bool(0.3) {
+			kind = isa.KindStore
+		}
+		ops[i] = isa.Op{Kind: kind, Addr: addr + seed<<32, Size: 8, PC: 0x40}
+	}
+	return &isa.SliceStream{Ops: ops}
+}
+
+// TestMachineReuseMatchesFresh runs one machine with a changing number
+// of streams and checks every result against a fresh machine running
+// the same streams: whatever a run leaves in shared devices or in the
+// hierarchies of cores that sit the next run out must not leak. Cores
+// that never received a stream must never have built a hierarchy.
+func TestMachineReuseMatchesFresh(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		spec := smallSpec(8)
+		spec.NUMA = memsim.NUMAConfig{Nodes: nodes}
+		m := New(spec)
+		runs := [][]uint64{{1, 2}, {3, 4, 5, 6}, {0, 0, 7}} // seed 0 = idle core
+		for r, seeds := range runs {
+			streams := func() []isa.Stream {
+				out := make([]isa.Stream, len(seeds))
+				for i, s := range seeds {
+					if s != 0 {
+						out[i] = mixedStream(s, 20000)
+					}
+				}
+				return out
+			}
+			got, err := m.Run(streams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(spec).Run(streams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("nodes=%d run %d on a reused machine:\n got %+v\nwant %+v", nodes, r, got, want)
+			}
+			var levels uint64
+			for _, c := range got.Cores {
+				levels += c.Levels[memsim.LevelL1] + c.Levels[memsim.LevelDRAM]
+			}
+			if levels == 0 {
+				t.Errorf("nodes=%d run %d: no L1 or DRAM accesses counted", nodes, r)
+			}
+		}
+		for i := 4; i < spec.Cores; i++ {
+			if m.cores[i].hier != nil {
+				t.Errorf("nodes=%d: core %d never ran a stream but holds a hierarchy", nodes, i)
+			}
+		}
 	}
 }
 

@@ -51,14 +51,15 @@ func (l Level) String() string {
 //
 // The implementation is tuned for the inner loop: a lookup on a
 // 4–8 way cache is a handful of comparisons over a contiguous tag
-// slice, with 8-bit LRU ranks updated in place.
+// slice, and a hit records recency with one store (see touch).
 type Cache struct {
 	ways     int
 	sets     int
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*ways entries; 0 = invalid
-	lru      []uint8  // rank per entry; 0 = most recently used
+	stamp    []uint64 // per entry: clock at its last touch
+	clock    uint64
 
 	hits   uint64
 	misses uint64
@@ -89,30 +90,17 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
 	}
-	c := &Cache{
+	return &Cache{
 		ways:     cfg.Ways,
 		sets:     sets,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*cfg.Ways),
-		lru:      make([]uint8, sets*cfg.Ways),
-	}
-	c.initLRU()
-	return c
-}
-
-// initLRU makes each set's ranks a permutation 0..ways-1 so that touch
-// preserves the permutation invariant and eviction always has a unique
-// LRU victim.
-func (c *Cache) initLRU() {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			c.lru[s*c.ways+w] = uint8(w)
-		}
+		stamp:    make([]uint64, sets*cfg.Ways),
 	}
 }
 
-// Access looks up addr, updating LRU state. On a miss the line is
+// Access looks up addr, updating recency state. On a miss the line is
 // installed (allocate-on-miss for both reads and writes, matching the
 // write-allocate policy of the Neoverse hierarchy). It returns whether
 // the access hit.
@@ -124,28 +112,15 @@ func (c *Cache) Access(addr uint64) bool {
 	ways := c.tags[set : set+c.ways]
 	for i, t := range ways {
 		if t == tag {
-			c.touch(set, i)
+			c.touch(set + i)
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
-	// Evict the LRU way (highest rank).
-	victim := 0
-	worst := uint8(0)
-	lru := c.lru[set : set+c.ways]
-	for i, r := range lru {
-		if ways[i] == 0 {
-			victim = i
-			break
-		}
-		if r >= worst {
-			worst = r
-			victim = i
-		}
-	}
-	ways[victim] = tag
-	c.touch(set, victim)
+	victim := set + lruVictim(ways, c.stamp[set:set+c.ways])
+	c.tags[victim] = tag
+	c.touch(victim)
 	return false
 }
 
@@ -162,16 +137,29 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// touch makes way `hit` the MRU entry of its set.
-func (c *Cache) touch(set, hit int) {
-	lru := c.lru[set : set+c.ways]
-	h := lru[hit]
-	for i := range lru {
-		if lru[i] < h {
-			lru[i]++
+// touch makes entry i the most recently used of its set.
+func (c *Cache) touch(i int) {
+	c.clock++
+	c.stamp[i] = c.clock
+}
+
+// lruVictim picks the way a miss replaces: the first invalid way, or
+// else the least recently used one. Every valid way was stamped when
+// it was installed and stamps are unique, so the smallest stamp is the
+// unique LRU way — the victim a move-to-front rank list would pick.
+// Stamps of invalid ways are never read, which is why Reset leaves
+// them stale.
+func lruVictim(tags, stamp []uint64) int {
+	victim := 0
+	for i, t := range tags {
+		if t == 0 {
+			return i
+		}
+		if stamp[i] < stamp[victim] {
+			victim = i
 		}
 	}
-	lru[hit] = 0
+	return victim
 }
 
 // Stats returns cumulative hit/miss counts.
@@ -179,10 +167,8 @@ func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Reset invalidates the cache and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	c.initLRU()
+	clear(c.tags)
+	c.clock = 0
 	c.hits, c.misses = 0, 0
 }
 

@@ -12,7 +12,8 @@ package memsim
 type TLB struct {
 	pageBits uint
 	entries  []uint64 // page+1; 0 = invalid
-	lru      []uint8
+	stamp    []uint64 // per entry: clock at its last touch
+	clock    uint64
 
 	hits   uint64
 	misses uint64
@@ -21,8 +22,8 @@ type TLB struct {
 // NewTLB constructs a TLB with the given number of entries and page
 // size (bytes, power of two).
 func NewTLB(entries, pageBytes int) *TLB {
-	if entries <= 0 || entries > 255 {
-		panic("memsim: TLB entries must be in [1,255]")
+	if entries <= 0 {
+		panic("memsim: TLB entries must be positive")
 	}
 	if pageBytes <= 0 || pageBytes&(pageBytes-1) != 0 {
 		panic("memsim: page size must be a positive power of two")
@@ -31,20 +32,10 @@ func NewTLB(entries, pageBytes int) *TLB {
 	for 1<<bits < pageBytes {
 		bits++
 	}
-	t := &TLB{
+	return &TLB{
 		pageBits: bits,
 		entries:  make([]uint64, entries),
-		lru:      make([]uint8, entries),
-	}
-	t.initLRU()
-	return t
-}
-
-// initLRU makes the ranks a permutation so eviction has a unique LRU
-// victim (see Cache.initLRU).
-func (t *TLB) initLRU() {
-	for i := range t.lru {
-		t.lru[i] = uint8(i)
+		stamp:    make([]uint64, entries),
 	}
 }
 
@@ -60,31 +51,16 @@ func (t *TLB) Access(addr uint64) bool {
 		}
 	}
 	t.misses++
-	victim := 0
-	worst := uint8(0)
-	for i, r := range t.lru {
-		if t.entries[i] == 0 {
-			victim = i
-			break
-		}
-		if r >= worst {
-			worst = r
-			victim = i
-		}
-	}
+	victim := lruVictim(t.entries, t.stamp)
 	t.entries[victim] = page
 	t.touch(victim)
 	return false
 }
 
-func (t *TLB) touch(hit int) {
-	h := t.lru[hit]
-	for i := range t.lru {
-		if t.lru[i] < h {
-			t.lru[i]++
-		}
-	}
-	t.lru[hit] = 0
+// touch makes entry i the most recently used (see Cache.touch).
+func (t *TLB) touch(i int) {
+	t.clock++
+	t.stamp[i] = t.clock
 }
 
 // Stats returns cumulative hit/miss counts.
@@ -92,10 +68,8 @@ func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
 // Reset invalidates all entries and clears statistics.
 func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = 0
-	}
-	t.initLRU()
+	clear(t.entries)
+	t.clock = 0
 	t.hits, t.misses = 0, 0
 }
 

@@ -9,9 +9,16 @@
 // PERF_RECORD_AUX metadata records land) and for the aux area (where
 // SPE hardware writes sample records).
 //
-// Head and tail are absolute byte offsets (never wrapped); Buf.index
-// masks them into the backing array, exactly like the kernel's
-// handling of perf_event_mmap_page.data_head/data_tail.
+// Head and tail are absolute byte offsets (never wrapped); Buf masks
+// them into the backing array, exactly like the kernel's handling of
+// perf_event_mmap_page.data_head/data_tail.
+//
+// The backing array is allocated on first use: it starts empty and
+// Write grows it by doubling until it reaches the ring's size. A
+// sampled core typically writes a few KiB into a 1–2 MiB aux area, so
+// most rings never pay for their full size. Until the array is full
+// size the ring has not wrapped, so every live byte sits at its
+// absolute offset and the masking arithmetic needs no special case.
 package ringbuf
 
 import "fmt"
@@ -19,7 +26,8 @@ import "fmt"
 // Buf is a power-of-two byte ring buffer. The zero value is not
 // usable; construct with New.
 type Buf struct {
-	data []byte
+	data []byte // grows to size on demand; see the package comment
+	size int
 	mask uint64
 	head uint64 // producer offset (absolute)
 	tail uint64 // consumer offset (absolute)
@@ -33,11 +41,14 @@ func New(size int) *Buf {
 	if size <= 0 || size&(size-1) != 0 {
 		panic(fmt.Sprintf("ringbuf: size %d must be a positive power of two", size))
 	}
-	return &Buf{data: make([]byte, size), mask: uint64(size - 1)}
+	return &Buf{size: size, mask: uint64(size - 1)}
 }
 
+// minGrow is the first allocation of a ring's backing array.
+const minGrow = 1 << 10
+
 // Size returns the buffer capacity in bytes.
-func (b *Buf) Size() int { return len(b.data) }
+func (b *Buf) Size() int { return b.size }
 
 // Head returns the absolute producer offset.
 func (b *Buf) Head() uint64 { return b.head }
@@ -49,7 +60,7 @@ func (b *Buf) Tail() uint64 { return b.tail }
 func (b *Buf) Used() int { return int(b.head - b.tail) }
 
 // Free returns the number of writable bytes.
-func (b *Buf) Free() int { return len(b.data) - b.Used() }
+func (b *Buf) Free() int { return b.size - b.Used() }
 
 // Dropped returns the cumulative number of bytes rejected by Write for
 // lack of space (the truncation counter).
@@ -64,6 +75,9 @@ func (b *Buf) Write(p []byte) bool {
 		b.dropped += uint64(len(p))
 		return false
 	}
+	if end := b.head + uint64(len(p)); end > uint64(len(b.data)) && len(b.data) < b.size {
+		b.grow(end)
+	}
 	pos := b.head & b.mask
 	n := copy(b.data[pos:], p)
 	if n < len(p) {
@@ -71,6 +85,20 @@ func (b *Buf) Write(p []byte) bool {
 	}
 	b.head += uint64(len(p))
 	return true
+}
+
+// grow doubles the backing array until it holds absolute offset end,
+// capped at the ring's size. It runs only before the first wrap, when
+// the live bytes [tail, head) all lie inside the old array, so copying
+// the old array's prefix keeps every one at its masked position.
+func (b *Buf) grow(end uint64) {
+	n := max(len(b.data), minGrow)
+	for uint64(n) < end && n < b.size {
+		n <<= 1
+	}
+	data := make([]byte, min(n, b.size))
+	copy(data, b.data)
+	b.data = data
 }
 
 // Peek returns up to max unconsumed bytes starting at tail without

@@ -184,27 +184,132 @@ func TestFIFOProperty(t *testing.T) {
 	}
 }
 
-// Property: Used+Free == Size always.
+// Property: Used+Free == Size always, on rings from 2 bytes to 1 MiB,
+// so the property also covers rings whose backing array is still
+// growing and rings that wrap after it reached full size. The bytes
+// at the live span's ends must match a shadow queue after every op.
 func TestAccountingProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		b := New(128)
+	f := func(sizeLog uint8, ops []uint16) bool {
+		size := 2 << (sizeLog % 20) // 2 B .. 1 MiB
+		b := New(size)
+		var shadow []byte
+		var next byte
 		for _, o := range ops {
-			n := int(o % 32)
+			n := int(uint64(o) * uint64(size/2+1) >> 16) // 0 .. size/2
 			if o%2 == 0 {
-				b.Write(make([]byte, n))
-			} else {
-				if n > b.Used() {
-					n = b.Used()
+				p := make([]byte, n)
+				for i := range p {
+					p[i] = next
+					next++
 				}
+				if b.Write(p) {
+					shadow = append(shadow, p...)
+				}
+			} else {
+				n = min(n, b.Used())
 				b.Advance(n)
+				shadow = shadow[n:]
 			}
-			if b.Used()+b.Free() != b.Size() || b.Used() < 0 {
+			if b.Used()+b.Free() != b.Size() || b.Used() != len(shadow) {
+				return false
+			}
+			k := min(len(shadow), 16)
+			if !bytes.Equal(b.Peek(k), shadow[:k]) ||
+				!bytes.Equal(b.ReadAt(b.Head()-uint64(k), k), shadow[len(shadow)-k:]) {
 				return false
 			}
 		}
-		return true
+		return bytes.Equal(b.Peek(-1), shadow)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// pattern returns n bytes counting up from start.
+func pattern(start, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(start + i)
+	}
+	return p
+}
+
+func TestWriteAcrossGrowthBoundary(t *testing.T) {
+	b := New(1 << 16)
+	first := pattern(0, minGrow-10)
+	if !b.Write(first) || len(b.data) != minGrow {
+		t.Fatalf("first write: backing array %d bytes, want %d", len(b.data), minGrow)
+	}
+	// Crosses the end of the first allocation: the array doubles and
+	// the bytes already written keep their offsets.
+	second := pattern(len(first), 100)
+	if !b.Write(second) || len(b.data) != 2*minGrow {
+		t.Fatalf("second write: backing array %d bytes, want %d", len(b.data), 2*minGrow)
+	}
+	want := append(first, second...)
+	if got := b.Peek(-1); !bytes.Equal(got, want) {
+		t.Error("Peek after growth does not return the written bytes")
+	}
+	// A span written partly before and partly after the growth.
+	if got := b.ReadAt(minGrow-20, 40); !bytes.Equal(got, want[minGrow-20:minGrow+20]) {
+		t.Errorf("ReadAt across the growth boundary = %v", got)
+	}
+	if b.Used()+b.Free() != b.Size() || b.Size() != 1<<16 {
+		t.Errorf("Used %d + Free %d != Size %d", b.Used(), b.Free(), b.Size())
+	}
+}
+
+func TestFirstWrapAfterFullGrowth(t *testing.T) {
+	const size = 4 * minGrow
+	b := New(size)
+	var off int
+	// Fill in uneven chunks: the array grows 1x, 2x, 4x minGrow.
+	for off < size-300 {
+		n := min(700, size-300-off)
+		if !b.Write(pattern(off, n)) {
+			t.Fatalf("write at %d failed", off)
+		}
+		off += n
+		if b.Used()+b.Free() != b.Size() {
+			t.Fatalf("accounting broke at %d", off)
+		}
+	}
+	if len(b.data) != size {
+		t.Fatalf("backing array %d bytes after filling, want %d", len(b.data), size)
+	}
+	b.Advance(1000)
+	// The first write past the ring's end wraps onto the full array.
+	wrap := pattern(off, 800)
+	if !b.Write(wrap) {
+		t.Fatal("wrapping write failed")
+	}
+	if len(b.data) != size {
+		t.Errorf("wrapping write resized the array to %d", len(b.data))
+	}
+	want := pattern(1000, off+800-1000)
+	if got := b.Peek(-1); !bytes.Equal(got, want) {
+		t.Error("Peek across the wrap does not return the live bytes")
+	}
+	// A span straddling the ring's end.
+	if got := b.ReadAt(size-50, 100); !bytes.Equal(got, pattern(size-50, 100)) {
+		t.Errorf("ReadAt across the wrap = %v", got)
+	}
+}
+
+func TestBackingArrayFollowsUse(t *testing.T) {
+	b := New(2 << 20)
+	if len(b.data) != 0 {
+		t.Fatalf("new ring holds %d bytes of backing array", len(b.data))
+	}
+	for i := 0; i < 64; i++ {
+		b.Write(make([]byte, 64))
+	}
+	if b.Used() != 4<<10 || cap(b.data) > 8<<10 {
+		t.Errorf("2 MiB ring after 4 KiB of writes: used %d, backing array %d bytes (want <= 8 KiB)",
+			b.Used(), cap(b.data))
+	}
+	if b.Free() != 2<<20-4<<10 {
+		t.Errorf("Free = %d, want the full ring's free space", b.Free())
 	}
 }
