@@ -175,7 +175,6 @@ func remoteStats(out io.Writer, o options) error {
 	t.AddRow("cache bytes (mem)", st.CacheBytesMem)
 	t.AddRow("cache bytes (disk)", st.CacheBytesDisk)
 	t.AddRow("cache demotions", st.CacheDemotions)
-	t.AddRow("cache promotions", st.CachePromotions)
 	t.AddRow("queued", st.Queued)
 	t.AddRow("running", st.Running)
 	t.AddRow("zc sendfile bytes", st.ZcSendfileBytes)

@@ -291,7 +291,7 @@ func TestRemoteStats(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"submitted", "engine runs", "cache bytes (mem)", "cache bytes (disk)",
-		"cache demotions", "cache promotions",
+		"cache demotions",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats output missing %q:\n%s", want, out)

@@ -32,10 +32,11 @@ func benchSpec(seed uint64) JobSpec {
 // full HTTP stack, contrasting the cache-miss path (every submission
 // simulates) with the cache-hit path (every submission is answered
 // from the content-addressed store) — the service-level trajectory
-// recorded in BENCH_*.json by CI.
+// recorded in BENCH_*.json by CI. hit-demoted answers every submission
+// from a spilled entry.
 func BenchmarkServiceThroughput(b *testing.B) {
-	run := func(b *testing.B, spec func(i int) JobSpec) {
-		sched := NewScheduler(SchedConfig{Workers: 2, QueueCap: 1 << 16}, nil)
+	run := func(b *testing.B, cache *Cache, spec func(i int) JobSpec) {
+		sched := NewScheduler(SchedConfig{Workers: 2, QueueCap: 1 << 16}, cache)
 		defer sched.Close()
 		srv := httptest.NewServer(NewServer(sched))
 		defer srv.Close()
@@ -60,13 +61,57 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		// Every submission is a distinct content address: full
 		// simulate + digest + cache-fill cost per job.
-		run(b, func(i int) JobSpec { return benchSpec(uint64(1000 + i)) })
+		run(b, nil, func(i int) JobSpec { return benchSpec(uint64(1000 + i)) })
 	})
 	b.Run("hit", func(b *testing.B) {
 		// One address, submitted repeatedly: after the first fill the
 		// latency is pure service overhead.
-		run(b, func(int) JobSpec { return benchSpec(1) })
+		run(b, nil, func(int) JobSpec { return benchSpec(1) })
 	})
+	b.Run("hit-demoted", func(b *testing.B) {
+		// Two spilled entries under a memory budget that fits one
+		// blob but not both, hit alternately. Were a hit to copy its
+		// blob back onto the heap it would demote the other entry, and
+		// B/op would be about one blob. The blobs are sized like the
+		// trace-stream bench's (hundreds of KiB) so that copy would
+		// dwarf the per-request overhead.
+		spec := func(i int) JobSpec {
+			sp := benchSpec(uint64(1 + i%2))
+			sp.Scenarios[0].Elems = 200_000
+			sp.Scenarios[0].Iters = 4
+			sp.Scenarios[0].Period = 64
+			return sp
+		}
+		dir := b.TempDir()
+		warm := NewScheduler(SchedConfig{Workers: 1}, mustCache(b, CacheConfig{Dir: dir}))
+		var sizes []int64
+		for i := range 2 {
+			j, err := warm.Submit(spec(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			waitDone(b, j)
+			sizes = append(sizes, j.Artifacts().Traces[0].Size())
+		}
+		warm.Close()
+		// A restart on the same dir recovers both entries file-backed.
+		budget := max(sizes[0], sizes[1])
+		if budget >= sizes[0]+sizes[1] {
+			b.Fatalf("blob sizes %v leave no budget that fits one but not both", sizes)
+		}
+		b.ReportAllocs()
+		run(b, mustCache(b, CacheConfig{Dir: dir, MemBudget: budget}), spec)
+	})
+}
+
+// mustCache builds a cache or fails the benchmark.
+func mustCache(b *testing.B, cfg CacheConfig) *Cache {
+	b.Helper()
+	c, err := NewCache(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
 }
 
 // BenchmarkServiceTraceStream measures streaming a cached trace blob

@@ -11,10 +11,10 @@ import (
 
 // blobBacking is the storage a TraceBlob currently serves from: a
 // resident byte slice, a spill file, or both (write-through). The
-// data/path fields are immutable; demotion and promotion swap the
-// pointer atomically so in-flight serves keep whichever backing they
-// loaded. files pools open descriptors on the spill file so the hot
-// serve path pays os.Open once, not per request.
+// data/path fields are immutable; demotion swaps the pointer
+// atomically so in-flight serves keep whichever backing they loaded.
+// files pools open descriptors on the spill file so the hot serve
+// path pays os.Open once, not per request.
 type blobBacking struct {
 	data  []byte // resident copy; nil once demoted to disk
 	path  string // spill file; "" for memory-only blobs
@@ -134,7 +134,8 @@ func (b *TraceBlob) open() (data []byte, h *fileHandle, bk *blobBacking, err err
 // JobArtifacts is everything a finished job can serve: the result
 // document and one trace blob per scenario (empty for scenarios that
 // did not sample). The structure is immutable once published; only
-// each blob's backing pointer moves as the cache demotes and promotes.
+// each blob's backing pointer moves: persist adds the spill path and
+// demotion drops the resident copy.
 type JobArtifacts struct {
 	Doc    ResultDoc
 	Traces []*TraceBlob
@@ -214,6 +215,9 @@ const maxEntries = 1 << 14
 // drops the heap copy and a restart recovers every persisted entry.
 // Both tiers evict LRU by bytes: memory pressure demotes (or, with no
 // disk tier, evicts), disk pressure deletes the coldest entry's files.
+// Demotion is one-way: a spilled blob's hot tier is the kernel page
+// cache, which sendfile and pread serve from directly, so a hit only
+// refreshes recency and never copies the file back onto the heap.
 // In-flight entries are never evicted.
 type Cache struct {
 	mu      sync.Mutex
@@ -224,24 +228,22 @@ type Cache struct {
 	bytesMem  int64
 	bytesDisk int64
 
-	hits       uint64
-	coalesced  uint64
-	evictions  uint64
-	demotions  uint64
-	promotions uint64
+	hits      uint64
+	coalesced uint64
+	evictions uint64
+	demotions uint64
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters and
 // tier occupancy.
 type CacheStats struct {
-	Hits       uint64
-	Coalesced  uint64
-	Evictions  uint64
-	Demotions  uint64
-	Promotions uint64
-	BytesMem   int64
-	BytesDisk  int64
-	Entries    int
+	Hits      uint64
+	Coalesced uint64
+	Evictions uint64
+	Demotions uint64
+	BytesMem  int64
+	BytesDisk int64
+	Entries   int
 }
 
 // NewCache builds the store. With cfg.Dir set, the directory is
@@ -274,23 +276,18 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // Acquire resolves a key to its entry. leader is true when the caller
 // created the entry and owns filling it; false means the entry was
 // already present — completed (e.filled, art servable now) or
-// in-flight (wait on e.done). A hit on a demoted entry that fits the
-// memory budget promotes it back to the hot set.
+// in-flight (wait on e.done). A hit moves the entry to the MRU end
+// and leaves its tier alone.
 func (c *Cache) Acquire(key string) (e *entry, leader bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		promote := false
 		if e.filled {
 			c.hits++
 			c.touchLocked(e)
-			promote = e.persisted && e.memBytes == 0 && e.size <= c.cfg.MemBudget
 		} else {
 			c.coalesced++
 		}
 		c.mu.Unlock()
-		if promote {
-			c.promote(e)
-		}
 		return e, false
 	}
 	e = &entry{key: key, done: make(chan struct{})}
@@ -352,45 +349,6 @@ func (c *Cache) touchLocked(e *entry) {
 	if e.elem != nil {
 		c.lru.MoveToFront(e.elem)
 	}
-}
-
-// promote reads a demoted entry's spill files back into memory. The
-// file reads run outside the lock; the backing swap and accounting are
-// re-checked under it, so a concurrent demote/evict/promote of the
-// same entry resolves to exactly one accounted resident copy.
-func (c *Cache) promote(e *entry) {
-	type loaded struct {
-		b    *TraceBlob
-		data []byte
-	}
-	var ls []loaded
-	for _, b := range e.art.Traces {
-		bk := b.backing.Load()
-		if bk == nil || bk.data != nil || bk.path == "" {
-			continue
-		}
-		data, err := os.ReadFile(bk.path)
-		if err != nil {
-			return // evicted under us; the entry serves from whatever remains
-		}
-		ls = append(ls, loaded{b, data})
-	}
-	if len(ls) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.entries[e.key]; !ok || cur != e || e.memBytes > 0 {
-		return
-	}
-	for _, l := range ls {
-		bk := l.b.backing.Load()
-		l.b.backing.Store(&blobBacking{data: l.data, path: bk.path})
-	}
-	e.memBytes = e.size
-	c.bytesMem += e.size
-	c.promotions++
-	c.rebalanceLocked()
 }
 
 // demoteLocked drops an entry's resident copies, leaving it serving
@@ -477,14 +435,13 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:       c.hits,
-		Coalesced:  c.coalesced,
-		Evictions:  c.evictions,
-		Demotions:  c.demotions,
-		Promotions: c.promotions,
-		BytesMem:   c.bytesMem,
-		BytesDisk:  c.bytesDisk,
-		Entries:    len(c.entries),
+		Hits:      c.hits,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
+		Demotions: c.demotions,
+		BytesMem:  c.bytesMem,
+		BytesDisk: c.bytesDisk,
+		Entries:   len(c.entries),
 	}
 }
 

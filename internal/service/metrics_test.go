@@ -105,7 +105,6 @@ func TestMetricsStatsAgree(t *testing.T) {
 		{"nmo_cache_entries", float64(st.CacheEntries)},
 		{"nmo_cache_evictions_total", float64(st.CacheEvictions)},
 		{"nmo_cache_demotions_total", float64(st.CacheDemotions)},
-		{"nmo_cache_promotions_total", float64(st.CachePromotions)},
 		{`nmo_cache_bytes{tier="mem"}`, float64(st.CacheBytesMem)},
 		{`nmo_cache_bytes{tier="disk"}`, float64(st.CacheBytesDisk)},
 		{"nmo_queue_depth", float64(st.Queued)},

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -63,13 +65,23 @@ func TestCacheRestartRecovery(t *testing.T) {
 	ctx := context.Background()
 	spec := quickJob(91)
 
-	_, client, closeAll := newSpillServer(t, dir, 0, 0)
+	sched, client, closeAll := newSpillServer(t, dir, 0, 0)
 	info, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Wait(ctx, info.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
+	}
+	// Fill writes through: the blob is resident and spilled at once.
+	job, ok := sched.Get(info.ID)
+	if !ok {
+		t.Fatal("job vanished")
+	}
+	size := job.Artifacts().Traces[0].Size()
+	if st := sched.Stats(); st.CacheBytesMem != size || st.CacheBytesDisk != size {
+		t.Errorf("after fill: bytes mem=%d disk=%d, want %d/%d (write-through)",
+			st.CacheBytesMem, st.CacheBytesDisk, size, size)
 	}
 	var before bytes.Buffer
 	_, beforeMD5, err := client.DownloadTrace(ctx, info.ID, NewTraceOptions(), &before)
@@ -124,14 +136,18 @@ func TestCacheRestartRecovery(t *testing.T) {
 }
 
 // TestSpillQuarantine: a spill directory containing a torn temp-file,
-// a truncated blob, a corrupt sidecar, and an orphan blob boots into a
-// working cache — the broken pieces renamed aside, the intact entry
-// recovered, and never a panic.
+// a truncated blob, a corrupt sidecar, an orphan blob, and rejected
+// sidecars that name files they do not own boots into a working cache
+// — the broken pieces renamed aside, the intact entry recovered and
+// serving byte-exact, nothing outside the directory touched, and
+// never a panic.
 func TestSpillQuarantine(t *testing.T) {
-	dir := t.TempDir()
+	root := t.TempDir()
+	dir := filepath.Join(root, "spill")
 	ctx := context.Background()
 
-	_, client, closeAll := newSpillServer(t, dir, 0, 0)
+	sched, client, closeAll := newSpillServer(t, dir, 0, 0)
+	keys := make(map[uint64]string)
 	for _, seed := range []uint64{92, 93} {
 		info, err := client.Submit(ctx, quickJob(seed))
 		if err != nil {
@@ -140,6 +156,8 @@ func TestSpillQuarantine(t *testing.T) {
 		if _, err := client.Wait(ctx, info.ID, 5*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
+		job, _ := sched.Get(info.ID)
+		keys[seed] = job.Key
 	}
 	closeAll()
 
@@ -147,10 +165,16 @@ func TestSpillQuarantine(t *testing.T) {
 	if len(sidecars) != 2 || len(blobs) != 2 {
 		t.Fatalf("expected 2 committed entries, found sidecars=%v blobs=%v", sidecars, blobs)
 	}
+	healthyBlob := spillBlobName(keys[93], 0)
+	healthyBytes, err := os.ReadFile(filepath.Join(dir, healthyBlob))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Sabotage entry 0: truncate its blob (simulating a torn write the
-	// rename protocol should normally prevent, e.g. disk corruption).
-	victim := filepath.Join(dir, blobs[0])
+	// Sabotage seed 92's entry: truncate its blob (simulating a torn
+	// write the rename protocol should normally prevent, e.g. disk
+	// corruption).
+	victim := filepath.Join(dir, spillBlobName(keys[92], 0))
 	data, err := os.ReadFile(victim)
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +194,43 @@ func TestSpillQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Sidecars that name files other than their own blobs. A rejected
+	// sidecar (unsupported version) naming a file outside the dir must
+	// leave it alone. Rejected sidecars naming the healthy entry's blob
+	// sort before and after it, so whichever order the scan meets them
+	// in, the healthy entry must survive. A sidecar that would verify
+	// but for naming another entry's blob is itself rejected rather
+	// than adopted onto a file it does not own.
+	sentinel := filepath.Join(root, "victim")
+	if err := os.WriteFile(sentinel, []byte("not the cache's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var healthy sidecarDoc
+	js, err := os.ReadFile(filepath.Join(dir, keys[93]+spillMetaSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(js, &healthy); err != nil {
+		t.Fatal(err)
+	}
+	writeSidecar := func(key string, version int, file string) {
+		sc := healthy
+		sc.Version, sc.Key = version, key
+		sc.Traces = []sidecarTrace{healthy.Traces[0]}
+		sc.Traces[0].File = file
+		js, err := json.Marshal(&sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+spillMetaSuffix), js, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeSidecar(strings.Repeat("cd", 32), 2, "../victim")
+	writeSidecar(strings.Repeat("00", 32), 2, healthyBlob)
+	writeSidecar(strings.Repeat("ff", 32), 2, healthyBlob)
+	writeSidecar(strings.Repeat("ee", 32), 1, healthyBlob)
+
 	cache, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("boot over a damaged spill dir must not fail: %v", err)
@@ -177,6 +238,33 @@ func TestSpillQuarantine(t *testing.T) {
 	st := cache.Stats()
 	if st.Entries != 1 {
 		t.Errorf("recovered %d entries, want 1 (the undamaged one)", st.Entries)
+	}
+	if got, err := os.ReadFile(sentinel); err != nil || string(got) != "not the cache's" {
+		t.Errorf("file outside the spill dir was touched: %q, %v", got, err)
+	}
+
+	// The healthy entry answers its job from the cache, byte-exact.
+	sched2 := NewScheduler(SchedConfig{Workers: 1}, cache)
+	t.Cleanup(sched2.Close)
+	srv := httptest.NewServer(NewServer(sched2))
+	t.Cleanup(srv.Close)
+	client2 := NewClient(srv.URL)
+	info, err := client2.Submit(ctx, quickJob(93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Cached {
+		t.Error("healthy entry was not recovered")
+	}
+	var served bytes.Buffer
+	if _, _, err := client2.DownloadTrace(ctx, info.ID, NewTraceOptions(), &served); err != nil {
+		t.Fatalf("healthy entry does not serve: %v", err)
+	}
+	if !bytes.Equal(served.Bytes(), healthyBytes) {
+		t.Error("healthy entry serves bytes that differ from its spill file")
+	}
+	if runs := sched2.EngineRuns(); runs != 0 {
+		t.Errorf("engine ran %d times for a recovered job, want 0", runs)
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -189,21 +277,25 @@ func TestSpillQuarantine(t *testing.T) {
 		}
 	}
 	// Truncated blob + its sidecar, torn temp, corrupt sidecar, orphan
-	// blob: 5 files renamed aside.
-	if len(quarantined) != 5 {
-		t.Errorf("quarantined %v (%d files), want 5", quarantined, len(quarantined))
+	// blob, and the four sidecars naming files they do not own: 9
+	// files renamed aside.
+	if len(quarantined) != 9 {
+		t.Errorf("quarantined %v (%d files), want 9", quarantined, len(quarantined))
 	}
 }
 
 // TestDemotionServesFromFile is the zero-copy acceptance check: under
 // a tiny memory budget the blob demotes to its spill file, the
 // unfiltered /trace serve comes from the file-backed path, and the
-// served bytes and X-Nmo-Trace-Md5 are exactly the spill file's.
+// served bytes and X-Nmo-Trace-Md5 are exactly the spill file's. A
+// cache hit on the spilled entry, even with room for it in memory,
+// leaves it on its file, and the next unfiltered serve goes out by
+// sendfile.
 func TestDemotionServesFromFile(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	sched, client, _ := newSpillServer(t, dir, 1, 0) // 1-byte memory tier: everything demotes
+	sched, client, closeAll := newSpillServer(t, dir, 1, 0) // 1-byte memory tier: everything demotes
 	info, err := client.Submit(ctx, quickJob(94))
 	if err != nil {
 		t.Fatal(err)
@@ -260,49 +352,45 @@ func TestDemotionServesFromFile(t *testing.T) {
 	if blob.FileBacked() != true {
 		t.Error("serving promoted the blob; reads must not move tiers")
 	}
-}
 
-// TestPromotionOnHit: a demoted entry that fits the memory budget is
-// promoted back on its next Acquire, counted in the stats.
-func TestPromotionOnHit(t *testing.T) {
-	dir := t.TempDir()
-	c, err := NewCache(CacheConfig{Dir: dir, MemBudget: 1 << 20})
+	// Restart on the same dir with the default memory budget, which
+	// has room for the blob, and resubmit the same spec: a cache hit
+	// on a file-backed entry.
+	closeAll()
+	cache2, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := strings.Repeat("aa", 32)
-	e, leader := c.Acquire(key)
-	if !leader {
-		t.Fatal("fresh cache has the key")
+	sched2 := NewScheduler(SchedConfig{Workers: 1}, cache2)
+	t.Cleanup(sched2.Close)
+	zc := newZCServer(t, sched2)
+	info2, err := zc.client.Submit(ctx, quickJob(94))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Fill(e, &JobArtifacts{Traces: []*TraceBlob{
-		NewTraceBlob("t", bytes.Repeat([]byte{7}, 4096), [16]byte{}),
-	}})
-
-	// Force the demotion a real cache would do under pressure.
-	c.mu.Lock()
-	c.demoteLocked(e)
-	c.mu.Unlock()
-	if !e.art.Traces[0].FileBacked() {
-		t.Fatal("demotion left the blob resident")
+	job2, ok := sched2.Get(info2.ID)
+	if !ok || !info2.Cached {
+		t.Fatal("resubmission after restart was not a cache hit")
 	}
-
-	if _, leader := c.Acquire(key); leader {
-		t.Fatal("key vanished")
+	blob2 := job2.Artifacts().Traces[0]
+	if !blob2.FileBacked() {
+		t.Error("cache hit moved the spilled blob back onto the heap")
 	}
-	if e.art.Traces[0].FileBacked() {
-		t.Error("hit on a demoted entry did not promote it")
+	if st := sched2.Stats(); st.CacheBytesMem != 0 || st.CachePromotions != 0 {
+		t.Errorf("after a hit: bytes mem=%d promotions=%d, want 0/0", st.CacheBytesMem, st.CachePromotions)
 	}
-	st := c.Stats()
-	if st.Promotions != 1 || st.Demotions != 1 {
-		t.Errorf("promotions=%d demotions=%d, want 1/1", st.Promotions, st.Demotions)
+	sfBefore := zc.h.ZeroCopy().SendfileBytes()
+	served.Reset()
+	if _, _, err := zc.client.DownloadTrace(ctx, info2.ID, NewTraceOptions(), &served); err != nil {
+		t.Fatal(err)
 	}
-	if st.BytesMem != 4096 || st.BytesDisk != 4096 {
-		t.Errorf("bytes mem=%d disk=%d, want 4096/4096 (write-through)", st.BytesMem, st.BytesDisk)
+	if !bytes.Equal(served.Bytes(), fileBytes) {
+		t.Error("serve after the hit differs from the spill file's bytes")
 	}
-	data, err := e.art.Traces[0].Bytes()
-	if err != nil || !bytes.Equal(data, bytes.Repeat([]byte{7}, 4096)) {
-		t.Errorf("promoted bytes corrupted (err=%v)", err)
+	if runtime.GOOS == "linux" {
+		if got := waitGrow(zc.h.ZeroCopy().SendfileBytes, sfBefore); got <= sfBefore {
+			t.Errorf("sendfile bytes did not grow (%d → %d)", sfBefore, got)
+		}
 	}
 }
 

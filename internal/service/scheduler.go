@@ -267,8 +267,6 @@ func (s *Scheduler) registerGauges() {
 		func() float64 { return float64(s.cache.Stats().Evictions) })
 	reg.CounterFunc("nmo_cache_demotions_total", "Blobs demoted memory→disk.",
 		func() float64 { return float64(s.cache.Stats().Demotions) })
-	reg.CounterFunc("nmo_cache_promotions_total", "Blobs promoted disk→memory.",
-		func() float64 { return float64(s.cache.Stats().Promotions) })
 	reg.GaugeFunc("nmo_cache_entries", "Cache entries resident.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
 	reg.GaugeFunc("nmo_cache_bytes", "Cache tier occupancy in bytes.",
@@ -301,22 +299,21 @@ func (s *Scheduler) Stats() SchedStats {
 	cs := s.cache.Stats()
 	queued, running := s.occupancy()
 	return SchedStats{
-		Submitted:       s.m.Submitted.Value(),
-		Rejected:        s.m.Rejected.Value(),
-		EngineRuns:      s.m.EngineRuns.Value(),
-		CacheHits:       cs.Hits,
-		Coalesced:       cs.Coalesced,
-		CacheEntries:    cs.Entries,
-		CacheEvictions:  cs.Evictions,
-		CacheBytesMem:   cs.BytesMem,
-		CacheBytesDisk:  cs.BytesDisk,
-		CacheDemotions:  cs.Demotions,
-		CachePromotions: cs.Promotions,
-		Queued:          queued,
-		Running:         running,
-		UptimeSec:       obs.Uptime(),
-		JobPhases:       s.m.PhaseStats(),
-		Tenants:         s.tenantStats(),
+		Submitted:      s.m.Submitted.Value(),
+		Rejected:       s.m.Rejected.Value(),
+		EngineRuns:     s.m.EngineRuns.Value(),
+		CacheHits:      cs.Hits,
+		Coalesced:      cs.Coalesced,
+		CacheEntries:   cs.Entries,
+		CacheEvictions: cs.Evictions,
+		CacheBytesMem:  cs.BytesMem,
+		CacheBytesDisk: cs.BytesDisk,
+		CacheDemotions: cs.Demotions,
+		Queued:         queued,
+		Running:        running,
+		UptimeSec:      obs.Uptime(),
+		JobPhases:      s.m.PhaseStats(),
+		Tenants:        s.tenantStats(),
 	}
 }
 

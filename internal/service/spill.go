@@ -196,23 +196,19 @@ func (c *Cache) loadDir() error {
 			continue
 		}
 		key := strings.TrimSuffix(name, spillMetaSuffix)
-		claimed[name] = true
 		sc, blobs, mtime, why := c.verifyEntry(key, name)
-		for _, st := range sc.Traces {
-			if st.File != "" {
-				claimed[st.File] = true
-			}
-		}
 		if why != "" {
+			// The rejected entry's own blobs claim nothing, so the
+			// orphan sweep quarantines them. Whatever else its sidecar
+			// names (another entry's blob, a path outside the dir) is
+			// never touched on its behalf.
 			c.quarantine(name, why)
-			for _, st := range sc.Traces {
-				if st.File != "" {
-					if _, err := os.Stat(filepath.Join(c.cfg.Dir, st.File)); err == nil {
-						c.quarantine(st.File, "blob of quarantined entry "+key)
-					}
-				}
-			}
 			continue
+		}
+		for i, st := range sc.Traces {
+			if st.Bytes > 0 {
+				claimed[spillBlobName(key, i)] = true
+			}
 		}
 		e := &entry{key: key, done: make(chan struct{}), filled: true, persisted: true}
 		e.art = &JobArtifacts{Doc: sc.Doc, Traces: blobs}
@@ -227,7 +223,7 @@ func (c *Cache) loadDir() error {
 	for _, de := range des {
 		name := de.Name()
 		if !de.IsDir() && strings.HasSuffix(name, spillBlobSuffix) && !claimed[name] {
-			c.quarantine(name, "orphan blob with no committed sidecar")
+			c.quarantine(name, "orphan blob with no verified sidecar")
 		}
 	}
 
@@ -247,8 +243,9 @@ func (c *Cache) loadDir() error {
 
 // verifyEntry checks one sidecar and its blobs, returning the parsed
 // manifest, ready file-backed blobs, and the sidecar mtime. A
-// non-empty why means the entry failed verification (the partial
-// manifest is still returned so the caller can quarantine its files).
+// non-empty why means the entry failed verification. Each blob must be
+// the file persist names for its key and index, so a verified sidecar
+// can only ever claim its own files.
 func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob, mtime int64, why string) {
 	path := filepath.Join(c.cfg.Dir, name)
 	fi, err := os.Stat(path)
@@ -272,7 +269,7 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 	if _, err := hex.DecodeString(key); err != nil || len(key) != 64 {
 		return sc, nil, mtime, "filename is not a content address"
 	}
-	for _, st := range sc.Traces {
+	for i, st := range sc.Traces {
 		if st.Bytes == 0 {
 			blobs = append(blobs, NewTraceBlob(st.Name, nil, [16]byte{}))
 			continue
@@ -283,10 +280,10 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 			return sc, nil, mtime, fmt.Sprintf("trace %q: bad md5 %q", st.Name, st.MD5)
 		}
 		copy(sum[:], raw)
-		bpath := filepath.Join(c.cfg.Dir, st.File)
-		if st.File == "" || filepath.Base(st.File) != st.File {
-			return sc, nil, mtime, fmt.Sprintf("trace %q: bad file name %q", st.Name, st.File)
+		if st.File != spillBlobName(key, i) {
+			return sc, nil, mtime, fmt.Sprintf("trace %q: file %q, want %q", st.Name, st.File, spillBlobName(key, i))
 		}
+		bpath := filepath.Join(c.cfg.Dir, st.File)
 		bfi, err := os.Stat(bpath)
 		if err != nil {
 			return sc, nil, mtime, fmt.Sprintf("trace %q: missing blob: %v", st.Name, err)

@@ -265,9 +265,11 @@ type SchedStats struct {
 	CacheEntries   int    `json:"cache_entries"`
 	CacheEvictions uint64 `json:"cache_evictions"`
 	// CacheBytesMem / CacheBytesDisk are the current byte occupancy of
-	// the two cache tiers; CacheDemotions / CachePromotions count blob
-	// movements between them (memory→disk under pressure, disk→memory
-	// on hit).
+	// the two cache tiers; CacheDemotions counts blobs dropped from
+	// memory to their spill files under pressure. A hit never moves a
+	// blob back: a spilled blob serves from its file, kept hot by the
+	// kernel page cache. CachePromotions is always 0; the field stays
+	// for wire compatibility with readers of cache_promotions.
 	CacheBytesMem   int64  `json:"cache_bytes_mem"`
 	CacheBytesDisk  int64  `json:"cache_bytes_disk"`
 	CacheDemotions  uint64 `json:"cache_demotions"`
