@@ -30,7 +30,7 @@ import (
 // byte for byte). The buffer drains at the next decode wakeup and is
 // flushed completely by finish(), after every window has closed.
 type emitBoundary struct {
-	sink trace.BatchSink
+	sink trace.Sink
 	// open is the live marker state (label -> startNs), shared with
 	// the run's marker callback.
 	open map[int16]uint64
@@ -48,7 +48,7 @@ type emitBoundary struct {
 }
 
 func newEmitBoundary(sink trace.Sink, open map[int16]uint64) *emitBoundary {
-	return &emitBoundary{sink: trace.ToBatch(sink), open: open}
+	return &emitBoundary{sink: sink, open: open}
 }
 
 // windowClosed inserts a finished window at its (startNs, label) sort

@@ -7,29 +7,58 @@ import (
 	"nmo/internal/trace"
 )
 
-// Agg is an online aggregation fed by a single scan. Run drives any
-// number of them over one pass through the source, which is what
-// makes multi-table post-processing of an on-disk trace one-scan
-// cheap instead of one-scan-per-table.
-type Agg interface {
-	Add(*trace.Sample)
-}
+// runBatch is how many matching samples Run gathers before handing
+// them to the sinks.
+const runBatch = 1024
 
-// Run feeds every matching sample to all aggs in one scan and returns
-// the source's scan error (nil for in-memory sources).
-func (q *Q) Run(aggs ...Agg) error {
-	return q.scan(func(s *trace.Sample) {
-		for _, a := range aggs {
-			a.Add(s)
+// Run feeds every matching sample to all sinks in one scan, which is
+// what makes multi-table post-processing of an on-disk trace one-scan
+// cheap instead of one-scan-per-table. Matching samples are copied into
+// one reused batch, so the sinks see the same batched stream the
+// profiling pipeline delivers. Run returns the first error — a sink's,
+// which stops delivery, or the source's scan error — and leaves closing
+// the sinks to the caller.
+func (q *Q) Run(sinks ...trace.Sink) error {
+	batch := make([]trace.Sample, 0, runBatch)
+	var err error
+	flush := func() {
+		for _, sk := range sinks {
+			if err = sk.EmitBatch(batch); err != nil {
+				return
+			}
+		}
+		batch = batch[:0]
+	}
+	scanErr := q.scan(func(s *trace.Sample) {
+		if err == nil {
+			if batch = append(batch, *s); len(batch) == runBatch {
+				flush()
+			}
 		}
 	})
+	if err != nil {
+		return err // a sink failed mid-scan, before any scan error
+	}
+	if len(batch) > 0 {
+		flush()
+	}
+	if scanErr != nil {
+		return scanErr
+	}
+	return err
 }
 
 // CountAgg counts matching samples.
 type CountAgg struct{ N uint64 }
 
-// Add counts the sample.
-func (c *CountAgg) Add(*trace.Sample) { c.N++ }
+// EmitBatch counts the batch.
+func (c *CountAgg) EmitBatch(batch []trace.Sample) error {
+	c.N += uint64(len(batch))
+	return nil
+}
+
+// Close is a no-op.
+func (c *CountAgg) Close() error { return nil }
 
 // GroupCountAgg counts samples per key — the online form of
 // Q.GroupCount, shareable across one scan with other aggregations.
@@ -43,8 +72,16 @@ func NewGroupCount(key Key) *GroupCountAgg {
 	return &GroupCountAgg{key: key, m: map[string]int{}}
 }
 
-// Add counts the sample under its key.
-func (g *GroupCountAgg) Add(s *trace.Sample) { g.m[g.key(s)]++ }
+// EmitBatch counts each sample under its key.
+func (g *GroupCountAgg) EmitBatch(batch []trace.Sample) error {
+	for i := range batch {
+		g.m[g.key(&batch[i])]++
+	}
+	return nil
+}
+
+// Close is a no-op.
+func (g *GroupCountAgg) Close() error { return nil }
 
 // Groups returns the counts sorted by key.
 func (g *GroupCountAgg) Groups() []Group {
@@ -56,22 +93,23 @@ func (g *GroupCountAgg) Groups() []Group {
 	return out
 }
 
-// Counts returns the raw key -> count map.
-func (g *GroupCountAgg) Counts() map[string]int { return g.m }
-
-// MeanAgg accumulates the mean of a projected value.
-type MeanAgg struct {
-	proj   func(*trace.Sample) float64
-	sum, n float64
-}
+// MeanAgg accumulates the mean sampled latency.
+type MeanAgg struct{ sum, n float64 }
 
 // NewMeanLatency builds the mean-latency aggregation.
-func NewMeanLatency() *MeanAgg {
-	return &MeanAgg{proj: func(s *trace.Sample) float64 { return float64(s.Lat) }}
+func NewMeanLatency() *MeanAgg { return &MeanAgg{} }
+
+// EmitBatch accumulates the batch's latencies.
+func (m *MeanAgg) EmitBatch(batch []trace.Sample) error {
+	for i := range batch {
+		m.sum += float64(batch[i].Lat)
+		m.n++
+	}
+	return nil
 }
 
-// Add accumulates the sample's projection.
-func (m *MeanAgg) Add(s *trace.Sample) { m.sum += m.proj(s); m.n++ }
+// Close is a no-op.
+func (m *MeanAgg) Close() error { return nil }
 
 // Mean returns the accumulated mean (0 for empty).
 func (m *MeanAgg) Mean() float64 {
@@ -95,8 +133,17 @@ func NewLatHist() *LatHistAgg {
 	return &LatHistAgg{buckets: make([]uint64, 1<<16)}
 }
 
-// Add buckets the sample's latency.
-func (h *LatHistAgg) Add(s *trace.Sample) { h.buckets[s.Lat]++; h.n++ }
+// EmitBatch buckets the batch's latencies.
+func (h *LatHistAgg) EmitBatch(batch []trace.Sample) error {
+	for i := range batch {
+		h.buckets[batch[i].Lat]++
+	}
+	h.n += uint64(len(batch))
+	return nil
+}
+
+// Close is a no-op.
+func (h *LatHistAgg) Close() error { return nil }
 
 // Percentile returns the p-th percentile (0–100) by nearest rank.
 func (h *LatHistAgg) Percentile(p float64) float64 {
@@ -117,27 +164,6 @@ func (h *LatHistAgg) Percentile(p float64) float64 {
 	return float64(len(h.buckets) - 1)
 }
 
-// HashAgg folds samples into the rolling trace checksum — used to
-// verify a v2 file's footer MD5 during the same scan that feeds the
-// tables.
-type HashAgg struct{ h *trace.Hash }
-
-// NewHash builds the checksum aggregation.
-func NewHash() *HashAgg { return &HashAgg{h: trace.NewHash()} }
-
-// Add hashes the sample.
-func (a *HashAgg) Add(s *trace.Sample) { a.h.Emit(s) }
-
-// Sum16 returns the rolling checksum.
-func (a *HashAgg) Sum16() [16]byte { return a.h.Sum16() }
-
-// LevelAgg counts samples per memory level — the trace.LevelHist sink
-// wearing the Agg interface, so the bucketing rule lives in one place.
-type LevelAgg struct{ trace.LevelHist }
-
-// Add counts the sample's data-source level.
-func (l *LevelAgg) Add(s *trace.Sample) { l.Emit(s) }
-
 // Summary is the standard single-pass digest of a sample stream: the
 // aggregations both CLIs render, produced by one scan so an on-disk
 // trace is read exactly once.
@@ -146,7 +172,7 @@ type Summary struct {
 	ByRegion *GroupCountAgg
 	ByKernel *GroupCountAgg
 	ByCore   *GroupCountAgg
-	Levels   LevelAgg
+	Levels   trace.LevelHist
 	Lat      *LatHistAgg
 	MeanLat  *MeanAgg
 	MD5      [16]byte
@@ -166,17 +192,16 @@ func Summarize(q *Q, withHash bool) (*Summary, error) {
 		Lat:      NewLatHist(),
 		MeanLat:  NewMeanLatency(),
 	}
-	var count CountAgg
-	aggs := []Agg{&count, s.ByRegion, s.ByKernel, s.ByCore, &s.Levels, s.Lat, s.MeanLat}
-	var hash *HashAgg
+	sinks := []trace.Sink{s.ByRegion, s.ByKernel, s.ByCore, &s.Levels, s.Lat, s.MeanLat}
+	var hash *trace.Hash
 	if withHash {
-		hash = NewHash()
-		aggs = append(aggs, hash)
+		hash = trace.NewHash()
+		sinks = append(sinks, hash)
 	}
-	if err := q.Run(aggs...); err != nil {
+	if err := q.Run(sinks...); err != nil {
 		return nil, err
 	}
-	s.Count = count.N
+	s.Count = s.Lat.n // the histogram holds every matching sample
 	if hash != nil {
 		s.MD5 = hash.Sum16()
 	}

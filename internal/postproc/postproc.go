@@ -19,9 +19,11 @@
 //	    Window(1e6) // 1 ms buckets
 //	counts := q.GroupCount(postproc.ByCore())
 //
-// One scan can feed several aggregations at once (Run), which is how
-// the CLIs derive every table of a large on-disk trace in a single
-// pass.
+// Aggregations are ordinary trace.Sinks. Run drives any number of
+// them — postproc's own (CountAgg, GroupCountAgg, MeanAgg, LatHistAgg)
+// or trace's (Hash, LevelHist, ...) — from one scan, handing them the
+// matching samples in batches; that is how the CLIs derive every table
+// of a large on-disk trace in a single pass.
 package postproc
 
 import (
@@ -125,23 +127,18 @@ func (q *Q) scan(fn func(*trace.Sample)) error {
 // Each visits every matching sample. It has no error path, which is
 // only sound for in-memory sources (their scans cannot fail); on an
 // out-of-core source a mid-scan I/O failure would silently truncate
-// the visit, so fallible sources must go through EachErr or Run,
-// which propagate the scan error.
+// the visit, so fallible sources must go through Run, which propagates
+// the scan error.
 func (q *Q) Each(fn func(*trace.Sample)) {
 	_ = q.scan(fn)
 }
 
-// EachErr visits every matching sample and returns the source's scan
-// error — the out-of-core form of Each.
-func (q *Q) EachErr(fn func(*trace.Sample)) error {
-	return q.scan(fn)
-}
-
-// Count returns the number of matching samples.
+// Count returns the number of matching samples. Like Each it ignores
+// the scan error; out-of-core callers use Run with a CountAgg.
 func (q *Q) Count() int {
-	n := 0
-	q.Each(func(*trace.Sample) { n++ })
-	return n
+	var c CountAgg
+	_ = q.Run(&c)
+	return int(c.N)
 }
 
 // Collect materializes the matching samples (copies).
@@ -159,14 +156,9 @@ type Group struct {
 
 // GroupCount groups matching samples.
 func (q *Q) GroupCount(key Key) []Group {
-	m := map[string]int{}
-	q.Each(func(s *trace.Sample) { m[key(s)]++ })
-	out := make([]Group, 0, len(m))
-	for k, c := range m {
-		out = append(out, Group{Key: k, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	g := NewGroupCount(key)
+	_ = q.Run(g)
+	return g.Groups()
 }
 
 // TopN returns the n largest groups by count (ties by key).
@@ -186,12 +178,9 @@ func (q *Q) TopN(key Key, n int) []Group {
 
 // MeanLatency returns the mean sampled latency of matching samples.
 func (q *Q) MeanLatency() float64 {
-	var sum, n float64
-	q.Each(func(s *trace.Sample) { sum += float64(s.Lat); n++ })
-	if n == 0 {
-		return 0
-	}
-	return sum / n
+	m := NewMeanLatency()
+	_ = q.Run(m)
+	return m.Mean()
 }
 
 // Window buckets matching samples into fixed time windows of width

@@ -2,6 +2,7 @@ package postproc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"nmo/internal/trace"
@@ -36,10 +37,8 @@ func v2Reader(t *testing.T, tr *trace.Trace, blockSamples int) *trace.ReaderV2 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range tr.Samples {
-		if err := w.Emit(&tr.Samples[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.EmitBatch(tr.Samples); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -135,10 +134,10 @@ func TestRunMultiAggregationSinglePass(t *testing.T) {
 	rd := v2Reader(t, tr, 32)
 
 	var count CountAgg
-	var levels LevelAgg
+	var levels trace.LevelHist
 	byRegion := NewGroupCount(ByRegionNames(rd.Meta().Regions))
 	mean := NewMeanLatency()
-	hash := NewHash()
+	hash := trace.NewHash()
 	if err := From(rd).Run(&count, &levels, byRegion, mean, hash); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestRunMultiAggregationSinglePass(t *testing.T) {
 func TestLatHistPercentiles(t *testing.T) {
 	h := NewLatHist()
 	for _, lat := range []uint16{10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
-		h.Add(&trace.Sample{Lat: lat})
+		h.EmitBatch([]trace.Sample{{Lat: lat}})
 	}
 	if p := h.Percentile(50); p != 50 {
 		t.Errorf("p50 = %v", p)
@@ -187,5 +186,84 @@ func TestLatHistPercentiles(t *testing.T) {
 	empty := NewLatHist()
 	if empty.Percentile(50) != 0 {
 		t.Error("empty percentile not 0")
+	}
+}
+
+// TestRunMatchesOneShotHelpers: Run over a trace whose length is not a
+// multiple of its batch size (2.5 batches, both in memory and out of
+// core) gives the one-shot helpers' results, and Summarize agrees.
+func TestRunMatchesOneShotHelpers(t *testing.T) {
+	tr := &trace.Trace{Workload: "odd", Regions: []string{"a", "b"}}
+	for i := 0; i < runBatch*5/2; i++ {
+		tr.Samples = append(tr.Samples, trace.Sample{
+			TimeNs: uint64(i), Lat: uint16(i % 251), Core: int16(i % 3),
+			Region: int16(i%3) - 1, Level: uint8(i % 5),
+		})
+	}
+	wantMean, wantGroups := 0.0, map[string]int{}
+	var wantLevels [4]uint64
+	for i := range tr.Samples {
+		s := &tr.Samples[i]
+		wantMean += float64(s.Lat)
+		wantGroups[ByCore()(s)]++
+		wantLevels[min(s.Level, 3)]++
+	}
+	wantMean /= float64(len(tr.Samples))
+
+	for name, q := range map[string]*Q{"mem": Query(tr), "v2": From(v2Reader(t, tr, 100))} {
+		if n := q.Count(); n != len(tr.Samples) {
+			t.Errorf("%s: Count = %d, want %d", name, n, len(tr.Samples))
+		}
+		if m := q.MeanLatency(); m != wantMean {
+			t.Errorf("%s: MeanLatency = %v, want %v", name, m, wantMean)
+		}
+		groups := q.GroupCount(ByCore())
+		if len(groups) != len(wantGroups) {
+			t.Errorf("%s: %d groups, want %d", name, len(groups), len(wantGroups))
+		}
+		for _, g := range groups {
+			if g.Count != wantGroups[g.Key] {
+				t.Errorf("%s: group %s = %d, want %d", name, g.Key, g.Count, wantGroups[g.Key])
+			}
+		}
+		sum, err := Summarize(q, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(sum.Count) != len(tr.Samples) || sum.MeanLat.Mean() != wantMean ||
+			sum.Levels.By != wantLevels || sum.MD5 != tr.MD5() {
+			t.Errorf("%s: Summarize = count %d mean %v levels %v", name, sum.Count, sum.MeanLat.Mean(), sum.Levels.By)
+		}
+	}
+}
+
+// failAfter accepts n batches, then fails every later one.
+type failAfter struct{ n, calls int }
+
+func (f *failAfter) EmitBatch([]trace.Sample) error {
+	if f.calls++; f.calls > f.n {
+		return errors.New("sink full")
+	}
+	return nil
+}
+func (f *failAfter) Close() error { return nil }
+
+// TestRunReturnsSinkError: a failing sink's error comes back from Run,
+// on a mid-scan batch and on the final partial one, and no sink sees a
+// batch after the failure.
+func TestRunReturnsSinkError(t *testing.T) {
+	tr := &trace.Trace{Samples: make([]trace.Sample, runBatch*2+1)}
+	for _, n := range []int{0, 2} {
+		bad := &failAfter{n: n}
+		var after CountAgg
+		if err := Query(tr).Run(bad, &after); err == nil || err.Error() != "sink full" {
+			t.Errorf("after %d batches: Run error = %v, want the sink's", n, err)
+		}
+		if want := uint64(n * runBatch); after.N != want {
+			t.Errorf("after %d batches: later sink counted %d, want %d", n, after.N, want)
+		}
+		if bad.calls != n+1 {
+			t.Errorf("after %d batches: failing sink called %d times, want %d", n, bad.calls, n+1)
+		}
 	}
 }

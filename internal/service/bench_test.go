@@ -86,7 +86,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		warm := NewScheduler(SchedConfig{Workers: 1}, mustCache(b, CacheConfig{Dir: dir}))
 		var sizes []int64
 		for i := range 2 {
-			j, err := warm.Submit(spec(i))
+			j, err := warm.Submit(context.Background(), spec(i))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func BenchmarkTraceServeSendfile(b *testing.B) {
 	spec.Scenarios[0].Elems = 200_000
 	spec.Scenarios[0].Iters = 4
 	spec.Scenarios[0].Period = 64
-	job, err := sched.Submit(spec)
+	job, err := sched.Submit(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 	spec := benchSpec(1)
 	spec.Scenarios[0].Elems = 100_000
 	spec.Scenarios[0].Period = 128
-	job, err := seedSched.Submit(spec)
+	job, err := seedSched.Submit(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"io"
@@ -43,7 +44,7 @@ func FuzzTraceQuery(f *testing.F) {
 		}
 		sched := NewScheduler(SchedConfig{Workers: 1}, cache)
 		f.Cleanup(sched.Close)
-		j, err := sched.Submit(spec)
+		j, err := sched.Submit(context.Background(), spec)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -140,11 +141,12 @@ func FuzzSpillLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		for n := range 10 {
-			s := trace.Sample{TimeNs: uint64(100 * n), VA: uint64(i<<20 | n<<6), Core: int16(n % 2), Region: -1, Kernel: -1}
-			if err := wr.Emit(&s); err != nil {
-				f.Fatal(err)
-			}
+		samples := make([]trace.Sample, 10)
+		for n := range samples {
+			samples[n] = trace.Sample{TimeNs: uint64(100 * n), VA: uint64(i<<20 | n<<6), Core: int16(n % 2), Region: -1, Kernel: -1}
+		}
+		if err := wr.EmitBatch(samples); err != nil {
+			f.Fatal(err)
 		}
 		if err := wr.Close(); err != nil {
 			f.Fatal(err)

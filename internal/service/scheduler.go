@@ -350,24 +350,15 @@ func (s *Scheduler) tenantStats() []TenantStat {
 // Submit validates, resolves, and admits a job. The returned Job is
 // already terminal for cache hits; coalesced and queued jobs complete
 // asynchronously (watch Done / poll Info).
-func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitReq(spec, "")
-}
-
-// SubmitReq is Submit carrying the request ID of the admitting HTTP
-// request, running as the default tenant.
-func (s *Scheduler) SubmitReq(spec JobSpec, reqID string) (*Job, error) {
-	return s.SubmitTenant(spec, reqID, auth.DefaultTenant)
-}
-
-// SubmitTenant is the full submission path: request ID stamped on the
-// job record and every audit line it emits, tenant charged against its
-// max-in-flight quota and queued under its fair-share queue. The
-// resolve+admission span is recorded as the job's cache_lookup phase.
-func (s *Scheduler) SubmitTenant(spec JobSpec, reqID, tenant string) (*Job, error) {
-	if tenant == "" {
-		tenant = auth.DefaultTenant
-	}
+//
+// ctx supplies values only: the request ID (obs.RequestID) stamped on
+// the job record and every audit line it emits, and the tenant
+// (auth.TenantFrom) charged against its max-in-flight quota and queued
+// under its fair-share queue. The job outlives the submitting request,
+// so it never inherits ctx's cancellation. The resolve+admission span
+// is recorded as the job's cache_lookup phase.
+func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
+	reqID, tenant := obs.RequestID(ctx), auth.TenantFrom(ctx)
 	admitStart := time.Now()
 	rs, key, err := resolveJob(spec)
 	if err != nil {

@@ -125,7 +125,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		obs.WriteError(w, r, http.StatusBadRequest, obs.CodeBadSpec, "bad job spec: "+err.Error())
 		return
 	}
-	job, err := s.sched.SubmitTenant(spec, obs.RequestID(r.Context()), auth.TenantFrom(r.Context()))
+	job, err := s.sched.Submit(r.Context(), spec)
 	if err != nil {
 		status, code := submitErr(err)
 		obs.WriteError(w, r, status, code, err.Error())

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -97,7 +98,7 @@ func TestConcurrentSubmissionSingleFill(t *testing.T) {
 			if i >= identical {
 				seed = uint64(200 + i) // distinct specs
 			}
-			j, err := s.Submit(quickJob(seed))
+			j, err := s.Submit(context.Background(), quickJob(seed))
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -152,14 +153,14 @@ func TestConcurrentSubmissionSingleFill(t *testing.T) {
 // scheduler computes.
 func TestCachedEqualsFresh(t *testing.T) {
 	s1 := newTestScheduler(t, SchedConfig{Workers: 2})
-	j1, err := s1.Submit(quickJob(7))
+	j1, err := s1.Submit(context.Background(), quickJob(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j1)
 
 	// Identical resubmission: answered from the cache, engine untouched.
-	j2, err := s1.Submit(quickJob(7))
+	j2, err := s1.Submit(context.Background(), quickJob(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestCachedEqualsFresh(t *testing.T) {
 
 	// A fresh scheduler (cold cache) recomputes bit-identical output.
 	s2 := newTestScheduler(t, SchedConfig{Workers: 2})
-	j3, err := s2.Submit(quickJob(7))
+	j3, err := s2.Submit(context.Background(), quickJob(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestServedTraceMatchesLocalRun(t *testing.T) {
 	}
 
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
-	j, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{sp}})
+	j, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{sp}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
 
 	// Head job occupies the only worker.
-	head, err := s.Submit(quickJob(1))
+	head, err := s.Submit(context.Background(), quickJob(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := s.Submit(quickJob(2))
+	victim, err := s.Submit(context.Background(), quickJob(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// The canceled key re-runs on resubmission (its entry was aborted,
 	// not cached as a failure).
 	runs := s.EngineRuns()
-	again, err := s.Submit(quickJob(2))
+	again, err := s.Submit(context.Background(), quickJob(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,19 +293,19 @@ func TestCancelQueuedJob(t *testing.T) {
 // submissions sort by priority (desc) then FIFO.
 func TestPriorityOrdersQueue(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
-	head, err := s.Submit(quickJob(10))
+	head, err := s.Submit(context.Background(), quickJob(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(11)}, Priority: 0})
+	low, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(11)}, Priority: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(12)}, Priority: 5})
+	high, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(12)}, Priority: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(13)}, Priority: 5})
+	mid, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(13)}, Priority: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,14 +331,14 @@ func TestPriorityOrdersQueue(t *testing.T) {
 // ErrQueueFull and do not leak cache entries.
 func TestQueueCapRejects(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1, QueueCap: 1})
-	if _, err := s.Submit(quickJob(20)); err != nil {
+	if _, err := s.Submit(context.Background(), quickJob(20)); err != nil {
 		t.Fatal(err)
 	}
 	// Depending on timing the head may already be running; fill the
 	// one queue slot, then the next distinct submission must bounce.
 	var rejected bool
 	for seed := uint64(21); seed < 40; seed++ {
-		if _, err := s.Submit(quickJob(seed)); err == ErrQueueFull {
+		if _, err := s.Submit(context.Background(), quickJob(seed)); err == ErrQueueFull {
 			rejected = true
 			break
 		} else if err != nil {
@@ -386,7 +387,7 @@ func TestBackendSlotsAdmission(t *testing.T) {
 	// A long SPE job saturates the single SPE slot.
 	long := quickSpec(30)
 	long.Elems = 400_000
-	head, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{long}})
+	head, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{long}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,13 +395,13 @@ func TestBackendSlotsAdmission(t *testing.T) {
 		t.Fatalf("head job never ran (state %s)", head.Info().State)
 	}
 
-	spe2, err := s.Submit(quickJob(31)) // SPE: must wait for the slot
+	spe2, err := s.Submit(context.Background(), quickJob(31)) // SPE: must wait for the slot
 	if err != nil {
 		t.Fatal(err)
 	}
 	pebs := quickSpec(32)
 	pebs.Backend = "pebs"
-	jp, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{pebs}})
+	jp, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{pebs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +564,7 @@ func TestJobRecordPruning(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 2, MaxJobs: 3})
 	var ids []string
 	for seed := uint64(80); seed < 88; seed++ {
-		j, err := s.Submit(quickJob(seed))
+		j, err := s.Submit(context.Background(), quickJob(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +579,7 @@ func TestJobRecordPruning(t *testing.T) {
 	}
 	// The pruned job's result is still one cache hit away.
 	runs := s.EngineRuns()
-	j, err := s.Submit(quickJob(80))
+	j, err := s.Submit(context.Background(), quickJob(80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,19 +631,19 @@ func TestBFSItersKeyAlias(t *testing.T) {
 // leader's queue position.
 func TestCoalescePriorityInheritance(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
-	head, err := s.Submit(quickJob(90)) // occupies the worker
+	head, err := s.Submit(context.Background(), quickJob(90)) // occupies the worker
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(91)}, Priority: 0})
+	leader, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(91)}, Priority: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(92)}, Priority: 5})
+	other, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(92)}, Priority: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{quickSpec(91)}, Priority: 9})
+	follower, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{quickSpec(91)}, Priority: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,7 +710,7 @@ func TestCloseConcurrentSubmitShutsDownCleanly(t *testing.T) {
 						Cores: 4, Seed: uint64(10000*round + 10*i + sc + 1), Mode: "none",
 					})
 				}
-				jobs[i], errs[i] = s.Submit(spec)
+				jobs[i], errs[i] = s.Submit(context.Background(), spec)
 			}()
 		}
 		close(start)

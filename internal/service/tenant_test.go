@@ -1,12 +1,14 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"nmo/internal/auth"
+	"nmo/internal/obs"
 )
 
 // defaultQueue returns the default tenant's queue; callers hold s.mu.
@@ -17,6 +19,12 @@ func defaultQueue(s *Scheduler) []*Job {
 		return tq.jobs
 	}
 	return nil
+}
+
+// asTenant returns a context authenticated as the given tenant, the
+// way the auth middleware hands requests to the server.
+func asTenant(tenant string) context.Context {
+	return auth.WithPrincipal(context.Background(), auth.Principal{Tenant: tenant})
 }
 
 // enqueueRaw builds a minimal queued job and places it directly via
@@ -138,22 +146,22 @@ func TestTenantMaxInFlight(t *testing.T) {
 	}}
 	s := newTestScheduler(t, SchedConfig{Workers: 1, Quotas: quotas})
 
-	first, err := s.SubmitTenant(quickJob(800), "", "tiny")
+	first, err := s.Submit(asTenant("tiny"), quickJob(800))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitTenant(quickJob(801), "", "tiny"); err != ErrQuotaExceeded {
+	if _, err := s.Submit(asTenant("tiny"), quickJob(801)); err != ErrQuotaExceeded {
 		t.Fatalf("second in-flight submission: err = %v, want ErrQuotaExceeded", err)
 	}
 	// Other tenants still admit (the quota is per tenant, not global).
-	other, err := s.SubmitTenant(quickJob(802), "", "roomy")
+	other, err := s.Submit(asTenant("roomy"), quickJob(802))
 	if err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 
 	// An identical resubmission is a cache hit/coalesce — free, never
 	// quota-rejected (it costs no engine time).
-	dup, err := s.SubmitTenant(quickJob(800), "", "tiny")
+	dup, err := s.Submit(asTenant("tiny"), quickJob(800))
 	if err != nil {
 		t.Fatalf("coalesced duplicate rejected: %v", err)
 	}
@@ -163,7 +171,7 @@ func TestTenantMaxInFlight(t *testing.T) {
 	// turns terminal; poll the tiny remainder.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j, err := s.SubmitTenant(quickJob(803), "", "tiny")
+		j, err := s.Submit(asTenant("tiny"), quickJob(803))
 		if err == nil {
 			waitDone(t, j)
 			break
@@ -180,6 +188,24 @@ func TestTenantMaxInFlight(t *testing.T) {
 	waitDone(t, dup)
 }
 
+// TestSubmitTakesContextValuesOnly: Submit reads the request ID and
+// tenant from its context but not its cancellation — a job admitted
+// under an already-canceled request context still runs to completion.
+func TestSubmitTakesContextValuesOnly(t *testing.T) {
+	s := newTestScheduler(t, SchedConfig{Workers: 1})
+	ctx, cancel := context.WithCancel(obs.WithRequestID(asTenant("alpha"), "r-submit"))
+	cancel()
+	j, err := s.Submit(ctx, quickJob(830))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitDone(t, j)
+	if info.State != StateDone || info.Tenant != "alpha" || info.RequestID != "r-submit" {
+		t.Errorf("job info = state %s tenant %q request %q, want done/alpha/r-submit",
+			info.State, info.Tenant, info.RequestID)
+	}
+}
+
 // TestTenantStatsRows: per-tenant stats report submissions, engine
 // runs, and the configured weight per tenant, and JobInfo carries the
 // tenant.
@@ -189,11 +215,11 @@ func TestTenantStatsRows(t *testing.T) {
 	}}
 	s := newTestScheduler(t, SchedConfig{Workers: 2, Quotas: quotas})
 
-	ja, err := s.SubmitTenant(quickJob(810), "", "alpha")
+	ja, err := s.Submit(asTenant("alpha"), quickJob(810))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := s.SubmitTenant(quickJob(811), "", "beta")
+	jb, err := s.Submit(asTenant("beta"), quickJob(811))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,15 +258,15 @@ func TestTenantQuotaReleasedOnCancel(t *testing.T) {
 
 	// Plug the only worker with another tenant's job so tiny's leader
 	// stays queued.
-	plug, err := s.SubmitTenant(quickJob(820), "", "plug")
+	plug, err := s.Submit(asTenant("plug"), quickJob(820))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.SubmitTenant(quickJob(821), "", "tiny")
+	queued, err := s.Submit(asTenant("tiny"), quickJob(821))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitTenant(quickJob(822), "", "tiny"); err != ErrQuotaExceeded {
+	if _, err := s.Submit(asTenant("tiny"), quickJob(822)); err != ErrQuotaExceeded {
 		t.Fatalf("quota not enforced while queued: err = %v", err)
 	}
 	if err := s.Cancel(queued.ID); err != nil {
@@ -248,7 +274,7 @@ func TestTenantQuotaReleasedOnCancel(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j, err := s.SubmitTenant(quickJob(823), "", "tiny")
+		j, err := s.Submit(asTenant("tiny"), quickJob(823))
 		if err == nil {
 			waitDone(t, j)
 			break

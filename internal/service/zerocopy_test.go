@@ -47,7 +47,7 @@ func (cl countingListener) Accept() (net.Conn, error) {
 // trace blob once the job is terminal.
 func runJob(t testing.TB, sched *Scheduler, spec JobSpec) *TraceBlob {
 	t.Helper()
-	j, err := sched.Submit(spec)
+	j, err := sched.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,14 +5,10 @@ import (
 	"testing"
 )
 
-// emitOnly hides a sink's native EmitBatch so ToBatch falls back to the
-// per-sample adapter — the legacy hot path the batch API replaces.
-type emitOnly struct{ Sink }
-
-// BenchmarkEmitBatchVsEmit contrasts the per-sample sink chain against
-// native batch emission on the same stream. The histogram chain is the
-// gated pair (interface dispatch and bounds checks dominate); the
-// aggregate chain (MD5-bound) is reported for context.
+// BenchmarkEmitBatchVsEmit measures sink chains fed 512-sample
+// batches, the granularity the decode stage emits at. The histogram
+// chain is bound by dispatch and bounds checks; the aggregate chain
+// (MD5-bound) is reported for context.
 func BenchmarkEmitBatchVsEmit(b *testing.B) {
 	src := synthTrace(65536)
 	meta := src.Meta()
@@ -29,25 +25,10 @@ func BenchmarkEmitBatchVsEmit(b *testing.B) {
 		{"aggregate", func() Sink { return NewAggregate(meta) }},
 	}
 	for _, c := range chains {
-		b.Run(c.name+"/legacy", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sk := ToBatch(emitOnly{c.mk()})
-				for off := 0; off < len(src.Samples); off += batch {
-					if err := sk.EmitBatch(src.Samples[off : off+batch]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := sk.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			perSample(b, len(src.Samples))
-		})
 		b.Run(c.name+"/batch", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sk := ToBatch(c.mk())
+				sk := c.mk()
 				for off := 0; off < len(src.Samples); off += batch {
 					if err := sk.EmitBatch(src.Samples[off : off+batch]); err != nil {
 						b.Fatal(err)

@@ -69,20 +69,19 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 		if buf, err = rd.ReadBlock(i, buf); err != nil {
 			return wr.Total(), spliced, err
 		}
+		// Compact the matching samples to the front of the decoded
+		// block and hand them to the writer in one batch.
+		n := 0
 		for j := range buf {
 			s := &buf[j]
-			if lo != 0 && s.TimeNs < lo {
-				continue
+			if (lo == 0 || s.TimeNs >= lo) && (hi == 0 || s.TimeNs < hi) &&
+				(core < 0 || int(s.Core) == core) {
+				buf[n] = *s
+				n++
 			}
-			if hi != 0 && s.TimeNs >= hi {
-				continue
-			}
-			if core >= 0 && int(s.Core) != core {
-				continue
-			}
-			if err := wr.Emit(s); err != nil {
-				return wr.Total(), spliced, err
-			}
+		}
+		if err := wr.EmitBatch(buf[:n]); err != nil {
+			return wr.Total(), spliced, err
 		}
 	}
 	return wr.Total(), spliced, wr.Close()

@@ -5,36 +5,34 @@ import (
 	"testing"
 )
 
-// planFixture builds a v2/v2.1 stream and returns its raw bytes — the
-// plan's extent offsets index into them.
-func planFixture(t *testing.T, compress bool) []byte {
-	t.Helper()
-	meta := Meta{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"}}
-	newW := NewWriterV2
-	if compress {
-		newW = NewWriterV21
-	}
-	var buf bytes.Buffer
-	w, err := newW(&buf, meta, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		s := Sample{
+// fixtureSamples is the restream fixture's stream: 100 samples with
+// timestamps 1000·(i+1) and cores i%4.
+func fixtureSamples() []Sample {
+	samples := make([]Sample, 100)
+	for i := range samples {
+		samples[i] = Sample{
 			TimeNs: uint64(1000 * (i + 1)),
 			Core:   int16(i % 4),
 			VA:     uint64(0x1000 + i),
 			Lat:    uint16(10 + i%7),
 			Region: int16(i % 2),
 		}
-		if err := w.Emit(&s); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	return samples
+}
+
+// planFixture builds a v2/v2.1 stream of fixtureSamples with block
+// size 40 and returns its raw bytes — the plan's extent offsets index
+// into them.
+func planFixture(t *testing.T, compress bool) []byte {
+	t.Helper()
+	newW := NewWriterV2
+	if compress {
+		newW = NewWriterV21
 	}
-	return buf.Bytes()
+	tr := &Trace{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"},
+		Samples: fixtureSamples()}
+	return encodeWith(newW, tr, 40)
 }
 
 // assemble materializes a plan against the source bytes.
@@ -123,6 +121,109 @@ func TestRestreamPlanExact(t *testing.T) {
 				if extents != 1 {
 					t.Errorf("compress=%t unfiltered: %d extents, want 1 coalesced", compress, extents)
 				}
+			}
+		}
+	}
+}
+
+// restreamExactFixture opens planFixture's stream and returns the
+// samples it holds.
+func restreamExactFixture(t *testing.T, compress bool) (*ReaderV2, []Sample) {
+	t.Helper()
+	rd, err := OpenV2(bytes.NewReader(planFixture(t, compress)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rd, fixtureSamples()
+}
+
+func TestRestreamExact(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		rd, samples := restreamExactFixture(t, compress)
+
+		// Unfiltered: every block splices; output MD5s to the source.
+		var out bytes.Buffer
+		n, spliced, err := RestreamExact(rd, &out, 0, 0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 100 || spliced != rd.NumBlocks() {
+			t.Errorf("compress=%t: n=%d spliced=%d of %d blocks", compress, n, spliced, rd.NumBlocks())
+		}
+		rd2, err := OpenV2(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd2.MD5() != rd.MD5() {
+			t.Errorf("compress=%t: unfiltered splice changed the MD5", compress)
+		}
+		if rd2.Compressed() != compress {
+			t.Errorf("compress=%t: splice changed the format", compress)
+		}
+		if rd2.Meta().Workload != "wl" || len(rd2.Meta().Regions) != 2 {
+			t.Errorf("compress=%t: meta not preserved: %+v", compress, rd2.Meta())
+		}
+
+		// A predicate nothing matches still yields a valid, empty stream.
+		out.Reset()
+		n, _, err = RestreamExact(rd, &out, 1<<40, 0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty, err := OpenV2(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("compress=%t: empty restream is not a valid v2 file: %v", compress, err)
+		}
+		if n != 0 || empty.TotalSamples() != 0 {
+			t.Errorf("compress=%t: empty restream wrote %d samples, reports %d", compress, n, empty.TotalSamples())
+		}
+
+		// Block-aligned time window [40_001, 80_001): block 1 (samples
+		// 40..79) is wholly inside, blocks 0 and 2 are ruled out by the
+		// index — exactly one splice, zero re-encoded samples.
+		out.Reset()
+		n, spliced, err = RestreamExact(rd, &out, 40_001, 80_001, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 40 || spliced != 1 {
+			t.Errorf("compress=%t aligned: n=%d spliced=%d, want 40/1", compress, n, spliced)
+		}
+
+		// Unaligned window + core filter: no splice possible; the output
+		// must hold exactly the matching samples, in order.
+		out.Reset()
+		lo, hi, core := uint64(30_000), uint64(60_000), 1
+		n, spliced, err = RestreamExact(rd, &out, lo, hi, core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spliced != 0 {
+			t.Errorf("compress=%t filtered: spliced %d blocks on a core filter", compress, spliced)
+		}
+		var want []Sample
+		for _, s := range samples {
+			if s.TimeNs >= lo && s.TimeNs < hi && int(s.Core) == core {
+				want = append(want, s)
+			}
+		}
+		if n != uint64(len(want)) {
+			t.Fatalf("compress=%t filtered: n=%d, want %d", compress, n, len(want))
+		}
+		rd3, err := OpenV2(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Sample
+		if err := rd3.Scan(ScanHints{}, func(s *Sample) { got = append(got, *s) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("compress=%t filtered: read back %d samples, want %d", compress, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("compress=%t filtered: sample %d = %+v, want %+v", compress, i, got[i], want[i])
 			}
 		}
 	}

@@ -20,17 +20,21 @@ func (t *Trace) Meta() Meta {
 	return Meta{Workload: t.Workload, Regions: t.Regions, Kernels: t.Kernels}
 }
 
-// Sink consumes a stream of attributed samples. The decode stage pushes
-// every sample into the configured sink chain as it is attributed, so a
-// run's memory footprint is whatever its sinks retain — an aggregate-
-// only chain holds O(1), the Collect compat sink holds everything.
+// Sink consumes a stream of attributed samples in batches. The decode
+// stage drains its reorder buffer in decided spans, so the unit that
+// crosses the sink boundary is a []Sample slice: one virtual call plus
+// a tight concrete loop per batch (or, for the hash and the v2 writer,
+// one bulk encode and one hash write). A run's memory footprint is
+// whatever its sinks retain — an aggregate-only chain holds O(1), the
+// Collect compat sink holds everything.
 //
-// Emit may retain nothing: the *Sample points into a caller-owned
-// buffer that is reused after the call returns. Sinks that keep samples
-// must copy the value. Close flushes buffered state (footers, final
-// blocks); a sink must not be emitted to after Close.
+// A sink's final state must not depend on how the stream was split
+// into batches. The batch slice is caller-owned and reused after the
+// call returns: a sink must not retain it or mutate its elements, and
+// must copy any sample it keeps. Close flushes buffered state (footers,
+// final blocks); a sink must not be emitted to after Close.
 type Sink interface {
-	Emit(*Sample) error
+	EmitBatch(batch []Sample) error
 	Close() error
 }
 
@@ -38,25 +42,17 @@ type Sink interface {
 // order. Close closes every sink and returns the first error.
 type Tee struct {
 	sinks []Sink
-	// batch mirrors sinks through ToBatch, so EmitBatch fans a batch
-	// out natively instead of degrading to per-sample dispatch.
-	batch []BatchSink
 }
 
 // NewTee builds a fan-out sink. A single-element tee adds one pointer
 // hop; callers with exactly one sink should use it directly.
-func NewTee(sinks ...Sink) *Tee {
-	t := &Tee{sinks: sinks, batch: make([]BatchSink, len(sinks))}
-	for i, sk := range sinks {
-		t.batch[i] = ToBatch(sk)
-	}
-	return t
-}
+func NewTee(sinks ...Sink) *Tee { return &Tee{sinks: sinks} }
 
-// Emit pushes the sample to every sink, stopping at the first error.
-func (t *Tee) Emit(s *Sample) error {
+// EmitBatch pushes the batch to every sink, stopping at the first
+// error.
+func (t *Tee) EmitBatch(batch []Sample) error {
 	for _, sk := range t.sinks {
-		if err := sk.Emit(s); err != nil {
+		if err := sk.EmitBatch(batch); err != nil {
 			return err
 		}
 	}
@@ -93,18 +89,21 @@ func NewCollect(tr *Trace, max int) *Collect {
 	return &Collect{Trace: tr, Max: max}
 }
 
-// Emit appends a copy of the sample, or counts it as truncated once the
-// cap is reached.
-func (c *Collect) Emit(s *Sample) error {
-	if c.Max >= 0 && len(c.Trace.Samples) >= c.Max {
-		c.Truncated++
-		return nil
+// EmitBatch appends copies of the batch, counting the samples past the
+// cap as truncated.
+func (c *Collect) EmitBatch(batch []Sample) error {
+	if c.Max >= 0 {
+		room := max(c.Max-len(c.Trace.Samples), 0)
+		if room < len(batch) {
+			c.Truncated += uint64(len(batch) - room)
+			batch = batch[:room]
+		}
 	}
-	c.Trace.Samples = append(c.Trace.Samples, *s)
+	c.Trace.Samples = append(c.Trace.Samples, batch...)
 	return nil
 }
 
-// Close is a no-op; the trace is complete after the last Emit.
+// Close is a no-op; the trace is complete after the last batch.
 func (c *Collect) Close() error { return nil }
 
 // Hash maintains the rolling MD5 of the emitted sample stream — the
@@ -112,7 +111,6 @@ func (c *Collect) Close() error { return nil }
 // retaining any sample.
 type Hash struct {
 	h       hash.Hash
-	buf     [sampleWireSize]byte
 	n       uint64
 	scratch []byte // batch encode buffer, grown on demand
 }
@@ -120,11 +118,20 @@ type Hash struct {
 // NewHash builds a rolling-checksum sink.
 func NewHash() *Hash { return &Hash{h: md5.New()} }
 
-// Emit folds the sample's wire encoding into the hash.
-func (h *Hash) Emit(s *Sample) error {
-	encodeSample(h.buf[:], s)
-	h.h.Write(h.buf[:])
-	h.n++
+// EmitBatch encodes the whole batch into a scratch buffer and folds it
+// into the hash with a single Write — one MD5 block pass instead of one
+// per sample.
+func (h *Hash) EmitBatch(batch []Sample) error {
+	need := len(batch) * sampleWireSize
+	if cap(h.scratch) < need {
+		h.scratch = make([]byte, need)
+	}
+	buf := h.scratch[:need]
+	for i := range batch {
+		encodeSample(buf[i*sampleWireSize:], &batch[i])
+	}
+	h.h.Write(buf)
+	h.n += uint64(len(batch))
 	return nil
 }
 
@@ -149,7 +156,7 @@ type CountHist struct {
 	by    []uint64
 	other uint64
 	// kernel selects the kernel index instead of the region index — a
-	// field rather than a selector closure so the batch path hoists the
+	// field rather than a selector closure so EmitBatch hoists the
 	// choice out of the per-sample loop.
 	kernel bool
 }
@@ -165,17 +172,28 @@ func NewKernelHist(meta Meta) *CountHist {
 		kernel: true}
 }
 
-// Emit counts the sample.
-func (c *CountHist) Emit(s *Sample) error {
-	idx := s.Region
+// EmitBatch counts the batch with the index choice hoisted out of the
+// loop.
+func (c *CountHist) EmitBatch(batch []Sample) error {
+	by, other := c.by, c.other
 	if c.kernel {
-		idx = s.Kernel
+		for i := range batch {
+			if idx := batch[i].Kernel; idx >= 0 && int(idx) < len(by) {
+				by[idx]++
+			} else {
+				other++
+			}
+		}
+	} else {
+		for i := range batch {
+			if idx := batch[i].Region; idx >= 0 && int(idx) < len(by) {
+				by[idx]++
+			} else {
+				other++
+			}
+		}
 	}
-	if idx < 0 || int(idx) >= len(c.by) {
-		c.other++
-		return nil
-	}
-	c.by[idx]++
+	c.other = other
 	return nil
 }
 
@@ -203,13 +221,11 @@ type LevelHist struct {
 	By [4]uint64
 }
 
-// Emit counts the sample's data-source level.
-func (l *LevelHist) Emit(s *Sample) error {
-	lv := s.Level
-	if lv > 3 {
-		lv = 3
+// EmitBatch counts the batch's data-source levels.
+func (l *LevelHist) EmitBatch(batch []Sample) error {
+	for i := range batch {
+		l.By[min(batch[i].Level, 3)]++
 	}
-	l.By[lv]++
 	return nil
 }
 
@@ -237,20 +253,16 @@ func NewAggregate(meta Meta) *Aggregate {
 	}
 }
 
-// Emit updates every aggregate.
-func (a *Aggregate) Emit(s *Sample) error {
-	a.Hash.Emit(s)
-	a.Levels.Emit(s)
-	a.Regions.Emit(s)
-	return a.Kernels.Emit(s)
+// EmitBatch updates every aggregate with one pass per component.
+func (a *Aggregate) EmitBatch(batch []Sample) error {
+	a.Hash.EmitBatch(batch)
+	a.Levels.EmitBatch(batch)
+	a.Regions.EmitBatch(batch)
+	return a.Kernels.EmitBatch(batch)
 }
 
 // Close is a no-op.
 func (a *Aggregate) Close() error { return nil }
-
-// Sum16 returns the stream checksum (equal to Trace.MD5 over the same
-// samples).
-func (a *Aggregate) Sum16() [16]byte { return a.Hash.Sum16() }
 
 // SeriesBuilder grows a temporal Series online, maintaining max / sum /
 // count incrementally so aggregate readers need not walk the points.

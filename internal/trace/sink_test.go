@@ -1,20 +1,36 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-func emitAll(t *testing.T, sk Sink, tr *Trace) {
+// emitBatches feeds tr to a sink in the given split sizes (the last
+// chunk takes whatever remains), then closes it.
+func emitBatches(t *testing.T, sk Sink, tr *Trace, split int) {
 	t.Helper()
-	for i := range tr.Samples {
-		if err := sk.Emit(&tr.Samples[i]); err != nil {
+	samples := tr.Samples
+	for len(samples) > 0 {
+		n := min(split, len(samples))
+		if err := sk.EmitBatch(samples[:n]); err != nil {
 			t.Fatal(err)
 		}
+		samples = samples[n:]
 	}
 	if err := sk.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// emitAll feeds tr in batches of 16, so most tests cross a few batch
+// boundaries.
+func emitAll(t *testing.T, sk Sink, tr *Trace) {
+	t.Helper()
+	emitBatches(t, sk, tr, 16)
 }
 
 func TestCollectMatchesTrace(t *testing.T) {
@@ -83,17 +99,19 @@ func TestTeeFansOut(t *testing.T) {
 
 type failSink struct{ calls int }
 
-func (f *failSink) Emit(*Sample) error { f.calls++; return errors.New("boom") }
-func (f *failSink) Close() error       { return nil }
+func (f *failSink) EmitBatch([]Sample) error { f.calls++; return errors.New("boom") }
+func (f *failSink) Close() error             { return nil }
 
-func TestTeeStopsAtFirstEmitError(t *testing.T) {
+// TestTeeBatchStopsAtFirstError: a failing sink's error surfaces and
+// the sinks after it do not see the batch.
+func TestTeeBatchStopsAtFirstError(t *testing.T) {
 	h := NewHash()
 	tee := NewTee(&failSink{}, h)
-	if err := tee.Emit(&Sample{}); err == nil {
+	if err := tee.EmitBatch(make([]Sample, 3)); err == nil {
 		t.Fatal("error swallowed")
 	}
 	if h.Count() != 0 {
-		t.Error("sink after the failing one still received the sample")
+		t.Error("sink after the failing one still received the batch")
 	}
 }
 
@@ -132,7 +150,7 @@ func TestAggregateSink(t *testing.T) {
 	src := synthTrace(128)
 	a := NewAggregate(src.Meta())
 	emitAll(t, a, src)
-	if a.Sum16() != src.MD5() {
+	if a.Hash.Sum16() != src.MD5() {
 		t.Error("aggregate MD5 differs from Trace.MD5")
 	}
 	if a.Hash.Count() != 128 {
@@ -140,6 +158,110 @@ func TestAggregateSink(t *testing.T) {
 	}
 	if got, want := a.Regions.Counts(), src.CountByRegion(); got["a"] != want["a"] {
 		t.Errorf("region a: %d vs %d", got["a"], want["a"])
+	}
+}
+
+// TestBatchSinksMatchSequentialEmit proves the contract every sink
+// must satisfy: for any split of the stream into batches, the final
+// state is identical to the one-sample-per-batch reference (split 1).
+func TestBatchSinksMatchSequentialEmit(t *testing.T) {
+	src := synthTrace(333)
+	meta := src.Meta()
+	type state struct {
+		sum                    [16]byte
+		count                  uint64
+		collected              [16]byte
+		stored, truncated      []int
+		regions, kernels, aggR map[string]int
+		levels                 [4]uint64
+		aggSum                 [16]byte
+	}
+	// Collect caps: 50 falls mid-batch for every split from 16 up; 333
+	// lands exactly on the end of the stream.
+	caps := []int{0, 50, 333}
+	run := func(split int) state {
+		var st state
+		h := NewHash()
+		emitBatches(t, h, src, split)
+		st.sum, st.count = h.Sum16(), h.Count()
+
+		dst := &Trace{}
+		emitBatches(t, NewCollect(dst, -1), src, split)
+		st.collected = dst.MD5()
+		for _, c := range caps {
+			cs := NewCollect(&Trace{}, c)
+			emitBatches(t, cs, src, split)
+			st.stored = append(st.stored, len(cs.Trace.Samples))
+			st.truncated = append(st.truncated, int(cs.Truncated))
+			if cs.Trace.MD5() != (&Trace{Samples: src.Samples[:c]}).MD5() {
+				t.Errorf("split %d cap %d: stored samples are not the stream prefix", split, c)
+			}
+		}
+
+		rh, kh := NewRegionHist(meta), NewKernelHist(meta)
+		var lh LevelHist
+		emitBatches(t, NewTee(rh, kh, &lh), src, split)
+		st.regions, st.kernels, st.levels = rh.Counts(), kh.Counts(), lh.By
+
+		a := NewAggregate(meta)
+		emitBatches(t, a, src, split)
+		st.aggSum, st.aggR = a.Hash.Sum16(), a.Regions.Counts()
+		return st
+	}
+
+	ref := run(1)
+	if ref.sum != src.MD5() || ref.count != 333 || ref.collected != src.MD5() || ref.aggSum != src.MD5() {
+		t.Fatalf("reference diverges from the trace: %+v", ref)
+	}
+	if want := []int{0, 50, 333}; !slices.Equal(ref.stored, want) || !slices.Equal(ref.truncated, []int{333, 283, 0}) {
+		t.Fatalf("reference collect caps: stored %v truncated %v", ref.stored, ref.truncated)
+	}
+	for k, v := range src.CountByRegion() {
+		if ref.regions[k] != v || ref.aggR[k] != v {
+			t.Errorf("reference region %q = %d/%d, want %d", k, ref.regions[k], ref.aggR[k], v)
+		}
+	}
+	for k, v := range src.CountByKernel() {
+		if ref.kernels[k] != v {
+			t.Errorf("reference kernel %q = %d, want %d", k, ref.kernels[k], v)
+		}
+	}
+	for _, split := range []int{2, 16, 100, 333, 1000} {
+		if got := run(split); !reflect.DeepEqual(got, ref) {
+			t.Errorf("split %d: sink state %+v, want the split-1 state %+v", split, got, ref)
+		}
+	}
+}
+
+// TestWriterV2EmitBatchByteIdentity: every batch split — including
+// splits that straddle block boundaries — produces the byte-identical
+// v2 and v2.1 file to the one-sample-per-batch reference.
+func TestWriterV2EmitBatchByteIdentity(t *testing.T) {
+	src := synthTrace(200)
+	for _, newW := range []func(io.Writer, Meta, int) (*WriterV2, error){NewWriterV2, NewWriterV21} {
+		var ref []byte
+		for _, split := range []int{1, 3, 16, 17, 200} {
+			var got bytes.Buffer
+			w, err := newW(&got, src.Meta(), 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitBatches(t, w, src, split)
+			if split == 1 {
+				ref = got.Bytes()
+				continue
+			}
+			if !bytes.Equal(got.Bytes(), ref) {
+				t.Errorf("compressed=%t split %d: file differs from the split-1 file", w.compress, split)
+			}
+		}
+		rd, err := OpenV2(bytes.NewReader(ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.MD5() != src.MD5() || rd.TotalSamples() != 200 {
+			t.Errorf("reference file: MD5 %x, %d samples", rd.MD5(), rd.TotalSamples())
+		}
 	}
 }
 

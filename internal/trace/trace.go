@@ -306,13 +306,23 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		}
 		t.Kernels = append(t.Kernels, s)
 	}
-	t.Samples = make([]Sample, nSamples)
+	// The header's count is untrusted: preallocate a bounded prefix and
+	// grow as samples actually arrive, so a short file claiming 1<<30
+	// samples fails on its first missing record, not in make.
+	t.Samples = make([]Sample, 0, min(nSamples, 1<<12))
 	var buf [sampleWireSize]byte
-	for i := range t.Samples {
+	for i := uint32(0); i < nSamples; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, fmt.Errorf("%w: sample %d: %v", ErrBadTrace, i, err)
 		}
-		decodeSample(buf[:], &t.Samples[i])
+		// WriteBinary only produces store bytes 0/1 and zero padding;
+		// anything else would not survive a decode/encode round trip.
+		if buf[32] > 1 || buf[34] != 0 || buf[35] != 0 {
+			return nil, fmt.Errorf("%w: sample %d: non-canonical record", ErrBadTrace, i)
+		}
+		var s Sample
+		decodeSample(buf[:], &s)
+		t.Samples = append(t.Samples, s)
 	}
 	return t, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,6 +60,50 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
 	}
+	// An 18-byte file — header claiming 1<<30 samples, empty workload
+	// string, no tables, no records — must fail cleanly instead of
+	// allocating for the claimed count up front.
+	if _, err := ReadBinary(bytes.NewReader(hugeClaimV1())); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("huge sample claim: err = %v, want ErrBadTrace", err)
+	}
+}
+
+// hugeClaimV1 is a v1 header claiming 1<<30 samples followed by an
+// empty workload string and nothing else.
+func hugeClaimV1() []byte {
+	b := make([]byte, 18)
+	binary.LittleEndian.PutUint32(b[0:], traceMagic)
+	binary.LittleEndian.PutUint32(b[4:], 1<<30)
+	return b
+}
+
+// FuzzReadBinary: arbitrary bytes never panic the v1 reader, and any
+// input it accepts re-serializes to exactly the bytes it consumed.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleTrace().WriteBinary(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hugeClaimV1())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		tr, err := ReadBinary(r)
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("non-ErrBadTrace failure: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := tr.WriteBinary(&out); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoding differs from the %d consumed bytes", len(consumed))
+		}
+	})
 }
 
 func TestMD5StableAndSensitive(t *testing.T) {

@@ -96,7 +96,7 @@ func (b BlockInfo) storedSize() uint64 {
 // (bit core mod 64).
 func CoreBit(core int16) uint64 { return 1 << (uint16(core) & 63) }
 
-// WriterV2 streams samples into the v2 format. It is a Sink: Emit
+// WriterV2 streams samples into the v2 format. It is a Sink: EmitBatch
 // appends to the current block (flushing full blocks as they complete)
 // and Close writes the final partial block, the footer index, and the
 // tail. The writer maintains the rolling MD5 of the payload, so the
@@ -200,40 +200,11 @@ func (wr *WriterV2) writeString(s string) error {
 	return wr.write([]byte(s))
 }
 
-// Emit appends one sample to the stream.
-func (wr *WriterV2) Emit(s *Sample) error {
-	if wr.closed {
-		return fmt.Errorf("trace: emit after Close")
-	}
-	if wr.n == 0 {
-		wr.cur = BlockInfo{Offset: wr.off, TimeMin: s.TimeNs, TimeMax: s.TimeNs}
-	} else {
-		if s.TimeNs < wr.cur.TimeMin {
-			wr.cur.TimeMin = s.TimeNs
-		}
-		if s.TimeNs > wr.cur.TimeMax {
-			wr.cur.TimeMax = s.TimeNs
-		}
-	}
-	wr.cur.CoreMask |= CoreBit(s.Core)
-	wr.cur.Count++
-	start := len(wr.buf)
-	wr.buf = wr.buf[:start+sampleWireSize]
-	encodeSample(wr.buf[start:], s)
-	wr.h.Write(wr.buf[start:])
-	wr.n++
-	wr.total++
-	if wr.n == wr.blockSamples {
-		return wr.flushBlock()
-	}
-	return nil
-}
-
 // EmitBatch appends a batch of samples, encoding directly into the
-// block buffer with one bulk hash write per contained block span —
-// the native batch path of the sink chain. The produced bytes are
-// identical to per-sample Emit over the same stream (the rolling MD5
-// is over a concatenation, which is invariant to write boundaries).
+// block buffer with one bulk hash write per contained block span. The
+// produced bytes do not depend on how the stream is split into batches
+// (blocks cut at fixed sample counts, and the rolling MD5 is over a
+// concatenation, which is invariant to write boundaries).
 func (wr *WriterV2) EmitBatch(batch []Sample) error {
 	if wr.closed {
 		return fmt.Errorf("trace: emit after Close")

@@ -9,20 +9,7 @@ import (
 
 // encodeV21 streams tr through a v2.1 (compressed) writer into memory.
 func encodeV21(tr *Trace, blockSamples int) []byte {
-	var buf bytes.Buffer
-	w, err := NewWriterV21(&buf, tr.Meta(), blockSamples)
-	if err != nil {
-		panic(err)
-	}
-	for i := range tr.Samples {
-		if err := w.Emit(&tr.Samples[i]); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+	return encodeWith(NewWriterV21, tr, blockSamples)
 }
 
 // TestSnappyRoundTrip pins the block codec on shapes it must handle:

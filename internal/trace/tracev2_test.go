@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -35,15 +36,17 @@ func synthTrace(n int) *Trace {
 // encodeV2 streams tr through a v2 writer into memory (panic on error:
 // in-memory writes cannot fail outside programming bugs).
 func encodeV2(tr *Trace, blockSamples int) []byte {
+	return encodeWith(NewWriterV2, tr, blockSamples)
+}
+
+func encodeWith(newW func(io.Writer, Meta, int) (*WriterV2, error), tr *Trace, blockSamples int) []byte {
 	var buf bytes.Buffer
-	w, err := NewWriterV2(&buf, tr.Meta(), blockSamples)
+	w, err := newW(&buf, tr.Meta(), blockSamples)
 	if err != nil {
 		panic(err)
 	}
-	for i := range tr.Samples {
-		if err := w.Emit(&tr.Samples[i]); err != nil {
-			panic(err)
-		}
+	if err := w.EmitBatch(tr.Samples); err != nil {
+		panic(err)
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
@@ -108,7 +111,7 @@ func TestV2RollingMD5(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range tr.Samples {
-		if err := w.Emit(&tr.Samples[i]); err != nil {
+		if err := w.EmitBatch(tr.Samples[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		prefix := &Trace{Samples: tr.Samples[:i+1]}
@@ -286,23 +289,10 @@ func FuzzOpenV2(f *testing.F) {
 func TestVerifyMD5(t *testing.T) {
 	tr := synthTrace(500)
 	encode := func(compressed bool) []byte {
-		if !compressed {
-			return writeV2(t, tr, 16)
+		if compressed {
+			return encodeV21(tr, 16)
 		}
-		var buf bytes.Buffer
-		w, err := NewWriterV21(&buf, tr.Meta(), 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tr.Samples {
-			if err := w.Emit(&tr.Samples[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return writeV2(t, tr, 16)
 	}
 	for _, compressed := range []bool{false, true} {
 		data := encode(compressed)

@@ -94,9 +94,11 @@ type Series = trace.Series
 // kernel name tables its samples index.
 type TraceMeta = trace.Meta
 
-// TraceSink consumes a sample stream; the decode stage pushes every
-// attributed sample through the configured sink chain
-// (Config.SinkFactory), so run memory is what the sinks retain.
+// TraceSink consumes a sample stream in batches (EmitBatch, then
+// Close); the decode stage pushes every attributed sample through the
+// configured sink chain (Config.SinkFactory), so run memory is what the
+// sinks retain. The same sinks run over a stored trace through
+// postproc's Q.Run.
 type TraceSink = trace.Sink
 
 // SampleSource streams attributed samples for post-processing: an
