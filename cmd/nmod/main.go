@@ -124,10 +124,9 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 	defer sched.Close()
 
 	// The listener is wrapped for the zero-copy data plane: accepted
-	// conns cache a raw fd so the stored extents of file-tier trace
-	// serves run sendfile(2) instead of a user-space copy, and
-	// ConnContext lets the trace handler tell which bytes the conn
-	// already counted. Counters are shared with the handler so
+	// conns count the stored extents of file-tier trace serves that
+	// the Go runtime moves by sendfile(2), and ConnContext lets the
+	// trace handler tell which bytes the conn already counted. Counters are shared with the handler so
 	// /v1/stats sees both sides.
 	mw, err := auth.NewMiddleware(acfg)
 	if err != nil {

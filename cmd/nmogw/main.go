@@ -100,9 +100,9 @@ func run(addr, members string, replicas int, probe time.Duration, acfg auth.Conf
 	}
 	defer gw.Close()
 
-	// Wrapped listener + ConnContext: client conns carry the zero-copy
-	// state the splice proxy hop needs, so sized shard trace bodies
-	// move shard-socket → pipe → client-socket in kernel space.
+	// Wrapped listener + ConnContext: the splice proxy hop runs only
+	// on wrapped client conns, which count the sized shard trace
+	// bodies the Go runtime splices shard-socket → client-socket.
 	srv := &http.Server{Addr: addr, Handler: gw, ConnContext: zerocopy.ConnContext}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

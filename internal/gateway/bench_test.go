@@ -86,9 +86,10 @@ func BenchmarkGatewayOverhead(b *testing.B) {
 
 // BenchmarkGatewaySplice contrasts the proxy hop's two relay paths on
 // the same large sized trace: "splice" fronts the gateway with the
-// production wrapped listener (body moves shard-socket → pipe →
-// client-socket via splice(2)), "copy" with a plain listener (the
-// pooled io.Copy relay). The shard is wrapped in both, so the delta
+// production wrapped listener (io.CopyN off the raw upstream conn,
+// which the Go runtime splices shard-socket → client-socket), "copy"
+// with a plain listener (the http.Client relay's io.Copy through user
+// space). The shard is wrapped in both, so the delta
 // isolates the gateway hop. Each leg reports user-copy-B/op — the
 // payload bytes the gateway staged through user space; loopback ns/op
 // carries the page-ref receive artifact described in DESIGN.md §14.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,12 +15,32 @@ import (
 	"nmo/internal/service"
 )
 
+// lockedSink is an audit sink a test can read while server goroutines
+// still append to it: the middleware logs a request's line after the
+// response is sent.
+type lockedSink struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *lockedSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *lockedSink) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 // TestGatewayRequestIDPropagation is the cross-tier tracing e2e: the
 // gateway mints a request ID, the shard accepts it, and one grep for
 // that ID finds the gateway's HTTP audit line, the shard's HTTP and
 // job audit lines, and the job record itself.
 func TestGatewayRequestIDPropagation(t *testing.T) {
-	var shardSink, gwSink strings.Builder
+	var shardSink, gwSink lockedSink
 	sched := service.NewScheduler(service.SchedConfig{
 		Workers: 2, Metrics: service.NewMetrics(obs.NewAuditWriter(&shardSink)),
 	}, nil)

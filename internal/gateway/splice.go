@@ -2,11 +2,11 @@ package gateway
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"nmo/internal/obs"
@@ -15,16 +15,18 @@ import (
 
 // The splice proxy is the gateway's kernel-offload hop: when the
 // downstream client arrived on a zero-copy conn and the shard answers
-// a trace read with a sized body, the body moves shard-socket → pipe →
-// client-socket via splice(2) without touching user space. http.Client
-// cannot carry this path — it owns its sockets — so the gateway speaks
-// minimal HTTP/1.1 itself on a small per-member pool of raw TCP conns:
-// write the GET, http.ReadResponse the header, relay whatever the
-// header read over-buffered, then hand the remaining Content-Length
-// bytes to the downstream conn as a SocketSection. The downstream
-// write still flows through net/http's response accounting, so framing
-// and keep-alive are untouched on both legs, and the X-Nmo-Trace-Md5
-// pass-through is verified end to end by the serve-matrix tests.
+// a trace read with a sized body, the body moves shard-socket →
+// client-socket via the Go runtime's splice(2) without touching user
+// space. http.Client cannot carry this path — it owns its sockets — so
+// the gateway speaks minimal HTTP/1.1 itself on a small per-member
+// pool of raw TCP conns: write the GET, http.ReadResponse the header,
+// relay whatever the header read over-buffered, then io.CopyN the
+// remaining Content-Length bytes off the raw *net.TCPConn. The
+// downstream write flows through net/http's response accounting into
+// the client conn's ReadFrom, which splices a TCP source behind an
+// io.LimitedReader, so framing and keep-alive are untouched on both
+// legs, and the X-Nmo-Trace-Md5 pass-through is verified end to end by
+// the serve-matrix tests.
 //
 // Failure ladder: anything that goes wrong before the shard's first
 // response byte (dial, stale pooled conn, header timeout) falls back
@@ -52,6 +54,18 @@ type upstreamConn struct {
 }
 
 func (uc *upstreamConn) close() { uc.tc.Close() }
+
+// dead reports whether a conn whose relay failed mid-body lost its
+// shard: a reset or closed socket reads EOF or an error at once, while
+// a live one times out or still holds body bytes. The probe consumes
+// what it reads, so it is only for a conn about to be closed.
+func (uc *upstreamConn) dead() bool {
+	uc.tc.SetReadDeadline(time.Now().Add(time.Millisecond))
+	var b [1]byte
+	_, err := uc.tc.Read(b[:])
+	var ne net.Error
+	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+}
 
 // dialAddr extracts the "host:port" splice dial target from a member
 // base URL; "" (https or unparsable) disables the splice path for that
@@ -97,10 +111,6 @@ func (m *member) putConn(uc *upstreamConn) {
 		uc.close()
 	}
 }
-
-// ssPool recycles the SocketSection shells so a spliced relay
-// allocates nothing per request beyond net/http's own bookkeeping.
-var ssPool = sync.Pool{New: func() interface{} { return new(zerocopy.SocketSection) }}
 
 // spliceProxy attempts the kernel-offload trace relay. It returns true
 // when a response was written (success or a terminal mid-body error);
@@ -190,11 +200,11 @@ func (g *Gateway) relaySpliced(w http.ResponseWriter, r *http.Request, m *member
 	}
 
 	// roundTrip cleared both deadlines for the body relay, and the
-	// splice loop parks in the poller on upstream readability with no
-	// timeout of its own — so watch the downstream request context and
-	// cut the upstream read short when the client goes away or the
-	// request is canceled. Without this a shard stalling mid-body pins
-	// the handler goroutine, the pooled conn, and a pipe indefinitely.
+	// runtime's splice parks in the poller on upstream readability
+	// with no timeout of its own — so watch the downstream request
+	// context and cut the upstream read short when the client goes away
+	// or the request is canceled. Without this a shard stalling
+	// mid-body pins the handler goroutine and the conn indefinitely.
 	ctx := r.Context()
 	relayDone := make(chan struct{})
 	watchDone := make(chan struct{})
@@ -217,21 +227,25 @@ func (g *Gateway) relaySpliced(w http.ResponseWriter, r *http.Request, m *member
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
-		ss := ssPool.Get().(*zerocopy.SocketSection)
-		if serr := ss.Set(uc.tc, remain); serr != nil {
-			err = serr
-		} else {
-			_, err = io.Copy(w, ss) // → downstream Conn.ReadFrom → splice(2)
-		}
-		ssPool.Put(ss)
+		// → downstream Conn.ReadFrom → splice(2). CopyN turns an
+		// upstream that closes early (a short splice, nil error) into
+		// io.EOF, so the dead conn is never pooled.
+		_, err = io.CopyN(w, uc.tc, remain)
 	}
 	close(relayDone)
 	<-watchDone
 	if err != nil {
-		// Mid-body failure: bytes may be stranded in the pipe, so both
-		// framings are broken — drop the upstream conn and let net/http
-		// close the downstream one (written != Content-Length).
-		g.zc.CountCopyErr(ctx, err)
+		// Mid-body failure: bytes left the upstream stream without
+		// reaching the client, so both framings are broken — drop the
+		// upstream conn and let net/http close the downstream one
+		// (written != Content-Length). A reset shard and a reset
+		// client both surface as ECONNRESET, so ask the upstream
+		// socket which side broke.
+		if ctx.Err() == nil && uc.dead() {
+			g.zc.NoteError()
+		} else {
+			g.zc.CountCopyErr(ctx, err)
+		}
 		uc.close()
 		return
 	}

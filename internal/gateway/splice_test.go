@@ -30,14 +30,14 @@ func serveZC(t *testing.T, handler http.Handler, ctr *zerocopy.Counters) string 
 	return "http://" + ln.Addr().String()
 }
 
-// waitGrow polls a data-plane counter until it exceeds before, for up
+// waitReach polls a data-plane counter until it reaches want, for up
 // to five seconds, and returns its last value. The relay credits its
 // bytes after the body copy returns, so a client can hold the whole
 // body a moment before the counter moves.
-func waitGrow(read func() int64, before int64) int64 {
+func waitReach(read func() int64, want int64) int64 {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got := read(); got > before || time.Now().After(deadline) {
+		if got := read(); got >= want || time.Now().After(deadline) {
 			return got
 		}
 		time.Sleep(time.Millisecond)
@@ -93,10 +93,23 @@ func TestGatewaySpliceRelay(t *testing.T) {
 		t.Fatalf("fixture blob only %d bytes; too small to outgrow the upstream buffer", len(direct))
 	}
 
+	// Every body byte the gateway relays is credited to exactly one
+	// plane: splice by the client conn, the over-buffered prefix as
+	// fallback by the relay.
+	planeBytes := func() int64 { return gw.ZeroCopy().SpliceBytes() + gw.ZeroCopy().FallbackBytes() }
+	checkPlane := func(what string, before int64, body int) {
+		t.Helper()
+		if got := waitReach(planeBytes, before+int64(body)); got != before+int64(body) {
+			t.Errorf("%s: gateway splice+fallback grew by %d for a %d-byte body", what, got-before, body)
+		}
+	}
+
 	// Several sequential fetches: the first dials the upstream conn,
 	// the rest must reuse it from the pool.
 	for i := 0; i < 3; i++ {
+		before := planeBytes()
 		viaGW, md5GW := fetchTrace(t, client, info.ID, service.NewTraceOptions())
+		checkPlane("unfiltered fetch "+strconv.Itoa(i), before, len(viaGW))
 		if !bytes.Equal(viaGW, direct) {
 			t.Fatalf("fetch %d: gateway bytes (%d) differ from direct shard fetch (%d)",
 				i, len(viaGW), len(direct))
@@ -116,6 +129,7 @@ func TestGatewaySpliceRelay(t *testing.T) {
 		t.Fatalf("core-filtered body only %d bytes; too small to outgrow the upstream buffer", len(directF))
 	}
 	spliced := gw.ZeroCopy().SpliceBytes()
+	before := planeBytes()
 	resp, err := http.Get(frontURL + "/v1/jobs/" + info.ID + "/trace?core=0")
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +150,8 @@ func TestGatewaySpliceRelay(t *testing.T) {
 		t.Fatalf("filtered stream differs through the gateway: %d vs %d bytes",
 			len(viaGW), len(directF))
 	}
-	if runtime.GOOS == "linux" && waitGrow(gw.ZeroCopy().SpliceBytes, spliced) <= spliced {
+	checkPlane("core-filtered fetch", before, len(viaGW))
+	if runtime.GOOS == "linux" && waitReach(gw.ZeroCopy().SpliceBytes, spliced+1) <= spliced {
 		t.Error("core-filtered fetch through the gateway moved no splice bytes")
 	}
 
@@ -201,18 +216,18 @@ func TestGatewaySpliceFallback(t *testing.T) {
 	if n := gw.ZeroCopy().SpliceBytes(); n != 0 {
 		t.Errorf("gateway counted %d splice bytes on non-zero-copy client conns", n)
 	}
-	if waitGrow(gw.ZeroCopy().FallbackBytes, 0) == 0 {
+	if waitReach(gw.ZeroCopy().FallbackBytes, 1) == 0 {
 		t.Error("fallback relay counted no trace bytes")
 	}
 }
 
 // TestGatewaySpliceClientCancel pins the stalled-shard escape hatch:
 // the splice relay clears its deadlines for the body, so a shard that
-// stops sending mid-body must not pin the handler (and its pooled
-// upstream conn and pipe) past the downstream request's lifetime. The
-// fake shard promises 1 MiB, delivers 8 KiB, and stalls; the client
-// cancels; the gateway must classify the broken relay as a client
-// abort promptly instead of parking in the poller forever.
+// stops sending mid-body must not pin the handler (and its upstream
+// conn) past the downstream request's lifetime. The fake shard
+// promises 1 MiB, delivers 8 KiB, and stalls; the client cancels; the
+// gateway must classify the broken relay as a client abort promptly
+// instead of parking in the poller forever.
 func TestGatewaySpliceClientCancel(t *testing.T) {
 	stall := make(chan struct{})
 	t.Cleanup(func() { close(stall) })

@@ -178,10 +178,11 @@ func (r *responseRecorder) Flush() {
 	}
 }
 
-// ReadFrom keeps io.Copy offload-eligible: the source reaches the
+// ReadFrom keeps io.CopyN offload-eligible: the source reaches the
 // underlying ResponseWriter's ReaderFrom intact (net/http hands it to
-// the connection, where zerocopy.Conn recognizes File/SocketSections
-// and drives sendfile/splice). Without a ReaderFrom seam here, the
+// the connection, where the Go runtime sendfiles an *os.File and
+// splices a *net.TCPConn behind the io.LimitedReader, and
+// zerocopy.Conn counts the bytes). Without a ReaderFrom seam here, the
 // instrumented handler would copy through a buffer instead.
 func (r *responseRecorder) ReadFrom(src io.Reader) (int64, error) {
 	r.wrote = true

@@ -21,25 +21,18 @@ type blobBacking struct {
 	files sync.Pool
 }
 
-// fileHandle is one pooled serve handle: an open descriptor on the
-// spill file plus a reusable zerocopy.FileSection over it. Every read
-// through the handle is a pread (the section for extents, an
-// io.SectionReader for a filtered request's index and straddler
-// blocks), so the descriptor's own offset never moves and a pooled
-// handle needs no reset. On a zero-copy connection the handler points
-// fs at an extent and the bytes move by sendfile(2) on the conn's
-// cached raw fd; the payload is never staged on the heap in full.
-type fileHandle struct {
-	f  *os.File
-	fs zerocopy.FileSection
-}
-
-// acquireFile returns a serve handle, reusing a pooled one when
-// available. Handles that fall out of the pool are closed by the
+// acquireFile returns a serve handle — an open descriptor on the
+// spill file — reusing a pooled one when available. A handle serves
+// one request at a time: each file extent seeks to its offset and is
+// copied with io.CopyN, which the connection sendfiles, while a
+// filtered request's index and straddler reads go through an
+// io.SectionReader (pread) and never depend on the offset. So a pooled
+// handle needs no reset, and the payload is never staged on the heap
+// in full. Handles that fall out of the pool are closed by the
 // runtime's os.File cleanup, so an evicted backing leaks nothing.
-func (bk *blobBacking) acquireFile() (*fileHandle, error) {
-	if h, _ := bk.files.Get().(*fileHandle); h != nil {
-		return h, nil
+func (bk *blobBacking) acquireFile() (*os.File, error) {
+	if f, _ := bk.files.Get().(*os.File); f != nil {
+		return f, nil
 	}
 	f, err := os.Open(bk.path)
 	if err != nil {
@@ -48,11 +41,11 @@ func (bk *blobBacking) acquireFile() (*fileHandle, error) {
 	// A fresh descriptor means this blob wasn't recently served: hint
 	// the whole file ahead so the disk read overlaps the response.
 	zerocopy.FadviseWillNeed(f)
-	return &fileHandle{f: f}, nil
+	return f, nil
 }
 
 // releaseFile returns a handle from acquireFile to the pool.
-func (bk *blobBacking) releaseFile(h *fileHandle) { bk.files.Put(h) }
+func (bk *blobBacking) releaseFile(f *os.File) { bk.files.Put(f) }
 
 // TraceBlob is one scenario's stored v2 (or v2.1) trace: the exact
 // bytes the run's writer sink produced, plus the stream's rolling MD5.
@@ -116,7 +109,7 @@ func (b *TraceBlob) Bytes() ([]byte, error) {
 // pool (the caller must return it with bk.releaseFile). An
 // evicted-but-open file keeps serving to its in-flight readers under
 // POSIX unlink semantics.
-func (b *TraceBlob) open() (data []byte, h *fileHandle, bk *blobBacking, err error) {
+func (b *TraceBlob) open() (data []byte, h *os.File, bk *blobBacking, err error) {
 	bk = b.backing.Load()
 	if bk == nil {
 		return nil, nil, nil, nil

@@ -242,7 +242,7 @@ func FuzzSpillLoad(f *testing.F) {
 			if err != nil || h == nil {
 				t.Fatalf("adopted blob %d does not re-open from its file: %v", i, err)
 			}
-			rd, err := trace.OpenV2(io.NewSectionReader(h.f, 0, b.Size()))
+			rd, err := trace.OpenV2(io.NewSectionReader(h, 0, b.Size()))
 			if err != nil {
 				t.Fatalf("adopted blob %d: %v", i, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"nmo/internal/obs"
@@ -230,11 +231,31 @@ func TestJobPhasesExposed(t *testing.T) {
 	}
 }
 
+// lockedSink is an audit sink a test can read while server goroutines
+// still append to it: the middleware logs a request's line after the
+// response is sent.
+type lockedSink struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *lockedSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *lockedSink) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 // TestRequestIDOnJob pins the request-ID stamp end to end at the shard
 // tier: an inbound X-Nmo-Request-Id lands in the submission response,
 // the job record, and the job's audit lines.
 func TestRequestIDOnJob(t *testing.T) {
-	var sink strings.Builder
+	var sink lockedSink
 	audit := obs.NewAuditWriter(&sink)
 	sched := NewScheduler(SchedConfig{Workers: 1, Metrics: NewMetrics(audit)}, nil)
 	defer sched.Close()

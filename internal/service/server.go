@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 
 	"nmo/internal/auth"
@@ -258,7 +259,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if filtered {
 		var src io.ReadSeeker = bytes.NewReader(data)
 		if h != nil {
-			src = io.NewSectionReader(h.f, 0, blob.Size())
+			src = io.NewSectionReader(h, 0, blob.Size())
 		}
 		rd, err := trace.OpenV2(src)
 		if err == nil {
@@ -278,14 +279,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // servePlan writes a span plan. Literal segments and memory-tier
-// extents go through w.Write. File extents go through the pinned
-// handle's FileSection: io.Copy hands it to the connection's ReadFrom,
-// which sendfiles on a zero-copy conn (or falls back to its pooled
-// copy). On a wrapped conn those bytes are credited conn-side; on any
-// other conn they stream through FileSection.Read unseen, so they are
-// counted as fallback here, keeping sendfile+splice+fallback equal to
-// the trace bytes served.
-func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data []byte, h *fileHandle, zc *zerocopy.Conn) error {
+// extents go through w.Write. A file extent seeks the pinned handle
+// and goes through io.CopyN, which net/http hands to the connection's
+// ReadFrom as an *io.LimitedReader over the *os.File: the Go runtime
+// sendfiles it. On a wrapped conn those bytes are credited conn-side;
+// on any other conn they are counted as fallback here, keeping
+// sendfile+splice+fallback equal to the trace bytes served. CopyN,
+// not Copy: a spill file shorter than its extent must surface as
+// io.EOF, not as a short success.
+func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data []byte, h *os.File, zc *zerocopy.Conn) error {
 	for _, seg := range plan.Segments {
 		if seg.Data != nil || h == nil {
 			p := seg.Data
@@ -305,8 +307,10 @@ func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
-		h.fs.Set(h.f, seg.SrcOff, seg.Len)
-		n, err := io.Copy(w, &h.fs)
+		if _, err := h.Seek(seg.SrcOff, io.SeekStart); err != nil {
+			return err
+		}
+		n, err := io.CopyN(w, h, seg.Len)
 		if zc == nil {
 			s.zc.AddFallback(n)
 		}

@@ -73,14 +73,14 @@ func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
 	}
 }
 
-// waitGrow polls a data-plane counter until it exceeds before, for up
+// waitReach polls a data-plane counter until it reaches want, for up
 // to five seconds, and returns its last value. The conn credits its
-// bytes after the final syscall returns, so a client can hold the
-// whole body a moment before the counter moves.
-func waitGrow(read func() int64, before int64) int64 {
+// bytes after the copy returns, so a client can hold the whole body a
+// moment before the counter moves.
+func waitReach(read func() int64, want int64) int64 {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if got := read(); got > before || time.Now().After(deadline) {
+		if got := read(); got >= want || time.Now().After(deadline) {
 			return got
 		}
 		time.Sleep(time.Millisecond)
@@ -151,6 +151,12 @@ func TestTraceServeMatrix(t *testing.T) {
 				fullspan.FromNs, fullspan.ToNs = lo, hi+1
 				byCore := NewTraceOptions()
 				byCore.Core = 1
+				// Every body byte the wrapped server sends is credited
+				// to exactly one plane: sendfile by the conn, fallback
+				// by the handler.
+				planeBytes := func() int64 {
+					return zc.h.ZeroCopy().SendfileBytes() + zc.h.ZeroCopy().FallbackBytes()
+				}
 
 				for _, fc := range []struct {
 					name string
@@ -162,6 +168,7 @@ func TestTraceServeMatrix(t *testing.T) {
 					{"core", byCore},
 				} {
 					sfBefore := zc.h.ZeroCopy().SendfileBytes()
+					planeBefore := planeBytes()
 					var zcBuf, fbBuf bytes.Buffer
 					_, zcMD5, err := zc.client.DownloadTrace(ctx, id, fc.opt, &zcBuf)
 					if err != nil {
@@ -198,6 +205,11 @@ func TestTraceServeMatrix(t *testing.T) {
 					if !bytes.Equal(zcBuf.Bytes(), want) {
 						t.Errorf("%s: served %d bytes, local reference is %d bytes", fc.name, zcBuf.Len(), len(want))
 					}
+					wantPlane := planeBefore + int64(zcBuf.Len())
+					if got := waitReach(planeBytes, wantPlane); got != wantPlane {
+						t.Errorf("%s: sendfile+fallback grew by %d for a %d-byte body",
+							fc.name, got-planeBefore, zcBuf.Len())
+					}
 
 					// The kernel-offload tiers must actually engage on
 					// Linux: unfiltered file serves sendfile the whole
@@ -208,7 +220,7 @@ func TestTraceServeMatrix(t *testing.T) {
 					// through CoreMask, so neither promises extents.)
 					if runtime.GOOS == "linux" && tier == "file" &&
 						(fc.name == "unfiltered" || fc.name == "fullspan") {
-						if got := waitGrow(zc.h.ZeroCopy().SendfileBytes, sfBefore); got <= sfBefore {
+						if got := waitReach(zc.h.ZeroCopy().SendfileBytes, sfBefore+1); got <= sfBefore {
 							t.Errorf("%s: sendfile bytes did not grow (%d → %d)",
 								fc.name, sfBefore, got)
 						}

@@ -2,37 +2,9 @@
 
 package zerocopy
 
-import (
-	"net"
-	"os"
-)
+import "os"
 
 const supported = false
-
-// pipePair is unused off Linux; the field in Conn stays nil.
-type pipePair struct{}
-
-// Drainer off Linux is a bounded discard through a pooled copy buffer
-// — same contract, no kernel offload.
-type Drainer struct {
-	conn net.Conn
-}
-
-// NewDrainer wraps c.
-func NewDrainer(c net.Conn) (*Drainer, error) { return &Drainer{conn: c}, nil }
-
-// Discard consumes exactly n bytes from the connection.
-func (d *Drainer) Discard(n int64) (int64, error) { return d.discardCopy(n) }
-
-// Close is a no-op; the wrapped connection stays open.
-func (d *Drainer) Close() error { return nil }
-
-// sendfile is the portable no-offload answer: not handled, so ReadFrom
-// serves the section through the pooled fallback copy.
-func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) { return 0, nil, false }
-
-// splice likewise.
-func (c *Conn) splice(ss *SocketSection) (int64, error, bool) { return 0, nil, false }
 
 // FadviseWillNeed is a no-op off Linux.
 func FadviseWillNeed(f *os.File) {}
