@@ -23,6 +23,7 @@ import (
 	"nmo/internal/isa"
 	"nmo/internal/machine"
 	"nmo/internal/memsim"
+	"nmo/internal/perfev"
 	"nmo/internal/sim"
 	"nmo/internal/spe"
 	"nmo/internal/workloads"
@@ -369,11 +370,13 @@ func BenchmarkStreamingVsCollect(b *testing.B) {
 }
 
 // BenchmarkEngineScenarioOverhead measures the per-scenario fixed cost
-// (machine construction + session setup) with a minimal workload: the
-// price the engine pays for share-nothing isolation. The 2-core case
-// is the floor; the 64-core, 32-thread case has a sweep scenario's
-// shape, where machine width, per-core hierarchies and aux rings are
-// what a scenario pays to set up.
+// (machine construction or reset + session setup) with a minimal
+// workload. The 2-core case is the floor; the 64-core, 32-thread case
+// has a sweep scenario's shape, where machine width, per-core
+// hierarchies and aux rings are what a scenario pays to set up.
+// "fresh" runs each scenario alone on a new machine (engine.Run);
+// "batch" runs all b.N scenarios as one serial batch, where the worker
+// keeps its machine from one scenario to the next.
 func BenchmarkEngineScenarioOverhead(b *testing.B) {
 	cases := []struct {
 		name           string
@@ -384,18 +387,18 @@ func BenchmarkEngineScenarioOverhead(b *testing.B) {
 		{"64-core-32-thread", 64, 32, true},
 	}
 	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := nmo.DefaultConfig()
-			if tc.sample {
-				cfg.Enable = true
-				cfg.Mode = nmo.ModeSample
-			}
-			sc := engine.Scenario{
-				Name: "tiny", Spec: machine.AmpereAltraMax().WithCores(tc.cores), Config: cfg,
-				Workload: func() (workloads.Workload, error) {
-					return nmo.NewStream(nmo.StreamConfig{Elems: 64 * tc.threads, Threads: tc.threads, Iters: 1}), nil
-				},
-			}
+		cfg := nmo.DefaultConfig()
+		if tc.sample {
+			cfg.Enable = true
+			cfg.Mode = nmo.ModeSample
+		}
+		sc := engine.Scenario{
+			Name: "tiny", Spec: machine.AmpereAltraMax().WithCores(tc.cores), Config: cfg,
+			Workload: func() (workloads.Workload, error) {
+				return nmo.NewStream(nmo.StreamConfig{Elems: 64 * tc.threads, Threads: tc.threads, Iters: 1}), nil
+			},
+		}
+		b.Run(tc.name+"/fresh", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Run(sc); err != nil {
@@ -403,26 +406,82 @@ func BenchmarkEngineScenarioOverhead(b *testing.B) {
 				}
 			}
 		})
+		b.Run(tc.name+"/batch", func(b *testing.B) {
+			batch := make([]engine.Scenario, b.N)
+			for i := range batch {
+				batch[i] = sc
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := engine.FirstError(engine.Runner{Jobs: 1}.RunAll(batch)); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
 // --- Substrate microbenchmarks ---
 
+// BenchmarkMachineOpThroughput times one core running a 200k-element
+// STREAM. "bare" attaches no perf events; "sampled" has paper-sweep's
+// per-core shape — an SPE sampling event on the per-op probe path plus
+// the mem/bus counting events — so it also sees what the probe path
+// costs per op.
 func BenchmarkMachineOpThroughput(b *testing.B) {
-	spec := machine.AmpereAltraMax().WithCores(1)
-	m := machine.New(spec)
-	elems := 200_000
-	w := nmo.NewStream(nmo.StreamConfig{Elems: elems, Threads: 1, Iters: 1})
-	b.ResetTimer()
-	ops := 0
-	for i := 0; i < b.N; i++ {
-		res, err := m.Run(w.Streams())
-		if err != nil {
+	for _, sampled := range []bool{false, true} {
+		name := "bare"
+		if sampled {
+			name = "sampled"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := machine.New(machine.AmpereAltraMax().WithCores(1))
+			w := nmo.NewStream(nmo.StreamConfig{Elems: 200_000, Threads: 1, Iters: 1})
+			ops := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sampled {
+					b.StopTimer()
+					attachCoreEvents(b, m)
+					b.StartTimer()
+				}
+				res, err := m.Run(w.Streams())
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops += int(res.TotalOps)
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "ops/run")
+		})
+	}
+}
+
+// attachCoreEvents opens core 0's events the way a profiling session
+// does: the two counting events over the machine's counters, and an
+// SPE sampling event (period 1000, mapped ring and aux) as the probe.
+func attachCoreEvents(b *testing.B, m *machine.Machine) {
+	b.Helper()
+	k := perfev.NewKernel(1, perfev.Costs{}, sim.TimescaleFor(m.Spec().Freq, 1, 0), nil)
+	k.SetCounters(m)
+	for _, code := range []uint64{perfev.RawMemAccess, perfev.RawBusAccess} {
+		if _, err := k.Open(&perfev.Attr{Type: perfev.TypeRaw, Config: code}, 0); err != nil {
 			b.Fatal(err)
 		}
-		ops += int(res.TotalOps)
 	}
-	b.ReportMetric(float64(ops)/float64(b.N), "ops/run")
+	ev, err := k.Open(&perfev.Attr{Type: perfev.TypeArmSPE, Config: perfev.SPEConfigLoadStore,
+		SamplePeriod: 1000}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ev.MmapRing(8); err != nil {
+		b.Fatal(err)
+	}
+	if err := ev.MmapAux(16); err != nil {
+		b.Fatal(err)
+	}
+	m.ClearProbes()
+	if err := m.AttachProbe(0, ev); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkCacheAccess times an L1-shaped cache (64 KB, 4-way) on its

@@ -208,7 +208,7 @@ func (s *Session) Run(w workloads.Workload) (*Profile, error) {
 	}
 	defer r.teardown()
 	for _, stage := range []func() error{
-		r.setupEvents,   // counting + sampling probes, sink chain
+		r.setupEvents,   // counting events, sampling probes, sink chain
 		r.setupMarkers,  // tagged-phase annotation windows
 		r.setupTemporal, // bandwidth/capacity collectors
 		r.execute,       // run the op streams on the machine
@@ -280,9 +280,11 @@ func (r *run) teardown() {
 
 // setupEvents opens the counting events (exact memory-access counts
 // on every active core — the perf-stat denominator — plus a bus/LLC
-// counter for bandwidth, using each ISA's event codes) and, in
+// counter for bandwidth, using each ISA's event codes; both read the
+// machine's per-core counters, so they cost nothing per op) and, in
 // sampling modes, the per-core sampling events of the configured
-// backend with their ring/aux mappings and decode callbacks.
+// backend with their ring/aux mappings and decode callbacks — the only
+// per-op probes.
 func (r *run) setupEvents() error {
 	cfg := &r.s.cfg
 	if !cfg.Enable {
@@ -295,6 +297,7 @@ func (r *run) setupEvents() error {
 		r.kern.SetPageSize(pb)
 	}
 
+	r.kern.SetCounters(r.s.mach)
 	memCode, busCode := perfev.RawMemAccess, perfev.RawBusAccess
 	if r.spec.Arch == isa.ArchX86 {
 		memCode, busCode = perfev.RawMemInstRetiredAny, perfev.RawLLCMiss
@@ -309,12 +312,6 @@ func (r *run) setupEvents() error {
 		}
 		r.busEvents[t], err = r.kern.Open(&perfev.Attr{Type: perfev.TypeRaw, Config: busCode}, t)
 		if err != nil {
-			return err
-		}
-		if err := r.s.mach.AttachProbe(t, r.memEvents[t]); err != nil {
-			return err
-		}
-		if err := r.s.mach.AttachProbe(t, r.busEvents[t]); err != nil {
 			return err
 		}
 	}

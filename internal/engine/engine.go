@@ -3,12 +3,13 @@
 //
 // A Scenario is one (machine spec × profiler config × workload) point
 // of an experiment grid. The Runner shards a batch of scenarios across
-// workers: every execution builds its own machine.Machine from the
-// scenario's spec, so no simulation state is shared between workers
-// and results are bit-identical regardless of the worker count (the
-// simulator itself is deterministic — see DESIGN.md §7). Results come
-// back in submission order with per-scenario errors; nothing fails
-// fast unless asked.
+// workers: each worker owns one machine.Machine, rebuilt only when the
+// next scenario's spec differs from the last, and every run resets it
+// to the state of a fresh machine. No simulation state is shared
+// between workers, and results are bit-identical regardless of the
+// worker count (the simulator itself is deterministic — see DESIGN.md
+// §7). Results come back in submission order with per-scenario errors;
+// nothing fails fast unless asked.
 //
 // The sweep drivers in internal/experiments and the repro CLIs build
 // their grids as scenario batches and hand them here; the sweep shape
@@ -40,8 +41,9 @@ type WorkloadFactory func() (workloads.Workload, error)
 type Scenario struct {
 	// Name identifies the scenario in results and error messages.
 	Name string
-	// Spec describes the machine the scenario runs on; every
-	// execution builds a fresh machine from it.
+	// Spec describes the machine the scenario runs on. A worker reuses
+	// its machine while consecutive scenarios' specs compare equal;
+	// each run starts from a fresh machine's state either way.
 	Spec machine.Spec
 	// Config is the profiler configuration for the run.
 	Config core.Config
@@ -118,7 +120,7 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 	}
 
 	var failed atomic.Bool
-	exec := func(i int) {
+	exec := func(wk *worker, i int) {
 		sc := &scenarios[i]
 		results[i].Name = sc.Name
 		if err := ctx.Err(); err != nil {
@@ -129,7 +131,7 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 			results[i].Err = ErrSkipped
 			return
 		}
-		prof, err := runScenario(sc)
+		prof, err := runScenario(sc, wk)
 		results[i].Profile, results[i].Err = prof, err
 		if err != nil {
 			failed.Store(true)
@@ -139,8 +141,9 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 	jobs := r.jobs(len(scenarios))
 	if jobs == 1 {
 		// Serial fast path: no goroutines, same code path otherwise.
+		var wk worker
 		for i := range scenarios {
-			exec(i)
+			exec(&wk, i)
 		}
 		return results
 	}
@@ -151,8 +154,9 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 	for w := 0; w < jobs; w++ {
 		go func() {
 			defer wg.Done()
+			var wk worker
 			for i := range idx {
-				exec(i)
+				exec(&wk, i)
 			}
 		}()
 	}
@@ -164,17 +168,38 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 	return results
 }
 
-// Run executes a single scenario inline (no pool).
+// Run executes a single scenario inline (no pool) on a fresh machine.
 func Run(sc Scenario) (*core.Profile, error) {
-	return runScenario(&sc)
+	return runScenario(&sc, &worker{})
 }
 
-// runScenario builds the scenario's private machine and session and
-// runs the pipeline, converting panics (workload constructors panic on
-// nonsensical static configuration) into per-scenario errors.
-func runScenario(sc *Scenario) (prof *core.Profile, err error) {
+// worker is one executor's machine, kept across the scenarios it runs
+// within one batch. Building a machine allocates and clears its shared
+// cache and every used core's private caches; reusing it skips that
+// while Machine.Run's reset keeps each run identical to a fresh one.
+type worker struct {
+	m    *machine.Machine
+	spec machine.Spec
+}
+
+// machineFor returns the worker's machine for spec, building a new one
+// when there is none or the spec changed.
+func (wk *worker) machineFor(spec machine.Spec) *machine.Machine {
+	if wk.m == nil || wk.spec != spec {
+		wk.m, wk.spec = machine.New(spec), spec
+	}
+	return wk.m
+}
+
+// runScenario runs the pipeline on the worker's machine and a fresh
+// session, converting panics (workload constructors panic on
+// nonsensical static configuration) into per-scenario errors. A panic
+// drops the worker's machine: the run it interrupted may have left it
+// half-updated.
+func runScenario(sc *Scenario, wk *worker) (prof *core.Profile, err error) {
 	defer func() {
 		if p := recover(); p != nil {
+			wk.m = nil
 			err = fmt.Errorf("engine: scenario %q panicked: %v", sc.Name, p)
 		}
 	}()
@@ -192,8 +217,7 @@ func runScenario(sc *Scenario) (prof *core.Profile, err error) {
 	if sc.SinkFactory != nil {
 		cfg.SinkFactory = sc.SinkFactory
 	}
-	m := machine.New(sc.Spec)
-	s, err := core.NewSession(cfg, m)
+	s, err := core.NewSession(cfg, wk.machineFor(sc.Spec))
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nmo/internal/core"
+	"nmo/internal/isa"
 	"nmo/internal/machine"
 	"nmo/internal/workloads"
 )
@@ -332,6 +334,80 @@ func TestRunAllContextMidBatchCancel(t *testing.T) {
 	for i := 2; i < len(rs); i++ {
 		if !errors.Is(rs[i].Err, context.Canceled) {
 			t.Errorf("scenario %d err = %v, want context.Canceled", i, rs[i].Err)
+		}
+	}
+}
+
+// panicMidRun makes its workload's first stream panic on its second
+// fill, so the run dies with the machine half-updated.
+type panicMidRun struct{ workloads.Workload }
+
+func (p panicMidRun) Streams() []isa.Stream {
+	ss := p.Workload.Streams()
+	inner, fills := ss[0], 0
+	ss[0] = isa.FuncStream(func(dst []isa.Op) int {
+		if fills++; fills > 1 {
+			panic("stream failed mid-run")
+		}
+		return inner.Fill(dst)
+	})
+	return ss
+}
+
+// TestWorkerMachineReuseMatchesFresh is the contract behind keeping one
+// machine per worker: a batch that interleaves two specs, a scenario
+// whose workload factory panics and one that panics mid-run yields, for
+// every surviving scenario, exactly the profile a fresh machine gives.
+func TestWorkerMachineReuseMatchesFresh(t *testing.T) {
+	wide := func(sc Scenario) Scenario {
+		sc.Spec = machine.AmpereAltraMax().WithCores(8)
+		sc.Workload = func() (workloads.Workload, error) {
+			return workloads.NewStream(workloads.StreamConfig{Elems: 30_000, Threads: 8, Iters: 2}), nil
+		}
+		return sc
+	}
+	counters := func(sc Scenario) Scenario {
+		sc.Config.Mode = core.ModeCounters
+		sc.Config.IntervalSec = 1e-5
+		return sc
+	}
+	factoryPanics := testScenario(2)
+	factoryPanics.Workload = func() (workloads.Workload, error) {
+		return workloads.NewStream(workloads.StreamConfig{}), nil
+	}
+	runPanics := testScenario(4)
+	runPanics.Workload = func() (workloads.Workload, error) {
+		w, err := testScenario(4).Workload()
+		return panicMidRun{w}, err
+	}
+	batch := []Scenario{
+		testScenario(0), wide(testScenario(1)), factoryPanics, testScenario(3),
+		runPanics, testScenario(5), wide(testScenario(6)), counters(wide(testScenario(7))),
+		counters(testScenario(8)), testScenario(9),
+	}
+	for _, jobs := range []int{1, 3} {
+		rs := Runner{Jobs: jobs}.RunAll(batch)
+		for i, r := range rs {
+			if i == 2 || i == 4 {
+				if r.Err == nil || !strings.Contains(r.Err.Error(), "panicked") {
+					t.Errorf("jobs=%d scenario %d: err = %v, want a recovered panic", jobs, i, r.Err)
+				}
+				continue
+			}
+			if r.Err != nil {
+				t.Fatalf("jobs=%d scenario %d: %v", jobs, i, r.Err)
+			}
+			want, err := Run(batch[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := r.Profile
+			if got.MD5 != want.MD5 || got.Sampler != want.Sampler || got.Kernel != want.Kernel ||
+				got.MemAccesses != want.MemAccesses || got.BusAccesses != want.BusAccesses ||
+				got.Wall != want.Wall || !reflect.DeepEqual(got.Bandwidth, want.Bandwidth) {
+				t.Errorf("jobs=%d scenario %d (%s) on a reused machine differs from a fresh one",
+					jobs, i, r.Name)
+			}
 		}
 	}
 }

@@ -206,3 +206,59 @@ func TestGatewaySpliceLyingUpstream(t *testing.T) {
 		})
 	}
 }
+
+// TestGatewayClientRelayUpstreamReset covers the http.Client relay (the
+// path a trace read takes when the downstream conn is not zero-copy
+// capable): a shard that resets its conn mid-body surfaces as
+// ECONNRESET on the gateway's body read — the same error a departed
+// client raises on a write — and must count as an upstream error, not
+// a client abort.
+func TestGatewayClientRelayUpstreamReset(t *testing.T) {
+	const promised = 256 << 10
+	reset := make(chan struct{})
+	shard := startLyingShard(t, func(tc *net.TCPConn) bool {
+		tc.Write(append([]byte(traceHeader(promised)), bytes.Repeat([]byte("x"), 40<<10)...))
+		<-reset // the client holds the relayed header: the gateway is mid-body
+		tc.SetLinger(0)
+		return false
+	})
+	gw, err := New(Config{Members: []string{"http://" + shard.ln.Addr().String()}, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := &http.Server{Handler: gw} // no zero-copy conn context: no splice relay
+	go front.Serve(ln)
+	tr := &http.Transport{}
+	t.Cleanup(func() {
+		tr.CloseIdleConnections()
+		front.Close()
+		gw.Close()
+		shard.close()
+	})
+
+	errs, aborts := gw.ZeroCopy().Errors(), gw.ZeroCopy().ClientAborts()
+	resp, err := (&http.Client{Transport: tr}).Get("http://" + ln.Addr().String() + "/v1/jobs/s0-jreset/trace")
+	close(reset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, rerr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if rerr == nil {
+		t.Fatalf("a %d-byte body promised as %d read without error", len(got), promised)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gw.ZeroCopy().Errors()+gw.ZeroCopy().ClientAborts() == errs+aborts && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d := gw.ZeroCopy().Errors() - errs; d != 1 {
+		t.Errorf("upstream errors rose by %d, want 1", d)
+	}
+	if d := gw.ZeroCopy().ClientAborts() - aborts; d != 0 {
+		t.Errorf("client aborts rose by %d, want 0", d)
+	}
+}

@@ -492,7 +492,9 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 // on the paths the splice relay does not take — so there is nothing to
 // buffer or flush. Trace bytes moved here count as fallback, and a
 // broken trace copy is classified — client abort vs upstream failure —
-// instead of silently discarded.
+// instead of silently discarded. A reset shard and a reset client both
+// surface as ECONNRESET, so the body reader records which side failed:
+// a failed read while the request is still live is the upstream's.
 func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response) {
 	for _, h := range []string{"Content-Type", "Content-Length", "X-Nmo-Trace-Md5"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -500,11 +502,30 @@ func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *htt
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	n, err := io.Copy(w, resp.Body)
+	body := &bodyReader{Reader: resp.Body}
+	n, err := io.Copy(w, body)
 	if resp.Header.Get("Content-Type") == "application/octet-stream" {
 		g.zc.AddFallback(n)
-		g.zc.CountCopyErr(r.Context(), err)
+		if err != nil && body.err != nil && r.Context().Err() == nil {
+			g.zc.NoteError()
+		} else {
+			g.zc.CountCopyErr(r.Context(), err)
+		}
 	}
+}
+
+// bodyReader remembers the last non-EOF error its reader returned.
+type bodyReader struct {
+	io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.Reader.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
 }
 
 // handleStats fans /v1/stats out to every member and merges the

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nmo/internal/isa"
 	"nmo/internal/memsim"
@@ -9,8 +10,9 @@ import (
 )
 
 // Probe observes every operation executed on a core and may charge
-// extra cycles to it (interrupt time). The perf subsystem's events
-// implement this interface.
+// extra cycles to it (interrupt time). The perf subsystem's sampling
+// events implement this interface; its counting events read the
+// per-core counters (MemAccesses, BusAccesses) instead.
 type Probe interface {
 	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) sim.Cycles
 }
@@ -27,7 +29,7 @@ type TickFunc func(now sim.Cycles)
 type CoreStats struct {
 	Cycles  sim.Cycles // local completion time
 	Ops     uint64     // operations executed (markers excluded)
-	MemOps  uint64     // architectural memory accesses (block = lines)
+	MemOps  uint64     // architectural memory accesses (block = lines), this run
 	Flops   uint64     // floating-point operations (SIMD lanes)
 	Levels  [memsim.NumLevels]uint64
 	TLBMiss uint64
@@ -58,6 +60,19 @@ type core struct {
 	bufPos int
 	bufLen int
 
+	// res is the scratch the hierarchy writes each access outcome into.
+	res memsim.AccessResult
+
+	// memAccesses and busAccesses are free-running event counters, as
+	// a PMU keeps them: never reset, so a counting event snapshots
+	// them at enable and reads the difference. memAccesses counts
+	// architectural memory accesses (a block op counts its lines);
+	// busAccesses counts those served at DRAM, in lines. memBase is
+	// memAccesses at the start of the current run.
+	memAccesses uint64
+	busAccesses uint64
+	memBase     uint64
+
 	stats CoreStats
 }
 
@@ -68,6 +83,9 @@ type Machine struct {
 	slc   *memsim.Cache
 	dram  *memsim.DRAM
 	numa  *memsim.NUMADomain // nil for single-node machines
+
+	// mlpRecip is the precomputed reciprocal of spec.MLP (mlpReciprocal).
+	mlpRecip uint64
 
 	now      sim.Cycles
 	ran      bool // a Run has dirtied the shared SLC/DRAM/NUMA state
@@ -83,9 +101,10 @@ type Machine struct {
 func New(spec Spec) *Machine {
 	spec = spec.normalize()
 	m := &Machine{
-		spec: spec,
-		slc:  memsim.NewCache(spec.SLC),
-		dram: memsim.NewDRAM(spec.DRAM),
+		spec:     spec,
+		slc:      memsim.NewCache(spec.SLC),
+		dram:     memsim.NewDRAM(spec.DRAM),
+		mlpRecip: mlpReciprocal(spec.MLP),
 	}
 	if spec.NUMA.Nodes > 1 {
 		m.numa = memsim.NewNUMADomain(spec.NUMA, spec.DRAM)
@@ -121,6 +140,25 @@ func (m *Machine) bind(c *core) {
 	c.buf = make([]isa.Op, 4096)
 }
 
+// mlpReciprocal returns ceil(2^64/d), or 0 for d == 1 (where the
+// ceiling overflows). For every 32-bit n, the high word of
+// mlpReciprocal(d)*n is n/d exactly (Lemire, Kaser and Kurz, "Faster
+// Remainder by Direct Computation", 2019: a 64-bit fraction suffices
+// for 32-bit numerators and divisors), so the overlap model's divide by
+// MLP on every memory op becomes one multiply.
+func mlpReciprocal(d uint32) uint64 {
+	return ^uint64(0)/uint64(d) + 1
+}
+
+// divMLP returns n/d given recip = mlpReciprocal(d).
+func divMLP(recip uint64, n uint32) uint32 {
+	if recip == 0 {
+		return n
+	}
+	hi, _ := bits.Mul64(recip, uint64(n))
+	return uint32(hi)
+}
+
 // NUMA returns the socket domain (nil on single-node machines).
 func (m *Machine) NUMA() *memsim.NUMADomain { return m.numa }
 
@@ -137,6 +175,14 @@ func (m *Machine) DRAM() *memsim.DRAM { return m.dram }
 // RSS returns the current resident set size as reported by the
 // workload's alloc/free markers, and the high-water mark.
 func (m *Machine) RSS() (current, max uint64) { return m.rss, m.maxRSS }
+
+// MemAccesses reads core coreID's free-running count of architectural
+// memory accesses (a block op counts one access per cache line).
+func (m *Machine) MemAccesses(coreID int) uint64 { return m.cores[coreID].memAccesses }
+
+// BusAccesses reads core coreID's free-running count of accesses served
+// by DRAM, in cache lines.
+func (m *Machine) BusAccesses(coreID int) uint64 { return m.cores[coreID].busAccesses }
 
 // AttachProbe registers a per-op probe on a core.
 func (m *Machine) AttachProbe(coreID int, p Probe) error {
@@ -232,6 +278,7 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 			continue
 		}
 		c := m.cores[i]
+		c.stats.MemOps = c.memAccesses - c.memBase
 		c.stats.Levels = c.hier.LevelCounts()
 		res.Cores = append(res.Cores, c.stats)
 		res.TotalOps += c.stats.Ops
@@ -265,6 +312,7 @@ func (m *Machine) reset() {
 		c.stream = nil
 		c.bufPos, c.bufLen = 0, 0
 		c.stats = CoreStats{}
+		c.memBase = c.memAccesses
 	}
 }
 
@@ -279,6 +327,7 @@ func (m *Machine) runCore(c *core, qEnd sim.Cycles) (finished bool) {
 			c.bufPos = 0
 			if c.bufLen == 0 {
 				c.done = true
+				c.stream = nil // the workload need not outlive its run
 				c.stats.Cycles = c.cycles
 				return true
 			}
@@ -313,12 +362,16 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 
 	switch op.Kind {
 	case isa.KindLoad, isa.KindStore:
-		r := c.hier.Access(c.cycles, op.Addr, op.Size, op.Kind.IsWrite())
+		r := &c.res
+		c.hier.Access(c.cycles, op.Addr, op.Size, op.Kind.IsWrite(), r)
 		lat, level, tlbMiss, remote = r.Latency, uint8(r.Level), r.TLBMiss, r.Remote
 		if r.TLBMiss {
 			c.stats.TLBMiss++
 		}
-		c.stats.MemOps++
+		c.memAccesses++
+		if r.Level == memsim.LevelDRAM {
+			c.busAccesses++
+		}
 		// Overlap model: the unloaded part of a miss (device latency,
 		// tail) is overlapped MLP-wide by out-of-order execution;
 		// queue wait is free up to the hide window (prefetch depth),
@@ -331,15 +384,18 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 		if hide := m.spec.DRAM.HideCycles; hide > 0 && unloaded > hide {
 			unloaded = hide
 		}
-		cost = sim.Cycles(1 + (unloaded+r.StallCycles)/m.spec.MLP)
+		cost = sim.Cycles(1 + divMLP(m.mlpRecip, unloaded+r.StallCycles))
 	case isa.KindBlockLoad, isa.KindBlockStore:
-		r := c.hier.Stream(c.cycles, op.Size, op.Kind.IsWrite())
+		r := &c.res
+		c.hier.Stream(c.cycles, op.Size, op.Kind.IsWrite(), r)
 		lat, level = r.Latency, uint8(r.Level)
 		lines := uint64(op.Size) / 64
 		if lines == 0 {
 			lines = 1
 		}
-		c.stats.MemOps += lines
+		// A bulk transfer is served by DRAM line by line.
+		c.memAccesses += lines
+		c.busAccesses += lines
 		// A block transfer occupies the core for its full completion
 		// latency (wire time + queue wait are inside lat).
 		cost = sim.Cycles(lat)

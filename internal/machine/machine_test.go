@@ -489,3 +489,25 @@ func TestSpecForArch(t *testing.T) {
 		t.Error("unknown arch must fall back to the ARM platform")
 	}
 }
+
+// TestMLPReciprocalExact checks the precomputed MLP reciprocal against
+// the divide it replaces: at the edges of every divisor's range and on
+// 10^5 seeded random numerators, for divisors from 1 (the overflow
+// case) to the largest 32-bit value.
+func TestMLPReciprocalExact(t *testing.T) {
+	rng := xrand.New(2019)
+	for _, d := range []uint32{1, 2, 3, 20, 24, 1 << 31, 1<<32 - 1} {
+		recip := mlpReciprocal(d)
+		check := func(n uint32) {
+			if got, want := divMLP(recip, n), n/d; got != want {
+				t.Fatalf("MLP %d: %d/MLP = %d, want %d", d, n, got, want)
+			}
+		}
+		for _, n := range []uint32{0, 1, d - 1, d, d + 1, 1<<32 - 1} {
+			check(n)
+		}
+		for i := 0; i < 100_000; i++ {
+			check(rng.Uint32())
+		}
+	}
+}

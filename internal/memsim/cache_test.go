@@ -295,11 +295,12 @@ func TestDRAMResetRestartsTailStream(t *testing.T) {
 func TestHierarchyLevels(t *testing.T) {
 	h := newTestHierarchy()
 
-	r := h.Access(0, 0x100000, 8, false)
+	var r AccessResult
+	h.Access(0, 0x100000, 8, false, &r)
 	if r.Level != LevelDRAM {
 		t.Errorf("cold access level = %v, want DRAM", r.Level)
 	}
-	r = h.Access(0, 0x100000, 8, false)
+	h.Access(0, 0x100000, 8, false, &r)
 	if r.Level != LevelL1 {
 		t.Errorf("hot access level = %v, want L1", r.Level)
 	}
@@ -318,7 +319,8 @@ func TestHierarchyLatencyOrdering(t *testing.T) {
 		t.Fatal("latency config not monotone")
 	}
 	// DRAM access must cost more than an SLC hit.
-	r := h.Access(0, 0x900000, 8, false)
+	var r AccessResult
+	h.Access(0, 0x900000, 8, false, &r)
 	if r.Latency <= h.Lat.SLC {
 		t.Errorf("DRAM access latency %d not greater than SLC hit %d", r.Latency, h.Lat.SLC)
 	}
@@ -329,10 +331,11 @@ func TestHierarchyL2Hit(t *testing.T) {
 	// Fill L1 far beyond capacity with a stream, then revisit an early
 	// line: it should have been pushed to L2 (inclusive-ish behaviour
 	// emerges because L2 also installed it on the initial miss).
+	var r AccessResult
 	for i := uint64(0); i < 4096; i++ {
-		h.Access(0, i*64, 8, false)
+		h.Access(0, i*64, 8, false, &r)
 	}
-	r := h.Access(0, 0, 8, false)
+	h.Access(0, 0, 8, false, &r)
 	if r.Level == LevelL1 {
 		t.Fatal("line unexpectedly still in L1 after 256 KB stream")
 	}
@@ -343,7 +346,11 @@ func TestHierarchyL2Hit(t *testing.T) {
 
 func TestHierarchyStreamBypassesCaches(t *testing.T) {
 	h := newTestHierarchy()
-	h.Stream(0, 1<<20, true)
+	var r AccessResult
+	h.Stream(0, 1<<20, true, &r)
+	if r.Level != LevelDRAM {
+		t.Errorf("stream level = %v, want DRAM", r.Level)
+	}
 	if h.L1.Probe(0) {
 		t.Error("Stream polluted L1")
 	}
@@ -355,25 +362,30 @@ func TestHierarchyStreamBypassesCaches(t *testing.T) {
 
 func TestHierarchyTLBPenalty(t *testing.T) {
 	h := newTestHierarchy()
-	r1 := h.Access(0, 0, 8, false) // TLB miss + DRAM
-	if !r1.TLBMiss {
+	var r AccessResult
+	h.Access(0, 0, 8, false, &r) // TLB miss + DRAM
+	if !r.TLBMiss {
 		t.Fatal("cold access did not miss TLB")
 	}
-	h.Access(0, 0, 8, false) // warm
-	r3 := h.Access(0, 64, 8, false)
-	if r3.TLBMiss {
+	h.Access(0, 0, 8, false, &r) // warm: same line, L1 hit
+	if r.TLBMiss || r.Level != LevelL1 || r.WaitCycles != 0 || r.StallCycles != 0 {
+		t.Errorf("warm access result kept stale fields: %+v", r)
+	}
+	h.Access(0, 64, 8, false, &r)
+	if r.TLBMiss {
 		t.Error("same-page access missed TLB")
 	}
 }
 
 func TestHierarchyReset(t *testing.T) {
 	h := newTestHierarchy()
-	h.Access(0, 0x40, 8, false)
+	var r AccessResult
+	h.Access(0, 0x40, 8, false, &r)
 	h.Reset()
 	if c := h.LevelCounts(); c != ([NumLevels]uint64{}) {
 		t.Errorf("level counts after Reset = %v", c)
 	}
-	r := h.Access(0, 0x40, 8, false)
+	h.Access(0, 0x40, 8, false, &r)
 	if r.Level == LevelL1 {
 		t.Error("L1 survived Reset")
 	}

@@ -59,46 +59,52 @@ type AccessResult struct {
 }
 
 // Access simulates a load or store of size bytes at addr, issued at
-// core time now. Accesses that straddle a cache line are charged as a
-// single access to the first line (profiling-grade approximation; the
-// line-crossing rate of the workloads here is negligible).
-func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool) AccessResult {
-	var res AccessResult
-	if h.TLB != nil && !h.TLB.Access(addr) {
-		res.TLBMiss = true
-		res.Latency += h.Lat.TLBMiss
+// core time now, and writes the outcome into res. Accesses that
+// straddle a cache line are charged as a single access to the first
+// line (profiling-grade approximation; the line-crossing rate of the
+// workloads here is negligible). The machine calls this once per
+// simulated memory op, so the result goes into caller-owned storage:
+// a returned struct, stored field by field and copied out whole,
+// stalls on store forwarding.
+func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool, res *AccessResult) {
+	var lat, wait, stall uint32
+	var remote bool
+	tlbMiss := h.TLB != nil && !h.TLB.Access(addr)
+	if tlbMiss {
+		lat = h.Lat.TLBMiss
 	}
+	var level Level
 	switch {
 	case h.L1.Access(addr):
-		res.Level = LevelL1
-		res.Latency += h.Lat.L1
+		level = LevelL1
+		lat += h.Lat.L1
 	case h.L2.Access(addr):
-		res.Level = LevelL2
-		res.Latency += h.Lat.L2
+		level = LevelL2
+		lat += h.Lat.L2
 	case h.SLC != nil && h.SLC.Access(addr):
-		res.Level = LevelSLC
-		res.Latency += h.Lat.SLC
+		level = LevelSLC
+		lat += h.Lat.SLC
 	default:
-		res.Level = LevelDRAM
+		level = LevelDRAM
 		line := uint32(h.L1.LineBytes())
 		if size > line {
 			line = size
 		}
 		var r DRAMResult
 		if h.NUMA != nil {
-			r, res.Remote = h.NUMA.Access(now, h.NodeID, addr, line, write)
+			r, remote = h.NUMA.Access(now, h.NodeID, addr, line, write)
 		} else {
 			r = h.DRAM.Access(now, line, write)
 		}
-		res.Latency += h.Lat.SLC + r.Latency
-		res.WaitCycles = r.WaitCycles
-		res.StallCycles = r.StallCycles
-		if res.Remote {
+		lat += h.Lat.SLC + r.Latency
+		wait, stall = r.WaitCycles, r.StallCycles
+		if remote {
 			h.remote++
 		}
 	}
-	h.levelCounts[res.Level]++
-	return res
+	h.levelCounts[level]++
+	res.Level, res.Latency, res.WaitCycles, res.StallCycles = level, lat, wait, stall
+	res.TLBMiss, res.Remote = tlbMiss, remote
 }
 
 // RemoteCount returns how many of this core's DRAM accesses were
@@ -108,8 +114,8 @@ func (h *Hierarchy) RemoteCount() uint64 { return h.remote }
 // Stream models a bulk transfer of size bytes that bypasses the
 // private caches (non-temporal / page-granular traffic used by the
 // phase-level CloudSuite workloads). It consumes DRAM bandwidth and
-// returns the transfer latency.
-func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool) AccessResult {
+// writes the transfer's outcome into res.
+func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool, res *AccessResult) {
 	var r DRAMResult
 	if h.NUMA != nil {
 		r, _ = h.NUMA.Access(now, h.NodeID, 0, size, write)
@@ -117,8 +123,8 @@ func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool) AccessResult
 		r = h.DRAM.Access(now, size, write)
 	}
 	h.levelCounts[LevelDRAM]++
-	return AccessResult{Level: LevelDRAM, Latency: r.Latency,
-		WaitCycles: r.WaitCycles, StallCycles: r.StallCycles}
+	res.Level, res.Latency, res.WaitCycles, res.StallCycles = LevelDRAM, r.Latency, r.WaitCycles, r.StallCycles
+	res.TLBMiss, res.Remote = false, false
 }
 
 // LevelCounts returns how many accesses were satisfied at each level.

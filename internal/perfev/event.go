@@ -38,7 +38,7 @@ type pendingDrain struct {
 
 // Event is an open perf event: either a sampling event (with data +
 // aux buffers and a backend sampling unit — SPE or PEBS) or a plain
-// counter.
+// counter backed by one of the machine's free-running counters.
 type Event struct {
 	kernel *Kernel
 	attr   Attr
@@ -46,8 +46,13 @@ type Event struct {
 
 	enabled bool
 
-	// Counting state.
+	// Counting state: read is the hardware counter behind the event
+	// (nil when the kernel has none for its config), count what it
+	// accrued over earlier enabled intervals, and base its value when
+	// the current interval began.
+	read  func() uint64
 	count uint64
+	base  uint64
 
 	// Sampling state.
 	unit            sampler.Unit
@@ -77,21 +82,14 @@ func newEvent(k *Kernel, attr Attr, core int) (*Event, error) {
 			return nil, err
 		}
 		ev.unit = backend.NewUnit(attr.samplerConfig(), k.rng.Derive(uint64(core)*2+1), ev)
+	} else {
+		ev.read = k.counter(attr.Config, core)
 	}
 	if !attr.Disabled {
-		ev.enabled = true
-		if ev.unit != nil {
-			ev.unit.Enable()
-		}
+		ev.Enable()
 	}
 	return ev, nil
 }
-
-// Core returns the core index the event is bound to.
-func (e *Event) Core() int { return e.core }
-
-// Attr returns the attributes the event was opened with.
-func (e *Event) Attr() Attr { return e.attr }
 
 // Stats returns kernel-side accounting.
 func (e *Event) Stats() EventStats { return e.stats }
@@ -147,6 +145,9 @@ func (e *Event) SetWakeup(fn WakeupFunc) { e.wakeup = fn }
 
 // Enable starts counting/sampling (PERF_EVENT_IOC_ENABLE).
 func (e *Event) Enable() {
+	if !e.enabled {
+		e.base = e.hw()
+	}
 	e.enabled = true
 	if e.unit != nil {
 		e.unit.Enable()
@@ -155,17 +156,31 @@ func (e *Event) Enable() {
 
 // Disable stops the event (PERF_EVENT_IOC_DISABLE).
 func (e *Event) Disable() {
+	if e.enabled {
+		e.count += e.hw() - e.base
+	}
 	e.enabled = false
 	if e.unit != nil {
 		e.unit.Disable()
 	}
 }
 
-// ReadCount returns the counter value (read(2) on a counting fd).
-func (e *Event) ReadCount() uint64 { return e.count }
+// ReadCount returns the counter value (read(2) on a counting fd): what
+// the hardware counter advanced by while the event was enabled.
+func (e *Event) ReadCount() uint64 {
+	if e.enabled {
+		return e.count + e.hw() - e.base
+	}
+	return e.count
+}
 
-// ResetCount zeroes the counter (PERF_EVENT_IOC_RESET).
-func (e *Event) ResetCount() { e.count = 0 }
+// hw reads the backing hardware counter (0 when there is none).
+func (e *Event) hw() uint64 {
+	if e.read == nil {
+		return 0
+	}
+	return e.read()
+}
 
 // Mmap returns the metadata-page view: ring offsets plus the
 // timescale conversion fields NMO reads for SPE timestamp conversion.
@@ -194,40 +209,18 @@ func (e *Event) Mmap() MmapPage {
 }
 
 // OnOp is the per-operation probe the machine calls for every decoded
-// operation on this event's core. It returns the interrupt time (in
-// cycles) to charge to the core — zero except when a buffer
+// operation on a sampling event's core (counting events read the
+// machine's counters and are never attached). It returns the interrupt
+// time (in cycles) to charge to the core — zero except when a buffer
 // management interrupt fired.
 func (e *Event) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) sim.Cycles {
-	if !e.enabled {
+	if !e.enabled || e.unit == nil {
 		return 0
 	}
-	if e.unit != nil {
-		e.unit.OnOp(now, op, lat, level, tlbMiss, remote)
-		p := e.irqPenalty
-		e.irqPenalty = 0
-		return p
-	}
-	// Counting event.
-	switch {
-	case CountsMemAccess(e.attr.Config) && op.Kind.IsMemory():
-		e.count += accessesOf(op)
-	case CountsBusAccess(e.attr.Config) && op.Kind.IsMemory() && level >= 3:
-		e.count += accessesOf(op)
-	}
-	return 0
-}
-
-// accessesOf converts an op into an architectural access count: block
-// ops stand for one access per cache line.
-func accessesOf(op *isa.Op) uint64 {
-	if op.Kind == isa.KindBlockLoad || op.Kind == isa.KindBlockStore {
-		n := uint64(op.Size) / 64
-		if n == 0 {
-			n = 1
-		}
-		return n
-	}
-	return 1
+	e.unit.OnOp(now, op, lat, level, tlbMiss, remote)
+	p := e.irqPenalty
+	e.irqPenalty = 0
+	return p
 }
 
 // WriteRecord implements the per-record half of sampler.Host: the
@@ -433,7 +426,3 @@ func (e *Event) FinalDrain(now sim.Cycles) uint64 {
 	e.pending = nil
 	return e.stats.DrainedBytes - before
 }
-
-// PendingDrains reports how many aux spans the monitor has not yet
-// finished consuming (test/diagnostic helper).
-func (e *Event) PendingDrains() int { return len(e.pending) }

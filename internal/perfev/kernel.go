@@ -78,8 +78,8 @@ func (c Costs) withDefaults() Costs {
 }
 
 // Kernel is the simulated perf_event subsystem for one machine. It
-// owns all open events and publishes the timescale that userspace
-// reads from the metadata page.
+// opens events and publishes the timescale that userspace reads from
+// the metadata page.
 //
 // The monitor (NMO) is modeled as a single consumer thread: drains of
 // different events serialize through a shared completion horizon, so
@@ -88,10 +88,10 @@ func (c Costs) withDefaults() Costs {
 // counts).
 type Kernel struct {
 	cores     int
+	hw        Counters
 	costs     Costs
 	timescale sim.Timescale
 	rng       *xrand.RNG
-	events    []*Event
 	pageSize  int
 
 	// monitorFree is the time at which the shared monitor thread
@@ -119,6 +119,33 @@ func NewKernel(cores int, costs Costs, ts sim.Timescale, rng *xrand.RNG) *Kernel
 	}
 }
 
+// Counters is the hardware behind the counting events: per-core
+// free-running counters, read the way perf reads a PMU counter —
+// snapshot at enable, difference at read. The machine implements it.
+type Counters interface {
+	// MemAccesses counts architectural memory accesses (a block
+	// transfer counts one per cache line).
+	MemAccesses(core int) uint64
+	// BusAccesses counts the accesses served by DRAM, in lines.
+	BusAccesses(core int) uint64
+}
+
+// SetCounters connects the counting events opened from now on to the
+// hardware counters. Without it a counting event reads zero.
+func (k *Kernel) SetCounters(hw Counters) { k.hw = hw }
+
+// counter resolves the hardware counter a counting config reads on a
+// core (nil for a config the hardware has no counter for).
+func (k *Kernel) counter(config uint64, core int) func() uint64 {
+	switch {
+	case k.hw != nil && CountsMemAccess(config):
+		return func() uint64 { return k.hw.MemAccesses(core) }
+	case k.hw != nil && CountsBusAccess(config):
+		return func() uint64 { return k.hw.BusAccesses(core) }
+	}
+	return nil
+}
+
 // SetPageSize overrides the mmap page granularity (default 64 KB).
 // The scaled-down reproduction experiments shrink pages together with
 // run lengths so that the paper's page-count axes stay meaningful
@@ -131,19 +158,9 @@ func (k *Kernel) SetPageSize(bytes int) {
 	k.pageSize = bytes
 }
 
-// PageBytes returns the active mmap page size.
-func (k *Kernel) PageBytes() int { return k.pageSize }
-
 // DrainCycles returns the total monitor CPU time spent consuming aux
 // data.
 func (k *Kernel) DrainCycles() sim.Cycles { return k.drainCycles }
-
-// Timescale returns the time_zero/time_shift/time_mult conversion the
-// kernel publishes on every metadata page.
-func (k *Kernel) Timescale() sim.Timescale { return k.timescale }
-
-// Costs returns the kernel cost model.
-func (k *Kernel) Costs() Costs { return k.costs }
 
 // Open creates an event bound to a core, the simulated equivalent of
 // perf_event_open(attr, pid, cpu, -1, 0).
@@ -154,24 +171,7 @@ func (k *Kernel) Open(attr *Attr, core int) (*Event, error) {
 	if core < 0 || core >= k.cores {
 		return nil, fmt.Errorf("%w: %d (machine has %d)", ErrBadCore, core, k.cores)
 	}
-	ev, err := newEvent(k, *attr, core)
-	if err != nil {
-		return nil, err
-	}
-	k.events = append(k.events, ev)
-	return ev, nil
-}
-
-// Events returns all open events (test/analysis helper).
-func (k *Kernel) Events() []*Event { return k.events }
-
-// CloseAll disables and drops every event.
-func (k *Kernel) CloseAll() {
-	for _, ev := range k.events {
-		ev.Disable()
-	}
-	k.events = nil
-	k.monitorFree = 0
+	return newEvent(k, *attr, core)
 }
 
 // scheduleDrain reserves the shared monitor thread for a drain of

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nmo/internal/isa"
+	"nmo/internal/machine"
 	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/xrand"
@@ -86,54 +87,93 @@ func TestSPEConfigValue(t *testing.T) {
 	}
 }
 
-func TestCountingMemAccess(t *testing.T) {
+// countingRun opens a counting event of the given config on core 0 of
+// a one-core machine, wired the way a session wires it, and returns the
+// event plus a helper that executes ops on the machine.
+func countingRun(t *testing.T, attr Attr) (*Event, func(ops ...isa.Op)) {
+	t.Helper()
+	m := machine.New(machine.AmpereAltraMax().WithCores(1))
 	k := testKernel(1)
-	ev, err := k.Open(&Attr{Type: TypeRaw, Config: RawMemAccess}, 0)
+	k.SetCounters(m)
+	ev, err := k.Open(&attr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := []isa.Op{
-		{Kind: isa.KindLoad, Addr: 1, Size: 8},
-		{Kind: isa.KindStore, Addr: 2, Size: 8},
-		{Kind: isa.KindALU},
-		{Kind: isa.KindBranch},
-		{Kind: isa.KindBlockLoad, Addr: 3, Size: 256}, // 4 lines
+	return ev, func(ops ...isa.Op) {
+		t.Helper()
+		if _, err := m.Run([]isa.Stream{&isa.SliceStream{Ops: ops}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := range ops {
-		ev.OnOp(1, &ops[i], 4, 0, false, false)
-	}
+}
+
+func TestCountingMemAccess(t *testing.T) {
+	ev, run := countingRun(t, Attr{Type: TypeRaw, Config: RawMemAccess})
+	run(
+		isa.Op{Kind: isa.KindLoad, Addr: 1, Size: 8},
+		isa.Op{Kind: isa.KindStore, Addr: 2, Size: 8},
+		isa.Op{Kind: isa.KindALU},
+		isa.Op{Kind: isa.KindBranch},
+		isa.Op{Kind: isa.KindBlockLoad, Addr: 3, Size: 256}, // 4 lines
+	)
 	if got := ev.ReadCount(); got != 1+1+4 {
 		t.Errorf("mem_access count = %d, want 6", got)
-	}
-	ev.ResetCount()
-	if ev.ReadCount() != 0 {
-		t.Error("ResetCount failed")
 	}
 }
 
 func TestCountingBusAccessOnlyDRAM(t *testing.T) {
-	k := testKernel(1)
-	ev, _ := k.Open(&Attr{Type: TypeRaw, Config: RawBusAccess}, 0)
+	ev, run := countingRun(t, Attr{Type: TypeRaw, Config: RawBusAccess})
 	op := isa.Op{Kind: isa.KindLoad, Addr: 1, Size: 8}
-	ev.OnOp(1, &op, 4, 0, false, false) // L1 hit
-	ev.OnOp(1, &op, 200, 3, false, false)
+	run(op, op) // cold miss to DRAM, then an L1 hit
 	if got := ev.ReadCount(); got != 1 {
 		t.Errorf("bus_access count = %d, want 1 (only the DRAM access)", got)
 	}
 }
 
 func TestCountingDisabled(t *testing.T) {
-	k := testKernel(1)
-	ev, _ := k.Open(&Attr{Type: TypeRaw, Config: RawMemAccess, Disabled: true}, 0)
+	ev, run := countingRun(t, Attr{Type: TypeRaw, Config: RawMemAccess, Disabled: true})
 	op := isa.Op{Kind: isa.KindLoad, Addr: 1, Size: 8}
-	ev.OnOp(1, &op, 4, 0, false, false)
+	run(op)
 	if ev.ReadCount() != 0 {
 		t.Error("disabled event counted")
 	}
 	ev.Enable()
-	ev.OnOp(2, &op, 4, 0, false, false)
+	run(op)
 	if ev.ReadCount() != 1 {
 		t.Error("enabled event did not count")
+	}
+	ev.Disable()
+	run(op)
+	if ev.ReadCount() != 1 {
+		t.Error("event counted after Disable")
+	}
+}
+
+// TestCountingAcrossRuns checks the snapshot semantics a reused
+// machine relies on: an event opened after earlier runs counts only
+// what follows, and a run's reset does not rewind the counter.
+func TestCountingAcrossRuns(t *testing.T) {
+	m := machine.New(machine.AmpereAltraMax().WithCores(1))
+	ops := func(n int) []isa.Stream {
+		s := &isa.SliceStream{}
+		for i := 0; i < n; i++ {
+			s.Ops = append(s.Ops, isa.Op{Kind: isa.KindLoad, Addr: uint64(i) * 64, Size: 8})
+		}
+		return []isa.Stream{s}
+	}
+	if _, err := m.Run(ops(5)); err != nil {
+		t.Fatal(err)
+	}
+	k := testKernel(1)
+	k.SetCounters(m)
+	ev, _ := k.Open(&Attr{Type: TypeRaw, Config: RawMemAccess}, 0)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Run(ops(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ev.ReadCount(); got != 6 {
+		t.Errorf("count over two runs after open = %d, want 6", got)
 	}
 }
 
@@ -297,7 +337,7 @@ func TestFinalDrainFlushesResidual(t *testing.T) {
 	if n == 0 || decoded == 0 {
 		t.Errorf("final drain flushed %d bytes, decoded %d", n, decoded)
 	}
-	if ev.PendingDrains() != 0 {
+	if len(ev.pending) != 0 {
 		t.Error("pending drains remain after FinalDrain")
 	}
 	if ev.Stats().Wakeups != 0 {
@@ -339,9 +379,6 @@ func TestAuxRecordRoundTrip(t *testing.T) {
 	if !ok || n2 != n || out != in {
 		t.Errorf("round trip: ok=%v out=%+v", ok, out)
 	}
-	if !out.Collision() || !out.Truncated() {
-		t.Error("flag accessors wrong")
-	}
 }
 
 func TestDecodeAuxRecordSkipsUnknown(t *testing.T) {
@@ -380,19 +417,6 @@ func TestDataRingOverflowCountsLost(t *testing.T) {
 	}
 }
 
-func TestKernelCloseAll(t *testing.T) {
-	k := testKernel(2)
-	k.Open(speAttr(100), 0)
-	k.Open(&Attr{Type: TypeRaw, Config: RawMemAccess}, 1)
-	if len(k.Events()) != 2 {
-		t.Fatalf("events = %d", len(k.Events()))
-	}
-	k.CloseAll()
-	if len(k.Events()) != 0 {
-		t.Error("CloseAll left events")
-	}
-}
-
 func TestSharedMonitorSerializesDrains(t *testing.T) {
 	k := testKernel(2)
 	d1 := k.scheduleDrain(100, 1000)
@@ -409,7 +433,7 @@ func TestSharedMonitorSerializesDrains(t *testing.T) {
 
 func TestDefaultCostsApplied(t *testing.T) {
 	k := NewKernel(1, Costs{}, sim.Timescale{TimeMult: 1}, nil)
-	c := k.Costs()
+	c := k.costs
 	if c.IRQBase == 0 || c.MinAuxPages == 0 || c.DrainPerByte == 0 {
 		t.Errorf("defaults not applied: %+v", c)
 	}

@@ -41,12 +41,6 @@ type RecordAux struct {
 	Flags     uint64
 }
 
-// Truncated reports whether the span lost records to a full buffer.
-func (r RecordAux) Truncated() bool { return r.Flags&AuxFlagTruncated != 0 }
-
-// Collision reports whether SPE signalled sample collisions.
-func (r RecordAux) Collision() bool { return r.Flags&AuxFlagCollision != 0 }
-
 // encodeAuxRecord writes a RecordAux in the kernel's wire layout:
 // struct perf_event_header { u32 type; u16 misc; u16 size; } followed
 // by aux_offset, aux_size, flags.
