@@ -424,9 +424,10 @@ func BenchmarkEngineScenarioOverhead(b *testing.B) {
 
 // BenchmarkMachineOpThroughput times one core running a 200k-element
 // STREAM. "bare" attaches no perf events; "sampled" has paper-sweep's
-// per-core shape — an SPE sampling event on the per-op probe path plus
-// the mem/bus counting events — so it also sees what the probe path
-// costs per op.
+// per-core shape — an SPE sampling event in the core's probe slot plus
+// the mem/bus counting events, which read the machine's per-core
+// counters and add nothing per op — so the bare/sampled gap is what
+// the sampling probe costs per op.
 func BenchmarkMachineOpThroughput(b *testing.B) {
 	for _, sampled := range []bool{false, true} {
 		name := "bare"
@@ -456,8 +457,9 @@ func BenchmarkMachineOpThroughput(b *testing.B) {
 }
 
 // attachCoreEvents opens core 0's events the way a profiling session
-// does: the two counting events over the machine's counters, and an
-// SPE sampling event (period 1000, mapped ring and aux) as the probe.
+// does: the two counting events, which read the machine's free-running
+// counters and are not probes, and an SPE sampling event (period 1000,
+// mapped ring and aux) in core 0's one probe slot.
 func attachCoreEvents(b *testing.B, m *machine.Machine) {
 	b.Helper()
 	k := perfev.NewKernel(1, perfev.Costs{}, sim.TimescaleFor(m.Spec().Freq, 1, 0), nil)

@@ -147,7 +147,7 @@ func TestBandwidthSeriesConsistency(t *testing.T) {
 	}
 	var integrated float64 // GiB
 	for _, pt := range p.Bandwidth.Points {
-		integrated += pt.Value * 1e-4 // value GiB/s * interval s
+		integrated += float64(pt.Value * 1e-4) // value GiB/s * interval s
 	}
 	busGiB := float64(p.BusAccesses) * 64 / float64(1<<30)
 	// The last partial interval is not emitted, so allow slack.

@@ -26,7 +26,7 @@ func Accuracy(memCounted, samples, period uint64) float64 {
 	if memCounted == 0 {
 		return 0
 	}
-	est := float64(samples) * float64(period)
+	est := float64(float64(samples) * float64(period))
 	return 1 - math.Abs(float64(memCounted)-est)/float64(memCounted)
 }
 
@@ -78,7 +78,7 @@ func Aggregate(values []float64) Stats {
 		var ss float64
 		for _, v := range values {
 			d := v - st.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		st.StdDev = math.Sqrt(ss / float64(st.N-1))
 	}

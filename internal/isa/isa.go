@@ -126,7 +126,7 @@ func (m MarkerKind) String() string {
 	return "none"
 }
 
-// Op is a single dynamic operation. It is kept small (32 bytes) and
+// Op is a single dynamic operation. It is kept small (24 bytes) and
 // free of pointers so that batches of Ops stay cheap to fill and scan;
 // the simulator touches hundreds of millions of them per experiment.
 type Op struct {
@@ -152,6 +152,12 @@ type Op struct {
 // ops into dst and returns the number written; it returns 0 when the
 // stream is exhausted. Implementations are single-threaded per stream:
 // the machine drives one Stream per simulated hardware thread.
+//
+// The op sequence a Stream produces must not depend on len(dst): any
+// buffer at least as long as the generator's largest indivisible chunk
+// (16 ops covers every workload here) yields the same ops in the same
+// order, split at different Fill boundaries. The machine's op-buffer
+// length is therefore a host-performance choice, not a model input.
 type Stream interface {
 	Fill(dst []Op) int
 }

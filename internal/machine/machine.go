@@ -10,9 +10,10 @@ import (
 )
 
 // Probe observes every operation executed on a core and may charge
-// extra cycles to it (interrupt time). The perf subsystem's sampling
-// events implement this interface; its counting events read the
-// per-core counters (MemAccesses, BusAccesses) instead.
+// extra cycles to it (interrupt time). A core has one probe slot: the
+// perf subsystem attaches one sampling event per core there, and its
+// counting events read the per-core counters (MemAccesses,
+// BusAccesses) instead of observing ops.
 type Probe interface {
 	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) sim.Cycles
 }
@@ -42,7 +43,7 @@ type core struct {
 	id     int
 	hier   *memsim.Hierarchy // nil until the core first runs a stream
 	stream isa.Stream
-	probes []Probe
+	probe  Probe // nil: no sampling event on this core
 
 	cycles sim.Cycles
 	done   bool
@@ -137,8 +138,15 @@ func (m *Machine) bind(c *core) {
 		// Cores split evenly across sockets.
 		c.hier.NodeID = c.id * m.spec.NUMA.Nodes / m.spec.Cores
 	}
-	c.buf = make([]isa.Op, 4096)
+	c.buf = make([]isa.Op, opBufLen)
 }
+
+// opBufLen is the per-core op buffer length: 256 24-byte ops are
+// 6 KiB, so the ops a Fill has just written are still in the host's
+// L1/L2 when execOp reads them, even with 32 cores bound. Streams
+// produce the same op sequence at any buffer length (the isa.Stream
+// contract), so the length changes host cache behaviour only.
+const opBufLen = 256
 
 // mlpReciprocal returns ceil(2^64/d), or 0 for d == 1 (where the
 // ceiling overflows). For every 32-bit n, the high word of
@@ -184,19 +192,25 @@ func (m *Machine) MemAccesses(coreID int) uint64 { return m.cores[coreID].memAcc
 // by DRAM, in cache lines.
 func (m *Machine) BusAccesses(coreID int) uint64 { return m.cores[coreID].busAccesses }
 
-// AttachProbe registers a per-op probe on a core.
+// AttachProbe puts p in core coreID's probe slot. It fails if the core
+// already has a probe: ClearProbes empties every slot.
 func (m *Machine) AttachProbe(coreID int, p Probe) error {
 	if coreID < 0 || coreID >= len(m.cores) {
 		return fmt.Errorf("machine: core %d out of range (have %d)", coreID, len(m.cores))
 	}
-	m.cores[coreID].probes = append(m.cores[coreID].probes, p)
+	c := m.cores[coreID]
+	if c.probe != nil {
+		return fmt.Errorf("machine: core %d already has a probe", coreID)
+	}
+	c.probe = p
 	return nil
 }
 
-// ClearProbes removes all probes (between baseline and profiled runs).
+// ClearProbes empties every core's probe slot (between baseline and
+// profiled runs).
 func (m *Machine) ClearProbes() {
 	for _, c := range m.cores {
-		c.probes = nil
+		c.probe = nil
 	}
 }
 
@@ -340,7 +354,7 @@ func (m *Machine) runCore(c *core, qEnd sim.Cycles) (finished bool) {
 }
 
 // execOp executes a single operation on core c, charging cycle costs
-// and invoking probes.
+// and invoking the core's probe.
 func (m *Machine) execOp(c *core, op *isa.Op) {
 	if op.Kind == isa.KindMarker {
 		if op.Marker == isa.MarkerAlloc || op.Marker == isa.MarkerFree {
@@ -431,7 +445,7 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 	}
 
 	c.cycles += cost
-	for _, p := range c.probes {
-		c.cycles += p.OnOp(now, op, tracked, level, tlbMiss, remote)
+	if c.probe != nil {
+		c.cycles += c.probe.OnOp(now, op, tracked, level, tlbMiss, remote)
 	}
 }

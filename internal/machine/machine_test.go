@@ -246,6 +246,13 @@ func TestAttachProbeValidation(t *testing.T) {
 	if err := m.AttachProbe(1, &chargeProbe{}); err != nil {
 		t.Errorf("valid attach failed: %v", err)
 	}
+	if err := m.AttachProbe(1, &chargeProbe{}); err == nil {
+		t.Error("second probe on one core accepted")
+	}
+	m.ClearProbes()
+	if err := m.AttachProbe(1, &chargeProbe{}); err != nil {
+		t.Errorf("attach after ClearProbes failed: %v", err)
+	}
 	m.ClearProbes()
 	res, _ := m.Run([]isa.Stream{seqLoads(100, 0, 64), seqLoads(100, 1<<30, 64)})
 	if res.TotalOps != 200 {

@@ -1,6 +1,6 @@
 // Package machine implements the simulated multicore ARM system that
 // NMO profiles: cores executing workload operation streams against the
-// memsim hierarchy, with per-operation probe hooks for the perf
+// memsim hierarchy, with one per-operation probe slot per core for the perf
 // subsystem and marker delivery for the NMO annotation API.
 //
 // The default Spec reproduces Table II of the paper (Ampere Altra Max:

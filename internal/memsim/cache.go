@@ -175,8 +175,5 @@ func (c *Cache) Reset() {
 // LineBytes returns the cache line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineBits }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }

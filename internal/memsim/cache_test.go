@@ -9,8 +9,8 @@ import (
 
 func TestCacheGeometry(t *testing.T) {
 	c := NewCache(CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
-	if got := c.Sets(); got != 256 {
-		t.Errorf("Sets() = %d, want 256", got)
+	if got := c.sets; got != 256 {
+		t.Errorf("sets = %d, want 256", got)
 	}
 	if got := c.Ways(); got != 4 {
 		t.Errorf("Ways() = %d, want 4", got)
@@ -59,7 +59,7 @@ func TestCacheHitAfterMiss(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, line 64: addresses 64*sets apart map to the same set.
 	c := NewCache(CacheConfig{SizeBytes: 2 * 64 * 8, LineBytes: 64, Ways: 2})
-	sets := uint64(c.Sets())
+	sets := uint64(c.sets)
 	stride := 64 * sets
 	a, b, x := uint64(0), stride, 2*stride
 
@@ -190,7 +190,7 @@ func TestDRAMBandwidthAccounting(t *testing.T) {
 	if last.Latency <= 101 {
 		t.Errorf("queued latency = %d, want > 101", last.Latency)
 	}
-	if d.Stalled() == 0 {
+	if d.stalled == 0 {
 		t.Error("no stalls recorded despite queueing")
 	}
 	rd, wr := d.Traffic()
@@ -252,10 +252,10 @@ func TestDRAMTailUnderSaturation(t *testing.T) {
 			sawTail = true
 		}
 	}
-	if !sawTail || d.TailHits() == 0 {
+	if !sawTail || d.tailHits == 0 {
 		t.Error("saturated DRAM never drew a tail latency")
 	}
-	frac := float64(d.TailHits()) / float64(d.Serviced())
+	frac := float64(d.tailHits) / float64(d.serviced)
 	if frac > 0.2 {
 		t.Errorf("tail fraction %.2f too large", frac)
 	}
@@ -268,7 +268,7 @@ func TestDRAMTailDisabled(t *testing.T) {
 			t.Fatalf("latency %d with tail disabled and no contention", lat)
 		}
 	}
-	if d.TailHits() != 0 {
+	if d.tailHits != 0 {
 		t.Error("tail hits recorded with tail disabled")
 	}
 }

@@ -152,7 +152,7 @@ func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
 		if depth > 2 {
 			depth = 2
 		}
-		pTail += d.cfg.SatTailProb * depth
+		pTail += float64(d.cfg.SatTailProb * depth)
 	}
 	if pTail > 0 && d.rng.Float64() < pTail {
 		d.tailHits++
@@ -179,15 +179,6 @@ func (d *DRAM) Traffic() (read, written uint64) {
 
 // TotalBytes returns cumulative bytes moved in both directions.
 func (d *DRAM) TotalBytes() uint64 { return d.bytesRead + d.bytesWritten }
-
-// Stalled returns the number of accesses that waited for the device.
-func (d *DRAM) Stalled() uint64 { return d.stalled }
-
-// Serviced returns the total number of accesses.
-func (d *DRAM) Serviced() uint64 { return d.serviced }
-
-// TailHits returns how many accesses drew a tail latency.
-func (d *DRAM) TailHits() uint64 { return d.tailHits }
 
 // Reset clears traffic statistics and the device clock, and rewinds
 // the tail-draw stream so repeated runs are identical.

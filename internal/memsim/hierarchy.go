@@ -23,7 +23,6 @@ type Hierarchy struct {
 	Lat Latencies
 
 	levelCounts [NumLevels]uint64
-	remote      uint64
 }
 
 // Latencies holds the hit latency (cycles) of each level plus the TLB
@@ -98,18 +97,11 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool,
 		}
 		lat += h.Lat.SLC + r.Latency
 		wait, stall = r.WaitCycles, r.StallCycles
-		if remote {
-			h.remote++
-		}
 	}
 	h.levelCounts[level]++
 	res.Level, res.Latency, res.WaitCycles, res.StallCycles = level, lat, wait, stall
 	res.TLBMiss, res.Remote = tlbMiss, remote
 }
-
-// RemoteCount returns how many of this core's DRAM accesses were
-// served by a remote NUMA node.
-func (h *Hierarchy) RemoteCount() uint64 { return h.remote }
 
 // Stream models a bulk transfer of size bytes that bypasses the
 // private caches (non-temporal / page-granular traffic used by the
@@ -139,5 +131,4 @@ func (h *Hierarchy) Reset() {
 		h.TLB.Reset()
 	}
 	h.levelCounts = [NumLevels]uint64{}
-	h.remote = 0
 }

@@ -290,7 +290,7 @@ func (b *SeriesBuilder) Add(tsec, v float64) {
 	if v > b.max {
 		b.max = v
 	}
-	b.sum += v
+	b.sum += float64(v) // rounds v: an inlined caller product must not fuse into an FMA
 	b.n++
 	b.last = Point{TimeSec: tsec, Value: v}
 }

@@ -159,7 +159,7 @@ func (g *phaseGen) setupPhase() {
 	// device peak; the rest of the phase budget becomes pacing delay.
 	// The machine charges real contention on top, so the achieved
 	// timeline is emergent; this is only the demand schedule.
-	wire := float64(g.w.blockBytes) / g.w.peakBps * float64(g.w.freq.Hz)
+	wire := float64(float64(g.w.blockBytes) / g.w.peakBps * float64(g.w.freq.Hz))
 	g.thinkPer = int(perThreadCycles/float64(g.blocks) - wire)
 	if g.thinkPer < 0 {
 		g.thinkPer = 0
@@ -194,7 +194,7 @@ func (g *phaseGen) Fill(dst []isa.Op) int {
 			}
 			if g.tid == 0 && g.blockIdx%64 == 0 {
 				frac := float64(g.blockIdx) / float64(g.blocks)
-				rss := ph.RSSStartGiB + (ph.RSSEndGiB-ph.RSSStartGiB)*frac
+				rss := ph.RSSStartGiB + float64((ph.RSSEndGiB-ph.RSSStartGiB)*frac)
 				dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerAlloc,
 					Addr: uint64(rss * (1 << 30))}
 				n++

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"nmo/internal/isa"
@@ -428,4 +430,75 @@ func TestConfigValidationPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestFillSizeIndependent pins the isa.Stream contract the machine's
+// op buffer relies on: a generator emits the same op sequence whatever
+// len(dst) its Fill calls get, as long as it holds the largest chunk
+// (cfd's 14 ops). 16, 256 and 4096 cover just-above-a-chunk, the
+// machine's buffer and the old one. "phases" is the generator behind
+// the CloudSuite workloads, with writes and jitter so its RNG draws
+// count too; every case spans more than one 4096-op Fill per stream.
+func TestFillSizeIndependent(t *testing.T) {
+	freq := sim.Freq{Hz: 1_000_000}
+	cases := []struct {
+		name string
+		mk   func() Workload
+	}{
+		{"stream", func() Workload { return NewStream(StreamConfig{Elems: 3000, Threads: 3, Iters: 2}) }},
+		{"cfd", func() Workload { return NewCFD(CFDConfig{Elems: 2000, Threads: 3, Iters: 2, Seed: 5}) }},
+		{"bfs", func() Workload { return NewBFS(BFSConfig{Nodes: 3000, Degree: 5, Threads: 3, Iters: 2, Seed: 7}) }},
+		{"phases", func() Workload {
+			return NewPhaseWorkload("p", 3, freq, 11, []Phase{
+				{Name: "p0", Seconds: 0.2, GBps: 2, RSSStartGiB: 1, RSSEndGiB: 3, WriteFrac: 0.3, JitterFrac: 0.4},
+				{Name: "p1", Seconds: 0.1, GBps: 1, RSSStartGiB: 3, RSSEndGiB: 2, JitterFrac: 0.2},
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want [sha256.Size]byte
+			for i, n := range []int{16, 256, 4096} {
+				got, ops := hashFill(tc.mk(), n)
+				if ops == 0 {
+					t.Fatalf("len(dst)=%d: no ops", n)
+				}
+				if i == 0 {
+					want = got
+				} else if got != want {
+					t.Errorf("len(dst)=%d: op sequence differs from len(dst)=16", n)
+				}
+			}
+		})
+	}
+}
+
+// hashFill drains every stream of w through Fill calls of n ops and
+// hashes the ops in stream order. It returns the hash and the op count.
+func hashFill(w Workload, n int) ([sha256.Size]byte, int) {
+	h := sha256.New()
+	buf := make([]isa.Op, n)
+	var rec [24]byte
+	ops := 0
+	for _, s := range w.Streams() {
+		for {
+			k := s.Fill(buf)
+			if k == 0 {
+				break
+			}
+			for _, op := range buf[:k] {
+				binary.LittleEndian.PutUint64(rec[0:], op.Addr)
+				binary.LittleEndian.PutUint64(rec[8:], op.PC)
+				binary.LittleEndian.PutUint32(rec[16:], op.Size)
+				rec[20], rec[21] = byte(op.Kind), byte(op.Marker)
+				binary.LittleEndian.PutUint16(rec[22:], op.Label)
+				h.Write(rec[:])
+			}
+			ops += k
+		}
+		h.Write([]byte{0xff}) // stream boundary
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum, ops
 }
