@@ -32,11 +32,9 @@ type Config struct {
 	// Replicas is the ring's virtual-node count per member (<= 0:
 	// DefaultReplicas).
 	Replicas int
-	// ProbeEvery is the health-probe interval (<= 0: 2s); ProbeTimeout
-	// bounds one probe round-trip (<= 0: 2s) and one member leg of the
-	// /v1/stats fan-out. Probes hit each member's /v1/stats.
-	ProbeEvery   time.Duration
-	ProbeTimeout time.Duration
+	// ProbeEvery is the health-probe interval (<= 0: 2s). Probes hit
+	// each member's /v1/healthz, each bounded at 2s.
+	ProbeEvery time.Duration
 	// Audit is the gateway's JSONL audit sink (nil: no auditing). The
 	// gateway audits the HTTP edge; job transitions are audited by the
 	// shard that runs them, joined by the shared request ID.
@@ -49,40 +47,21 @@ type Config struct {
 	Auth auth.Config
 }
 
-// member is one shard in the registry: its client, plus the health
-// state the probe loop and proxy error paths both feed. Health flips
-// eagerly on proxy transport errors (a dead shard is discovered by the
-// first request that hits it, not the next probe tick) and recovers
-// via the probe loop.
+// probeTimeout bounds one health probe and one member leg of the
+// /v1/stats fan-out.
+const probeTimeout = 2 * time.Second
+
+// member is one shard in the registry: its address, its idle upstream
+// conns, plus the health state the probe loop and proxy error paths
+// both feed. Health flips eagerly on proxy transport errors (a dead
+// shard is discovered by the first request that hits it, not the next
+// probe tick) and recovers via the probe loop.
 type member struct {
-	base   string // normalized base URL (also the ring label)
-	addr   string // "host:port" when base is plain http — the splice dial target
-	client *service.Client
+	base string // normalized base URL (also the ring label)
+	addr string // "host:port" dial target
+	pool pool
 
 	healthy atomic.Bool
-	lastErr atomic.Value // string
-
-	// pool holds idle upstream connections for the splice proxy path
-	// (the gateway's own keep-alive, since splicing needs the raw
-	// socket that http.Client hides).
-	pool chan *upstreamConn
-}
-
-func (m *member) markDown(err error) {
-	m.lastErr.Store(err.Error())
-	m.healthy.Store(false)
-}
-
-func (m *member) markUp() {
-	m.healthy.Store(true)
-	m.lastErr.Store("")
-}
-
-func (m *member) errString() string {
-	if s, ok := m.lastErr.Load().(string); ok {
-		return s
-	}
-	return ""
 }
 
 // Gateway fronts a fleet of nmod daemons behind the daemon's own HTTP
@@ -98,17 +77,15 @@ type Gateway struct {
 	byBase  map[string]*member
 	ring    *Ring
 	router  *obs.Router
-	httpc   *http.Client
 	zc      *zerocopy.Counters
 	reg     *obs.Registry
 	httpm   *obs.HTTPMetrics
 	auth    *auth.Middleware
 
-	probeEvery   time.Duration
-	probeTimeout time.Duration
-	stop         chan struct{}
-	wg           sync.WaitGroup
-	closeOnce    sync.Once
+	probeEvery time.Duration
+	stop       chan struct{}
+	wg         sync.WaitGroup
+	closeOnce  sync.Once
 }
 
 // New builds a gateway over a fixed member list and starts its health
@@ -121,28 +98,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 2 * time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	g := &Gateway{
-		byBase: make(map[string]*member),
-		ring:   NewRing(cfg.Replicas),
-		// No overall client timeout — trace bodies legitimately stream
-		// for as long as they stream — but dial and response-header
-		// timeouts turn a hung-but-connected shard into a transport
-		// error the registry can fail over on, instead of an in-flight
-		// request stalled forever. (Every proxied endpoint writes its
-		// headers at admission time, so a healthy shard always beats
-		// the header timeout.)
-		httpc: &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-			ResponseHeaderTimeout: 30 * time.Second,
-		}},
-		probeEvery:   cfg.ProbeEvery,
-		probeTimeout: cfg.ProbeTimeout,
-		stop:         make(chan struct{}),
-		zc:           new(zerocopy.Counters),
-		reg:          obs.NewRegistry(),
+		byBase:     make(map[string]*member),
+		ring:       NewRing(cfg.Replicas),
+		probeEvery: cfg.ProbeEvery,
+		stop:       make(chan struct{}),
+		zc:         new(zerocopy.Counters),
+		reg:        obs.NewRegistry(),
 	}
 	obs.RegisterBuildInfo(g.reg)
 	service.RegisterDataPlane(g.reg, g.zc)
@@ -152,16 +114,28 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	for _, addr := range cfg.Members {
-		c := service.NewClient(addr)
-		if g.byBase[c.Base] != nil {
+		base := addr
+		if !strings.Contains(base, "://") {
+			base = "http://" + base
+		}
+		base = strings.TrimRight(base, "/")
+		// The gateway speaks plain HTTP/1.1 to its members: nothing in
+		// the fleet serves TLS.
+		u, err := url.Parse(base)
+		if err != nil || u.Scheme != "http" || u.Host == "" {
+			return nil, fmt.Errorf("gateway: member %q is not an http:// URL or host:port", addr)
+		}
+		if g.byBase[base] != nil {
 			return nil, fmt.Errorf("gateway: member %q duplicated", addr)
 		}
-		m := &member{base: c.Base, addr: dialAddr(c.Base), client: c,
-			pool: make(chan *upstreamConn, upstreamPoolSize)}
-		m.markUp()
+		m := &member{base: base, addr: u.Host}
+		if u.Port() == "" {
+			m.addr = net.JoinHostPort(u.Hostname(), "80")
+		}
+		m.healthy.Store(true)
 		g.members = append(g.members, m)
-		g.byBase[c.Base] = m
-		g.ring.Add(c.Base)
+		g.byBase[base] = m
+		g.ring.Add(base)
 	}
 
 	// The same route table and auth stance as the shard server: job
@@ -184,16 +158,19 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// setTenantHeaders forwards the authenticated principal on a
-// gateway→shard hop: the tenant plus an HMAC over it when a key is
-// configured (the shard verifies the signature instead of re-parsing
-// the JWT), or the dev internal marker in keyless none mode. Either
-// way the shard sees Via "internal" and skips its own rate limiter —
-// the tenant was already charged at this edge.
-func (g *Gateway) setTenantHeaders(h http.Header, r *http.Request) {
+// forwardHeader is the header of a proxied gateway→shard hop: the
+// request ID, plus the authenticated principal — the tenant and an
+// HMAC over it when a key is configured (the shard verifies the
+// signature instead of re-parsing the JWT), or the dev internal marker
+// in keyless none mode. Either way the shard sees Via "internal" and
+// skips its own rate limiter — the tenant was already charged at this
+// edge.
+func (g *Gateway) forwardHeader(r *http.Request) http.Header {
+	h := http.Header{}
+	h.Set(obs.RequestIDHeader, obs.RequestID(r.Context()))
 	p, ok := auth.PrincipalFrom(r.Context())
 	if !ok {
-		return
+		return h
 	}
 	h.Set(auth.TenantHeader, p.Tenant)
 	if key := g.auth.Key(); len(key) > 0 {
@@ -201,22 +178,16 @@ func (g *Gateway) setTenantHeaders(h http.Header, r *http.Request) {
 	} else {
 		h.Set(auth.InternalHeader, "1")
 	}
+	return h
 }
 
-// Close stops the probe loop and drops the pooled upstream conns.
+// Close stops the probe loop and closes the pooled upstream conns,
+// along with any a still-running request releases later.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 	for _, m := range g.members {
-		for {
-			select {
-			case uc := <-m.pool:
-				uc.close()
-				continue
-			default:
-			}
-			break
-		}
+		m.closePool()
 	}
 }
 
@@ -255,16 +226,12 @@ func (g *Gateway) probeOnce() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), g.probeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			// Liveness only: /v1/healthz costs the shard nothing (no
 			// stats snapshot under the scheduler lock) and needs no
 			// credentials, so probing stays cheap at any fleet size.
-			if err := m.client.Healthz(ctx); err != nil {
-				m.markDown(err)
-			} else {
-				m.markUp()
-			}
+			m.healthy.Store(m.get(ctx, "/v1/healthz", nil) == nil)
 		}()
 	}
 	wg.Wait()
@@ -379,30 +346,20 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // false with an error means the member was unreachable and the caller
 // should try the next ring successor.
 func (g *Gateway) submitTo(w http.ResponseWriter, r *http.Request, m *member, body []byte) (done bool, err error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		m.base+"/v1/jobs", bytes.NewReader(body))
+	h := g.forwardHeader(r)
+	h.Set("Content-Type", "application/json")
+	x, err := m.do(r.Context(), http.MethodPost, "/v1/jobs", h, body)
 	if err != nil {
-		return false, err
+		// A departed client leaves nothing to write.
+		return r.Context().Err() != nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.RequestIDHeader, obs.RequestID(r.Context()))
-	g.setTenantHeaders(req.Header, r)
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return true, err // the client went away; nothing to write
-		}
-		m.markDown(err)
-		return false, err
-	}
-	defer resp.Body.Close()
-	m.markUp()
-	if resp.StatusCode != http.StatusOK {
-		g.copyResponse(w, r, resp)
+	m.healthy.Store(true)
+	if x.StatusCode != http.StatusOK {
+		g.relay(w, r, x)
 		return true, nil
 	}
 	var info service.JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := x.readJSON(&info); err != nil {
 		obs.WriteError(w, r, http.StatusBadGateway, obs.CodeUpstream,
 			fmt.Sprintf("shard %s: bad submit response: %v", m.base, err))
 		return true, nil
@@ -435,46 +392,26 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 	}
 	m := g.members[shard]
 
-	u := m.base + "/v1/jobs/" + url.PathEscape(inner) + suffix
+	path := "/v1/jobs/" + url.PathEscape(inner) + suffix
 	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
+		path += "?" + r.URL.RawQuery
 	}
-
-	// Trace reads over a zero-copy downstream conn take the splice
-	// proxy: the gateway speaks HTTP/1.1 to the shard on its own
-	// pooled TCP conn (http.Client hides the socket splice needs) and
-	// moves the sized body kernel-side. Any failure before the first
-	// response byte falls through to the classic client path below.
-	if suffix == "/trace" && r.Method == http.MethodGet && g.spliceProxy(w, r, m, u) {
-		return
-	}
-
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, nil)
+	x, err := m.do(r.Context(), r.Method, path, g.forwardHeader(r), nil)
 	if err != nil {
-		obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-		return
-	}
-	req.Header.Set(obs.RequestIDHeader, obs.RequestID(r.Context()))
-	g.setTenantHeaders(req.Header, r)
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return
+		if r.Context().Err() == nil {
+			obs.WriteError(w, r, http.StatusBadGateway, obs.CodeUpstream,
+				fmt.Sprintf("shard %s unreachable: %v", m.base, err))
 		}
-		m.markDown(err)
-		obs.WriteError(w, r, http.StatusBadGateway, obs.CodeUpstream,
-			fmt.Sprintf("shard %s unreachable: %v", m.base, err))
 		return
 	}
-	defer resp.Body.Close()
-	m.markUp()
+	m.healthy.Store(true)
 
 	// Status and cancel answer with a JobInfo whose ID must be
 	// re-qualified; result and trace bodies carry no member-local IDs
 	// and stream through untouched.
-	if resp.StatusCode == http.StatusOK && suffix == "" {
+	if x.StatusCode == http.StatusOK && suffix == "" {
 		var info service.JobInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		if err := x.readJSON(&info); err != nil {
 			obs.WriteError(w, r, http.StatusBadGateway, obs.CodeUpstream,
 				fmt.Sprintf("shard %s: bad response: %v", m.base, err))
 			return
@@ -483,49 +420,7 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 		service.WriteJSON(w, http.StatusOK, info)
 		return
 	}
-	g.copyResponse(w, r, resp)
-}
-
-// copyResponse relays a member response through http.Client plumbing:
-// relevant headers, status, then the body in one io.Copy. Every body
-// it sees is sized — JSON documents, error envelopes, and trace plans
-// on the paths the splice relay does not take — so there is nothing to
-// buffer or flush. Trace bytes moved here count as fallback, and a
-// broken trace copy is classified — client abort vs upstream failure —
-// instead of silently discarded. A reset shard and a reset client both
-// surface as ECONNRESET, so the body reader records which side failed:
-// a failed read while the request is still live is the upstream's.
-func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response) {
-	for _, h := range []string{"Content-Type", "Content-Length", "X-Nmo-Trace-Md5"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	body := &bodyReader{Reader: resp.Body}
-	n, err := io.Copy(w, body)
-	if resp.Header.Get("Content-Type") == "application/octet-stream" {
-		g.zc.AddFallback(n)
-		if err != nil && body.err != nil && r.Context().Err() == nil {
-			g.zc.NoteError()
-		} else {
-			g.zc.CountCopyErr(r.Context(), err)
-		}
-	}
-}
-
-// bodyReader remembers the last non-EOF error its reader returned.
-type bodyReader struct {
-	io.Reader
-	err error
-}
-
-func (b *bodyReader) Read(p []byte) (int, error) {
-	n, err := b.Reader.Read(p)
-	if err != nil && err != io.EOF {
-		b.err = err
-	}
-	return n, err
+	g.relay(w, r, x)
 }
 
 // handleStats fans /v1/stats out to every member and merges the
@@ -543,13 +438,14 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.probeTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 			defer cancel()
-			st, err := m.client.Stats(ctx)
+			var st service.SchedStats
+			err := m.get(ctx, "/v1/stats", &st)
 			row := service.MemberStats{Member: m.base, Shard: i}
 			switch {
 			case err == nil:
-				m.markUp()
+				m.healthy.Store(true)
 				row.Healthy = true
 				row.Stats = &st
 			case r.Context().Err() != nil:
@@ -560,8 +456,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 				row.Healthy = m.healthy.Load()
 				row.Error = err.Error()
 			default:
-				m.markDown(err)
-				row.Error = m.errString()
+				m.healthy.Store(false)
+				row.Error = err.Error()
 			}
 			fleet.Members[i] = row
 		}()

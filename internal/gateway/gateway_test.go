@@ -338,6 +338,24 @@ func TestGatewayErrors(t *testing.T) {
 	}
 }
 
+// TestGatewayNewRejectsMembers: a member list the gateway cannot speak
+// to fails at construction — none at all, a duplicate (after
+// normalization), or a scheme other than plain http, which the raw
+// upstream conns do not speak.
+func TestGatewayNewRejectsMembers(t *testing.T) {
+	for _, members := range [][]string{
+		nil,
+		{"127.0.0.1:1", "http://127.0.0.1:1/"},
+		{"https://127.0.0.1:1"},
+		{"http://"},
+	} {
+		if gw, err := New(Config{Members: members}); err == nil {
+			gw.Close()
+			t.Errorf("New accepted members %q", members)
+		}
+	}
+}
+
 // TestGatewayIDRewrite: every JobInfo that crosses the gateway —
 // submit, status, cancel — carries the gateway-qualified ID, never the
 // member-local one.

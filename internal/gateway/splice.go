@@ -2,42 +2,43 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/url"
+	"sync"
 	"time"
 
-	"nmo/internal/obs"
 	"nmo/internal/zerocopy"
 )
 
-// The splice proxy is the gateway's kernel-offload hop: when the
-// downstream client arrived on a zero-copy conn and the shard answers
-// a trace read with a sized body, the body moves shard-socket →
-// client-socket via the Go runtime's splice(2) without touching user
-// space. http.Client cannot carry this path — it owns its sockets — so
-// the gateway speaks minimal HTTP/1.1 itself on a small per-member
-// pool of raw TCP conns: write the GET, http.ReadResponse the header,
-// relay whatever the header read over-buffered, then io.CopyN the
-// remaining Content-Length bytes off the raw *net.TCPConn. The
-// downstream write flows through net/http's response accounting into
-// the client conn's ReadFrom, which splices a TCP source behind an
-// io.LimitedReader, so framing and keep-alive are untouched on both
-// legs, and the X-Nmo-Trace-Md5 pass-through is verified end to end by
-// the serve-matrix tests.
+// The gateway's one upstream client: every member request — submit,
+// status, cancel, result, trace, health probe, stats leg — is minimal
+// HTTP/1.1 spoken on a small per-member pool of raw TCP conns. The
+// pool is hand-rolled because http.Client owns its sockets, and the
+// trace relay needs the raw *net.TCPConn: a sized trace 200 relays
+// whatever the header read over-buffered, then io.CopyN moves the
+// remaining Content-Length bytes off the socket, which the downstream
+// conn's ReadFrom hands to the Go runtime's splice(2). Framing and
+// keep-alive stay net/http's on both legs, and X-Nmo-Trace-Md5 passes
+// through verbatim.
 //
-// Failure ladder: anything that goes wrong before the shard's first
-// response byte (dial, stale pooled conn, header timeout) falls back
-// to the classic http.Client relay — at most one extra round trip.
-// Non-200 responses (error envelopes) relay through the normal copy on
-// the same conn. Errors mid-body are terminal for both sockets,
-// counted and classified like any other copy error.
+// One context watcher covers each exchange from the first request
+// byte to the last body byte: when the downstream request goes away
+// (or a probe's deadline passes) it expires both socket deadlines, so
+// a shard that stalls anywhere — before its header, mid-body — never
+// pins a handler. A failure before the header is a transport error
+// that marks the member down, unless the request was canceled; one
+// mid-body is terminal for both sockets and classified upstream
+// failure vs client abort.
 
-// upstreamPoolSize bounds idle splice conns per member. Trace reads
-// are few and heavy; four idle conns cover bursts without hoarding
-// fds.
+// upstreamPoolSize bounds idle conns per member. The gateway's own
+// load is a handful of concurrent requests per member; four idle
+// conns cover bursts without hoarding fds.
 const upstreamPoolSize = 4
 
 const (
@@ -48,9 +49,8 @@ const (
 
 // upstreamConn is one raw HTTP/1.1 connection to a shard.
 type upstreamConn struct {
-	tc     *net.TCPConn
-	br     *bufio.Reader
-	reused bool
+	tc *net.TCPConn
+	br *bufio.Reader
 }
 
 func (uc *upstreamConn) close() { uc.tc.Close() }
@@ -67,194 +67,232 @@ func (uc *upstreamConn) dead() bool {
 	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
 }
 
-// dialAddr extracts the "host:port" splice dial target from a member
-// base URL; "" (https or unparsable) disables the splice path for that
-// member.
-func dialAddr(base string) string {
-	u, err := url.Parse(base)
-	if err != nil || u.Scheme != "http" || u.Host == "" {
-		return ""
-	}
-	host := u.Host
-	if u.Port() == "" {
-		host = net.JoinHostPort(host, "80")
-	}
-	return host
+// pool is a member's idle keep-alive conns. Once closed, released
+// conns are closed instead of parked, so a relay that outlives
+// Gateway.Close leaks no fd.
+type pool struct {
+	mu     sync.Mutex
+	idle   []*upstreamConn
+	closed bool
 }
 
-// getConn returns a pooled idle conn, or dials. fresh skips the pool —
-// the retry after a stale pooled conn must not fish out another stale
-// one.
-func (m *member) getConn(fresh bool) (*upstreamConn, error) {
+// getConn returns a pooled idle conn (reused), or dials. fresh skips
+// the pool — the retry after a stale pooled conn must not fish out
+// another stale one.
+func (m *member) getConn(ctx context.Context, fresh bool) (uc *upstreamConn, reused bool, err error) {
 	if !fresh {
-		select {
-		case uc := <-m.pool:
-			uc.reused = true
-			return uc, nil
-		default:
+		m.pool.mu.Lock()
+		if n := len(m.pool.idle); n > 0 {
+			uc = m.pool.idle[n-1]
+			m.pool.idle = m.pool.idle[:n-1]
+			m.pool.mu.Unlock()
+			return uc, true, nil
 		}
+		m.pool.mu.Unlock()
 	}
-	c, err := net.DialTimeout("tcp", m.addr, upstreamDialTimeout)
+	c, err := (&net.Dialer{Timeout: upstreamDialTimeout}).DialContext(ctx, "tcp", m.addr)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	tc := c.(*net.TCPConn)
-	return &upstreamConn{tc: tc, br: bufio.NewReaderSize(tc, 32<<10)}, nil
+	return &upstreamConn{tc: tc, br: bufio.NewReaderSize(tc, 32<<10)}, false, nil
 }
 
 // putConn parks a conn whose response was fully consumed.
 func (m *member) putConn(uc *upstreamConn) {
-	uc.reused = false
-	select {
-	case m.pool <- uc:
-	default:
-		uc.close()
-	}
-}
-
-// spliceProxy attempts the kernel-offload trace relay. It returns true
-// when a response was written (success or a terminal mid-body error);
-// false means nothing was sent and the caller should take the
-// http.Client path.
-func (g *Gateway) spliceProxy(w http.ResponseWriter, r *http.Request, m *member, u string) bool {
-	if !zerocopy.Supported() || m.addr == "" || zerocopy.FromContext(r.Context()) == nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
-	if err != nil {
-		return false
-	}
-	req.Header.Set(obs.RequestIDHeader, obs.RequestID(r.Context()))
-	g.setTenantHeaders(req.Header, r)
-	for attempt := 0; attempt < 2; attempt++ {
-		uc, err := m.getConn(attempt > 0)
-		if err != nil {
-			return false // dial failed; let the client path mark the member down
-		}
-		resp, err := uc.roundTrip(req)
-		if err != nil {
-			uc.close()
-			if uc.reused {
-				continue // stale keep-alive conn; retry on a fresh dial
-			}
-			return false
-		}
-		m.markUp()
-		g.relaySpliced(w, r, m, uc, resp)
-		return true
-	}
-	return false
-}
-
-// roundTrip writes the request and reads the response header. The
-// write and header-read deadlines mirror the http.Client transport's;
-// both are cleared before the body relay, which may legitimately
-// stream for a long time.
-func (uc *upstreamConn) roundTrip(req *http.Request) (*http.Response, error) {
-	uc.tc.SetWriteDeadline(time.Now().Add(upstreamWriteTimeout))
-	if err := req.Write(uc.tc); err != nil {
-		return nil, err
-	}
-	uc.tc.SetReadDeadline(time.Now().Add(upstreamHeaderTimeout))
-	resp, err := http.ReadResponse(uc.br, req)
-	if err != nil {
-		return nil, err
-	}
-	uc.tc.SetWriteDeadline(time.Time{})
-	uc.tc.SetReadDeadline(time.Time{})
-	return resp, nil
-}
-
-// relaySpliced forwards one shard response that arrived on a raw
-// upstream conn. Every trace 200 is sized and splices; anything else
-// (an error envelope, or an unsized body from a non-conforming
-// upstream) takes the normal relay on the same conn and gives the conn
-// up — reuse bookkeeping is not worth it for the rare path.
-func (g *Gateway) relaySpliced(w http.ResponseWriter, r *http.Request, m *member, uc *upstreamConn, resp *http.Response) {
-	cl := resp.ContentLength
-	if resp.StatusCode != http.StatusOK || cl < 0 {
-		g.copyResponse(w, r, resp)
-		resp.Body.Close()
+	m.pool.mu.Lock()
+	defer m.pool.mu.Unlock()
+	if m.pool.closed || len(m.pool.idle) >= upstreamPoolSize {
 		uc.close()
 		return
 	}
+	m.pool.idle = append(m.pool.idle, uc)
+}
 
+// closePool closes the idle conns and every conn released later.
+func (m *member) closePool() {
+	m.pool.mu.Lock()
+	defer m.pool.mu.Unlock()
+	m.pool.closed = true
+	for _, uc := range m.pool.idle {
+		uc.close()
+	}
+	m.pool.idle = nil
+}
+
+// exchange is one member response whose header has been read; the
+// caller consumes the body and then releases the conn.
+type exchange struct {
+	*http.Response
+	m    *member
+	uc   *upstreamConn
+	stop func() bool // unregisters the context watcher
+}
+
+// do sends one request to m and reads the response header. A reused
+// conn that fails gets one retry on a fresh dial — safe for every
+// request the gateway sends, submits included, since those are
+// content-addressed. A transport failure marks the member down unless
+// ctx was canceled (the requester left); a deadline means the member
+// was too slow.
+func (m *member) do(ctx context.Context, method, path string, h http.Header, body []byte) (*exchange, error) {
+	req, err := http.NewRequestWithContext(ctx, method, m.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if h != nil {
+		req.Header = h
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		var uc *upstreamConn
+		var reused bool
+		if uc, reused, err = m.getConn(ctx, attempt > 0); err != nil {
+			break
+		}
+		if attempt > 0 {
+			req.Body, _ = req.GetBody() // a bytes.Reader's never fails
+		}
+		var x *exchange
+		if x, err = uc.roundTrip(ctx, req); err == nil {
+			x.m = m
+			return x, nil
+		}
+		uc.close()
+		if !reused || ctx.Err() != nil {
+			break
+		}
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		m.healthy.Store(false)
+	}
+	return nil, err
+}
+
+// roundTrip writes the request and reads the response header under
+// the write and header timeouts, both cleared for the body, which may
+// legitimately stream for a long time. The context watcher it starts
+// stays armed until the exchange is released.
+func (uc *upstreamConn) roundTrip(ctx context.Context, req *http.Request) (*exchange, error) {
+	now := time.Now()
+	uc.tc.SetWriteDeadline(now.Add(upstreamWriteTimeout))
+	uc.tc.SetReadDeadline(now.Add(upstreamHeaderTimeout))
+	stop := context.AfterFunc(ctx, func() { uc.tc.SetDeadline(time.Now()) })
+	err := req.Write(uc.tc)
+	var resp *http.Response
+	if err == nil {
+		resp, err = http.ReadResponse(uc.br, req)
+	}
+	if err == nil {
+		uc.tc.SetDeadline(time.Time{})
+	}
+	// A fired watcher surfaces as an i/o timeout: report the context's
+	// reason instead. This also catches a watcher that fired before
+	// the clear; one that fires after it expires the body's reads.
+	if ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		stop()
+		return nil, err
+	}
+	return &exchange{Response: resp, uc: uc, stop: stop}, nil
+}
+
+// release ends the exchange. The conn goes back to the pool only when
+// its body was read to the end (consumed), the shard kept it open,
+// nothing past the body sits in its buffer (a shard that overran its
+// Content-Length desynced the conn), and the watcher never fired.
+func (x *exchange) release(consumed bool) {
+	if x.stop() && consumed && !x.Close && x.uc.br.Buffered() == 0 {
+		x.m.putConn(x.uc)
+		return
+	}
+	x.uc.close()
+}
+
+// readJSON decodes the body into v (nil: discard it), reading it to
+// the end first so the conn can be pooled.
+func (x *exchange) readJSON(v any) error {
+	data, err := io.ReadAll(x.Body)
+	x.release(err == nil)
+	if err != nil || v == nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
+// get fetches path from m — a health probe or a stats leg — and
+// decodes its 200 JSON body into v (nil: discard it).
+func (m *member) get(ctx context.Context, path string, v any) error {
+	x, err := m.do(ctx, http.MethodGet, path, nil, nil)
+	if err != nil {
+		return err
+	}
+	if x.StatusCode != http.StatusOK {
+		x.release(false)
+		return fmt.Errorf("GET %s: %s", path, x.Status)
+	}
+	return x.readJSON(v)
+}
+
+// relay passes the response through verbatim: the headers clients
+// read, the status, the body. Trace bytes are credited to exactly one
+// plane — splice by a wrapped front conn on a runtime that splices,
+// fallback by this relay otherwise — and a broken trace body is
+// classified: a reset shard and a reset client both surface as
+// ECONNRESET, so the upstream socket is asked which side broke.
+func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, x *exchange) {
 	for _, h := range []string{"Content-Type", "Content-Length", "X-Nmo-Trace-Md5"} {
-		if v := resp.Header.Get(h); v != "" {
+		if v := x.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.WriteHeader(http.StatusOK)
-
-	// The header read may have buffered the first body bytes; they
-	// relay through the normal write path, then the remainder splices
-	// straight off the socket. A well-behaved shard sends exactly
-	// Content-Length body bytes and nothing after — if the buffer holds
-	// more, the conn is desynced: relay the capped prefix but never
-	// pool the conn, or the excess would be parsed as the next
-	// response's header.
-	buffered := int64(uc.br.Buffered())
-	poisoned := buffered > cl
-	if poisoned {
-		buffered = cl
-	}
-
-	// roundTrip cleared both deadlines for the body relay, and the
-	// runtime's splice parks in the poller on upstream readability
-	// with no timeout of its own — so watch the downstream request
-	// context and cut the upstream read short when the client goes away
-	// or the request is canceled. Without this a shard stalling
-	// mid-body pins the handler goroutine and the conn indefinitely.
-	ctx := r.Context()
-	relayDone := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			uc.tc.SetReadDeadline(time.Now())
-		case <-relayDone:
-		}
-	}()
-
+	w.WriteHeader(x.StatusCode)
+	trace := x.Header.Get("Content-Type") == "application/octet-stream"
 	var err error
-	if buffered > 0 {
-		n, cerr := io.CopyN(w, uc.br, buffered)
-		g.zc.AddFallback(n)
-		err = cerr
-	}
-	if remain := cl - buffered; err == nil && remain > 0 {
-		if fl, ok := w.(http.Flusher); ok {
-			fl.Flush()
+	if cl := x.ContentLength; trace && x.StatusCode == http.StatusOK && cl > 0 {
+		err = g.relayTrace(w, r, x, cl)
+	} else {
+		var n int64
+		n, err = io.Copy(w, x.Body)
+		if trace {
+			g.zc.AddFallback(n)
 		}
-		// → downstream Conn.ReadFrom → splice(2). CopyN turns an
-		// upstream that closes early (a short splice, nil error) into
-		// io.EOF, so the dead conn is never pooled.
-		_, err = io.CopyN(w, uc.tc, remain)
 	}
-	close(relayDone)
-	<-watchDone
-	if err != nil {
-		// Mid-body failure: bytes left the upstream stream without
-		// reaching the client, so both framings are broken — drop the
-		// upstream conn and let net/http close the downstream one
-		// (written != Content-Length). A reset shard and a reset
-		// client both surface as ECONNRESET, so ask the upstream
-		// socket which side broke.
-		if ctx.Err() == nil && uc.dead() {
+	if err != nil && trace {
+		if r.Context().Err() == nil && x.uc.dead() {
 			g.zc.NoteError()
 		} else {
-			g.zc.CountCopyErr(ctx, err)
+			g.zc.CountCopyErr(r.Context(), err)
 		}
-		uc.close()
-		return
 	}
-	if resp.Close || poisoned {
-		uc.close()
-		return
+	x.release(err == nil)
+}
+
+// relayTrace moves a sized trace body. The header read may have
+// buffered its first bytes; they relay from the buffer (capped at the
+// body, so a shard's excess stays behind and release drops the conn),
+// then the remainder goes straight off the socket. CopyN turns an
+// upstream that closes early (a short splice, nil error) into io.EOF.
+func (g *Gateway) relayTrace(w http.ResponseWriter, r *http.Request, x *exchange, cl int64) error {
+	pre := min(int64(x.uc.br.Buffered()), cl)
+	n, err := io.CopyN(w, x.uc.br, pre)
+	g.zc.AddFallback(n)
+	if err != nil || pre == cl {
+		return err
 	}
-	// The watcher may have fired between the last body byte and here;
-	// clear any deadline it set before the conn is pooled.
-	uc.tc.SetReadDeadline(time.Time{})
-	m.putConn(uc)
+	if fl, ok := w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	var src io.Reader = x.uc.tc
+	if !zerocopy.Supported() {
+		// Hide the socket from a wrapped front conn, which would
+		// credit a user-space copy as splice.
+		src = struct{ io.Reader }{x.uc.tc}
+	}
+	n, err = io.CopyN(w, src, cl-pre)
+	if !zerocopy.Supported() || zerocopy.FromContext(r.Context()) == nil {
+		g.zc.AddFallback(n)
+	}
+	return err
 }

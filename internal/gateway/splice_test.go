@@ -180,8 +180,8 @@ func TestGatewaySpliceRelay(t *testing.T) {
 
 // TestGatewaySpliceFallback pins graceful degradation: a gateway whose
 // *own* client conns are not zero-copy (plain listener, no
-// ConnContext) must never attempt the splice hop, yet serve identical
-// bytes through the classic relay.
+// ConnContext) runs the same relay but must credit every trace byte
+// as fallback, never as splice, and serve identical bytes.
 func TestGatewaySpliceFallback(t *testing.T) {
 	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
 	t.Cleanup(sched.Close)
@@ -216,8 +216,8 @@ func TestGatewaySpliceFallback(t *testing.T) {
 	if n := gw.ZeroCopy().SpliceBytes(); n != 0 {
 		t.Errorf("gateway counted %d splice bytes on non-zero-copy client conns", n)
 	}
-	if waitReach(gw.ZeroCopy().FallbackBytes, 1) == 0 {
-		t.Error("fallback relay counted no trace bytes")
+	if got := waitReach(gw.ZeroCopy().FallbackBytes, int64(len(viaGW))); got != int64(len(viaGW)) {
+		t.Errorf("fallback relay counted %d bytes for a %d-byte trace", got, len(viaGW))
 	}
 }
 
@@ -232,7 +232,7 @@ func TestGatewaySpliceClientCancel(t *testing.T) {
 	stall := make(chan struct{})
 	t.Cleanup(func() { close(stall) })
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("{}"))
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, _ *http.Request) {
