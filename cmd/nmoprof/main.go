@@ -14,10 +14,11 @@
 // with it the simulated platform: spe profiles on the ARM Altra,
 // pebs on the Intel Ice Lake part.
 //
-// It writes <NMO_NAME>.trace.csv, <NMO_NAME>.trace.bin and
-// <NMO_NAME>.{capacity,bandwidth}.csv next to the working directory
-// and prints a summary with the trace MD5. With several workloads the
-// file base becomes <NMO_NAME>.<workload>.
+// It writes <NMO_NAME>.trace.csv, <NMO_NAME>.trace.nmo2 (a v2 trace,
+// v2.1 under -trace-compress, whose payload MD5 is the printed trace
+// MD5) and <NMO_NAME>.{capacity,bandwidth}.csv next to the working
+// directory and prints a summary with the trace MD5. With several
+// workloads the file base becomes <NMO_NAME>.<workload>.
 //
 // With -trace-out (or NMO_TRACE_OUT) the samples stream into a
 // blocked, indexed v2 trace file instead of being materialized in
@@ -391,7 +392,7 @@ func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
 			if err := reportStreamed(cfg.TraceOut); err != nil {
 				return err
 			}
-		} else if err := reportCollected(prof, base); err != nil {
+		} else if err := reportCollected(prof, cfg, base); err != nil {
 			return err
 		}
 	}
@@ -409,8 +410,8 @@ func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
 }
 
 // reportCollected renders the sample tables of an in-memory trace and
-// writes its CSV/binary files.
-func reportCollected(prof *nmo.Profile, base string) error {
+// writes it as CSV and as a v2 trace file.
+func reportCollected(prof *nmo.Profile, cfg nmo.Config, base string) error {
 	fmt.Printf("trace MD5: %x (%d samples stored)\n", prof.MD5, len(prof.Trace.Samples))
 	if prof.TraceTruncated > 0 {
 		fmt.Printf("WARNING: %d samples dropped at the MaxSamples cap (stream with -trace-out to keep them all)\n",
@@ -446,17 +447,35 @@ func reportCollected(prof *nmo.Profile, base string) error {
 		return err
 	}
 	f.Close()
-	fb, err := os.Create(base + ".trace.bin")
+	if err := writeTraceV2(base+".trace.nmo2", prof.Trace, cfg); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s.trace.csv and %s.trace.nmo2\n", base, base)
+	return nil
+}
+
+// writeTraceV2 writes an in-memory trace through the same v2 writer a
+// streamed run uses (v2.1 under -trace-compress).
+func writeTraceV2(path string, tr *nmo.Trace, cfg nmo.Config) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := prof.Trace.WriteBinary(fb); err != nil {
-		fb.Close()
-		return err
+	newWriter := nmo.NewTraceWriterV2
+	if cfg.TraceCompress {
+		newWriter = nmo.NewTraceWriterV21
 	}
-	fb.Close()
-	fmt.Printf("wrote %s.trace.csv and %s.trace.bin\n", base, base)
-	return nil
+	w, err := newWriter(f, tr.Meta(), cfg.TraceBlockSamples)
+	if err == nil {
+		err = w.EmitBatch(tr.Samples)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // reportStreamed renders the same sample tables from a v2 trace file,

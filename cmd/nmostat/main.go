@@ -4,17 +4,15 @@
 // for counting events (which cost nothing in the model) and prints
 // the counters the evaluation needs.
 //
-// With -trace it is a trace-file inspector instead: it reads a sample
-// trace (v2 files out-of-core — only the footer block index and one
-// block at a time are ever resident; v1 .trace.bin loads fully) and
-// prints the sample tables from a single scan feeding every
-// aggregation. -from/-to (ns) and -core push down to the v2 block
-// index, so a narrow query skips most of the file's blocks without
-// touching their bytes:
+// With -trace it is a trace-file inspector instead: it reads a v2 or
+// v2.1 sample trace out-of-core — only the footer block index and one
+// block at a time are ever resident — and prints the sample tables
+// from a single scan feeding every aggregation. -from/-to (ns) and
+// -core push down to the block index, so a narrow query skips most of
+// the file's blocks without touching their bytes:
 //
 //	nmostat -trace run.nmo2
 //	nmostat -trace run.nmo2 -from 1000000 -to 2000000 -core 3
-//	nmostat -trace legacy.trace.bin -format v1
 //
 // With -remote it inspects a trace held by an nmod daemon instead:
 // -job names the job, -scenario the scenario within it, and the same
@@ -30,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +37,6 @@ import (
 	"nmo/internal/postproc"
 	"nmo/internal/report"
 	"nmo/internal/service"
-	"nmo/internal/trace"
 )
 
 // options collects the CLI parameters (a struct so the golden test can
@@ -55,7 +51,6 @@ type options struct {
 
 	// Trace inspection mode (-trace).
 	trace  string
-	format string
 	fromNs uint64
 	toNs   uint64
 	core   int
@@ -85,7 +80,6 @@ func main() {
 	flag.IntVar(&o.cores, "cores", 128, "machine cores")
 	flag.Uint64Var(&o.seed, "seed", 42, "workload seed")
 	flag.StringVar(&o.trace, "trace", "", "inspect a trace file instead of running a workload")
-	flag.StringVar(&o.format, "format", "auto", "trace file format: auto | v1 | v2")
 	flag.Uint64Var(&o.fromNs, "from", 0, "trace mode: keep samples with time >= from (ns)")
 	flag.Uint64Var(&o.toNs, "to", 0, "trace mode: keep samples with time < to (ns; 0 = unbounded)")
 	flag.IntVar(&o.core, "core", -1, "trace mode: keep samples from one core (-1 = all)")
@@ -104,6 +98,11 @@ func main() {
 }
 
 func run(out io.Writer, o options) error {
+	if o.core < -1 || o.core > 32767 {
+		// Core ids are int16 in the sample model; an unchecked cast
+		// would silently wrap onto a different core.
+		return fmt.Errorf("-core %d out of range (-1 = all, 0..32767)", o.core)
+	}
 	if o.remote != "" && o.stats {
 		return remoteStats(out, o)
 	}
@@ -236,51 +235,30 @@ func inspectRemote(out io.Writer, o options) error {
 	// The downloaded stream is self-contained and pre-filtered;
 	// inspect it without reapplying the predicates.
 	local := o
-	local.trace, local.format = tmp.Name(), "v2"
+	local.trace = tmp.Name()
 	local.fromNs, local.toNs, local.core = 0, 0, -1
 	return inspectTrace(out, local)
 }
 
-// inspectTrace reads a trace file and prints its sample tables. v2
-// traces are read out-of-core (footer index + one block at a time);
-// the time/core flags push down to the block index as skip hints.
+// inspectTrace reads a v2 or v2.1 trace file out-of-core (footer
+// index + one block at a time) and prints its sample tables; the
+// time/core flags push down to the block index as skip hints.
 func inspectTrace(out io.Writer, o options) error {
 	f, err := os.Open(o.trace)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-
-	format := o.format
-	if format == "auto" {
-		if format, err = sniffFormat(f); err != nil {
-			return err
-		}
+	rd, err := nmo.OpenTraceV2(f)
+	if err != nil {
+		return err
 	}
-	var src nmo.SampleSource
-	var rd *nmo.TraceReaderV2
-	switch format {
-	case "v2", "v2.1":
-		if rd, err = nmo.OpenTraceV2(f); err != nil {
-			return err
-		}
-		src = rd
-	case "v1":
-		tr, err := nmo.ReadTraceBinary(f)
-		if err != nil {
-			return err
-		}
-		src = tr
-	default:
-		return fmt.Errorf("unknown trace format %q (auto, v1, v2, v2.1)", format)
+	format := "v2"
+	if rd.Compressed() {
+		format = "v2.1"
 	}
 
-	if o.core > 32767 {
-		// Core ids are int16 in the sample model; an unchecked cast
-		// would silently wrap onto a different core.
-		return fmt.Errorf("-core %d out of range (0..32767)", o.core)
-	}
-	q := postproc.From(src)
+	q := postproc.From(rd)
 	filtered := o.fromNs != 0 || o.toNs != 0 || o.core >= 0
 	if o.fromNs != 0 || o.toNs != 0 {
 		q = q.TimeBetween(o.fromNs, o.toNs)
@@ -289,43 +267,38 @@ func inspectTrace(out io.Writer, o options) error {
 		q = q.OnCores(int16(o.core))
 	}
 
-	// One scan feeds every table below (and the checksum).
-	meta := src.Meta()
-	// The checksum row only renders on unfiltered scans; skip the
-	// per-sample hashing otherwise.
+	// One scan feeds every table below (and the checksum). The checksum
+	// row only renders on unfiltered scans; skip the per-sample hashing
+	// otherwise.
 	sum, err := postproc.Summarize(q, !filtered)
 	if err != nil {
 		return err
 	}
 
 	t := &report.Table{
-		Title:   fmt.Sprintf("trace %s (%s): %s", o.trace, format, meta.Workload),
+		Title:   fmt.Sprintf("trace %s (%s): %s", o.trace, format, rd.Meta().Workload),
 		Headers: []string{"item", "value"},
 	}
 	t.AddRow("samples (matching)", sum.Count)
-	if rd != nil {
-		t.AddRow("samples (file)", rd.TotalSamples())
-		read, skipped := rd.ScanStats()
-		if rd.Compressed() {
-			// A skipped v2.1 block skipped its decompression too; the
-			// ratio row quantifies what the frames saved on disk.
-			t.AddRow("blocks read / skipped",
-				fmt.Sprintf("%d / %d (decompress skipped %d)", read, skipped, skipped))
-			stored, raw := rd.PayloadSizes()
-			t.AddRow("block compression",
-				fmt.Sprintf("%d -> %d bytes (%.2fx)", raw, stored, ratio(raw, stored)))
-		} else {
-			t.AddRow("blocks read / skipped", fmt.Sprintf("%d / %d", read, skipped))
+	t.AddRow("samples (file)", rd.TotalSamples())
+	read, skipped := rd.ScanStats()
+	if rd.Compressed() {
+		// A skipped v2.1 block skipped its decompression too; the
+		// ratio row quantifies what the frames saved on disk.
+		t.AddRow("blocks read / skipped",
+			fmt.Sprintf("%d / %d (decompress skipped %d)", read, skipped, skipped))
+		stored, raw := rd.PayloadSizes()
+		t.AddRow("block compression",
+			fmt.Sprintf("%d -> %d bytes (%.2fx)", raw, stored, ratio(raw, stored)))
+	} else {
+		t.AddRow("blocks read / skipped", fmt.Sprintf("%d / %d", read, skipped))
+	}
+	if !filtered {
+		status := "ok"
+		if sum.MD5 != rd.MD5() {
+			status = "MISMATCH"
 		}
-		if !filtered {
-			status := "ok"
-			if sum.MD5 != rd.MD5() {
-				status = "MISMATCH"
-			}
-			t.AddRow("payload MD5", fmt.Sprintf("%x (%s)", rd.MD5(), status))
-		}
-	} else if !filtered {
-		t.AddRow("payload MD5", fmt.Sprintf("%x", sum.MD5))
+		t.AddRow("payload MD5", fmt.Sprintf("%x (%s)", rd.MD5(), status))
 	}
 	t.AddRow("mean latency (cycles)", fmt.Sprintf("%.1f", sum.MeanLat.Mean()))
 	t.AddRow("latency p50/p90/p99", fmt.Sprintf("%.0f / %.0f / %.0f",
@@ -359,25 +332,4 @@ func ratio(raw, stored uint64) float64 {
 		return 0
 	}
 	return float64(raw) / float64(stored)
-}
-
-// sniffFormat distinguishes v1, v2 and v2.1 traces by their magic and
-// rewinds the file.
-func sniffFormat(f io.ReadSeeker) (string, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return "", fmt.Errorf("%w: short file", trace.ErrBadTrace)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return "", err
-	}
-	switch binary.LittleEndian.Uint32(magic[:]) {
-	case trace.MagicV1:
-		return "v1", nil
-	case trace.MagicV2:
-		return "v2", nil
-	case trace.MagicV21:
-		return "v2.1", nil
-	}
-	return "", fmt.Errorf("%w: unrecognized magic %x", trace.ErrBadTrace, magic)
 }

@@ -51,47 +51,34 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 	}
 }
 
-// writeTestTraces profiles a small run streaming to a v2 file and also
-// writes the same trace in v1 form, returning both paths.
-func writeTestTraces(t *testing.T) (v2path, v1path string) {
+// writeTestTraces profiles a small run streaming to a v2 file and
+// reruns it streaming to a v2.1 file, returning both paths.
+func writeTestTraces(t *testing.T) (v2path, v21path string) {
 	t.Helper()
 	dir := t.TempDir()
 	v2path = filepath.Join(dir, "t.nmo2")
-	v1path = filepath.Join(dir, "t.trace.bin")
+	v21path = filepath.Join(dir, "t21.nmo2")
 
 	cfg := nmo.DefaultConfig()
 	cfg.Enable = true
 	cfg.Mode = nmo.ModeSample
 	cfg.Period = 500
 	cfg.Seed = 42
-	mach := nmo.NewMachine(nmo.AmpereAltraMax().WithCores(4))
 	w := nmo.NewStream(nmo.StreamConfig{Elems: 20_000, Threads: 4, Iters: 2})
-	p, err := nmo.Run(cfg, mach, w)
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{v2path, v21path} {
+		cfg.TraceOut, cfg.TraceCompress = path, path == v21path
+		if _, err := nmo.Run(cfg, nmo.NewMachine(nmo.AmpereAltraMax().WithCores(4)), w); err != nil {
+			t.Fatal(err)
+		}
 	}
-	f1, err := os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Trace.WriteBinary(f1); err != nil {
-		t.Fatal(err)
-	}
-	f1.Close()
-
-	cfg.TraceOut = v2path
-	if _, err := nmo.Run(cfg, nmo.NewMachine(nmo.AmpereAltraMax().WithCores(4)), w); err != nil {
-		t.Fatal(err)
-	}
-	return v2path, v1path
+	return v2path, v21path
 }
 
-// TestInspectTraceV2AndV1 drives the -trace mode over both formats:
-// the same sample population must render the same counts, the v2
-// checksum must verify, and format sniffing must pick the right
-// decoder.
-func TestInspectTraceV2AndV1(t *testing.T) {
-	v2path, v1path := writeTestTraces(t)
+// TestInspectTraceV2AndV21 drives the -trace mode over both formats:
+// the same sample population must render the same counts, both
+// checksums must verify, and the title must name the file's format.
+func TestInspectTraceV2AndV21(t *testing.T) {
+	v2path, v21path := writeTestTraces(t)
 	render := func(o options) string {
 		var buf bytes.Buffer
 		if err := run(&buf, o); err != nil {
@@ -99,13 +86,13 @@ func TestInspectTraceV2AndV1(t *testing.T) {
 		}
 		return buf.String()
 	}
-	outV2 := render(options{trace: v2path, format: "auto", core: -1})
-	outV1 := render(options{trace: v1path, format: "auto", core: -1})
-	if !strings.Contains(outV2, "(v2): stream") || !strings.Contains(outV1, "(v1): stream") {
-		t.Errorf("format sniffing failed:\n%s\n%s", outV2, outV1)
+	outV2 := render(options{trace: v2path, core: -1})
+	outV21 := render(options{trace: v21path, core: -1})
+	if !strings.Contains(outV2, "(v2): stream") || !strings.Contains(outV21, "(v2.1): stream") {
+		t.Errorf("format label wrong:\n%s\n%s", outV2, outV21)
 	}
-	if !strings.Contains(outV2, "(ok)") {
-		t.Errorf("v2 checksum did not verify:\n%s", outV2)
+	if !strings.Contains(outV2, "(ok)") || !strings.Contains(outV21, "(ok)") {
+		t.Errorf("checksum did not verify:\n%s\n%s", outV2, outV21)
 	}
 	// Same sample tables from both formats: compare the shared suffix
 	// (region/kernel/core/level sections).
@@ -116,8 +103,8 @@ func TestInspectTraceV2AndV1(t *testing.T) {
 		}
 		return s[i:]
 	}
-	if tail(outV2) != tail(outV1) {
-		t.Errorf("v1/v2 tables differ:\n%s\nvs\n%s", tail(outV2), tail(outV1))
+	if tail(outV2) != tail(outV21) {
+		t.Errorf("v2/v2.1 tables differ:\n%s\nvs\n%s", tail(outV2), tail(outV21))
 	}
 }
 
@@ -126,7 +113,7 @@ func TestInspectTraceV2AndV1(t *testing.T) {
 func TestInspectTracePushdown(t *testing.T) {
 	v2path, _ := writeTestTraces(t)
 	var buf bytes.Buffer
-	if err := run(&buf, options{trace: v2path, format: "v2", fromNs: 1, toNs: 2, core: 0}); err != nil {
+	if err := run(&buf, options{trace: v2path, fromNs: 1, toNs: 2, core: 0}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -137,9 +124,12 @@ func TestInspectTracePushdown(t *testing.T) {
 	if !strings.Contains(squeezed, "samples (matching) 0 ") {
 		t.Errorf("narrow query matched samples:\n%s", out)
 	}
-	// A core id past int16 must be rejected, not wrapped onto core 0.
-	if err := run(&buf, options{trace: v2path, format: "v2", core: 65536}); err == nil {
-		t.Error("out-of-range -core accepted")
+	// A core id past int16 must be rejected, not wrapped onto core 0,
+	// and a negative one other than -1 must not mean "all cores".
+	for _, core := range []int{-3, 32768, 65536} {
+		if err := run(&buf, options{trace: v2path, core: core}); err == nil {
+			t.Errorf("out-of-range -core %d accepted", core)
+		}
 	}
 }
 
@@ -151,7 +141,7 @@ func TestInspectTraceCorruptFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, options{trace: bad, format: "auto", core: -1}); err == nil {
+	if err := run(&buf, options{trace: bad, core: -1}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	v2path, _ := writeTestTraces(t)
@@ -163,7 +153,7 @@ func TestInspectTraceCorruptFails(t *testing.T) {
 	if err := os.WriteFile(trunc, full[:len(full)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&buf, options{trace: trunc, format: "v2", core: -1}); err == nil {
+	if err := run(&buf, options{trace: trunc, core: -1}); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -237,7 +227,7 @@ func TestRemoteInspect(t *testing.T) {
 	}
 	f.Close()
 	var localOut bytes.Buffer
-	if err := run(&localOut, options{trace: local, format: "v2", core: -1}); err != nil {
+	if err := run(&localOut, options{trace: local, core: -1}); err != nil {
 		t.Fatal(err)
 	}
 	// Outputs differ only in the fetch banner and the file name row;
@@ -260,6 +250,13 @@ func TestRemoteInspect(t *testing.T) {
 	}
 	if !strings.Contains(filtered.String(), "server-side filtered restream") {
 		t.Errorf("filtered fetch not announced:\n%s", filtered.String())
+	}
+	// The -core range check runs before any download.
+	for _, core := range []int{-3, 40000} {
+		var out bytes.Buffer
+		if err := run(&out, options{remote: srv.URL, job: info.ID, core: core}); err == nil || out.Len() != 0 {
+			t.Errorf("remote -core %d: err %v, output %q; want an error before any fetch", core, err, out.String())
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package nmo_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"nmo"
@@ -119,22 +120,37 @@ func TestEndToEndDeterminism(t *testing.T) {
 }
 
 // TestTraceSerializationRoundTrip pushes a real profile's trace
-// through the binary format and back.
+// through the v2 and v2.1 binary formats and back.
 func TestTraceSerializationRoundTrip(t *testing.T) {
 	p := fullPipelineProfile(t, 21)
-	var buf bytes.Buffer
-	if err := p.Trace.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MD5() != p.Trace.MD5() {
-		t.Error("MD5 changed through serialization")
-	}
-	if len(got.Samples) != len(p.Trace.Samples) {
-		t.Errorf("sample count %d != %d", len(got.Samples), len(p.Trace.Samples))
+	for name, newWriter := range map[string]func(io.Writer, trace.Meta, int) (*trace.WriterV2, error){
+		"v2": trace.NewWriterV2, "v2.1": trace.NewWriterV21,
+	} {
+		var buf bytes.Buffer
+		w, err := newWriter(&buf, p.Trace.Meta(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.EmitBatch(p.Trace.Samples); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rd.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MD5() != p.Trace.MD5() || rd.MD5() != p.Trace.MD5() {
+			t.Errorf("%s: MD5 changed through serialization", name)
+		}
+		if len(got.Samples) != len(p.Trace.Samples) {
+			t.Errorf("%s: sample count %d != %d", name, len(got.Samples), len(p.Trace.Samples))
+		}
 	}
 }
 

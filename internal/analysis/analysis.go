@@ -193,34 +193,6 @@ func (h *Heatmap) MaxCount() uint32 {
 	return m
 }
 
-// NonEmptyCells counts cells with at least one sample; the spread of
-// occupied cells distinguishes the regular STREAM segments (Fig. 4)
-// from CFD's irregular gathers (Fig. 6).
-func (h *Heatmap) NonEmptyCells() int {
-	n := 0
-	for _, c := range h.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Roofline classifies a workload in the Roofline model (§III-A):
-// given arithmetic intensity (flops/byte), the machine's peak compute
-// (flops/s) and peak memory bandwidth (bytes/s), it returns the
-// attainable performance and whether the workload is memory bound.
-func Roofline(ai, peakFlops, peakBW float64) (attainable float64, memoryBound bool) {
-	if ai <= 0 {
-		return 0, true
-	}
-	memCeil := ai * peakBW
-	if memCeil < peakFlops {
-		return memCeil, true
-	}
-	return peakFlops, false
-}
-
 // SpatialLocality computes the fraction of consecutive (time-ordered)
 // samples whose addresses fall within `window` bytes of the previous
 // sample — a crude locality score used to contrast workloads.

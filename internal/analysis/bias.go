@@ -90,17 +90,6 @@ func LevelBreakdown(tr *trace.Trace) [4]int {
 	return out
 }
 
-// MissRatioFromSamples estimates the fraction of sampled accesses
-// served beyond the private caches (SLC or DRAM) — a sampled proxy
-// for the L2 miss ratio.
-func MissRatioFromSamples(tr *trace.Trace) float64 {
-	if len(tr.Samples) == 0 {
-		return 0
-	}
-	lv := LevelBreakdown(tr)
-	return float64(lv[2]+lv[3]) / float64(len(tr.Samples))
-}
-
 // LatencyPercentiles returns the p50/p90/p99 of sampled access
 // latencies in cycles — the latency-distribution view used when
 // choosing SPE minimum-latency filters.

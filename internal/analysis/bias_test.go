@@ -69,12 +69,6 @@ func TestLevelBreakdown(t *testing.T) {
 	if lv != [4]int{2, 1, 0, 2} {
 		t.Errorf("breakdown = %v", lv)
 	}
-	if r := MissRatioFromSamples(tr); r != 0.4 {
-		t.Errorf("miss ratio = %v, want 0.4", r)
-	}
-	if MissRatioFromSamples(&trace.Trace{}) != 0 {
-		t.Error("empty miss ratio not 0")
-	}
 }
 
 func TestLatencyPercentiles(t *testing.T) {

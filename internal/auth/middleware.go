@@ -60,10 +60,6 @@ func NewMiddleware(cfg Config) (*Middleware, error) {
 	return &Middleware{cfg: cfg, limiter: NewLimiter(cfg.Quotas), now: time.Now}, nil
 }
 
-// Quotas exposes the quota table (for the scheduler's weights and
-// in-flight caps).
-func (a *Middleware) Quotas() *Quotas { return a.cfg.Quotas }
-
 // Key exposes the HMAC key (for signing the internal hop on outbound
 // shard requests).
 func (a *Middleware) Key() []byte { return a.cfg.Key }

@@ -120,9 +120,6 @@ func NewSession(cfg Config, m *machine.Machine) (*Session, error) {
 	return &Session{cfg: cfg, mach: m}, nil
 }
 
-// Config returns the session configuration.
-func (s *Session) Config() Config { return s.cfg }
-
 // kernelWindow is one tagged execution phase instance.
 type kernelWindow struct {
 	startNs uint64

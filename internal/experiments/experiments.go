@@ -231,14 +231,14 @@ func (sc Scale) samplingConfig(period uint64, trial int) core.Config {
 	return cfg
 }
 
-// AggregateSinks is the aggregate-only sink factory: rolling MD5 plus
-// level/region/kernel histograms, no per-sample retention or
+// AggregateSinks is the aggregate-only sink factory: the rolling MD5
+// that becomes Profile.MD5, with no per-sample retention or
 // allocation. The sweeps that consume only counters and wall times
 // (period, aux, thread, cross-backend grids) run every scenario
 // through it, so sweep memory no longer grows with samples × scenarios
 // and MaxSamples cannot clip the high-pressure points.
-func AggregateSinks(meta trace.Meta) (trace.Sink, error) {
-	return trace.NewAggregate(meta), nil
+func AggregateSinks(trace.Meta) (trace.Sink, error) {
+	return trace.NewHash(), nil
 }
 
 // aggregateConfig is samplingConfig with the aggregate-only sink chain

@@ -138,7 +138,7 @@ func TestGatewayCacheAffinity(t *testing.T) {
 	if first.Cached {
 		t.Fatalf("first submission reported cached")
 	}
-	runs := f.scheds[0].EngineRuns() + f.scheds[1].EngineRuns()
+	runs := f.scheds[0].Stats().EngineRuns + f.scheds[1].Stats().EngineRuns
 	for i := 0; i < 3; i++ {
 		again := submitWait(t, f.client, spec(7))
 		if !again.Cached {
@@ -148,7 +148,7 @@ func TestGatewayCacheAffinity(t *testing.T) {
 			t.Fatalf("resubmission keyed %s, first %s", again.Key, first.Key)
 		}
 	}
-	if got := f.scheds[0].EngineRuns() + f.scheds[1].EngineRuns(); got != runs {
+	if got := f.scheds[0].Stats().EngineRuns + f.scheds[1].Stats().EngineRuns; got != runs {
 		t.Fatalf("identical resubmissions cost %d extra engine runs fleet-wide", got-runs)
 	}
 

@@ -6,8 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,24 +16,24 @@ import (
 	"nmo/internal/service"
 )
 
-// lockedSink is an audit sink a test can read while server goroutines
-// still append to it: the middleware logs a request's line after the
-// response is sent.
-type lockedSink struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *lockedSink) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *lockedSink) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
+// auditFile opens an audit log in a temp dir and returns a reader for
+// what it holds so far. The middleware logs a request's line after the
+// response is sent, and O_APPEND keeps each line whole.
+func auditFile(t *testing.T, name string) (*obs.AuditLog, func() string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	a, err := obs.OpenAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return a, func() string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 }
 
 // TestGatewayRequestIDPropagation is the cross-tier tracing e2e: the
@@ -40,16 +41,17 @@ func (s *lockedSink) String() string {
 // that ID finds the gateway's HTTP audit line, the shard's HTTP and
 // job audit lines, and the job record itself.
 func TestGatewayRequestIDPropagation(t *testing.T) {
-	var shardSink, gwSink lockedSink
+	shardAudit, shardLog := auditFile(t, "shard.jsonl")
+	gwAudit, gwLog := auditFile(t, "gw.jsonl")
 	sched := service.NewScheduler(service.SchedConfig{
-		Workers: 2, Metrics: service.NewMetrics(obs.NewAuditWriter(&shardSink)),
+		Workers: 2, Metrics: service.NewMetrics(shardAudit),
 	}, nil)
 	t.Cleanup(sched.Close)
 	shard := httptest.NewServer(service.NewServer(sched))
 	t.Cleanup(shard.Close)
 
 	gw, err := New(Config{Members: []string{shard.URL},
-		ProbeEvery: 100 * time.Millisecond, Audit: obs.NewAuditWriter(&gwSink)})
+		ProbeEvery: 100 * time.Millisecond, Audit: gwAudit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +89,11 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 	// Both tiers' audit logs carry the one ID: the gateway's HTTP edge
 	// line and the shard's HTTP line plus job transitions through
 	// "done" — count the matching JSONL events on the shard.
-	if !strings.Contains(gwSink.String(), `"req_id":"`+reqID+`"`) {
-		t.Errorf("gateway audit missing request ID %s:\n%s", reqID, gwSink.String())
+	if !strings.Contains(gwLog(), `"req_id":"`+reqID+`"`) {
+		t.Errorf("gateway audit missing request ID %s:\n%s", reqID, gwLog())
 	}
 	var httpEvents, jobEvents int
-	sc := bufio.NewScanner(strings.NewReader(shardSink.String()))
+	sc := bufio.NewScanner(strings.NewReader(shardLog()))
 	for sc.Scan() {
 		var ev obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
@@ -111,14 +113,14 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 		}
 	}
 	if httpEvents == 0 {
-		t.Errorf("shard audit has no HTTP line for %s:\n%s", reqID, shardSink.String())
+		t.Errorf("shard audit has no HTTP line for %s:\n%s", reqID, shardLog())
 	}
 	if jobEvents < 2 { // at least "queued" and "done"
 		t.Errorf("shard audit has %d job transitions for %s, want >= 2:\n%s",
-			jobEvents, reqID, shardSink.String())
+			jobEvents, reqID, shardLog())
 	}
-	if !strings.Contains(shardSink.String(), `"state":"done"`) {
-		t.Errorf("no terminal job audit event:\n%s", shardSink.String())
+	if !strings.Contains(shardLog(), `"state":"done"`) {
+		t.Errorf("no terminal job audit event:\n%s", shardLog())
 	}
 }
 

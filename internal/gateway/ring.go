@@ -44,8 +44,7 @@ const DefaultReplicas = 128
 //
 // Ring is immutable after construction from the gateway's point of
 // view (membership is fixed at boot; health is handled by walking
-// Seq); Add/Remove exist for construction and for the re-mapping
-// tests.
+// Seq); Add exists for construction.
 type Ring struct {
 	replicas int
 	points   []ringPoint // sorted by hash
@@ -91,34 +90,6 @@ func (r *Ring) Add(member string) {
 		})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a member's virtual nodes.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Len returns the member count.
-func (r *Ring) Len() int { return len(r.members) }
-
-// Members returns the member set in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Lookup returns the member owning a key ("" on an empty ring).

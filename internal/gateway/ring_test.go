@@ -104,10 +104,10 @@ func TestRingJoinRemapsMinimally(t *testing.T) {
 	}
 }
 
-// TestRingLeaveRemapsToSuccessors: removing a member re-homes exactly
-// its keys, each onto the member Seq had already named as the key's
-// first failover — so the gateway's walk-past-dead-members rule and an
-// actual membership change agree on where everything lands.
+// TestRingLeaveRemapsToSuccessors: a ring built without one member
+// re-homes exactly its keys, each onto the member Seq had already named
+// as the key's first failover — so the gateway's walk-past-dead-members
+// rule and an actual membership change agree on where everything lands.
 func TestRingLeaveRemapsToSuccessors(t *testing.T) {
 	ms := memberNames(5)
 	r := ringOf(ms...)
@@ -123,7 +123,13 @@ func TestRingLeaveRemapsToSuccessors(t *testing.T) {
 		before[k] = placement{owner: seq[0], successor: seq[1]}
 	}
 
-	r.Remove(victim)
+	var rest []string
+	for _, m := range ms {
+		if m != victim {
+			rest = append(rest, m)
+		}
+	}
+	r = ringOf(rest...)
 	for _, k := range ks {
 		after := r.Lookup(k)
 		p := before[k]

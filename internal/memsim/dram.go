@@ -172,11 +172,6 @@ func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
 	return DRAMResult{Latency: lat, WaitCycles: wait, StallCycles: stall}
 }
 
-// Traffic returns cumulative bytes moved in each direction.
-func (d *DRAM) Traffic() (read, written uint64) {
-	return d.bytesRead, d.bytesWritten
-}
-
 // TotalBytes returns cumulative bytes moved in both directions.
 func (d *DRAM) TotalBytes() uint64 { return d.bytesRead + d.bytesWritten }
 
@@ -187,6 +182,3 @@ func (d *DRAM) Reset() {
 	d.deviceClock = 0
 	d.rng = xrand.New(d.cfg.Seed)
 }
-
-// Config returns the model's configuration (with defaults applied).
-func (d *DRAM) Config() DRAMConfig { return d.cfg }

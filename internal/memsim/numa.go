@@ -39,14 +39,10 @@ func (c NUMAConfig) withDefaults() NUMAConfig {
 	return c
 }
 
-// NUMADomain routes accesses to per-node DRAM devices and accounts
-// remote traffic.
+// NUMADomain routes accesses to per-node DRAM devices.
 type NUMADomain struct {
 	cfg   NUMAConfig
 	nodes []*DRAM
-
-	remoteAccesses uint64
-	localAccesses  uint64
 }
 
 // NewNUMADomain builds the domain; each node gets its own DRAM with
@@ -77,20 +73,10 @@ func (d *NUMADomain) Access(now sim.Cycles, fromNode int, addr uint64, size uint
 	home := d.HomeNode(addr)
 	res := d.nodes[home].Access(now, size, write)
 	if home != fromNode && len(d.nodes) > 1 {
-		d.remoteAccesses++
 		res.Latency += d.cfg.InterconnectLatency
 		return res, true
 	}
-	d.localAccesses++
 	return res, false
-}
-
-// Nodes returns the per-node DRAM devices.
-func (d *NUMADomain) Nodes() []*DRAM { return d.nodes }
-
-// Traffic returns local and remote access counts.
-func (d *NUMADomain) Traffic() (local, remote uint64) {
-	return d.localAccesses, d.remoteAccesses
 }
 
 // TotalBytes sums traffic across nodes.
@@ -102,19 +88,9 @@ func (d *NUMADomain) TotalBytes() uint64 {
 	return t
 }
 
-// Reset clears all node devices and counters.
+// Reset clears all node devices.
 func (d *NUMADomain) Reset() {
 	for _, n := range d.nodes {
 		n.Reset()
 	}
-	d.remoteAccesses, d.localAccesses = 0, 0
-}
-
-// RemoteFraction returns remote / total accesses.
-func (d *NUMADomain) RemoteFraction() float64 {
-	total := d.localAccesses + d.remoteAccesses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.remoteAccesses) / float64(total)
 }

@@ -23,9 +23,6 @@ func TestNUMASingleNodeNeverRemote(t *testing.T) {
 			t.Fatal("remote access on a single-node domain")
 		}
 	}
-	if d.RemoteFraction() != 0 {
-		t.Error("remote fraction nonzero")
-	}
 }
 
 func TestNUMARemotePenalty(t *testing.T) {
@@ -43,13 +40,6 @@ func TestNUMARemotePenalty(t *testing.T) {
 	if remote.Latency < local.Latency+100 {
 		t.Errorf("remote latency %d not >= local %d + interconnect 100",
 			remote.Latency, local.Latency)
-	}
-	l, r := d.Traffic()
-	if l != 1 || r != 1 {
-		t.Errorf("traffic = %d local, %d remote", l, r)
-	}
-	if d.RemoteFraction() != 0.5 {
-		t.Errorf("remote fraction = %v", d.RemoteFraction())
 	}
 }
 
@@ -75,18 +65,18 @@ func TestNUMAResetAndTotals(t *testing.T) {
 		t.Errorf("total bytes = %d", d.TotalBytes())
 	}
 	d.Reset()
-	if d.TotalBytes() != 0 || d.RemoteFraction() != 0 {
+	if d.TotalBytes() != 0 {
 		t.Error("Reset incomplete")
 	}
 }
 
 func TestNUMADefaults(t *testing.T) {
 	d := NewNUMADomain(NUMAConfig{Nodes: 5}, DRAMConfig{})
-	if len(d.Nodes()) != 2 {
-		t.Errorf("nodes clamped to %d, want 2", len(d.Nodes()))
+	if len(d.nodes) != 2 {
+		t.Errorf("nodes clamped to %d, want 2", len(d.nodes))
 	}
 	d1 := NewNUMADomain(NUMAConfig{}, DRAMConfig{})
-	if len(d1.Nodes()) != 1 {
-		t.Errorf("default nodes = %d, want 1", len(d1.Nodes()))
+	if len(d1.nodes) != 1 {
+		t.Errorf("default nodes = %d, want 1", len(d1.nodes))
 	}
 }

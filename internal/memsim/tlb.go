@@ -72,6 +72,3 @@ func (t *TLB) Reset() {
 	t.clock = 0
 	t.hits, t.misses = 0, 0
 }
-
-// PageBytes returns the page size in bytes.
-func (t *TLB) PageBytes() int { return 1 << t.pageBits }

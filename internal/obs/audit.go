@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -47,7 +46,6 @@ type Event struct {
 // where lock contention would show.
 type AuditLog struct {
 	mu sync.Mutex
-	w  io.Writer
 	f  *os.File
 }
 
@@ -59,11 +57,8 @@ func OpenAudit(path string) (*AuditLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AuditLog{w: f, f: f}, nil
+	return &AuditLog{f: f}, nil
 }
-
-// NewAuditWriter wraps any writer as an audit sink (tests, stderr).
-func NewAuditWriter(w io.Writer) *AuditLog { return &AuditLog{w: w} }
 
 // Log appends one event. Safe on a nil receiver.
 func (a *AuditLog) Log(ev Event) {
@@ -79,14 +74,13 @@ func (a *AuditLog) Log(ev Event) {
 	}
 	line = append(line, '\n')
 	a.mu.Lock()
-	a.w.Write(line)
+	a.f.Write(line)
 	a.mu.Unlock()
 }
 
-// Close closes the underlying file (no-op for writer-backed and nil
-// sinks).
+// Close closes the underlying file (no-op for a nil sink).
 func (a *AuditLog) Close() error {
-	if a == nil || a.f == nil {
+	if a == nil {
 		return nil
 	}
 	return a.f.Close()

@@ -70,11 +70,29 @@ func TestAuditNilSafe(t *testing.T) {
 	}
 }
 
+// tempAudit opens an audit log in a temp dir and returns a reader for
+// what it holds so far.
+func tempAudit(t *testing.T) (*AuditLog, func() []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "audit.jsonl")
+	a, err := OpenAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return a, func() []byte {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+}
+
 // TestAuditConcurrent checks lines land whole under concurrent
 // writers (run with -race in CI).
 func TestAuditConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	a := NewAuditWriter(&buf)
+	a, read := tempAudit(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -86,7 +104,7 @@ func TestAuditConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
+	sc := bufio.NewScanner(bytes.NewReader(read()))
 	n := 0
 	for sc.Scan() {
 		var ev Event

@@ -83,9 +83,6 @@ func (m *HTTPMetrics) tenantBytes(tenant, route string) *Counter {
 	return c
 }
 
-// Audit returns the middleware's audit sink (nil when none).
-func (m *HTTPMetrics) Audit() *AuditLog { return m.audit }
-
 // Wrap instruments one route. It also owns the request-ID boundary:
 // an inbound X-Nmo-Request-Id is accepted (the gateway already minted
 // one), otherwise a fresh ID is minted; either way the ID is placed

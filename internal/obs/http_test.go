@@ -203,9 +203,9 @@ func (r *recordingRW) ReadFrom(src io.Reader) (int64, error) {
 // TestMiddlewareAudit pins the HTTP audit line: one JSON object per
 // request with the ID, method, path, status, and byte count.
 func TestMiddlewareAudit(t *testing.T) {
-	var sink bytes.Buffer
+	audit, read := tempAudit(t)
 	reg := NewRegistry()
-	m := NewHTTPMetrics(reg, NewAuditWriter(&sink))
+	m := NewHTTPMetrics(reg, audit)
 	h := m.Wrap("GET /a", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 		w.Write([]byte("short and stout"))
@@ -221,8 +221,8 @@ func TestMiddlewareAudit(t *testing.T) {
 	resp.Body.Close()
 
 	var ev Event
-	if err := json.Unmarshal(sink.Bytes(), &ev); err != nil {
-		t.Fatalf("audit line %q: %v", sink.String(), err)
+	if line := read(); json.Unmarshal(line, &ev) != nil {
+		t.Fatalf("audit line %q is not one event", line)
 	}
 	want := Event{Time: ev.Time, DurMs: ev.DurMs, Kind: "http", ReqID: "r-audit",
 		Method: "GET", Path: "/a", Status: http.StatusTeapot, Bytes: 15}

@@ -49,12 +49,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is an integer metric that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

@@ -15,7 +15,9 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("test_requests_total", "Requests served.", L("route", "/v1/jobs"), L("code", "2xx")).Add(3)
-	r.Gauge("test_in_flight", "In-flight requests.").Set(2)
+	g := r.Gauge("test_in_flight", "In-flight requests.")
+	g.Inc()
+	g.Inc()
 	r.GaugeFunc("test_build_info", `Escaped help: backslash \ and
 newline.`, func() float64 { return 1 }, L("version", "a\"b\\c\nd"))
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1}, L("route", "/v1/jobs"))

@@ -84,7 +84,6 @@ func CountsBusAccess(config uint64) bool {
 const (
 	SPETSEnable     uint64 = 1 << 0
 	SPEPAEnable     uint64 = 1 << 1
-	SPEPCTEnable    uint64 = 1 << 2
 	SPEJitter       uint64 = 1 << 16
 	SPEBranchFilter uint64 = 1 << 32
 	SPELoadFilter   uint64 = 1 << 33
@@ -133,7 +132,6 @@ var (
 	ErrNoFilters    = errors.New("perfev: SPE event selects no operation classes")
 	ErrNotPrecise   = errors.New("perfev: precise_ip set on a non-PEBS-capable event")
 	ErrNotSampling  = errors.New("perfev: operation valid only on sampling events")
-	ErrNotMapped    = errors.New("perfev: ring/aux buffer not mapped")
 	ErrBadPages     = errors.New("perfev: page count must be a positive power of two")
 	ErrAlreadyMaped = errors.New("perfev: buffer already mapped")
 	ErrBadCore      = errors.New("perfev: core index out of range")

@@ -154,17 +154,6 @@ func (e *Event) Enable() {
 	}
 }
 
-// Disable stops the event (PERF_EVENT_IOC_DISABLE).
-func (e *Event) Disable() {
-	if e.enabled {
-		e.count += e.hw() - e.base
-	}
-	e.enabled = false
-	if e.unit != nil {
-		e.unit.Disable()
-	}
-}
-
 // ReadCount returns the counter value (read(2) on a counting fd): what
 // the hardware counter advanced by while the event was enabled.
 func (e *Event) ReadCount() uint64 {
@@ -180,32 +169,6 @@ func (e *Event) hw() uint64 {
 		return 0
 	}
 	return e.read()
-}
-
-// Mmap returns the metadata-page view: ring offsets plus the
-// timescale conversion fields NMO reads for SPE timestamp conversion.
-type MmapPage struct {
-	DataHead, DataTail uint64
-	AuxHead, AuxTail   uint64
-	TimeZero           uint64
-	TimeShift          uint32
-	TimeMult           uint32
-}
-
-// Mmap returns a snapshot of the metadata page.
-func (e *Event) Mmap() MmapPage {
-	p := MmapPage{
-		TimeZero:  e.kernel.timescale.TimeZero,
-		TimeShift: e.kernel.timescale.TimeShift,
-		TimeMult:  e.kernel.timescale.TimeMult,
-	}
-	if e.dataRing != nil {
-		p.DataHead, p.DataTail = e.dataRing.Head(), e.dataRing.Tail()
-	}
-	if e.auxRing != nil {
-		p.AuxHead, p.AuxTail = e.auxRing.Head(), e.auxRing.Tail()
-	}
-	return p
 }
 
 // OnOp is the per-operation probe the machine calls for every decoded

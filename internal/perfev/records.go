@@ -18,10 +18,6 @@ const (
 	// AuxFlagTruncated: the aux span is incomplete because the buffer
 	// filled up and records were dropped.
 	AuxFlagTruncated uint64 = 0x01
-	// AuxFlagOverwrite: the aux buffer was in overwrite mode.
-	AuxFlagOverwrite uint64 = 0x02
-	// AuxFlagPartial: the span may be partially corrupted.
-	AuxFlagPartial uint64 = 0x04
 	// AuxFlagCollision: SPE reported sample collisions during this
 	// span (PMBSR.COLL). The paper counts collisions by counting aux
 	// records carrying this flag (§VII).

@@ -48,20 +48,8 @@ func (q *Q) Run(sinks ...trace.Sink) error {
 	return err
 }
 
-// CountAgg counts matching samples.
-type CountAgg struct{ N uint64 }
-
-// EmitBatch counts the batch.
-func (c *CountAgg) EmitBatch(batch []trace.Sample) error {
-	c.N += uint64(len(batch))
-	return nil
-}
-
-// Close is a no-op.
-func (c *CountAgg) Close() error { return nil }
-
-// GroupCountAgg counts samples per key — the online form of
-// Q.GroupCount, shareable across one scan with other aggregations.
+// GroupCountAgg counts samples per key, shareable across one scan with
+// other aggregations.
 type GroupCountAgg struct {
 	key Key
 	m   map[string]int

@@ -21,71 +21,93 @@ func testTrace() *trace.Trace {
 	}
 }
 
+// count runs q and returns how many samples match.
+func count(t *testing.T, q *Q) int {
+	t.Helper()
+	sum, err := Summarize(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(sum.Count)
+}
+
+// groups runs q through one keyed counter.
+func groups(t *testing.T, q *Q, key Key) []Group {
+	t.Helper()
+	g := NewGroupCount(key)
+	if err := q.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	return g.Groups()
+}
+
+// meanLatency runs q through the mean-latency aggregation.
+func meanLatency(t *testing.T, q *Q) float64 {
+	t.Helper()
+	m := NewMeanLatency()
+	if err := q.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Mean()
+}
+
+func isStore(s *trace.Sample) bool { return s.Store }
+func isLoad(s *trace.Sample) bool  { return !s.Store }
+func atSLC(s *trace.Sample) bool   { return s.Level == 2 }
+
 func TestQueryCountAndFilters(t *testing.T) {
 	tr := testTrace()
-	if n := Query(tr).Count(); n != 5 {
+	if n := count(t, From(tr)); n != 5 {
 		t.Errorf("unfiltered count = %d", n)
 	}
-	if n := Query(tr).Filter(StoresOnly()).Count(); n != 1 {
+	if n := count(t, From(tr).Filter(isStore)); n != 1 {
 		t.Errorf("stores = %d", n)
 	}
-	if n := Query(tr).Filter(LoadsOnly()).Count(); n != 4 {
+	if n := count(t, From(tr).Filter(isLoad)); n != 4 {
 		t.Errorf("loads = %d", n)
 	}
-	if n := Query(tr).Filter(MinLatency(40)).Count(); n != 3 {
-		t.Errorf("minlat = %d", n)
-	}
-	if n := Query(tr).Filter(AtLevel(2)).Count(); n != 2 {
+	if n := count(t, From(tr).Filter(atSLC)); n != 2 {
 		t.Errorf("SLC level = %d", n)
 	}
-	if n := Query(tr).Filter(OnCore(0)).Count(); n != 3 {
+	if n := count(t, From(tr).OnCores(0)); n != 3 {
 		t.Errorf("core0 = %d", n)
 	}
-	if n := Query(tr).Filter(InRegion(tr, "b")).Count(); n != 2 {
-		t.Errorf("region b = %d", n)
-	}
-	if n := Query(tr).Filter(InRegion(tr, "missing")).Count(); n != 0 {
-		t.Errorf("missing region = %d", n)
-	}
-	if n := Query(tr).Filter(InKernel(tr, "k0")).Count(); n != 4 {
-		t.Errorf("kernel k0 = %d", n)
-	}
-	if n := Query(tr).Filter(AddrRange(0x1000, 0x2000)).Count(); n != 2 {
-		t.Errorf("addr range = %d", n)
-	}
-	if n := Query(tr).Filter(TimeRange(0, 1000)).Count(); n != 2 {
+	if n := count(t, From(tr).Filter(TimeRangeOpen(0, 1000))); n != 2 {
 		t.Errorf("time range = %d", n)
+	}
+	if n := count(t, From(tr).Filter(TimeRangeOpen(1200, 0))); n != 3 {
+		t.Errorf("open time range = %d", n)
 	}
 }
 
 func TestQueryComposition(t *testing.T) {
 	tr := testTrace()
-	base := Query(tr).Filter(LoadsOnly())
+	base := From(tr).Filter(isLoad)
 	// Adding a filter must not mutate the base query.
-	refined := base.Filter(AtLevel(2))
-	if base.Count() != 4 {
-		t.Errorf("base mutated: %d", base.Count())
+	refined := base.Filter(atSLC)
+	if n := count(t, base); n != 4 {
+		t.Errorf("base mutated: %d", n)
 	}
-	if refined.Count() != 2 {
-		t.Errorf("refined = %d", refined.Count())
+	if n := count(t, refined); n != 2 {
+		t.Errorf("refined = %d", n)
 	}
 }
 
 func TestGroupCount(t *testing.T) {
 	tr := testTrace()
-	groups := Query(tr).GroupCount(ByRegion(tr))
+	gs := groups(t, From(tr), ByRegionNames(tr.Regions))
 	want := map[string]int{"a": 2, "b": 2, "-": 1}
-	if len(groups) != len(want) {
-		t.Fatalf("groups = %v", groups)
+	if len(gs) != len(want) {
+		t.Fatalf("groups = %v", gs)
 	}
-	for _, g := range groups {
+	for _, g := range gs {
 		if want[g.Key] != g.Count {
 			t.Errorf("group %q = %d, want %d", g.Key, g.Count, want[g.Key])
 		}
 	}
 	// Sorted by key.
-	for i := 1; i < len(groups); i++ {
-		if groups[i].Key < groups[i-1].Key {
+	for i := 1; i < len(gs); i++ {
+		if gs[i].Key < gs[i-1].Key {
 			t.Error("groups not sorted")
 		}
 	}
@@ -93,29 +115,12 @@ func TestGroupCount(t *testing.T) {
 
 func TestGroupKeys(t *testing.T) {
 	tr := testTrace()
-	byCore := Query(tr).GroupCount(ByCore())
+	byCore := groups(t, From(tr), ByCore())
 	if len(byCore) != 3 || byCore[0].Key != "core00" || byCore[0].Count != 3 {
 		t.Errorf("by core = %v", byCore)
 	}
-	byLevel := Query(tr).GroupCount(ByLevel())
 	m := map[string]int{}
-	for _, g := range byLevel {
-		m[g.Key] = g.Count
-	}
-	if m["L1"] != 2 || m["SLC"] != 2 || m["DRAM"] != 1 {
-		t.Errorf("by level = %v", m)
-	}
-	byPC := Query(tr).GroupCount(ByPC())
-	if len(byPC) != 4 {
-		t.Errorf("by pc = %v", byPC)
-	}
-	byPage := Query(tr).GroupCount(ByPage(0x1000))
-	if len(byPage) != 3 {
-		t.Errorf("by page = %v", byPage)
-	}
-	byKernel := Query(tr).GroupCount(ByKernel(tr))
-	m = map[string]int{}
-	for _, g := range byKernel {
+	for _, g := range groups(t, From(tr), ByKernelNames(tr.Kernels)) {
 		m[g.Key] = g.Count
 	}
 	if m["k0"] != 4 || m["-"] != 1 {
@@ -123,105 +128,12 @@ func TestGroupKeys(t *testing.T) {
 	}
 }
 
-func TestTopN(t *testing.T) {
-	tr := testTrace()
-	top := Query(tr).TopN(ByPC(), 2)
-	if len(top) != 2 {
-		t.Fatalf("top = %v", top)
-	}
-	if top[0].Key != "0x44" || top[0].Count != 2 {
-		t.Errorf("top[0] = %v", top[0])
-	}
-}
-
 func TestMeanLatency(t *testing.T) {
 	tr := testTrace()
-	got := Query(tr).Filter(AtLevel(2)).MeanLatency()
-	if got != 42.5 {
+	if got := meanLatency(t, From(tr).Filter(atSLC)); got != 42.5 {
 		t.Errorf("mean = %v, want 42.5", got)
 	}
-	if Query(&trace.Trace{}).MeanLatency() != 0 {
+	if meanLatency(t, From(&trace.Trace{})) != 0 {
 		t.Error("empty mean not 0")
-	}
-}
-
-func TestWindow(t *testing.T) {
-	tr := testTrace()
-	wins := Query(tr).Window(1000)
-	if len(wins) != 3 {
-		t.Fatalf("windows = %v", wins)
-	}
-	if wins[0].StartNs != 0 || wins[0].Count != 2 {
-		t.Errorf("win0 = %v", wins[0])
-	}
-	if wins[1].StartNs != 1000 || wins[1].Count != 2 {
-		t.Errorf("win1 = %v", wins[1])
-	}
-	if wins[2].StartNs != 2000 || wins[2].Count != 1 {
-		t.Errorf("win2 = %v", wins[2])
-	}
-	// Zero width coerced to 1.
-	if got := Query(tr).Window(0); len(got) != 5 {
-		t.Errorf("width-0 windows = %v", got)
-	}
-}
-
-func TestCollect(t *testing.T) {
-	tr := testTrace()
-	got := Query(tr).Filter(StoresOnly()).Collect()
-	if len(got) != 1 || !got[0].Store {
-		t.Errorf("collect = %v", got)
-	}
-	// Mutating the copy must not affect the trace.
-	got[0].VA = 0xdead
-	if tr.Samples[0].VA == 0xdead {
-		t.Error("Collect aliases the trace")
-	}
-}
-
-func TestFalseSharingDetection(t *testing.T) {
-	// Line 0x1000: core 0 writes offset 0, core 1 reads offset 8 —
-	// classic false sharing (disjoint bytes).
-	// Line 0x2000: cores 0 and 2 both touch offset 0 — true sharing.
-	// Line 0x3000: single core only — not reported.
-	tr := &trace.Trace{Samples: []trace.Sample{
-		{VA: 0x1000, Core: 0, Store: true, Lat: 300},
-		{VA: 0x1008, Core: 1, Lat: 250},
-		{VA: 0x1008, Core: 1, Lat: 260},
-		{VA: 0x2000, Core: 0, Store: true, Lat: 100},
-		{VA: 0x2000, Core: 2, Lat: 90},
-		{VA: 0x3000, Core: 0, Store: true, Lat: 10},
-	}}
-	reports := FalseSharing(tr, 64, 2)
-	if len(reports) != 2 {
-		t.Fatalf("reports = %+v", reports)
-	}
-	byLine := map[uint64]LineReport{}
-	for _, r := range reports {
-		byLine[r.Line] = r
-	}
-	fs := byLine[0x1000]
-	if !fs.Disjoint || fs.Cores != 2 || fs.Writers != 1 {
-		t.Errorf("0x1000 = %+v, want disjoint 2-core 1-writer", fs)
-	}
-	if fs.MeanLatency < 250 {
-		t.Errorf("0x1000 mean latency = %v", fs.MeanLatency)
-	}
-	ts := byLine[0x2000]
-	if ts.Disjoint {
-		t.Errorf("0x2000 reported disjoint; it is true sharing: %+v", ts)
-	}
-}
-
-func TestFalseSharingFilters(t *testing.T) {
-	// Read-only sharing is not reported (no writers).
-	tr := &trace.Trace{Samples: []trace.Sample{
-		{VA: 0x1000, Core: 0}, {VA: 0x1008, Core: 1},
-	}}
-	if got := FalseSharing(tr, 64, 2); len(got) != 0 {
-		t.Errorf("read-only line reported: %v", got)
-	}
-	if got := FalseSharing(&trace.Trace{}, 0, 0); len(got) != 0 {
-		t.Errorf("empty trace: %v", got)
 	}
 }

@@ -57,18 +57,18 @@ func TestQueryOverV2MatchesInMemory(t *testing.T) {
 	tr := bigTrace()
 	rd := v2Reader(t, tr, 32)
 
-	mem, ooc := Query(tr), From(rd)
-	if a, b := mem.Count(), ooc.Count(); a != b {
+	mem, ooc := From(tr), From(rd)
+	if a, b := count(t, mem), count(t, ooc); a != b {
 		t.Errorf("count: %d vs %d", a, b)
 	}
-	if a, b := mem.Filter(StoresOnly()).Count(), ooc.Filter(StoresOnly()).Count(); a != b {
+	if a, b := count(t, mem.Filter(isStore)), count(t, ooc.Filter(isStore)); a != b {
 		t.Errorf("stores: %d vs %d", a, b)
 	}
-	if a, b := mem.MeanLatency(), ooc.MeanLatency(); a != b {
+	if a, b := meanLatency(t, mem), meanLatency(t, ooc); a != b {
 		t.Errorf("mean latency: %v vs %v", a, b)
 	}
-	ag := mem.GroupCount(ByRegion(tr))
-	bg := ooc.GroupCount(ByRegionNames(rd.Meta().Regions))
+	ag := groups(t, mem, ByRegionNames(tr.Regions))
+	bg := groups(t, ooc, ByRegionNames(rd.Meta().Regions))
 	if len(ag) != len(bg) {
 		t.Fatalf("groups: %v vs %v", ag, bg)
 	}
@@ -85,8 +85,8 @@ func TestTimeBetweenPushdownSkipsBlocks(t *testing.T) {
 	tr := bigTrace() // times 0..6390, blocks of 32 cover 320ns each
 	rd := v2Reader(t, tr, 32)
 
-	want := Query(tr).Filter(TimeRange(1000, 1500)).Count()
-	got := From(rd).TimeBetween(1000, 1500).Count()
+	want := count(t, From(tr).Filter(TimeRangeOpen(1000, 1500)))
+	got := count(t, From(rd).TimeBetween(1000, 1500))
 	if got != want {
 		t.Errorf("pushed-down count = %d, want %d", got, want)
 	}
@@ -99,7 +99,7 @@ func TestTimeBetweenPushdownSkipsBlocks(t *testing.T) {
 	}
 
 	// Unbounded-above variant.
-	if got := From(rd).TimeBetween(6000, 0).Count(); got != Query(tr).Filter(TimeRangeOpen(6000, 0)).Count() {
+	if got := count(t, From(rd).TimeBetween(6000, 0)); got != count(t, From(tr).Filter(TimeRangeOpen(6000, 0))) {
 		t.Error("open-ended TimeBetween disagrees")
 	}
 }
@@ -108,8 +108,8 @@ func TestTimeBetweenPushdownSkipsBlocks(t *testing.T) {
 func TestOnCoresPushdown(t *testing.T) {
 	tr := bigTrace()
 	rd := v2Reader(t, tr, 32)
-	want := Query(tr).Filter(OnCore(2)).Count()
-	if got := From(rd).OnCores(2).Count(); got != want {
+	want := count(t, From(tr).Filter(func(s *trace.Sample) bool { return s.Core == 2 }))
+	if got := count(t, From(rd).OnCores(2)); got != want {
 		t.Errorf("OnCores(2) = %d, want %d", got, want)
 	}
 	// Every block holds all four cores here, so nothing skips — but a
@@ -119,7 +119,7 @@ func TestOnCoresPushdown(t *testing.T) {
 		solo.Samples = append(solo.Samples, trace.Sample{TimeNs: uint64(i), Core: 1})
 	}
 	srd := v2Reader(t, solo, 16)
-	if got := From(srd).OnCores(2).Count(); got != 0 {
+	if got := count(t, From(srd).OnCores(2)); got != 0 {
 		t.Errorf("disjoint core query returned %d", got)
 	}
 	if read, skipped := srd.ScanStats(); read != 0 || skipped != 4 {
@@ -128,23 +128,23 @@ func TestOnCoresPushdown(t *testing.T) {
 }
 
 // TestRunMultiAggregationSinglePass: one scan must feed several
-// aggregations with the same results the one-shot methods produce.
+// aggregations with the same results separate in-memory runs produce.
 func TestRunMultiAggregationSinglePass(t *testing.T) {
 	tr := bigTrace()
 	rd := v2Reader(t, tr, 32)
 
-	var count CountAgg
+	lat := NewLatHist()
 	var levels trace.LevelHist
 	byRegion := NewGroupCount(ByRegionNames(rd.Meta().Regions))
 	mean := NewMeanLatency()
 	hash := trace.NewHash()
-	if err := From(rd).Run(&count, &levels, byRegion, mean, hash); err != nil {
+	if err := From(rd).Run(lat, &levels, byRegion, mean, hash); err != nil {
 		t.Fatal(err)
 	}
-	if int(count.N) != len(tr.Samples) {
-		t.Errorf("count = %d", count.N)
+	if int(lat.n) != len(tr.Samples) {
+		t.Errorf("count = %d", lat.n)
 	}
-	if got, want := mean.Mean(), Query(tr).MeanLatency(); got != want {
+	if got, want := mean.Mean(), meanLatency(t, From(tr)); got != want {
 		t.Errorf("mean = %v, want %v", got, want)
 	}
 	if hash.Sum16() != tr.MD5() {
@@ -153,7 +153,7 @@ func TestRunMultiAggregationSinglePass(t *testing.T) {
 	if hash.Sum16() != rd.MD5() {
 		t.Error("single-pass hash differs from the footer checksum")
 	}
-	wantGroups := Query(tr).GroupCount(ByRegion(tr))
+	wantGroups := groups(t, From(tr), ByRegionNames(tr.Regions))
 	gotGroups := byRegion.Groups()
 	for i := range wantGroups {
 		if gotGroups[i] != wantGroups[i] {
@@ -191,7 +191,8 @@ func TestLatHistPercentiles(t *testing.T) {
 
 // TestRunMatchesOneShotHelpers: Run over a trace whose length is not a
 // multiple of its batch size (2.5 batches, both in memory and out of
-// core) gives the one-shot helpers' results, and Summarize agrees.
+// core) gives the results one sample-by-sample pass computes, and
+// Summarize agrees.
 func TestRunMatchesOneShotHelpers(t *testing.T) {
 	tr := &trace.Trace{Workload: "odd", Regions: []string{"a", "b"}}
 	for i := 0; i < runBatch*5/2; i++ {
@@ -210,18 +211,15 @@ func TestRunMatchesOneShotHelpers(t *testing.T) {
 	}
 	wantMean /= float64(len(tr.Samples))
 
-	for name, q := range map[string]*Q{"mem": Query(tr), "v2": From(v2Reader(t, tr, 100))} {
-		if n := q.Count(); n != len(tr.Samples) {
-			t.Errorf("%s: Count = %d, want %d", name, n, len(tr.Samples))
-		}
-		if m := q.MeanLatency(); m != wantMean {
+	for name, q := range map[string]*Q{"mem": From(tr), "v2": From(v2Reader(t, tr, 100))} {
+		if m := meanLatency(t, q); m != wantMean {
 			t.Errorf("%s: MeanLatency = %v, want %v", name, m, wantMean)
 		}
-		groups := q.GroupCount(ByCore())
-		if len(groups) != len(wantGroups) {
-			t.Errorf("%s: %d groups, want %d", name, len(groups), len(wantGroups))
+		gs := groups(t, q, ByCore())
+		if len(gs) != len(wantGroups) {
+			t.Errorf("%s: %d groups, want %d", name, len(gs), len(wantGroups))
 		}
-		for _, g := range groups {
+		for _, g := range gs {
 			if g.Count != wantGroups[g.Key] {
 				t.Errorf("%s: group %s = %d, want %d", name, g.Key, g.Count, wantGroups[g.Key])
 			}
@@ -255,12 +253,12 @@ func TestRunReturnsSinkError(t *testing.T) {
 	tr := &trace.Trace{Samples: make([]trace.Sample, runBatch*2+1)}
 	for _, n := range []int{0, 2} {
 		bad := &failAfter{n: n}
-		var after CountAgg
-		if err := Query(tr).Run(bad, &after); err == nil || err.Error() != "sink full" {
+		after := NewLatHist()
+		if err := From(tr).Run(bad, after); err == nil || err.Error() != "sink full" {
 			t.Errorf("after %d batches: Run error = %v, want the sink's", n, err)
 		}
-		if want := uint64(n * runBatch); after.N != want {
-			t.Errorf("after %d batches: later sink counted %d, want %d", n, after.N, want)
+		if want := uint64(n * runBatch); after.n != want {
+			t.Errorf("after %d batches: later sink counted %d, want %d", n, after.n, want)
 		}
 		if bad.calls != n+1 {
 			t.Errorf("after %d batches: failing sink called %d times, want %d", n, bad.calls, n+1)

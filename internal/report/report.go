@@ -147,11 +147,6 @@ func MeanStd(st analysis.Stats) string {
 	return fmt.Sprintf("%.3f ± %.3f", st.Mean, st.StdDev)
 }
 
-// GiB formats bytes as GiB.
-func GiB(bytes uint64) string {
-	return fmt.Sprintf("%.1f GiB", float64(bytes)/float64(1<<30))
-}
-
 // heatRamp maps intensity to characters (low to high).
 const heatRamp = " .:-=+*#%@"
 

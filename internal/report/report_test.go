@@ -69,9 +69,6 @@ func TestFormatters(t *testing.T) {
 	if got := Pct(0.1234); got != "12.34%" {
 		t.Errorf("Pct = %q", got)
 	}
-	if got := GiB(52 << 30); got != "52.0 GiB" {
-		t.Errorf("GiB = %q", got)
-	}
 	st := analysis.Aggregate([]float64{1, 2, 3})
 	if got := MeanStd(st); !strings.Contains(got, "2.000 ±") {
 		t.Errorf("MeanStd = %q", got)

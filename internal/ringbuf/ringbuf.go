@@ -31,8 +31,6 @@ type Buf struct {
 	mask uint64
 	head uint64 // producer offset (absolute)
 	tail uint64 // consumer offset (absolute)
-
-	dropped uint64 // bytes rejected for lack of space
 }
 
 // New creates a ring buffer of the given size, which must be a
@@ -53,18 +51,11 @@ func (b *Buf) Size() int { return b.size }
 // Head returns the absolute producer offset.
 func (b *Buf) Head() uint64 { return b.head }
 
-// Tail returns the absolute consumer offset.
-func (b *Buf) Tail() uint64 { return b.tail }
-
 // Used returns the number of unconsumed bytes.
 func (b *Buf) Used() int { return int(b.head - b.tail) }
 
 // Free returns the number of writable bytes.
 func (b *Buf) Free() int { return b.size - b.Used() }
-
-// Dropped returns the cumulative number of bytes rejected by Write for
-// lack of space (the truncation counter).
-func (b *Buf) Dropped() uint64 { return b.dropped }
 
 // Write appends p if it fits entirely; partial writes never happen
 // (an SPE record is all-or-nothing, which is what makes a full aux
@@ -72,7 +63,6 @@ func (b *Buf) Dropped() uint64 { return b.dropped }
 // the write succeeded.
 func (b *Buf) Write(p []byte) bool {
 	if len(p) > b.Free() {
-		b.dropped += uint64(len(p))
 		return false
 	}
 	if end := b.head + uint64(len(p)); end > uint64(len(b.data)) && len(b.data) < b.size {
@@ -101,23 +91,6 @@ func (b *Buf) grow(end uint64) {
 	b.data = data
 }
 
-// Peek returns up to max unconsumed bytes starting at tail without
-// advancing it. The returned slice is a copy (records may wrap the
-// ring edge, and callers keep decoded spans across later writes).
-func (b *Buf) Peek(max int) []byte {
-	avail := b.Used()
-	if max < 0 || max > avail {
-		max = avail
-	}
-	out := make([]byte, max)
-	pos := b.tail & b.mask
-	n := copy(out, b.data[pos:])
-	if n < max {
-		copy(out[n:], b.data)
-	}
-	return out
-}
-
 // ReadAt copies size bytes starting at absolute offset off into a new
 // slice. It is used to service PERF_RECORD_AUX records, whose
 // aux_offset/aux_size fields address the aux area by absolute offset.
@@ -144,10 +117,4 @@ func (b *Buf) Advance(n int) {
 		panic(fmt.Sprintf("ringbuf: Advance(%d) with only %d used", n, b.Used()))
 	}
 	b.tail += uint64(n)
-}
-
-// Reset empties the buffer and clears the drop counter. Offsets
-// restart from zero.
-func (b *Buf) Reset() {
-	b.head, b.tail, b.dropped = 0, 0, 0
 }

@@ -22,6 +22,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// live copies the unconsumed bytes.
+func live(b *Buf) []byte { return b.ReadAt(b.tail, b.Used()) }
+
 func TestWriteRead(t *testing.T) {
 	b := New(64)
 	if !b.Write([]byte("hello")) {
@@ -30,9 +33,9 @@ func TestWriteRead(t *testing.T) {
 	if b.Used() != 5 || b.Free() != 59 {
 		t.Errorf("Used/Free = %d/%d", b.Used(), b.Free())
 	}
-	got := b.Peek(-1)
+	got := live(b)
 	if !bytes.Equal(got, []byte("hello")) {
-		t.Errorf("Peek = %q", got)
+		t.Errorf("live span = %q", got)
 	}
 	b.Advance(5)
 	if b.Used() != 0 {
@@ -48,9 +51,6 @@ func TestWriteRejectsWhenFull(t *testing.T) {
 	if b.Write([]byte{1}) {
 		t.Fatal("overfull write succeeded")
 	}
-	if b.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", b.Dropped())
-	}
 	// All-or-nothing: a 10-byte write into 4 free bytes must not
 	// partially land.
 	b.Advance(12)
@@ -59,9 +59,6 @@ func TestWriteRejectsWhenFull(t *testing.T) {
 	}
 	if b.Write(make([]byte, 13)) {
 		t.Fatal("write larger than free space succeeded")
-	}
-	if b.Dropped() != 14 {
-		t.Errorf("Dropped = %d, want 14", b.Dropped())
 	}
 }
 
@@ -74,8 +71,8 @@ func TestWrapAround(t *testing.T) {
 	if !b.Write(payload) {
 		t.Fatal("wrapping write failed")
 	}
-	if got := b.Peek(-1); !bytes.Equal(got, payload) {
-		t.Errorf("Peek after wrap = %v, want %v", got, payload)
+	if got := live(b); !bytes.Equal(got, payload) {
+		t.Errorf("live span after wrap = %v, want %v", got, payload)
 	}
 }
 
@@ -85,10 +82,10 @@ func TestHeadTailMonotone(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Write([]byte{byte(i), byte(i + 1)})
 		b.Advance(2)
-		if b.Head() < lastHead || b.Tail() < lastTail {
+		if b.Head() < lastHead || b.tail < lastTail {
 			t.Fatal("head/tail went backwards")
 		}
-		lastHead, lastTail = b.Head(), b.Tail()
+		lastHead, lastTail = b.Head(), b.tail
 	}
 	if lastHead != 200 {
 		t.Errorf("head = %d, want 200 (absolute offsets never wrap)", lastHead)
@@ -134,28 +131,6 @@ func TestAdvancePanicsPastHead(t *testing.T) {
 	b.Advance(3)
 }
 
-func TestPeekLimit(t *testing.T) {
-	b := New(32)
-	b.Write([]byte("0123456789"))
-	if got := b.Peek(4); !bytes.Equal(got, []byte("0123")) {
-		t.Errorf("Peek(4) = %q", got)
-	}
-	if got := b.Peek(100); len(got) != 10 {
-		t.Errorf("Peek(100) returned %d bytes, want 10", len(got))
-	}
-}
-
-func TestReset(t *testing.T) {
-	b := New(16)
-	b.Write(make([]byte, 16))
-	b.Write([]byte{1}) // dropped
-	b.Reset()
-	if b.Used() != 0 || b.Head() != 0 || b.Tail() != 0 || b.Dropped() != 0 {
-		t.Errorf("after Reset: used=%d head=%d tail=%d dropped=%d",
-			b.Used(), b.Head(), b.Tail(), b.Dropped())
-	}
-}
-
 // Property: data written is read back in FIFO order across arbitrary
 // interleavings of writes and consumes.
 func TestFIFOProperty(t *testing.T) {
@@ -168,7 +143,7 @@ func TestFIFOProperty(t *testing.T) {
 			}
 			if b.Free() < len(c) {
 				// Drain to make room.
-				got = append(got, b.Peek(-1)...)
+				got = append(got, live(b)...)
 				b.Advance(b.Used())
 			}
 			if !b.Write(c) {
@@ -176,7 +151,7 @@ func TestFIFOProperty(t *testing.T) {
 			}
 			expect = append(expect, c...)
 		}
-		got = append(got, b.Peek(-1)...)
+		got = append(got, live(b)...)
 		return bytes.Equal(expect, got)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -214,12 +189,12 @@ func TestAccountingProperty(t *testing.T) {
 				return false
 			}
 			k := min(len(shadow), 16)
-			if !bytes.Equal(b.Peek(k), shadow[:k]) ||
+			if !bytes.Equal(b.ReadAt(b.tail, k), shadow[:k]) ||
 				!bytes.Equal(b.ReadAt(b.Head()-uint64(k), k), shadow[len(shadow)-k:]) {
 				return false
 			}
 		}
-		return bytes.Equal(b.Peek(-1), shadow)
+		return bytes.Equal(live(b), shadow)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -248,8 +223,8 @@ func TestWriteAcrossGrowthBoundary(t *testing.T) {
 		t.Fatalf("second write: backing array %d bytes, want %d", len(b.data), 2*minGrow)
 	}
 	want := append(first, second...)
-	if got := b.Peek(-1); !bytes.Equal(got, want) {
-		t.Error("Peek after growth does not return the written bytes")
+	if got := live(b); !bytes.Equal(got, want) {
+		t.Error("the live span after growth does not return the written bytes")
 	}
 	// A span written partly before and partly after the growth.
 	if got := b.ReadAt(minGrow-20, 40); !bytes.Equal(got, want[minGrow-20:minGrow+20]) {
@@ -288,8 +263,8 @@ func TestFirstWrapAfterFullGrowth(t *testing.T) {
 		t.Errorf("wrapping write resized the array to %d", len(b.data))
 	}
 	want := pattern(1000, off+800-1000)
-	if got := b.Peek(-1); !bytes.Equal(got, want) {
-		t.Error("Peek across the wrap does not return the live bytes")
+	if got := live(b); !bytes.Equal(got, want) {
+		t.Error("the live span across the wrap does not return the live bytes")
 	}
 	// A span straddling the ring's end.
 	if got := b.ReadAt(size-50, 100); !bytes.Equal(got, pattern(size-50, 100)) {

@@ -57,7 +57,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-		b.ReportMetric(float64(sched.EngineRuns()), "engine-runs")
+		b.ReportMetric(float64(sched.Stats().EngineRuns), "engine-runs")
 	}
 
 	b.Run("miss", func(b *testing.B) {

@@ -416,13 +416,6 @@ func (c *Cache) coldestLocked(pred func(*entry) bool) *entry {
 	return nil
 }
 
-// Len returns the number of resident entries (completed + in-flight).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats snapshots the cache counters and tier occupancy.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

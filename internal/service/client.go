@@ -127,11 +127,6 @@ func (c *Client) Job(ctx context.Context, id string) (JobInfo, error) {
 	return info, err
 }
 
-// Cancel requests cancellation.
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, nil)
-}
-
 // Wait polls until the job reaches a terminal state. Failed and
 // canceled jobs return their server-side error; poll <= 0 defaults to
 // 100 ms.

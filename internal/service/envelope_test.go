@@ -148,19 +148,22 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}
 
 	// Drain, then check the post-completion envelope rows: a malformed
-	// filter on a finished job is 400 bad_request.
+	// filter on a finished job is 400 bad_request — core IDs are int16
+	// in the sample model, so one past 32767 is malformed too.
 	if _, err := client.Wait(ctx, head.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Wait(ctx, queued.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	resp = req("GET", "/v1/jobs/"+queued.ID+"/trace?from=xx", "")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad filter = %d, want 400", resp.StatusCode)
-	}
-	if ae := decodeEnvelope(t, resp); ae.Code != obs.CodeBadRequest {
-		t.Errorf("bad filter code = %q, want %q", ae.Code, obs.CodeBadRequest)
+	for _, filter := range []string{"from=xx", "core=-2", "core=32768", "core=40000"} {
+		resp = req("GET", "/v1/jobs/"+queued.ID+"/trace?"+filter, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad filter %s = %d, want 400", filter, resp.StatusCode)
+		}
+		if ae := decodeEnvelope(t, resp); ae.Code != obs.CodeBadRequest {
+			t.Errorf("bad filter %s code = %q, want %q", filter, ae.Code, obs.CodeBadRequest)
+		}
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"nmo/internal/obs"
@@ -231,32 +232,31 @@ func TestJobPhasesExposed(t *testing.T) {
 	}
 }
 
-// lockedSink is an audit sink a test can read while server goroutines
-// still append to it: the middleware logs a request's line after the
-// response is sent.
-type lockedSink struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *lockedSink) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *lockedSink) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
+// auditFile opens an audit log in a temp dir and returns a reader for
+// what it holds so far. The middleware logs a request's line after the
+// response is sent, and O_APPEND keeps each line whole.
+func auditFile(t *testing.T, name string) (*obs.AuditLog, func() string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	a, err := obs.OpenAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return a, func() string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
 }
 
 // TestRequestIDOnJob pins the request-ID stamp end to end at the shard
 // tier: an inbound X-Nmo-Request-Id lands in the submission response,
 // the job record, and the job's audit lines.
 func TestRequestIDOnJob(t *testing.T) {
-	var sink lockedSink
-	audit := obs.NewAuditWriter(&sink)
+	audit, auditLog := auditFile(t, "audit.jsonl")
 	sched := NewScheduler(SchedConfig{Workers: 1, Metrics: NewMetrics(audit)}, nil)
 	defer sched.Close()
 	srv := httptest.NewServer(NewServer(sched))
@@ -286,8 +286,8 @@ func TestRequestIDOnJob(t *testing.T) {
 	if _, err := NewClient(srv.URL).Wait(context.Background(), info.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sink.String(), `"req_id":"r-e2e-test"`) ||
-		!strings.Contains(sink.String(), `"state":"done"`) {
-		t.Errorf("audit lines missing the request ID or terminal state:\n%s", sink.String())
+	if !strings.Contains(auditLog(), `"req_id":"r-e2e-test"`) ||
+		!strings.Contains(auditLog(), `"state":"done"`) {
+		t.Errorf("audit lines missing the request ID or terminal state:\n%s", auditLog())
 	}
 }

@@ -110,7 +110,7 @@ func TestCacheRestartRecovery(t *testing.T) {
 	if _, err := client2.Wait(ctx, info2.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if runs := sched2.EngineRuns(); runs != 0 {
+	if runs := sched2.Stats().EngineRuns; runs != 0 {
 		t.Errorf("restarted daemon ran the engine %d times for a recovered job, want 0", runs)
 	}
 
@@ -263,7 +263,7 @@ func TestSpillQuarantine(t *testing.T) {
 	if !bytes.Equal(served.Bytes(), healthyBytes) {
 		t.Error("healthy entry serves bytes that differ from its spill file")
 	}
-	if runs := sched2.EngineRuns(); runs != 0 {
+	if runs := sched2.Stats().EngineRuns; runs != 0 {
 		t.Errorf("engine ran %d times for a recovered job, want 0", runs)
 	}
 	des, err := os.ReadDir(dir)

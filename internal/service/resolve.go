@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"nmo/internal/core"
 	"nmo/internal/machine"
@@ -270,22 +269,4 @@ func backends(rs []resolved) []sampler.Kind {
 		}
 	}
 	return out
-}
-
-// parseBackendList parses a comma-separated backend list ("spe,pebs")
-// for the daemon's admission-control flags.
-func parseBackendList(s string) ([]sampler.Kind, error) {
-	var out []sampler.Kind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := sampler.ParseKind(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
 }

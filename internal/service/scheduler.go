@@ -141,12 +141,6 @@ func (j *Job) Artifacts() *JobArtifacts {
 // job's key has an outcome (fill or abort).
 func (j *Job) Done() <-chan struct{} { return j.entry.done }
 
-func (j *Job) setState(s JobState) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
 // finish moves the job to a terminal state. The audit line is written
 // after the lock is released — the sink serializes on its own mutex
 // and must not nest inside j.mu.
@@ -286,11 +280,6 @@ func (s *Scheduler) occupancy() (queued, running int) {
 // layer mounts its registry at /metrics and reuses its HTTP
 // middleware and audit sink.
 func (s *Scheduler) Metrics() *Metrics { return s.m }
-
-// EngineRuns returns the number of engine batch executions — the
-// counter the cache's no-duplicate-simulation guarantee is tested
-// against.
-func (s *Scheduler) EngineRuns() uint64 { return s.m.EngineRuns.Value() }
 
 // Stats snapshots the scheduler and cache counters. Every field is
 // read from the same instrument or atomic the /metrics exposition

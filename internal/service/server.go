@@ -323,8 +323,9 @@ func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data
 
 // traceFilter parses ?from/?to/?core into the canonical trace
 // predicate: timestamps in [lo, hi) (0 = unbounded) and an exact core
-// (-1 = all). filtered reports whether any filter was requested —
-// false serves the stored blob verbatim as a one-extent plan.
+// (-1 = all; core IDs are int16 in the sample model, so 0..32767).
+// filtered reports whether any filter was requested — false serves the
+// stored blob verbatim as a one-extent plan.
 func traceFilter(r *http.Request) (lo, hi uint64, core int, filtered bool, err error) {
 	q := r.URL.Query()
 	core = -1
@@ -340,7 +341,7 @@ func traceFilter(r *http.Request) (lo, hi uint64, core int, filtered bool, err e
 	}
 	if v := q.Get("core"); v != "" {
 		c, err := strconv.Atoi(v)
-		if err != nil || c < 0 {
+		if err != nil || c < 0 || c > 32767 {
 			return 0, 0, -1, false, fmt.Errorf("bad core %q", v)
 		}
 		core = c

@@ -227,7 +227,7 @@ func TestHTTPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Cancel(ctx, queued.ID); err != nil {
+	if err := client.do(ctx, http.MethodDelete, "/v1/jobs/"+queued.ID, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Wait(ctx, queued.ID, 5*time.Millisecond); err == nil {

@@ -117,7 +117,7 @@ func TestConcurrentSubmissionSingleFill(t *testing.T) {
 	}
 
 	// One fill per distinct key — the identical eight share one run.
-	if runs := s.EngineRuns(); runs != 1+distinct {
+	if runs := s.Stats().EngineRuns; runs != 1+distinct {
 		t.Errorf("engine runs = %d, want %d (no duplicate simulation)", runs, 1+distinct)
 	}
 	st := s.Stats()
@@ -168,7 +168,7 @@ func TestCachedEqualsFresh(t *testing.T) {
 	if !info.Cached {
 		t.Error("resubmission not served from cache")
 	}
-	if runs := s1.EngineRuns(); runs != 1 {
+	if runs := s1.Stats().EngineRuns; runs != 1 {
 		t.Errorf("engine runs = %d after identical resubmission, want 1", runs)
 	}
 	if j1.Key != j2.Key {
@@ -272,7 +272,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 	// The canceled key re-runs on resubmission (its entry was aborted,
 	// not cached as a failure).
-	runs := s.EngineRuns()
+	runs := s.Stats().EngineRuns
 	again, err := s.Submit(context.Background(), quickJob(2))
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if info := waitDone(t, again); info.State != StateDone {
 		t.Fatalf("resubmitted job state = %s (%s)", info.State, info.Error)
 	}
-	if s.EngineRuns() != runs+1 {
+	if s.Stats().EngineRuns != runs+1 {
 		t.Errorf("resubmission after cancel did not run fresh")
 	}
 
@@ -578,7 +578,7 @@ func TestJobRecordPruning(t *testing.T) {
 		t.Error("newest job record pruned")
 	}
 	// The pruned job's result is still one cache hit away.
-	runs := s.EngineRuns()
+	runs := s.Stats().EngineRuns
 	j, err := s.Submit(context.Background(), quickJob(80))
 	if err != nil {
 		t.Fatal(err)
@@ -586,7 +586,7 @@ func TestJobRecordPruning(t *testing.T) {
 	if info := waitDone(t, j); !info.Cached || info.State != StateDone {
 		t.Errorf("pruned job's resubmission: cached=%t state=%s", info.Cached, info.State)
 	}
-	if s.EngineRuns() != runs {
+	if s.Stats().EngineRuns != runs {
 		t.Error("pruned job's resubmission re-simulated despite the cache")
 	}
 }

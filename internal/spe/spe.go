@@ -137,17 +137,8 @@ func (u *Unit) Disable() {
 	}
 }
 
-// Enabled reports whether the unit is sampling.
-func (u *Unit) Enabled() bool { return u.enabled }
-
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() Stats { return u.stats }
-
-// ResetStats zeroes the counters.
-func (u *Unit) ResetStats() { u.stats = Stats{} }
-
-// Config returns the active configuration.
-func (u *Unit) Config() Config { return u.cfg }
 
 // reload resets the interval counter to period plus dither.
 func (u *Unit) reload() {

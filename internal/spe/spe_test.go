@@ -325,11 +325,11 @@ func TestEnableDisable(t *testing.T) {
 	u := newUnit(Config{Period: 5}, sink)
 	op := loadOp(0x1)
 	u.Enable()
-	if !u.Enabled() {
-		t.Fatal("Enabled() = false after Enable")
-	}
 	for i := 0; i < 100; i++ {
 		u.OnOp(sim.Cycles(i*10), &op, 4, 0, false, false)
+	}
+	if u.Stats().OpsSeen != 100 {
+		t.Fatalf("enabled unit saw %d ops, want 100", u.Stats().OpsSeen)
 	}
 	u.Disable()
 	before := u.Stats().OpsSeen
@@ -338,10 +338,6 @@ func TestEnableDisable(t *testing.T) {
 	}
 	if u.Stats().OpsSeen != before {
 		t.Error("ops counted while disabled")
-	}
-	u.ResetStats()
-	if u.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero")
 	}
 }
 
@@ -369,7 +365,7 @@ func TestEstimatorUnbiased(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	u := NewUnit(Config{}, xrand.New(1), &memSink{})
-	cfg := u.Config()
+	cfg := u.cfg
 	if cfg.Period == 0 || cfg.TrackingSlots != 1 || cfg.TimerDiv == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}

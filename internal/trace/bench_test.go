@@ -5,24 +5,20 @@ import (
 	"testing"
 )
 
-// BenchmarkEmitBatchVsEmit measures sink chains fed 512-sample
-// batches, the granularity the decode stage emits at. The histogram
-// chain is bound by dispatch and bounds checks; the aggregate chain
+// BenchmarkEmitBatchVsEmit measures sinks fed 512-sample batches, the
+// granularity the decode stage emits at. The level histogram is bound
+// by dispatch and bounds checks; the rolling hash the sweeps run
 // (MD5-bound) is reported for context.
 func BenchmarkEmitBatchVsEmit(b *testing.B) {
 	src := synthTrace(65536)
-	meta := src.Meta()
 	const batch = 512
 
 	chains := []struct {
 		name string
 		mk   func() Sink
 	}{
-		{"hist", func() Sink {
-			var lh LevelHist
-			return NewTee(NewRegionHist(meta), NewKernelHist(meta), &lh)
-		}},
-		{"aggregate", func() Sink { return NewAggregate(meta) }},
+		{"levels", func() Sink { return NewTee(&LevelHist{}) }},
+		{"hash", func() Sink { return NewHash() }},
 	}
 	for _, c := range chains {
 		b.Run(c.name+"/batch", func(b *testing.B) {

@@ -111,7 +111,6 @@ func (c *Collect) Close() error { return nil }
 // retaining any sample.
 type Hash struct {
 	h       hash.Hash
-	n       uint64
 	scratch []byte // batch encode buffer, grown on demand
 }
 
@@ -131,7 +130,6 @@ func (h *Hash) EmitBatch(batch []Sample) error {
 		encodeSample(buf[i*sampleWireSize:], &batch[i])
 	}
 	h.h.Write(buf)
-	h.n += uint64(len(batch))
 	return nil
 }
 
@@ -142,76 +140,6 @@ func (h *Hash) Close() error { return nil }
 func (h *Hash) Sum16() [16]byte {
 	var out [16]byte
 	copy(out[:], h.h.Sum(nil))
-	return out
-}
-
-// Count returns the number of hashed samples.
-func (h *Hash) Count() uint64 { return h.n }
-
-// CountHist counts samples per name-table index online — the streaming
-// equivalent of Trace.CountByRegion / CountByKernel. Index -1 (and any
-// out-of-table index) lands in the "-" bucket.
-type CountHist struct {
-	names []string
-	by    []uint64
-	other uint64
-	// kernel selects the kernel index instead of the region index — a
-	// field rather than a selector closure so EmitBatch hoists the
-	// choice out of the per-sample loop.
-	kernel bool
-}
-
-// NewRegionHist counts by region index.
-func NewRegionHist(meta Meta) *CountHist {
-	return &CountHist{names: meta.Regions, by: make([]uint64, len(meta.Regions))}
-}
-
-// NewKernelHist counts by kernel (tagged phase) index.
-func NewKernelHist(meta Meta) *CountHist {
-	return &CountHist{names: meta.Kernels, by: make([]uint64, len(meta.Kernels)),
-		kernel: true}
-}
-
-// EmitBatch counts the batch with the index choice hoisted out of the
-// loop.
-func (c *CountHist) EmitBatch(batch []Sample) error {
-	by, other := c.by, c.other
-	if c.kernel {
-		for i := range batch {
-			if idx := batch[i].Kernel; idx >= 0 && int(idx) < len(by) {
-				by[idx]++
-			} else {
-				other++
-			}
-		}
-	} else {
-		for i := range batch {
-			if idx := batch[i].Region; idx >= 0 && int(idx) < len(by) {
-				by[idx]++
-			} else {
-				other++
-			}
-		}
-	}
-	c.other = other
-	return nil
-}
-
-// Close is a no-op.
-func (c *CountHist) Close() error { return nil }
-
-// Counts resolves the histogram to names, matching the map shape of
-// Trace.CountByRegion (the "-" key holds unattributed samples).
-func (c *CountHist) Counts() map[string]int {
-	out := make(map[string]int, len(c.names)+1)
-	for i, n := range c.by {
-		if n > 0 {
-			out[c.names[i]] += int(n)
-		}
-	}
-	if c.other > 0 {
-		out["-"] = int(c.other)
-	}
 	return out
 }
 
@@ -232,86 +160,21 @@ func (l *LevelHist) EmitBatch(batch []Sample) error {
 // Close is a no-op.
 func (l *LevelHist) Close() error { return nil }
 
-// Aggregate is the aggregate-only chain the sweep drivers use: rolling
-// MD5 plus level/region/kernel histograms, with no per-sample retention
-// and no per-sample allocation. Sweeps that only consume accuracy /
-// overhead / loss counters run entire grids through it with O(1) sample
-// memory per scenario.
-type Aggregate struct {
-	Hash    Hash
-	Levels  LevelHist
-	Regions *CountHist
-	Kernels *CountHist
-}
-
-// NewAggregate builds the aggregate-only sink for a stream.
-func NewAggregate(meta Meta) *Aggregate {
-	return &Aggregate{
-		Hash:    Hash{h: md5.New()},
-		Regions: NewRegionHist(meta),
-		Kernels: NewKernelHist(meta),
-	}
-}
-
-// EmitBatch updates every aggregate with one pass per component.
-func (a *Aggregate) EmitBatch(batch []Sample) error {
-	a.Hash.EmitBatch(batch)
-	a.Levels.EmitBatch(batch)
-	a.Regions.EmitBatch(batch)
-	return a.Kernels.EmitBatch(batch)
-}
-
-// Close is a no-op.
-func (a *Aggregate) Close() error { return nil }
-
-// SeriesBuilder grows a temporal Series online, maintaining max / sum /
-// count incrementally so aggregate readers need not walk the points.
-// With KeepPoints false the points themselves are discarded and only
-// the aggregates survive — the bounded-memory mode for timelines nobody
-// plots.
+// SeriesBuilder grows a temporal Series online, one point per
+// collector tick.
 type SeriesBuilder struct {
-	KeepPoints bool
-	s          Series
-	n          int
-	sum, max   float64
-	last       Point
+	s Series
 }
 
-// NewSeriesBuilder starts a named series that retains points.
+// NewSeriesBuilder starts a named series.
 func NewSeriesBuilder(name, unit string) *SeriesBuilder {
-	return &SeriesBuilder{KeepPoints: true, s: Series{Name: name, Unit: unit}}
+	return &SeriesBuilder{s: Series{Name: name, Unit: unit}}
 }
 
 // Add appends one (time, value) observation.
 func (b *SeriesBuilder) Add(tsec, v float64) {
-	if b.KeepPoints {
-		b.s.Points = append(b.s.Points, Point{TimeSec: tsec, Value: v})
-	}
-	if v > b.max {
-		b.max = v
-	}
-	b.sum += float64(v) // rounds v: an inlined caller product must not fuse into an FMA
-	b.n++
-	b.last = Point{TimeSec: tsec, Value: v}
+	b.s.Points = append(b.s.Points, Point{TimeSec: tsec, Value: v})
 }
 
-// Series returns the built series (points empty when KeepPoints was
-// off).
+// Series returns the built series.
 func (b *SeriesBuilder) Series() Series { return b.s }
-
-// Max returns the online maximum (0 for empty).
-func (b *SeriesBuilder) Max() float64 { return b.max }
-
-// Mean returns the online mean (0 for empty).
-func (b *SeriesBuilder) Mean() float64 {
-	if b.n == 0 {
-		return 0
-	}
-	return b.sum / float64(b.n)
-}
-
-// Count returns the number of observations.
-func (b *SeriesBuilder) Count() int { return b.n }
-
-// Last returns the most recent point (zero Point for empty).
-func (b *SeriesBuilder) Last() Point { return b.last }

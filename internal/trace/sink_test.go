@@ -78,9 +78,6 @@ func TestHashSinkMatchesTraceMD5(t *testing.T) {
 	if h.Sum16() != src.MD5() {
 		t.Error("hash sink differs from Trace.MD5")
 	}
-	if h.Count() != 64 {
-		t.Errorf("count = %d", h.Count())
-	}
 }
 
 func TestTeeFansOut(t *testing.T) {
@@ -105,59 +102,13 @@ func (f *failSink) Close() error             { return nil }
 // TestTeeBatchStopsAtFirstError: a failing sink's error surfaces and
 // the sinks after it do not see the batch.
 func TestTeeBatchStopsAtFirstError(t *testing.T) {
-	h := NewHash()
-	tee := NewTee(&failSink{}, h)
+	var lh LevelHist
+	tee := NewTee(&failSink{}, &lh)
 	if err := tee.EmitBatch(make([]Sample, 3)); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if h.Count() != 0 {
+	if lh.By != ([4]uint64{}) {
 		t.Error("sink after the failing one still received the batch")
-	}
-}
-
-func TestCountHistsMatchBatchCounts(t *testing.T) {
-	src := synthTrace(200)
-	meta := src.Meta()
-	rh, kh := NewRegionHist(meta), NewKernelHist(meta)
-	var lh LevelHist
-	emitAll(t, NewTee(rh, kh, &lh), src)
-
-	wantR, wantK := src.CountByRegion(), src.CountByKernel()
-	gotR, gotK := rh.Counts(), kh.Counts()
-	for k, v := range wantR {
-		if gotR[k] != v {
-			t.Errorf("region %q = %d, want %d", k, gotR[k], v)
-		}
-	}
-	if len(gotR) != len(wantR) {
-		t.Errorf("region keys %v vs %v", gotR, wantR)
-	}
-	for k, v := range wantK {
-		if gotK[k] != v {
-			t.Errorf("kernel %q = %d, want %d", k, gotK[k], v)
-		}
-	}
-	var total uint64
-	for _, n := range lh.By {
-		total += n
-	}
-	if total != 200 {
-		t.Errorf("level histogram total = %d", total)
-	}
-}
-
-func TestAggregateSink(t *testing.T) {
-	src := synthTrace(128)
-	a := NewAggregate(src.Meta())
-	emitAll(t, a, src)
-	if a.Hash.Sum16() != src.MD5() {
-		t.Error("aggregate MD5 differs from Trace.MD5")
-	}
-	if a.Hash.Count() != 128 {
-		t.Errorf("count = %d", a.Hash.Count())
-	}
-	if got, want := a.Regions.Counts(), src.CountByRegion(); got["a"] != want["a"] {
-		t.Errorf("region a: %d vs %d", got["a"], want["a"])
 	}
 }
 
@@ -166,15 +117,11 @@ func TestAggregateSink(t *testing.T) {
 // state is identical to the one-sample-per-batch reference (split 1).
 func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 	src := synthTrace(333)
-	meta := src.Meta()
 	type state struct {
-		sum                    [16]byte
-		count                  uint64
-		collected              [16]byte
-		stored, truncated      []int
-		regions, kernels, aggR map[string]int
-		levels                 [4]uint64
-		aggSum                 [16]byte
+		sum               [16]byte
+		collected         [16]byte
+		stored, truncated []int
+		levels            [4]uint64
 	}
 	// Collect caps: 50 falls mid-batch for every split from 16 up; 333
 	// lands exactly on the end of the stream.
@@ -183,7 +130,7 @@ func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 		var st state
 		h := NewHash()
 		emitBatches(t, h, src, split)
-		st.sum, st.count = h.Sum16(), h.Count()
+		st.sum = h.Sum16()
 
 		dst := &Trace{}
 		emitBatches(t, NewCollect(dst, -1), src, split)
@@ -198,33 +145,25 @@ func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 			}
 		}
 
-		rh, kh := NewRegionHist(meta), NewKernelHist(meta)
 		var lh LevelHist
-		emitBatches(t, NewTee(rh, kh, &lh), src, split)
-		st.regions, st.kernels, st.levels = rh.Counts(), kh.Counts(), lh.By
-
-		a := NewAggregate(meta)
-		emitBatches(t, a, src, split)
-		st.aggSum, st.aggR = a.Hash.Sum16(), a.Regions.Counts()
+		emitBatches(t, NewTee(&lh), src, split)
+		st.levels = lh.By
 		return st
 	}
 
 	ref := run(1)
-	if ref.sum != src.MD5() || ref.count != 333 || ref.collected != src.MD5() || ref.aggSum != src.MD5() {
+	if ref.sum != src.MD5() || ref.collected != src.MD5() {
 		t.Fatalf("reference diverges from the trace: %+v", ref)
 	}
 	if want := []int{0, 50, 333}; !slices.Equal(ref.stored, want) || !slices.Equal(ref.truncated, []int{333, 283, 0}) {
 		t.Fatalf("reference collect caps: stored %v truncated %v", ref.stored, ref.truncated)
 	}
-	for k, v := range src.CountByRegion() {
-		if ref.regions[k] != v || ref.aggR[k] != v {
-			t.Errorf("reference region %q = %d/%d, want %d", k, ref.regions[k], ref.aggR[k], v)
-		}
+	var levels [4]uint64
+	for i := range src.Samples {
+		levels[min(src.Samples[i].Level, 3)]++
 	}
-	for k, v := range src.CountByKernel() {
-		if ref.kernels[k] != v {
-			t.Errorf("reference kernel %q = %d, want %d", k, ref.kernels[k], v)
-		}
+	if ref.levels != levels {
+		t.Errorf("reference levels = %v, want %v", ref.levels, levels)
 	}
 	for _, split := range []int{2, 16, 100, 333, 1000} {
 		if got := run(split); !reflect.DeepEqual(got, ref) {
@@ -272,29 +211,7 @@ func TestSeriesBuilderParity(t *testing.T) {
 		b.Add(float64(i), v)
 		ref.Points = append(ref.Points, Point{TimeSec: float64(i), Value: v})
 	}
-	s := b.Series()
-	if s.Max() != ref.Max() || b.Max() != ref.Max() {
-		t.Errorf("max: %v/%v vs %v", s.Max(), b.Max(), ref.Max())
-	}
-	if s.Mean() != ref.Mean() || b.Mean() != ref.Mean() {
-		t.Errorf("mean: %v/%v vs %v", s.Mean(), b.Mean(), ref.Mean())
-	}
-	if b.Last() != ref.Last() || b.Count() != 4 {
-		t.Errorf("last/count: %v/%d", b.Last(), b.Count())
-	}
-	if len(s.Points) != 4 {
-		t.Errorf("points = %d", len(s.Points))
-	}
-
-	// Aggregate-only mode: stats survive, points do not.
-	d := NewSeriesBuilder("cap", "GiB")
-	d.KeepPoints = false
-	d.Add(0, 7)
-	d.Add(1, 3)
-	if len(d.Series().Points) != 0 {
-		t.Error("KeepPoints=false retained points")
-	}
-	if d.Max() != 7 || d.Mean() != 5 {
-		t.Errorf("aggregates: max %v mean %v", d.Max(), d.Mean())
+	if s := b.Series(); !reflect.DeepEqual(s, ref) || s.Max() != 30 {
+		t.Errorf("built series %+v, want %+v", s, ref)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -64,26 +63,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Mean returns the arithmetic mean (0 for empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Last returns the final point (zero Point for empty).
-func (s *Series) Last() Point {
-	if len(s.Points) == 0 {
-		return Point{}
-	}
-	return s.Points[len(s.Points)-1]
 }
 
 // WriteCSV emits "time_sec,value" rows with a header.
@@ -192,20 +171,9 @@ func (t *Trace) MD5() [16]byte {
 	return out
 }
 
-// Binary trace format: a fixed header followed by fixed-size sample
-// records, all little-endian.
-const (
-	traceMagic     = 0x314F4D4E                            // "NMO1"
-	sampleWireSize = 8 + 8 + 8 + 2 + 2 + 2 + 2 + 1 + 1 + 2 // padded to 36
-)
-
-// MagicV1, MagicV2 and MagicV21 are the leading magics of the binary
-// trace formats, exported so tools can sniff a file's format.
-const (
-	MagicV1  uint32 = traceMagic
-	MagicV2  uint32 = traceMagicV2
-	MagicV21 uint32 = traceMagicV21
-)
+// sampleWireSize is the size of one little-endian sample record, the
+// unit of the v2 block payload and of the rolling MD5.
+const sampleWireSize = 8 + 8 + 8 + 2 + 2 + 2 + 2 + 1 + 1 + 2 // padded to 36
 
 func encodeSample(dst []byte, s *Sample) {
 	binary.LittleEndian.PutUint64(dst[0:], s.TimeNs)
@@ -234,121 +202,4 @@ func decodeSample(src []byte, s *Sample) {
 	s.Kernel = int16(binary.LittleEndian.Uint16(src[30:]))
 	s.Store = src[32] == 1
 	s.Level = src[33]
-}
-
-// WriteBinary serializes the trace.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(t.Samples)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(t.Regions)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(t.Kernels)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeStrings(w, t.Workload); err != nil {
-		return err
-	}
-	for _, s := range t.Regions {
-		if err := writeStrings(w, s); err != nil {
-			return err
-		}
-	}
-	for _, s := range t.Kernels {
-		if err := writeStrings(w, s); err != nil {
-			return err
-		}
-	}
-	var buf [sampleWireSize]byte
-	for i := range t.Samples {
-		encodeSample(buf[:], &t.Samples[i])
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ErrBadTrace reports a malformed binary trace.
-var ErrBadTrace = errors.New("trace: malformed binary trace")
-
-// ReadBinary deserializes a trace written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadTrace, err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadTrace)
-	}
-	nSamples := binary.LittleEndian.Uint32(hdr[4:])
-	nRegions := binary.LittleEndian.Uint32(hdr[8:])
-	nKernels := binary.LittleEndian.Uint32(hdr[12:])
-	if nSamples > 1<<30 || nRegions > 1<<16 || nKernels > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible counts", ErrBadTrace)
-	}
-	t := &Trace{}
-	var err error
-	if t.Workload, err = readString(r); err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nRegions; i++ {
-		s, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		t.Regions = append(t.Regions, s)
-	}
-	for i := uint32(0); i < nKernels; i++ {
-		s, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		t.Kernels = append(t.Kernels, s)
-	}
-	// The header's count is untrusted: preallocate a bounded prefix and
-	// grow as samples actually arrive, so a short file claiming 1<<30
-	// samples fails on its first missing record, not in make.
-	t.Samples = make([]Sample, 0, min(nSamples, 1<<12))
-	var buf [sampleWireSize]byte
-	for i := uint32(0); i < nSamples; i++ {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, fmt.Errorf("%w: sample %d: %v", ErrBadTrace, i, err)
-		}
-		// WriteBinary only produces store bytes 0/1 and zero padding;
-		// anything else would not survive a decode/encode round trip.
-		if buf[32] > 1 || buf[34] != 0 || buf[35] != 0 {
-			return nil, fmt.Errorf("%w: sample %d: non-canonical record", ErrBadTrace, i)
-		}
-		var s Sample
-		decodeSample(buf[:], &s)
-		t.Samples = append(t.Samples, s)
-	}
-	return t, nil
-}
-
-func writeStrings(w io.Writer, s string) error {
-	if len(s) > 0xFFFF {
-		return fmt.Errorf("trace: string too long (%d)", len(s))
-	}
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
-	if _, err := w.Write(l[:]); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var l [2]byte
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrBadTrace, err)
-	}
-	n := binary.LittleEndian.Uint16(l[:])
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrBadTrace, err)
-	}
-	return string(buf), nil
 }

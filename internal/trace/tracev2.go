@@ -1,8 +1,6 @@
 // Binary trace format v2: a blocked, indexed layout built for
-// streaming. The v1 format (WriteBinary) needs every sample in memory
-// before the header can be written; v2 is written by a Sink as samples
-// arrive and read back block-by-block, so neither side ever holds the
-// full trace.
+// streaming. It is written by a Sink as samples arrive and read back
+// block-by-block, so neither side ever holds the full trace.
 //
 // Layout (all little-endian):
 //
@@ -40,10 +38,14 @@ package trace
 import (
 	"crypto/md5"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
 )
+
+// ErrBadTrace reports a malformed binary trace.
+var ErrBadTrace = errors.New("trace: malformed binary trace")
 
 const (
 	traceMagicV2  = 0x324F4D4E // "NMO2"
@@ -649,4 +651,19 @@ func (rd *ReaderV2) ReadAll() (*Trace, error) {
 		tr.Samples = append(tr.Samples, *s)
 	})
 	return tr, err
+}
+
+// readString reads one length-prefixed header string (see
+// WriterV2.writeString).
+func readString(r io.Reader) (string, error) {
+	var l [2]byte
+	if _, err := io.ReadFull(r, l[:]); err != nil {
+		return "", fmt.Errorf("%w: string length: %v", ErrBadTrace, err)
+	}
+	n := binary.LittleEndian.Uint16(l[:])
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return "", fmt.Errorf("%w: string body: %v", ErrBadTrace, err)
+	}
+	return string(buf), nil
 }

@@ -59,10 +59,10 @@ func writeV2(t *testing.T, tr *Trace, blockSamples int) []byte {
 	return encodeV2(tr, blockSamples)
 }
 
-// TestV2RoundTripMatchesV1 checks writer→reader equality against the
-// v1 in-memory trace: same samples in the same order, same name
+// TestV2RoundTripMatchesTrace checks writer→reader equality against
+// the in-memory trace: same samples in the same order, same name
 // tables, and a footer MD5 equal to Trace.MD5.
-func TestV2RoundTripMatchesV1(t *testing.T) {
+func TestV2RoundTripMatchesTrace(t *testing.T) {
 	tr := synthTrace(1000) // 63 blocks of 16 + partial
 	rd, err := OpenV2(bytes.NewReader(writeV2(t, tr, 16)))
 	if err != nil {

@@ -138,22 +138,6 @@ func (b *BFS) FootprintBytes() uint64 {
 	return uint64(b.cfg.Nodes)*(4+1+4) + uint64(len(b.edges))*4 + 4
 }
 
-// Depth returns the number of BFS levels of the first traversal
-// (test helper).
-func (b *BFS) Depth() int { return len(b.runs[0].levels) }
-
-// VisitedCount returns how many vertices all traversals reach in
-// total.
-func (b *BFS) VisitedCount() int {
-	c := 0
-	for _, r := range b.runs {
-		for _, l := range r.levels {
-			c += len(l)
-		}
-	}
-	return c
-}
-
 // Streams implements Workload.
 func (b *BFS) Streams() []isa.Stream {
 	out := make([]isa.Stream, b.cfg.Threads)

@@ -109,15 +109,6 @@ func (p *PhaseWorkload) Labels() []string {
 // Regions implements Workload.
 func (p *PhaseWorkload) Regions() []Region { return []Region{p.ingest, p.heap} }
 
-// TotalSeconds returns the schedule length.
-func (p *PhaseWorkload) TotalSeconds() float64 {
-	var s float64
-	for _, ph := range p.phases {
-		s += ph.Seconds
-	}
-	return s
-}
-
 // Streams implements Workload.
 func (p *PhaseWorkload) Streams() []isa.Stream {
 	out := make([]isa.Stream, p.threads)

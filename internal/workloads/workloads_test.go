@@ -250,10 +250,10 @@ func TestCFDSeedChangesConnectivity(t *testing.T) {
 
 func TestBFSReachesMostNodes(t *testing.T) {
 	w := NewBFS(BFSConfig{Nodes: 5000, Degree: 8, Threads: 4, Seed: 3})
-	if w.Depth() < 2 {
-		t.Errorf("depth = %d; graph degenerate", w.Depth())
+	if len(w.runs[0].levels) < 2 {
+		t.Errorf("depth = %d; graph degenerate", len(w.runs[0].levels))
 	}
-	if v := w.VisitedCount(); v < 4000 {
+	if v := visitedCount(w); v < 4000 {
 		t.Errorf("visited %d/5000; graph too disconnected", v)
 	}
 }
@@ -273,11 +273,11 @@ func TestBFSStreamsCoverVisits(t *testing.T) {
 			}
 		}
 	}
-	if frontierLoads != w.VisitedCount() {
-		t.Errorf("frontier loads = %d, visited = %d", frontierLoads, w.VisitedCount())
+	if frontierLoads != visitedCount(w) {
+		t.Errorf("frontier loads = %d, visited = %d", frontierLoads, visitedCount(w))
 	}
-	if visitedStores != w.VisitedCount()-1 { // root is not discovered
-		t.Errorf("visited stores = %d, want %d", visitedStores, w.VisitedCount()-1)
+	if visitedStores != visitedCount(w)-1 { // root is not discovered
+		t.Errorf("visited stores = %d, want %d", visitedStores, visitedCount(w)-1)
 	}
 }
 
@@ -332,8 +332,8 @@ func TestPhaseWorkloadSchedule(t *testing.T) {
 		{Name: "p0", Seconds: 0.5, GBps: 1, RSSStartGiB: 1, RSSEndGiB: 2, WriteFrac: 0.5},
 		{Name: "p1", Seconds: 0.5, GBps: 0.5, RSSStartGiB: 2, RSSEndGiB: 2},
 	})
-	if w.TotalSeconds() != 1.0 {
-		t.Errorf("TotalSeconds = %v", w.TotalSeconds())
+	if scheduleSeconds(w) != 1.0 {
+		t.Errorf("schedule seconds = %v", scheduleSeconds(w))
 	}
 	if len(w.Labels()) != 2 || w.Labels()[1] != "p1" {
 		t.Errorf("labels = %v", w.Labels())
@@ -366,7 +366,7 @@ func TestPageRankSchedule(t *testing.T) {
 	if w.Threads() != 32 {
 		t.Errorf("threads = %d, want 32", w.Threads())
 	}
-	if s := w.TotalSeconds(); s < 20 || s > 30 {
+	if s := scheduleSeconds(w); s < 20 || s > 30 {
 		t.Errorf("duration = %v s, want ~25", s)
 	}
 	// Peak RSS must hit the paper's 123.8 GiB.
@@ -386,7 +386,7 @@ func TestPageRankSchedule(t *testing.T) {
 func TestInMemAnalyticsSchedule(t *testing.T) {
 	freq := sim.Freq{Hz: 1_000_000}
 	w := NewInMemAnalytics(freq, 1)
-	if s := w.TotalSeconds(); s < 110 || s > 135 {
+	if s := scheduleSeconds(w); s < 110 || s > 135 {
 		t.Errorf("duration = %v s, want ~126", s)
 	}
 	var maxRSS uint64
@@ -501,4 +501,24 @@ func hashFill(w Workload, n int) ([sha256.Size]byte, int) {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum, ops
+}
+
+// visitedCount returns how many vertices all of w's traversals reach.
+func visitedCount(w *BFS) int {
+	c := 0
+	for _, r := range w.runs {
+		for _, l := range r.levels {
+			c += len(l)
+		}
+	}
+	return c
+}
+
+// scheduleSeconds returns the length of w's phase schedule.
+func scheduleSeconds(w *PhaseWorkload) float64 {
+	var s float64
+	for _, ph := range w.phases {
+		s += ph.Seconds
+	}
+	return s
 }

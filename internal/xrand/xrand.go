@@ -92,13 +92,5 @@ func (r *RNG) Perturb(bits uint) int64 {
 	return int64(r.Uint64n(uint64(span))) - span/2
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }

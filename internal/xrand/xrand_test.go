@@ -1,9 +1,6 @@
 package xrand
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
@@ -123,28 +120,6 @@ func TestPerturbBitsClamped(t *testing.T) {
 		if p < -(1<<15) || p > 1<<15 {
 			t.Fatalf("Perturb(40) = %d outside clamped range", p)
 		}
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		m := int(n%64) + 1
-		xs := make([]int, m)
-		for i := range xs {
-			xs[i] = i
-		}
-		New(seed).Shuffle(m, func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-		seen := make([]bool, m)
-		for _, v := range xs {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -80,8 +80,8 @@ func SupportedBackends() string { return sampler.SupportedList() }
 // attributed sample trace, and SPE/kernel statistics.
 type Profile = core.Profile
 
-// Trace is the sample trace model with CSV/binary serialization and
-// MD5 checksumming.
+// Trace is the in-memory sample trace model with CSV output and MD5
+// checksumming; the v2 writers and OpenTraceV2 are its binary form.
 type Trace = trace.Trace
 
 // Sample is one attributed memory-access sample.
@@ -126,9 +126,6 @@ func NewTraceWriterV2(w io.Writer, meta TraceMeta, blockSamples int) (*TraceWrit
 func NewTraceWriterV21(w io.Writer, meta TraceMeta, blockSamples int) (*TraceWriterV2, error) {
 	return trace.NewWriterV21(w, meta, blockSamples)
 }
-
-// ReadTraceBinary deserializes a v1 trace written by Trace.WriteBinary.
-func ReadTraceBinary(r io.Reader) (*Trace, error) { return trace.ReadBinary(r) }
 
 // Machine is the simulated ARM platform workloads run on.
 type Machine = machine.Machine
