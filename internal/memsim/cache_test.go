@@ -184,14 +184,18 @@ func TestDRAMBandwidthAccounting(t *testing.T) {
 	}
 	// Back-to-back accesses at time 0 queue behind each other.
 	var last DRAMResult
+	stalled := 0
 	for i := 0; i < 1000; i++ {
 		last = d.Access(0, 64, i%2 == 0)
+		if last.WaitCycles > 0 {
+			stalled++
+		}
 	}
 	if last.Latency <= 101 {
 		t.Errorf("queued latency = %d, want > 101", last.Latency)
 	}
-	if d.stalled == 0 {
-		t.Error("no stalls recorded despite queueing")
+	if stalled == 0 {
+		t.Error("no access waited despite queueing")
 	}
 	rd, wr := d.bytesRead, d.bytesWritten
 	if rd+wr != d.TotalBytes() || d.TotalBytes() != 1001*64 {
@@ -247,15 +251,22 @@ func TestDRAMTailUnderSaturation(t *testing.T) {
 	d := NewDRAM(DRAMConfig{BaseLatency: 150, PeakBytesPerCycle: 1, HideCycles: 100, Seed: 11})
 	sawTail := false
 	base := 150 + 64 // base + service
-	for i := 0; i < 20000; i++ {
-		if d.Access(0, 64, false).Latency > uint32(base)*8+uint32(i)*64 {
+	const n = 20000
+	tails := 0
+	for i := 0; i < n; i++ {
+		r := d.Access(0, 64, false)
+		if r.Latency > uint32(base)*8+uint32(i)*64 {
 			sawTail = true
 		}
+		// Without a tail draw the latency is exactly base + wait + service.
+		if r.Latency > uint32(base)+r.WaitCycles {
+			tails++
+		}
 	}
-	if !sawTail || d.tailHits == 0 {
+	if !sawTail || tails == 0 {
 		t.Error("saturated DRAM never drew a tail latency")
 	}
-	frac := float64(d.tailHits) / float64(d.serviced)
+	frac := float64(tails) / n
 	if frac > 0.2 {
 		t.Errorf("tail fraction %.2f too large", frac)
 	}
@@ -264,12 +275,10 @@ func TestDRAMTailUnderSaturation(t *testing.T) {
 func TestDRAMTailDisabled(t *testing.T) {
 	d := NewDRAM(DRAMConfig{BaseLatency: 150, PeakBytesPerCycle: 64, TailProb: -1})
 	for i := 0; i < 50000; i++ {
-		if lat := d.Access(sim.Cycles(i*1000), 64, false).Latency; lat != 151 {
-			t.Fatalf("latency %d with tail disabled and no contention", lat)
+		r := d.Access(sim.Cycles(i*1000), 64, false)
+		if r.Latency != 151 || r.WaitCycles != 0 {
+			t.Fatalf("access %+v with tail disabled and no contention, want latency 151 = base + service", r)
 		}
-	}
-	if d.tailHits != 0 {
-		t.Error("tail hits recorded with tail disabled")
 	}
 }
 

@@ -38,9 +38,6 @@ type DRAM struct {
 
 	bytesRead    uint64
 	bytesWritten uint64
-	stalled      uint64 // accesses that waited for the device
-	serviced     uint64
-	tailHits     uint64 // accesses that drew a tail latency
 }
 
 // DRAMConfig describes the memory device.
@@ -123,7 +120,6 @@ type DRAMResult struct {
 
 // Access services a transfer of size bytes issued at core time now.
 func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
-	d.serviced++
 	if write {
 		d.bytesWritten += uint64(size)
 	} else {
@@ -136,9 +132,6 @@ func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
 	}
 	d.deviceClock = start + service
 	wait := uint32(start - float64(now))
-	if wait > 0 {
-		d.stalled++
-	}
 	svc := uint32(service)
 	if svc == 0 {
 		svc = 1
@@ -155,7 +148,6 @@ func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
 		pTail += float64(d.cfg.SatTailProb * depth)
 	}
 	if pTail > 0 && d.rng.Float64() < pTail {
-		d.tailHits++
 		span := d.cfg.TailMultMax - d.cfg.TailMultMin
 		mult := d.cfg.TailMultMin + d.rng.Uint32()%span
 		spike := uint64(lat) * uint64(mult)
@@ -178,7 +170,7 @@ func (d *DRAM) TotalBytes() uint64 { return d.bytesRead + d.bytesWritten }
 // Reset clears traffic statistics and the device clock, and rewinds
 // the tail-draw stream so repeated runs are identical.
 func (d *DRAM) Reset() {
-	d.bytesRead, d.bytesWritten, d.stalled, d.serviced, d.tailHits = 0, 0, 0, 0, 0
+	d.bytesRead, d.bytesWritten = 0, 0
 	d.deviceClock = 0
 	d.rng = xrand.New(d.cfg.Seed)
 }

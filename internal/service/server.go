@@ -244,7 +244,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Every response is a span plan: literal segments (header,
-	// re-encoded straddler blocks, footer) plus extents of stored
+	// filtered straddler blocks, footer) plus extents of stored
 	// bytes. An unfiltered request is one extent over the whole blob
 	// with the stored rolling MD5; a filtered one is the RestreamExact
 	// output of the pinned backing in segment form. Either way size and

@@ -1,6 +1,9 @@
 package trace
 
-import "io"
+import (
+	"encoding/binary"
+	"io"
+)
 
 // RestreamExact writes a filtered copy of rd to w as a fresh,
 // self-describing stream under the canonical service predicate —
@@ -9,9 +12,9 @@ import "io"
 // compression mode. The footer index skips blocks the predicate rules
 // out (their bytes are never read); a block the index proves entirely
 // inside the predicate is spliced in its stored form (compressed
-// frames move without a decompress/recompress or sample
-// decode/re-encode round trip; raw blocks without even a sample
-// decode); boundary blocks are exact-filtered and re-encoded. The
+// frames move without a decompress/recompress round trip); boundary
+// blocks are filtered record by record, and the matching stored
+// records are copied into fresh blocks without decoding a Sample. The
 // output is a valid v2 or v2.1 stream with its own index and rolling
 // MD5, which a client can verify and re-query locally.
 //
@@ -30,15 +33,13 @@ func RestreamExact(rd *ReaderV2, w io.Writer, lo, hi uint64, core int) (uint64, 
 
 // restreamInto is the shared walk behind RestreamExact and
 // RestreamPlanExact: wr is already configured (plan mode differs only
-// in the writer's spliceOut hook).
+// in the writer's plan collector).
 func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, int, error) {
-	var err error
 	hints := ScanHints{TimeLo: lo, TimeHi: hi}
 	if core >= 0 {
 		hints.CoreMask = CoreBit(int16(core))
 	}
 	spliced := 0
-	var buf []Sample
 	for i := 0; i < rd.NumBlocks(); i++ {
 		b := rd.index[i]
 		if !hints.Admits(b) {
@@ -46,6 +47,10 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 			continue
 		}
 		rd.read++
+		stored, payload, err := rd.readStoredBlock(i)
+		if err != nil {
+			return wr.Total(), spliced, err
+		}
 		// The index proves every sample matches when the time range is
 		// contained and no core filter applies (CoreMask aliases at 64
 		// cores, so a mask hit alone proves nothing).
@@ -56,31 +61,27 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 			if err := wr.flushBlock(); err != nil {
 				return wr.Total(), spliced, err
 			}
-			stored, payload, err := rd.readStoredBlock(i)
-			if err != nil {
-				return wr.Total(), spliced, err
-			}
 			if err := wr.spliceBlock(b, stored, payload); err != nil {
 				return wr.Total(), spliced, err
 			}
 			spliced++
 			continue
 		}
-		if buf, err = rd.ReadBlock(i, buf); err != nil {
-			return wr.Total(), spliced, err
-		}
-		// Compact the matching samples to the front of the decoded
-		// block and hand them to the writer in one batch.
-		n := 0
-		for j := range buf {
-			s := &buf[j]
-			if (lo == 0 || s.TimeNs >= lo) && (hi == 0 || s.TimeNs < hi) &&
-				(core < 0 || int(s.Core) == core) {
-				buf[n] = *s
-				n++
+		// Test each record's time and core fields in place, and copy
+		// every run of matching records in one call.
+		run := 0
+		for off := 0; off < len(payload); off += sampleWireSize {
+			t := binary.LittleEndian.Uint64(payload[off:])
+			if (lo == 0 || t >= lo) && (hi == 0 || t < hi) &&
+				(core < 0 || int(int16(binary.LittleEndian.Uint16(payload[off+26:]))) == core) {
+				continue
 			}
+			if err := wr.appendRecords(payload[run:off]); err != nil {
+				return wr.Total(), spliced, err
+			}
+			run = off + sampleWireSize
 		}
-		if err := wr.EmitBatch(buf[:n]); err != nil {
+		if err := wr.appendRecords(payload[run:]); err != nil {
 			return wr.Total(), spliced, err
 		}
 	}
@@ -88,7 +89,7 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 }
 
 // PlanSegment is one piece of a span plan, in output order: either
-// literal bytes (Data non-nil — the header, re-encoded straddler
+// literal bytes (Data non-nil — the header, filtered straddler
 // blocks, footer index, and tail) or an extent of Len stored bytes to
 // lift verbatim from the source stream at SrcOff.
 type PlanSegment struct {
@@ -116,18 +117,18 @@ type RestreamPlan struct {
 
 // RestreamPlanExact computes the span plan for the canonical service
 // predicate over rd (the RestreamExact semantics). The plan holds its
-// literal bytes in memory: header, footer, and every re-encoded
-// straddler block — at most the filtered output, which holds no more
-// samples than the source. A core filter never proves a block whole
-// (CoreMask aliases at 64 cores), so its plan is one literal of the
-// filtered stream.
+// literal bytes in memory: header, footer, and every rebuilt
+// straddler block, each block its own segment — at most the filtered
+// output, which holds no more samples than the source. A core filter
+// never proves a block whole (CoreMask aliases at 64 cores), so its
+// plan is all literal blocks.
 func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, error) {
 	col := &segmentCollector{}
 	wr, err := newWriterV2(col, rd.Meta(), rd.blockSamples, rd.compressed)
 	if err != nil {
 		return nil, err
 	}
-	wr.spliceOut = col.splice
+	wr.plan = col
 	total, spliced, err := restreamInto(rd, wr, lo, hi, core)
 	if err != nil {
 		return nil, err
@@ -142,9 +143,10 @@ func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, er
 	}, nil
 }
 
-// segmentCollector is the plan-mode sink: writer output accumulates
-// into literal segments, spliceOut calls cut extents (coalescing
-// adjacent ones).
+// segmentCollector is the plan-mode sink. Small writes (header, footer
+// index, tail) accumulate into one literal; each flushed block arrives
+// as a buffer of its own and becomes its own literal segment; spliced
+// blocks become extents, adjacent ones coalescing.
 type segmentCollector struct {
 	segs []PlanSegment
 	lit  []byte
@@ -157,7 +159,14 @@ func (sc *segmentCollector) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (sc *segmentCollector) splice(srcOff int64, n int) error {
+// block takes ownership of one stored block's bytes.
+func (sc *segmentCollector) block(p []byte) {
+	sc.flushLiteral()
+	sc.segs = append(sc.segs, PlanSegment{Data: p})
+	sc.size += int64(len(p))
+}
+
+func (sc *segmentCollector) splice(srcOff int64, n int) {
 	sc.flushLiteral()
 	if last := len(sc.segs) - 1; last >= 0 && sc.segs[last].Data == nil &&
 		sc.segs[last].SrcOff+sc.segs[last].Len == srcOff {
@@ -166,7 +175,6 @@ func (sc *segmentCollector) splice(srcOff int64, n int) error {
 		sc.segs = append(sc.segs, PlanSegment{SrcOff: srcOff, Len: int64(n)})
 	}
 	sc.size += int64(n)
-	return nil
 }
 
 func (sc *segmentCollector) flushLiteral() {

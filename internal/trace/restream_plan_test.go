@@ -180,7 +180,7 @@ func TestRestreamExact(t *testing.T) {
 
 		// Block-aligned time window [40_001, 80_001): block 1 (samples
 		// 40..79) is wholly inside, blocks 0 and 2 are ruled out by the
-		// index — exactly one splice, zero re-encoded samples.
+		// index — exactly one splice, zero copied records.
 		out.Reset()
 		n, spliced, err = RestreamExact(rd, &out, 40_001, 80_001, -1)
 		if err != nil {

@@ -119,13 +119,13 @@ type WriterV2 struct {
 	// hash is fed the raw records either way.
 	compress bool
 	cbuf     []byte // reusable compression scratch
-	// spliceOut, when set, diverts spliceBlock's stored bytes: instead
-	// of writing them, the writer reports the (source offset, length)
-	// extent and advances as if it had. The span-plan restream uses
-	// this to describe whole-block runs as file extents a server can
-	// sendfile verbatim. Offsets, index entries, and the rolling MD5
-	// come out identical to the written stream.
-	spliceOut func(srcOff int64, n int) error
+	// plan, when set, takes the stored bytes of every block instead of
+	// w: a flushed block's buffer becomes one of its literal segments
+	// (the writer starts a fresh buffer for the next block), and a
+	// spliced block becomes a (source offset, length) extent a server
+	// can sendfile verbatim. Offsets, index entries, and the rolling
+	// MD5 come out identical to the written stream.
+	plan *segmentCollector
 }
 
 // NewWriterV2 starts a v2 stream on w, writing the header immediately.
@@ -152,7 +152,6 @@ func newWriterV2(w io.Writer, meta Meta, blockSamples int, compress bool) (*Writ
 	wr := &WriterV2{
 		w:            w,
 		blockSamples: blockSamples,
-		buf:          make([]byte, 0, blockSamples*sampleWireSize),
 		h:            md5.New(),
 		compress:     compress,
 	}
@@ -212,15 +211,8 @@ func (wr *WriterV2) EmitBatch(batch []Sample) error {
 		return fmt.Errorf("trace: emit after Close")
 	}
 	for len(batch) > 0 {
-		if wr.n == 0 {
-			wr.cur = BlockInfo{Offset: wr.off, TimeMin: batch[0].TimeNs, TimeMax: batch[0].TimeNs}
-		}
-		take := wr.blockSamples - wr.n
-		if take > len(batch) {
-			take = len(batch)
-		}
-		start := len(wr.buf)
-		wr.buf = wr.buf[:start+take*sampleWireSize]
+		dst := wr.reserve(len(batch), batch[0].TimeNs)
+		take := len(dst) / sampleWireSize
 		for i := 0; i < take; i++ {
 			s := &batch[i]
 			if s.TimeNs < wr.cur.TimeMin {
@@ -230,18 +222,76 @@ func (wr *WriterV2) EmitBatch(batch []Sample) error {
 				wr.cur.TimeMax = s.TimeNs
 			}
 			wr.cur.CoreMask |= CoreBit(s.Core)
-			encodeSample(wr.buf[start+i*sampleWireSize:], s)
+			encodeSample(dst[i*sampleWireSize:], s)
 		}
-		wr.h.Write(wr.buf[start:])
-		wr.cur.Count += uint32(take)
-		wr.n += take
-		wr.total += uint64(take)
+		if err := wr.commit(dst); err != nil {
+			return err
+		}
 		batch = batch[take:]
-		if wr.n == wr.blockSamples {
-			if err := wr.flushBlock(); err != nil {
-				return err
+	}
+	return nil
+}
+
+// appendRecords appends stored sample records (a whole number of
+// sampleWireSize records) by copying their bytes into the block
+// buffer. The output is what EmitBatch writes for the decoded samples:
+// a decode/encode round trip keeps every field except the Store byte,
+// which it rewrites to 0 or 1 (decode reads only 1 as a store), and
+// the two padding bytes, which it zeroes. The copy applies exactly
+// that fix-up.
+func (wr *WriterV2) appendRecords(recs []byte) error {
+	for len(recs) > 0 {
+		dst := wr.reserve(len(recs)/sampleWireSize, binary.LittleEndian.Uint64(recs))
+		copy(dst, recs)
+		for off := 0; off < len(dst); off += sampleWireSize {
+			r := dst[off : off+sampleWireSize]
+			t := binary.LittleEndian.Uint64(r)
+			if t < wr.cur.TimeMin {
+				wr.cur.TimeMin = t
 			}
+			if t > wr.cur.TimeMax {
+				wr.cur.TimeMax = t
+			}
+			wr.cur.CoreMask |= CoreBit(int16(binary.LittleEndian.Uint16(r[26:])))
+			if r[32] > 1 {
+				r[32] = 0
+			}
+			r[34], r[35] = 0, 0
 		}
+		if err := wr.commit(dst); err != nil {
+			return err
+		}
+		recs = recs[len(dst):]
+	}
+	return nil
+}
+
+// reserve extends the current block by up to n records, opening a new
+// block (first timestamp t0) if none is open, and returns the reserved
+// bytes for the caller to fill before commit.
+func (wr *WriterV2) reserve(n int, t0 uint64) []byte {
+	if wr.n == 0 {
+		wr.cur = BlockInfo{Offset: wr.off, TimeMin: t0, TimeMax: t0}
+	}
+	if wr.buf == nil {
+		wr.buf = make([]byte, 0, wr.blockSamples*sampleWireSize)
+	}
+	take := min(wr.blockSamples-wr.n, n)
+	start := len(wr.buf)
+	wr.buf = wr.buf[:start+take*sampleWireSize]
+	return wr.buf[start:]
+}
+
+// commit hashes and counts the records filled in after reserve, and
+// flushes the block once it is full.
+func (wr *WriterV2) commit(recs []byte) error {
+	wr.h.Write(recs)
+	take := len(recs) / sampleWireSize
+	wr.cur.Count += uint32(take)
+	wr.n += take
+	wr.total += uint64(take)
+	if wr.n == wr.blockSamples {
+		return wr.flushBlock()
 	}
 	return nil
 }
@@ -260,7 +310,18 @@ func (wr *WriterV2) flushBlock() error {
 			wr.cur.CSize = uint32(len(wr.cbuf))
 		}
 	}
-	if err := wr.write(out); err != nil {
+	if wr.plan != nil {
+		// The plan keeps the block as a segment. Raw records hand over
+		// the block buffer itself (the next block starts its own); a
+		// compressed frame is copied out of the reusable scratch.
+		if wr.cur.CSize > 0 {
+			wr.plan.block(append([]byte(nil), out...))
+		} else {
+			wr.plan.block(out)
+			wr.buf = nil
+		}
+		wr.off += uint64(len(out))
+	} else if err := wr.write(out); err != nil {
 		return err
 	}
 	wr.index = append(wr.index, wr.cur)
@@ -288,13 +349,11 @@ func (wr *WriterV2) spliceBlock(info BlockInfo, stored, payload []byte) error {
 	}
 	b := info
 	b.Offset = wr.off
-	if wr.spliceOut != nil {
+	if wr.plan != nil {
 		// info.Offset is still the block's offset in the source stream
 		// (the line above rewrote only the copy destined for the new
 		// index) — exactly the extent the plan needs.
-		if err := wr.spliceOut(int64(info.Offset), len(stored)); err != nil {
-			return err
-		}
+		wr.plan.splice(int64(info.Offset), len(stored))
 		wr.off += uint64(len(stored))
 	} else if err := wr.write(stored); err != nil {
 		return err

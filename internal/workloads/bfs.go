@@ -28,8 +28,9 @@ type BFSConfig struct {
 // bfsRun is one precomputed traversal.
 type bfsRun struct {
 	source uint32
-	levels [][]uint32 // visit order per BFS level
-	parent []int32    // discovering edge index per node, -1 for root/unreached
+	levels [][]uint32   // visit order per BFS level
+	owned  [][][]uint32 // per level, per thread: positions in levels[l] of the nodes it expands
+	parent []int32      // discovering edge index per node, -1 for root/unreached
 }
 
 // BFS models Rodinia's breadth-first search. The traversals are
@@ -83,7 +84,8 @@ func NewBFS(cfg BFSConfig) *BFS {
 }
 
 // computeLevels runs one host-side BFS from source, recording visit
-// order and discovering edges.
+// order, discovering edges, and each level's partition by owning
+// thread (node id mod Threads).
 func (b *BFS) computeLevels(source uint32) bfsRun {
 	n := b.cfg.Nodes
 	run := bfsRun{source: source, parent: make([]int32, n)}
@@ -95,6 +97,12 @@ func (b *BFS) computeLevels(source uint32) bfsRun {
 	visited[source] = true
 	for len(frontier) > 0 {
 		run.levels = append(run.levels, frontier)
+		owned := make([][]uint32, b.cfg.Threads)
+		for p, u := range frontier {
+			t := int(u) % b.cfg.Threads
+			owned[t] = append(owned[t], uint32(p))
+		}
+		run.owned = append(run.owned, owned)
 		var next []uint32
 		for _, u := range frontier {
 			lo, hi := b.offsets[u], b.offsets[u+1]
@@ -153,7 +161,7 @@ type bfsGen struct {
 
 	run      int
 	level    int
-	pos      int // index into current level's visit list
+	pos      int // index into this thread's share of the current level
 	edge     int // next edge offset within the current node, -1 = node preamble
 	curNode  uint32
 	started  bool
@@ -212,19 +220,16 @@ func (g *bfsGen) fillRun(dst []isa.Op, n int, r *bfsRun) int {
 			}
 			g.started = true
 		}
-		lvl := r.levels[g.level]
-		for g.pos < len(lvl) {
-			u := lvl[g.pos]
-			if int(u)%w.cfg.Threads != g.tid {
-				g.pos++
-				continue
-			}
+		lvl, owned := r.levels[g.level], r.owned[g.level][g.tid]
+		for g.pos < len(owned) {
+			p := owned[g.pos]
+			u := lvl[p]
 			if g.edge < 0 || g.curNode != u {
 				// Node preamble: frontier entry + CSR offsets.
 				if len(dst)-n < 3 {
 					return n
 				}
-				dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseFrontier + uint64(g.pos)*4,
+				dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseFrontier + uint64(p)*4,
 					Size: 4, PC: pcBFSExpand}
 				dst[n+1] = isa.Op{Kind: isa.KindLoad, Addr: baseOffsets + uint64(u)*4,
 					Size: 8, PC: pcBFSExpand + 4}
