@@ -289,7 +289,7 @@ func (r *run) setupEvents() error {
 	}
 
 	r.ts = sim.TimescaleFor(r.spec.Freq, 1, 0)
-	r.kern = perfev.NewKernel(r.spec.Cores, cfg.Costs, r.ts, xrand.New(cfg.Seed))
+	r.kern = perfev.NewKernel(r.spec.Cores, cfg.Costs, xrand.New(cfg.Seed))
 	if pb := r.pageBytes(); pb > 0 {
 		r.kern.SetPageSize(pb)
 	}

@@ -42,8 +42,6 @@ type emitBoundary struct {
 	// unemitted entry so draining does not reallocate.
 	pending []trace.Sample
 	head    int
-	// emitted counts samples released to the sink chain.
-	emitted uint64
 	err     error
 }
 
@@ -131,7 +129,6 @@ func (b *emitBoundary) emitBatch(batch []trace.Sample) {
 			batch[i].Kernel = k
 		}
 	}
-	b.emitted += uint64(len(batch))
 	if b.err != nil {
 		return
 	}

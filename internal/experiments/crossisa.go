@@ -25,11 +25,10 @@ type CrossBackendPoint struct {
 
 // CrossBackendRun is one backend's half of the sweep.
 type CrossBackendRun struct {
-	Backend  sampler.Kind
-	Machine  string // platform name (pins the ISA)
-	Arch     string
-	Baseline uint64 // uninstrumented wall cycles on this platform
-	Points   []CrossBackendPoint
+	Backend sampler.Kind
+	Machine string // platform name (pins the ISA)
+	Arch    string
+	Points  []CrossBackendPoint
 }
 
 // CrossBackendResult holds the cross-ISA sweep: the same workload and
@@ -77,10 +76,7 @@ func CrossBackendSweep(sc Scale, workload string, periods []uint64) (*CrossBacke
 		spec := bsc.specFor()
 		base := profs[next].Wall
 		next++
-		run := CrossBackendRun{
-			Backend: kind, Machine: spec.Name, Arch: spec.Arch,
-			Baseline: uint64(base),
-		}
+		run := CrossBackendRun{Backend: kind, Machine: spec.Name, Arch: spec.Arch}
 		for _, period := range periods {
 			pt := CrossBackendPoint{Period: period}
 			var acc, ovh, hw, drop, skid []float64

@@ -27,9 +27,6 @@ func TestCrossBackendSweepContrast(t *testing.T) {
 	for i := range res.Runs {
 		run := &res.Runs[i]
 		byKind[run.Backend] = run
-		if run.Baseline == 0 {
-			t.Errorf("%s: no baseline", run.Backend)
-		}
 		if len(run.Points) != len(periods) {
 			t.Errorf("%s: %d points, want %d", run.Backend, len(run.Points), len(periods))
 		}

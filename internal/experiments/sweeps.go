@@ -30,7 +30,6 @@ type PeriodPoint struct {
 type PeriodSweepResult struct {
 	Workload string
 	Threads  int
-	Baseline uint64 // baseline wall cycles
 	MemOps   uint64 // perf-stat mem_access count
 	Points   []PeriodPoint
 }
@@ -57,7 +56,7 @@ func PeriodSweep(sc Scale, workload string, periods []uint64) (*PeriodSweepResul
 	}
 
 	base := profs[0].Wall
-	res := &PeriodSweepResult{Workload: workload, Threads: sc.Threads, Baseline: uint64(base)}
+	res := &PeriodSweepResult{Workload: workload, Threads: sc.Threads}
 	next := 1
 	for _, period := range periods {
 		pt := PeriodPoint{Period: period}
@@ -100,9 +99,8 @@ type AuxPoint struct {
 // AuxSweepResult holds the Fig. 9 sweep (STREAM, 32 threads, ring
 // fixed at 8 data pages + metadata = the paper's 9 pages).
 type AuxSweepResult struct {
-	Period   uint64
-	Baseline uint64
-	Points   []AuxPoint
+	Period uint64
+	Points []AuxPoint
 }
 
 // fig9Config is the per-trial configuration of the aux sweep
@@ -139,7 +137,7 @@ func Fig9AuxSweep(sc Scale) (*AuxSweepResult, error) {
 	}
 
 	base := profs[0].Wall
-	res := &AuxSweepResult{Period: period, Baseline: uint64(base)}
+	res := &AuxSweepResult{Period: period}
 	next := 1
 	for _, pages := range Fig9AuxPages {
 		pt := AuxPoint{AuxPages: pages}

@@ -26,16 +26,6 @@ type MarkerFunc func(core int, now sim.Cycles, op *isa.Op)
 // collectors (bandwidth, capacity) subsample from here.
 type TickFunc func(now sim.Cycles)
 
-// CoreStats summarizes one core's execution.
-type CoreStats struct {
-	Cycles  sim.Cycles // local completion time
-	Ops     uint64     // operations executed (markers excluded)
-	MemOps  uint64     // architectural memory accesses (block = lines), this run
-	Flops   uint64     // floating-point operations (SIMD lanes)
-	Levels  [memsim.NumLevels]uint64
-	TLBMiss uint64
-}
-
 // core is one simulated hardware thread. Its hierarchy and op buffer
 // are built the first time it receives a stream (Machine.bind), so a
 // wide machine running a few threads pays only for the cores it uses.
@@ -45,8 +35,9 @@ type core struct {
 	stream isa.Stream
 	probe  Probe // nil: no sampling event on this core
 
-	cycles sim.Cycles
+	cycles sim.Cycles // local time; the completion time once done
 	done   bool
+	flops  uint64 // floating-point operations (SIMD lanes) this run
 
 	// retireAt is the completion time of the youngest long-latency
 	// operation: retirement is in-order, so any operation issued while
@@ -68,13 +59,9 @@ type core struct {
 	// a PMU keeps them: never reset, so a counting event snapshots
 	// them at enable and reads the difference. memAccesses counts
 	// architectural memory accesses (a block op counts its lines);
-	// busAccesses counts those served at DRAM, in lines. memBase is
-	// memAccesses at the start of the current run.
+	// busAccesses counts those served at DRAM, in lines.
 	memAccesses uint64
 	busAccesses uint64
-	memBase     uint64
-
-	stats CoreStats
 }
 
 // Machine is the simulated platform.
@@ -221,14 +208,8 @@ func (m *Machine) ClearTicks() { m.ticks = nil }
 type RunResult struct {
 	// Wall is the completion time: the latest core finish time.
 	Wall sim.Cycles
-	// Cores holds per-core statistics for cores that ran a stream.
-	Cores []CoreStats
-	// TotalOps / TotalMemOps / TotalFlops aggregate over cores.
-	TotalOps    uint64
-	TotalMemOps uint64
-	TotalFlops  uint64
-	// DRAMBytes is total memory traffic.
-	DRAMBytes uint64
+	// TotalFlops sums the floating-point operations over cores.
+	TotalFlops uint64
 	// MaxRSS is the workload's reported high-water resident set.
 	MaxRSS uint64
 }
@@ -276,23 +257,15 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 		}
 	}
 
-	res := RunResult{MaxRSS: m.maxRSS, DRAMBytes: m.dram.TotalBytes()}
-	if m.numa != nil {
-		res.DRAMBytes = m.numa.TotalBytes()
-	}
+	res := RunResult{MaxRSS: m.maxRSS}
 	for i, s := range streams {
 		if s == nil {
 			continue
 		}
 		c := m.cores[i]
-		c.stats.MemOps = c.memAccesses - c.memBase
-		c.stats.Levels = c.hier.LevelCounts()
-		res.Cores = append(res.Cores, c.stats)
-		res.TotalOps += c.stats.Ops
-		res.TotalMemOps += c.stats.MemOps
-		res.TotalFlops += c.stats.Flops
-		if c.stats.Cycles > res.Wall {
-			res.Wall = c.stats.Cycles
+		res.TotalFlops += c.flops
+		if c.cycles > res.Wall {
+			res.Wall = c.cycles
 		}
 	}
 	return res, nil
@@ -318,8 +291,7 @@ func (m *Machine) reset() {
 		c.done = false
 		c.stream = nil
 		c.bufPos, c.bufLen = 0, 0
-		c.stats = CoreStats{}
-		c.memBase = c.memAccesses
+		c.flops = 0
 	}
 }
 
@@ -335,7 +307,6 @@ func (m *Machine) runCore(c *core, qEnd sim.Cycles) (finished bool) {
 			if c.bufLen == 0 {
 				c.done = true
 				c.stream = nil // the workload need not outlive its run
-				c.stats.Cycles = c.cycles
 				return true
 			}
 		}
@@ -370,11 +341,8 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 	switch op.Kind {
 	case isa.KindLoad, isa.KindStore:
 		r := &c.res
-		c.hier.Access(c.cycles, op.Addr, op.Size, op.Kind.IsWrite(), r)
+		c.hier.Access(c.cycles, op.Addr, op.Size, r)
 		lat, level, tlbMiss, remote = r.Latency, uint8(r.Level), r.TLBMiss, r.Remote
-		if r.TLBMiss {
-			c.stats.TLBMiss++
-		}
 		c.memAccesses++
 		if r.Level == memsim.LevelDRAM {
 			c.busAccesses++
@@ -394,7 +362,7 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 		cost = sim.Cycles(1 + divMLP(m.mlpRecip, unloaded+r.StallCycles))
 	case isa.KindBlockLoad, isa.KindBlockStore:
 		r := &c.res
-		c.hier.Stream(c.cycles, op.Size, op.Kind.IsWrite(), r)
+		c.hier.Stream(c.cycles, op.Size, r)
 		lat, level = r.Latency, uint8(r.Level)
 		lines := uint64(op.Size) / 64
 		if lines == 0 {
@@ -407,19 +375,15 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 		// latency (wire time + queue wait are inside lat).
 		cost = sim.Cycles(lat)
 	case isa.KindSIMD:
-		c.stats.Flops += 4 // 4 lanes per vector op
+		c.flops += 4 // 4 lanes per vector op
 		cost, lat = 1, 1
 	case isa.KindDelay:
 		// Bulk compute: op.Addr cycles of scalar work in one op.
 		cost, lat = sim.Cycles(op.Addr), 1
-		if op.Addr > 1 {
-			c.stats.Ops += op.Addr - 1 // the final ++ adds the last one
-		}
 	default: // ALU, branch
 		cost, lat = 1, 1
 	}
 
-	c.stats.Ops++
 	now := c.cycles
 
 	// In-order retirement: this op completes when both its own

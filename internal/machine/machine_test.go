@@ -50,21 +50,25 @@ func TestAmpereSpecMatchesTable2(t *testing.T) {
 
 func TestRunSingleCore(t *testing.T) {
 	m := New(smallSpec(2))
+	probe := &chargeProbe{}
+	if err := m.AttachProbe(0, probe); err != nil {
+		t.Fatal(err)
+	}
 	res, err := m.Run([]isa.Stream{seqLoads(10000, 0, 64)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalOps != 10000 || res.TotalMemOps != 10000 {
-		t.Errorf("ops = %d/%d, want 10000", res.TotalOps, res.TotalMemOps)
+	if probe.seen != 10000 || m.MemAccesses(0) != 10000 {
+		t.Errorf("ops = %d/%d, want 10000", probe.seen, m.MemAccesses(0))
 	}
 	if res.Wall == 0 {
 		t.Error("zero wall time")
 	}
-	if res.DRAMBytes == 0 {
+	if m.BusAccesses(0) == 0 {
 		t.Error("streaming loads produced no DRAM traffic")
 	}
-	if len(res.Cores) != 1 {
-		t.Errorf("core stats = %d entries", len(res.Cores))
+	if m.MemAccesses(1) != 0 {
+		t.Errorf("idle core counted %d accesses", m.MemAccesses(1))
 	}
 }
 
@@ -81,8 +85,17 @@ func TestRunNoStreamsErrors(t *testing.T) {
 	}
 }
 
+// busTotal sums the DRAM-served accesses over a machine's cores.
+func busTotal(m *Machine) uint64 {
+	var n uint64
+	for i := range m.cores {
+		n += m.BusAccesses(i)
+	}
+	return n
+}
+
 func TestDeterminism(t *testing.T) {
-	run := func() RunResult {
+	run := func() (RunResult, uint64) {
 		m := New(smallSpec(4))
 		streams := []isa.Stream{
 			seqLoads(5000, 0, 64),
@@ -94,11 +107,12 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, busTotal(m)
 	}
-	a, b := run(), run()
-	if a.Wall != b.Wall || a.DRAMBytes != b.DRAMBytes {
-		t.Errorf("nondeterministic: %+v vs %+v", a, b)
+	a, busA := run()
+	b, busB := run()
+	if a != b || busA != busB {
+		t.Errorf("nondeterministic: %+v, %d DRAM lines vs %+v, %d", a, busA, b, busB)
 	}
 }
 
@@ -129,12 +143,13 @@ func TestBandwidthSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bpc := float64(res.DRAMBytes) / float64(res.Wall)
+	bytes := busTotal(m) * 64
+	bpc := float64(bytes) / float64(res.Wall)
 	if bpc > spec.DRAM.PeakBytesPerCycle*1.3 {
 		t.Errorf("achieved %.1f B/cyc exceeds peak %.1f", bpc, spec.DRAM.PeakBytesPerCycle)
 	}
-	if res.DRAMBytes < 16*50000*64 {
-		t.Errorf("DRAM traffic %d less than the working set", res.DRAMBytes)
+	if bytes < 16*50000*64 {
+		t.Errorf("DRAM traffic %d less than the working set", bytes)
 	}
 }
 
@@ -170,6 +185,10 @@ func TestMarkersAndRSS(t *testing.T) {
 	m.SetMarkerFunc(func(core int, now sim.Cycles, op *isa.Op) {
 		seen = append(seen, op.Marker)
 	})
+	probe := &chargeProbe{}
+	if err := m.AttachProbe(0, probe); err != nil {
+		t.Fatal(err)
+	}
 	res, err := m.Run([]isa.Stream{&isa.SliceStream{Ops: ops}})
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +209,9 @@ func TestMarkersAndRSS(t *testing.T) {
 	if cur != 1<<20 {
 		t.Errorf("final RSS = %d, want %d", cur, 1<<20)
 	}
-	// Markers execute for free and don't count as ops.
-	if res.TotalOps != 1 {
-		t.Errorf("TotalOps = %d, want 1 (markers excluded)", res.TotalOps)
+	// Markers go to the marker func, not to the probe.
+	if probe.seen != 1 {
+		t.Errorf("probe saw %d ops, want 1 (markers excluded)", probe.seen)
 	}
 }
 
@@ -250,13 +269,17 @@ func TestAttachProbeValidation(t *testing.T) {
 		t.Error("second probe on one core accepted")
 	}
 	m.ClearProbes()
-	if err := m.AttachProbe(1, &chargeProbe{}); err != nil {
+	cleared := &chargeProbe{}
+	if err := m.AttachProbe(1, cleared); err != nil {
 		t.Errorf("attach after ClearProbes failed: %v", err)
 	}
 	m.ClearProbes()
-	res, _ := m.Run([]isa.Stream{seqLoads(100, 0, 64), seqLoads(100, 1<<30, 64)})
-	if res.TotalOps != 200 {
-		t.Errorf("ops = %d", res.TotalOps)
+	m.Run([]isa.Stream{seqLoads(100, 0, 64), seqLoads(100, 1<<30, 64)})
+	if n := m.MemAccesses(0) + m.MemAccesses(1); n != 200 {
+		t.Errorf("ops = %d", n)
+	}
+	if cleared.seen != 0 {
+		t.Errorf("a cleared probe saw %d ops", cleared.seen)
 	}
 }
 
@@ -288,11 +311,11 @@ func TestBlockOpsMoveBulkTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DRAMBytes != 2<<20 {
-		t.Errorf("DRAM bytes = %d, want %d", res.DRAMBytes, 2<<20)
+	if bus := m.BusAccesses(0); bus != 2*(1<<20)/64 {
+		t.Errorf("DRAM lines = %d, want %d", bus, 2*(1<<20)/64)
 	}
-	if res.TotalMemOps != 2*(1<<20)/64 {
-		t.Errorf("mem ops = %d, want %d lines", res.TotalMemOps, 2*(1<<20)/64)
+	if mem := m.MemAccesses(0); mem != 2*(1<<20)/64 {
+		t.Errorf("mem ops = %d, want %d lines", mem, 2*(1<<20)/64)
 	}
 	// Wire time: 2 MB at ~66.7 B/cyc is ~31k cycles minimum.
 	if res.Wall < 30000 {
@@ -315,9 +338,11 @@ func TestFlopsCounted(t *testing.T) {
 func TestRunResetsBetweenRuns(t *testing.T) {
 	m := New(smallSpec(1))
 	r1, _ := m.Run([]isa.Stream{seqLoads(1000, 0, 64)})
+	bus1 := m.BusAccesses(0)
 	r2, _ := m.Run([]isa.Stream{seqLoads(1000, 0, 64)})
-	if r1.Wall != r2.Wall || r1.DRAMBytes != r2.DRAMBytes {
-		t.Errorf("state leaked across runs: %+v vs %+v", r1, r2)
+	bus2 := m.BusAccesses(0) - bus1
+	if r1 != r2 || bus1 != bus2 {
+		t.Errorf("state leaked across runs: %+v, %d DRAM lines vs %+v, %d", r1, bus1, r2, bus2)
 	}
 }
 
@@ -341,6 +366,36 @@ func mixedStream(seed uint64, n int) *isa.SliceStream {
 	return &isa.SliceStream{Ops: ops}
 }
 
+// levelProbe counts the memory ops it sees at each hierarchy level.
+type levelProbe [memsim.NumLevels]uint64
+
+func (p *levelProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb, remote bool) sim.Cycles {
+	if op.Kind.IsMemory() {
+		p[level]++
+	}
+	return 0
+}
+
+// runLevels runs streams on m with a fresh levelProbe on each running
+// core and returns the result and every core's per-level counts.
+func runLevels(t *testing.T, m *Machine, streams []isa.Stream) (RunResult, []levelProbe) {
+	t.Helper()
+	m.ClearProbes()
+	probes := make([]levelProbe, len(streams))
+	for i, s := range streams {
+		if s != nil {
+			if err := m.AttachProbe(i, &probes[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res, err := m.Run(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, probes
+}
+
 // TestMachineReuseMatchesFresh runs one machine with a changing number
 // of streams and checks every result against a fresh machine running
 // the same streams: whatever a run leaves in shared devices or in the
@@ -362,20 +417,15 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 				}
 				return out
 			}
-			got, err := m.Run(streams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := New(spec).Run(streams())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("nodes=%d run %d on a reused machine:\n got %+v\nwant %+v", nodes, r, got, want)
+			got, gotLevels := runLevels(t, m, streams())
+			want, wantLevels := runLevels(t, New(spec), streams())
+			if got != want || !reflect.DeepEqual(gotLevels, wantLevels) {
+				t.Errorf("nodes=%d run %d on a reused machine:\n got %+v %v\nwant %+v %v",
+					nodes, r, got, gotLevels, want, wantLevels)
 			}
 			var levels uint64
-			for _, c := range got.Cores {
-				levels += c.Levels[memsim.LevelL1] + c.Levels[memsim.LevelDRAM]
+			for _, lv := range gotLevels {
+				levels += lv[memsim.LevelL1] + lv[memsim.LevelDRAM]
 			}
 			if levels == 0 {
 				t.Errorf("nodes=%d run %d: no L1 or DRAM accesses counted", nodes, r)
@@ -395,8 +445,8 @@ func TestLevelCountsReported(t *testing.T) {
 	for i := range ops {
 		ops[i] = isa.Op{Kind: isa.KindLoad, Addr: 0x5000, Size: 8}
 	}
-	res, _ := m.Run([]isa.Stream{&isa.SliceStream{Ops: ops}})
-	lv := res.Cores[0].Levels
+	_, probes := runLevels(t, m, []isa.Stream{&isa.SliceStream{Ops: ops}})
+	lv := probes[0]
 	if lv[memsim.LevelL1] < 1990 {
 		t.Errorf("L1 hits = %d, want ~1999", lv[memsim.LevelL1])
 	}
@@ -446,8 +496,7 @@ func TestNUMAMachineRemoteAccesses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := m.Run(streams)
-	if err != nil {
+	if _, err := m.Run(streams); err != nil {
 		t.Fatal(err)
 	}
 	var local, remote uint64
@@ -464,8 +513,8 @@ func TestNUMAMachineRemoteAccesses(t *testing.T) {
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("remote fraction = %v, want ~0.5", frac)
 	}
-	if res.DRAMBytes != (local+remote)*64 {
-		t.Errorf("DRAMBytes = %d, want %d", res.DRAMBytes, (local+remote)*64)
+	if bus := busTotal(m); bus != local+remote {
+		t.Errorf("bus accesses = %d, want %d", bus, local+remote)
 	}
 }
 

@@ -54,15 +54,11 @@ func (l Level) String() string {
 // slice, and a hit records recency with one store (see touch).
 type Cache struct {
 	ways     int
-	sets     int
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*ways entries; 0 = invalid
 	stamp    []uint64 // per entry: clock at its last touch
 	clock    uint64
-
-	hits   uint64
-	misses uint64
 }
 
 // CacheConfig describes a cache's geometry.
@@ -92,7 +88,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	return &Cache{
 		ways:     cfg.Ways,
-		sets:     sets,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*cfg.Ways),
@@ -113,11 +108,9 @@ func (c *Cache) Access(addr uint64) bool {
 	for i, t := range ways {
 		if t == tag {
 			c.touch(set + i)
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	victim := set + lruVictim(ways, c.stamp[set:set+c.ways])
 	c.tags[victim] = tag
 	c.touch(victim)
@@ -162,14 +155,10 @@ func lruVictim(tags, stamp []uint64) int {
 	return victim
 }
 
-// Stats returns cumulative hit/miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// Reset invalidates the cache and clears statistics.
+// Reset invalidates the cache.
 func (c *Cache) Reset() {
 	clear(c.tags)
 	c.clock = 0
-	c.hits, c.misses = 0, 0
 }
 
 // LineBytes returns the cache line size in bytes.

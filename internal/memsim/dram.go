@@ -35,9 +35,6 @@ type DRAM struct {
 	// runs) one cycle of service covers many transfers, and integer
 	// rounding would artificially cap throughput.
 	deviceClock float64
-
-	bytesRead    uint64
-	bytesWritten uint64
 }
 
 // DRAMConfig describes the memory device.
@@ -119,12 +116,7 @@ type DRAMResult struct {
 }
 
 // Access services a transfer of size bytes issued at core time now.
-func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
-	if write {
-		d.bytesWritten += uint64(size)
-	} else {
-		d.bytesRead += uint64(size)
-	}
+func (d *DRAM) Access(now sim.Cycles, size uint32) DRAMResult {
 	service := float64(size) / d.cfg.PeakBytesPerCycle
 	start := float64(now)
 	if d.deviceClock > start {
@@ -164,13 +156,9 @@ func (d *DRAM) Access(now sim.Cycles, size uint32, write bool) DRAMResult {
 	return DRAMResult{Latency: lat, WaitCycles: wait, StallCycles: stall}
 }
 
-// TotalBytes returns cumulative bytes moved in both directions.
-func (d *DRAM) TotalBytes() uint64 { return d.bytesRead + d.bytesWritten }
-
-// Reset clears traffic statistics and the device clock, and rewinds
-// the tail-draw stream so repeated runs are identical.
+// Reset clears the device clock and rewinds the tail-draw stream so
+// repeated runs are identical.
 func (d *DRAM) Reset() {
-	d.bytesRead, d.bytesWritten = 0, 0
 	d.deviceClock = 0
 	d.rng = xrand.New(d.cfg.Seed)
 }

@@ -21,8 +21,6 @@ type Hierarchy struct {
 	NodeID int
 
 	Lat Latencies
-
-	levelCounts [NumLevels]uint64
 }
 
 // Latencies holds the hit latency (cycles) of each level plus the TLB
@@ -65,7 +63,7 @@ type AccessResult struct {
 // simulated memory op, so the result goes into caller-owned storage:
 // a returned struct, stored field by field and copied out whole,
 // stalls on store forwarding.
-func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool, res *AccessResult) {
+func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, res *AccessResult) {
 	var lat, wait, stall uint32
 	var remote bool
 	tlbMiss := h.TLB != nil && !h.TLB.Access(addr)
@@ -91,14 +89,13 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool,
 		}
 		var r DRAMResult
 		if h.NUMA != nil {
-			r, remote = h.NUMA.Access(now, h.NodeID, addr, line, write)
+			r, remote = h.NUMA.Access(now, h.NodeID, addr, line)
 		} else {
-			r = h.DRAM.Access(now, line, write)
+			r = h.DRAM.Access(now, line)
 		}
 		lat += h.Lat.SLC + r.Latency
 		wait, stall = r.WaitCycles, r.StallCycles
 	}
-	h.levelCounts[level]++
 	res.Level, res.Latency, res.WaitCycles, res.StallCycles = level, lat, wait, stall
 	res.TLBMiss, res.Remote = tlbMiss, remote
 }
@@ -107,28 +104,23 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool,
 // private caches (non-temporal / page-granular traffic used by the
 // phase-level CloudSuite workloads). It consumes DRAM bandwidth and
 // writes the transfer's outcome into res.
-func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool, res *AccessResult) {
+func (h *Hierarchy) Stream(now sim.Cycles, size uint32, res *AccessResult) {
 	var r DRAMResult
 	if h.NUMA != nil {
-		r, _ = h.NUMA.Access(now, h.NodeID, 0, size, write)
+		r, _ = h.NUMA.Access(now, h.NodeID, 0, size)
 	} else {
-		r = h.DRAM.Access(now, size, write)
+		r = h.DRAM.Access(now, size)
 	}
-	h.levelCounts[LevelDRAM]++
 	res.Level, res.Latency, res.WaitCycles, res.StallCycles = LevelDRAM, r.Latency, r.WaitCycles, r.StallCycles
 	res.TLBMiss, res.Remote = false, false
 }
 
-// LevelCounts returns how many accesses were satisfied at each level.
-func (h *Hierarchy) LevelCounts() [NumLevels]uint64 { return h.levelCounts }
-
-// Reset clears the private structures and level counters. Shared
-// structures (SLC, DRAM) are left untouched; the machine resets those.
+// Reset clears the private structures. Shared structures (SLC, DRAM)
+// are left untouched; the machine resets those.
 func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
 	if h.TLB != nil {
 		h.TLB.Reset()
 	}
-	h.levelCounts = [NumLevels]uint64{}
 }

@@ -69,23 +69,14 @@ func (d *NUMADomain) HomeNode(addr uint64) int {
 
 // Access services a transfer from a core on fromNode. remote reports
 // whether the access crossed the interconnect.
-func (d *NUMADomain) Access(now sim.Cycles, fromNode int, addr uint64, size uint32, write bool) (DRAMResult, bool) {
+func (d *NUMADomain) Access(now sim.Cycles, fromNode int, addr uint64, size uint32) (DRAMResult, bool) {
 	home := d.HomeNode(addr)
-	res := d.nodes[home].Access(now, size, write)
+	res := d.nodes[home].Access(now, size)
 	if home != fromNode && len(d.nodes) > 1 {
 		res.Latency += d.cfg.InterconnectLatency
 		return res, true
 	}
 	return res, false
-}
-
-// TotalBytes sums traffic across nodes.
-func (d *NUMADomain) TotalBytes() uint64 {
-	var t uint64
-	for _, n := range d.nodes {
-		t += n.TotalBytes()
-	}
-	return t
 }
 
 // Reset clears all node devices.

@@ -14,9 +14,6 @@ type TLB struct {
 	entries  []uint64 // page+1; 0 = invalid
 	stamp    []uint64 // per entry: clock at its last touch
 	clock    uint64
-
-	hits   uint64
-	misses uint64
 }
 
 // NewTLB constructs a TLB with the given number of entries and page
@@ -46,11 +43,9 @@ func (t *TLB) Access(addr uint64) bool {
 	for i, e := range t.entries {
 		if e == page {
 			t.touch(i)
-			t.hits++
 			return true
 		}
 	}
-	t.misses++
 	victim := lruVictim(t.entries, t.stamp)
 	t.entries[victim] = page
 	t.touch(victim)
@@ -63,12 +58,8 @@ func (t *TLB) touch(i int) {
 	t.stamp[i] = t.clock
 }
 
-// Stats returns cumulative hit/miss counts.
-func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
-
-// Reset invalidates all entries and clears statistics.
+// Reset invalidates all entries.
 func (t *TLB) Reset() {
 	clear(t.entries)
 	t.clock = 0
-	t.hits, t.misses = 0, 0
 }

@@ -165,7 +165,6 @@ type Stats struct {
 	Sampled    uint64 // counter overflows
 	Written    uint64 // records written to the DS buffer
 	Dropped    uint64 // records lost: DS full awaiting PMI service, or overwritten while armed
-	PMIs       uint64 // interrupts raised
 	SkidTotal  uint64 // accumulated skid distance (ops)
 }
 
@@ -187,9 +186,8 @@ type Unit struct {
 
 	counter uint64
 	ds      []byte
-	dsUsed  int
 	// pmiPending marks a fired-but-unaccepted PMI: the DS is retained
-	// and service retried on later captures without recounting PMIs.
+	// and service retried on later captures.
 	pmiPending bool
 
 	// pending skid: a sample armed, waiting for a later op's IP.
@@ -321,9 +319,6 @@ func (u *Unit) capture(now sim.Cycles, ip uint64) sim.Cycles {
 // firePMI delivers the DS contents to the handler, resetting the
 // buffer only when the handler accepted the interrupt.
 func (u *Unit) firePMI(now sim.Cycles) sim.Cycles {
-	if !u.pmiPending {
-		u.stats.PMIs++
-	}
 	if u.handler == nil {
 		u.ds = u.ds[:0]
 		u.pmiPending = false

@@ -14,10 +14,11 @@
 // The interface is kept deliberately close to the real one — type
 // 0x2c for the SPE PMU, the arm_spe_pmu config bit layout where
 // 0x600000001 selects load+store sampling with timestamps enabled,
-// 64 KB pages, a metadata page exposing data_head/data_tail/
-// aux_head/aux_tail and the time_zero/time_shift/time_mult timescale —
-// so that the NMO layer above is a faithful port of the paper's tool
-// rather than a convenience wrapper.
+// 64 KB pages, an aux area addressed by absolute aux_head/aux_tail
+// offsets — so that the NMO layer above is a faithful port of the
+// paper's tool rather than a convenience wrapper. The data ring is
+// kept as an occupancy count of the PERF_RECORD_AUX bytes it would
+// hold: its one observable effect is PERF_RECORD_LOST when it fills.
 package perfev
 
 import (
@@ -103,8 +104,6 @@ type Attr struct {
 	// Config carries the SPE filter bits (sampling) or the raw event
 	// code (counting).
 	Config uint64
-	// Config1 is the SPE event filter mask (PMSEVFR); zero keeps all.
-	Config1 uint64
 	// Config2 is the SPE minimum latency filter (PMSLATFR); zero
 	// keeps all.
 	Config2 uint64

@@ -22,7 +22,6 @@ type EventStats struct {
 	AuxRecords         uint64     // PERF_RECORD_AUX records inserted
 	LostRecords        uint64     // data-ring overflows
 	TruncatedRecords   uint64     // sample records dropped: aux full / too small / PMI missed
-	TruncatedBytes     uint64     // bytes of dropped sample records
 	FlaggedCollisions  uint64     // aux records carrying AuxFlagCollision
 	FlaggedTruncations uint64     // aux records carrying AuxFlagTruncated
 	DrainedBytes       uint64     // aux bytes consumed by the monitor
@@ -36,13 +35,13 @@ type pendingDrain struct {
 	dataBytes int
 }
 
-// Event is an open perf event: either a sampling event (with data +
-// aux buffers and a backend sampling unit — SPE or PEBS) or a plain
-// counter backed by one of the machine's free-running counters.
+// Event is an open perf event: either a sampling event (with an aux
+// buffer, a data-ring occupancy count and a backend sampling unit —
+// SPE or PEBS) or a plain counter backed by one of the machine's
+// free-running counters.
 type Event struct {
 	kernel *Kernel
 	attr   Attr
-	core   int
 
 	enabled bool
 
@@ -56,7 +55,8 @@ type Event struct {
 
 	// Sampling state.
 	unit            sampler.Unit
-	dataRing        *ringbuf.Buf
+	dataSize        int // data-ring bytes mapped; 0 until MmapRing
+	dataUsed        int // data-ring bytes of unconsumed PERF_RECORD_AUX
 	auxRing         *ringbuf.Buf
 	watermark       uint64
 	lastServiceHead uint64
@@ -69,13 +69,12 @@ type Event struct {
 	finalizing      bool       // end-of-run flush: suppress IRQ charges
 	wakeup          WakeupFunc
 	irqPenalty      sim.Cycles
-	auxRecBuf       [auxRecordSize]byte
 
 	stats EventStats
 }
 
 func newEvent(k *Kernel, attr Attr, core int) (*Event, error) {
-	ev := &Event{kernel: k, attr: attr, core: core}
+	ev := &Event{kernel: k, attr: attr}
 	if kind := attr.BackendKind(); kind != "" {
 		backend, err := sampler.For(kind)
 		if err != nil {
@@ -104,18 +103,22 @@ func (e *Event) UnitStats() sampler.Stats {
 }
 
 // MmapRing maps the data ring of npages data pages (a 2^n count) plus
-// the implicit metadata page, mirroring NMO's mmap of N+1 pages.
+// the implicit metadata page, mirroring NMO's mmap of N+1 pages. The
+// ring is kept as an occupancy count: the monitor learns of each aux
+// span from the wakeup callback, so the record bytes are never read,
+// and the ring's only effect is the PERF_RECORD_LOST count when it
+// fills (EventStats.LostRecords).
 func (e *Event) MmapRing(npages int) error {
 	if !e.attr.IsSampling() {
 		return ErrNotSampling
 	}
-	if e.dataRing != nil {
+	if e.dataSize != 0 {
 		return ErrAlreadyMaped
 	}
 	if npages <= 0 || npages&(npages-1) != 0 {
 		return ErrBadPages
 	}
-	e.dataRing = ringbuf.New(npages * e.kernel.pageSize)
+	e.dataSize = npages * e.kernel.pageSize
 	return nil
 }
 
@@ -198,7 +201,6 @@ func (e *Event) WriteRecord(now sim.Cycles, rec []byte) bool {
 		// this failure mode is also the cheapest — matching the
 		// near-zero overhead at 2 pages in Fig. 9.
 		e.stats.TruncatedRecords++
-		e.stats.TruncatedBytes += uint64(len(rec))
 		return false
 	}
 	e.applyDrains(now)
@@ -207,7 +209,6 @@ func (e *Event) WriteRecord(now sim.Cycles, rec []byte) bool {
 		// the unit is stopped and this record is lost.
 		e.truncSinceSvc = true
 		e.stats.TruncatedRecords++
-		e.stats.TruncatedBytes += uint64(len(rec))
 		return false
 	}
 	if e.stopped && e.auxRing.Free() >= len(rec) {
@@ -217,13 +218,11 @@ func (e *Event) WriteRecord(now sim.Cycles, rec []byte) bool {
 	}
 	if e.stopped {
 		e.stats.TruncatedRecords++
-		e.stats.TruncatedBytes += uint64(len(rec))
 		return false
 	}
 	if !e.auxRing.Write(rec) {
 		e.truncSinceSvc = true
 		e.stats.TruncatedRecords++
-		e.stats.TruncatedBytes += uint64(len(rec))
 		// Buffer full: the hardware raises one maintenance interrupt
 		// (PMBSR.S), the kernel publishes the truncated span, and
 		// collection stops until the monitor frees space.
@@ -260,7 +259,6 @@ func (e *Event) ServicePMI(now sim.Cycles, records []byte, recSize int) bool {
 		// The span is consumed and lost (the driver has nowhere to
 		// put it, ever), mirroring the SPE below-minimum accounting.
 		e.stats.TruncatedRecords += uint64(len(records) / recSize)
-		e.stats.TruncatedBytes += uint64(len(records))
 		return true
 	}
 	e.applyDrains(now)
@@ -282,7 +280,6 @@ func (e *Event) ServicePMI(now sim.Cycles, records []byte, recSize int) bool {
 	if dropped := len(records) - fit; dropped > 0 {
 		e.truncSinceSvc = true
 		e.stats.TruncatedRecords += uint64(dropped / recSize)
-		e.stats.TruncatedBytes += uint64(dropped)
 	}
 	e.serviceAux(now, e.finalizing)
 	return true
@@ -295,27 +292,23 @@ func (e *Event) ServicePMI(now sim.Cycles, records []byte, recSize int) bool {
 // the program exits, outside the measured window — §VII of the paper).
 func (e *Event) serviceAux(now sim.Cycles, final bool) {
 	head := e.auxRing.Head()
-	bytes := head - e.lastServiceHead
-	if bytes == 0 && !e.truncSinceSvc {
+	rec := RecordAux{AuxOffset: e.lastServiceHead, AuxSize: head - e.lastServiceHead}
+	if rec.AuxSize == 0 && !e.truncSinceSvc {
 		return
 	}
-	rec := RecordAux{AuxOffset: e.lastServiceHead, AuxSize: bytes}
 	if e.truncSinceSvc {
 		rec.Flags |= AuxFlagTruncated
-		e.stats.FlaggedTruncations++
 	}
 	if coll := e.unit.Stats().Collisions; coll > e.collAtService {
 		rec.Flags |= AuxFlagCollision
-		e.stats.FlaggedCollisions++
 		e.collAtService = coll
 	}
-	span := e.auxRing.ReadAt(e.lastServiceHead, int(bytes))
 
 	dataBytes := 0
-	if e.dataRing != nil {
-		n := encodeAuxRecord(e.auxRecBuf[:], rec)
-		if e.dataRing.Write(e.auxRecBuf[:n]) {
-			dataBytes = n
+	if e.dataSize > 0 {
+		if e.dataSize-e.dataUsed >= auxRecordSize {
+			dataBytes = auxRecordSize
+			e.dataUsed += dataBytes
 		} else {
 			e.stats.LostRecords++
 		}
@@ -329,19 +322,27 @@ func (e *Event) serviceAux(now sim.Cycles, final bool) {
 		e.stats.Wakeups++
 		e.deadUntil = now + sim.Cycles(e.kernel.costs.IRQDeadTime)
 	}
-	e.stats.AuxRecords++
-	e.stats.DrainedBytes += bytes
-
-	drainDone := e.kernel.scheduleDrain(now, int(bytes))
-	e.pending = append(e.pending, pendingDrain{
-		done: drainDone, auxBytes: int(bytes), dataBytes: dataBytes,
-	})
 	e.lastServiceHead = head
 	e.truncSinceSvc = false
 	e.recsSinceSvc = 0
 
+	// The monitor's side: it counts the record by its flags (the paper
+	// counts collisions as the aux records carrying AuxFlagCollision,
+	// §VII) and consumes the aux span the record locates.
+	e.stats.AuxRecords++
+	if rec.Flags&AuxFlagTruncated != 0 {
+		e.stats.FlaggedTruncations++
+	}
+	if rec.Flags&AuxFlagCollision != 0 {
+		e.stats.FlaggedCollisions++
+	}
+	e.stats.DrainedBytes += rec.AuxSize
+	drainDone := e.kernel.scheduleDrain(now, int(rec.AuxSize))
+	e.pending = append(e.pending, pendingDrain{
+		done: drainDone, auxBytes: int(rec.AuxSize), dataBytes: dataBytes,
+	})
 	if e.wakeup != nil {
-		e.wakeup(now, drainDone, e, rec, span)
+		e.wakeup(now, drainDone, e, rec, e.auxRing.ReadAt(rec.AuxOffset, int(rec.AuxSize)))
 	}
 }
 
@@ -352,9 +353,7 @@ func (e *Event) applyDrains(now sim.Cycles) {
 	i := 0
 	for ; i < len(e.pending) && e.pending[i].done <= now; i++ {
 		e.auxRing.Advance(e.pending[i].auxBytes)
-		if e.dataRing != nil && e.pending[i].dataBytes > 0 {
-			e.dataRing.Advance(e.pending[i].dataBytes)
-		}
+		e.dataUsed -= e.pending[i].dataBytes
 	}
 	if i > 0 {
 		e.pending = e.pending[i:]
@@ -382,9 +381,7 @@ func (e *Event) FinalDrain(now sim.Cycles) uint64 {
 	// monitor has exclusive use of the buffers.
 	for _, p := range e.pending {
 		e.auxRing.Advance(p.auxBytes)
-		if e.dataRing != nil && p.dataBytes > 0 {
-			e.dataRing.Advance(p.dataBytes)
-		}
+		e.dataUsed -= p.dataBytes
 	}
 	e.pending = nil
 	return e.stats.DrainedBytes - before

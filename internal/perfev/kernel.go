@@ -78,8 +78,7 @@ func (c Costs) withDefaults() Costs {
 }
 
 // Kernel is the simulated perf_event subsystem for one machine. It
-// opens events and publishes the timescale that userspace reads from
-// the metadata page.
+// opens events and schedules the monitor's drains.
 //
 // The monitor (NMO) is modeled as a single consumer thread: drains of
 // different events serialize through a shared completion horizon, so
@@ -87,12 +86,11 @@ func (c Costs) withDefaults() Costs {
 // the way the paper's Fig. 11 describes (throttling at high thread
 // counts).
 type Kernel struct {
-	cores     int
-	hw        Counters
-	costs     Costs
-	timescale sim.Timescale
-	rng       *xrand.RNG
-	pageSize  int
+	cores    int
+	hw       Counters
+	costs    Costs
+	rng      *xrand.RNG
+	pageSize int
 
 	// monitorFree is the time at which the shared monitor thread
 	// finishes its last scheduled drain.
@@ -104,18 +102,16 @@ type Kernel struct {
 }
 
 // NewKernel creates a perf subsystem for a machine with the given
-// core count. ts is the timescale published to userspace; rng seeds
-// per-event SPE dither streams.
-func NewKernel(cores int, costs Costs, ts sim.Timescale, rng *xrand.RNG) *Kernel {
+// core count. rng seeds per-event SPE dither streams.
+func NewKernel(cores int, costs Costs, rng *xrand.RNG) *Kernel {
 	if rng == nil {
 		rng = xrand.New(1)
 	}
 	return &Kernel{
-		cores:     cores,
-		costs:     costs.withDefaults(),
-		timescale: ts,
-		rng:       rng,
-		pageSize:  PageSize,
+		cores:    cores,
+		costs:    costs.withDefaults(),
+		rng:      rng,
+		pageSize: PageSize,
 	}
 }
 

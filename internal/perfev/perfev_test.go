@@ -5,7 +5,6 @@ import (
 
 	"nmo/internal/isa"
 	"nmo/internal/machine"
-	"nmo/internal/ringbuf"
 	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/xrand"
@@ -22,8 +21,7 @@ func speDecode(span []byte, fn func(*sampler.Sample)) sampler.DecodeStats {
 }
 
 func testKernel(cores int) *Kernel {
-	ts := sim.TimescaleFor(sim.Freq{Hz: 3_000_000_000}, 1, 0)
-	return NewKernel(cores, Costs{}, ts, xrand.New(99))
+	return NewKernel(cores, Costs{}, xrand.New(99))
 }
 
 func speAttr(period uint64) *Attr {
@@ -286,8 +284,7 @@ func TestBelowMinAuxPagesLosesEverything(t *testing.T) {
 func TestTruncationWhenMonitorLags(t *testing.T) {
 	// Huge drain costs: the monitor can never keep up, so the aux
 	// ring fills and records get truncated with the flag set.
-	ts := sim.TimescaleFor(sim.Freq{Hz: 3_000_000_000}, 1, 0)
-	k := NewKernel(1, Costs{DrainBase: 1 << 40, DrainPerByte: 1}, ts, xrand.New(5))
+	k := NewKernel(1, Costs{DrainBase: 1 << 40, DrainPerByte: 1}, xrand.New(5))
 	ev := openSampled(t, k, 16, 8, 4)
 	feedLoads(ev, 2_000_000, 2, 4)
 	st := ev.Stats()
@@ -344,58 +341,36 @@ func TestFinalDrainFlushesResidual(t *testing.T) {
 func TestMetadataPage(t *testing.T) {
 	k := testKernel(1)
 	ev := openSampled(t, k, 100, 8, 16)
-	if k.timescale.TimeMult == 0 {
-		t.Error("metadata page has zero time_mult")
-	}
 	feedLoads(ev, 200_000, 4, 4)
 	if ev.auxRing.Head() == 0 {
 		t.Error("aux_head did not advance")
 	}
-	for _, r := range []*ringbuf.Buf{ev.auxRing, ev.dataRing} {
-		if r.Used() < 0 || r.Used() > r.Size() {
-			t.Errorf("tail ran past head: %d bytes live", r.Used())
-		}
+	if n := ev.auxRing.Used(); n < 0 || n > ev.auxRing.Size() {
+		t.Errorf("aux tail ran past head: %d bytes live", n)
+	}
+	if ev.dataUsed < 0 || ev.dataUsed > ev.dataSize || ev.dataUsed%auxRecordSize != 0 {
+		t.Errorf("data ring holds %d of %d bytes", ev.dataUsed, ev.dataSize)
 	}
 	ev.FinalDrain(1 << 40)
 	if n := ev.auxRing.Used(); n != 0 {
 		t.Errorf("aux not fully consumed after final drain: %d bytes left", n)
 	}
-}
-
-func TestAuxRecordRoundTrip(t *testing.T) {
-	in := RecordAux{AuxOffset: 12345, AuxSize: 678, Flags: AuxFlagCollision | AuxFlagTruncated}
-	var buf [auxRecordSize]byte
-	n := encodeAuxRecord(buf[:], in)
-	if n != auxRecordSize {
-		t.Fatalf("encode size %d", n)
-	}
-	out, n2, ok := decodeAuxRecord(buf[:])
-	if !ok || n2 != n || out != in {
-		t.Errorf("round trip: ok=%v out=%+v", ok, out)
-	}
-}
-
-func TestDecodeAuxRecordSkipsUnknown(t *testing.T) {
-	var buf [lostRecordSize]byte
-	n := encodeLostRecord(buf[:], 7)
-	_, skip, ok := decodeAuxRecord(buf[:n])
-	if ok {
-		t.Error("lost record decoded as aux")
-	}
-	if skip != lostRecordSize {
-		t.Errorf("skip = %d, want %d", skip, lostRecordSize)
-	}
-	if _, _, ok := decodeAuxRecord([]byte{1, 2}); ok {
-		t.Error("short buffer decoded")
+	if ev.dataUsed != 0 {
+		t.Errorf("data ring not fully consumed after final drain: %d bytes left", ev.dataUsed)
 	}
 }
 
 func TestDataRingOverflowCountsLost(t *testing.T) {
-	// Tiny data ring (1 page) + stuck monitor: RecordAux entries
-	// eventually overflow the data ring.
-	ts := sim.TimescaleFor(sim.Freq{Hz: 3_000_000_000}, 1, 0)
-	k := NewKernel(1, Costs{DrainBase: 1 << 40, DrainPerByte: 1}, ts, xrand.New(5))
-	ev, err := k.Open(speAttr(16), 0)
+	// A one-page data ring, a stuck monitor and a small watermark:
+	// every aux service inserts a PERF_RECORD_AUX, nothing is ever
+	// consumed, so once the ring holds pageSize/auxRecordSize records
+	// each further one is lost.
+	const pageSize = 4096
+	k := NewKernel(1, Costs{DrainBase: 1 << 40, DrainPerByte: 1}, xrand.New(5))
+	k.SetPageSize(pageSize)
+	attr := speAttr(16)
+	attr.AuxWatermark = 256
+	ev, err := k.Open(attr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +380,13 @@ func TestDataRingOverflowCountsLost(t *testing.T) {
 	if err := ev.MmapAux(1024); err != nil { // big aux: many services
 		t.Fatal(err)
 	}
-	feedLoads(ev, 8_000_000, 2, 4)
-	if ev.Stats().LostRecords == 0 {
-		t.Skip("data ring did not overflow at this scale") // defensive
+	feedLoads(ev, 2_000_000, 2, 4)
+	st := ev.Stats()
+	if st.LostRecords == 0 {
+		t.Fatalf("data ring never overflowed: %d aux records", st.AuxRecords)
+	}
+	if kept := st.AuxRecords - st.LostRecords; kept != pageSize/auxRecordSize {
+		t.Errorf("%d aux records fit in the ring, want %d", kept, pageSize/auxRecordSize)
 	}
 }
 
@@ -426,7 +405,7 @@ func TestSharedMonitorSerializesDrains(t *testing.T) {
 }
 
 func TestDefaultCostsApplied(t *testing.T) {
-	k := NewKernel(1, Costs{}, sim.Timescale{TimeMult: 1}, nil)
+	k := NewKernel(1, Costs{}, nil)
 	c := k.costs
 	if c.IRQBase == 0 || c.MinAuxPages == 0 || c.DrainPerByte == 0 {
 		t.Errorf("defaults not applied: %+v", c)
@@ -514,8 +493,7 @@ func TestPEBSDeadWindowOverflowsDS(t *testing.T) {
 	// rejected while the previous one is "still being serviced", so
 	// the unit keeps filling its DS buffer until it overflows — the
 	// records are lost at the unit (Stats.Dropped), not the kernel.
-	ts := sim.TimescaleFor(sim.Freq{Hz: 3_000_000_000}, 1, 0)
-	k := NewKernel(1, Costs{IRQDeadTime: 1 << 40}, ts, xrand.New(5))
+	k := NewKernel(1, Costs{IRQDeadTime: 1 << 40}, xrand.New(5))
 	ev, err := k.Open(pebsAttr(16, 1024), 0)
 	if err != nil {
 		t.Fatal(err)

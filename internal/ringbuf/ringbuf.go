@@ -1,13 +1,15 @@
-// Package ringbuf implements the byte ring buffer protocol used by the
-// simulated perf_event subsystem.
+// Package ringbuf implements the byte ring buffer protocol of the
+// simulated perf_event subsystem's aux area, where the sampling
+// hardware writes its records.
 //
 // perf mmap areas follow a single-producer / single-consumer protocol:
 // the kernel advances a monotonically increasing head as it writes,
 // userspace advances tail as it consumes, and the live span is
-// head-tail bytes within a power-of-two area. The same protocol is
-// used twice in this repository: for the data ring (where
-// PERF_RECORD_AUX metadata records land) and for the aux area (where
-// SPE hardware writes sample records).
+// head-tail bytes within a power-of-two area. Only the aux area's
+// bytes are ever read back (the monitor decodes each published span),
+// so it is the one ring kept as bytes; the data ring, whose
+// PERF_RECORD_AUX records nothing reads, is an occupancy count in
+// perfev.
 //
 // Head and tail are absolute byte offsets (never wrapped); Buf masks
 // them into the backing array, exactly like the kernel's handling of

@@ -457,7 +457,6 @@ bump:
 // leader jobs (sorted priority desc, seq asc — the pre-multi-tenant
 // global order) plus its deficit-round-robin service state.
 type tenantQueue struct {
-	tenant string
 	weight int // DRR quantum, from the quota file (>= 1)
 	credit int // jobs this tenant may still pop this round
 	jobs   []*Job
@@ -482,7 +481,7 @@ func (tq *tenantQueue) insert(j *Job) {
 func (s *Scheduler) enqueueLocked(j *Job) {
 	tq := s.tqs[j.Tenant]
 	if tq == nil {
-		tq = &tenantQueue{tenant: j.Tenant, weight: s.cfg.Quotas.For(j.Tenant).NormWeight()}
+		tq = &tenantQueue{weight: s.cfg.Quotas.For(j.Tenant).NormWeight()}
 		s.tqs[j.Tenant] = tq
 	}
 	if len(tq.jobs) == 0 {

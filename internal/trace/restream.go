@@ -111,7 +111,6 @@ type RestreamPlan struct {
 	Segments []PlanSegment
 	Size     int64    // total output bytes
 	Samples  uint64   // samples in the output stream
-	Spliced  int      // whole blocks lifted verbatim
 	MD5      [16]byte // the output stream's rolling MD5
 }
 
@@ -129,7 +128,7 @@ func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, er
 		return nil, err
 	}
 	wr.plan = col
-	total, spliced, err := restreamInto(rd, wr, lo, hi, core)
+	total, _, err := restreamInto(rd, wr, lo, hi, core)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +137,6 @@ func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, er
 		Segments: col.segs,
 		Size:     col.size,
 		Samples:  total,
-		Spliced:  spliced,
 		MD5:      wr.Sum16(),
 	}, nil
 }

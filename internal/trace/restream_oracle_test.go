@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -183,6 +184,40 @@ func TestRestreamMatchesDecode(t *testing.T) {
 			checkRestreamMatchesDecode(t, src, lo, hi, core)
 		}
 	}
+}
+
+// TestRestreamAllocBoundedByOutput restreams a tiny blob whose tail
+// declares 2^20-record blocks: the filtered RestreamExact and the
+// RestreamPlanExact over it must each allocate in proportion to the
+// records they write, not to the declared block (36 MiB).
+func TestRestreamAllocBoundedByOutput(t *testing.T) {
+	const declared = 1 << 20
+	// Four records, all on core 0, so the core filter copies each one.
+	src := writeRawRecords(oracleRecords(rand.New(rand.NewSource(7)), 4), declared, false)
+	check := func(name string, restream func(rd *ReaderV2) error) {
+		rd, err := OpenV2(bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := restream(rd); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s allocated %d bytes for a %d-byte blob declaring %d-record blocks",
+				name, n, len(src), declared)
+		}
+	}
+	check("RestreamExact", func(rd *ReaderV2) error {
+		_, _, err := RestreamExact(rd, io.Discard, 0, 0, 0)
+		return err
+	})
+	check("RestreamPlanExact", func(rd *ReaderV2) error {
+		_, err := RestreamPlanExact(rd, 0, 0, 0)
+		return err
+	})
 }
 
 // FuzzRestreamMatchesDecode feeds arbitrary record bytes — any Store

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 )
 
 // ErrBadTrace reports a malformed binary trace.
@@ -269,16 +270,22 @@ func (wr *WriterV2) appendRecords(recs []byte) error {
 // reserve extends the current block by up to n records, opening a new
 // block (first timestamp t0) if none is open, and returns the reserved
 // bytes for the caller to fill before commit.
+//
+// The block buffer starts at DefaultBlockSamples records at most and
+// grows with what is written: a restream takes its block size from the
+// source blob's tail, and a tiny blob that declares huge blocks must
+// not make a filtered read allocate the whole declared block. A
+// default-sized block fits the first allocation, so it never grows.
 func (wr *WriterV2) reserve(n int, t0 uint64) []byte {
 	if wr.n == 0 {
 		wr.cur = BlockInfo{Offset: wr.off, TimeMin: t0, TimeMax: t0}
 	}
 	if wr.buf == nil {
-		wr.buf = make([]byte, 0, wr.blockSamples*sampleWireSize)
+		wr.buf = make([]byte, 0, min(wr.blockSamples, DefaultBlockSamples)*sampleWireSize)
 	}
 	take := min(wr.blockSamples-wr.n, n)
 	start := len(wr.buf)
-	wr.buf = wr.buf[:start+take*sampleWireSize]
+	wr.buf = slices.Grow(wr.buf, take*sampleWireSize)[:start+take*sampleWireSize]
 	return wr.buf[start:]
 }
 

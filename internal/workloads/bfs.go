@@ -27,7 +27,6 @@ type BFSConfig struct {
 
 // bfsRun is one precomputed traversal.
 type bfsRun struct {
-	source uint32
 	levels [][]uint32   // visit order per BFS level
 	owned  [][][]uint32 // per level, per thread: positions in levels[l] of the nodes it expands
 	parent []int32      // discovering edge index per node, -1 for root/unreached
@@ -88,7 +87,7 @@ func NewBFS(cfg BFSConfig) *BFS {
 // thread (node id mod Threads).
 func (b *BFS) computeLevels(source uint32) bfsRun {
 	n := b.cfg.Nodes
-	run := bfsRun{source: source, parent: make([]int32, n)}
+	run := bfsRun{parent: make([]int32, n)}
 	visited := make([]bool, n)
 	for i := range run.parent {
 		run.parent[i] = -1
