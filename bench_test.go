@@ -5,8 +5,8 @@
 // paths.
 //
 // Figure benches run the QuickScale configuration so `go test
-// -bench=.` completes in minutes; cmd/nmorepro runs the full
-// DefaultScale used for EXPERIMENTS.md. Shape metrics (accuracy,
+// -bench=.` completes in minutes; `nmorepro -exp all` runs the full
+// DefaultScale. Shape metrics (accuracy,
 // overhead, collision counts) are attached via b.ReportMetric, so the
 // bench output doubles as a compact reproduction record.
 package nmo_test

@@ -432,7 +432,7 @@ func reportCollected(prof *nmo.Profile, cfg nmo.Config, base string) error {
 	for i, n := range analysis.LevelBreakdown(prof.Trace) {
 		levels[i] = uint64(n)
 	}
-	if err := report.LevelTable(os.Stdout, levels); err != nil {
+	if err := report.NewLevelTable(levels).Render(os.Stdout); err != nil {
 		return err
 	}
 	p50, p90, p99 := analysis.LatencyPercentiles(prof.Trace)
@@ -504,7 +504,7 @@ func reportStreamed(path string) error {
 	if err := t.Render(os.Stdout); err != nil {
 		return err
 	}
-	if err := report.LevelTable(os.Stdout, sum.Levels.By); err != nil {
+	if err := report.NewLevelTable(sum.Levels.By).Render(os.Stdout); err != nil {
 		return err
 	}
 	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n",

@@ -8,13 +8,12 @@
 //	nmorepro -exp xisa           # SPE-vs-PEBS cross-ISA contrast
 //	nmorepro -list               # show the experiment index
 //
-// Sweeps execute as scenario batches on the internal/engine worker
-// pool; -jobs bounds the pool (default: one worker per CPU). Output
-// tables are bit-identical at any -jobs value.
-//
-// Output is textual: aligned tables for the numeric artifacts and
-// ASCII heatmaps/series plots for the scatter/timeline figures. Pass
-// -csv DIR to additionally dump machine-readable series.
+// The artifacts are the index internal/experiments.Artifacts (DESIGN.md
+// §5): this command checks every -exp id, then computes each selected
+// run once (Figs. 10 and 11 render one thread sweep) and prints the
+// renderings in selection order. Sweeps shard over -jobs workers of the
+// internal/engine pool (default: one per CPU); output is bit-identical
+// at any -jobs value. -csv DIR also dumps the timeline series.
 package main
 
 import (
@@ -22,36 +21,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"nmo"
 	"nmo/internal/experiments"
-	"nmo/internal/report"
-	"nmo/internal/trace"
 )
 
-var experimentIndex = []struct {
-	id   string
-	desc string
-}{
-	{"tab1", "Table I: supported environment variables and defaults"},
-	{"tab2", "Table II: hardware specification of the (simulated) platform"},
-	{"fig2", "Fig. 2: memory capacity over time (Page Rank, In-memory Analytics)"},
-	{"fig3", "Fig. 3: memory bandwidth over time (Page Rank, In-memory Analytics)"},
-	{"fig4", "Fig. 4: STREAM tagged execution phases with sampled accesses (8 threads)"},
-	{"fig5", "Fig. 5: CFD sampled accesses at 1 thread"},
-	{"fig6", "Fig. 6: CFD sampled accesses at 32 threads + high-res trace"},
-	{"fig7", "Fig. 7: collected SPE samples vs sampling period (5 trials)"},
-	{"fig8", "Fig. 8: accuracy / time overhead / collisions vs sampling period"},
-	{"fig9", "Fig. 9: impact of aux buffer size (STREAM, 32 threads)"},
-	{"fig10", "Fig. 10: time overhead and accuracy vs thread count"},
-	{"fig11", "Fig. 11: sample collisions/throttling vs thread count"},
-	{"ext-bias", "Extension (§IX future work): code-position sampling bias, dither on/off"},
-	{"xisa", "Extension (§III, ref. [8]): SPE-vs-PEBS cross-ISA period sweep"},
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (tab1,tab2,fig2..fig11,xisa,all)")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+experiments.ArtifactIDs()+") or all")
 	quick := flag.Bool("quick", false, "use the reduced QuickScale configuration")
 	csvDir := flag.String("csv", "", "directory for CSV series dumps (optional)")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -61,10 +37,15 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range experimentIndex {
-			fmt.Printf("%-6s %s\n", e.id, e.desc)
+		for _, a := range experiments.Artifacts {
+			fmt.Printf("%-6s %s\n", a.ID, a.Title)
 		}
 		return
+	}
+	sel, err := experiments.SelectArtifacts(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nmorepro: -exp: %v\n", err)
+		os.Exit(2)
 	}
 
 	sc := experiments.DefaultScale()
@@ -85,329 +66,48 @@ func main() {
 		}
 		sc.Backend = kind
 	}
-	r := &runner{sc: sc, csvDir: *csvDir}
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = nil
-		for _, e := range experimentIndex {
-			ids = append(ids, e.id)
-		}
-	}
-	for _, id := range ids {
-		if err := r.run(strings.TrimSpace(id)); err != nil {
-			fmt.Fprintf(os.Stderr, "nmorepro: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-	}
-}
-
-type runner struct {
-	sc     experiments.Scale
-	csvDir string
-}
-
-func (r *runner) run(id string) error {
-	switch id {
-	case "tab1":
-		return r.table1()
-	case "tab2":
-		return r.table2()
-	case "fig2", "fig3":
-		return r.temporal(id)
-	case "fig4":
-		return r.regionTrace("stream", 8, "Fig. 4: STREAM triad, 8 threads")
-	case "fig5":
-		return r.regionTrace("cfd", 1, "Fig. 5: CFD computation loop, 1 thread")
-	case "fig6":
-		return r.regionTrace("cfd", 32, "Fig. 6: CFD computation loop, 32 threads (high-res)")
-	case "fig7":
-		return r.fig7()
-	case "fig8":
-		return r.fig8()
-	case "fig9":
-		return r.fig9()
-	case "fig10", "fig11":
-		return r.fig1011(id)
-	case "ext-bias":
-		return r.extBias()
-	case "xisa":
-		return r.crossISA()
-	}
-	return fmt.Errorf("unknown experiment %q", id)
-}
-
-func (r *runner) table1() error {
-	t := &report.Table{
-		Title:   "Table I: Environment variables (live defaults)",
-		Headers: []string{"Option", "Description", "Default"},
-	}
-	for _, row := range experiments.Table1EnvVars() {
-		t.AddRow(row.Option, row.Description, row.Default)
-	}
-	return t.Render(os.Stdout)
-}
-
-func (r *runner) table2() error {
-	t := &report.Table{
-		Title:   "Table II: Simulated hardware platform",
-		Headers: []string{"Item", "Value"},
-	}
-	for _, row := range experiments.Table2MachineSpec() {
-		t.AddRow(row.Item, row.Value)
-	}
-	return t.Render(os.Stdout)
-}
-
-func (r *runner) temporal(id string) error {
-	for _, name := range []string{"inmem", "pagerank"} {
-		res, err := experiments.CloudTemporal(r.sc, name)
-		if err != nil {
-			return err
-		}
-		var series trace.Series
-		var title string
-		if id == "fig2" {
-			series = res.Capacity
-			title = fmt.Sprintf("Fig. 2 (%s): memory capacity over time — peak %.1f GiB (%.1f%% of machine)",
-				res.Workload, res.PeakRSSGiB, res.UtilizationPct)
-		} else {
-			series = res.Bandwidth
-			title = fmt.Sprintf("Fig. 3 (%s): memory bandwidth over time — peak %.1f GiB/s",
-				res.Workload, res.PeakBWGiBps)
-		}
-		times := make([]float64, len(series.Points))
-		values := make([]float64, len(series.Points))
-		for i, p := range series.Points {
-			times[i] = p.TimeSec
-			values[i] = p.Value
-		}
-		if err := report.RenderSeries(os.Stdout, title, series.Unit, times, values, 72, 12); err != nil {
-			return err
-		}
-		if err := r.dumpCSV(fmt.Sprintf("%s_%s.csv", id, res.Workload), &series); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func (r *runner) regionTrace(workload string, threads int, title string) error {
-	res, err := experiments.RegionTrace(r.sc, workload, threads, 72, 24)
-	if err != nil {
-		return err
-	}
-	if err := report.RenderHeatmap(os.Stdout, res.Heatmap, title); err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title:   "Samples by tagged region / kernel",
-		Headers: []string{"tag", "samples"},
-	}
-	for _, name := range report.SortedKeys(res.ByRegion) {
-		t.AddRow("region:"+name, res.ByRegion[name])
-	}
-	for _, name := range report.SortedKeys(res.ByKernel) {
-		t.AddRow("kernel:"+name, res.ByKernel[name])
-	}
-	t.AddRow("locality(4KB)", fmt.Sprintf("%.3f", res.Locality))
-	if res.Truncated > 0 {
-		t.AddRow("truncated(MaxSamples)", res.Truncated)
-	}
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	if res.Truncated > 0 {
-		fmt.Printf("WARNING: %d samples dropped at the MaxSamples cap; the figure is clipped\n",
-			res.Truncated)
-	}
-	fmt.Println()
-	return nil
-}
-
-func (r *runner) fig7() error {
-	for _, wl := range []string{"stream", "cfd", "bfs"} {
-		res, err := experiments.PeriodSweep(r.sc, wl, experiments.Fig7Periods)
-		if err != nil {
-			return err
-		}
-		t := &report.Table{
-			Title:   fmt.Sprintf("Fig. 7 (%s): collected samples per sampling period, %d trials", wl, r.sc.Trials),
-			Headers: []string{"period", "trials(samples)", "mean", "linear-fit(samples*period/memops)"},
-		}
-		for _, pt := range res.Points {
-			var sum float64
-			cells := make([]string, len(pt.Samples))
-			for i, s := range pt.Samples {
-				cells[i] = fmt.Sprintf("%d", s)
-				sum += float64(s)
+	// Results are small next to the runs that make them, so each is
+	// kept for every later artifact that shares its run.
+	results := map[*experiments.Run]any{}
+	for _, a := range sel {
+		res, ok := results[a.Run]
+		if !ok {
+			if res, err = a.Run.Compute(sc); err != nil {
+				fail(a.ID, err)
 			}
-			mean := sum / float64(len(pt.Samples))
-			t.AddRow(pt.Period, strings.Join(cells, " "),
-				fmt.Sprintf("%.0f", mean),
-				fmt.Sprintf("%.3f", mean*float64(pt.Period)/float64(res.MemOps)))
+			results[a.Run] = res
 		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
+		if err := a.Render(os.Stdout, sc, res); err != nil {
+			fail(a.ID, err)
 		}
-		fmt.Println()
+		if a.CSV == nil || *csvDir == "" {
+			continue
+		}
+		for _, s := range a.CSV(res) {
+			if err := dumpCSV(filepath.Join(*csvDir, s.File), s.Series); err != nil {
+				fail(a.ID, err)
+			}
+		}
 	}
-	return nil
 }
 
-func (r *runner) fig8() error {
-	for _, wl := range []string{"stream", "cfd", "bfs"} {
-		res, err := experiments.PeriodSweep(r.sc, wl, experiments.Fig8Periods)
-		if err != nil {
-			return err
-		}
-		t := &report.Table{
-			Title: fmt.Sprintf("Fig. 8 (%s): accuracy / time overhead / collisions vs period (%d threads)",
-				wl, res.Threads),
-			Headers: []string{"period", "accuracy", "overhead", "collisions(flagged)", "hw-collisions"},
-		}
-		for _, pt := range res.Points {
-			t.AddRow(pt.Period,
-				report.MeanStd(pt.Accuracy),
-				report.Pct(pt.Overhead.Mean),
-				fmt.Sprintf("%.1f", pt.Collisions.Mean),
-				fmt.Sprintf("%.0f", pt.HWColl.Mean))
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
+func fail(id string, err error) {
+	fmt.Fprintf(os.Stderr, "nmorepro: %s: %v\n", id, err)
+	os.Exit(1)
 }
 
-func (r *runner) fig9() error {
-	res, err := experiments.Fig9AuxSweep(r.sc)
+func dumpCSV(path string, s *nmo.Series) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	t := &report.Table{
-		Title: fmt.Sprintf("Fig. 9: aux buffer size impact (STREAM, %d threads, period %d, ring 8+1 pages)",
-			r.sc.Threads, res.Period),
-		Headers: []string{"aux pages", "overhead", "accuracy", "truncated", "wakeups"},
-	}
-	for _, pt := range res.Points {
-		t.AddRow(pt.AuxPages,
-			report.Pct(pt.Overhead.Mean),
-			report.MeanStd(pt.Accuracy),
-			fmt.Sprintf("%.0f", pt.Truncated.Mean),
-			pt.Wakeups)
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := s.WriteCSV(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Println()
-	return nil
-}
-
-func (r *runner) fig1011(id string) error {
-	res, err := experiments.Fig10ThreadSweep(r.sc)
-	if err != nil {
-		return err
-	}
-	if id == "fig10" {
-		t := &report.Table{
-			Title: fmt.Sprintf("Fig. 10: overhead and accuracy vs thread count (STREAM, aux %d pages, period %d)",
-				res.AuxPages, res.Period),
-			Headers: []string{"threads", "overhead", "accuracy"},
-		}
-		for _, pt := range res.Points {
-			t.AddRow(pt.Threads, report.Pct(pt.Overhead.Mean), report.MeanStd(pt.Accuracy))
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-	} else {
-		t := &report.Table{
-			Title:   "Fig. 11: sample collisions / throttling vs thread count",
-			Headers: []string{"threads", "collisions(flagged)", "hw-collisions", "truncated records"},
-		}
-		for _, pt := range res.Points {
-			t.AddRow(pt.Threads,
-				fmt.Sprintf("%.1f", pt.Collisions.Mean),
-				fmt.Sprintf("%.0f", pt.HWColl.Mean),
-				fmt.Sprintf("%.0f", pt.Truncated.Mean))
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-func (r *runner) extBias() error {
-	if r.sc.Backend == nmo.BackendPEBS {
-		// Keep `-exp all -backend pebs` runnable: the dither ablation
-		// simply has no PEBS variant.
-		fmt.Println("ext-bias: skipped — PEBS has no interval dither to ablate (spe-only study)")
-		fmt.Println()
-		return nil
-	}
-	res, err := experiments.BiasStudy(r.sc)
-	if err != nil {
-		return err
-	}
-	t := &report.Table{
-		Title:   fmt.Sprintf("Extension: code-position sampling bias (STREAM, period %d)", res.Period),
-		Headers: []string{"configuration", "TV distance to true PC mix", "top-PC share"},
-	}
-	t.AddRow("dither on (jitter)", fmt.Sprintf("%.3f", res.BiasJitterOn), "-")
-	t.AddRow("dither off", fmt.Sprintf("%.3f", res.BiasJitterOff),
-		fmt.Sprintf("%.3f", res.TopPCShareOff))
-	if err := t.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func (r *runner) crossISA() error {
-	res, err := experiments.CrossBackendSweep(r.sc, "stream", experiments.Fig8Periods)
-	if err != nil {
-		return err
-	}
-	for _, run := range res.Runs {
-		t := &report.Table{
-			Title: fmt.Sprintf("Cross-ISA sweep [%s on %s/%s]: %s, %d threads",
-				strings.ToUpper(string(run.Backend)), run.Machine, run.Arch,
-				res.Workload, res.Threads),
-			Headers: []string{"period", "accuracy", "overhead",
-				"collisions(hw)", "dropped(DS/aux)", "skid(mean ops)"},
-		}
-		for _, pt := range run.Points {
-			t.AddRow(pt.Period,
-				report.MeanStd(pt.Accuracy),
-				report.Pct(pt.Overhead.Mean),
-				fmt.Sprintf("%.0f", pt.HWColl.Mean),
-				fmt.Sprintf("%.0f", pt.Dropped.Mean),
-				fmt.Sprintf("%.2f", pt.SkidMeanOps.Mean))
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func (r *runner) dumpCSV(name string, s *trace.Series) error {
-	if r.csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(r.csvDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.WriteCSV(f)
+	return f.Close()
 }

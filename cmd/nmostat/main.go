@@ -323,7 +323,7 @@ func inspectTrace(out io.Writer, o options) error {
 			return err
 		}
 	}
-	return report.LevelTable(out, sum.Levels.By)
+	return report.NewLevelTable(sum.Levels.By).Render(out)
 }
 
 // ratio returns raw/stored (0 when stored is 0 — an empty trace).

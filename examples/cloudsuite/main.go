@@ -35,13 +35,7 @@ func main() {
 }
 
 func plot(s *nmo.Series, title string) {
-	times := make([]float64, len(s.Points))
-	values := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		times[i] = p.TimeSec
-		values[i] = p.Value
-	}
-	if err := report.RenderSeries(os.Stdout, title, s.Unit, times, values, 72, 10); err != nil {
+	if err := report.RenderSeries(os.Stdout, title, s, 72, 10); err != nil {
 		log.Fatal(err)
 	}
 }

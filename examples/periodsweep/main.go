@@ -34,7 +34,7 @@ func main() {
 		cfg.Enable = true
 		cfg.Mode = nmo.ModeSample
 		cfg.Period = period
-		// Scaled-run buffer settings (see EXPERIMENTS.md): pages and
+		// Scaled-run buffer settings (see DESIGN.md §2): pages and
 		// watermark shrink with the shortened run so that buffer
 		// management interrupts occur as they would on the testbed.
 		cfg.PageBytes = 1024

@@ -133,7 +133,7 @@ type Config struct {
 	// PageBytes overrides the perf mmap page size (0 = the machine's
 	// native page size: 64 KB on the ARM testbed, 4 KB on the x86
 	// part). The scaled-down buffer experiments shrink pages together
-	// with run lengths (EXPERIMENTS.md).
+	// with run lengths (DESIGN.md §2).
 	PageBytes int
 	// AuxWatermarkBytes overrides the aux wakeup watermark (0 = half
 	// the aux buffer).

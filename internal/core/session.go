@@ -350,7 +350,7 @@ func (r *run) setupEvents() error {
 			return err
 		}
 		core := int16(t)
-		ev.SetWakeup(func(now, done sim.Cycles, e *perfev.Event, rec perfev.RecordAux, span []byte) {
+		ev.SetWakeup(func(now sim.Cycles, span []byte) {
 			r.decodeSpan(core, now, span)
 		})
 		if err := r.s.mach.AttachProbe(t, ev); err != nil {

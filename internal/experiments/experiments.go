@@ -1,14 +1,14 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§§V–VII). Each Fig*/Table* function is a
-// self-contained runner used by cmd/nmorepro, bench_test.go, and the
-// EXPERIMENTS.md record.
+// self-contained runner; Artifacts indexes them with their renderers
+// for cmd/nmorepro (DESIGN.md §5), and bench_test.go benchmarks them.
 //
 // The runs are scaled-down versions of the paper's: the testbed
 // executed seconds-to-minutes of real time (billions of operations);
 // the simulation runs tens of millions of operations and scales the
 // profiler buffers with the run length so the buffer-pressure
 // phenomena appear at the same relative positions. Scale collects all
-// the knobs; DefaultScale is what EXPERIMENTS.md records, QuickScale
+// the knobs; DefaultScale is what `nmorepro -exp all` runs, QuickScale
 // keeps unit tests and smoke benches fast.
 //
 // Every sweep submits its full grid (baselines included) as one
@@ -69,7 +69,7 @@ type Scale struct {
 	Backend sampler.Kind
 }
 
-// DefaultScale is the configuration used to produce EXPERIMENTS.md.
+// DefaultScale is the configuration `nmorepro -exp all` runs.
 func DefaultScale() Scale {
 	return Scale{
 		Trials:          5,
@@ -218,8 +218,8 @@ func (sc Scale) samplingConfig(period uint64, trial int) core.Config {
 	cfg.AuxPages = 1024
 	cfg.Seed = sc.Seed + uint64(trial)*7919
 	cfg.MaxSamples = 1 << 22
-	// Kernel costs scaled with the shortened runs (DESIGN.md §2;
-	// EXPERIMENTS.md discusses the scaling).
+	// Kernel costs scaled with the shortened runs (DESIGN.md §2
+	// discusses the scaling).
 	cfg.Costs = perfev.Costs{
 		IRQBase:      1_200,
 		IRQPerRecord: 25,

@@ -27,10 +27,10 @@ type TemporalResult struct {
 	WallSec        float64
 }
 
-// CloudScenario builds the engine scenario for a CloudSuite workload
-// ("pagerank" or "inmem") under the temporal collectors, on the
-// scaled-clock machine.
-func CloudScenario(sc Scale, name string) (engine.Scenario, error) {
+// CloudTemporal profiles a CloudSuite workload ("pagerank" or
+// "inmem") with the temporal collectors on the scaled-clock machine,
+// reproducing Figs. 2–3.
+func CloudTemporal(sc Scale, name string) (*TemporalResult, error) {
 	spec := sc.cloudSpec()
 	var build func() *workloads.PhaseWorkload
 	switch name {
@@ -43,7 +43,7 @@ func CloudScenario(sc Scale, name string) (engine.Scenario, error) {
 			return workloads.NewInMemAnalytics(spec.Freq, sc.Seed)
 		}
 	default:
-		return engine.Scenario{}, fmt.Errorf("experiments: unknown cloud workload %q", name)
+		return nil, fmt.Errorf("experiments: unknown cloud workload %q", name)
 	}
 
 	cfg := core.DefaultConfig()
@@ -53,7 +53,7 @@ func CloudScenario(sc Scale, name string) (engine.Scenario, error) {
 	cfg.IntervalSec = 1.0
 	cfg.Seed = sc.Seed
 
-	return engine.Scenario{
+	p, err := engine.Run(engine.Scenario{
 		Name:   "cloud/" + name,
 		Spec:   spec,
 		Config: cfg,
@@ -64,22 +64,11 @@ func CloudScenario(sc Scale, name string) (engine.Scenario, error) {
 			}
 			return w, nil
 		},
-	}, nil
-}
-
-// CloudTemporal profiles a CloudSuite workload ("pagerank" or
-// "inmem") with the temporal collectors, reproducing Figs. 2–3.
-func CloudTemporal(sc Scale, name string) (*TemporalResult, error) {
-	scen, err := CloudScenario(sc, name)
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := engine.Run(scen)
-	if err != nil {
-		return nil, err
-	}
-	spec := sc.cloudSpec()
-	res := &TemporalResult{
+	return &TemporalResult{
 		Workload:       p.Workload,
 		Capacity:       p.Capacity,
 		Bandwidth:      p.Bandwidth,
@@ -87,8 +76,7 @@ func CloudTemporal(sc Scale, name string) (*TemporalResult, error) {
 		PeakBWGiBps:    p.Bandwidth.Max(),
 		UtilizationPct: float64(p.MaxRSS) / float64(spec.MemCapacityBytes) * 100,
 		WallSec:        p.WallSec,
-	}
-	return res, nil
+	}, nil
 }
 
 // RegionTraceResult holds a Figs. 4–6 style region-tagged sample

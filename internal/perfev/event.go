@@ -10,11 +10,10 @@ import (
 // WakeupFunc is the monitor callback invoked when the kernel inserts a
 // PERF_RECORD_AUX and wakes the polling monitor (NMO watches the ring
 // with epoll; this callback is the simulation's equivalent of the
-// epoll readiness event). span holds the raw aux bytes described by
-// rec; they are valid only during the call. drainDone is the simulated
-// time at which the monitor thread finishes consuming the span — the
-// earliest time the decoded samples can be considered "processed".
-type WakeupFunc func(now, drainDone sim.Cycles, ev *Event, rec RecordAux, span []byte)
+// epoll readiness event). now is the simulated time of the wakeup, and
+// span holds the raw aux bytes the record locates; they are valid only
+// during the call.
+type WakeupFunc func(now sim.Cycles, span []byte)
 
 // EventStats aggregates kernel-side accounting for one event.
 type EventStats struct {
@@ -342,7 +341,7 @@ func (e *Event) serviceAux(now sim.Cycles, final bool) {
 		done: drainDone, auxBytes: int(rec.AuxSize), dataBytes: dataBytes,
 	})
 	if e.wakeup != nil {
-		e.wakeup(now, drainDone, e, rec, e.auxRing.ReadAt(rec.AuxOffset, int(rec.AuxSize)))
+		e.wakeup(now, e.auxRing.ReadAt(rec.AuxOffset, int(rec.AuxSize)))
 	}
 }
 

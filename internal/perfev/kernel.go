@@ -15,7 +15,7 @@ const PageSize = 64 << 10
 // Costs parameterizes the kernel-side time charged to the profiled
 // application. These constants shape the overhead curves of
 // Figs. 8b–10; the defaults were calibrated so that the reproduction
-// lands in the paper's 0.1%–10% overhead range (EXPERIMENTS.md).
+// lands in the paper's 0.1%–10% overhead range (`nmorepro -exp fig8`).
 type Costs struct {
 	// IRQBase is the fixed cost (cycles) of taking the SPE buffer
 	// management interrupt and re-arming the unit.
@@ -145,7 +145,7 @@ func (k *Kernel) counter(config uint64, core int) func() uint64 {
 // SetPageSize overrides the mmap page granularity (default 64 KB).
 // The scaled-down reproduction experiments shrink pages together with
 // run lengths so that the paper's page-count axes stay meaningful
-// (EXPERIMENTS.md discusses the scaling). Must be a positive power of
+// (DESIGN.md §2 discusses the scaling). Must be a positive power of
 // two; call before opening events.
 func (k *Kernel) SetPageSize(bytes int) {
 	if bytes <= 0 || bytes&(bytes-1) != 0 {

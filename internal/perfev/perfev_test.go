@@ -195,7 +195,7 @@ func TestSamplingProducesAuxRecords(t *testing.T) {
 
 	var spans int
 	var decoded int
-	ev.SetWakeup(func(now, done sim.Cycles, e *Event, rec RecordAux, span []byte) {
+	ev.SetWakeup(func(_ sim.Cycles, span []byte) {
 		spans++
 		st := speDecode(span, func(*sampler.Sample) { decoded++ })
 		if st.Partial != 0 {
@@ -266,7 +266,7 @@ func TestBelowMinAuxPagesLosesEverything(t *testing.T) {
 	k := testKernel(1)
 	ev := openSampled(t, k, 64, 8, 2) // below MinAuxPages=4
 	var woke bool
-	ev.SetWakeup(func(_, _ sim.Cycles, _ *Event, _ RecordAux, _ []byte) { woke = true })
+	ev.SetWakeup(func(sim.Cycles, []byte) { woke = true })
 	feedLoads(ev, 500_000, 4, 4)
 	ev.FinalDrain(1 << 40)
 	st := ev.Stats()
@@ -319,7 +319,7 @@ func TestFinalDrainFlushesResidual(t *testing.T) {
 	k := testKernel(1)
 	ev := openSampled(t, k, 8, 8, 2048) // huge aux: no watermark service
 	var decoded int
-	ev.SetWakeup(func(_, _ sim.Cycles, _ *Event, _ RecordAux, span []byte) {
+	ev.SetWakeup(func(_ sim.Cycles, span []byte) {
 		speDecode(span, func(*sampler.Sample) { decoded++ })
 	})
 	feedLoads(ev, 10_000, 4, 4)
@@ -462,7 +462,7 @@ func TestPEBSSamplingDeliversSpansViaPMI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var spans, decoded int
-	ev.SetWakeup(func(now, done sim.Cycles, e *Event, rec RecordAux, span []byte) {
+	ev.SetWakeup(func(_ sim.Cycles, span []byte) {
 		spans++
 		if st := pebsDecode(span, func(*sampler.Sample) { decoded++ }); st.Partial != 0 {
 			t.Errorf("span has %d partial bytes", st.Partial)
@@ -528,7 +528,7 @@ func TestPEBSFinalDrainFlushesDSResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded int
-	ev.SetWakeup(func(_, _ sim.Cycles, _ *Event, _ RecordAux, span []byte) {
+	ev.SetWakeup(func(_ sim.Cycles, span []byte) {
 		pebsDecode(span, func(*sampler.Sample) { decoded++ })
 	})
 	feedLoads(ev, 20_000, 4, 4)

@@ -1,7 +1,7 @@
 // Package report renders experiment results as aligned ASCII tables,
 // CSV series, and terminal heatmaps — the textual equivalents of the
-// paper's figures, emitted by cmd/nmorepro and recorded in
-// EXPERIMENTS.md.
+// paper's figures, emitted by cmd/nmorepro through the artifact index
+// (internal/experiments.Artifacts, DESIGN.md §5).
 package report
 
 import (
@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"nmo/internal/analysis"
+	"nmo/internal/trace"
 )
 
 // Table is a simple aligned-column text table.
@@ -134,11 +135,6 @@ func NewLevelTable(by [4]uint64) *Table {
 	return t
 }
 
-// LevelTable renders the canonical per-memory-level table.
-func LevelTable(w io.Writer, by [4]uint64) error {
-	return NewLevelTable(by).Render(w)
-}
-
 // Pct formats a ratio as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
 
@@ -185,10 +181,10 @@ func RenderHeatmap(w io.Writer, h *analysis.Heatmap, title string) error {
 	return err
 }
 
-// RenderSeries draws a (time, value) series as a compact ASCII plot
-// with `width` columns and `height` rows, used for the Fig. 2/3
-// temporal views.
-func RenderSeries(w io.Writer, title, unit string, times, values []float64, width, height int) error {
+// RenderSeries draws a temporal series as a compact ASCII plot with
+// `width` columns and `height` rows, used for the Fig. 2/3 temporal
+// views.
+func RenderSeries(w io.Writer, title string, s *trace.Series, width, height int) error {
 	if width <= 0 {
 		width = 72
 	}
@@ -199,26 +195,21 @@ func RenderSeries(w io.Writer, title, unit string, times, values []float64, widt
 	if title != "" {
 		fmt.Fprintf(&b, "## %s\n", title)
 	}
-	if len(values) == 0 {
+	if len(s.Points) == 0 {
 		b.WriteString("(no data)\n")
 		_, err := io.WriteString(w, b.String())
 		return err
 	}
-	var vmax float64
-	for _, v := range values {
-		if v > vmax {
-			vmax = v
-		}
-	}
+	vmax := s.Max()
 	if vmax == 0 {
 		vmax = 1
 	}
 	// Downsample into width columns by max.
 	cols := make([]float64, width)
-	for i, v := range values {
-		c := i * width / len(values)
-		if v > cols[c] {
-			cols[c] = v
+	for i, p := range s.Points {
+		c := i * width / len(s.Points)
+		if p.Value > cols[c] {
+			cols[c] = p.Value
 		}
 	}
 	for row := height - 1; row >= 0; row-- {
@@ -241,7 +232,7 @@ func RenderSeries(w io.Writer, title, unit string, times, values []float64, widt
 	}
 	fmt.Fprintf(&b, "         +%s\n", strings.Repeat("-", width))
 	fmt.Fprintf(&b, "          t=%.1fs .. %.1fs (%s)\n",
-		times[0], times[len(times)-1], unit)
+		s.Points[0].TimeSec, s.Points[len(s.Points)-1].TimeSec, s.Unit)
 	_, err := io.WriteString(w, b.String())
 	return err
 }

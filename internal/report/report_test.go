@@ -115,10 +115,12 @@ func TestRenderHeatmapEmpty(t *testing.T) {
 }
 
 func TestRenderSeries(t *testing.T) {
-	times := []float64{0, 1, 2, 3, 4}
-	values := []float64{10, 50, 100, 30, 5}
+	s := &trace.Series{Name: "bandwidth", Unit: "GiB/s"}
+	for i, v := range []float64{10, 50, 100, 30, 5} {
+		s.Points = append(s.Points, trace.Point{TimeSec: float64(i), Value: v})
+	}
 	var buf bytes.Buffer
-	if err := RenderSeries(&buf, "bandwidth", "GiB/s", times, values, 40, 8); err != nil {
+	if err := RenderSeries(&buf, "bandwidth", s, 40, 8); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -135,7 +137,7 @@ func TestRenderSeries(t *testing.T) {
 
 func TestRenderSeriesEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RenderSeries(&buf, "x", "u", nil, nil, 0, 0); err != nil {
+	if err := RenderSeries(&buf, "x", &trace.Series{Unit: "u"}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "no data") {
