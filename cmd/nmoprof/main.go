@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"nmo"
-	"nmo/internal/analysis"
 	"nmo/internal/engine"
 	"nmo/internal/experiments"
 	"nmo/internal/postproc"
@@ -279,11 +278,9 @@ func runRemote(addr, token, workload string, threads, elems, iters, cores int, s
 				sr.MemAccesses, strings.ToUpper(sr.Backend), sr.Samples, 100*sr.Accuracy)
 			fmt.Printf("trace MD5: %s (%d samples, %d blocks, %d bytes on the daemon)\n",
 				sr.TraceMD5, sr.TraceSamples, sr.TraceBlocks, sr.TraceBytes)
-			if err := report.RenderAll(os.Stdout, sr.Tables...); err != nil {
+			if err := printSampleView(sr.Tables, sr.LatP50, sr.LatP90, sr.LatP99); err != nil {
 				return err
 			}
-			fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n",
-				sr.LatP50, sr.LatP90, sr.LatP99)
 		}
 		// Counters-mode temporal series arrive as data; write the same
 		// CSVs a local run would.
@@ -418,25 +415,13 @@ func reportCollected(prof *nmo.Profile, cfg nmo.Config, base string) error {
 			prof.TraceTruncated)
 	}
 
-	t := &report.Table{Title: "Samples by region", Headers: []string{"region", "count"}}
-	byRegion := prof.Trace.CountByRegion()
-	for _, name := range report.SortedKeys(byRegion) {
-		t.AddRow(name, byRegion[name])
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	sum, err := postproc.Summarize(postproc.From(prof.Trace), false)
+	if err != nil {
 		return err
 	}
-
-	// Cache-activity view from the SPE data-source packets.
-	var levels [4]uint64
-	for i, n := range analysis.LevelBreakdown(prof.Trace) {
-		levels[i] = uint64(n)
-	}
-	if err := report.NewLevelTable(levels).Render(os.Stdout); err != nil {
+	if err := printSummary(sum); err != nil {
 		return err
 	}
-	p50, p90, p99 := analysis.LatencyPercentiles(prof.Trace)
-	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n", p50, p90, p99)
 
 	f, err := os.Create(base + ".trace.csv")
 	if err != nil {
@@ -497,20 +482,27 @@ func reportStreamed(path string) error {
 		return err
 	}
 
-	t := &report.Table{Title: "Samples by region", Headers: []string{"region", "count"}}
-	for _, g := range sum.ByRegion.Groups() {
-		t.AddRow(g.Key, g.Count)
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := printSummary(sum); err != nil {
 		return err
 	}
-	if err := report.NewLevelTable(sum.Levels.By).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n",
-		sum.Lat.Percentile(50), sum.Lat.Percentile(90), sum.Lat.Percentile(99))
 	fmt.Printf("wrote %s (%d samples, %d blocks; inspect with nmostat -trace)\n",
 		path, rd.TotalSamples(), rd.NumBlocks())
+	return nil
+}
+
+// printSummary prints a local run's sample view from its digest.
+func printSummary(sum *postproc.Summary) error {
+	return printSampleView(report.SampleTables(sum),
+		sum.Lat.Percentile(50), sum.Lat.Percentile(90), sum.Lat.Percentile(99))
+}
+
+// printSampleView prints the sample tables and the sampled-latency
+// percentile line, the same for a local run and a -remote one.
+func printSampleView(tables []*report.Table, p50, p90, p99 float64) error {
+	if err := report.RenderAll(os.Stdout, tables...); err != nil {
+		return err
+	}
+	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n", p50, p90, p99)
 	return nil
 }
 

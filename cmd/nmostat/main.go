@@ -37,6 +37,7 @@ import (
 	"nmo/internal/postproc"
 	"nmo/internal/report"
 	"nmo/internal/service"
+	"nmo/internal/workloads"
 )
 
 // options collects the CLI parameters (a struct so the golden test can
@@ -76,7 +77,7 @@ func main() {
 	flag.StringVar(&o.workload, "workload", "stream", "stream | cfd | bfs")
 	flag.IntVar(&o.threads, "threads", 32, "worker threads")
 	flag.IntVar(&o.elems, "elems", 2_000_000, "elements/nodes")
-	flag.IntVar(&o.iters, "iters", 2, "iterations (stream/cfd) or BFS sources")
+	flag.IntVar(&o.iters, "iters", 2, "iterations (stream/cfd; bfs always runs 3 traversals)")
 	flag.IntVar(&o.cores, "cores", 128, "machine cores")
 	flag.Uint64Var(&o.seed, "seed", 42, "workload seed")
 	flag.StringVar(&o.trace, "trace", "", "inspect a trace file instead of running a workload")
@@ -112,16 +113,12 @@ func run(out io.Writer, o options) error {
 	if o.trace != "" {
 		return inspectTrace(out, o)
 	}
-	var w nmo.Workload
-	switch o.workload {
-	case "stream":
-		w = nmo.NewStream(nmo.StreamConfig{Elems: o.elems, Threads: o.threads, Iters: o.iters})
-	case "cfd":
-		w = nmo.NewCFD(nmo.CFDConfig{Elems: o.elems, Threads: o.threads, Iters: o.iters, Seed: o.seed})
-	case "bfs":
-		w = nmo.NewBFS(nmo.BFSConfig{Nodes: o.elems, Degree: 8, Threads: o.threads, Iters: o.iters, Seed: o.seed})
-	default:
-		return fmt.Errorf("unknown workload %q", o.workload)
+	// The constructor nmoprof and nmod profile through, so this exact
+	// count is the Eq. (1) baseline of the same workload (BFS: degree
+	// 8, 3 traversals whatever -iters says).
+	w, err := workloads.NewStandard(o.workload, o.elems, o.threads, o.iters, o.seed)
+	if err != nil {
+		return err
 	}
 
 	cfg := nmo.DefaultConfig()

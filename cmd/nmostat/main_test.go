@@ -7,11 +7,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"nmo"
+	"nmo/internal/engine"
 	"nmo/internal/service"
+	"nmo/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -48,6 +51,42 @@ func TestUnknownWorkloadErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, options{workload: "spec2017"}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestStatCountsProfiledBFS: nmostat's mem_access is the exact count
+// Eq. (1) divides a profiled run's estimate by, so it must count the
+// workload nmoprof and nmod profile for the same flags. For bfs that
+// is 3 traversals whatever -iters says.
+func TestStatCountsProfiledBFS(t *testing.T) {
+	o := options{workload: "bfs", threads: 4, elems: 5000, iters: 2, cores: 8, seed: 42}
+	var buf bytes.Buffer
+	if err := run(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "mem_access" {
+			got = f[1]
+		}
+	}
+
+	cfg := nmo.DefaultConfig()
+	cfg.Enable = true
+	cfg.Mode = nmo.ModeSample
+	cfg.Seed = o.seed
+	prof, err := engine.Run(engine.Scenario{
+		Spec:   nmo.AmpereAltraMax().WithCores(o.cores),
+		Config: cfg,
+		Workload: func() (workloads.Workload, error) {
+			return workloads.NewStandard(o.workload, o.elems, o.threads, o.iters, o.seed)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strconv.FormatUint(prof.MemAccesses, 10); got != want {
+		t.Errorf("nmostat mem_access = %q, profiled run counts %s", got, want)
 	}
 }
 

@@ -85,28 +85,6 @@ func Aggregate(values []float64) Stats {
 	return st
 }
 
-// Percentile returns the p-th percentile (0–100) of values using
-// nearest-rank on a sorted copy.
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
 // Heatmap is a 2D histogram of samples over (time, address) — the
 // data behind the Fig. 4–6 scatter/high-resolution trace plots.
 type Heatmap struct {

@@ -85,28 +85,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(vals, 50); p != 5 {
-		t.Errorf("p50 = %v", p)
-	}
-	if p := Percentile(vals, 0); p != 1 {
-		t.Errorf("p0 = %v", p)
-	}
-	if p := Percentile(vals, 100); p != 10 {
-		t.Errorf("p100 = %v", p)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile")
-	}
-	// Input must not be mutated.
-	shuffled := []float64{3, 1, 2}
-	Percentile(shuffled, 50)
-	if shuffled[0] != 3 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func mkTrace(n int) *trace.Trace {
 	tr := &trace.Trace{Workload: "t"}
 	for i := 0; i < n; i++ {

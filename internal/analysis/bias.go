@@ -73,33 +73,3 @@ func PCHistogramOf(tr *trace.Trace) []PCCount {
 	})
 	return out
 }
-
-// LevelBreakdown counts samples by the memory level that served them
-// (0=L1, 1=L2, 2=SLC, 3=DRAM) — the cache-activity tracing metric the
-// paper lists as future work. SPE data-source packets carry exactly
-// this information, so the breakdown is free once samples decode.
-func LevelBreakdown(tr *trace.Trace) [4]int {
-	var out [4]int
-	for i := range tr.Samples {
-		l := tr.Samples[i].Level
-		if l > 3 {
-			l = 3
-		}
-		out[l]++
-	}
-	return out
-}
-
-// LatencyPercentiles returns the p50/p90/p99 of sampled access
-// latencies in cycles — the latency-distribution view used when
-// choosing SPE minimum-latency filters.
-func LatencyPercentiles(tr *trace.Trace) (p50, p90, p99 float64) {
-	if len(tr.Samples) == 0 {
-		return 0, 0, 0
-	}
-	lats := make([]float64, len(tr.Samples))
-	for i := range tr.Samples {
-		lats[i] = float64(tr.Samples[i].Lat)
-	}
-	return Percentile(lats, 50), Percentile(lats, 90), Percentile(lats, 99)
-}

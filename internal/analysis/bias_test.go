@@ -60,27 +60,3 @@ func TestPCHistogram(t *testing.T) {
 		t.Errorf("last entry %+v", h[2])
 	}
 }
-
-func TestLevelBreakdown(t *testing.T) {
-	tr := &trace.Trace{Samples: []trace.Sample{
-		{Level: 0}, {Level: 0}, {Level: 1}, {Level: 3}, {Level: 9},
-	}}
-	lv := LevelBreakdown(tr)
-	if lv != [4]int{2, 1, 0, 2} {
-		t.Errorf("breakdown = %v", lv)
-	}
-}
-
-func TestLatencyPercentiles(t *testing.T) {
-	tr := &trace.Trace{}
-	for i := 1; i <= 100; i++ {
-		tr.Samples = append(tr.Samples, trace.Sample{Lat: uint16(i)})
-	}
-	p50, p90, p99 := LatencyPercentiles(tr)
-	if p50 != 50 || p90 != 90 || p99 != 99 {
-		t.Errorf("percentiles = %v/%v/%v", p50, p90, p99)
-	}
-	if a, b, c := LatencyPercentiles(&trace.Trace{}); a+b+c != 0 {
-		t.Error("empty percentiles not 0")
-	}
-}

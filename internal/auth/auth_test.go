@@ -291,6 +291,28 @@ func TestLoadQuotas(t *testing.T) {
 		t.Fatal("unknown quota field accepted")
 	}
 
+	// So does a second value after the table: it is not merged in.
+	for name, body := range map[string]string{
+		"second.json":  `{"default":{"weight":1}} {"tenants":{"ops":{"max_inflight":1}}}`,
+		"garbage.json": `{"default":{"weight":1}} x`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadQuotas(path); err == nil {
+			t.Fatalf("%s: trailing data after the quota table accepted", name)
+		}
+	}
+	// Trailing whitespace is not data.
+	nl := filepath.Join(dir, "newline.json")
+	if err := os.WriteFile(nl, []byte("{\"default\":{\"weight\":2}}\n\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if q, err := LoadQuotas(nl); err != nil || q.For("x").NormWeight() != 2 {
+		t.Fatalf("quota file with trailing newline: %v", err)
+	}
+
 	// Nil Quotas (no flag) grants the unlimited zero class.
 	var nilQ *Quotas
 	if got := nilQ.For("anyone"); got != (TenantQuota{}) {

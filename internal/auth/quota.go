@@ -2,11 +2,12 @@ package auth
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
 	"time"
+
+	"nmo/internal/obs"
 )
 
 // TenantQuota is one tenant's resource class. Zero values mean
@@ -52,18 +53,17 @@ type Quotas struct {
 	Tenants map[string]TenantQuota `json:"tenants,omitempty"`
 }
 
-// LoadQuotas parses a quota file. Unknown keys are rejected so a typo
-// ("max_inflight") fails loudly at boot instead of silently granting
-// unlimited quota.
+// LoadQuotas parses a quota file. Unknown keys and data after the
+// table are rejected so a typo ("max_inflight") or a stray second
+// object fails loudly at boot instead of silently granting unlimited
+// quota.
 func LoadQuotas(path string) (*Quotas, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var q Quotas
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(raw), &q); err != nil {
 		return nil, fmt.Errorf("quota file %s: %w", path, err)
 	}
 	return &q, nil

@@ -91,7 +91,7 @@ var Artifacts = []Artifact{
 		"cfd", 1, "Fig. 5: CFD computation loop, 1 thread"),
 	regionTrace("fig6", "Fig. 6: CFD sampled accesses at 32 threads + high-res trace",
 		"cfd", 32, "Fig. 6: CFD computation loop, 32 threads (high-res)"),
-	periodSweeps("fig7", "Fig. 7: collected SPE samples vs sampling period (5 trials)", Fig7Periods, fig7Table),
+	periodSweeps("fig7", "Fig. 7: collected SPE samples vs sampling period", Fig7Periods, fig7Table),
 	periodSweeps("fig8", "Fig. 8: accuracy / time overhead / collisions vs sampling period", Fig8Periods, fig8Table),
 	artifact("fig9", "Fig. 9: impact of aux buffer size (STREAM, 32 threads)", newRun(Fig9AuxSweep),
 		func(b *bytes.Buffer, sc Scale, res *AuxSweepResult) { renderTable(b, fig9Table(sc, res)) }),

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -300,9 +299,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec service.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := obs.DecodeStrict(bytes.NewReader(body), &spec); err != nil {
 		obs.WriteError(w, r, http.StatusBadRequest, obs.CodeBadSpec, "bad job spec: "+err.Error())
 		return
 	}

@@ -338,6 +338,49 @@ func TestGatewayErrors(t *testing.T) {
 	}
 }
 
+// TestGatewaySubmitOneJSONValue: a submission is exactly one JSON
+// value. Data after the spec is a 400 at the gateway that reaches no
+// shard; trailing whitespace, as json.Encoder writes it, passes both
+// tiers.
+func TestGatewaySubmitOneJSONValue(t *testing.T) {
+	f := newFleet(t, 2)
+	raw, err := json.Marshal(spec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(f.front.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, tail := range []string{` {"scenarios":[]}`, `{}`, "x", "}"} {
+		resp := post(string(raw) + tail)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec + %q: status %d, want 400", tail, resp.StatusCode)
+		}
+	}
+	if n := f.scheds[0].Stats().Submitted + f.scheds[1].Stats().Submitted; n != 0 {
+		t.Fatalf("spec with trailing data reached %d shard(s)", n)
+	}
+
+	resp := post(string(raw) + "\n")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("spec + newline: status %d, want 200", resp.StatusCode)
+	}
+	var info service.JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.client.Wait(context.Background(), info.ID, time.Millisecond); err != nil {
+		t.Fatalf("wait %s: %v", info.ID, err)
+	}
+}
+
 // TestGatewayNewRejectsMembers: a member list the gateway cannot speak
 // to fails at construction — none at all, a duplicate (after
 // normalization), or a scheme other than plain http, which the raw

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -102,4 +104,22 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, code, msg st
 	json.NewEncoder(w).Encode(errEnvelope{Error: &APIError{
 		Code: code, Message: msg, RequestID: reqID,
 	}})
+}
+
+// DecodeStrict decodes exactly one JSON value from r into v, the way
+// every tier reads a job spec and nmod reads its quota file. An
+// unknown field is an error, and so is anything but whitespace after
+// the value: a typo or a second, concatenated value fails loudly
+// instead of being silently dropped.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -233,3 +233,23 @@ func TestMiddlewareAudit(t *testing.T) {
 		t.Errorf("missing timestamp or duration: %+v", ev)
 	}
 }
+
+// TestDecodeStrict: exactly one JSON value with known fields decodes;
+// whitespace may follow it, nothing else may.
+func TestDecodeStrict(t *testing.T) {
+	type spec struct {
+		A int `json:"a"`
+	}
+	for _, in := range []string{`{"a":1}`, "{\"a\":1}\n", " \t{\"a\":1}\r\n "} {
+		var v spec
+		if err := DecodeStrict(strings.NewReader(in), &v); err != nil || v.A != 1 {
+			t.Errorf("%q: v=%+v err=%v", in, v, err)
+		}
+	}
+	for _, in := range []string{``, `{"b":1}`, `{"a":1} {"a":2}`, `{"a":1}{}`, `{"a":1} x`, `{"a":1}}`, `{"a":1`} {
+		var v spec
+		if err := DecodeStrict(strings.NewReader(in), &v); err == nil {
+			t.Errorf("%q accepted", in)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"nmo/internal/analysis"
+	"nmo/internal/postproc"
 	"nmo/internal/trace"
 )
 
@@ -133,6 +134,18 @@ func NewLevelTable(by [4]uint64) *Table {
 		t.AddRow(name, by[i])
 	}
 	return t
+}
+
+// SampleTables builds the sample view of a profiled run from its
+// digest: samples by region, then by memory level. nmoprof's local
+// paths (in-memory and streamed) and the nmod result digest all build
+// through here, so the three cannot diverge.
+func SampleTables(sum *postproc.Summary) []*Table {
+	regions := &Table{Title: "Samples by region", Headers: []string{"region", "count"}}
+	for _, g := range sum.ByRegion.Groups() {
+		regions.AddRow(g.Key, g.Count)
+	}
+	return []*Table{regions, NewLevelTable(sum.Levels.By)}
 }
 
 // Pct formats a ratio as a percentage string.

@@ -108,6 +108,8 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{"unknown job result", "GET", "/v1/jobs/jnope/result", "", 404, obs.CodeNotFound, ""},
 		{"bad spec json", "POST", "/v1/jobs", "{", 400, obs.CodeBadSpec, ""},
 		{"bad spec unknown field", "POST", "/v1/jobs", `{"bogus":1}`, 400, obs.CodeBadSpec, ""},
+		{"bad spec trailing value", "POST", "/v1/jobs", mustSpecJSON(t, quickJob(932)) + ` {}`, 400, obs.CodeBadSpec, ""},
+		{"bad spec trailing garbage", "POST", "/v1/jobs", mustSpecJSON(t, quickJob(932)) + `x`, 400, obs.CodeBadSpec, ""},
 		{"result while queued", "GET", "/v1/jobs/" + queued.ID + "/result", "", 409, obs.CodeConflict, ""},
 		{"trace while queued", "GET", "/v1/jobs/" + queued.ID + "/trace", "", 409, obs.CodeConflict, ""},
 		{"queue full", "POST", "/v1/jobs", mustSpecJSON(t, quickJob(931)), 429, obs.CodeQueueFull, ""},

@@ -929,11 +929,7 @@ func digest(r *resolved, prof *core.Profile, buf *bytes.Buffer) (ScenarioResult,
 	sr.LatP90 = sum.Lat.Percentile(90)
 	sr.LatP99 = sum.Lat.Percentile(99)
 
-	regions := &report.Table{Title: "Samples by region", Headers: []string{"region", "count"}}
-	for _, g := range sum.ByRegion.Groups() {
-		regions.AddRow(g.Key, g.Count)
-	}
-	sr.Tables = []*report.Table{regions, report.NewLevelTable(sum.Levels.By)}
+	sr.Tables = report.SampleTables(sum)
 	return sr, blob, nil
 }
 

@@ -120,9 +120,7 @@ func submitErr(err error) (int, string) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := obs.DecodeStrict(http.MaxBytesReader(w, r.Body, MaxSpecBytes), &spec); err != nil {
 		obs.WriteError(w, r, http.StatusBadRequest, obs.CodeBadSpec, "bad job spec: "+err.Error())
 		return
 	}

@@ -144,7 +144,8 @@ func (h *Hash) Sum16() [16]byte {
 }
 
 // LevelHist counts samples per memory level (0=L1 … 3=DRAM; deeper
-// levels clamp to DRAM, as in analysis.LevelBreakdown).
+// levels clamp to DRAM). SPE data-source packets carry the level, so
+// this cache-activity view is free once samples decode.
 type LevelHist struct {
 	By [4]uint64
 }

@@ -148,13 +148,18 @@ func (b *BFS) FootprintBytes() uint64 {
 // Streams implements Workload.
 func (b *BFS) Streams() []isa.Stream {
 	out := make([]isa.Stream, b.cfg.Threads)
-	for t := 0; t < b.cfg.Threads; t++ {
-		out[t] = &bfsGen{w: b, tid: t, edge: -1}
+	for t := range out {
+		out[t] = &kernelLoop{body: &bfsBody{w: b, tid: t, edge: -1},
+			tid: t, iters: len(b.runs), footprint: b.FootprintBytes()}
 	}
 	return out
 }
 
-type bfsGen struct {
+// bfsBody emits one thread's share of a traversal per iteration. Per
+// node: frontier load + offsets load; per edge: edge-target load,
+// visited-byte load, compare branch; on first discovery: visited store
+// + next-frontier store.
+type bfsBody struct {
 	w   *BFS
 	tid int
 
@@ -163,62 +168,13 @@ type bfsGen struct {
 	pos      int // index into this thread's share of the current level
 	edge     int // next edge offset within the current node, -1 = node preamble
 	curNode  uint32
-	started  bool
 	nextSlot uint64 // position in the next-frontier array for stores
 }
 
-// Fill implements isa.Stream. Per node: frontier load + offsets load;
-// per edge: edge-target load, visited-byte load, compare branch; on
-// first discovery: visited store + next-frontier store.
-func (g *bfsGen) Fill(dst []isa.Op) int {
-	n := 0
+func (g *bfsBody) step(dst []isa.Op, n int) (int, bool) {
 	w := g.w
-	for g.run < len(w.runs) {
-		r := &w.runs[g.run]
-		if g.level < len(r.levels) {
-			n = g.fillRun(dst, n, r)
-			if g.level < len(r.levels) {
-				return n // dst full mid-level
-			}
-		}
-		// Traversal finished; emit the closing marker once.
-		if g.tid == 0 {
-			if len(dst)-n < 1 {
-				return n
-			}
-			dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStop, Label: 0}
-			n++
-		}
-		g.run++
-		g.level, g.pos, g.edge = 0, 0, -1
-		g.started = false
-	}
-	return n
-}
-
-// fillRun emits ops for one traversal until dst fills or the run ends.
-func (g *bfsGen) fillRun(dst []isa.Op, n int, r *bfsRun) int {
-	w := g.w
+	r := &w.runs[g.run]
 	for g.level < len(r.levels) {
-		if !g.started {
-			if g.tid == 0 {
-				need := 1
-				if g.run == 0 {
-					need = 2
-				}
-				if len(dst)-n < need {
-					return n
-				}
-				if g.run == 0 {
-					dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerAlloc,
-						Addr: w.FootprintBytes()}
-					n++
-				}
-				dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStart, Label: 0}
-				n++
-			}
-			g.started = true
-		}
 		lvl, owned := r.levels[g.level], r.owned[g.level][g.tid]
 		for g.pos < len(owned) {
 			p := owned[g.pos]
@@ -226,7 +182,7 @@ func (g *bfsGen) fillRun(dst []isa.Op, n int, r *bfsRun) int {
 			if g.edge < 0 || g.curNode != u {
 				// Node preamble: frontier entry + CSR offsets.
 				if len(dst)-n < 3 {
-					return n
+					return n, false
 				}
 				dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseFrontier + uint64(p)*4,
 					Size: 4, PC: pcBFSExpand}
@@ -241,7 +197,7 @@ func (g *bfsGen) fillRun(dst []isa.Op, n int, r *bfsRun) int {
 			for g.edge < hi {
 				// Worst case per edge: 2 loads + branch + 2 stores + ALU.
 				if len(dst)-n < 6 {
-					return n
+					return n, false
 				}
 				e := g.edge
 				v := w.edges[e]
@@ -270,5 +226,10 @@ func (g *bfsGen) fillRun(dst []isa.Op, n int, r *bfsRun) int {
 		g.pos = 0
 		g.edge = -1
 	}
-	return n
+	return n, true
+}
+
+func (g *bfsBody) rewind() {
+	g.run++
+	g.level, g.pos, g.edge = 0, 0, -1
 }

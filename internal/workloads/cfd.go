@@ -100,99 +100,54 @@ func (c *CFD) FootprintBytes() uint64 {
 // Streams implements Workload.
 func (c *CFD) Streams() []isa.Stream {
 	out := make([]isa.Stream, c.cfg.Threads)
-	per := c.cfg.Elems / c.cfg.Threads
-	for t := 0; t < c.cfg.Threads; t++ {
-		lo := t * per
-		hi := lo + per
-		if t == c.cfg.Threads-1 {
-			hi = c.cfg.Elems
-		}
-		out[t] = &cfdGen{w: c, tid: t, lo: lo, hi: hi, idx: lo}
+	for t := range out {
+		lo, hi := chunk(c.cfg.Elems, c.cfg.Threads, t)
+		out[t] = &kernelLoop{body: &cfdBody{w: c, lo: lo, hi: hi, idx: lo},
+			tid: t, iters: c.cfg.Iters, footprint: c.FootprintBytes()}
 	}
 	return out
 }
 
-type cfdGen struct {
-	w        *CFD
-	tid      int
-	lo, hi   int
-	iter     int
-	idx      int
-	preamble bool
+// cfdBody emits one thread's flux-kernel ops over its chunk [lo, hi).
+type cfdBody struct {
+	w      *CFD
+	lo, hi int
+	idx    int
 }
 
 // Ops per element: 1 neighbor-index load, 4 gather loads, 1 own-
 // variables load, 2 normals loads, 4 SIMD, 1 flux store, 1 branch.
 const cfdOpsPerElem = 14
 
-// Fill implements isa.Stream.
-func (g *cfdGen) Fill(dst []isa.Op) int {
-	n := 0
-	for g.iter < g.w.cfg.Iters {
-		if !g.preamble {
-			if g.tid == 0 {
-				need := 1
-				if g.iter == 0 {
-					need = 2
-				}
-				if len(dst)-n < need {
-					return n
-				}
-				if g.iter == 0 {
-					dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerAlloc,
-						Addr: g.w.FootprintBytes()}
-					n++
-				}
-				dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStart, Label: 0}
-				n++
-			}
-			g.preamble = true
+func (g *cfdBody) step(dst []isa.Op, n int) (int, bool) {
+	i := g.idx
+	for ; i < g.hi && len(dst)-n >= cfdOpsPerElem; i++ {
+		e := uint64(i)
+		nb := g.w.neighbors[4*i : 4*i+4]
+		d := dst[n : n+cfdOpsPerElem : n+cfdOpsPerElem]
+		d[0] = isa.Op{Kind: isa.KindLoad, Addr: baseNeighbors + e*cfdNbrStride,
+			Size: 16, PC: pcCFDCompute}
+		for k := 0; k < 4; k++ {
+			d[1+k] = isa.Op{Kind: isa.KindLoad,
+				Addr: baseVariables + uint64(nb[k])*cfdVarStride,
+				Size: 40, PC: pcCFDCompute + 4 + uint64(k)*4}
 		}
-		for g.idx < g.hi {
-			if len(dst)-n < cfdOpsPerElem {
-				return n
-			}
-			i := uint64(g.idx)
-			nb := g.w.neighbors[4*g.idx : 4*g.idx+4]
-			dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseNeighbors + i*cfdNbrStride,
-				Size: 16, PC: pcCFDCompute}
-			n++
-			for k := 0; k < 4; k++ {
-				dst[n] = isa.Op{Kind: isa.KindLoad,
-					Addr: baseVariables + uint64(nb[k])*cfdVarStride,
-					Size: 40, PC: pcCFDCompute + 4 + uint64(k)*4}
-				n++
-			}
-			dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseVariables + i*cfdVarStride,
-				Size: 40, PC: pcCFDCompute + 20}
-			n++
-			dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseNormals + i*cfdNormalStride,
-				Size: 48, PC: pcCFDCompute + 24}
-			n++
-			dst[n] = isa.Op{Kind: isa.KindLoad, Addr: baseNormals + i*cfdNormalStride + 48,
-				Size: 48, PC: pcCFDCompute + 28}
-			n++
-			for k := 0; k < 4; k++ {
-				dst[n] = isa.Op{Kind: isa.KindSIMD, PC: pcCFDCompute + 32 + uint64(k)*4}
-				n++
-			}
-			dst[n] = isa.Op{Kind: isa.KindStore, Addr: baseFluxes + i*cfdFluxStride,
-				Size: 40, PC: pcCFDCompute + 48}
-			n++
-			dst[n] = isa.Op{Kind: isa.KindBranch, PC: pcCFDCompute + 52}
-			n++
-			g.idx++
+		d[5] = isa.Op{Kind: isa.KindLoad, Addr: baseVariables + e*cfdVarStride,
+			Size: 40, PC: pcCFDCompute + 20}
+		d[6] = isa.Op{Kind: isa.KindLoad, Addr: baseNormals + e*cfdNormalStride,
+			Size: 48, PC: pcCFDCompute + 24}
+		d[7] = isa.Op{Kind: isa.KindLoad, Addr: baseNormals + e*cfdNormalStride + 48,
+			Size: 48, PC: pcCFDCompute + 28}
+		for k := 0; k < 4; k++ {
+			d[8+k] = isa.Op{Kind: isa.KindSIMD, PC: pcCFDCompute + 32 + uint64(k)*4}
 		}
-		if g.tid == 0 {
-			if len(dst)-n < 1 {
-				return n
-			}
-			dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStop, Label: 0}
-			n++
-		}
-		g.iter++
-		g.idx = g.lo
-		g.preamble = false
+		d[12] = isa.Op{Kind: isa.KindStore, Addr: baseFluxes + e*cfdFluxStride,
+			Size: 40, PC: pcCFDCompute + 48}
+		d[13] = isa.Op{Kind: isa.KindBranch, PC: pcCFDCompute + 52}
+		n += cfdOpsPerElem
 	}
-	return n
+	g.idx = i
+	return n, i == g.hi
 }
+
+func (g *cfdBody) rewind() { g.idx = g.lo }

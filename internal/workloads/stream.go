@@ -62,80 +62,37 @@ func (s *Stream) FootprintBytes() uint64 { return uint64(s.cfg.Elems) * 8 * 3 }
 // Streams implements Workload.
 func (s *Stream) Streams() []isa.Stream {
 	out := make([]isa.Stream, s.cfg.Threads)
-	per := s.cfg.Elems / s.cfg.Threads
-	for t := 0; t < s.cfg.Threads; t++ {
-		lo := t * per
-		hi := lo + per
-		if t == s.cfg.Threads-1 {
-			hi = s.cfg.Elems
-		}
-		out[t] = &streamGen{w: s, tid: t, lo: lo, hi: hi, idx: lo}
+	for t := range out {
+		lo, hi := chunk(s.cfg.Elems, s.cfg.Threads, t)
+		out[t] = &kernelLoop{body: &streamBody{lo: lo, hi: hi, idx: lo},
+			tid: t, iters: s.cfg.Iters, footprint: s.FootprintBytes()}
 	}
 	return out
 }
 
-// streamGen emits one thread's Triad ops lazily.
-type streamGen struct {
-	w        *Stream
-	tid      int
-	lo, hi   int
-	iter     int
-	idx      int
-	preamble bool // alloc/start markers emitted for current iteration
+// streamBody emits one thread's Triad ops over its chunk [lo, hi).
+type streamBody struct {
+	lo, hi int
+	idx    int
 }
 
 // opsPerElem: load b, load c, SIMD fma, store a, branch (loop back).
 const streamOpsPerElem = 5
 
-// Fill implements isa.Stream.
-func (g *streamGen) Fill(dst []isa.Op) int {
-	n := 0
-	for g.iter < g.w.cfg.Iters {
-		if !g.preamble {
-			// Thread 0 carries the annotations: the allocation report
-			// once, and the "triad" start marker per iteration.
-			if g.tid == 0 {
-				need := 1
-				if g.iter == 0 {
-					need = 2
-				}
-				if len(dst)-n < need {
-					return n
-				}
-				if g.iter == 0 {
-					dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerAlloc,
-						Addr: g.w.FootprintBytes()}
-					n++
-				}
-				dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStart, Label: 0}
-				n++
-			}
-			g.preamble = true
-		}
-		for g.idx < g.hi {
-			if len(dst)-n < streamOpsPerElem {
-				return n
-			}
-			off := uint64(g.idx) * 8
-			dst[n+0] = isa.Op{Kind: isa.KindLoad, Addr: baseB + off, Size: 8, PC: pcStreamTriad}
-			dst[n+1] = isa.Op{Kind: isa.KindLoad, Addr: baseC + off, Size: 8, PC: pcStreamTriad + 4}
-			dst[n+2] = isa.Op{Kind: isa.KindSIMD, PC: pcStreamTriad + 8}
-			dst[n+3] = isa.Op{Kind: isa.KindStore, Addr: baseA + off, Size: 8, PC: pcStreamTriad + 12}
-			dst[n+4] = isa.Op{Kind: isa.KindBranch, PC: pcStreamTriad + 16}
-			n += streamOpsPerElem
-			g.idx++
-		}
-		// End of this thread's chunk for this iteration.
-		if g.tid == 0 {
-			if len(dst)-n < 1 {
-				return n
-			}
-			dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStop, Label: 0}
-			n++
-		}
-		g.iter++
-		g.idx = g.lo
-		g.preamble = false
+func (g *streamBody) step(dst []isa.Op, n int) (int, bool) {
+	i := g.idx
+	for ; i < g.hi && len(dst)-n >= streamOpsPerElem; i++ {
+		off := uint64(i) * 8
+		d := dst[n : n+streamOpsPerElem : n+streamOpsPerElem]
+		d[0] = isa.Op{Kind: isa.KindLoad, Addr: baseB + off, Size: 8, PC: pcStreamTriad}
+		d[1] = isa.Op{Kind: isa.KindLoad, Addr: baseC + off, Size: 8, PC: pcStreamTriad + 4}
+		d[2] = isa.Op{Kind: isa.KindSIMD, PC: pcStreamTriad + 8}
+		d[3] = isa.Op{Kind: isa.KindStore, Addr: baseA + off, Size: 8, PC: pcStreamTriad + 12}
+		d[4] = isa.Op{Kind: isa.KindBranch, PC: pcStreamTriad + 16}
+		n += streamOpsPerElem
 	}
-	return n
+	g.idx = i
+	return n, i == g.hi
 }
+
+func (g *streamBody) rewind() { g.idx = g.lo }

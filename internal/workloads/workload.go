@@ -74,6 +74,85 @@ func NewStandard(name string, elems, threads, iters int, seed uint64) (Workload,
 	return nil, fmt.Errorf("workloads: unknown workload %q (supported: stream, cfd, bfs)", name)
 }
 
+// kernelBody is one cycle-level kernel's per-iteration op emitter.
+type kernelBody interface {
+	// step writes the current iteration's ops into dst from index n
+	// and returns the new index. done is false when dst filled first;
+	// the next call resumes where this one stopped. Once done, further
+	// calls return (n, true) without writing.
+	step(dst []isa.Op, n int) (next int, done bool)
+	// rewind moves the body to the start of the next iteration.
+	rewind()
+}
+
+// kernelLoop is one thread's op stream of a cycle-level workload: it
+// runs body for iters iterations and carries NMO's annotations on
+// thread 0 only, as the paper's instrumented kernels do. Thread 0
+// reports the allocation (MarkerAlloc, footprint bytes) once before
+// the first iteration and brackets every iteration with a
+// MarkerStart/MarkerStop pair of label 0. A marker that does not fit
+// in dst is emitted by the next Fill.
+type kernelLoop struct {
+	body      kernelBody
+	tid       int
+	iters     int
+	footprint uint64
+
+	iter    int
+	started bool // start marker (and alloc) done for the current iteration
+}
+
+// Fill implements isa.Stream.
+func (k *kernelLoop) Fill(dst []isa.Op) int {
+	n := 0
+	for k.iter < k.iters {
+		if !k.started {
+			if k.tid == 0 {
+				need := 1
+				if k.iter == 0 {
+					need = 2
+				}
+				if len(dst)-n < need {
+					return n
+				}
+				if k.iter == 0 {
+					dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerAlloc, Addr: k.footprint}
+					n++
+				}
+				dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStart, Label: 0}
+				n++
+			}
+			k.started = true
+		}
+		var done bool
+		if n, done = k.body.step(dst, n); !done {
+			return n
+		}
+		if k.tid == 0 {
+			if len(dst)-n < 1 {
+				return n
+			}
+			dst[n] = isa.Op{Kind: isa.KindMarker, Marker: isa.MarkerStop, Label: 0}
+			n++
+		}
+		k.iter++
+		k.started = false
+		k.body.rewind()
+	}
+	return n
+}
+
+// chunk returns thread t's contiguous share [lo, hi) of n items split
+// across threads; the last thread takes the remainder.
+func chunk(n, threads, t int) (lo, hi int) {
+	per := n / threads
+	lo = t * per
+	if t == threads-1 {
+		return lo, n
+	}
+	return lo, lo + per
+}
+
 // Base addresses used by the cycle-level workloads. Keeping data
 // structures in well-separated virtual ranges makes the Fig. 4–6
 // scatter plots legible and region attribution unambiguous.
