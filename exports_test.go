@@ -5,26 +5,31 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // testOnlyAllowed lists the internal declarations that no non-test code
-// reaches but that stay, each with its reason. An exported function or
-// method is keyed by its name, an unexported one by "pkg.name", and a
-// struct field by "pkg.Type.Field".
+// reaches but that stay, each with its reason. An exported method is
+// keyed by its name, a package-level function or an unexported method
+// by "pkg.name", and a struct field by "pkg.Type.Field".
 var testOnlyAllowed = map[string]string{
-	"DeriveSeed": "engine: BenchmarkEngineParallelSpeedup's engineBatch, a layer micro-bench, seeds its scenarios with it",
-	"FileBacked": "service: tests check which cache tier a blob serves from until the memory tier is removed",
+	"engine.DeriveSeed": "BenchmarkEngineParallelSpeedup's engineBatch, a layer micro-bench, seeds its scenarios with it",
+	"FileBacked":        "service: tests check which cache tier a blob serves from until the memory tier is removed",
 }
 
 // TestNoTestOnlyExports keeps the declarations under internal/ reachable
 // from non-test code. It fails on
 //
-//   - an exported function or method whose name occurs nowhere else in
-//     the repository's non-test Go (comments do not count);
+//   - an exported package-level function that its own package's
+//     non-test Go never names bare and no other non-test Go names as
+//     pkg.F, pkg being the file's import of that package;
+//   - an exported method whose name occurs nowhere else in the
+//     repository's non-test Go (comments do not count);
 //   - an unexported function or method whose name occurs nowhere else
 //     in its package's non-test Go;
 //   - an untagged struct field whose name non-test code never reads
@@ -32,17 +37,20 @@ var testOnlyAllowed = map[string]string{
 //     selector that is assigned to, incremented or decremented writes
 //     the field, and a composite-literal key names it without reading.
 //
-// It matches by name, so a name shared with any other identifier (or,
-// for a field, with any other read selector) passes; interface methods
-// therefore need no entry. Tagged fields are read by the encoding that
-// their tags configure.
+// Apart from package-level functions it matches by name, so a name
+// shared with any other identifier (or, for a field, with any other
+// read selector) passes; interface methods therefore need no entry.
+// Tagged fields are read by the encoding that their tags configure.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset := token.NewFileSet()
 	uses := map[string]int{}                // identifier -> occurrences, repo-wide
 	pkgUses := map[string]map[string]int{}  // internal package dir -> identifier -> occurrences
 	reads := map[string]int{}               // selector name -> reads, repo-wide
 	pkgReads := map[string]map[string]int{} // internal package dir -> selector name -> reads
-	exported := map[string][]string{}       // exported func name -> positions
+	bare := map[string]map[string]int{}     // internal package dir -> unqualified, non-selector identifier -> occurrences
+	qualified := map[string]int{}           // "dir\x00name" -> pkg.name selectors naming it
+	funcs := map[string][]string{}          // "dir\x00name" of exported package-level funcs -> positions
+	methods := map[string][]string{}        // exported method name -> positions
 	unexported := map[string][]string{}     // "dir\x00name" -> positions
 	type field struct{ dir, name, at string }
 	fields := map[string]field{} // "pkg.Type.Field" -> declaration
@@ -66,8 +74,20 @@ func TestNoTestOnlyExports(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		internal := strings.HasPrefix(dir, "internal/")
 		if internal && pkgUses[dir] == nil {
-			pkgUses[dir], pkgReads[dir] = map[string]int{}, map[string]int{}
+			pkgUses[dir], pkgReads[dir], bare[dir] = map[string]int{}, map[string]int{}, map[string]int{}
 		}
+		imports := map[string]string{} // local name -> dir of an imported package of this module
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			if d, ok := strings.CutPrefix(p, "nmo/"); ok {
+				name := pathpkg.Base(p)
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				imports[name] = d
+			}
+		}
+		notBare := map[*ast.Ident]bool{} // selector and declaration names
 		writes := map[*ast.SelectorExpr]bool{}
 		var typeNames []string // enclosing type declarations
 		var stack []ast.Node
@@ -85,7 +105,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 				uses[n.Name]++
 				if internal {
 					pkgUses[dir][n.Name]++
+					if !notBare[n] {
+						bare[dir][n.Name]++
+					}
 				}
+			case *ast.FuncDecl:
+				notBare[n.Name] = true
 			case *ast.TypeSpec:
 				typeNames = append(typeNames, n.Name.Name)
 			case *ast.AssignStmt:
@@ -99,6 +124,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 					writes[sel] = true
 				}
 			case *ast.SelectorExpr:
+				notBare[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					qualified[imports[x.Name]+"\x00"+n.Sel.Name]++
+				}
 				if !writes[n] {
 					reads[n.Sel.Name]++
 					if internal {
@@ -136,8 +165,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 				continue
 			}
 			at := fset.Position(fd.Name.Pos()).String()
-			if fd.Name.IsExported() {
-				exported[fd.Name.Name] = append(exported[fd.Name.Name], at)
+			if fd.Name.IsExported() && fd.Recv == nil {
+				key := dir + "\x00" + fd.Name.Name
+				funcs[key] = append(funcs[key], at)
+			} else if fd.Name.IsExported() {
+				methods[fd.Name.Name] = append(methods[fd.Name.Name], at)
 			} else {
 				key := dir + "\x00" + fd.Name.Name
 				unexported[key] = append(unexported[key], at)
@@ -161,7 +193,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 			dead = append(dead, key+" ("+at+")")
 		}
 	}
-	for name, at := range exported {
+	for key, at := range funcs {
+		dir, name, _ := strings.Cut(key, "\x00")
+		check(filepath.Base(dir)+"."+name, bare[dir][name] > 0 || qualified[key] > 0, strings.Join(at, ", "))
+	}
+	for name, at := range methods {
 		check(name, uses[name] > len(at), strings.Join(at, ", "))
 	}
 	for key, at := range unexported {

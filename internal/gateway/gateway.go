@@ -68,7 +68,7 @@ type member struct {
 // address (computed gateway-side with service.ContentAddress — the
 // exact key the shard's cache will file the result under), job reads
 // are routed by the shard prefix carried in every gateway job ID, and
-// /v1/stats fans out and merges. Existing clients (service.Client,
+// /v1/stats sums the members' /metrics. Existing clients (service.Client,
 // nmoprof -remote, nmostat -remote, plain curl) work unchanged against
 // a gateway URL.
 type Gateway struct {
@@ -230,7 +230,8 @@ func (g *Gateway) probeOnce() {
 			// Liveness only: /v1/healthz costs the shard nothing (no
 			// stats snapshot under the scheduler lock) and needs no
 			// credentials, so probing stays cheap at any fleet size.
-			m.healthy.Store(m.get(ctx, "/v1/healthz", nil) == nil)
+			_, err := m.get(ctx, "/v1/healthz", 1<<10)
+			m.healthy.Store(err == nil)
 		}()
 	}
 	wg.Wait()
@@ -393,7 +394,14 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	x, err := m.do(r.Context(), r.Method, path, g.forwardHeader(r), nil)
+	method := r.Method
+	if method == http.MethodHead && suffix == "" {
+		// The JobInfo is rewritten below, so its length is only known
+		// from the body: fetch it, and net/http answers the HEAD with
+		// that length and no body.
+		method = http.MethodGet
+	}
+	x, err := m.do(r.Context(), method, path, g.forwardHeader(r), nil)
 	if err != nil {
 		if r.Context().Err() == nil {
 			obs.WriteError(w, r, http.StatusBadGateway, obs.CodeUpstream,
@@ -420,15 +428,23 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 	g.relay(w, r, x)
 }
 
-// handleStats fans /v1/stats out to every member and merges the
-// answers into a FleetStats: summed counters inline (so a plain
-// SchedStats decode of a gateway URL still works) plus one row per
-// member. The fan-out is live — the smoke tests compare engine-run
-// counters across submissions, which cached probe snapshots would
-// blur. Members that fail the fan-out are reported unhealthy with no
-// Stats row and excluded from the sums.
+// maxExposition caps one member's /metrics body in the stats fan-out:
+// a shard that sends more is a row error, not an unbounded allocation.
+const maxExposition = 16 << 20
+
+// handleStats fans /metrics out to every member and answers with a
+// FleetStats: one row per member, read with service.StatsFrom from
+// that member's exposition, and the fleet row inline (so a plain
+// SchedStats decode of a gateway URL still works), read the same way
+// from the sum of the members' series and the gateway's own registry —
+// the gateway's splice and relay bytes are data-plane bytes too. The
+// fan-out is live — the smoke tests compare engine-run counters across
+// submissions, which cached probe snapshots would blur. Members that
+// fail the fan-out are reported unhealthy with no Stats row and
+// excluded from the sums.
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	fleet := service.FleetStats{Members: make([]service.MemberStats, len(g.members))}
+	snaps := make([]map[string]float64, len(g.members))
 	var wg sync.WaitGroup
 	for i, m := range g.members {
 		i, m := i, m
@@ -437,13 +453,16 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 			defer cancel()
-			var st service.SchedStats
-			err := m.get(ctx, "/v1/stats", &st)
+			body, err := m.get(ctx, "/metrics", maxExposition)
+			if err == nil {
+				snaps[i], err = obs.ParseText(bytes.NewReader(body))
+			}
 			row := service.MemberStats{Member: m.base, Shard: i}
 			switch {
 			case err == nil:
 				m.healthy.Store(true)
 				row.Healthy = true
+				st := service.StatsFrom(snaps[i])
 				row.Stats = &st
 			case r.Context().Err() != nil:
 				// The *requester* went away mid-fan-out; every member
@@ -460,90 +479,27 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	for _, row := range fleet.Members {
-		if row.Stats == nil {
-			continue
+	sum := make(map[string]float64)
+	for _, snap := range append(snaps, g.reg.Snapshot()) {
+		for k, v := range snap {
+			if unsummed(k) {
+				sum[k] = v
+			} else {
+				sum[k] += v
+			}
 		}
-		st := row.Stats
-		fleet.Submitted += st.Submitted
-		fleet.Rejected += st.Rejected
-		fleet.EngineRuns += st.EngineRuns
-		fleet.CacheHits += st.CacheHits
-		fleet.Coalesced += st.Coalesced
-		fleet.CacheEntries += st.CacheEntries
-		fleet.CacheEvictions += st.CacheEvictions
-		fleet.CacheBytesMem += st.CacheBytesMem
-		fleet.CacheBytesDisk += st.CacheBytesDisk
-		fleet.CacheDemotions += st.CacheDemotions
-		fleet.CachePromotions += st.CachePromotions
-		fleet.Queued += st.Queued
-		fleet.Running += st.Running
-		fleet.ZcSendfileBytes += st.ZcSendfileBytes
-		fleet.ZcSpliceBytes += st.ZcSpliceBytes
-		fleet.ZcFallbackBytes += st.ZcFallbackBytes
-		fleet.TraceClientAborts += st.TraceClientAborts
-		fleet.TraceServeErrors += st.TraceServeErrors
-		fleet.JobPhases = mergePhases(fleet.JobPhases, st.JobPhases)
-		fleet.Tenants = mergeTenants(fleet.Tenants, st.Tenants)
 	}
-	// Uptime is this gateway's own clock — summing member uptimes
-	// would produce a meaningless "fleet-seconds" figure.
-	fleet.UptimeSec = obs.Uptime()
-	// The gateway is a data-plane hop of its own: its splice/relay
-	// bytes fold into the same inline counters (shards sendfile,
-	// the gateway splices — both visible in one fleet view).
-	fleet.ZcSendfileBytes += g.zc.SendfileBytes()
-	fleet.ZcSpliceBytes += g.zc.SpliceBytes()
-	fleet.ZcFallbackBytes += g.zc.FallbackBytes()
-	fleet.TraceClientAborts += g.zc.ClientAborts()
-	fleet.TraceServeErrors += g.zc.Errors()
+	fleet.SchedStats = service.StatsFrom(sum)
 	service.WriteJSON(w, http.StatusOK, fleet)
 }
 
-// mergeTenants accumulates one member's per-tenant rows into the
-// fleet view, matching by tenant name (the weight is a quota-file
-// constant, identical across shards; the counters sum).
-func mergeTenants(acc, add []service.TenantStat) []service.TenantStat {
-	for _, t := range add {
-		found := false
-		for i := range acc {
-			if acc[i].Tenant == t.Tenant {
-				acc[i].Queued += t.Queued
-				acc[i].Running += t.Running
-				acc[i].InFlight += t.InFlight
-				acc[i].Submitted += t.Submitted
-				acc[i].EngineRuns += t.EngineRuns
-				acc[i].Rejected += t.Rejected
-				found = true
-				break
-			}
-		}
-		if !found {
-			acc = append(acc, t)
-		}
-	}
-	return acc
-}
-
-// mergePhases accumulates one member's phase summary into the fleet
-// totals, matching rows by phase name so shards running different
-// builds (or none) merge cleanly.
-func mergePhases(acc, add []service.PhaseStat) []service.PhaseStat {
-	for _, p := range add {
-		found := false
-		for i := range acc {
-			if acc[i].Phase == p.Phase {
-				acc[i].Count += p.Count
-				acc[i].TotalSec += p.TotalSec
-				found = true
-				break
-			}
-		}
-		if !found {
-			acc = append(acc, p)
-		}
-	}
-	return acc
+// unsummed reports the series StatsFrom reads that describe one
+// process or one quota-table entry instead of counting work. Their
+// last value read wins, and the gateway's own registry is read last,
+// so the fleet row carries the gateway's uptime, and a tenant's weight
+// stays its quota weight however many shards it ran on.
+func unsummed(series string) bool {
+	return series == "nmo_uptime_seconds" || strings.HasPrefix(series, "nmo_tenant_weight{")
 }
 
 // handleHealthz is healthy while at least one shard is: the fleet

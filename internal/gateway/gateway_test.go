@@ -1,15 +1,20 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
+	"nmo/internal/obs"
 	"nmo/internal/service"
 )
 
@@ -25,10 +30,17 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int) *fleet {
 	t.Helper()
+	return newQuotaFleet(t, n, nil)
+}
+
+// newQuotaFleet is newFleet with a quota table on every shard and on
+// the gateway (auth mode none: tenancy by dev header).
+func newQuotaFleet(t *testing.T, n int, quotas *auth.Quotas) *fleet {
+	t.Helper()
 	f := &fleet{}
 	members := make([]string, n)
 	for i := 0; i < n; i++ {
-		sched := service.NewScheduler(service.SchedConfig{Workers: 2}, nil)
+		sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: quotas}, nil)
 		t.Cleanup(sched.Close)
 		srv := httptest.NewServer(service.NewServer(sched))
 		t.Cleanup(srv.Close)
@@ -37,7 +49,8 @@ func newFleet(t *testing.T, n int) *fleet {
 		f.clients = append(f.clients, service.NewClient(srv.URL))
 		members[i] = srv.URL
 	}
-	gw, err := New(Config{Members: members, ProbeEvery: 100 * time.Millisecond})
+	gw, err := New(Config{Members: members, ProbeEvery: 100 * time.Millisecond,
+		Auth: auth.Config{Quotas: quotas}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +179,27 @@ func TestGatewayCacheAffinity(t *testing.T) {
 
 // TestGatewayStatsMerge: the fleet view sums member counters inline
 // (decodable as plain SchedStats by an unmodified client) and carries
-// one healthy row per member.
+// one healthy row per member. Per-tenant counters sum across the
+// shards a tenant ran on, while its weight stays its quota weight, and
+// uptime is never summed: each member row carries its own, the fleet
+// row the gateway's.
 func TestGatewayStatsMerge(t *testing.T) {
-	f := newFleet(t, 3)
+	quotas := &auth.Quotas{Tenants: map[string]auth.TenantQuota{"alpha": {Weight: 3}}}
+	f := newQuotaFleet(t, 3, quotas)
 	for seed := uint64(1); seed <= 6; seed++ {
 		submitWait(t, f.client, spec(seed))
 	}
+	// Two tenants, each on two shards, submitted on the shards
+	// directly so the placement is fixed.
+	for i, tenant := range []string{"alpha", "beta", "alpha", "beta"} {
+		ctx := auth.WithPrincipal(context.Background(), auth.Principal{Tenant: tenant})
+		j, err := f.scheds[i/2].Submit(ctx, spec(uint64(100+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	before := obs.Uptime()
 	// The unmodified client decodes the aggregate…
 	agg, err := f.client.Stats(context.Background())
 	if err != nil {
@@ -179,6 +207,7 @@ func TestGatewayStatsMerge(t *testing.T) {
 	}
 	var wantSub, wantRuns, wantDemote, wantPromote uint64
 	var wantMem, wantDisk int64
+	wantTenants := map[string]service.TenantStat{}
 	for _, s := range f.scheds {
 		st := s.Stats()
 		wantSub += st.Submitted
@@ -187,6 +216,13 @@ func TestGatewayStatsMerge(t *testing.T) {
 		wantDisk += st.CacheBytesDisk
 		wantDemote += st.CacheDemotions
 		wantPromote += st.CachePromotions
+		for _, row := range st.Tenants {
+			w := wantTenants[row.Tenant]
+			w.Submitted += row.Submitted
+			w.EngineRuns += row.EngineRuns
+			w.Rejected += row.Rejected
+			wantTenants[row.Tenant] = w
+		}
 	}
 	if agg.Submitted != wantSub || agg.EngineRuns != wantRuns {
 		t.Fatalf("aggregate stats = %d submitted / %d runs, want %d / %d",
@@ -202,6 +238,17 @@ func TestGatewayStatsMerge(t *testing.T) {
 		t.Errorf("aggregate tier stats disk=%d demotions=%d promotions=%d, want %d/%d/%d",
 			agg.CacheBytesDisk, agg.CacheDemotions, agg.CachePromotions, wantDisk, wantDemote, wantPromote)
 	}
+	gotTenants := map[string]service.TenantStat{}
+	for _, row := range agg.Tenants {
+		gotTenants[row.Tenant] = row
+	}
+	for name, weight := range map[string]int{"alpha": 3, "beta": 1} {
+		got, want := gotTenants[name], wantTenants[name]
+		if got.Submitted != want.Submitted || got.EngineRuns != want.EngineRuns || got.Rejected != want.Rejected ||
+			got.Submitted != 2 || got.EngineRuns != 2 || got.Weight != weight {
+			t.Errorf("tenant %s: fleet row %+v, want the member sums %+v with weight %d", name, got, want, weight)
+		}
+	}
 	// …and the full body carries the per-member rows.
 	resp, err := http.Get(f.front.URL + "/v1/stats")
 	if err != nil {
@@ -212,12 +259,25 @@ func TestGatewayStatsMerge(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&fleetStats); err != nil {
 		t.Fatal(err)
 	}
+	after := obs.Uptime()
 	if len(fleetStats.Members) != 3 {
 		t.Fatalf("fleet stats has %d member rows, want 3", len(fleetStats.Members))
 	}
-	for _, m := range fleetStats.Members {
+	// One process here: every uptime is this process's, read between
+	// before and after. A summed one would be several times larger.
+	if u := fleetStats.UptimeSec; u < before || u > after {
+		t.Errorf("fleet uptime %v outside [%v, %v]", u, before, after)
+	}
+	for i, m := range fleetStats.Members {
 		if !m.Healthy || m.Stats == nil {
 			t.Fatalf("member %s (shard %d) unhealthy in an all-up fleet: %+v", m.Member, m.Shard, m)
+		}
+		if u := m.Stats.UptimeSec; u < before || u > after {
+			t.Errorf("member %d uptime %v outside [%v, %v]", i, u, before, after)
+		}
+		if st := f.scheds[i].Stats(); m.Stats.Submitted != st.Submitted || m.Stats.EngineRuns != st.EngineRuns {
+			t.Errorf("member %d row %d submitted / %d runs, shard says %d / %d",
+				i, m.Stats.Submitted, m.Stats.EngineRuns, st.Submitted, st.EngineRuns)
 		}
 	}
 }
@@ -515,5 +575,135 @@ func TestGatewayTracePassThrough(t *testing.T) {
 	}
 	if !bytes.Equal(body.Bytes(), direct) {
 		t.Error("gateway-relayed bytes differ from the direct shard fetch")
+	}
+}
+
+// rawExchange sends one request on conn and reads its response, body
+// included, within 1 s.
+func rawExchange(t *testing.T, conn net.Conn, br *bufio.Reader, method, path string) *http.Response {
+	t.Helper()
+	conn.SetDeadline(time.Now().Add(time.Second))
+	req, err := http.NewRequest(method, "http://fleet"+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Write(conn); err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, path, err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s %s body: %v", method, path, err)
+	}
+	resp.Body.Close()
+	return resp
+}
+
+// TestGatewayHead: HEAD on a job's status, result and trace answers
+// what the shard answers, and the client's keep-alive conn then serves
+// its next request at once — a relay waiting for the body a HEAD
+// answer never carries would leave the conn wedged.
+func TestGatewayHead(t *testing.T) {
+	f := newFleet(t, 2)
+	// A wedged relay holds a shard conn open; dropping the shard conns
+	// first lets the fixture shut down.
+	t.Cleanup(func() {
+		for _, s := range f.shards {
+			s.CloseClientConnections()
+		}
+	})
+	info := submitWait(t, f.client, spec(5))
+	shard, inner, err := f.gw.splitJobID(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suffix := range []string{"", "/result", "/trace"} {
+		want, err := http.Head(f.shards[shard].URL + "/v1/jobs/" + inner + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Body.Close()
+		conn, err := net.Dial("tcp", f.front.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		got := rawExchange(t, conn, br, http.MethodHead, "/v1/jobs/"+info.ID+suffix)
+		if got.StatusCode != want.StatusCode {
+			t.Errorf("HEAD %s: gateway %s, shard %s", suffix, got.Status, want.Status)
+		}
+		wantLen := want.ContentLength
+		if suffix == "" { // the gateway rewrites the JobInfo: its own GET sets the length
+			g, err := http.Get(f.front.URL + "/v1/jobs/" + info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Body.Close()
+			wantLen = g.ContentLength
+		}
+		if got.ContentLength != wantLen || wantLen <= 0 {
+			t.Errorf("HEAD %s: Content-Length %d, want %d", suffix, got.ContentLength, wantLen)
+		}
+		if h := rawExchange(t, conn, br, http.MethodGet, "/v1/healthz"); h.StatusCode != http.StatusOK {
+			t.Errorf("healthz after HEAD %s: %s", suffix, h.Status)
+		}
+		conn.Close()
+	}
+}
+
+// TestGatewayStatsLyingMember: a member's exposition is read as
+// untrusted input. A malformed line, or a body past the cap, makes
+// that member's row an error, while the honest member's numbers still
+// reach the fleet row.
+func TestGatewayStatsLyingMember(t *testing.T) {
+	honest := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
+	t.Cleanup(honest.Close)
+	good := httptest.NewServer(service.NewServer(honest))
+	t.Cleanup(good.Close)
+	submitWait(t, service.NewClient(good.URL), spec(9))
+
+	for name, metrics := range map[string]http.HandlerFunc{
+		"malformed": func(w http.ResponseWriter, _ *http.Request) {
+			io.WriteString(w, "nmo_engine_runs_total 1e9\nnmo_jobs_submitted_total{x=\"1\" 7\n")
+		},
+		"endless": func(w http.ResponseWriter, r *http.Request) {
+			line := []byte("nmo_engine_runs_total 1\n")
+			for r.Context().Err() == nil {
+				if _, err := w.Write(line); err != nil {
+					return
+				}
+			}
+		},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok\n") })
+		mux.HandleFunc("/metrics", metrics)
+		liar := httptest.NewServer(mux)
+		gw, err := New(Config{Members: []string{good.URL, liar.URL}, ProbeEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(gw)
+		resp, err := http.Get(front.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fs service.FleetStats
+		err = json.NewDecoder(resp.Body).Decode(&fs)
+		resp.Body.Close()
+		front.Close()
+		gw.Close()
+		liar.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := fs.Members[1]; row.Healthy || row.Stats != nil || row.Error == "" {
+			t.Errorf("%s: lying member's row = %+v, want an error row", name, row)
+		}
+		if !fs.Members[0].Healthy || fs.Submitted != 1 || fs.EngineRuns != 1 {
+			t.Errorf("%s: fleet row %d submitted / %d runs, want the honest member's 1 / 1", name, fs.Submitted, fs.EngineRuns)
+		}
 	}
 }

@@ -210,29 +210,35 @@ func (x *exchange) release(consumed bool) {
 	x.uc.close()
 }
 
-// readJSON decodes the body into v (nil: discard it), reading it to
-// the end first so the conn can be pooled.
+// readJSON decodes the body into v, reading it to the end first so
+// the conn can be pooled.
 func (x *exchange) readJSON(v any) error {
 	data, err := io.ReadAll(x.Body)
 	x.release(err == nil)
-	if err != nil || v == nil {
+	if err != nil {
 		return err
 	}
 	return json.Unmarshal(data, v)
 }
 
 // get fetches path from m — a health probe or a stats leg — and
-// decodes its 200 JSON body into v (nil: discard it).
-func (m *member) get(ctx context.Context, path string, v any) error {
+// returns its 200 body. A body over limit bytes is an error, read no
+// further than the limit.
+func (m *member) get(ctx context.Context, path string, limit int64) ([]byte, error) {
 	x, err := m.do(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if x.StatusCode != http.StatusOK {
 		x.release(false)
-		return fmt.Errorf("GET %s: %s", path, x.Status)
+		return nil, fmt.Errorf("GET %s: %s", path, x.Status)
 	}
-	return x.readJSON(v)
+	data, err := io.ReadAll(io.LimitReader(x.Body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		err = fmt.Errorf("GET %s: body over %d bytes", path, limit)
+	}
+	x.release(err == nil)
+	return data, err
 }
 
 // relay passes the response through verbatim: the headers clients
@@ -250,7 +256,8 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, x *exchange) {
 	w.WriteHeader(x.StatusCode)
 	trace := x.Header.Get("Content-Type") == "application/octet-stream"
 	var err error
-	if cl := x.ContentLength; trace && x.StatusCode == http.StatusOK && cl > 0 {
+	// A HEAD answer declares the body's length but carries none.
+	if cl := x.ContentLength; trace && x.StatusCode == http.StatusOK && cl > 0 && r.Method != http.MethodHead {
 		err = g.relayTrace(w, r, x, cl)
 	} else {
 		var n int64

@@ -27,8 +27,9 @@ func Version() string {
 
 // RegisterBuildInfo adds the identity metrics both daemons expose:
 // the constant-1 nmo_build_info gauge whose labels carry what is
-// running, and the process start time in the Prometheus convention
-// (so `time() - nmo_process_start_time_seconds` is uptime).
+// running, the process start time in the Prometheus convention (so
+// `time() - nmo_process_start_time_seconds` is uptime), and the
+// uptime itself as the process's own clock reads it.
 func RegisterBuildInfo(reg *Registry) {
 	reg.GaugeFunc("nmo_build_info",
 		"Constant 1; labels identify the running build.",
@@ -38,6 +39,7 @@ func RegisterBuildInfo(reg *Registry) {
 	reg.GaugeFunc("nmo_process_start_time_seconds",
 		"Unix time the process started.",
 		func() float64 { return start })
+	reg.GaugeFunc("nmo_uptime_seconds", "Seconds since the process started.", Uptime)
 }
 
 // DebugHandler serves the net/http/pprof endpoints under

@@ -3,7 +3,6 @@ package obs
 import (
 	"io"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -22,65 +21,21 @@ var (
 // status class, one global in-flight gauge, and per-route latency and
 // response-size histograms. Routes are fixed strings (the mux
 // patterns), registered eagerly at Wrap time so every series exists
-// from the first scrape — the hot path never touches the registry.
+// from the first scrape. Per-tenant series are registered the first
+// time a tenant appears (tenants are authenticated principals, so the
+// label set is bounded by the identity space, not by arbitrary
+// requests); after that each request finds them with one registry
+// lookup.
 type HTTPMetrics struct {
 	reg      *Registry
 	audit    *AuditLog
 	inFlight *Gauge
-
-	// Per-tenant series are registered lazily the first time a tenant
-	// appears (tenants are authenticated principals, so the label set
-	// is bounded by the identity space, not by arbitrary requests).
-	// The maps cache instruments so the per-request path is one lookup,
-	// not a registry walk.
-	tmu          sync.Mutex
-	tenantReqs   map[string]*Counter // key: tenant + "\x00" + class
-	tenantBytes_ map[string]*Counter // key: tenant + "\x00" + route
 }
 
 // NewHTTPMetrics builds the middleware factory. audit may be nil.
 func NewHTTPMetrics(reg *Registry, audit *AuditLog) *HTTPMetrics {
-	return &HTTPMetrics{
-		reg:          reg,
-		audit:        audit,
-		inFlight:     reg.Gauge("nmo_http_in_flight", "HTTP requests currently being served."),
-		tenantReqs:   make(map[string]*Counter),
-		tenantBytes_: make(map[string]*Counter),
-	}
-}
-
-// tenantClass returns the tenant's request counter for one status
-// class, registering it on first use.
-func (m *HTTPMetrics) tenantClass(tenant, class string) *Counter {
-	key := tenant + "\x00" + class
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	c := m.tenantReqs[key]
-	if c == nil {
-		c = m.reg.Counter("nmo_tenant_http_requests_total",
-			"HTTP requests served, by tenant and status class.",
-			L("tenant", tenant), L("code", class))
-		m.tenantReqs[key] = c
-	}
-	return c
-}
-
-// tenantBytes returns the tenant's response-byte counter for one
-// route. On the trace route this is exactly "trace bytes served per
-// tenant" — the response recorder counts sendfile'd bytes too (its
-// ReadFrom seam returns the kernel-moved total).
-func (m *HTTPMetrics) tenantBytes(tenant, route string) *Counter {
-	key := tenant + "\x00" + route
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	c := m.tenantBytes_[key]
-	if c == nil {
-		c = m.reg.Counter("nmo_tenant_http_response_bytes_total",
-			"HTTP response body bytes, by tenant and route.",
-			L("tenant", tenant), L("route", route))
-		m.tenantBytes_[key] = c
-	}
-	return c
+	return &HTTPMetrics{reg: reg, audit: audit,
+		inFlight: reg.Gauge("nmo_http_in_flight", "HTTP requests currently being served.")}
 }
 
 // Wrap instruments one route. It also owns the request-ID boundary:
@@ -126,8 +81,15 @@ func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 			// the real status and code: the auth layer runs inside this
 			// wrapper, and WriteError stamped the code on the holder.
 			if info.Tenant != "" {
-				m.tenantClass(info.Tenant, string('1'+byte(cls-1))+"xx").Inc()
-				m.tenantBytes(info.Tenant, route).Add(uint64(rec.bytes))
+				t := L("tenant", info.Tenant)
+				m.reg.Counter("nmo_tenant_http_requests_total",
+					"HTTP requests served, by tenant and status class.",
+					t, L("code", string('1'+byte(cls-1))+"xx")).Inc()
+				// On the trace route this is exactly "trace bytes served
+				// per tenant": the recorder counts sendfile'd bytes too.
+				m.reg.Counter("nmo_tenant_http_response_bytes_total",
+					"HTTP response body bytes, by tenant and route.",
+					t, L("route", route)).Add(uint64(rec.bytes))
 			}
 			m.audit.Log(Event{
 				Kind: "http", ReqID: id, Method: r.Method, Path: r.URL.Path,

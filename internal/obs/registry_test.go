@@ -2,10 +2,14 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"maps"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestExpositionGolden pins the text exposition format end to end:
@@ -183,4 +187,106 @@ func TestHandler(t *testing.T) {
 	if !strings.Contains(b.String(), "test_total 7\n") {
 		t.Errorf("scrape body:\n%s", b.String())
 	}
+}
+
+// TestRegistryCallsOutUnlocked pins the lock rule: rendering calls
+// func metrics after releasing the registry's lock, so a func metric
+// may itself register (or take a lock whose holder registers) without
+// deadlocking.
+func TestRegistryCallsOutUnlocked(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("test_fn", "", func() float64 {
+		r.Counter("test_inner_total", "").Inc()
+		return 1
+	})
+	done := make(chan map[string]float64)
+	go func() {
+		r.WritePrometheus(io.Discard)
+		done <- r.Snapshot()
+	}()
+	select {
+	case snap := <-done:
+		if _, ok := snap["test_inner_total"]; snap["test_fn"] != 1 || !ok {
+			t.Errorf("snapshot = %v", snap)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rendering called a func metric under the registry lock")
+	}
+}
+
+// TestParseText pins the exposition reader: it returns what Snapshot
+// returns for the same registry, and it rejects every line that is not
+// one well-formed sample.
+func TestParseText(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_total", "Help with \\ and\nnewline.", L("tenant", "a \"b\"\\c\nd"), L("x", "1")).Add(3)
+	r.Gauge("test_g", "").Add(-2)
+	r.Histogram("test_seconds", "", []float64{0.5, 2}).Observe(1)
+	r.GaugeFunc("test_inf", "", func() float64 { return math.Inf(1) })
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	got, err := ParseText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Snapshot(); !maps.Equal(got, want) {
+		t.Errorf("ParseText = %v\nSnapshot = %v", got, want)
+	}
+	if got[`test_total{tenant="a \"b\"\\c\nd",x="1"}`] != 3 || got[`test_seconds_bucket{le="2"}`] != 1 {
+		t.Errorf("ParseText keys or values off: %v", got)
+	}
+
+	for _, bad := range []string{
+		"test_total",                 // no value
+		"test_total 1 1700000000",    // timestamp
+		"test_total  1",              // double space
+		" test_total 1",              // leading space
+		"9test 1",                    // bad name
+		"test_total one",             // bad value
+		`test_total{} 1`,             // empty label block
+		`test_total{a="1" 1`,         // unterminated block
+		`test_total{a="1} 1`,         // unterminated value
+		`test_total{a=1} 1`,          // unquoted value
+		`test_total{a="1",} 1`,       // trailing comma
+		`test_total{a="\t"} 1`,       // escape the writer never makes
+		`test_total{a="1"}x 1`,       // junk after the block
+		"test_total 1\ntest_total 2", // repeated series
+	} {
+		if _, err := ParseText(strings.NewReader(bad + "\n")); err == nil {
+			t.Errorf("ParseText accepted %q", bad)
+		}
+	}
+}
+
+// FuzzParseText: the exposition reader never panics on any input, and
+// for a registry built from the fuzzed label, help and values it reads
+// the writer's output back into exactly the registry's Snapshot.
+func FuzzParseText(f *testing.F) {
+	f.Add("test_total{a=\"1\"} 2\n# TYPE x counter\n", "tenant \"q\" \\ \n", int64(3), 0.25)
+	f.Add(`x{a="\\",b="\""} +Inf`, "\xff\x00", int64(-1), 1e300)
+	f.Fuzz(func(t *testing.T, text, label string, n int64, obs float64) {
+		ParseText(strings.NewReader(text))
+		if len(label)+len(text) > 1<<16 {
+			return // keep the round trip's one line well under ParseText's 1 MiB cap
+		}
+		if math.IsNaN(obs) {
+			obs = 0 // NaN != NaN would fail the comparison, not the reader
+		}
+		r := NewRegistry()
+		r.Counter("fz_total", label, L("l", label), L("m", text)).Add(uint64(n))
+		r.Gauge("fz_gauge", "", L("l", label)).Set(n)
+		r.Histogram("fz_seconds", label, []float64{-1, 0, 1e3}, L("l", label)).Observe(obs)
+		r.GaugeFunc("fz_fn", "", func() float64 { return obs })
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("ParseText of the writer's output: %v\n%s", err, b.String())
+		}
+		if want := r.Snapshot(); !maps.Equal(got, want) {
+			t.Fatalf("ParseText = %v\nSnapshot = %v", got, want)
+		}
+	})
 }

@@ -389,7 +389,7 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 			NewTraceBlob("s0", data, sum),
 		}})
 	}
-	if st := seed.Stats(); st.Entries != entries || st.BytesDisk == 0 {
+	if st := cacheStats(seed); st.CacheEntries != entries || st.CacheBytesDisk == 0 {
 		b.Fatalf("fixture incomplete: %+v", st)
 	}
 
@@ -400,8 +400,8 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st := c.Stats(); st.Entries != entries {
-			b.Fatalf("recovered %d entries, want %d", st.Entries, entries)
+		if n := len(c.entries); n != entries {
+			b.Fatalf("recovered %d entries, want %d", n, entries)
 		}
 	}
 	b.StopTimer()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nmo/internal/obs"
 	"nmo/internal/zerocopy"
 )
 
@@ -218,25 +219,15 @@ type Cache struct {
 	entries map[string]*entry
 	lru     *list.List // completed entries, MRU at front
 
-	bytesMem  int64
-	bytesDisk int64
+	// Tier occupancy and event counts: written under mu, read by the
+	// registry through instrument.
+	bytesMem  obs.Gauge
+	bytesDisk obs.Gauge
 
-	hits      uint64
-	coalesced uint64
-	evictions uint64
-	demotions uint64
-}
-
-// CacheStats is a point-in-time snapshot of the cache counters and
-// tier occupancy.
-type CacheStats struct {
-	Hits      uint64
-	Coalesced uint64
-	Evictions uint64
-	Demotions uint64
-	BytesMem  int64
-	BytesDisk int64
-	Entries   int
+	hits      obs.Counter
+	coalesced obs.Counter
+	evictions obs.Counter
+	demotions obs.Counter
 }
 
 // NewCache builds the store. With cfg.Dir set, the directory is
@@ -275,10 +266,10 @@ func (c *Cache) Acquire(key string) (e *entry, leader bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.filled {
-			c.hits++
+			c.hits.Inc()
 			c.touchLocked(e)
 		} else {
-			c.coalesced++
+			c.coalesced.Inc()
 		}
 		c.mu.Unlock()
 		return e, false
@@ -304,10 +295,10 @@ func (c *Cache) Fill(e *entry, art *JobArtifacts) {
 	e.persisted = persisted
 	if cur, ok := c.entries[e.key]; ok && cur == e {
 		e.memBytes = e.size
-		c.bytesMem += e.size
+		c.bytesMem.Add(e.size)
 		if persisted {
 			e.diskBytes = diskBytes
-			c.bytesDisk += diskBytes
+			c.bytesDisk.Add(diskBytes)
 		}
 		e.elem = c.lru.PushFront(e)
 		c.rebalanceLocked()
@@ -353,9 +344,9 @@ func (c *Cache) demoteLocked(e *entry) {
 			b.backing.Store(&blobBacking{path: bk.path})
 		}
 	}
-	c.bytesMem -= e.memBytes
+	c.bytesMem.Add(-e.memBytes)
 	e.memBytes = 0
-	c.demotions++
+	c.demotions.Inc()
 }
 
 // evictLocked removes an entry from the cache entirely, deleting its
@@ -368,21 +359,21 @@ func (c *Cache) evictLocked(e *entry) {
 		c.lru.Remove(e.elem)
 		e.elem = nil
 	}
-	c.bytesMem -= e.memBytes
+	c.bytesMem.Add(-e.memBytes)
 	e.memBytes = 0
 	if e.persisted {
-		c.bytesDisk -= e.diskBytes
+		c.bytesDisk.Add(-e.diskBytes)
 		e.diskBytes = 0
 		c.removeSpill(e)
 	}
-	c.evictions++
+	c.evictions.Inc()
 }
 
 // rebalanceLocked enforces both byte budgets (and the entry-count
 // backstop), coldest first. Memory pressure demotes persisted entries
 // and evicts memory-only ones; disk pressure evicts outright.
 func (c *Cache) rebalanceLocked() {
-	for c.bytesMem > c.cfg.MemBudget {
+	for c.bytesMem.Value() > c.cfg.MemBudget {
 		victim := c.coldestLocked(func(e *entry) bool { return e.memBytes > 0 })
 		if victim == nil {
 			break
@@ -393,7 +384,7 @@ func (c *Cache) rebalanceLocked() {
 			c.evictLocked(victim)
 		}
 	}
-	for c.bytesDisk > c.cfg.DiskBudget {
+	for c.bytesDisk.Value() > c.cfg.DiskBudget {
 		victim := c.coldestLocked(func(e *entry) bool { return e.diskBytes > 0 })
 		if victim == nil {
 			break
@@ -416,19 +407,22 @@ func (c *Cache) coldestLocked(pred func(*entry) bool) *entry {
 	return nil
 }
 
-// Stats snapshots the cache counters and tier occupancy.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Coalesced: c.coalesced,
-		Evictions: c.evictions,
-		Demotions: c.demotions,
-		BytesMem:  c.bytesMem,
-		BytesDisk: c.bytesDisk,
-		Entries:   len(c.entries),
-	}
+// instrument registers the cache's counters and tier occupancy in
+// reg, read at scrape time.
+func (c *Cache) instrument(reg *obs.Registry) {
+	count := func(x *obs.Counter) func() float64 { return func() float64 { return float64(x.Value()) } }
+	gauge := func(x *obs.Gauge) func() float64 { return func() float64 { return float64(x.Value()) } }
+	reg.CounterFunc("nmo_cache_hits_total", "Submissions answered by a completed cache entry.", count(&c.hits))
+	reg.CounterFunc("nmo_cache_coalesced_total", "Submissions attached to an identical in-flight job.", count(&c.coalesced))
+	reg.CounterFunc("nmo_cache_evictions_total", "Cache entries evicted.", count(&c.evictions))
+	reg.CounterFunc("nmo_cache_demotions_total", "Blobs demoted memory→disk.", count(&c.demotions))
+	reg.GaugeFunc("nmo_cache_bytes", "Cache tier occupancy in bytes.", gauge(&c.bytesMem), obs.L("tier", "mem"))
+	reg.GaugeFunc("nmo_cache_bytes", "", gauge(&c.bytesDisk), obs.L("tier", "disk"))
+	reg.GaugeFunc("nmo_cache_entries", "Cache entries resident.", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.entries))
+	})
 }
 
 // parseIndex parses a small non-negative decimal (scenario selector).

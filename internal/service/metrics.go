@@ -2,7 +2,8 @@ package service
 
 import (
 	"sort"
-	"sync"
+	"strconv"
+	"strings"
 	"time"
 
 	"nmo/internal/obs"
@@ -18,14 +19,14 @@ import (
 var JobPhaseNames = []string{"cache_lookup", "queue_wait", "run", "digest", "spill"}
 
 // Metrics is the daemon's observability bundle: one obs.Registry that
-// backs both GET /metrics and the counter fields of GET /v1/stats —
-// the same atomic words rendered two ways, so the views cannot drift
-// — plus the HTTP middleware and the optional JSONL audit sink.
+// backs both GET /metrics and GET /v1/stats (StatsFrom over its
+// Snapshot), so the views cannot drift, plus the HTTP middleware and
+// the optional JSONL audit sink.
 //
-// The scheduler's former ad-hoc atomics (submitted/rejected/engine
-// runs) live here as registry-owned counters; the cache tiers and the
-// zero-copy data plane join as func-backed metrics read at scrape
-// time from their existing atomics.
+// The scheduler counts and gauges its occupancy straight into
+// registry-owned instruments; the cache tiers and the zero-copy data
+// plane join as func-backed metrics read at scrape time from their
+// existing atomics.
 type Metrics struct {
 	Reg   *obs.Registry
 	HTTP  *obs.HTTPMetrics
@@ -34,24 +35,25 @@ type Metrics struct {
 	Submitted  *obs.Counter
 	Rejected   *obs.Counter
 	EngineRuns *obs.Counter
+	Queued     *obs.Gauge
+	Running    *obs.Gauge
 
 	phases map[string]*obs.Histogram
-
-	// Per-tenant instruments, registered lazily the first time a
-	// tenant submits. Tenants are authenticated principals, so the
-	// label cardinality is bounded by the identity space. The global
-	// families above stay label-free — dashboards and CI greps keyed
-	// on them are untouched; the tenant dimension is new families.
-	tmu     sync.Mutex
-	tenants map[string]*TenantMetrics
 }
 
-// TenantMetrics is one tenant's instrument set.
+// TenantMetrics is one tenant's instrument set: lifetime counters,
+// its queue wait, and the fair-share view's gauges — its DRR weight,
+// its queued and running leaders, and its live leaders (queued +
+// running), the quantity max_in_flight caps.
 type TenantMetrics struct {
 	Submitted  *obs.Counter
 	Rejected   *obs.Counter
 	EngineRuns *obs.Counter
 	QueueWait  *obs.Histogram
+	Weight     *obs.Gauge
+	Queued     *obs.Gauge
+	Running    *obs.Gauge
+	InFlight   *obs.Gauge
 }
 
 // NewMetrics builds a registry pre-populated with the daemon's job
@@ -70,8 +72,9 @@ func NewMetrics(audit *obs.AuditLog) *Metrics {
 			"Job submissions rejected (bad spec, queue full, shutting down)."),
 		EngineRuns: reg.Counter("nmo_engine_runs_total",
 			"Engine batch executions — what the content-addressed cache deduplicates."),
+		Queued:  reg.Gauge("nmo_queue_depth", "Jobs waiting for a scheduler worker."),
+		Running: reg.Gauge("nmo_jobs_running", "Jobs executing on scheduler workers."),
 		phases:  make(map[string]*obs.Histogram, len(JobPhaseNames)),
-		tenants: make(map[string]*TenantMetrics),
 	}
 	for _, p := range JobPhaseNames {
 		m.phases[p] = reg.Histogram("nmo_job_phase_seconds",
@@ -81,39 +84,26 @@ func NewMetrics(audit *obs.AuditLog) *Metrics {
 }
 
 // Tenant returns (registering on first use) the tenant's instrument
-// set. The hot path after the first submission is one map lookup
-// under a short mutex.
+// set. Tenants are authenticated principals, so the label cardinality
+// is bounded by the identity space. The global families stay
+// label-free — dashboards and CI greps keyed on them are untouched;
+// the tenant dimension is new families.
 func (m *Metrics) Tenant(tenant string) *TenantMetrics {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	tm := m.tenants[tenant]
-	if tm == nil {
-		l := obs.L("tenant", tenant)
-		tm = &TenantMetrics{
-			Submitted: m.Reg.Counter("nmo_tenant_jobs_submitted_total",
-				"Job submissions admitted, by tenant.", l),
-			Rejected: m.Reg.Counter("nmo_tenant_jobs_rejected_total",
-				"Job submissions rejected, by tenant.", l),
-			EngineRuns: m.Reg.Counter("nmo_tenant_engine_runs_total",
-				"Engine batch executions, by tenant.", l),
-			QueueWait: m.Reg.Histogram("nmo_tenant_queue_wait_seconds",
-				"Queue wait by tenant — the fairness signal.", obs.PhaseBuckets, l),
-		}
-		m.tenants[tenant] = tm
+	l := obs.L("tenant", tenant)
+	return &TenantMetrics{
+		Submitted: m.Reg.Counter("nmo_tenant_jobs_submitted_total",
+			"Job submissions admitted, by tenant.", l),
+		Rejected: m.Reg.Counter("nmo_tenant_jobs_rejected_total",
+			"Job submissions rejected, by tenant.", l),
+		EngineRuns: m.Reg.Counter("nmo_tenant_engine_runs_total",
+			"Engine batch executions, by tenant.", l),
+		QueueWait: m.Reg.Histogram("nmo_tenant_queue_wait_seconds",
+			"Queue wait by tenant — the fairness signal.", obs.PhaseBuckets, l),
+		Weight:   m.Reg.Gauge("nmo_tenant_weight", "Fair-share (DRR) weight, by tenant.", l),
+		Queued:   m.Reg.Gauge("nmo_tenant_queued", "Jobs waiting for a worker, by tenant.", l),
+		Running:  m.Reg.Gauge("nmo_tenant_running", "Jobs executing, by tenant.", l),
+		InFlight: m.Reg.Gauge("nmo_tenant_in_flight", "Live (queued + running) jobs, by tenant.", l),
 	}
-	return tm
-}
-
-// TenantNames lists tenants that have instruments, sorted.
-func (m *Metrics) TenantNames() []string {
-	m.tmu.Lock()
-	defer m.tmu.Unlock()
-	names := make([]string, 0, len(m.tenants))
-	for t := range m.tenants {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ObservePhase records one completed job phase into its histogram.
@@ -123,16 +113,60 @@ func (m *Metrics) ObservePhase(phase string, d time.Duration) {
 	}
 }
 
-// PhaseStats summarizes the phase histograms for /v1/stats and
-// `nmostat -stats`: per-phase observation count and total seconds (so
-// a mean is one division away), in JobPhaseNames order.
-func (m *Metrics) PhaseStats() []PhaseStat {
-	out := make([]PhaseStat, 0, len(JobPhaseNames))
-	for _, p := range JobPhaseNames {
-		h := m.phases[p]
-		out = append(out, PhaseStat{Phase: p, Count: h.Count(), TotalSec: h.Sum()})
+// StatsFrom reads the stats view out of registry series keyed as
+// rendered: a Registry.Snapshot, an obs.ParseText of a /metrics body,
+// or a sum of several. GET /v1/stats is this function over the serving
+// process's registry, so every number in it is one /metrics shows. A
+// phase or tenant row appears only when its series do.
+func StatsFrom(m map[string]float64) SchedStats {
+	u := func(k string) uint64 { return uint64(m[k]) }
+	i := func(k string) int64 { return int64(m[k]) }
+	st := SchedStats{
+		Submitted:         u("nmo_jobs_submitted_total"),
+		Rejected:          u("nmo_jobs_rejected_total"),
+		EngineRuns:        u("nmo_engine_runs_total"),
+		CacheHits:         u("nmo_cache_hits_total"),
+		Coalesced:         u("nmo_cache_coalesced_total"),
+		CacheEntries:      int(m["nmo_cache_entries"]),
+		CacheEvictions:    u("nmo_cache_evictions_total"),
+		CacheBytesMem:     i(`nmo_cache_bytes{tier="mem"}`),
+		CacheBytesDisk:    i(`nmo_cache_bytes{tier="disk"}`),
+		CacheDemotions:    u("nmo_cache_demotions_total"),
+		Queued:            int(m["nmo_queue_depth"]),
+		Running:           int(m["nmo_jobs_running"]),
+		ZcSendfileBytes:   i(`nmo_zc_bytes_total{path="sendfile"}`),
+		ZcSpliceBytes:     i(`nmo_zc_bytes_total{path="splice"}`),
+		ZcFallbackBytes:   i(`nmo_zc_bytes_total{path="fallback"}`),
+		TraceClientAborts: u("nmo_trace_client_aborts_total"),
+		TraceServeErrors:  u("nmo_trace_serve_errors_total"),
+		UptimeSec:         m["nmo_uptime_seconds"],
 	}
-	return out
+	for _, p := range JobPhaseNames {
+		l := `{phase="` + p + `"}`
+		if n, ok := m["nmo_job_phase_seconds_count"+l]; ok {
+			st.JobPhases = append(st.JobPhases,
+				PhaseStat{Phase: p, Count: uint64(n), TotalSec: m["nmo_job_phase_seconds_sum"+l]})
+		}
+	}
+	for k, w := range m {
+		q, ok := strings.CutPrefix(k, `nmo_tenant_weight{tenant=`)
+		name, err := strconv.Unquote(strings.TrimSuffix(q, "}"))
+		if !ok || err != nil {
+			continue
+		}
+		l := `{tenant=` + q
+		st.Tenants = append(st.Tenants, TenantStat{
+			Tenant: name, Weight: int(w),
+			Queued:     int(m["nmo_tenant_queued"+l]),
+			Running:    int(m["nmo_tenant_running"+l]),
+			InFlight:   int(m["nmo_tenant_in_flight"+l]),
+			Submitted:  u("nmo_tenant_jobs_submitted_total" + l),
+			EngineRuns: u("nmo_tenant_engine_runs_total" + l),
+			Rejected:   u("nmo_tenant_jobs_rejected_total" + l),
+		})
+	}
+	sort.Slice(st.Tenants, func(a, b int) bool { return st.Tenants[a].Tenant < st.Tenants[b].Tenant })
+	return st
 }
 
 // RegisterDataPlane folds a zerocopy.Counters into a registry as

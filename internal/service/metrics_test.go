@@ -1,17 +1,18 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
+	"runtime/pprof"
 	"strings"
 	"testing"
+	"time"
 
 	"nmo/internal/obs"
 )
@@ -28,27 +29,19 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("metrics content type %q", ct)
 	}
-	out := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("unparsable metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		out[line[:i]] = v
-	}
-	if err := sc.Err(); err != nil {
+	out, err := obs.ParseText(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// cacheStats reads a bare cache's counters the way a scheduler's
+// registry does.
+func cacheStats(c *Cache) SchedStats {
+	reg := obs.NewRegistry()
+	c.instrument(reg)
+	return StatsFrom(reg.Snapshot())
 }
 
 // TestMetricsStatsAgree drives a mixed workload — two distinct jobs,
@@ -290,4 +283,60 @@ func TestRequestIDOnJob(t *testing.T) {
 		!strings.Contains(auditLog(), `"state":"done"`) {
 		t.Errorf("audit lines missing the request ID or terminal state:\n%s", auditLog())
 	}
+}
+
+// TestScrapeDuringNewTenants pins the registry's lock rule: rendering
+// /metrics while new tenants make their first submissions never
+// deadlocks. Admission registers a new tenant's series while the
+// scheduler's lock is held, and rendering reads func metrics; were
+// those read under the registry's lock, a func metric taking the
+// scheduler's lock would close the cycle.
+func TestScrapeDuringNewTenants(t *testing.T) {
+	sched := NewScheduler(SchedConfig{Workers: 1}, nil)
+	spec := JobSpec{Scenarios: []ScenarioSpec{{
+		Workload: "stream", Threads: 2, Elems: 10_000, Iters: 1, Cores: 4, Seed: 1, Mode: "counters",
+	}}}
+	j, err := sched.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j) // every later submission is a cache hit
+
+	stop, rendered := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(rendered)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				sched.Metrics().Reg.WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	submitted := make(chan error, 1)
+	go func() {
+		for i := 0; i < 3000; i++ {
+			if _, err := sched.Submit(asTenant(fmt.Sprintf("t%d", i)), spec); err != nil {
+				submitted <- err
+				return
+			}
+		}
+		submitted <- nil
+	}()
+	select {
+	case err := <-submitted:
+		close(stop)
+		<-rendered
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		// The stuck goroutines hold the scheduler's lock, so Close
+		// would hang too: fail with their stacks and leave it open.
+		var dump strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&dump, 2)
+		t.Fatalf("first submissions under a /metrics render loop deadlocked:\n%s", dump.String())
+	}
+	sched.Close()
 }

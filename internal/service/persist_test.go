@@ -235,9 +235,9 @@ func TestSpillQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("boot over a damaged spill dir must not fail: %v", err)
 	}
-	st := cache.Stats()
-	if st.Entries != 1 {
-		t.Errorf("recovered %d entries, want 1 (the undamaged one)", st.Entries)
+	st := cacheStats(cache)
+	if st.CacheEntries != 1 {
+		t.Errorf("recovered %d entries, want 1 (the undamaged one)", st.CacheEntries)
 	}
 	if got, err := os.ReadFile(sentinel); err != nil || string(got) != "not the cache's" {
 		t.Errorf("file outside the spill dir was touched: %q, %v", got, err)
@@ -415,12 +415,12 @@ func TestDiskBudgetEviction(t *testing.T) {
 	fill(1)
 	fill(2)
 	fill(3) // 12288 > 10000: entry 1's files must go
-	st := c.Stats()
-	if st.Entries != 2 || st.BytesDisk != 8192 {
-		t.Errorf("entries=%d disk=%d, want 2/8192", st.Entries, st.BytesDisk)
+	st := cacheStats(c)
+	if st.CacheEntries != 2 || st.CacheBytesDisk != 8192 {
+		t.Errorf("entries=%d disk=%d, want 2/8192", st.CacheEntries, st.CacheBytesDisk)
 	}
-	if st.Evictions != 1 {
-		t.Errorf("evictions=%d, want 1", st.Evictions)
+	if st.CacheEvictions != 1 {
+		t.Errorf("evictions=%d, want 1", st.CacheEvictions)
 	}
 	sidecars, blobs := spillFiles(t, dir)
 	if len(sidecars) != 2 || len(blobs) != 2 {

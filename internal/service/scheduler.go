@@ -77,8 +77,9 @@ type Job struct {
 	Tenant   string // principal the job was submitted as
 	Priority int
 	seq      uint64
-	reqID    string        // request ID of the admitting submission
-	audit    *obs.AuditLog // transition sink (nil-safe)
+	reqID    string         // request ID of the admitting submission
+	audit    *obs.AuditLog  // transition sink (nil-safe)
+	tm       *TenantMetrics // the tenant's counters and occupancy gauges
 
 	// quotaReleased guards the tenant in-flight decrement (leaders
 	// only; guarded by the scheduler's mu, not j.mu).
@@ -184,18 +185,16 @@ type Scheduler struct {
 	cond *sync.Cond
 	// Per-tenant queues (each sorted priority desc, seq asc), drained
 	// by DRR over the active rotation. Invariant: a tenantQueue is in
-	// active iff it has queued jobs.
-	tqs      map[string]*tenantQueue
-	active   []*tenantQueue
-	nQueued  int            // total queued leaders (QueueCap applies globally)
-	inflight map[string]int // live leader jobs per tenant (max_in_flight)
-	runningT map[string]int // running leader jobs per tenant (stats)
-	jobs     map[string]*Job
-	order    []*Job // submission order (job-record pruning)
-	running  map[sampler.Kind]int
-	nRun     int
-	closed   bool
-	seq      uint64
+	// active iff it has queued jobs. The queued, running and in-flight
+	// counts live in registry gauges (Metrics.Queued and Running, and
+	// each tenant's), moved under mu.
+	tqs     map[string]*tenantQueue
+	active  []*tenantQueue
+	jobs    map[string]*Job
+	order   []*Job // submission order (job-record pruning)
+	running map[sampler.Kind]int
+	closed  bool
+	seq     uint64
 
 	// baseCtx parents every job context, so Close cancels whatever is
 	// running — including jobs in the pop-to-run window whose cancel
@@ -227,13 +226,11 @@ func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 		cache, _ = NewCache(CacheConfig{}) // memory-only: never errors
 	}
 	s := &Scheduler{cfg: cfg, cache: cache, m: cfg.Metrics,
-		tqs:      make(map[string]*tenantQueue),
-		inflight: make(map[string]int),
-		runningT: make(map[string]int),
-		jobs:     make(map[string]*Job), running: make(map[sampler.Kind]int)}
+		tqs:  make(map[string]*tenantQueue),
+		jobs: make(map[string]*Job), running: make(map[sampler.Kind]int)}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cond = sync.NewCond(&s.mu)
-	s.registerGauges()
+	cache.instrument(s.m.Reg)
 	s.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go s.worker()
@@ -241,100 +238,14 @@ func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 	return s
 }
 
-// registerGauges folds the scheduler's occupancy and the cache's
-// counters into the registry as func-backed metrics, read at scrape
-// time from the same state /v1/stats snapshots — one source of truth
-// for both views.
-func (s *Scheduler) registerGauges() {
-	reg := s.m.Reg
-	reg.GaugeFunc("nmo_queue_depth", "Jobs waiting for a scheduler worker.",
-		func() float64 { q, _ := s.occupancy(); return float64(q) })
-	reg.GaugeFunc("nmo_jobs_running", "Jobs executing on scheduler workers.",
-		func() float64 { _, r := s.occupancy(); return float64(r) })
-	reg.CounterFunc("nmo_cache_hits_total",
-		"Submissions answered by a completed cache entry.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("nmo_cache_coalesced_total",
-		"Submissions attached to an identical in-flight job.",
-		func() float64 { return float64(s.cache.Stats().Coalesced) })
-	reg.CounterFunc("nmo_cache_evictions_total", "Cache entries evicted.",
-		func() float64 { return float64(s.cache.Stats().Evictions) })
-	reg.CounterFunc("nmo_cache_demotions_total", "Blobs demoted memory→disk.",
-		func() float64 { return float64(s.cache.Stats().Demotions) })
-	reg.GaugeFunc("nmo_cache_entries", "Cache entries resident.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	reg.GaugeFunc("nmo_cache_bytes", "Cache tier occupancy in bytes.",
-		func() float64 { return float64(s.cache.Stats().BytesMem) }, obs.L("tier", "mem"))
-	reg.GaugeFunc("nmo_cache_bytes", "",
-		func() float64 { return float64(s.cache.Stats().BytesDisk) }, obs.L("tier", "disk"))
-}
-
-// occupancy snapshots the queue depth and running-job count.
-func (s *Scheduler) occupancy() (queued, running int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nQueued, s.nRun
-}
-
 // Metrics returns the scheduler's observability bundle — the server
 // layer mounts its registry at /metrics and reuses its HTTP
 // middleware and audit sink.
 func (s *Scheduler) Metrics() *Metrics { return s.m }
 
-// Stats snapshots the scheduler and cache counters. Every field is
-// read from the same instrument or atomic the /metrics exposition
-// renders, so the JSON and Prometheus views agree by construction.
-func (s *Scheduler) Stats() SchedStats {
-	cs := s.cache.Stats()
-	queued, running := s.occupancy()
-	return SchedStats{
-		Submitted:      s.m.Submitted.Value(),
-		Rejected:       s.m.Rejected.Value(),
-		EngineRuns:     s.m.EngineRuns.Value(),
-		CacheHits:      cs.Hits,
-		Coalesced:      cs.Coalesced,
-		CacheEntries:   cs.Entries,
-		CacheEvictions: cs.Evictions,
-		CacheBytesMem:  cs.BytesMem,
-		CacheBytesDisk: cs.BytesDisk,
-		CacheDemotions: cs.Demotions,
-		Queued:         queued,
-		Running:        running,
-		UptimeSec:      obs.Uptime(),
-		JobPhases:      s.m.PhaseStats(),
-		Tenants:        s.tenantStats(),
-	}
-}
-
-// tenantStats snapshots the per-tenant fair-share view: every tenant
-// that has submitted since boot, with its weight, occupancy, and
-// lifetime counters.
-func (s *Scheduler) tenantStats() []TenantStat {
-	names := s.m.TenantNames()
-	if len(names) == 0 {
-		return nil
-	}
-	out := make([]TenantStat, 0, len(names))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range names {
-		tm := s.m.Tenant(t)
-		st := TenantStat{
-			Tenant:     t,
-			Weight:     s.cfg.Quotas.For(t).NormWeight(),
-			Running:    s.runningT[t],
-			InFlight:   s.inflight[t],
-			Submitted:  tm.Submitted.Value(),
-			EngineRuns: tm.EngineRuns.Value(),
-			Rejected:   tm.Rejected.Value(),
-		}
-		if tq := s.tqs[t]; tq != nil {
-			st.Queued = len(tq.jobs)
-		}
-		out = append(out, st)
-	}
-	return out
-}
+// Stats reads the stats view from the scheduler's registry — the
+// same snapshot GET /v1/stats serves.
+func (s *Scheduler) Stats() SchedStats { return StatsFrom(s.m.Reg.Snapshot()) }
 
 // Submit validates, resolves, and admits a job. The returned Job is
 // already terminal for cache hits; coalesced and queued jobs complete
@@ -349,24 +260,27 @@ func (s *Scheduler) tenantStats() []TenantStat {
 func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	reqID, tenant := obs.RequestID(ctx), auth.TenantFrom(ctx)
 	admitStart := time.Now()
+	tm := s.m.Tenant(tenant)
+	tm.Weight.Set(int64(s.cfg.Quotas.For(tenant).NormWeight()))
+	reject := func(err error) (*Job, error) {
+		s.m.Rejected.Inc()
+		tm.Rejected.Inc()
+		return nil, err
+	}
 	rs, key, err := resolveJob(spec)
 	if err != nil {
-		s.m.Rejected.Inc()
-		s.m.Tenant(tenant).Rejected.Inc()
-		return nil, err
+		return reject(err)
 	}
 	job := &Job{
 		ID: newID(), Key: key, Tenant: tenant, Priority: spec.Priority,
-		reqID: reqID, audit: s.m.Audit,
+		reqID: reqID, audit: s.m.Audit, tm: tm,
 		rs: rs, kinds: backends(rs), state: StateQueued,
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.m.Rejected.Inc()
-		s.m.Tenant(tenant).Rejected.Inc()
-		return nil, errShutdown
+		return reject(errShutdown)
 	}
 	e, leader := s.cache.Acquire(key)
 	job.entry = e
@@ -377,24 +291,20 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 		// Either rejection undoes the reservation before releasing the
 		// scheduler lock: every Submit acquires under it, so no
 		// follower can attach to the entry before the abort lands.
-		if s.nQueued >= s.cfg.QueueCap {
+		if s.m.Queued.Value() >= int64(s.cfg.QueueCap) {
 			s.cache.Abort(e, ErrQueueFull)
 			s.mu.Unlock()
-			s.m.Rejected.Inc()
-			s.m.Tenant(tenant).Rejected.Inc()
-			return nil, ErrQueueFull
+			return reject(ErrQueueFull)
 		}
-		if max := s.cfg.Quotas.For(tenant).MaxInFlight; max > 0 && s.inflight[tenant] >= max {
+		if max := s.cfg.Quotas.For(tenant).MaxInFlight; max > 0 && tm.InFlight.Value() >= int64(max) {
 			s.cache.Abort(e, ErrQuotaExceeded)
 			s.mu.Unlock()
-			s.m.Rejected.Inc()
-			s.m.Tenant(tenant).Rejected.Inc()
-			return nil, ErrQuotaExceeded
+			return reject(ErrQuotaExceeded)
 		}
-		s.inflight[tenant]++
+		tm.InFlight.Inc()
 	}
 	s.m.Submitted.Inc()
-	s.m.Tenant(tenant).Submitted.Inc()
+	tm.Submitted.Inc()
 	s.seq++
 	job.seq = s.seq
 	job.cached = !leader // job not yet published; no lock needed
@@ -488,7 +398,14 @@ func (s *Scheduler) enqueueLocked(j *Job) {
 		s.active = append(s.active, tq)
 	}
 	tq.insert(j)
-	s.nQueued++
+	s.countQueued(j, +1)
+}
+
+// countQueued moves the global and the tenant's queue gauges by d;
+// callers hold mu.
+func (s *Scheduler) countQueued(j *Job, d int64) {
+	s.m.Queued.Add(d)
+	j.tm.Queued.Add(d)
 }
 
 // deactivateLocked drops an emptied tenant queue from the rotation.
@@ -549,7 +466,7 @@ func (s *Scheduler) Cancel(id string) error {
 		for i, q := range tq.jobs {
 			if q == j {
 				tq.jobs = append(tq.jobs[:i], tq.jobs[i+1:]...)
-				s.nQueued--
+				s.countQueued(j, -1)
 				if len(tq.jobs) == 0 {
 					s.deactivateLocked(tq)
 				}
@@ -613,8 +530,8 @@ func (s *Scheduler) Close() {
 		tq.credit = 0
 	}
 	s.active = nil
-	s.nQueued = 0
 	for _, j := range pending {
+		s.countQueued(j, -1)
 		s.releaseQuotaLocked(j)
 	}
 	s.cond.Broadcast()
@@ -678,7 +595,7 @@ func (s *Scheduler) popTenantLocked(tq *tenantQueue) *Job {
 	for i, j := range tq.jobs {
 		if s.admissibleLocked(j) {
 			tq.jobs = append(tq.jobs[:i], tq.jobs[i+1:]...)
-			s.nQueued--
+			s.countQueued(j, -1)
 			return j
 		}
 	}
@@ -705,9 +622,7 @@ func (s *Scheduler) releaseQuotaLocked(j *Job) {
 		return
 	}
 	j.quotaReleased = true
-	if s.inflight[j.Tenant]--; s.inflight[j.Tenant] <= 0 {
-		delete(s.inflight, j.Tenant)
-	}
+	j.tm.InFlight.Dec()
 }
 
 // worker is the scheduler loop: pick an admissible job, reserve its
@@ -730,8 +645,8 @@ func (s *Scheduler) worker() {
 		for _, k := range job.kinds {
 			s.running[k]++
 		}
-		s.nRun++
-		s.runningT[job.Tenant]++
+		s.m.Running.Inc()
+		job.tm.Running.Inc()
 		s.mu.Unlock()
 
 		s.runJob(job)
@@ -740,10 +655,8 @@ func (s *Scheduler) worker() {
 		for _, k := range job.kinds {
 			s.running[k]--
 		}
-		s.nRun--
-		if s.runningT[job.Tenant]--; s.runningT[job.Tenant] <= 0 {
-			delete(s.runningT, job.Tenant)
-		}
+		s.m.Running.Dec()
+		job.tm.Running.Dec()
 		s.releaseQuotaLocked(job)
 		// A slot freed: jobs previously inadmissible may fit now.
 		s.cond.Broadcast()
@@ -795,7 +708,7 @@ func (s *Scheduler) runJob(job *Job) {
 	job.mu.Unlock()
 	defer cancel()
 	s.m.ObservePhase("queue_wait", wait)
-	s.m.Tenant(job.Tenant).QueueWait.Observe(wait.Seconds())
+	job.tm.QueueWait.Observe(wait.Seconds())
 	job.auditState("running", "")
 
 	art, err := s.execute(ctx, job)
@@ -852,7 +765,7 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error
 	}
 
 	s.m.EngineRuns.Inc()
-	s.m.Tenant(job.Tenant).EngineRuns.Inc()
+	job.tm.EngineRuns.Inc()
 	runStart := time.Now()
 	results := engine.Runner{Jobs: s.cfg.EngineJobs}.RunAllContext(ctx, scs)
 	run := time.Since(runStart)

@@ -162,14 +162,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, j.Info())
 }
 
+// handleStats serves the stats view of the registry /metrics renders,
+// this server's data-plane counters included.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.sched.Stats()
-	st.ZcSendfileBytes = s.zc.SendfileBytes()
-	st.ZcSpliceBytes = s.zc.SpliceBytes()
-	st.ZcFallbackBytes = s.zc.FallbackBytes()
-	st.TraceClientAborts = s.zc.ClientAborts()
-	st.TraceServeErrors = s.zc.Errors()
-	WriteJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, s.sched.Stats())
 }
 
 // artifacts resolves a job's artifacts, mapping unfinished and failed

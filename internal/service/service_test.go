@@ -537,12 +537,12 @@ func TestCacheEviction(t *testing.T) {
 	if _, leader := c.Acquire("a"); leader {
 		t.Error("recently used key a was evicted instead of the LRU one")
 	}
-	st := c.Stats()
-	if st.Evictions != 1 {
-		t.Errorf("evictions = %d, want 1", st.Evictions)
+	st := cacheStats(c)
+	if st.CacheEvictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.CacheEvictions)
 	}
-	if st.BytesMem != 200 {
-		t.Errorf("bytes_mem = %d, want 200", st.BytesMem)
+	if st.CacheBytesMem != 200 {
+		t.Errorf("bytes_mem = %d, want 200", st.CacheBytesMem)
 	}
 
 	// An in-flight entry survives any amount of pressure.

@@ -233,10 +233,10 @@ func (c *Cache) loadDir() error {
 	for _, r := range recs {
 		c.entries[r.e.key] = r.e
 		r.e.elem = c.lru.PushFront(r.e)
-		c.bytesDisk += r.e.diskBytes
+		c.bytesDisk.Add(r.e.diskBytes)
 	}
 	if n := len(recs); n > 0 {
-		log.Printf("cache: recovered %d spilled entries (%d bytes) from %s", n, c.bytesDisk, c.cfg.Dir)
+		log.Printf("cache: recovered %d spilled entries (%d bytes) from %s", n, c.bytesDisk.Value(), c.cfg.Dir)
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ func asTenant(tenant string) context.Context {
 func enqueueRaw(s *Scheduler, tenant string, pri int) *Job {
 	s.seq++
 	j := &Job{ID: fmt.Sprintf("%s-%d", tenant, s.seq), Tenant: tenant,
-		Priority: pri, seq: s.seq, state: StateQueued}
+		Priority: pri, seq: s.seq, state: StateQueued, tm: s.m.Tenant(tenant)}
 	s.enqueueLocked(j)
 	return j
 }
