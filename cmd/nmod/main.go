@@ -24,11 +24,12 @@
 // simulator's determinism makes the cached bytes exactly what a fresh
 // run would produce.
 //
-// The cache is two-tier: -cache-mem-mib bounds the in-memory hot set
-// and, when -cache-dir (or NMO_CACHE_DIR) names a spill directory,
-// -cache-disk-mib bounds an on-disk tier of verified v2/v2.1 files
-// that survives restarts — a daemon restarted on its spill directory
-// answers previously computed jobs without re-simulating.
+// Every cached trace is a v2/v2.1 file in the spill directory, which
+// -cache-disk-mib bounds; the kernel page cache keeps the hot ones in
+// memory. When -cache-dir (or NMO_CACHE_DIR) names the directory it
+// survives restarts — a daemon restarted on it answers previously
+// computed jobs without re-simulating. Without one, nmod spills to a
+// private temporary directory that it removes on exit.
 package main
 
 import (
@@ -55,9 +56,8 @@ func main() {
 	queueCap := flag.Int("queue", 64, "max queued jobs (submissions beyond it get 429)")
 	engineJobs := flag.Int("engine-jobs", 1, "engine worker-pool size per job (results identical at any value)")
 	cacheDir := flag.String("cache-dir", os.Getenv("NMO_CACHE_DIR"),
-		"cache spill directory; restart-surviving disk tier (default $NMO_CACHE_DIR; empty = memory-only)")
-	cacheMemMiB := flag.Int("cache-mem-mib", 256, "in-memory cache tier budget, MiB")
-	cacheDiskMiB := flag.Int("cache-disk-mib", 4096, "on-disk cache tier budget, MiB (needs -cache-dir)")
+		"cache spill directory, kept across restarts (default $NMO_CACHE_DIR; empty = a private temporary directory removed on exit)")
+	cacheDiskMiB := flag.Int("cache-disk-mib", 4096, "cache budget: trace bytes in the spill directory, MiB")
 	backendSlots := flag.Int("backend-slots", 0, "max running jobs per sampling backend (0 = unlimited)")
 	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
 		"append-only JSONL audit file: one event per HTTP request and job transition (default $NMO_AUDIT_LOG; empty = off)")
@@ -78,7 +78,6 @@ func main() {
 	}
 	ccfg := service.CacheConfig{
 		Dir:        *cacheDir,
-		MemBudget:  int64(*cacheMemMiB) << 20,
 		DiskBudget: int64(*cacheDiskMiB) << 20,
 	}
 	if err := run(*addr, *workers, *queueCap, *engineJobs, *backendSlots, ccfg, acfg, *auditLog, *debugAddr); err != nil {
@@ -121,10 +120,10 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 		return fmt.Errorf("cache dir %s: %w", ccfg.Dir, err)
 	}
 	sched := service.NewScheduler(cfg, cache)
-	defer sched.Close()
+	defer sched.Close() // closes the cache too: a private spill dir is removed
 
 	// The listener is wrapped for the zero-copy data plane: accepted
-	// conns count the stored extents of file-tier trace serves that
+	// conns count the stored extents of trace serves that
 	// the Go runtime moves by sendfile(2), and ConnContext lets the
 	// trace handler tell which bytes the conn already counted. Counters are shared with the handler so
 	// /v1/stats sees both sides.
@@ -146,7 +145,7 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, h.ZeroCopy())) }()
-	tier := "memory-only"
+	tier := "private spill dir"
 	if ccfg.Dir != "" {
 		tier = "spill dir " + ccfg.Dir
 	}

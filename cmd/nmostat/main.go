@@ -168,9 +168,7 @@ func remoteStats(out io.Writer, o options) error {
 	t.AddRow("coalesced", st.Coalesced)
 	t.AddRow("cache entries", st.CacheEntries)
 	t.AddRow("cache evictions", st.CacheEvictions)
-	t.AddRow("cache bytes (mem)", st.CacheBytesMem)
 	t.AddRow("cache bytes (disk)", st.CacheBytesDisk)
-	t.AddRow("cache demotions", st.CacheDemotions)
 	t.AddRow("queued", st.Queued)
 	t.AddRow("running", st.Running)
 	t.AddRow("zc sendfile bytes", st.ZcSendfileBytes)

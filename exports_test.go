@@ -19,7 +19,6 @@ import (
 // by "pkg.name", and a struct field by "pkg.Type.Field".
 var testOnlyAllowed = map[string]string{
 	"engine.DeriveSeed": "BenchmarkEngineParallelSpeedup's engineBatch, a layer micro-bench, seeds its scenarios with it",
-	"FileBacked":        "service: tests check which cache tier a blob serves from until the memory tier is removed",
 }
 
 // TestNoTestOnlyExports keeps the declarations under internal/ reachable

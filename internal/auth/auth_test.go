@@ -304,6 +304,17 @@ func TestLoadQuotas(t *testing.T) {
 			t.Fatalf("%s: trailing data after the quota table accepted", name)
 		}
 	}
+	// A negative value would read as weight 1 or unlimited: rejected.
+	for _, body := range []string{
+		`{"default":{"weight":-1}}`,
+		`{"default":{"rate_per_sec":-0.5}}`,
+		`{"tenants":{"ops":{"burst":-2}}}`,
+		`{"tenants":{"ops":{"max_in_flight":-1}}}`,
+	} {
+		if _, err := parseQuotas([]byte(body)); err == nil {
+			t.Errorf("negative quota accepted: %s", body)
+		}
+	}
 	// Trailing whitespace is not data.
 	nl := filepath.Join(dir, "newline.json")
 	if err := os.WriteFile(nl, []byte("{\"default\":{\"weight\":2}}\n\n"), 0o600); err != nil {

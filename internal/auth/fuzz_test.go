@@ -85,3 +85,36 @@ func FuzzVerifyHS256(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadQuotas drives arbitrary bytes through the quota-file parser:
+// it must never panic, and every table it accepts holds no negative
+// weight, rate, burst or in-flight cap.
+func FuzzLoadQuotas(f *testing.F) {
+	for _, seed := range []string{
+		`{"default":{"weight":1,"rate_per_sec":50,"max_in_flight":8},"tenants":{"ops":{"weight":3}}}`,
+		`{"default":{"weight":-1}}`,
+		`{"tenants":{"ops":{"rate_per_sec":-1e-9,"burst":2}}}`,
+		`{"tenants":{"":{"max_in_flight":-3}}}`,
+		`{"default":{"burst":1e400}}`,
+		`{"default":{}} {}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		q, err := parseQuotas(raw)
+		if err != nil {
+			return
+		}
+		classes := map[string]TenantQuota{"default": q.Default}
+		for name, tq := range q.Tenants {
+			classes["tenant "+name] = tq
+		}
+		for name, tq := range classes {
+			if tq.Weight < 0 || tq.RatePerSec < 0 || tq.Burst < 0 || tq.MaxInFlight < 0 {
+				t.Fatalf("%s: accepted negative quota %+v from %q", name, tq, raw)
+			}
+		}
+	})
+}

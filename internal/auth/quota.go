@@ -53,18 +53,41 @@ type Quotas struct {
 	Tenants map[string]TenantQuota `json:"tenants,omitempty"`
 }
 
-// LoadQuotas parses a quota file. Unknown keys and data after the
-// table are rejected so a typo ("max_inflight") or a stray second
-// object fails loudly at boot instead of silently granting unlimited
-// quota.
+// LoadQuotas reads and parses a quota file.
 func LoadQuotas(path string) (*Quotas, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	q, err := parseQuotas(raw)
+	if err != nil {
+		return nil, fmt.Errorf("quota file %s: %w", path, err)
+	}
+	return q, nil
+}
+
+// parseQuotas decodes a quota table. Unknown keys, data after the
+// table and negative values are rejected, so a typo ("max_inflight"),
+// a stray second object or a "-1" fails loudly at boot instead of
+// silently granting weight 1 or unlimited quota.
+func parseQuotas(raw []byte) (*Quotas, error) {
 	var q Quotas
 	if err := obs.DecodeStrict(bytes.NewReader(raw), &q); err != nil {
-		return nil, fmt.Errorf("quota file %s: %w", path, err)
+		return nil, err
+	}
+	check := func(class string, t TenantQuota) error {
+		if t.Weight < 0 || t.RatePerSec < 0 || t.Burst < 0 || t.MaxInFlight < 0 {
+			return fmt.Errorf("%s: negative quota %+v", class, t)
+		}
+		return nil
+	}
+	if err := check("default", q.Default); err != nil {
+		return nil, err
+	}
+	for name, t := range q.Tenants {
+		if err := check(fmt.Sprintf("tenant %q", name), t); err != nil {
+			return nil, err
+		}
 	}
 	return &q, nil
 }

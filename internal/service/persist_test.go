@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,10 +18,10 @@ import (
 )
 
 // newSpillServer spins a full HTTP stack over a scheduler whose cache
-// spills to dir with the given tier budgets (0 = defaults).
-func newSpillServer(t *testing.T, dir string, memBudget, diskBudget int64) (*Scheduler, *Client, func()) {
+// spills to dir.
+func newSpillServer(t *testing.T, dir string) (*Scheduler, *Client, func()) {
 	t.Helper()
-	cache, err := NewCache(CacheConfig{Dir: dir, MemBudget: memBudget, DiskBudget: diskBudget})
+	cache, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestCacheRestartRecovery(t *testing.T) {
 	ctx := context.Background()
 	spec := quickJob(91)
 
-	sched, client, closeAll := newSpillServer(t, dir, 0, 0)
+	sched, client, closeAll := newSpillServer(t, dir)
 	info, err := client.Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -73,15 +76,16 @@ func TestCacheRestartRecovery(t *testing.T) {
 	if _, err := client.Wait(ctx, info.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	// Fill writes through: the blob is resident and spilled at once.
+	// The trace was encoded into its spill file: the cache holds its
+	// bytes on disk and nowhere else.
 	job, ok := sched.Get(info.ID)
 	if !ok {
 		t.Fatal("job vanished")
 	}
 	size := job.Artifacts().Traces[0].Size()
-	if st := sched.Stats(); st.CacheBytesMem != size || st.CacheBytesDisk != size {
-		t.Errorf("after fill: bytes mem=%d disk=%d, want %d/%d (write-through)",
-			st.CacheBytesMem, st.CacheBytesDisk, size, size)
+	if st := sched.Stats(); st.CacheBytesMem != 0 || st.CacheBytesDisk != size {
+		t.Errorf("after fill: bytes mem=%d disk=%d, want 0/%d",
+			st.CacheBytesMem, st.CacheBytesDisk, size)
 	}
 	var before bytes.Buffer
 	_, beforeMD5, err := client.DownloadTrace(ctx, info.ID, NewTraceOptions(), &before)
@@ -94,7 +98,7 @@ func TestCacheRestartRecovery(t *testing.T) {
 	}
 	closeAll() // daemon gone; only the spill directory survives
 
-	sched2, client2, _ := newSpillServer(t, dir, 0, 0)
+	sched2, client2, _ := newSpillServer(t, dir)
 	st := sched2.Stats()
 	if st.CacheEntries != 1 || st.CacheBytesDisk == 0 {
 		t.Fatalf("restarted cache: entries=%d disk_bytes=%d, want a recovered entry",
@@ -136,8 +140,9 @@ func TestCacheRestartRecovery(t *testing.T) {
 }
 
 // TestSpillQuarantine: a spill directory containing a torn temp-file,
-// a truncated blob, a corrupt sidecar, an orphan blob, and rejected
-// sidecars that name files they do not own boots into a working cache
+// a truncated blob, a corrupt sidecar, an orphan blob, a torn commit
+// (trace written, sidecar never committed), and rejected sidecars that
+// name files they do not own boots into a working cache
 // — the broken pieces renamed aside, the intact entry recovered and
 // serving byte-exact, nothing outside the directory touched, and
 // never a panic.
@@ -146,7 +151,7 @@ func TestSpillQuarantine(t *testing.T) {
 	dir := filepath.Join(root, "spill")
 	ctx := context.Background()
 
-	sched, client, closeAll := newSpillServer(t, dir, 0, 0)
+	sched, client, closeAll := newSpillServer(t, dir)
 	keys := make(map[uint64]string)
 	for _, seed := range []uint64{92, 93} {
 		info, err := client.Submit(ctx, quickJob(seed))
@@ -226,6 +231,22 @@ func TestSpillQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A torn commit: a trace renamed into place whose sidecar never
+	// left its .tmp-* file — a crash between the two renames.
+	tornKey := strings.Repeat("12", 32)
+	if err := os.WriteFile(filepath.Join(dir, spillBlobName(tornKey, 0)), healthyBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	torn := healthy
+	torn.Key = tornKey
+	torn.Traces = []sidecarTrace{healthy.Traces[0]}
+	torn.Traces[0].File = spillBlobName(tornKey, 0)
+	if js, err = json.Marshal(&torn); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, spillTmpPrefix+"sidecar"), js, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	writeSidecar(strings.Repeat("cd", 32), 2, "../victim")
 	writeSidecar(strings.Repeat("00", 32), 2, healthyBlob)
 	writeSidecar(strings.Repeat("ff", 32), 2, healthyBlob)
@@ -277,25 +298,23 @@ func TestSpillQuarantine(t *testing.T) {
 		}
 	}
 	// Truncated blob + its sidecar, torn temp, corrupt sidecar, orphan
-	// blob, and the four sidecars naming files they do not own: 9
-	// files renamed aside.
-	if len(quarantined) != 9 {
-		t.Errorf("quarantined %v (%d files), want 9", quarantined, len(quarantined))
+	// blob, the torn commit's trace and temp sidecar, and the four
+	// sidecars naming files they do not own: 11 files renamed aside.
+	if len(quarantined) != 11 {
+		t.Errorf("quarantined %v (%d files), want 11", quarantined, len(quarantined))
 	}
 }
 
-// TestDemotionServesFromFile is the zero-copy acceptance check: under
-// a tiny memory budget the blob demotes to its spill file, the
-// unfiltered /trace serve comes from the file-backed path, and the
-// served bytes and X-Nmo-Trace-Md5 are exactly the spill file's. A
-// cache hit on the spilled entry, even with room for it in memory,
-// leaves it on its file, and the next unfiltered serve goes out by
+// TestSpilledBlobServesFromFile is the zero-copy acceptance check: the
+// unfiltered /trace serve comes from the blob's spill file, and the
+// served bytes and X-Nmo-Trace-Md5 are exactly the file's. After a
+// restart, a cache hit on the recovered entry serves the same file by
 // sendfile.
-func TestDemotionServesFromFile(t *testing.T) {
+func TestSpilledBlobServesFromFile(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	sched, client, closeAll := newSpillServer(t, dir, 1, 0) // 1-byte memory tier: everything demotes
+	sched, client, closeAll := newSpillServer(t, dir)
 	info, err := client.Submit(ctx, quickJob(94))
 	if err != nil {
 		t.Fatal(err)
@@ -308,20 +327,11 @@ func TestDemotionServesFromFile(t *testing.T) {
 		t.Fatal("job vanished")
 	}
 	blob := job.Artifacts().Traces[0]
-	if !blob.FileBacked() {
-		t.Fatal("blob not demoted under a 1-byte memory budget")
-	}
-	st := sched.Stats()
-	if st.CacheDemotions == 0 || st.CacheBytesMem != 0 || st.CacheBytesDisk != blob.Size() {
-		t.Errorf("stats after demotion: demotions=%d mem=%d disk=%d (blob %d bytes)",
-			st.CacheDemotions, st.CacheBytesMem, st.CacheBytesDisk, blob.Size())
-	}
-
 	_, spillBlobs := spillFiles(t, dir)
-	if len(spillBlobs) != 1 {
-		t.Fatalf("spill dir holds %v, want exactly one blob", spillBlobs)
+	if len(spillBlobs) != 1 || blob.path != filepath.Join(dir, spillBlobs[0]) {
+		t.Fatalf("spill dir holds %v, want exactly the blob's file %s", spillBlobs, blob.path)
 	}
-	fileBytes, err := os.ReadFile(filepath.Join(dir, spillBlobs[0]))
+	fileBytes, err := os.ReadFile(blob.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +342,7 @@ func TestDemotionServesFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served.Bytes(), fileBytes) {
-		t.Error("file-backed serve differs from the spill file's bytes")
+		t.Error("serve differs from the spill file's bytes")
 	}
 	if n != int64(len(fileBytes)) {
 		t.Errorf("served %d bytes, spill file holds %d", n, len(fileBytes))
@@ -341,21 +351,17 @@ func TestDemotionServesFromFile(t *testing.T) {
 		t.Errorf("X-Nmo-Trace-Md5 %s != blob MD5 %x", md5hex, blob.MD5)
 	}
 
-	// The filtered path works off the same file backing (straddler
-	// blocks only — never the whole blob into memory).
+	// The filtered path reads the same file (straddler blocks only —
+	// never the whole blob into memory).
 	opt := NewTraceOptions()
 	opt.FromNs = 1
 	var filtered bytes.Buffer
 	if _, _, err := client.DownloadTrace(ctx, info.ID, opt, &filtered); err != nil {
-		t.Fatalf("filtered download from a demoted blob: %v", err)
-	}
-	if blob.FileBacked() != true {
-		t.Error("serving promoted the blob; reads must not move tiers")
+		t.Fatalf("filtered download: %v", err)
 	}
 
-	// Restart on the same dir with the default memory budget, which
-	// has room for the blob, and resubmit the same spec: a cache hit
-	// on a file-backed entry.
+	// Restart on the same dir and resubmit the same spec: a cache hit
+	// on the recovered entry.
 	closeAll()
 	cache2, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
@@ -368,16 +374,12 @@ func TestDemotionServesFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job2, ok := sched2.Get(info2.ID)
-	if !ok || !info2.Cached {
+	if !info2.Cached {
 		t.Fatal("resubmission after restart was not a cache hit")
 	}
-	blob2 := job2.Artifacts().Traces[0]
-	if !blob2.FileBacked() {
-		t.Error("cache hit moved the spilled blob back onto the heap")
-	}
-	if st := sched2.Stats(); st.CacheBytesMem != 0 || st.CachePromotions != 0 {
-		t.Errorf("after a hit: bytes mem=%d promotions=%d, want 0/0", st.CacheBytesMem, st.CachePromotions)
+	if st := sched2.Stats(); st.CacheBytesDisk != blob.Size() || st.CacheBytesMem != 0 || st.CachePromotions != 0 {
+		t.Errorf("after a hit: bytes disk=%d mem=%d promotions=%d, want %d/0/0",
+			st.CacheBytesDisk, st.CacheBytesMem, st.CachePromotions, blob.Size())
 	}
 	sfBefore := zc.h.ZeroCopy().SendfileBytes()
 	served.Reset()
@@ -394,11 +396,11 @@ func TestDemotionServesFromFile(t *testing.T) {
 	}
 }
 
-// TestDiskBudgetEviction: the disk tier evicts LRU by bytes, deleting
-// the victim's spill files.
+// TestDiskBudgetEviction: the cache evicts LRU by bytes, deleting the
+// victim's spill files.
 func TestDiskBudgetEviction(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCache(CacheConfig{Dir: dir, MemBudget: 1, DiskBudget: 10_000})
+	c, err := NewCache(CacheConfig{Dir: dir, DiskBudget: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +410,8 @@ func TestDiskBudgetEviction(t *testing.T) {
 		if !leader {
 			t.Fatalf("key %s present", key)
 		}
-		c.Fill(e, &JobArtifacts{Traces: []*TraceBlob{
-			NewTraceBlob("t", bytes.Repeat([]byte{k}, 4096), [16]byte{}),
+		mustFill(t, c, e, &JobArtifacts{Traces: []*TraceBlob{
+			tempBlob(t, c, "t", bytes.Repeat([]byte{k}, 4096), [16]byte{}),
 		}})
 	}
 	fill(1)
@@ -430,5 +432,219 @@ func TestDiskBudgetEviction(t *testing.T) {
 		if strings.HasPrefix(name, strings.Repeat("01", 32)) {
 			t.Errorf("evicted entry's file %s survived", name)
 		}
+	}
+}
+
+// tempFiles lists the .tmp-* files in a spill dir.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmps []string
+	for _, de := range des {
+		if strings.HasPrefix(de.Name(), spillTmpPrefix) {
+			tmps = append(tmps, de.Name())
+		}
+	}
+	return tmps
+}
+
+// TestUnusableSpillDir: with the spill directory replaced by a plain
+// file at run time, a job cannot encode its trace, so it fails with an
+// error envelope, leaves no cache entry, and an identical resubmission
+// runs again — and succeeds once the directory is back.
+func TestUnusableSpillDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	ctx := context.Background()
+	sched, client, _ := newSpillServer(t, dir)
+	breakDir := func() {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	breakDir()
+
+	for attempt := 1; attempt <= 2; attempt++ {
+		info, err := client.Submit(ctx, quickJob(96))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Cached {
+			t.Errorf("attempt %d: attached to a failed entry", attempt)
+		}
+		if _, err := client.Wait(ctx, info.ID, 5*time.Millisecond); err == nil {
+			t.Fatalf("attempt %d: job succeeded without a spill directory", attempt)
+		}
+		var apiErr *APIError
+		_, _, err = client.DownloadTrace(ctx, info.ID, NewTraceOptions(), &bytes.Buffer{})
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
+			t.Errorf("attempt %d: trace of the failed job: %v, want a 409 envelope", attempt, err)
+		}
+		st := sched.Stats()
+		if st.CacheEntries != 0 || st.EngineRuns != uint64(attempt) {
+			t.Errorf("attempt %d: entries=%d engine runs=%d, want 0/%d",
+				attempt, st.CacheEntries, st.EngineRuns, attempt)
+		}
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	info, err := client.Submit(ctx, quickJob(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Wait(ctx, info.ID, 5*time.Millisecond); err != nil {
+		t.Fatalf("job after the directory came back: %v", err)
+	}
+	if runs := sched.Stats().EngineRuns; runs != 3 {
+		t.Errorf("engine runs = %d, want 3", runs)
+	}
+}
+
+// TestCommitFailureRemovesFiles: a Fill whose rename cannot land fails
+// with an error, leaves none of the entry's files behind, and the
+// aborted key is free for the next leader.
+func TestCommitFailureRemovesFiles(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("34", 32)
+	// A directory squatting on the second trace's name makes its
+	// rename fail after the first trace has already landed.
+	if err := os.Mkdir(filepath.Join(dir, spillBlobName(key, 1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := c.Acquire(key)
+	art := &JobArtifacts{Traces: []*TraceBlob{
+		tempBlob(t, c, "a", []byte("first"), [16]byte{}),
+		tempBlob(t, c, "b", []byte("second"), [16]byte{}),
+	}}
+	err = c.Fill(e, art)
+	if err == nil {
+		t.Fatal("Fill committed over a directory")
+	}
+	c.Abort(e, err)
+	sidecars, blobs := spillFiles(t, dir)
+	if tmps := tempFiles(t, dir); len(tmps) != 0 || len(sidecars) != 0 || len(blobs) != 1 {
+		t.Errorf("after a failed commit: temps %v, sidecars %v, blobs %v; want only the squatting directory",
+			tmps, sidecars, blobs)
+	}
+	if _, leader := c.Acquire(key); !leader {
+		t.Error("failed commit left its entry in the cache")
+	}
+}
+
+// TestNoStrayTempFiles: a job canceled mid-run and a run whose later
+// scenario fails both remove the .tmp-* files their earlier scenarios
+// encoded into.
+func TestNoStrayTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	sched, client, _ := newSpillServer(t, dir)
+
+	// DELETE while the first of three scenarios runs: the engine skips
+	// the rest at the next scenario boundary and the job cancels.
+	spec := JobSpec{}
+	for i := 0; i < 3; i++ {
+		sp := quickSpec(uint64(970 + i))
+		sp.Name = fmt.Sprintf("s%d", i)
+		sp.Elems = 200_000
+		spec.Scenarios = append(spec.Scenarios, sp)
+	}
+	info, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for len(tempFiles(t, dir)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the run never opened its trace file")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := sched.Cancel(info.ID); err != nil { // what DELETE /v1/jobs/{id} calls
+		t.Fatal(err)
+	}
+	job, _ := sched.Get(info.ID)
+	if got := waitDone(t, job); got.State != StateCanceled {
+		t.Fatalf("canceled job ended %s (%s)", got.State, got.Error)
+	}
+	if tmps := tempFiles(t, dir); len(tmps) != 0 {
+		t.Errorf("canceled job left %v", tmps)
+	}
+
+	// A failing second scenario, after the first encoded its trace.
+	rs, _, err := resolveJob(JobSpec{Scenarios: []ScenarioSpec{quickSpec(98), quickSpec(99)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs[1].spec.Workload = "no-such-workload"
+	if _, err := sched.execute(ctx, &Job{rs: rs, tm: sched.m.Tenant("t")}); err == nil {
+		t.Fatal("a run with a failing scenario succeeded")
+	}
+	if tmps := tempFiles(t, dir); len(tmps) != 0 {
+		t.Errorf("failed run left %v", tmps)
+	}
+	if sidecars, blobs := spillFiles(t, dir); len(sidecars)+len(blobs) != 0 {
+		t.Errorf("spill dir holds %v / %v, want nothing", sidecars, blobs)
+	}
+}
+
+// TestPrivateSpillDirRemovedOnClose: a scheduler without a named cache
+// directory spills to a private one, made once however many engine
+// workers race to encode the first traces, and removed by Close. A
+// first job without traces commits its sidecar there too, not into
+// the working directory.
+func TestPrivateSpillDirRemovedOnClose(t *testing.T) {
+	sched := NewScheduler(SchedConfig{Workers: 1, EngineJobs: 4}, nil)
+	counters := quickJob(899)
+	counters.Scenarios[0].Mode = "counters"
+	cj, err := sched.Submit(context.Background(), counters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, cj)
+	if _, err := os.Stat(cj.Key + spillMetaSuffix); !os.IsNotExist(err) {
+		t.Fatalf("traceless job's sidecar landed in the working directory: %v", err)
+	}
+	spec := JobSpec{}
+	for i := 0; i < 4; i++ {
+		sp := quickSpec(uint64(900 + i))
+		sp.Name = fmt.Sprintf("s%d", i)
+		spec.Scenarios = append(spec.Scenarios, sp)
+	}
+	j, err := sched.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := waitDone(t, j); info.State != StateDone {
+		t.Fatalf("job ended %s (%s)", info.State, info.Error)
+	}
+	dir := filepath.Dir(j.Artifacts().Traces[0].path)
+	if !strings.HasPrefix(filepath.Base(dir), "nmo-cache-") {
+		t.Fatalf("trace %s is not in a private spill dir", j.Artifacts().Traces[0].path)
+	}
+	for _, b := range j.Artifacts().Traces {
+		if filepath.Dir(b.path) != dir {
+			t.Errorf("trace %s is outside the private dir %s", b.path, dir)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, cj.Key+spillMetaSuffix)); err != nil {
+		t.Errorf("traceless job's sidecar is not in the private dir: %v", err)
+	}
+	sched.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("private spill dir %s survives Close: %v", dir, err)
 	}
 }

@@ -1,11 +1,13 @@
 package service
 
 import (
-	"bytes"
+	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -205,7 +207,9 @@ type Scheduler struct {
 	wg sync.WaitGroup
 }
 
-// NewScheduler starts the worker pool.
+// NewScheduler starts the worker pool. The scheduler owns cache and
+// closes it on Close; a nil cache is a private one (NewCache with no
+// directory).
 func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
@@ -223,7 +227,7 @@ func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 		cfg.Metrics = NewMetrics(nil)
 	}
 	if cache == nil {
-		cache, _ = NewCache(CacheConfig{}) // memory-only: never errors
+		cache, _ = NewCache(CacheConfig{}) // private: never errors
 	}
 	s := &Scheduler{cfg: cfg, cache: cache, m: cfg.Metrics,
 		tqs:  make(map[string]*tenantQueue),
@@ -514,8 +518,8 @@ func (s *Scheduler) Cancel(id string) error {
 	return nil
 }
 
-// Close stops the workers, cancels everything queued or running, and
-// waits for the pool to drain.
+// Close stops the workers, cancels everything queued or running,
+// waits for the pool to drain, and closes the cache.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -546,6 +550,7 @@ func (s *Scheduler) Close() {
 	// for (its context derives from baseCtx either way).
 	s.baseCancel()
 	s.wg.Wait()
+	s.cache.Close()
 }
 
 // popLocked removes and returns the next job under weighted deficit
@@ -712,27 +717,42 @@ func (s *Scheduler) runJob(job *Job) {
 	job.auditState("running", "")
 
 	art, err := s.execute(ctx, job)
+	if err == nil {
+		spillStart := time.Now()
+		if err = s.cache.Fill(job.entry, art); err == nil {
+			spill := time.Since(spillStart)
+			job.setPhase(func(p *JobPhases) { p.SpillSec = spill.Seconds() })
+			s.m.ObservePhase("spill", spill)
+		}
+	}
 	if err != nil {
 		s.cache.Abort(job.entry, err)
 		job.finish(nil, err)
 		return
 	}
-	spillStart := time.Now()
-	s.cache.Fill(job.entry, art)
-	spill := time.Since(spillStart)
-	job.setPhase(func(p *JobPhases) { p.SpillSec = spill.Seconds() })
-	s.m.ObservePhase("spill", spill)
 	job.finish(art, nil)
 }
 
-// execute runs the resolved scenarios as one engine batch, streaming
-// each sampling scenario's trace into an in-memory v2 blob, and
-// digests the results into servable artifacts. The engine span and
-// the digest pass are recorded as the job's run and digest phases.
-func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error) {
+// execute runs the resolved scenarios as one engine batch, encoding
+// each sampling scenario's trace straight into a .tmp-* file in the
+// spill directory, and digests the results into artifacts for Fill to
+// commit. On any error — an engine failure, a cancel, a shutdown, a
+// digest failure — it removes every temp file it made. The engine
+// span and the digest pass are recorded as the job's run and digest
+// phases.
+func (s *Scheduler) execute(ctx context.Context, job *Job) (art *JobArtifacts, err error) {
 	rs := job.rs
 	scs := make([]engine.Scenario, len(rs))
-	bufs := make([]*bytes.Buffer, len(rs))
+	files := make([]*os.File, len(rs))
+	defer func() {
+		if err != nil {
+			for _, f := range files {
+				if f != nil {
+					removeTemp(f)
+				}
+			}
+		}
+	}()
 	for i := range rs {
 		r := &rs[i]
 		i := i
@@ -750,16 +770,21 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error
 			}
 			// The factory runs once, on the executing engine worker;
 			// each scenario writes its private slot, and the engine's
-			// completion barrier publishes the slices to this
-			// goroutine.
+			// completion barrier publishes the slice to this
+			// goroutine. The v2 header and index are written field
+			// by field, so the file sits behind a bufio.Writer.
 			scs[i].SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
-				buf := &bytes.Buffer{}
-				w, err := newWriter(buf, meta, blockSamples)
+				f, err := s.cache.tempFile()
 				if err != nil {
 					return nil, err
 				}
-				bufs[i] = buf
-				return w, nil
+				files[i] = f
+				bw := bufio.NewWriter(f)
+				w, err := newWriter(bw, meta, blockSamples)
+				if err != nil {
+					return nil, err
+				}
+				return spillSink{w, bw}, nil
 			}
 		}
 	}
@@ -773,7 +798,7 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error
 	s.m.ObservePhase("run", run)
 
 	digestStart := time.Now()
-	art := &JobArtifacts{Traces: make([]*TraceBlob, len(rs))}
+	art = &JobArtifacts{Traces: make([]*TraceBlob, len(rs))}
 	for i, res := range results {
 		if res.Err != nil {
 			if ctx.Err() != nil {
@@ -784,7 +809,7 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error
 			}
 			return nil, res.Err
 		}
-		sr, blob, err := digest(&rs[i], res.Profile, bufs[i])
+		sr, blob, err := digest(&rs[i], res.Profile, files[i])
 		if err != nil {
 			return nil, err
 		}
@@ -797,11 +822,26 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (*JobArtifacts, error
 	return art, nil
 }
 
-// digest turns one scenario's profile + trace blob into its wire
+// spillSink is a v2 writer encoding into a .tmp-* spill file through a
+// bufio.Writer; Close finishes the stream and flushes it to the file.
+type spillSink struct {
+	*trace.WriterV2
+	bw *bufio.Writer
+}
+
+func (s spillSink) Close() error {
+	if err := s.WriterV2.Close(); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
+// digest turns one scenario's profile + trace file into its wire
 // result: aggregate counters, Eq. 1 accuracy, and the same tables the
-// local CLI prints, derived from the blob by one out-of-core postproc
-// pass.
-func digest(r *resolved, prof *core.Profile, buf *bytes.Buffer) (ScenarioResult, *TraceBlob, error) {
+// local CLI prints, derived from the file by one out-of-core postproc
+// pass over an io.SectionReader. The returned blob holds the file for
+// Fill to commit.
+func digest(r *resolved, prof *core.Profile, f *os.File) (ScenarioResult, *TraceBlob, error) {
 	sr := ScenarioResult{
 		Name:        r.spec.Name,
 		Workload:    prof.Workload,
@@ -816,27 +856,30 @@ func digest(r *resolved, prof *core.Profile, buf *bytes.Buffer) (ScenarioResult,
 			sr.Capacity = &prof.Capacity
 		}
 	}
-	if !r.cfg.Mode.Sampling() || buf == nil {
-		return sr, NewTraceBlob(r.spec.Name, nil, [16]byte{}), nil
+	if !r.cfg.Mode.Sampling() || f == nil {
+		return sr, &TraceBlob{Name: r.spec.Name}, nil
 	}
 
 	sr.Backend = string(prof.Backend)
 	sr.Samples = prof.Sampler.Processed
 	sr.Accuracy = analysis.Accuracy(prof.MemAccesses, prof.Sampler.Processed, r.cfg.EffectivePeriod())
-	data := buf.Bytes()
-	blob := NewTraceBlob(r.spec.Name, data, prof.MD5)
-	sr.TraceMD5 = hex.EncodeToString(blob.MD5[:])
-	sr.TraceBytes = int64(len(data))
-
-	rd, err := trace.OpenV2(bytes.NewReader(data))
+	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return sr, blob, fmt.Errorf("service: scenario %q blob: %w", r.spec.Name, err)
+		return sr, nil, err
+	}
+	blob := &TraceBlob{Name: r.spec.Name, MD5: prof.MD5, size: size, tmp: f}
+	sr.TraceMD5 = hex.EncodeToString(blob.MD5[:])
+	sr.TraceBytes = size
+
+	rd, err := trace.OpenV2(io.NewSectionReader(f, 0, size))
+	if err != nil {
+		return sr, nil, fmt.Errorf("service: scenario %q blob: %w", r.spec.Name, err)
 	}
 	sr.TraceSamples = rd.TotalSamples()
 	sr.TraceBlocks = rd.NumBlocks()
 	sum, err := postproc.Summarize(postproc.From(rd), false)
 	if err != nil {
-		return sr, blob, err
+		return sr, nil, err
 	}
 	sr.LatP50 = sum.Lat.Percentile(50)
 	sr.LatP90 = sum.Lat.Percentile(90)

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -224,24 +223,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Pin the blob's current backing for this request: resident bytes,
-	// or an open handle on its spill file (which keeps serving even if
-	// the cache deletes the file mid-response).
-	data, h, bk, err := blob.open()
-	if err != nil || bk == nil {
+	// Pin an open handle on the blob's spill file for this request
+	// (it keeps serving even if the cache deletes the file
+	// mid-response).
+	h, err := blob.acquireFile()
+	if err != nil {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound,
 			fmt.Sprintf("job %s: trace evicted from cache: %v", j.ID, err))
 		return
 	}
-	if h != nil {
-		defer bk.releaseFile(h)
-	}
+	defer blob.releaseFile(h)
 
 	// Every response is a span plan: literal segments (header,
 	// filtered straddler blocks, footer) plus extents of stored
 	// bytes. An unfiltered request is one extent over the whole blob
 	// with the stored rolling MD5; a filtered one is the RestreamExact
-	// output of the pinned backing in segment form. Either way size and
+	// output of the pinned file in segment form. Either way size and
 	// checksum are known before the first byte, so the response is
 	// sized and carries X-Nmo-Trace-Md5 — the gateway splices it and
 	// clients detect truncation.
@@ -251,11 +248,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		MD5:      blob.MD5,
 	}
 	if filtered {
-		var src io.ReadSeeker = bytes.NewReader(data)
-		if h != nil {
-			src = io.NewSectionReader(h, 0, blob.Size())
-		}
-		rd, err := trace.OpenV2(src)
+		rd, err := trace.OpenV2(io.NewSectionReader(h, 0, blob.Size()))
 		if err == nil {
 			plan, err = trace.RestreamPlanExact(rd, lo, hi, core)
 		}
@@ -269,26 +262,21 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
 	w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
 	w.WriteHeader(http.StatusOK)
-	s.zc.CountCopyErr(r.Context(), s.servePlan(w, plan, data, h, zerocopy.FromContext(r.Context())))
+	s.zc.CountCopyErr(r.Context(), s.servePlan(w, plan, h, zerocopy.FromContext(r.Context())))
 }
 
-// servePlan writes a span plan. Literal segments and memory-tier
-// extents go through w.Write. A file extent seeks the pinned handle
-// and goes through io.CopyN, which net/http hands to the connection's
-// ReadFrom as an *io.LimitedReader over the *os.File: the Go runtime
-// sendfiles it. On a wrapped conn those bytes are credited conn-side;
+// servePlan writes a span plan. Literal segments go through w.Write.
+// A stored extent seeks the pinned file handle and goes through
+// io.CopyN, which net/http hands to the connection's ReadFrom as an
+// *io.LimitedReader over the *os.File: the Go runtime sendfiles it. On a wrapped conn those bytes are credited conn-side;
 // on any other conn they are counted as fallback here, keeping
 // sendfile+splice+fallback equal to the trace bytes served. CopyN,
 // not Copy: a spill file shorter than its extent must surface as
 // io.EOF, not as a short success.
-func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data []byte, h *os.File, zc *zerocopy.Conn) error {
+func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, h *os.File, zc *zerocopy.Conn) error {
 	for _, seg := range plan.Segments {
-		if seg.Data != nil || h == nil {
-			p := seg.Data
-			if p == nil {
-				p = data[seg.SrcOff : seg.SrcOff+seg.Len]
-			}
-			n, err := w.Write(p)
+		if seg.Data != nil {
+			n, err := w.Write(seg.Data)
 			s.zc.AddFallback(int64(n))
 			if err != nil {
 				return err

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -66,15 +67,38 @@ func waitDone(t testing.TB, j *Job) JobInfo {
 	}
 }
 
-// blobBytes materializes a blob for comparison (reading its spill
-// file when demoted), failing the test on a read error.
+// blobBytes reads a committed blob's spill file for comparison,
+// failing the test on a read error.
 func blobBytes(t testing.TB, b *TraceBlob) []byte {
 	t.Helper()
-	data, err := b.Bytes()
+	data, err := os.ReadFile(b.path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// tempBlob writes data into a fresh .tmp-* file in c's spill directory
+// and returns it as an uncommitted blob, the state a run leaves a
+// trace in for Fill.
+func tempBlob(t testing.TB, c *Cache, name string, data []byte, sum [16]byte) *TraceBlob {
+	t.Helper()
+	f, err := c.tempFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	return &TraceBlob{Name: name, MD5: sum, size: int64(len(data)), tmp: f}
+}
+
+// mustFill fills e, failing the test if the commit fails.
+func mustFill(t testing.TB, c *Cache, e *entry, art *JobArtifacts) {
+	t.Helper()
+	if err := c.Fill(e, art); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestConcurrentSubmissionSingleFill is the scheduler's core
@@ -505,21 +529,22 @@ func TestScenarioKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: memory-only completed entries evict LRU by blob
-// bytes once the memory budget is exceeded, an Acquire hit refreshes
-// recency, and nothing in flight is ever evicted.
+// TestCacheEviction: completed entries evict LRU by blob bytes once
+// the byte budget is exceeded, an Acquire hit refreshes recency, and
+// nothing in flight is ever evicted.
 func TestCacheEviction(t *testing.T) {
-	c, err := NewCache(CacheConfig{MemBudget: 256})
+	c, err := NewCache(CacheConfig{DiskBudget: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(c.Close)
 	fill := func(key string, n int) {
 		e, leader := c.Acquire(key)
 		if !leader {
 			t.Fatalf("key %s unexpectedly present", key)
 		}
-		c.Fill(e, &JobArtifacts{Traces: []*TraceBlob{
-			NewTraceBlob(key, make([]byte, n), [16]byte{}),
+		mustFill(t, c, e, &JobArtifacts{Traces: []*TraceBlob{
+			tempBlob(t, c, key, make([]byte, n), [16]byte{}),
 		}})
 	}
 	fill("a", 100)
@@ -541,8 +566,8 @@ func TestCacheEviction(t *testing.T) {
 	if st.CacheEvictions != 1 {
 		t.Errorf("evictions = %d, want 1", st.CacheEvictions)
 	}
-	if st.CacheBytesMem != 200 {
-		t.Errorf("bytes_mem = %d, want 200", st.CacheBytesMem)
+	if st.CacheBytesDisk != 200 {
+		t.Errorf("bytes_disk = %d, want 200", st.CacheBytesDisk)
 	}
 
 	// An in-flight entry survives any amount of pressure.

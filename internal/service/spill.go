@@ -27,7 +27,9 @@ import (
 // safe by construction). Every file is written to a .tmp-* name in
 // the same directory, fsynced, then renamed; the sidecar is written
 // last, so it is the commit point — a crash leaves either a complete
-// entry or stray files the next boot quarantines.
+// entry or stray files the next boot quarantines. A trace's .tmp-*
+// file is the one its run encodes into, so a crash mid-run leaves a
+// full-size stray.
 
 const (
 	spillTmpPrefix  = ".tmp-"
@@ -58,45 +60,120 @@ func spillBlobName(key string, i int) string {
 	return fmt.Sprintf("%s.t%d%s", key, i, spillBlobSuffix)
 }
 
-// persist writes art through to the spill directory and re-points each
-// blob's backing at its file (data still resident — demotion later is
-// a pointer swap). Returns the spilled byte total and whether the
-// entry committed; any failure logs a warning and leaves the entry
-// memory-only (stray files are quarantined by the next boot scan).
-func (c *Cache) persist(key string, art *JobArtifacts) (int64, bool) {
-	if c.cfg.Dir == "" {
-		return 0, false
+// dir returns the spill directory. The first call on a private cache
+// makes it.
+func (c *Cache) dir() (string, error) {
+	c.mkdir.Do(func() {
+		if c.private {
+			c.cfg.Dir, c.dirErr = os.MkdirTemp("", "nmo-cache-*")
+		}
+	})
+	return c.cfg.Dir, c.dirErr
+}
+
+// tempFile opens a fresh .tmp-* file in the spill directory: where a
+// run encodes its trace, and where every committed file starts.
+func (c *Cache) tempFile() (*os.File, error) {
+	dir, err := c.dir()
+	if err != nil {
+		return nil, err
 	}
-	var total int64
+	return os.CreateTemp(dir, spillTmpPrefix+"*")
+}
+
+// commit lands art in the spill directory: each trace's .tmp-* file is
+// fsynced, closed and renamed to its entry's name, then the sidecar is
+// written the same way, last, as the commit point. A private directory
+// never outlives the process, so it skips the fsyncs. On failure every
+// file of the entry is removed and the error returned.
+func (c *Cache) commit(key string, art *JobArtifacts) (err error) {
+	defer func() {
+		if err != nil {
+			discard(art)
+		}
+	}()
+	// A job without traces reaches a private cache's directory first
+	// here.
+	dir, err := c.dir()
+	if err != nil {
+		return err
+	}
 	sc := sidecarDoc{Version: 1, Key: key, Doc: art.Doc}
 	for i, b := range art.Traces {
 		st := sidecarTrace{Name: b.Name, Bytes: b.Size()}
-		if b.Size() > 0 {
-			data, err := b.Bytes() // resident at fill time, never fails
-			if err == nil {
-				err = atomicWrite(filepath.Join(c.cfg.Dir, spillBlobName(key, i)), data)
-			}
-			if err != nil {
-				log.Printf("cache: spill of %s failed, entry stays memory-only: %v", key, err)
-				return 0, false
-			}
+		if b.tmp != nil {
 			st.MD5 = hex.EncodeToString(b.MD5[:])
 			st.File = spillBlobName(key, i)
-			b.backing.Store(&blobBacking{data: data, path: filepath.Join(c.cfg.Dir, st.File)})
-			total += b.Size()
+			path := filepath.Join(dir, st.File)
+			if err := c.land(b.tmp, path); err != nil {
+				return fmt.Errorf("service: spill trace %q: %w", b.Name, err)
+			}
+			b.tmp, b.path = nil, path
 		}
 		sc.Traces = append(sc.Traces, st)
 	}
 	js, err := json.Marshal(&sc)
 	if err == nil {
-		err = atomicWrite(filepath.Join(c.cfg.Dir, key+spillMetaSuffix), js)
+		err = c.writeFile(filepath.Join(dir, key+spillMetaSuffix), js)
 	}
 	if err != nil {
-		log.Printf("cache: sidecar of %s failed, entry stays memory-only: %v", key, err)
-		return 0, false
+		return fmt.Errorf("service: spill sidecar: %w", err)
 	}
-	syncDir(c.cfg.Dir)
-	return total, true
+	if !c.private {
+		syncDir(dir)
+	}
+	return nil
+}
+
+// discard removes the files of artifacts that never committed: open
+// .tmp-* files and traces already renamed into place.
+func discard(art *JobArtifacts) {
+	for _, b := range art.Traces {
+		if b.tmp != nil {
+			removeTemp(b.tmp)
+			b.tmp = nil
+		} else if b.path != "" {
+			os.Remove(b.path)
+		}
+	}
+}
+
+// removeTemp closes and deletes an uncommitted .tmp-* file.
+func removeTemp(f *os.File) {
+	f.Close()
+	os.Remove(f.Name())
+}
+
+// land commits an open .tmp-* file at path: fsync (named directories
+// only), close, rename. A crash at any point leaves either no file or
+// a .tmp-* stray, never a torn path.
+func (c *Cache) land(f *os.File, path string) error {
+	var err error
+	if !c.private {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	return err
+}
+
+// writeFile lands data at path through a .tmp-* file.
+func (c *Cache) writeFile(path string, data []byte) error {
+	f, err := c.tempFile()
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = c.land(f, path)
+	}
+	if err != nil {
+		removeTemp(f)
+	}
+	return err
 }
 
 // removeSpill deletes an evicted entry's files (sidecar first, so a
@@ -106,39 +183,14 @@ func (c *Cache) persist(key string, art *JobArtifacts) (int64, bool) {
 func (c *Cache) removeSpill(e *entry) {
 	os.Remove(filepath.Join(c.cfg.Dir, e.key+spillMetaSuffix))
 	for _, b := range e.art.Traces {
-		if bk := b.backing.Load(); bk != nil && bk.path != "" {
+		if b.path != "" {
 			// The blob is dead: hand its page-cache pages back before
-			// the unlink, so a churning disk tier doesn't squat on
-			// memory the live blobs (and the OS) want.
-			zerocopy.DropPageCache(bk.path)
-			os.Remove(bk.path)
+			// the unlink, so a churning cache doesn't squat on memory
+			// the live blobs (and the OS) want.
+			zerocopy.DropPageCache(b.path)
+			os.Remove(b.path)
 		}
 	}
-}
-
-// atomicWrite lands data at path via temp-file + fsync + rename, so a
-// crash at any point leaves either the old file, no file, or a .tmp-*
-// stray — never a torn path.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, spillTmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // syncDir fsyncs a directory so renames into it are durable. Best
@@ -166,7 +218,7 @@ func (c *Cache) quarantine(name, why string) {
 // that verifies: sidecar parses and matches its filename's key, every
 // blob file exists at the recorded size, opens as v2/v2.1, and rehashes
 // to the recorded rolling MD5. Verified entries join the cache
-// file-backed (tier 2 only), LRU-ordered by sidecar mtime. Torn
+// LRU-ordered by sidecar mtime. Torn
 // .tmp-* strays, unverifiable entries, and orphan blobs are
 // quarantined with a warning — a corrupt spill dir degrades to a cold
 // start, never a failed or panicking boot.
@@ -189,7 +241,7 @@ func (c *Cache) loadDir() error {
 			continue
 		}
 		if strings.HasPrefix(name, spillTmpPrefix) {
-			c.quarantine(name, "torn temp-file from an interrupted spill")
+			c.quarantine(name, "torn temp-file from an interrupted run or spill")
 			continue
 		}
 		if !strings.HasSuffix(name, spillMetaSuffix) {
@@ -210,10 +262,9 @@ func (c *Cache) loadDir() error {
 				claimed[spillBlobName(key, i)] = true
 			}
 		}
-		e := &entry{key: key, done: make(chan struct{}), filled: true, persisted: true}
+		e := &entry{key: key, done: make(chan struct{}), filled: true}
 		e.art = &JobArtifacts{Doc: sc.Doc, Traces: blobs}
 		e.size = e.art.size()
-		e.diskBytes = e.size
 		close(e.done)
 		recs = append(recs, recovered{e, mtime})
 	}
@@ -233,18 +284,18 @@ func (c *Cache) loadDir() error {
 	for _, r := range recs {
 		c.entries[r.e.key] = r.e
 		r.e.elem = c.lru.PushFront(r.e)
-		c.bytesDisk.Add(r.e.diskBytes)
+		c.bytes.Add(r.e.size)
 	}
 	if n := len(recs); n > 0 {
-		log.Printf("cache: recovered %d spilled entries (%d bytes) from %s", n, c.bytesDisk.Value(), c.cfg.Dir)
+		log.Printf("cache: recovered %d spilled entries (%d bytes) from %s", n, c.bytes.Value(), c.cfg.Dir)
 	}
 	return nil
 }
 
 // verifyEntry checks one sidecar and its blobs, returning the parsed
-// manifest, ready file-backed blobs, and the sidecar mtime. A
+// manifest, ready blobs, and the sidecar mtime. A
 // non-empty why means the entry failed verification. Each blob must be
-// the file persist names for its key and index, so a verified sidecar
+// the file commit names for its key and index, so a verified sidecar
 // can only ever claim its own files.
 func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob, mtime int64, why string) {
 	path := filepath.Join(c.cfg.Dir, name)
@@ -271,7 +322,7 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 	}
 	for i, st := range sc.Traces {
 		if st.Bytes == 0 {
-			blobs = append(blobs, NewTraceBlob(st.Name, nil, [16]byte{}))
+			blobs = append(blobs, &TraceBlob{Name: st.Name})
 			continue
 		}
 		var sum [16]byte
@@ -294,7 +345,7 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 		if why := verifyBlobFile(bpath, sum); why != "" {
 			return sc, nil, mtime, fmt.Sprintf("trace %q: %s", st.Name, why)
 		}
-		blobs = append(blobs, fileTraceBlob(st.Name, bpath, st.Bytes, sum))
+		blobs = append(blobs, &TraceBlob{Name: st.Name, MD5: sum, size: st.Bytes, path: bpath})
 	}
 	return sc, blobs, mtime, ""
 }

@@ -264,12 +264,11 @@ type SchedStats struct {
 	// CacheEntries / CacheEvictions describe the cache population.
 	CacheEntries   int    `json:"cache_entries"`
 	CacheEvictions uint64 `json:"cache_evictions"`
-	// CacheBytesMem / CacheBytesDisk are the current byte occupancy of
-	// the two cache tiers; CacheDemotions counts blobs dropped from
-	// memory to their spill files under pressure. A hit never moves a
-	// blob back: a spilled blob serves from its file, kept hot by the
-	// kernel page cache. CachePromotions is always 0; the field stays
-	// for wire compatibility with readers of cache_promotions.
+	// CacheBytesDisk is the blob bytes held in the spill directory,
+	// where every cached trace lives; the kernel page cache is its hot
+	// tier. CacheBytesMem, CacheDemotions and CachePromotions are
+	// always 0: the cache has no memory tier, and the fields stay for
+	// wire compatibility with their readers.
 	CacheBytesMem   int64  `json:"cache_bytes_mem"`
 	CacheBytesDisk  int64  `json:"cache_bytes_disk"`
 	CacheDemotions  uint64 `json:"cache_demotions"`
@@ -280,8 +279,8 @@ type SchedStats struct {
 	// The zero-copy data plane's byte accounting: trace body bytes
 	// moved by sendfile(2) (shard spill file → socket), by splice(2)
 	// (upstream socket → client socket on the gateway hop), and
-	// through the user-space fallback copy (memory-tier blobs,
-	// straddler blocks, unwrapped/TLS conns, non-Linux builds). The
+	// through the user-space fallback copy (straddler blocks,
+	// unwrapped/TLS conns, non-Linux builds). The
 	// three sum to total trace bytes served, so the kernel-offload
 	// ratio is directly readable. TraceClientAborts / TraceServeErrors
 	// split terminal copy failures into "client went away" vs "disk or
