@@ -286,11 +286,11 @@ func engineBatch(n int) []engine.Scenario {
 		cfg.PageBytes = 1024
 		cfg.RingPages = 8
 		cfg.AuxPages = 64
+		cfg.Seed = engine.DeriveSeed(42, i)
 		scs[i] = engine.Scenario{
 			Name:   fmt.Sprintf("stream/trial=%d", i),
 			Spec:   machine.AmpereAltraMax().WithCores(32),
 			Config: cfg,
-			Seed:   engine.DeriveSeed(42, i),
 			Workload: func() (workloads.Workload, error) {
 				return nmo.NewStream(nmo.StreamConfig{
 					Elems: 400_000, Threads: 16, Iters: 2,
@@ -538,10 +538,17 @@ func BenchmarkSPEUnitHotPath(b *testing.B) {
 
 // --- helpers ---
 
+// countSink is a sampler.Host that counts and discards what it is
+// handed.
 type countSink struct{ n int }
 
 func (s *countSink) WriteRecord(_ sim.Cycles, rec []byte) bool {
 	s.n++
+	return true
+}
+
+func (s *countSink) ServicePMI(_ sim.Cycles, records []byte, recSize int) bool {
+	s.n += len(records) / recSize
 	return true
 }
 

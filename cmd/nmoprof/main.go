@@ -370,7 +370,7 @@ func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
 		}
 		fmt.Printf("%s: %d selected, %d processed, %d collisions, %d truncated, %d invalid-skipped\n",
 			label, prof.Sampler.Selected, prof.Sampler.Processed, prof.Sampler.Collisions,
-			prof.Sampler.TruncatedHW, prof.Sampler.SkippedInvalid)
+			prof.Sampler.Truncated, prof.Sampler.SkippedInvalid)
 		if prof.Backend == nmo.BackendPEBS {
 			fmt.Printf("PEBS loss/skew: %d DS-dropped, %d kernel-truncated, mean skid %.2f ops\n",
 				prof.Sampler.Dropped, prof.Kernel.TruncatedRecords,

@@ -39,7 +39,7 @@ func main() {
 		prof.MemAccesses, prof.Sampler.Processed,
 		100*nmo.Accuracy(prof.MemAccesses, prof.Sampler.Processed, cfg.Period))
 	fmt.Printf("SPE collisions: %d | truncated: %d | invalid packets skipped: %d\n",
-		prof.Sampler.Collisions, prof.Sampler.TruncatedHW, prof.Sampler.SkippedInvalid)
+		prof.Sampler.Collisions, prof.Sampler.Truncated, prof.Sampler.SkippedInvalid)
 	fmt.Printf("peak bandwidth: %.1f GiB/s | peak RSS: %.2f GiB\n",
 		prof.Bandwidth.Max(), prof.Capacity.Max())
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"nmo"
@@ -15,7 +16,12 @@ import (
 // -> PERF_RECORD_AUX -> decoder -> attribution.
 func fullPipelineProfile(t *testing.T, seed uint64) *nmo.Profile {
 	t.Helper()
-	mach := nmo.NewMachine(nmo.AmpereAltraMax().WithCores(16))
+	return fullPipelineProfileOn(t, nmo.AmpereAltraMax(), fullPipelineConfig(seed))
+}
+
+// fullPipelineConfig is the profiler configuration of
+// fullPipelineProfile.
+func fullPipelineConfig(seed uint64) nmo.Config {
 	cfg := nmo.DefaultConfig()
 	cfg.Enable = true
 	cfg.Mode = nmo.ModeFull
@@ -23,6 +29,14 @@ func fullPipelineProfile(t *testing.T, seed uint64) *nmo.Profile {
 	cfg.Period = 1024
 	cfg.IntervalSec = 1e-4
 	cfg.Seed = seed
+	return cfg
+}
+
+// fullPipelineProfileOn runs the fullPipelineProfile workload on a
+// 16-core slice of spec, sampled by the spec's native backend.
+func fullPipelineProfileOn(t *testing.T, spec nmo.MachineSpec, cfg nmo.Config) *nmo.Profile {
+	t.Helper()
+	mach := nmo.NewMachine(spec.WithCores(16))
 	p, err := nmo.Run(cfg, mach, nmo.NewStream(nmo.StreamConfig{
 		Elems: 400_000, Threads: 16, Iters: 2,
 	}))
@@ -43,9 +57,9 @@ func TestSampleConservation(t *testing.T) {
 	if s.Selected == 0 {
 		t.Fatal("no samples selected")
 	}
-	if got := s.Collisions + s.Filtered + s.Emitted + s.TruncatedHW; got != s.Selected {
+	if got := s.Collisions + s.Filtered + s.Emitted + s.Truncated; got != s.Selected {
 		t.Errorf("selection accounting: coll %d + filt %d + emit %d + trunc %d = %d, want Selected %d",
-			s.Collisions, s.Filtered, s.Emitted, s.TruncatedHW, got, s.Selected)
+			s.Collisions, s.Filtered, s.Emitted, s.Truncated, got, s.Selected)
 	}
 	// Drained bytes are whole records: emitted plus corrupted ones.
 	wantBytes := (s.Emitted + s.Corrupted) * 64
@@ -218,6 +232,65 @@ func TestGoldenTraceChecksum(t *testing.T) {
 	if got != want {
 		t.Errorf("trace MD5 = %s, want %s", got, want)
 	}
+}
+
+// TestGoldenTracePEBS pins the PEBS backend end to end: the trace MD5
+// of the fullPipelineProfile configuration on the Ice Lake-SP platform
+// and every sampling-unit and kernel counter of the run. The counters
+// are compared as the flattened list of the two structs' integer
+// fields in declaration order, so the pin holds the values, not the
+// field names.
+func TestGoldenTracePEBS(t *testing.T) {
+	cfg := fullPipelineConfig(42)
+	// A 1 KiB PMI threshold fires PMIs during the run, so the pin
+	// covers the interrupt path and its IRQ charge, not only the
+	// end-of-run flush.
+	cfg.AuxWatermarkBytes = 1024
+	p := fullPipelineProfileOn(t, nmo.IntelIceLakeSP(), cfg)
+	if p.Backend != "pebs" {
+		t.Fatalf("backend = %q, want pebs", p.Backend)
+	}
+	const wantMD5 = "68f9d8f9340b3e744fc25bef55769f33"
+	wantSampler := []uint64{2400000, 2336, 0, 0, 2336, 0, 0, 0, 9138, 2336, 0}
+	wantKernel := []uint64{96, 112, 0, 0, 0, 0, 112128, 1215360}
+	got := fmt.Sprintf("%x", p.MD5)
+	gotSampler, gotKernel := counterValues(p.Sampler), counterValues(p.Kernel)
+	if wantMD5 == "GOLDEN" {
+		t.Logf("PEBS golden: MD5 %s sampler %#v kernel %#v (pin me)", got, gotSampler, gotKernel)
+		return
+	}
+	if got != wantMD5 {
+		t.Errorf("trace MD5 = %s, want %s", got, wantMD5)
+	}
+	if fmt.Sprint(gotSampler) != fmt.Sprint(wantSampler) {
+		t.Errorf("sampler counters = %v (%+v), want %v", gotSampler, p.Sampler, wantSampler)
+	}
+	if fmt.Sprint(gotKernel) != fmt.Sprint(wantKernel) {
+		t.Errorf("kernel counters = %v (%+v), want %v", gotKernel, p.Kernel, wantKernel)
+	}
+}
+
+// counterValues flattens a counter struct, embedded structs included,
+// into its integer field values in declaration order.
+func counterValues(v any) []uint64 {
+	var out []uint64
+	var walk func(reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			out = append(out, v.Uint())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			out = append(out, uint64(v.Int()))
+		default:
+			panic("counterValues: unexpected field kind " + v.Kind().String())
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return out
 }
 
 func maxF(xs []float64) float64 {

@@ -247,7 +247,7 @@ func (c Config) EffectiveBackend(arch string) sampler.Kind {
 // Validate rejects configurations the profiler cannot honour.
 func (c Config) Validate() error {
 	if c.Backend != "" {
-		if _, err := sampler.For(c.Backend); err != nil {
+		if _, err := perfev.NewDecoder(c.Backend); err != nil {
 			return fmt.Errorf("core: %v", err)
 		}
 	}

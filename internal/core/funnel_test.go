@@ -88,21 +88,21 @@ func checkFunnel(t *testing.T, kind sampler.Kind, period uint64, threads int, au
 			t.Errorf("SPE saw %d ops, fewer than the %d memory accesses", s.OpsSeen, p.MemAccesses)
 		}
 		// A: corrupted records attempted after collisions.
-		written := s.Emitted + s.TruncatedHW + s.Corrupted
+		written := s.Emitted + s.Truncated + s.Corrupted
 		decided := s.Selected - s.Collisions - s.Filtered
 		if a := written - decided; written < decided || a < s.Corrupted || a > s.Collisions {
 			t.Errorf("%d records written for %d samples past collisions and filter (%d collisions, %d corrupted)",
 				written, decided, s.Collisions, s.Corrupted)
 		}
-		if k.TruncatedRecords != s.TruncatedHW {
-			t.Errorf("kernel truncated %d records, unit %d", k.TruncatedRecords, s.TruncatedHW)
+		if k.TruncatedRecords != s.Truncated {
+			t.Errorf("kernel truncated %d records, unit %d", k.TruncatedRecords, s.Truncated)
 		}
 		if s.Processed != s.Emitted || s.SkippedInvalid != s.Corrupted {
 			t.Errorf("decoded %d valid + %d skipped, aux accepted %d + %d corrupted",
 				s.Processed, s.SkippedInvalid, s.Emitted, s.Corrupted)
 		}
 	case sampler.KindPEBS:
-		if s.Collisions != 0 || s.Filtered != 0 || s.TruncatedHW != 0 || s.Corrupted != 0 {
+		if s.Collisions != 0 || s.Filtered != 0 || s.Truncated != 0 || s.Corrupted != 0 {
 			t.Errorf("PEBS reports SPE-only losses: %+v", s)
 		}
 		if s.OpsSeen != p.MemAccesses {

@@ -15,38 +15,18 @@ import (
 	"nmo/internal/xrand"
 )
 
-// SamplerAgg aggregates sampling-unit counters plus the decode-side
-// outcomes across all cores of a run. The counters are backend-
-// neutral: mechanism-specific fields stay zero on the backend without
-// the mechanism (Collisions on PEBS; Dropped and SkidTotal on SPE).
+// SamplerAgg aggregates the sampling units' normalized counters plus
+// the decode-side outcomes across all cores of a run. Mechanism-
+// specific counters stay zero on the backend without the mechanism
+// (Collisions on PEBS; Dropped and SkidTotal on SPE).
 type SamplerAgg struct {
-	OpsSeen     uint64
-	Selected    uint64
-	Collisions  uint64 // SPE hardware tracking-slot collisions
-	Filtered    uint64
-	Emitted     uint64
-	TruncatedHW uint64 // records dropped at the aux buffer
-	Corrupted   uint64
-	Dropped     uint64 // PEBS records lost to DS-buffer overflow
-	SkidTotal   uint64 // PEBS accumulated shadowing skid (ops)
+	sampler.Stats
 	// Processed counts records the decoder accepted — the "samples"
 	// term of the paper's Eq. (1).
 	Processed uint64
 	// SkippedInvalid counts records the decoder skipped under the
 	// invalid-packet policy (bad 0xb2/0x71 header or zero VA/TS).
 	SkippedInvalid uint64
-}
-
-// KernelAgg aggregates perf kernel-side accounting across cores.
-type KernelAgg struct {
-	Wakeups            uint64
-	AuxRecords         uint64
-	LostRecords        uint64
-	TruncatedRecords   uint64
-	FlaggedCollisions  uint64 // aux records with the collision flag (§VII)
-	FlaggedTruncations uint64
-	DrainedBytes       uint64
-	IRQCycles          sim.Cycles
 }
 
 // Profile is the result of one profiled run.
@@ -80,7 +60,8 @@ type Profile struct {
 	// when sampling was disabled).
 	Backend sampler.Kind
 	Sampler SamplerAgg
-	Kernel  KernelAgg
+	// Kernel sums the perf kernel-side accounting across cores.
+	Kernel perfev.EventStats
 	// MD5 is the trace checksum (NMO hashes its sample trace).
 	MD5 [16]byte
 }
@@ -328,11 +309,11 @@ func (r *run) setupEvents() error {
 		// one, so the combination is rejected instead of ignored.
 		return fmt.Errorf("core: MinLatencyFilter is SPE-only (no PEBS latency filter)")
 	}
-	backend, err := sampler.For(kind)
+	dec, err := perfev.NewDecoder(kind)
 	if err != nil {
 		return fmt.Errorf("core: %v", err)
 	}
-	r.decoder = backend.NewDecoder()
+	r.decoder = dec
 	r.prof.Backend = kind
 	if err := r.setupSinks(); err != nil {
 		return err
@@ -459,7 +440,7 @@ func (r *run) samplingAttr(kind sampler.Kind) *perfev.Attr {
 			// SPE's kernel-side default is half the aux buffer; the
 			// PMI threshold must follow the same convention so wakeup
 			// cadence stays comparable across backends (the DS buffer
-			// grows to fit — sampler/pebs.go).
+			// grows to fit — pebs.Config).
 			wm = uint32(cfg.EffectiveAuxPages(r.pageBytes()) * r.pageBytes() / 2)
 		}
 		return &perfev.Attr{
@@ -692,7 +673,7 @@ func (r *run) aggregate() error {
 		prof.Sampler.Collisions += u.Collisions
 		prof.Sampler.Filtered += u.Filtered
 		prof.Sampler.Emitted += u.Emitted
-		prof.Sampler.TruncatedHW += u.Truncated
+		prof.Sampler.Truncated += u.Truncated
 		prof.Sampler.Corrupted += u.Corrupted
 		prof.Sampler.Dropped += u.Dropped
 		prof.Sampler.SkidTotal += u.SkidTotal

@@ -49,14 +49,6 @@ type Scenario struct {
 	Config core.Config
 	// Workload builds the workload to profile.
 	Workload WorkloadFactory
-	// Seed, when nonzero, overrides Config.Seed. Grids derive it per
-	// point with DeriveSeed so trial seeds decorrelate deterministically.
-	Seed uint64
-	// SinkFactory, when non-nil, overrides Config.SinkFactory for this
-	// scenario: the factory runs on the executing worker, once per
-	// run, so every scenario gets a private sink chain (aggregate-only
-	// sweeps stream entire grids without materializing a sample).
-	SinkFactory core.SinkFactory
 }
 
 // Result pairs a scenario with its outcome. Exactly one of Profile
@@ -210,14 +202,7 @@ func runScenario(sc *Scenario, wk *worker) (prof *core.Profile, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q workload: %w", sc.Name, err)
 	}
-	cfg := sc.Config
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
-	if sc.SinkFactory != nil {
-		cfg.SinkFactory = sc.SinkFactory
-	}
-	s, err := core.NewSession(cfg, wk.machineFor(sc.Spec))
+	s, err := core.NewSession(sc.Config, wk.machineFor(sc.Spec))
 	if err != nil {
 		return nil, fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 	}

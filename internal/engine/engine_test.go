@@ -23,11 +23,11 @@ func testScenario(idx int) Scenario {
 	cfg.RingPages = 8
 	cfg.AuxPages = 64
 	cfg.PageBytes = 1024
+	cfg.Seed = DeriveSeed(42, idx)
 	return Scenario{
 		Name:   fmt.Sprintf("stream/%d", idx),
 		Spec:   machine.AmpereAltraMax().WithCores(4),
 		Config: cfg,
-		Seed:   DeriveSeed(42, idx),
 		Workload: func() (workloads.Workload, error) {
 			return workloads.NewStream(workloads.StreamConfig{
 				Elems: 30_000, Threads: 4, Iters: 2,

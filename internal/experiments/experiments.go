@@ -197,7 +197,7 @@ func evalTrial(p *core.Profile, cfg core.Config, baseline sim.Cycles) trialResul
 		samples:    p.Sampler.Processed,
 		collisions: p.Kernel.FlaggedCollisions,
 		hwColl:     p.Sampler.Collisions,
-		truncated:  p.Sampler.TruncatedHW + p.Sampler.Dropped + p.Kernel.TruncatedRecords,
+		truncated:  p.Sampler.Truncated + p.Sampler.Dropped + p.Kernel.TruncatedRecords,
 		profile:    p,
 	}
 }

@@ -92,11 +92,12 @@ func TestStreamedSinksIdenticalAcrossJobs(t *testing.T) {
 			cfg.TraceBlockSamples = 32
 			scs = append(scs, sc.scenario(
 				fmt.Sprintf("stream/v2/%d", i), "stream", sc.Threads, cfg))
+			aggCfg := sc.samplingConfig(1500+uint64(i)*500, i)
+			aggCfg.SinkFactory = AggregateSinks
 			scs = append(scs, engine.Scenario{
-				Name:        fmt.Sprintf("stream/agg/%d", i),
-				Spec:        sc.specFor(),
-				Config:      sc.samplingConfig(1500+uint64(i)*500, i),
-				SinkFactory: AggregateSinks,
+				Name:   fmt.Sprintf("stream/agg/%d", i),
+				Spec:   sc.specFor(),
+				Config: aggCfg,
 				Workload: func() (workloads.Workload, error) {
 					return sc.workloadFor("stream", sc.Threads)
 				},

@@ -22,6 +22,12 @@
 // Records follow a fixed 48-byte layout loosely modeled on the
 // Skylake PEBS v3 memory record (IP, data linear address, latency,
 // data source, TSC).
+//
+// Unit implements sampler.Unit and Decoder implements sampler.Decoder.
+// In sampler.Stats terms OpsSeen counts population events, Selected
+// counter overflows and Emitted records written to the DS buffer; the
+// SPE-only counters (Collisions, Filtered, Truncated, Corrupted) stay
+// zero here.
 package pebs
 
 import (
@@ -29,6 +35,7 @@ import (
 	"errors"
 
 	"nmo/internal/isa"
+	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/xrand"
 )
@@ -159,29 +166,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts unit activity.
-type Stats struct {
-	EventsSeen uint64 // population occurrences observed
-	Sampled    uint64 // counter overflows
-	Written    uint64 // records written to the DS buffer
-	Dropped    uint64 // records lost: DS full awaiting PMI service, or overwritten while armed
-	SkidTotal  uint64 // accumulated skid distance (ops)
-}
-
-// PMIHandler receives the DS buffer contents when the threshold
-// interrupt fires. It returns the service cost in cycles and whether
-// the kernel took the interrupt: on accepted == false (the PMI is
-// still pended — e.g. the previous one is mid-service) the unit keeps
-// the DS contents, retries at the next capture, and — this being the
-// point — overflows the DS buffer if service stays unavailable, which
-// is where PEBS actually loses records.
-type PMIHandler func(now sim.Cycles, records []byte) (cost sim.Cycles, accepted bool)
-
-// Unit is one core's PEBS machinery.
+// Unit is one core's PEBS machinery. The PMI hands the DS buffer to
+// the host's ServicePMI; interrupt time is charged through the host.
+// When the host rejects the PMI (the previous one is still being
+// serviced) the unit keeps the DS contents, retries at the next
+// capture, and — this being the point — overflows the DS buffer if
+// service stays unavailable, which is where PEBS actually loses
+// records (Stats.Dropped, which also counts armed samples overwritten
+// before their capture).
 type Unit struct {
 	cfg     Config
 	rng     *xrand.RNG
-	handler PMIHandler
+	host    sampler.Host
 	enabled bool
 
 	counter uint64
@@ -199,16 +195,17 @@ type Unit struct {
 	pendStore bool
 	pendTime  sim.Cycles
 
-	stats Stats
+	stats sampler.Stats
 }
 
-// NewUnit constructs a disabled PEBS unit.
-func NewUnit(cfg Config, rng *xrand.RNG, handler PMIHandler) *Unit {
+// NewUnit constructs a disabled PEBS unit that delivers its DS spans
+// to host.
+func NewUnit(cfg Config, rng *xrand.RNG, host sampler.Host) *Unit {
 	cfg = cfg.withDefaults()
 	return &Unit{
 		cfg:     cfg,
 		rng:     rng,
-		handler: handler,
+		host:    host,
 		ds:      make([]byte, 0, cfg.DSBytes),
 		counter: cfg.Period,
 	}
@@ -227,40 +224,41 @@ func (u *Unit) Disable() {
 }
 
 // Stats returns a copy of the counters.
-func (u *Unit) Stats() Stats { return u.stats }
+func (u *Unit) Stats() sampler.Stats { return u.stats }
 
-// OnOp observes one operation; returns PMI service cycles to charge.
-func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8) sim.Cycles {
+// OnOp observes one operation. The TLB and NUMA outcomes are ignored:
+// PEBS hardware does not see them (they ride in SPE event packets
+// only).
+func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) {
 	if !u.enabled {
-		return 0
+		return
 	}
-	var cost sim.Cycles
 
 	// A pending (armed) sample captures the IP of a later op —
 	// shadowing skid.
 	if u.armed {
 		if u.armedSkid <= 0 {
-			cost += u.capture(now, op.PC)
+			u.capture(now, op.PC)
 		} else {
 			u.armedSkid--
 		}
 	}
 
 	if !u.cfg.Event.matches(op) {
-		return cost
+		return
 	}
-	u.stats.EventsSeen++
+	u.stats.OpsSeen++
 	u.counter--
 	if u.counter > 0 {
-		return cost
+		return
 	}
 	u.counter = u.cfg.Period
-	u.stats.Sampled++
+	u.stats.Selected++
 	if u.armed {
 		// The previous sample is still waiting out its skid window;
 		// the microcode tracks one capture at a time, so the older
 		// sample is lost. Counted as Dropped to keep the invariant
-		// Sampled == Written + Dropped (+ at most one still armed).
+		// Selected == Emitted + Dropped (+ at most one still armed).
 		u.stats.Dropped++
 	}
 	// Arm a capture: record the memory operands now, the IP after the
@@ -278,25 +276,23 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8) sim.Cyc
 	u.pendTime = now
 	u.stats.SkidTotal += uint64(u.armedSkid)
 	if u.armedSkid == 0 {
-		cost += u.capture(now, op.PC)
+		u.capture(now, op.PC)
 	}
-	return cost
 }
 
 // capture writes the armed record with ip, possibly firing the PMI.
-func (u *Unit) capture(now sim.Cycles, ip uint64) sim.Cycles {
+func (u *Unit) capture(now sim.Cycles, ip uint64) {
 	u.armed = false
-	var cost sim.Cycles
 	if u.pmiPending && len(u.ds)+RecordSize > u.cfg.DSBytes {
 		// DS full behind a pended PMI: retry service first — the
 		// kernel may have finished the previous interrupt — so a
 		// finite service window causes transient loss, not a
 		// permanent stall.
-		cost += u.firePMI(now)
+		u.firePMI(now)
 	}
 	if len(u.ds)+RecordSize > u.cfg.DSBytes {
 		u.stats.Dropped++
-		return cost
+		return
 	}
 	var buf [RecordSize]byte
 	rec := Record{
@@ -309,27 +305,20 @@ func (u *Unit) capture(now sim.Cycles, ip uint64) sim.Cycles {
 	}
 	Encode(buf[:], &rec)
 	u.ds = append(u.ds, buf[:]...)
-	u.stats.Written++
+	u.stats.Emitted++
 	if len(u.ds) >= u.cfg.PMIThreshold {
-		cost += u.firePMI(now)
+		u.firePMI(now)
 	}
-	return cost
 }
 
-// firePMI delivers the DS contents to the handler, resetting the
-// buffer only when the handler accepted the interrupt.
-func (u *Unit) firePMI(now sim.Cycles) sim.Cycles {
-	if u.handler == nil {
-		u.ds = u.ds[:0]
-		u.pmiPending = false
-		return 0
-	}
-	cost, accepted := u.handler(now, u.ds)
+// firePMI delivers the DS contents to the host, resetting the buffer
+// only when the host accepted the interrupt.
+func (u *Unit) firePMI(now sim.Cycles) {
+	accepted := u.host.ServicePMI(now, u.ds, RecordSize)
 	if accepted {
 		u.ds = u.ds[:0]
 	}
 	u.pmiPending = !accepted
-	return cost
 }
 
 // Flush delivers any residual records (end of run).
@@ -352,4 +341,29 @@ func DecodeAll(src []byte, fn func(*Record)) int {
 		src = src[RecordSize:]
 	}
 	return n
+}
+
+// Decoder normalizes the fixed 48-byte PEBS memory records into
+// sampler.Samples. The data-source encoding already is a hierarchy
+// level index, and the IP skid is inherent in the record (shadowing
+// happened at capture).
+type Decoder struct{}
+
+// DecodeSpan implements sampler.Decoder.
+func (Decoder) DecodeSpan(span []byte, emit func(*sampler.Sample)) sampler.DecodeStats {
+	n := DecodeAll(span, func(rec *Record) {
+		lat := uint16(0xFFFF)
+		if rec.Latency < 0xFFFF {
+			lat = uint16(rec.Latency)
+		}
+		emit(&sampler.Sample{
+			PC:    rec.IP,
+			VA:    rec.Addr,
+			TS:    rec.TSC,
+			Lat:   lat,
+			Level: rec.Source,
+			Store: rec.Store,
+		})
+	})
+	return sampler.DecodeStats{Valid: n, Partial: len(span) % RecordSize}
 }

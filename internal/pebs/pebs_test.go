@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"nmo/internal/isa"
+	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/xrand"
 )
@@ -12,6 +13,25 @@ import (
 func loadOp(addr, pc uint64) isa.Op {
 	return isa.Op{Kind: isa.KindLoad, Addr: addr, PC: pc, Size: 8}
 }
+
+// pmiHost is a sampler.Host that hands every PMI span to its function,
+// which reports whether the kernel took the interrupt. PEBS never
+// uses the streaming record path, so a record written there panics.
+type pmiHost func(recs []byte) bool
+
+func (pmiHost) WriteRecord(sim.Cycles, []byte) bool {
+	panic("PEBS used the streaming record path")
+}
+
+func (h pmiHost) ServicePMI(_ sim.Cycles, recs []byte, recSize int) bool {
+	if recSize != RecordSize {
+		panic("PMI span delivered with a foreign record size")
+	}
+	return h(recs)
+}
+
+// discardHost accepts every PMI and keeps nothing.
+var discardHost = pmiHost(func([]byte) bool { return true })
 
 func TestRecordRoundTrip(t *testing.T) {
 	f := func(ip, addr, tsc uint64, lat uint32, src uint8, store bool) bool {
@@ -64,19 +84,19 @@ func TestSamplingRateCountsEventsNotOps(t *testing.T) {
 	run := func(aluPerLoad int) uint64 {
 		var written uint64
 		u := NewUnit(Config{Event: EventLoads, Period: 100},
-			xrand.New(1), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
+			xrand.New(1), pmiHost(func(recs []byte) bool {
 				written += uint64(len(recs) / RecordSize)
-				return 0, true
-			})
+				return true
+			}))
 		u.Enable()
 		ld := loadOp(0x1000, 0x40)
 		alu := isa.Op{Kind: isa.KindALU, PC: 0x44}
 		now := sim.Cycles(0)
 		for i := 0; i < 50_000; i++ {
-			u.OnOp(now, &ld, 4, 0)
+			u.OnOp(now, &ld, 4, 0, false, false)
 			for j := 0; j < aluPerLoad; j++ {
 				now++
-				u.OnOp(now, &alu, 1, 0)
+				u.OnOp(now, &alu, 1, 0, false, false)
 			}
 			now++
 		}
@@ -96,14 +116,14 @@ func TestNoCollisionsUnlikeSPE(t *testing.T) {
 	// Long latencies never cause PEBS drops (no tracking slot).
 	var got int
 	u := NewUnit(Config{Event: EventLoads, Period: 10},
-		xrand.New(1), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
+		xrand.New(1), pmiHost(func(recs []byte) bool {
 			got += len(recs) / RecordSize
-			return 0, true
-		})
+			return true
+		}))
 	u.Enable()
 	ld := loadOp(0x2000, 0x40)
 	for i := 0; i < 10_000; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 50_000, 3)
+		u.OnOp(sim.Cycles(i), &ld, 50_000, 3, false, false)
 	}
 	u.Flush(sim.Cycles(10_000))
 	if got != 1000 {
@@ -118,15 +138,15 @@ func TestSkidMovesIP(t *testing.T) {
 	// With skid enabled, some records carry the PC of a later op.
 	var ips []uint64
 	u := NewUnit(Config{Event: EventLoads, Period: 7, SkidOps: 3},
-		xrand.New(3), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
+		xrand.New(3), pmiHost(func(recs []byte) bool {
 			DecodeAll(recs, func(r *Record) { ips = append(ips, r.IP) })
-			return 0, true
-		})
+			return true
+		}))
 	u.Enable()
 	now := sim.Cycles(0)
 	for i := 0; i < 7_000; i++ {
 		op := loadOp(uint64(0x1000+i*8), uint64(0x400000+i*4))
-		u.OnOp(now, &op, 4, 0)
+		u.OnOp(now, &op, 4, 0, false, false)
 		now++
 	}
 	u.Flush(now)
@@ -144,15 +164,15 @@ func TestSkidMovesIP(t *testing.T) {
 func TestSkidAddressStaysPrecise(t *testing.T) {
 	var recs []Record
 	u := NewUnit(Config{Event: EventLoads, Period: 5, SkidOps: 2},
-		xrand.New(9), func(_ sim.Cycles, raw []byte) (sim.Cycles, bool) {
+		xrand.New(9), pmiHost(func(raw []byte) bool {
 			DecodeAll(raw, func(r *Record) { recs = append(recs, *r) })
-			return 0, true
-		})
+			return true
+		}))
 	u.Enable()
 	now := sim.Cycles(0)
 	for i := 0; i < 1_000; i++ {
 		op := loadOp(uint64(0x1000+i*8), uint64(0x400000+i*4))
-		u.OnOp(now, &op, 4, 0)
+		u.OnOp(now, &op, 4, 0, false, false)
 		now++
 	}
 	u.Flush(now)
@@ -176,62 +196,59 @@ func TestPMIThresholdAndCost(t *testing.T) {
 	var pmis int
 	u := NewUnit(Config{Event: EventLoads, Period: 1, DSBytes: RecordSize * 8,
 		PMIThreshold: RecordSize * 4},
-		xrand.New(1), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
+		xrand.New(1), pmiHost(func(recs []byte) bool {
 			pmis++
 			if len(recs) != RecordSize*4 {
 				t.Errorf("PMI with %d bytes, want %d", len(recs), RecordSize*4)
 			}
-			return 1000, true
-		})
+			return true
+		}))
 	u.Enable()
 	ld := loadOp(1, 2)
-	var cost sim.Cycles
 	for i := 0; i < 8; i++ {
-		cost += u.OnOp(sim.Cycles(i), &ld, 4, 0)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
 	}
 	if pmis != 2 {
 		t.Errorf("PMIs = %d, want 2", pmis)
 	}
-	if cost != 2000 {
-		t.Errorf("charged %d cycles, want 2000", cost)
-	}
 }
 
 func TestDSOverflowDropsWithoutHandler(t *testing.T) {
-	// No handler: the buffer fills at the threshold's firePMI (which
-	// clears it), so use threshold > capacity to force drops.
+	// A host that takes and discards every span: the buffer fills at
+	// the threshold's firePMI (which clears it), so use threshold >
+	// capacity to force drops.
 	u := NewUnit(Config{Event: EventLoads, Period: 1,
 		DSBytes: RecordSize * 2, PMIThreshold: RecordSize * 2},
-		xrand.New(1), nil)
+		xrand.New(1), discardHost)
 	u.Enable()
 	ld := loadOp(1, 2)
 	for i := 0; i < 10; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
 	}
 	st := u.Stats()
-	if st.Written == 0 {
+	if st.Emitted == 0 {
 		t.Error("nothing written")
 	}
 	// Each threshold PMI empties the DS, so it takes more records
 	// than it holds.
-	if st.Written <= 2 {
-		t.Errorf("%d records written to a 2-record DS: no PMI emptied it", st.Written)
+	if st.Emitted <= 2 {
+		t.Errorf("%d records written to a 2-record DS: no PMI emptied it", st.Emitted)
 	}
 }
 
 func TestDisabled(t *testing.T) {
 	u := NewUnit(Config{Event: EventLoads, Period: 1}, xrand.New(1), nil)
 	ld := loadOp(1, 2)
-	u.OnOp(0, &ld, 4, 0)
-	if u.Stats().EventsSeen != 0 {
+	u.OnOp(0, &ld, 4, 0, false, false)
+	if u.Stats().OpsSeen != 0 {
 		t.Error("disabled unit observed events")
 	}
 	u.Enable()
-	u.OnOp(1, &ld, 4, 0)
+	u.OnOp(1, &ld, 4, 0, false, false)
 	u.Disable()
-	u.OnOp(2, &ld, 4, 0)
-	if u.Stats().EventsSeen != 1 {
-		t.Errorf("events = %d, want 1", u.Stats().EventsSeen)
+	u.OnOp(2, &ld, 4, 0, false, false)
+	if u.Stats().OpsSeen != 1 {
+		t.Errorf("events = %d, want 1", u.Stats().OpsSeen)
 	}
 }
 
@@ -254,17 +271,17 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 	var accepted int
 	u := NewUnit(Config{Event: EventLoads, Period: 1,
 		DSBytes: RecordSize * 8, PMIThreshold: RecordSize * 4},
-		xrand.New(1), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
+		xrand.New(1), pmiHost(func(recs []byte) bool {
 			if reject {
-				return 0, false
+				return false
 			}
 			accepted += len(recs) / RecordSize
-			return 0, true
-		})
+			return true
+		}))
 	u.Enable()
 	ld := loadOp(1, 2)
 	for i := 0; i < 32; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
 	}
 	st := u.Stats()
 	if st.Dropped == 0 {
@@ -276,7 +293,7 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 	droppedBefore := st.Dropped
 	reject = false
 	for i := 32; i < 64; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
 	}
 	if accepted == 0 {
 		t.Fatal("service never resumed after the rejection window")
@@ -290,24 +307,92 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 func TestArmedOverwriteCountsDropped(t *testing.T) {
 	// Period at or below the skid window: counter overflows faster
 	// than armed samples resolve, so older armed samples are lost —
-	// and must be accounted, keeping Sampled == Written + Dropped
+	// and must be accounted, keeping Selected == Emitted + Dropped
 	// (plus at most one sample still armed at the end).
 	u := NewUnit(Config{Event: EventLoads, Period: 2, SkidOps: 8},
-		xrand.New(3), func(_ sim.Cycles, recs []byte) (sim.Cycles, bool) {
-			return 0, true
-		})
+		xrand.New(3), discardHost)
 	u.Enable()
 	ld := loadOp(1, 2)
 	for i := 0; i < 100_000; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
 	}
 	u.Flush(100_000)
 	st := u.Stats()
 	if st.Dropped == 0 {
 		t.Fatal("no drops despite period <= skid window")
 	}
-	if got := st.Written + st.Dropped; got != st.Sampled && got != st.Sampled-1 {
-		t.Errorf("Sampled=%d != Written=%d + Dropped=%d (+<=1 armed)",
-			st.Sampled, st.Written, st.Dropped)
+	if got := st.Emitted + st.Dropped; got != st.Selected && got != st.Selected-1 {
+		t.Errorf("Selected=%d != Emitted=%d + Dropped=%d (+<=1 armed)",
+			st.Selected, st.Emitted, st.Dropped)
+	}
+}
+
+// TestPEBSUnitSemantics pins the PEBS half of the sampler contract:
+// population counting, PMI batch delivery, shadowing skid accounting,
+// the structural absence of collisions, and spans that decode into
+// normalized samples carrying the op's memory level and latency.
+func TestPEBSUnitSemantics(t *testing.T) {
+	var spans [][]byte
+	var u sampler.Unit = NewUnit(Config{
+		Event: EventMemAll, Period: 10, SkidOps: 4, PMIThreshold: 10 * RecordSize,
+	}, xrand.New(7), pmiHost(func(recs []byte) bool {
+		spans = append(spans, append([]byte(nil), recs...))
+		return true
+	}))
+	u.Enable()
+
+	load := isa.Op{Kind: isa.KindLoad, Addr: 0x1000, PC: 0x40, Size: 8}
+	alu := isa.Op{Kind: isa.KindALU}
+	for i := 0; i < 5000; i++ {
+		u.OnOp(sim.Cycles(i*2), &load, 120, 3, false, false)
+		u.OnOp(sim.Cycles(i*2+1), &alu, 1, 0, false, false) // not in the population
+	}
+	u.Flush(1 << 30)
+
+	st := u.Stats()
+	if st.OpsSeen != 5000 {
+		t.Errorf("population OpsSeen = %d, want 5000 (ALU ops excluded)", st.OpsSeen)
+	}
+	if st.Selected != 500 {
+		t.Errorf("Selected = %d, want 500", st.Selected)
+	}
+	if st.Collisions != 0 || st.Corrupted != 0 {
+		t.Errorf("PEBS reported SPE-only mechanisms: %+v", st)
+	}
+	if st.SkidTotal == 0 {
+		t.Error("no shadowing skid accumulated despite SkidOps=4")
+	}
+	if len(spans) == 0 {
+		t.Fatal("no PMI spans delivered")
+	}
+	var n int
+	for _, span := range spans {
+		dst := Decoder{}.DecodeSpan(span, func(s *sampler.Sample) {
+			n++
+			if s.Level != 3 || s.VA != 0x1000 || s.Store {
+				t.Fatalf("bad normalized sample: %+v", s)
+			}
+			if s.Lat != 120 {
+				t.Fatalf("lat = %d, want 120", s.Lat)
+			}
+		})
+		if dst.Skipped != 0 || dst.Partial != 0 {
+			t.Errorf("decode stats %+v", dst)
+		}
+	}
+	if uint64(n) != st.Emitted {
+		t.Errorf("decoded %d, unit emitted %d", n, st.Emitted)
+	}
+}
+
+// TestPEBSDecoderPartialSpan pins the partial-byte accounting.
+func TestPEBSDecoderPartialSpan(t *testing.T) {
+	var rec Record
+	buf := make([]byte, RecordSize+5)
+	rec.IP, rec.Addr, rec.TSC = 1, 2, 3
+	Encode(buf, &rec)
+	st := Decoder{}.DecodeSpan(buf, func(*sampler.Sample) {})
+	if st.Valid != 1 || st.Partial != 5 {
+		t.Errorf("stats = %+v, want 1 valid + 5 partial", st)
 	}
 }

@@ -5,9 +5,11 @@
 // sampling hardware writes into, PERF_RECORD_AUX metadata records,
 // aux flags (truncation/collision), wakeup-driven monitoring, and
 // plain counting events (perf stat's mem_access baseline). Sampling
-// units come from the architecture-neutral internal/sampler layer;
-// this package is the kernel driver that parses each PMU's attribute
-// vocabulary and owns the buffer/interrupt machinery both backends
+// units implement the architecture-neutral internal/sampler contract;
+// this package is the kernel driver, the one place that speaks each
+// PMU's attribute vocabulary (it builds an spe.Config or a
+// pebs.Config from the attribute, and picks the span decoder for a
+// backend), and it owns the buffer/interrupt machinery both backends
 // share (the PEBS PMI services the same aux path the SPE watermark
 // does — DESIGN.md §8).
 //
@@ -25,7 +27,10 @@ import (
 	"errors"
 	"fmt"
 
+	"nmo/internal/pebs"
 	"nmo/internal/sampler"
+	"nmo/internal/spe"
+	"nmo/internal/xrand"
 )
 
 // Event types (perf_event_attr.type).
@@ -136,14 +141,19 @@ var (
 	ErrBadCore      = errors.New("perfev: core index out of range")
 )
 
-// pebsCapable reports whether a raw config is a PEBS-capable
-// population (the MEM_INST_RETIRED umasks).
-func pebsCapable(config uint64) bool {
+// pebsEvent maps a PEBS-capable raw config (a MEM_INST_RETIRED umask)
+// to the population the PEBS unit counts; ok is false for any other
+// config.
+func pebsEvent(config uint64) (ev pebs.Event, ok bool) {
 	switch config {
-	case RawMemInstRetiredAllLoads, RawMemInstRetiredAllStores, RawMemInstRetiredAny:
-		return true
+	case RawMemInstRetiredAllLoads:
+		return pebs.EventLoads, true
+	case RawMemInstRetiredAllStores:
+		return pebs.EventStores, true
+	case RawMemInstRetiredAny:
+		return pebs.EventMemAll, true
 	}
-	return false
+	return 0, false
 }
 
 func (a *Attr) validate() error {
@@ -158,7 +168,7 @@ func (a *Attr) validate() error {
 		return nil
 	case TypeRaw:
 		if a.Precise > 0 {
-			if !pebsCapable(a.Config) {
+			if _, ok := pebsEvent(a.Config); !ok {
 				return fmt.Errorf("%w: config %#x", ErrNotPrecise, a.Config)
 			}
 			if a.SamplePeriod == 0 {
@@ -179,18 +189,6 @@ func (a *Attr) IsSampling() bool {
 	return a.Type == TypeArmSPE || (a.Type == TypeRaw && a.Precise > 0)
 }
 
-// BackendKind resolves the sampling backend an attribute selects
-// (empty for counting events).
-func (a *Attr) BackendKind() sampler.Kind {
-	switch {
-	case a.Type == TypeArmSPE:
-		return sampler.KindSPE
-	case a.Type == TypeRaw && a.Precise > 0:
-		return sampler.KindPEBS
-	}
-	return ""
-}
-
 // skidOpsFor maps precise_ip to the maximum shadowing skid the PEBS
 // unit may apply: demanding more precision shrinks the window, exactly
 // the contract precise_ip has on real kernels.
@@ -205,12 +203,12 @@ func skidOpsFor(precise uint8) int {
 	}
 }
 
-// samplerConfig translates the parsed attribute into the neutral unit
-// configuration for its backend.
-func (a *Attr) samplerConfig() sampler.Config {
-	switch a.BackendKind() {
-	case sampler.KindSPE:
-		cfg := sampler.Config{
+// newUnit builds the disabled sampling unit a validated sampling
+// attribute programs: the arm_spe_pmu config bits become an
+// spe.Config, a precise raw MEM_INST_RETIRED event a pebs.Config.
+func (a *Attr) newUnit(rng *xrand.RNG, host sampler.Host) sampler.Unit {
+	if a.Type == TypeArmSPE {
+		cfg := spe.Config{
 			Period:             a.SamplePeriod,
 			SampleLoads:        a.Config&SPELoadFilter != 0,
 			SampleStores:       a.Config&SPEStoreFilter != 0,
@@ -223,15 +221,24 @@ func (a *Attr) samplerConfig() sampler.Config {
 		if a.Config&SPEJitter != 0 {
 			cfg.JitterBits = 8
 		}
-		return cfg
-	case sampler.KindPEBS:
-		return sampler.Config{
-			Period:       a.SamplePeriod,
-			SampleLoads:  a.Config != RawMemInstRetiredAllStores,
-			SampleStores: a.Config != RawMemInstRetiredAllLoads,
-			SkidOps:      skidOpsFor(a.Precise),
-			PMIThreshold: int(a.AuxWatermark),
-		}
+		return spe.NewUnit(cfg, rng, host)
 	}
-	return sampler.Config{}
+	ev, _ := pebsEvent(a.Config)
+	return pebs.NewUnit(pebs.Config{
+		Event:        ev,
+		Period:       a.SamplePeriod,
+		SkidOps:      skidOpsFor(a.Precise),
+		PMIThreshold: int(a.AuxWatermark),
+	}, rng, host)
+}
+
+// NewDecoder returns the span decoder for a backend's record format.
+func NewDecoder(k sampler.Kind) (sampler.Decoder, error) {
+	switch k {
+	case sampler.KindSPE:
+		return spe.Decoder{}, nil
+	case sampler.KindPEBS:
+		return pebs.Decoder{}, nil
+	}
+	return nil, fmt.Errorf("perfev: unknown backend %q (supported: %s)", k, sampler.SupportedList())
 }

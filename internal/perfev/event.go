@@ -72,21 +72,17 @@ type Event struct {
 	stats EventStats
 }
 
-func newEvent(k *Kernel, attr Attr, core int) (*Event, error) {
+func newEvent(k *Kernel, attr Attr, core int) *Event {
 	ev := &Event{kernel: k, attr: attr}
-	if kind := attr.BackendKind(); kind != "" {
-		backend, err := sampler.For(kind)
-		if err != nil {
-			return nil, err
-		}
-		ev.unit = backend.NewUnit(attr.samplerConfig(), k.rng.Derive(uint64(core)*2+1), ev)
+	if attr.IsSampling() {
+		ev.unit = attr.newUnit(k.rng.Derive(uint64(core)*2+1), ev)
 	} else {
 		ev.read = k.counter(attr.Config, core)
 	}
 	if !attr.Disabled {
 		ev.Enable()
 	}
-	return ev, nil
+	return ev
 }
 
 // Stats returns kernel-side accounting.
@@ -363,13 +359,11 @@ func (e *Event) applyDrains(now sim.Cycles) {
 // finishes — first the unit's hardware buffer (the PEBS DS residue;
 // SPE buffers nothing unit-side), then the unpublished aux span.
 // NMO's monitoring process drains the buffer after program exit; the
-// time is not charged to the application (§VII). It returns the
-// number of bytes flushed.
-func (e *Event) FinalDrain(now sim.Cycles) uint64 {
+// time is not charged to the application (§VII).
+func (e *Event) FinalDrain(now sim.Cycles) {
 	if e.auxRing == nil {
-		return 0
+		return
 	}
-	before := e.stats.DrainedBytes
 	e.finalizing = true
 	if e.unit != nil {
 		e.unit.Flush(now)
@@ -383,5 +377,4 @@ func (e *Event) FinalDrain(now sim.Cycles) uint64 {
 		e.dataUsed -= p.dataBytes
 	}
 	e.pending = nil
-	return e.stats.DrainedBytes - before
 }

@@ -167,7 +167,7 @@ func (k *Kernel) Open(attr *Attr, core int) (*Event, error) {
 	if core < 0 || core >= k.cores {
 		return nil, fmt.Errorf("%w: %d (machine has %d)", ErrBadCore, core, k.cores)
 	}
-	return newEvent(k, *attr, core)
+	return newEvent(k, *attr, core), nil
 }
 
 // scheduleDrain reserves the shared monitor thread for a drain of

@@ -1,6 +1,7 @@
 package perfev
 
 import (
+	"strings"
 	"testing"
 
 	"nmo/internal/isa"
@@ -10,14 +11,17 @@ import (
 	"nmo/internal/xrand"
 )
 
-// speDecode decodes an SPE aux span through the backend decoder (the
-// helper the removed perfev.DecodeSpan used to provide).
+// speDecode decodes an SPE aux span through the backend decoder.
 func speDecode(span []byte, fn func(*sampler.Sample)) sampler.DecodeStats {
-	b, err := sampler.For(sampler.KindSPE)
+	return decodeWith(sampler.KindSPE, span, fn)
+}
+
+func decodeWith(k sampler.Kind, span []byte, fn func(*sampler.Sample)) sampler.DecodeStats {
+	dec, err := NewDecoder(k)
 	if err != nil {
 		panic(err)
 	}
-	return b.NewDecoder().DecodeSpan(span, fn)
+	return dec.DecodeSpan(span, fn)
 }
 
 func testKernel(cores int) *Kernel {
@@ -326,8 +330,9 @@ func TestFinalDrainFlushesResidual(t *testing.T) {
 	if decoded != 0 {
 		t.Fatalf("decoded %d before drain; watermark should not have fired", decoded)
 	}
-	n := ev.FinalDrain(1 << 40)
-	if n == 0 || decoded == 0 {
+	before := ev.Stats().DrainedBytes
+	ev.FinalDrain(1 << 40)
+	if n := ev.Stats().DrainedBytes - before; n == 0 || decoded == 0 {
 		t.Errorf("final drain flushed %d bytes, decoded %d", n, decoded)
 	}
 	if len(ev.pending) != 0 {
@@ -422,11 +427,24 @@ func pebsAttr(period uint64, watermark uint32) *Attr {
 }
 
 func pebsDecode(span []byte, fn func(*sampler.Sample)) sampler.DecodeStats {
-	b, err := sampler.For(sampler.KindPEBS)
-	if err != nil {
-		panic(err)
+	return decodeWith(sampler.KindPEBS, span, fn)
+}
+
+// TestNewDecoderUnknownKind: every supported backend has a decoder,
+// and an unknown kind is an error naming the supported ones.
+func TestNewDecoderUnknownKind(t *testing.T) {
+	for _, k := range sampler.Kinds() {
+		if dec, err := NewDecoder(k); err != nil || dec == nil {
+			t.Fatalf("NewDecoder(%s) = %v, %v", k, dec, err)
+		}
 	}
-	return b.NewDecoder().DecodeSpan(span, fn)
+	_, err := NewDecoder("timer")
+	if err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+	if !strings.Contains(err.Error(), sampler.SupportedList()) {
+		t.Errorf("error %q does not name the supported backends", err)
+	}
 }
 
 func TestPEBSAttrValidation(t *testing.T) {
@@ -535,8 +553,9 @@ func TestPEBSFinalDrainFlushesDSResidue(t *testing.T) {
 	if decoded != 0 {
 		t.Fatalf("decoded %d before drain; PMI threshold should not have fired", decoded)
 	}
-	n := ev.FinalDrain(1 << 40)
-	if n == 0 || decoded == 0 {
+	before := ev.Stats().DrainedBytes
+	ev.FinalDrain(1 << 40)
+	if n := ev.Stats().DrainedBytes - before; n == 0 || decoded == 0 {
 		t.Errorf("final drain flushed %d bytes, decoded %d", n, decoded)
 	}
 	if ev.Stats().Wakeups != 0 {

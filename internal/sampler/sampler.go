@@ -1,12 +1,13 @@
-// Package sampler defines the architecture-neutral sampling layer of
-// the profiler: a Backend constructs per-core sampling Units and span
-// Decoders for one ISA's precise-sampling hardware, and every layer
-// above (perfev's kernel events, core's decode stage, the experiment
-// grids) speaks only these interfaces.
+// Package sampler defines the architecture-neutral sampling contract
+// of the profiler: a per-core sampling Unit that writes through a
+// Host, the normalized Stats it keeps, and the span Decoder that turns
+// its records into Samples. Every layer above (perfev's kernel events,
+// core's decode stage, the experiment grids) speaks only this
+// contract.
 //
-// Two backends implement the abstraction, mirroring the paper's §III
-// statement that the runtime "uses SPE when compiling for ARM and PEBS
-// for Intel":
+// Two backends, internal/spe and internal/pebs, implement it directly,
+// mirroring the paper's §III statement that the runtime "uses SPE when
+// compiling for ARM and PEBS for Intel":
 //
 //   - SPE (arm64): every decoded operation passes the interval
 //     counter; selected operations are *tracked* through the pipeline
@@ -27,7 +28,8 @@
 // stays zero on PEBS, Dropped/SkidTotal stay zero on SPE), and both
 // decoders emit the same Sample (PC, VA, raw cycle timestamp, latency,
 // memory level, store flag), so the attribution pipeline above never
-// branches on the ISA.
+// branches on the ISA. Which unit and decoder a Kind selects, and how
+// a perf_event_attr programs them, is internal/perfev's business.
 package sampler
 
 import (
@@ -36,7 +38,6 @@ import (
 
 	"nmo/internal/isa"
 	"nmo/internal/sim"
-	"nmo/internal/xrand"
 )
 
 // Kind names a sampling backend.
@@ -85,44 +86,6 @@ func (k Kind) Arch() string {
 
 // String implements fmt.Stringer.
 func (k Kind) String() string { return string(k) }
-
-// Config programs one per-core sampling unit, backend-neutrally. The
-// kernel driver layer (perfev) fills it from the perf_event_attr it
-// parsed; fields a backend has no hardware for are ignored by it.
-type Config struct {
-	// Period is the sampling interval: operations between samples on
-	// SPE, population-event occurrences between samples on PEBS.
-	Period uint64
-	// SampleLoads / SampleStores / SampleBranches select the sampled
-	// operation classes. SPE implements them as the programmable
-	// post-selection filter; PEBS selects the counted population
-	// (branches are not a PEBS memory population and are ignored).
-	SampleLoads    bool
-	SampleStores   bool
-	SampleBranches bool
-	// JitterBits widens the random perturbation of the interval
-	// counter reload (SPE dither); 0 disables. PEBS reloads exactly.
-	JitterBits uint
-	// MinLatency discards samples below the latency threshold
-	// (SPE PMSLATFR). PEBS has no latency filter in this model.
-	MinLatency uint16
-	// CollectPA includes physical addresses in SPE records.
-	CollectPA bool
-	// TimerDiv is the SPE timer divider (cycles per timer tick).
-	TimerDiv uint64
-	// CorruptOnCollision makes roughly 1/N SPE collisions leave a
-	// mangled record the decoder must skip.
-	CorruptOnCollision uint32
-	// SkidOps bounds the PEBS shadowing skid: the recorded IP belongs
-	// to an instruction up to SkidOps later than the sampled one.
-	SkidOps int
-	// DSBytes is the PEBS Debug Store buffer capacity; 0 keeps the
-	// unit default.
-	DSBytes int
-	// PMIThreshold is the DS fill level at which the PMI fires; 0
-	// keeps the unit default (7/8 of DSBytes).
-	PMIThreshold int
-}
 
 // Host is what the kernel-side event offers a sampling unit: the two
 // hardware-to-kernel delivery paths. SPE uses the per-record path and
@@ -198,26 +161,4 @@ type DecodeStats struct {
 // are stateless and may be shared across spans of one event.
 type Decoder interface {
 	DecodeSpan(span []byte, emit func(*Sample)) DecodeStats
-}
-
-// Backend ties together unit construction and span decoding for one
-// ISA's sampling hardware.
-type Backend interface {
-	Kind() Kind
-	// NewUnit constructs a disabled per-core unit bound to the host.
-	NewUnit(cfg Config, rng *xrand.RNG, host Host) Unit
-	// NewDecoder returns the span decoder for this backend's record
-	// format.
-	NewDecoder() Decoder
-}
-
-// For returns the backend implementation for a kind.
-func For(k Kind) (Backend, error) {
-	switch k {
-	case KindSPE:
-		return speBackend{}, nil
-	case KindPEBS:
-		return pebsBackend{}, nil
-	}
-	return nil, fmt.Errorf("sampler: unknown backend %q (supported: %s)", k, SupportedList())
 }

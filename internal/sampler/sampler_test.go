@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"nmo/internal/isa"
-	"nmo/internal/pebs"
-	"nmo/internal/sim"
-	"nmo/internal/xrand"
 )
 
 func TestParseKind(t *testing.T) {
@@ -39,152 +36,5 @@ func TestKindArchPinning(t *testing.T) {
 	}
 	if KindPEBS.Arch() != isa.ArchX86 {
 		t.Errorf("PEBS arch = %s", KindPEBS.Arch())
-	}
-}
-
-func TestForUnknownKind(t *testing.T) {
-	if _, err := For("timer"); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-	for _, k := range Kinds() {
-		b, err := For(k)
-		if err != nil || b.Kind() != k {
-			t.Fatalf("For(%s) = %v, %v", k, b, err)
-		}
-	}
-}
-
-// collectHost records everything both delivery paths hand it.
-type collectHost struct {
-	records [][]byte
-	spans   [][]byte
-	recSize int
-}
-
-func (h *collectHost) WriteRecord(now sim.Cycles, rec []byte) bool {
-	h.records = append(h.records, append([]byte(nil), rec...))
-	return true
-}
-
-func (h *collectHost) ServicePMI(now sim.Cycles, records []byte, recSize int) bool {
-	h.spans = append(h.spans, append([]byte(nil), records...))
-	h.recSize = recSize
-	return true
-}
-
-// TestPEBSUnitSemantics pins the PEBS half of the normalization
-// contract: population counting, PMI batch delivery, shadowing skid
-// accounting, and the structural absence of collisions.
-func TestPEBSUnitSemantics(t *testing.T) {
-	host := &collectHost{}
-	b, _ := For(KindPEBS)
-	u := b.NewUnit(Config{
-		Period: 10, SampleLoads: true, SampleStores: true,
-		SkidOps: 4, PMIThreshold: 10 * pebs.RecordSize,
-	}, xrand.New(7), host)
-	u.Enable()
-
-	load := isa.Op{Kind: isa.KindLoad, Addr: 0x1000, PC: 0x40, Size: 8}
-	alu := isa.Op{Kind: isa.KindALU}
-	for i := 0; i < 5000; i++ {
-		u.OnOp(sim.Cycles(i*2), &load, 120, 3, false, false)
-		u.OnOp(sim.Cycles(i*2+1), &alu, 1, 0, false, false) // not in the population
-	}
-	u.Flush(1 << 30)
-
-	st := u.Stats()
-	if st.OpsSeen != 5000 {
-		t.Errorf("population OpsSeen = %d, want 5000 (ALU ops excluded)", st.OpsSeen)
-	}
-	if st.Selected != 500 {
-		t.Errorf("Selected = %d, want 500", st.Selected)
-	}
-	if st.Collisions != 0 || st.Corrupted != 0 {
-		t.Errorf("PEBS reported SPE-only mechanisms: %+v", st)
-	}
-	if st.SkidTotal == 0 {
-		t.Error("no shadowing skid accumulated despite SkidOps=4")
-	}
-	if len(host.records) != 0 {
-		t.Error("PEBS used the streaming record path")
-	}
-	if len(host.spans) == 0 || host.recSize != pebs.RecordSize {
-		t.Fatalf("no PMI spans delivered (recSize=%d)", host.recSize)
-	}
-
-	// Every span decodes into normalized samples carrying the op's
-	// memory level and latency.
-	dec := b.NewDecoder()
-	var n int
-	for _, span := range host.spans {
-		dst := dec.DecodeSpan(span, func(s *Sample) {
-			n++
-			if s.Level != 3 || s.VA != 0x1000 || s.Store {
-				t.Fatalf("bad normalized sample: %+v", s)
-			}
-			if s.Lat != 120 {
-				t.Fatalf("lat = %d, want 120", s.Lat)
-			}
-		})
-		if dst.Skipped != 0 || dst.Partial != 0 {
-			t.Errorf("decode stats %+v", dst)
-		}
-	}
-	if uint64(n) != st.Emitted {
-		t.Errorf("decoded %d, unit emitted %d", n, st.Emitted)
-	}
-}
-
-// TestSPEUnitSemantics pins the SPE half: streaming record delivery
-// and the structural absence of the PEBS-only mechanisms.
-func TestSPEUnitSemantics(t *testing.T) {
-	host := &collectHost{}
-	b, _ := For(KindSPE)
-	u := b.NewUnit(Config{
-		Period: 10, SampleLoads: true, SampleStores: true,
-		TimerDiv: 1, CorruptOnCollision: 64,
-	}, xrand.New(7), host)
-	u.Enable()
-
-	op := isa.Op{Kind: isa.KindLoad, Addr: 0x2000, PC: 0x80, Size: 8}
-	for i := 0; i < 1000; i++ {
-		u.OnOp(sim.Cycles(i*100), &op, 4, 1, false, false)
-	}
-	u.Flush(1 << 30) // no-op on SPE
-
-	st := u.Stats()
-	if st.Emitted == 0 {
-		t.Fatal("no records emitted")
-	}
-	if st.Dropped != 0 || st.SkidTotal != 0 {
-		t.Errorf("SPE reported PEBS-only mechanisms: %+v", st)
-	}
-	if len(host.spans) != 0 {
-		t.Error("SPE used the PMI batch path")
-	}
-	var n int
-	for _, rec := range host.records {
-		b.NewDecoder().DecodeSpan(rec, func(s *Sample) {
-			n++
-			if s.VA != 0x2000 || s.PC != 0x80 || s.Level != 1 {
-				t.Fatalf("bad normalized sample: %+v", s)
-			}
-		})
-	}
-	if uint64(n) != st.Emitted {
-		t.Errorf("decoded %d, emitted %d", n, st.Emitted)
-	}
-}
-
-// TestPEBSDecoderPartialSpan pins the partial-byte accounting.
-func TestPEBSDecoderPartialSpan(t *testing.T) {
-	var rec pebs.Record
-	buf := make([]byte, pebs.RecordSize+5)
-	rec.IP, rec.Addr, rec.TSC = 1, 2, 3
-	pebs.Encode(buf, &rec)
-	b, _ := For(KindPEBS)
-	st := b.NewDecoder().DecodeSpan(buf, func(*Sample) {})
-	if st.Valid != 1 || st.Partial != 5 {
-		t.Errorf("stats = %+v, want 1 valid + 5 partial", st)
 	}
 }

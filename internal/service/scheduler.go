@@ -773,7 +773,7 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (art *JobArtifacts, e
 			// completion barrier publishes the slice to this
 			// goroutine. The v2 header and index are written field
 			// by field, so the file sits behind a bufio.Writer.
-			scs[i].SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
+			scs[i].Config.SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
 				f, err := s.cache.tempFile()
 				if err != nil {
 					return nil, err

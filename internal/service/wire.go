@@ -77,10 +77,9 @@ type ScenarioSpec struct {
 	// Cores is the simulated machine size (default 128).
 	Cores int `json:"cores,omitempty"`
 	// Seed seeds the workload and profiler. Zero means "the CLI
-	// default", 42 — seed 0 itself is not representable on the wire
-	// (the same unset-means-default convention engine.Scenario.Seed
-	// uses); nmoprof -remote rejects -seed 0 rather than silently
-	// running a different simulation than a local -seed 0 would.
+	// default", 42 — seed 0 itself is not representable on the wire;
+	// nmoprof -remote rejects -seed 0 rather than silently running a
+	// different simulation than a local -seed 0 would.
 	Seed uint64 `json:"seed,omitempty"`
 	// Backend selects the sampling backend and with it the platform:
 	// "spe" (ARM Altra) or "pebs" (Intel Ice Lake). Empty follows the

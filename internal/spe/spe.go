@@ -14,15 +14,20 @@
 //     collapse at small sampling periods, Figs. 7–8);
 //  3. on completion the sample passes a programmable filter (operation
 //     type, minimum latency); surviving samples are encoded as packet
-//     records and written to the aux buffer via the Sink.
+//     records and written to the aux buffer through the sampler.Host.
 //
 // Collided samples are discarded before filtering and before any
 // buffer write, so they cost no time — which is why STREAM and CFD
 // show *lower* overhead at period 1000 than at 4000 in Fig. 8b.
+//
+// Unit implements sampler.Unit and Decoder implements sampler.Decoder;
+// the PEBS-only counters of sampler.Stats (Dropped, SkidTotal) stay
+// zero here.
 package spe
 
 import (
 	"nmo/internal/isa"
+	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/spepkt"
 	"nmo/internal/xrand"
@@ -74,47 +79,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sink receives encoded sample records. Write reports whether the
-// record was accepted; false means the aux buffer had no room and the
-// sample was truncated.
-type Sink interface {
-	WriteRecord(now sim.Cycles, rec []byte) bool
-}
-
-// Stats counts the unit's activity since the last Reset.
-type Stats struct {
-	OpsSeen    uint64 // operations decoded while enabled
-	Selected   uint64 // interval counter expiries
-	Collisions uint64 // samples dropped: tracking slot busy
-	Filtered   uint64 // samples dropped by the programmable filter
-	Emitted    uint64 // records accepted by the sink
-	Truncated  uint64 // records rejected by the sink (buffer full)
-	Corrupted  uint64 // mangled records emitted after collisions
-}
-
 // Unit is one core's SPE sampling hardware. Not safe for concurrent
 // use; the machine drives each core single-threaded.
 type Unit struct {
 	cfg     Config
 	rng     *xrand.RNG
-	sink    Sink
+	host    sampler.Host
 	enabled bool
 
 	counter int64
 	slots   []sim.Cycles // busy-until per tracking slot
 
-	stats Stats
+	stats sampler.Stats
 	buf   [spepkt.RecordSize]byte
 }
 
-// NewUnit constructs a disabled unit. rng must be non-nil; sampling
-// perturbation and collision corruption draw from it.
-func NewUnit(cfg Config, rng *xrand.RNG, sink Sink) *Unit {
+// NewUnit constructs a disabled unit that streams its records to
+// host. rng must be non-nil; sampling perturbation and collision
+// corruption draw from it.
+func NewUnit(cfg Config, rng *xrand.RNG, host sampler.Host) *Unit {
 	cfg = cfg.withDefaults()
 	u := &Unit{
 		cfg:   cfg,
 		rng:   rng,
-		sink:  sink,
+		host:  host,
 		slots: make([]sim.Cycles, cfg.TrackingSlots),
 	}
 	u.reload()
@@ -138,7 +126,11 @@ func (u *Unit) Disable() {
 }
 
 // Stats returns a copy of the counters.
-func (u *Unit) Stats() Stats { return u.stats }
+func (u *Unit) Stats() sampler.Stats { return u.stats }
+
+// Flush is a no-op: SPE streams each record to the host as it
+// completes, so the residual aux data is the host's to publish.
+func (u *Unit) Flush(sim.Cycles) {}
 
 // reload resets the interval counter to period plus dither.
 func (u *Unit) reload() {
@@ -217,7 +209,7 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 		rec.PA = op.Addr ^ 0xFFFF_0000_0000
 	}
 	spepkt.Encode(u.buf[:], &rec)
-	if u.sink.WriteRecord(done, u.buf[:]) {
+	if u.host.WriteRecord(done, u.buf[:]) {
 		u.stats.Emitted++
 	} else {
 		u.stats.Truncated++
@@ -233,7 +225,7 @@ func (u *Unit) emitCorrupted(now sim.Cycles) {
 	if u.rng.Uint32()&1 == 0 {
 		u.buf[spepkt.VAHeaderOffset] = 0x00
 	}
-	if u.sink.WriteRecord(now, u.buf[:]) {
+	if u.host.WriteRecord(now, u.buf[:]) {
 		u.stats.Corrupted++
 	} else {
 		u.stats.Truncated++
@@ -284,4 +276,40 @@ func opType(k isa.Kind) uint8 {
 		return spepkt.OpStore
 	}
 	return spepkt.OpLoad
+}
+
+// Decoder normalizes SPE packet records into sampler.Samples: the
+// data-source payload maps back to a hierarchy level index, and
+// invalid records (bad headers, zero VA/TS — the post-collision
+// corruption NMO skips) count as Skipped.
+type Decoder struct{}
+
+// DecodeSpan implements sampler.Decoder.
+func (Decoder) DecodeSpan(span []byte, emit func(*sampler.Sample)) sampler.DecodeStats {
+	st := spepkt.DecodeAll(span, func(rec *spepkt.Record) {
+		emit(&sampler.Sample{
+			PC:    rec.PC,
+			VA:    rec.VA,
+			TS:    rec.TS,
+			Lat:   rec.TotalLat,
+			Level: levelOfSource(rec.Source),
+			Store: rec.IsStore(),
+		})
+	})
+	return sampler.DecodeStats{Valid: st.Valid, Skipped: st.Skipped, Partial: st.Partial}
+}
+
+// levelOfSource maps an SPE data-source payload back to a hierarchy
+// level index.
+func levelOfSource(src uint8) uint8 {
+	switch src {
+	case spepkt.SourceL1:
+		return 0
+	case spepkt.SourceL2:
+		return 1
+	case spepkt.SourceSLC:
+		return 2
+	default:
+		return 3
+	}
 }

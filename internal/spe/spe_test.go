@@ -4,16 +4,24 @@ import (
 	"testing"
 
 	"nmo/internal/isa"
+	"nmo/internal/sampler"
 	"nmo/internal/sim"
 	"nmo/internal/spepkt"
 	"nmo/internal/xrand"
 )
 
-// memSink collects records and can simulate a full buffer.
+// memSink is a sampler.Host that collects records and can simulate
+// a full buffer.
 type memSink struct {
 	records []spepkt.Record
 	raw     [][]byte
 	full    bool
+	pmis    int // batch deliveries, which SPE never makes
+}
+
+func (s *memSink) ServicePMI(sim.Cycles, []byte, int) bool {
+	s.pmis++
+	return true
 }
 
 func (s *memSink) WriteRecord(_ sim.Cycles, rec []byte) bool {
@@ -34,7 +42,7 @@ func loadOp(addr uint64) isa.Op {
 	return isa.Op{Kind: isa.KindLoad, Addr: addr, PC: 0x400000, Size: 8}
 }
 
-func newUnit(cfg Config, sink Sink) *Unit {
+func newUnit(cfg Config, sink sampler.Host) *Unit {
 	if cfg.Period == 0 {
 		cfg.Period = 10
 	}
@@ -368,5 +376,46 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := u.cfg
 	if cfg.Period == 0 || cfg.TrackingSlots != 1 || cfg.TimerDiv == 0 {
 		t.Errorf("defaults not applied: %+v", cfg)
+	}
+}
+
+// TestSPEUnitSemantics pins the SPE half of the sampler contract:
+// streaming record delivery, records that decode back into the
+// sampled op, and the structural absence of the PEBS-only mechanisms.
+func TestSPEUnitSemantics(t *testing.T) {
+	host := &memSink{}
+	var u sampler.Unit = NewUnit(Config{
+		Period: 10, SampleLoads: true, SampleStores: true,
+		TimerDiv: 1, CorruptOnCollision: 64,
+	}, xrand.New(7), host)
+	u.Enable()
+
+	op := isa.Op{Kind: isa.KindLoad, Addr: 0x2000, PC: 0x80, Size: 8}
+	for i := 0; i < 1000; i++ {
+		u.OnOp(sim.Cycles(i*100), &op, 4, 1, false, false)
+	}
+	u.Flush(1 << 30) // no-op on SPE
+
+	st := u.Stats()
+	if st.Emitted == 0 {
+		t.Fatal("no records emitted")
+	}
+	if st.Dropped != 0 || st.SkidTotal != 0 {
+		t.Errorf("SPE reported PEBS-only mechanisms: %+v", st)
+	}
+	if host.pmis != 0 {
+		t.Error("SPE used the PMI batch path")
+	}
+	var n int
+	for _, rec := range host.raw {
+		Decoder{}.DecodeSpan(rec, func(s *sampler.Sample) {
+			n++
+			if s.VA != 0x2000 || s.PC != 0x80 || s.Level != 1 {
+				t.Fatalf("bad normalized sample: %+v", s)
+			}
+		})
+	}
+	if uint64(n) != st.Emitted {
+		t.Errorf("decoded %d, emitted %d", n, st.Emitted)
 	}
 }
