@@ -14,18 +14,20 @@
 // with it the simulated platform: spe profiles on the ARM Altra,
 // pebs on the Intel Ice Lake part.
 //
-// It writes <NMO_NAME>.trace.csv, <NMO_NAME>.trace.nmo2 (a v2 trace,
-// v2.1 under -trace-compress, whose payload MD5 is the printed trace
-// MD5) and <NMO_NAME>.{capacity,bandwidth}.csv next to the working
-// directory and prints a summary with the trace MD5. With several
-// workloads the file base becomes <NMO_NAME>.<workload>.
+// A sampled run streams its samples into a blocked, indexed trace
+// file as they decode — <NMO_NAME>.trace.nmo2, a v2 trace (v2.1 under
+// -trace-compress) whose payload MD5 is the printed trace MD5 — so its
+// sample footprint is one block. The summary tables are derived
+// afterwards by scanning the file out-of-core (one pass, several
+// aggregations), and a second scan writes <NMO_NAME>.trace.csv.
+// Counters modes write <NMO_NAME>.{capacity,bandwidth}.csv. With
+// several workloads the file base becomes <NMO_NAME>.<workload>.
 //
-// With -trace-out (or NMO_TRACE_OUT) the samples stream into a
-// blocked, indexed v2 trace file instead of being materialized in
-// memory: the run's sample footprint is one block, and the summary
-// tables are derived afterwards by scanning the file out-of-core
-// (one pass, several aggregations). With several workloads the
-// workload name is inserted before the file extension.
+// -trace-out (default $NMO_TRACE_OUT) names the trace file instead,
+// and no CSV is written; with several workloads the workload name is
+// inserted before the file extension. -trace-compress defaults to
+// $NMO_TRACE_COMPRESS. A trace file needs a sampling mode: -trace-out
+// under NMO_ENABLE with a counters-only mode is an error.
 //
 // With -remote <addr> nothing simulates locally: the request becomes
 // an nmod job (cycle-level workloads only), the daemon runs — or
@@ -46,11 +48,13 @@ import (
 	"strings"
 
 	"nmo"
+	"nmo/internal/core"
 	"nmo/internal/engine"
 	"nmo/internal/experiments"
 	"nmo/internal/postproc"
 	"nmo/internal/report"
 	"nmo/internal/service"
+	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
 
@@ -67,10 +71,10 @@ func main() {
 	jobs := flag.Int("jobs", 0, "parallel scenario workers (0 = one per CPU, 1 = serial)")
 	backend := flag.String("backend", "",
 		"sampling backend ("+nmo.SupportedBackends()+"); selects the machine ISA (default spe on ARM); overrides NMO_BACKEND")
-	traceOut := flag.String("trace-out", "",
-		"stream samples to an indexed v2 trace file (bounded memory); overrides NMO_TRACE_OUT")
-	traceCompress := flag.Bool("trace-compress", false,
-		"store the trace in the v2.1 format (per-block compression, same checksum); overrides NMO_TRACE_COMPRESS")
+	traceOut := flag.String("trace-out", os.Getenv("NMO_TRACE_OUT"),
+		"write the v2 trace to this file instead of <NMO_NAME>.trace.nmo2, and no CSV (default $NMO_TRACE_OUT)")
+	traceCompress := flag.Bool("trace-compress", core.Truthy(os.Getenv("NMO_TRACE_COMPRESS")),
+		"store the trace in the v2.1 format (per-block compression, same checksum) (default $NMO_TRACE_COMPRESS)")
 	remote := flag.String("remote", "",
 		"submit to an nmod daemon at this address instead of simulating locally")
 	priority := flag.Int("priority", 0, "remote mode: job priority (higher runs first)")
@@ -98,18 +102,18 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 		}
 		cfg.Backend = kind
 	}
-	if traceOut != "" {
-		cfg.TraceOut = traceOut
-	}
-	if traceCompress {
-		cfg.TraceCompress = true
+	if cfg.Enable && traceOut != "" && !cfg.Mode.Sampling() {
+		// Rejected rather than ignored, locally and remotely alike: a
+		// user who asked for a trace file must not get a successful
+		// run and no file.
+		return fmt.Errorf("-trace-out (NMO_TRACE_OUT) requires a sampling mode (NMO_MODE=sample or full), mode is %s", cfg.Mode)
 	}
 	if remote != "" {
-		return runRemote(remote, token, workload, threads, elems, iters, cores, seed, priority, cfg)
+		return runRemote(remote, token, workload, threads, elems, iters, cores, seed, priority, cfg, traceOut, traceCompress)
 	}
 	if !cfg.Enable {
 		fmt.Println("NMO_ENABLE is not set; running uninstrumented (timing only).")
-		if cfg.TraceOut != "" {
+		if traceOut != "" {
 			fmt.Println("WARNING: -trace-out is ignored while profiling is disabled; no trace file will be written.")
 		}
 	}
@@ -126,6 +130,13 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 		seen[names[i]] = true
 	}
 	multi := len(names) > 1
+	base := func(name string) string {
+		if multi {
+			return cfg.Name + "." + name
+		}
+		return cfg.Name
+	}
+	sampled := cfg.Enable && cfg.Mode.Sampling()
 
 	// Split the request into cycle-level scenarios (sharded across the
 	// engine pool) and phase-level CloudSuite timelines. The backend
@@ -133,6 +144,8 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 	// Lake part.
 	spec := nmo.SpecForBackend(cfg.Backend).WithCores(cores)
 	var scenarios []engine.Scenario
+	var tracePaths []string
+	files := make([]*os.File, len(names))
 	var cloud []string
 	for _, name := range names {
 		switch name {
@@ -149,27 +162,57 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 		factory := func() (workloads.Workload, error) {
 			return workloads.NewStandard(name, elems, threads, iters, seed)
 		}
-		// Each scenario writes its own v2 file: distinct paths when
-		// several workloads share one -trace-out request.
-		scfg := cfg
-		if cfg.TraceOut != "" && multi {
-			scfg.TraceOut = insertName(cfg.TraceOut, name)
+		// Each sampled scenario streams into its own v2 file: distinct
+		// paths when several workloads share one -trace-out request.
+		path := ""
+		switch {
+		case !sampled:
+		case traceOut == "":
+			path = base(name) + ".trace.nmo2"
+		case multi:
+			path = insertName(traceOut, name)
+		default:
+			path = traceOut
 		}
-		scenarios = append(scenarios, engine.Scenario{
-			Name: name, Spec: spec, Config: scfg, Workload: factory,
-		})
+		sc := engine.Scenario{Name: name, Spec: spec, Config: cfg, Workload: factory}
+		if path != "" {
+			// The factory runs once, on the executing engine worker;
+			// each scenario writes its private slot, and the engine's
+			// completion barrier publishes the slice to this goroutine.
+			slot := &files[len(scenarios)]
+			sc.Config.SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
+				f, err := os.Create(path)
+				if err != nil {
+					return nil, err
+				}
+				*slot = f
+				return trace.NewBufferedWriter(f, meta, 0, traceCompress)
+			}
+		}
+		scenarios = append(scenarios, sc)
+		tracePaths = append(tracePaths, path)
 	}
 
 	results := engine.Runner{Jobs: jobs}.RunAll(scenarios)
+	// Close every trace file before looking at any result, so a failed
+	// batch leaves none open; a close error fails its scenario.
+	for i, f := range files {
+		if f == nil {
+			continue
+		}
+		if err := f.Close(); err != nil && results[i].Err == nil {
+			results[i].Err = err
+		}
+	}
 	for i, res := range results {
 		if res.Err != nil {
 			return res.Err
 		}
-		base := cfg.Name
-		if multi {
-			base = cfg.Name + "." + scenarios[i].Name
+		csvPath := ""
+		if traceOut == "" {
+			csvPath = base(scenarios[i].Name) + ".trace.csv"
 		}
-		if err := report1(res.Profile, scenarios[i].Config, base); err != nil {
+		if err := report1(res.Profile, cfg, base(scenarios[i].Name), tracePaths[i], csvPath); err != nil {
 			return err
 		}
 	}
@@ -181,16 +224,12 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 		if err != nil {
 			return err
 		}
-		base := cfg.Name
-		if multi {
-			base = cfg.Name + "." + name
-		}
 		fmt.Printf("%s: wall %.1fs, peak RSS %.1f GiB (%.1f%% of machine), peak bandwidth %.1f GiB/s\n",
 			res.Workload, res.WallSec, res.PeakRSSGiB, res.UtilizationPct, res.PeakBWGiBps)
-		if err := writeSeries(base+".capacity.csv", &res.Capacity); err != nil {
+		if err := writeSeries(base(name)+".capacity.csv", &res.Capacity); err != nil {
 			return err
 		}
-		if err := writeSeries(base+".bandwidth.csv", &res.Bandwidth); err != nil {
+		if err := writeSeries(base(name)+".bandwidth.csv", &res.Bandwidth); err != nil {
 			return err
 		}
 	}
@@ -203,7 +242,7 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 // -trace-out the job's v2 trace streams into the requested file(s);
 // resubmitting an identical request is a daemon cache hit and costs no
 // simulation.
-func runRemote(addr, token, workload string, threads, elems, iters, cores int, seed uint64, priority int, cfg nmo.Config) error {
+func runRemote(addr, token, workload string, threads, elems, iters, cores int, seed uint64, priority int, cfg nmo.Config, traceOut string, traceCompress bool) error {
 	if seed == 0 {
 		// The wire format uses 0 for "default seed"; submitting it
 		// would silently simulate seed 42 instead of seed 0.
@@ -213,12 +252,6 @@ func runRemote(addr, token, workload string, threads, elems, iters, cores int, s
 		// Unrepresentable on the wire: dropping it would happily run
 		// the wrong platform where a local run refuses to start.
 		return fmt.Errorf("-remote cannot represent NMO_ARCH=%s; pin the platform with -backend instead", cfg.Arch)
-	}
-	if err := cfg.Validate(); err != nil {
-		// Mirror the local rejection (e.g. NMO_TRACE_OUT with a
-		// non-sampling mode) instead of silently succeeding with no
-		// trace to download.
-		return err
 	}
 	ctx := context.Background()
 	mode := cfg.Mode.String()
@@ -250,7 +283,7 @@ func runRemote(addr, token, workload string, threads, elems, iters, cores int, s
 			TrackRSS: cfg.TrackRSS,
 			BufMiB:   cfg.BufMiB,
 			AuxMiB:   cfg.AuxMiB,
-			Compress: cfg.TraceCompress,
+			Compress: traceCompress,
 		})
 	}
 
@@ -298,8 +331,8 @@ func runRemote(addr, token, workload string, threads, elems, iters, cores int, s
 				return err
 			}
 		}
-		if cfg.TraceOut != "" && sr.TraceBytes > 0 {
-			path := cfg.TraceOut
+		if traceOut != "" && sr.TraceBytes > 0 {
+			path := traceOut
 			if multi {
 				path = insertName(path, sr.Name)
 			}
@@ -354,22 +387,19 @@ func verifyDownload(path, wantHex string) error {
 	return nil
 }
 
-// report1 prints one profile's summary tables and writes its trace and
-// series files under the given base name.
-func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
+// report1 prints one profile's summary tables and writes its series
+// files under the given base name. A sampled run's tables come from
+// its trace file; csvPath, when set, receives the trace as CSV.
+func report1(prof *nmo.Profile, cfg nmo.Config, base, tracePath, csvPath string) error {
 	fmt.Printf("workload %s, %d threads: wall %d cycles (%.3f ms simulated)\n",
 		prof.Workload, prof.Threads, prof.Wall, prof.WallSec*1e3)
 	if cfg.Enable {
 		fmt.Printf("mem accesses (perf stat): %d; bus accesses: %d; arithmetic intensity: %.4f flops/B\n",
 			prof.MemAccesses, prof.BusAccesses, prof.ArithmeticIntensity())
 	}
-	if cfg.Mode.Sampling() {
-		label := strings.ToUpper(string(prof.Backend))
-		if label == "" {
-			label = "SPE"
-		}
+	if tracePath != "" {
 		fmt.Printf("%s: %d selected, %d processed, %d collisions, %d truncated, %d invalid-skipped\n",
-			label, prof.Sampler.Selected, prof.Sampler.Processed, prof.Sampler.Collisions,
+			strings.ToUpper(string(prof.Backend)), prof.Sampler.Selected, prof.Sampler.Processed, prof.Sampler.Collisions,
 			prof.Sampler.Truncated, prof.Sampler.SkippedInvalid)
 		if prof.Backend == nmo.BackendPEBS {
 			fmt.Printf("PEBS loss/skew: %d DS-dropped, %d kernel-truncated, mean skid %.2f ops\n",
@@ -378,18 +408,9 @@ func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
 		}
 		fmt.Printf("Eq.(1) accuracy: %.2f%%\n",
 			100*nmo.Accuracy(prof.MemAccesses, prof.Sampler.Processed, cfg.EffectivePeriod()))
-		// The streamed branch only applies when the run actually wrote
-		// the file; with profiling disabled no sinks exist and the
-		// legacy path below still renders its (empty) tables.
-		if cfg.TraceOut != "" && cfg.Enable {
-			// Streamed run: the samples are on disk, not in memory; the
-			// tables below come from one out-of-core pass over the file.
-			fmt.Printf("trace MD5: %x (%d samples streamed to %s)\n",
-				prof.MD5, prof.Sampler.Processed, cfg.TraceOut)
-			if err := reportStreamed(cfg.TraceOut); err != nil {
-				return err
-			}
-		} else if err := reportCollected(prof, cfg, base); err != nil {
+		fmt.Printf("trace MD5: %x (%d samples streamed to %s)\n",
+			prof.MD5, prof.Sampler.Processed, tracePath)
+		if err := reportStreamed(tracePath, csvPath); err != nil {
 			return err
 		}
 	}
@@ -406,67 +427,11 @@ func report1(prof *nmo.Profile, cfg nmo.Config, base string) error {
 	return nil
 }
 
-// reportCollected renders the sample tables of an in-memory trace and
-// writes it as CSV and as a v2 trace file.
-func reportCollected(prof *nmo.Profile, cfg nmo.Config, base string) error {
-	fmt.Printf("trace MD5: %x (%d samples stored)\n", prof.MD5, len(prof.Trace.Samples))
-	if prof.TraceTruncated > 0 {
-		fmt.Printf("WARNING: %d samples dropped at the MaxSamples cap (stream with -trace-out to keep them all)\n",
-			prof.TraceTruncated)
-	}
-
-	sum, err := postproc.Summarize(postproc.From(prof.Trace), false)
-	if err != nil {
-		return err
-	}
-	if err := printSummary(sum); err != nil {
-		return err
-	}
-
-	f, err := os.Create(base + ".trace.csv")
-	if err != nil {
-		return err
-	}
-	if err := prof.Trace.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
-	if err := writeTraceV2(base+".trace.nmo2", prof.Trace, cfg); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s.trace.csv and %s.trace.nmo2\n", base, base)
-	return nil
-}
-
-// writeTraceV2 writes an in-memory trace through the same v2 writer a
-// streamed run uses (v2.1 under -trace-compress).
-func writeTraceV2(path string, tr *nmo.Trace, cfg nmo.Config) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	newWriter := nmo.NewTraceWriterV2
-	if cfg.TraceCompress {
-		newWriter = nmo.NewTraceWriterV21
-	}
-	w, err := newWriter(f, tr.Meta(), cfg.TraceBlockSamples)
-	if err == nil {
-		err = w.EmitBatch(tr.Samples)
-	}
-	if err == nil {
-		err = w.Close()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// reportStreamed renders the same sample tables from a v2 trace file,
+// reportStreamed renders the sample tables from a v2 trace file,
 // out-of-core: one scan feeds every aggregation, and memory stays
-// bounded by one block regardless of the trace size.
-func reportStreamed(path string) error {
+// bounded by one block regardless of the trace size. A second scan
+// writes the CSV when csvPath is set.
+func reportStreamed(path, csvPath string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -481,12 +446,26 @@ func reportStreamed(path string) error {
 	if err != nil {
 		return err
 	}
-
 	if err := printSummary(sum); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d samples, %d blocks; inspect with nmostat -trace)\n",
-		path, rd.TotalSamples(), rd.NumBlocks())
+	if csvPath == "" {
+		fmt.Printf("wrote %s (%d samples, %d blocks; inspect with nmostat -trace)\n",
+			path, rd.TotalSamples(), rd.NumBlocks())
+		return nil
+	}
+	cf, err := os.Create(csvPath)
+	if err != nil {
+		return err
+	}
+	err = trace.WriteCSV(cf, rd)
+	if cerr := cf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s and %s\n", csvPath, path)
 	return nil
 }
 

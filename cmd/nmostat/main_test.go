@@ -14,6 +14,7 @@ import (
 	"nmo"
 	"nmo/internal/engine"
 	"nmo/internal/service"
+	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
 
@@ -105,8 +106,14 @@ func writeTestTraces(t *testing.T) (v2path, v21path string) {
 	cfg.Seed = 42
 	w := nmo.NewStream(nmo.StreamConfig{Elems: 20_000, Threads: 4, Iters: 2})
 	for _, path := range []string{v2path, v21path} {
-		cfg.TraceOut, cfg.TraceCompress = path, path == v21path
+		var buf bytes.Buffer
+		cfg.SinkFactory = func(meta nmo.TraceMeta) (nmo.TraceSink, error) {
+			return trace.NewBufferedWriter(&buf, meta, 0, path == v21path)
+		}
 		if _, err := nmo.Run(cfg, nmo.NewMachine(nmo.AmpereAltraMax().WithCores(4)), w); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

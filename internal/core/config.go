@@ -141,20 +141,6 @@ type Config struct {
 	// SinkFactory replaces the default Collect sink with a custom sink
 	// chain (nil = collect into Profile.Trace, the compat path).
 	SinkFactory SinkFactory
-	// TraceOut, when set (NMO_TRACE_OUT), streams samples to a blocked
-	// indexed v2 trace file at this path instead of materializing them
-	// in memory: Profile.Trace stays empty (name tables only) and the
-	// run's sample memory is one block. Composes with SinkFactory (both
-	// receive the stream).
-	TraceOut string
-	// TraceBlockSamples overrides the v2 block granularity
-	// (0 = trace.DefaultBlockSamples).
-	TraceBlockSamples int
-	// TraceCompress (NMO_TRACE_COMPRESS) writes the TraceOut file in
-	// the v2.1 format: per-block compressed frames, same sample stream
-	// and rolling MD5. Delivery-only, like TraceBlockSamples — it packs
-	// the stored bytes, not what the stream contains.
-	TraceCompress bool
 	// Costs overrides the kernel cost model (zero fields keep the
 	// calibrated defaults); the scaled-down experiments shrink costs
 	// together with run lengths.
@@ -265,12 +251,6 @@ func (c Config) Validate() error {
 		// sample everything.
 		return fmt.Errorf("core: sampling selects no operation classes (loads/stores both off)")
 	}
-	if c.Enable && c.TraceOut != "" && !c.Mode.Sampling() {
-		// Rejected rather than ignored (like MinLatencyFilter on PEBS):
-		// a user who asked for a trace file must not get a successful
-		// run and no file.
-		return fmt.Errorf("core: NMO_TRACE_OUT requires a sampling mode (NMO_MODE=sample or full), mode is %s", c.Mode)
-	}
 	if c.IntervalSec < 0 {
 		return fmt.Errorf("core: negative interval %v", c.IntervalSec)
 	}
@@ -283,12 +263,11 @@ func (c Config) Validate() error {
 // CanonicalBytes returns a deterministic encoding of every field that
 // can change what a run computes: the Table I knobs, the code-level
 // attr knobs, the seed, and the kernel cost model, in fixed order.
-// Delivery-only fields are excluded on purpose — Name, SinkFactory,
-// TraceOut, TraceBlockSamples, TraceCompress and MaxSamples choose
-// where the sample stream goes and how it is stored, not what the
-// stream contains — so two configurations with equal CanonicalBytes produce
-// bit-identical profiles (the simulator is deterministic, DESIGN.md
-// §7). The service layer's content-addressed result cache hashes this
+// Delivery-only fields are excluded on purpose — Name, SinkFactory and
+// MaxSamples choose where the sample stream goes and how much of it is
+// kept, not what the stream contains — so two configurations with
+// equal CanonicalBytes produce bit-identical profiles (the simulator
+// is deterministic, DESIGN.md §7). The service layer's content-addressed result cache hashes this
 // encoding; core owns it so the semantic/delivery split stays next to
 // the fields it classifies.
 func (c Config) CanonicalBytes() []byte {
@@ -322,7 +301,7 @@ func (c Config) CanonicalBytes() []byte {
 func FromEnv(getenv func(string) string) (Config, error) {
 	c := DefaultConfig()
 	if v := getenv("NMO_ENABLE"); v != "" {
-		c.Enable = isTruthy(v)
+		c.Enable = Truthy(v)
 	}
 	if v := getenv("NMO_NAME"); v != "" {
 		c.Name = v
@@ -353,13 +332,7 @@ func FromEnv(getenv func(string) string) (Config, error) {
 		c.Period = p
 	}
 	if v := getenv("NMO_TRACK_RSS"); v != "" {
-		c.TrackRSS = isTruthy(v)
-	}
-	if v := getenv("NMO_TRACE_OUT"); v != "" {
-		c.TraceOut = v
-	}
-	if v := getenv("NMO_TRACE_COMPRESS"); v != "" {
-		c.TraceCompress = isTruthy(v)
+		c.TrackRSS = Truthy(v)
 	}
 	if v := getenv("NMO_BUFSIZE"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -378,7 +351,9 @@ func FromEnv(getenv func(string) string) (Config, error) {
 	return c, nil
 }
 
-func isTruthy(v string) bool {
+// Truthy reads an NMO_* boolean value: 1, true, yes or on, in any case
+// and with surrounding space, is true; anything else is false.
+func Truthy(v string) bool {
 	switch strings.ToLower(strings.TrimSpace(v)) {
 	case "1", "true", "yes", "on":
 		return true

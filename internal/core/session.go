@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"nmo/internal/isa"
@@ -39,7 +38,7 @@ type Profile struct {
 	WallSec float64
 	// Trace holds the attributed memory-access samples (ModeSample+
 	// under the default Collect sink; name tables only when a custom
-	// SinkFactory or TraceOut stream consumed the samples instead).
+	// SinkFactory consumed the samples instead).
 	Trace *trace.Trace
 	// TraceTruncated counts samples dropped at the MaxSamples cap —
 	// the high-pressure runs the cap silently clipped before.
@@ -133,20 +132,18 @@ type run struct {
 	// Sample pipeline (setupEvents, sampling modes only): decoded
 	// samples flow through the attribution boundary into the sink
 	// chain. collect is the default in-memory sink (nil when a custom
-	// SinkFactory or TraceOut replaced it); v2/traceFile carry the
-	// NMO_TRACE_OUT stream.
-	sink      trace.Sink
-	boundary  *emitBoundary
-	collect   *trace.Collect
-	v2        *trace.WriterV2
-	traceFile *os.File
+	// SinkFactory replaced it).
+	sink     trace.Sink
+	boundary *emitBoundary
+	collect  *trace.Collect
 	// batch is the decode stage's span arena: decodeSpan gathers each
 	// drained span's samples here and hands the boundary one slice, so
 	// the steady state allocates nothing per PMI.
 	batch []trace.Sample
-	// sum16 reads the run's checksum from whichever streaming sink
-	// carries one (chosen once, in setupSinks); nil on the Collect
-	// path, which hashes the stored trace at aggregate time instead.
+	// sum16 reads the run's checksum from the factory's sink, or from a
+	// rolling hash riding along when that sink has none (chosen once,
+	// in setupSinks); nil on the Collect path, which hashes the stored
+	// trace at aggregate time instead.
 	sum16 func() [16]byte
 
 	// Live tagged-phase state (setupMarkers/execute): label -> startNs
@@ -175,8 +172,8 @@ type run struct {
 //
 // Samples stream: the decode stage attributes each sample at emit
 // time and pushes it through the configured sink chain (Collect by
-// default; aggregate-only or v2-file sinks under SinkFactory /
-// TraceOut), so memory is bounded by what the sinks retain. flush
+// default; aggregate-only or v2-file sinks under SinkFactory), so
+// memory is bounded by what the sinks retain. flush
 // releases the attribution boundary's reorder buffer and seals the
 // sinks.
 func (s *Session) Run(w workloads.Workload) (*Profile, error) {
@@ -243,17 +240,11 @@ func (s *Session) prepare(w workloads.Workload) (*run, error) {
 	}, nil
 }
 
-// teardown releases the machine's probe/callback slots and the trace
-// output file (a failed run leaves a footer-less, unreadable file —
-// the error already told the caller not to trust it).
+// teardown releases the machine's probe/callback slots.
 func (r *run) teardown() {
 	r.s.mach.ClearProbes()
 	r.s.mach.ClearTicks()
 	r.s.mach.SetMarkerFunc(nil)
-	if r.traceFile != nil {
-		r.traceFile.Close()
-		r.traceFile = nil
-	}
 }
 
 // setupEvents opens the counting events (exact memory-access counts
@@ -345,68 +336,28 @@ func (r *run) setupEvents() error {
 // setupSinks builds the run's sample-sink chain and the attribution
 // boundary in front of it. The default chain is the Collect compat
 // sink (materialize into Profile.Trace under the MaxSamples cap); a
-// SinkFactory replaces it, and TraceOut appends a streaming v2 file
-// writer — either of which makes the run's sample memory independent
-// of the sample count.
+// SinkFactory replaces it, which makes the run's sample memory
+// whatever the factory's sink retains.
 func (r *run) setupSinks() error {
 	cfg := &r.s.cfg
-	meta := r.prof.Trace.Meta()
-	var sinks []trace.Sink
-	var custom trace.Sink
-	if cfg.SinkFactory != nil {
-		s, err := cfg.SinkFactory(meta)
+	if cfg.SinkFactory == nil {
+		r.collect = trace.NewCollect(r.prof.Trace, cfg.MaxSamples)
+		r.sink = r.collect
+	} else {
+		s, err := cfg.SinkFactory(r.prof.Trace.Meta())
 		if err != nil {
 			return fmt.Errorf("core: sink factory: %w", err)
 		}
-		custom = s
-		sinks = append(sinks, s)
-	}
-	if cfg.TraceOut != "" {
-		f, err := os.Create(cfg.TraceOut)
-		if err != nil {
-			return fmt.Errorf("core: NMO_TRACE_OUT: %w", err)
+		// The checksum comes from the sink when it keeps one (a v2
+		// writer's rolling hash); otherwise — e.g. a factory returning
+		// a bare Tee — a rolling hash rides along, so Profile.MD5
+		// never silently stays zero.
+		if h, ok := s.(interface{ Sum16() [16]byte }); ok {
+			r.sink, r.sum16 = s, h.Sum16
+		} else {
+			hash := trace.NewHash()
+			r.sink, r.sum16 = trace.NewTee(s, hash), hash.Sum16
 		}
-		r.traceFile = f
-		newWriter := trace.NewWriterV2
-		if cfg.TraceCompress {
-			newWriter = trace.NewWriterV21
-		}
-		w, err := newWriter(f, meta, cfg.TraceBlockSamples)
-		if err != nil {
-			return err
-		}
-		r.v2 = w
-		sinks = append(sinks, w)
-	}
-	if len(sinks) == 0 {
-		r.collect = trace.NewCollect(r.prof.Trace, cfg.MaxSamples)
-		sinks = append(sinks, r.collect)
-	}
-
-	// Choose the checksum source once, here: the v2 writer's rolling
-	// hash, a Sum16-capable custom sink, or — when no streaming sink
-	// can produce one (e.g. a factory returning a bare Tee) — a
-	// rolling hash that rides along, so Profile.MD5 never silently
-	// stays zero. The Collect path leaves sum16 nil and hashes the
-	// stored (possibly capped) trace at aggregate time instead.
-	if r.collect == nil {
-		switch {
-		case r.v2 != nil:
-			r.sum16 = r.v2.Sum16
-		default:
-			if h, ok := custom.(interface{ Sum16() [16]byte }); ok {
-				r.sum16 = h.Sum16
-			} else {
-				hash := trace.NewHash()
-				sinks = append(sinks, hash)
-				r.sum16 = hash.Sum16
-			}
-		}
-	}
-	if len(sinks) == 1 {
-		r.sink = sinks[0]
-	} else {
-		r.sink = trace.NewTee(sinks...)
 	}
 	r.boundary = newEmitBoundary(r.sink, r.open)
 	return nil

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"nmo/internal/trace"
@@ -53,63 +54,81 @@ func TestAggregateSinkMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestTraceOutStreamsV2 checks the bounded-memory file path: the run
-// must leave Profile.Trace empty, and the v2 file must replay to the
-// exact trace (order included) a Collect run materializes.
-func TestTraceOutStreamsV2(t *testing.T) {
-	collected := runWith(t, sampleConfig(500))
-
-	cfg := sampleConfig(500)
-	cfg.TraceOut = filepath.Join(t.TempDir(), "out.nmo2")
-	cfg.TraceBlockSamples = 64 // several blocks
-	streamed := runWith(t, cfg)
-
-	if len(streamed.Trace.Samples) != 0 {
-		t.Fatalf("TraceOut run stored %d samples in memory", len(streamed.Trace.Samples))
-	}
-	if streamed.MD5 != collected.MD5 {
-		t.Error("streamed MD5 differs from the Collect run")
-	}
-
-	f, err := os.Open(cfg.TraceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rd, err := trace.OpenV2(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.MD5() != collected.MD5 {
-		t.Error("v2 footer MD5 differs from the Collect run")
-	}
-	got, err := rd.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(collected.Trace.Samples) {
-		t.Fatalf("file has %d samples, Collect run %d",
-			len(got.Samples), len(collected.Trace.Samples))
-	}
-	for i := range got.Samples {
-		if got.Samples[i] != collected.Trace.Samples[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v",
-				i, got.Samples[i], collected.Trace.Samples[i])
-		}
-	}
-	if got.Workload != collected.Trace.Workload {
-		t.Errorf("workload %q", got.Workload)
+// bufferedFactory streams a run through trace.NewBufferedWriter into
+// w: a v2 file (v2.1 under compress) in blocks of blockSamples.
+func bufferedFactory(w io.Writer, blockSamples int, compress bool) SinkFactory {
+	return func(meta trace.Meta) (trace.Sink, error) {
+		return trace.NewBufferedWriter(w, meta, blockSamples, compress)
 	}
 }
 
-// TestSinkFactoryComposesWithTraceOut: both sinks receive the stream.
+// TestTraceOutStreamsV2 checks the bounded-memory file path: a run
+// streaming through the buffered v2 writer must leave Profile.Trace
+// empty, and the file must replay to the exact trace (order included)
+// a Collect run materializes, in either format.
+func TestTraceOutStreamsV2(t *testing.T) {
+	collected := runWith(t, sampleConfig(500))
+
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		cfg := sampleConfig(500)
+		cfg.SinkFactory = bufferedFactory(&buf, 64, compress) // several blocks
+		streamed := runWith(t, cfg)
+
+		if len(streamed.Trace.Samples) != 0 {
+			t.Fatalf("compress=%t: streamed run stored %d samples in memory", compress, len(streamed.Trace.Samples))
+		}
+		if streamed.MD5 != collected.MD5 {
+			t.Errorf("compress=%t: streamed MD5 differs from the Collect run", compress)
+		}
+
+		rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Compressed() != compress {
+			t.Errorf("compress=%t: file is compressed=%t", compress, rd.Compressed())
+		}
+		if rd.NumBlocks() < 2 {
+			t.Fatalf("compress=%t: %d blocks, want several", compress, rd.NumBlocks())
+		}
+		if rd.MD5() != collected.MD5 {
+			t.Errorf("compress=%t: v2 footer MD5 differs from the Collect run", compress)
+		}
+		got, err := rd.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Samples) != len(collected.Trace.Samples) {
+			t.Fatalf("compress=%t: file has %d samples, Collect run %d",
+				compress, len(got.Samples), len(collected.Trace.Samples))
+		}
+		for i := range got.Samples {
+			if got.Samples[i] != collected.Trace.Samples[i] {
+				t.Fatalf("compress=%t: sample %d differs: %+v vs %+v",
+					compress, i, got.Samples[i], collected.Trace.Samples[i])
+			}
+		}
+		if got.Workload != collected.Trace.Workload {
+			t.Errorf("compress=%t: workload %q", compress, got.Workload)
+		}
+	}
+}
+
+// TestSinkFactoryComposesWithTraceOut: a factory chain teeing a hash
+// with the buffered v2 writer feeds both the same stream.
 func TestSinkFactoryComposesWithTraceOut(t *testing.T) {
 	var h *trace.Hash
+	var buf bytes.Buffer
 	cfg := sampleConfig(500)
-	cfg.TraceOut = filepath.Join(t.TempDir(), "both.nmo2")
-	cfg.SinkFactory = func(trace.Meta) (trace.Sink, error) {
+	file := bufferedFactory(&buf, 0, false)
+	cfg.SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
+		w, err := file(meta)
+		if err != nil {
+			return nil, err
+		}
 		h = trace.NewHash()
-		return h, nil
+		return trace.NewTee(h, w), nil
 	}
 	p := runWith(t, cfg)
 	if h.Sum16() == trace.NewHash().Sum16() {
@@ -118,12 +137,7 @@ func TestSinkFactoryComposesWithTraceOut(t *testing.T) {
 	if h.Sum16() != p.MD5 {
 		t.Error("factory hash differs from profile MD5")
 	}
-	f, err := os.Open(cfg.TraceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rd, err := trace.OpenV2(f)
+	rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +165,6 @@ func TestCustomSinkWithoutSum16GetsFallbackHash(t *testing.T) {
 	}
 }
 
-// TestTraceOutRequiresSampling: asking for a trace file in a mode that
-// produces no samples is a config error, not a silent no-op.
-func TestTraceOutRequiresSampling(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Enable = true
-	cfg.Mode = ModeCounters
-	cfg.TraceOut = "x.nmo2"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("TraceOut accepted in counters mode")
-	}
-	// Disabled profiling ignores all collection settings, TraceOut
-	// included (the NMO_ENABLE master-switch convention).
-	cfg.Enable = false
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("disabled config rejected: %v", err)
-	}
-}
-
 // TestMaxSamplesTruncationSurfaced: the cap is counted, not silent.
 func TestMaxSamplesTruncationSurfaced(t *testing.T) {
 	cfg := sampleConfig(200)
@@ -191,9 +187,10 @@ func TestMaxSamplesTruncationSurfaced(t *testing.T) {
 // even when MaxSamples would have clipped an in-memory trace — the
 // exact high-pressure case the cap used to silently truncate.
 func TestTraceOutUncapped(t *testing.T) {
+	var buf bytes.Buffer
 	cfg := sampleConfig(200)
 	cfg.MaxSamples = 100
-	cfg.TraceOut = filepath.Join(t.TempDir(), "uncapped.nmo2")
+	cfg.SinkFactory = bufferedFactory(&buf, 0, false)
 	s, _ := NewSession(cfg, testMachine(1))
 	w := workloads.NewStream(workloads.StreamConfig{Elems: 100_000, Threads: 1, Iters: 2})
 	p, err := s.Run(w)
@@ -203,12 +200,7 @@ func TestTraceOutUncapped(t *testing.T) {
 	if p.Sampler.Processed <= 100 {
 		t.Fatalf("test needs >100 processed samples, got %d", p.Sampler.Processed)
 	}
-	f, err := os.Open(cfg.TraceOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	rd, err := trace.OpenV2(f)
+	rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +212,22 @@ func TestTraceOutUncapped(t *testing.T) {
 	}
 }
 
-// TestTraceOutBadPathFails: an unwritable TraceOut is a run error, not
-// a silent fallback to collection.
+// failWriter rejects every write, like a full or revoked file.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestTraceOutBadPathFails: a trace file that cannot be written is a
+// run error, not a silent success — the buffered writer's deferred
+// flush error surfaces when the run seals its sinks.
 func TestTraceOutBadPathFails(t *testing.T) {
 	cfg := sampleConfig(500)
-	cfg.TraceOut = filepath.Join(t.TempDir(), "missing-dir", "x.nmo2")
+	cfg.SinkFactory = bufferedFactory(failWriter{}, 0, false)
 	s, err := NewSession(cfg, testMachine(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(streamWorkload()); err == nil {
-		t.Fatal("unwritable TraceOut did not fail the run")
+		t.Fatal("unwritable trace file did not fail the run")
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -83,13 +81,17 @@ func TestRegionTraceMD5IdenticalAcrossJobs(t *testing.T) {
 // and jobs=8 — the emit-time attribution and reorder buffer must not
 // depend on scheduling.
 func TestStreamedSinksIdenticalAcrossJobs(t *testing.T) {
-	run := func(jobs int, dir string) [][16]byte {
+	run := func(jobs int) ([][16]byte, []*bytes.Buffer) {
 		sc := determinismScale(jobs)
 		var scs []engine.Scenario
+		var files []*bytes.Buffer
 		for i := 0; i < 4; i++ {
+			file := new(bytes.Buffer)
+			files = append(files, file)
 			cfg := sc.samplingConfig(1500+uint64(i)*500, i)
-			cfg.TraceOut = filepath.Join(dir, fmt.Sprintf("j%d_%d.nmo2", jobs, i))
-			cfg.TraceBlockSamples = 32
+			cfg.SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
+				return trace.NewBufferedWriter(file, meta, 32, false)
+			}
 			scs = append(scs, sc.scenario(
 				fmt.Sprintf("stream/v2/%d", i), "stream", sc.Threads, cfg))
 			aggCfg := sc.samplingConfig(1500+uint64(i)*500, i)
@@ -111,26 +113,18 @@ func TestStreamedSinksIdenticalAcrossJobs(t *testing.T) {
 		for _, p := range profs {
 			sums = append(sums, p.MD5)
 		}
-		return sums
+		return sums, files
 	}
-	dir := t.TempDir()
-	serial := run(1, dir)
-	parallel := run(8, dir)
+	serial, serialFiles := run(1)
+	parallel, parallelFiles := run(8)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("streamed MD5s differ between jobs=1 and jobs=8:\n%x\nvs\n%x",
 			serial, parallel)
 	}
 	// The v2 files themselves must be byte-identical across shardings.
 	for i := 0; i < 4; i++ {
-		a, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("j1_%d.nmo2", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("j8_%d.nmo2", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
+		a, b := serialFiles[i].Bytes(), parallelFiles[i].Bytes()
+		if !bytes.Equal(a, b) {
 			t.Errorf("v2 file %d differs between jobs=1 and jobs=8", i)
 		}
 		rd, err := trace.OpenV2(bytes.NewReader(a))

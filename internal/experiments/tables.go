@@ -34,10 +34,6 @@ func Table1EnvVars() []EnvVarRow {
 	if arch == "" {
 		arch = "any"
 	}
-	traceOut := d.TraceOut
-	if traceOut == "" {
-		traceOut = "off (collect in memory)"
-	}
 	return []EnvVarRow{
 		{"NMO_ENABLE", "Enable profile collection", onOff(d.Enable)},
 		{"NMO_NAME", "Base name of output files", fmt.Sprintf("%q", d.Name)},
@@ -48,7 +44,9 @@ func Table1EnvVars() []EnvVarRow {
 		{"NMO_TRACK_RSS", "Capture working set size", onOff(d.TrackRSS)},
 		{"NMO_BUFSIZE", "Ring buffer size [MiB]", fmt.Sprintf("%d", d.BufMiB)},
 		{"NMO_AUXBUFSIZE", "Aux buffer size [MiB]", fmt.Sprintf("%d", d.AuxMiB)},
-		{"NMO_TRACE_OUT", "Stream samples to an indexed v2 trace file", traceOut},
+		// Read by nmoprof (the -trace-out default), not by FromEnv; a
+		// library run without a SinkFactory collects in memory.
+		{"NMO_TRACE_OUT", "Stream samples to an indexed v2 trace file", "off (collect in memory)"},
 	}
 }
 

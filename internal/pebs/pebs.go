@@ -57,18 +57,6 @@ const (
 	EventMemAll
 )
 
-func (e Event) String() string {
-	switch e {
-	case EventLoads:
-		return "mem_inst_retired.all_loads"
-	case EventStores:
-		return "mem_inst_retired.all_stores"
-	case EventMemAll:
-		return "mem_inst_retired.any"
-	}
-	return "?"
-}
-
 // matches reports whether op belongs to the sampled population.
 func (e Event) matches(op *isa.Op) bool {
 	switch e {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -763,28 +762,17 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (art *JobArtifacts, e
 			Workload: r.workloadFactory,
 		}
 		if r.cfg.Mode.Sampling() {
-			blockSamples := r.spec.BlockSamples
-			newWriter := trace.NewWriterV2
-			if r.spec.Compress {
-				newWriter = trace.NewWriterV21
-			}
 			// The factory runs once, on the executing engine worker;
 			// each scenario writes its private slot, and the engine's
 			// completion barrier publishes the slice to this
-			// goroutine. The v2 header and index are written field
-			// by field, so the file sits behind a bufio.Writer.
+			// goroutine.
 			scs[i].Config.SinkFactory = func(meta trace.Meta) (trace.Sink, error) {
 				f, err := s.cache.tempFile()
 				if err != nil {
 					return nil, err
 				}
 				files[i] = f
-				bw := bufio.NewWriter(f)
-				w, err := newWriter(bw, meta, blockSamples)
-				if err != nil {
-					return nil, err
-				}
-				return spillSink{w, bw}, nil
+				return trace.NewBufferedWriter(f, meta, r.spec.BlockSamples, r.spec.Compress)
 			}
 		}
 	}
@@ -820,20 +808,6 @@ func (s *Scheduler) execute(ctx context.Context, job *Job) (art *JobArtifacts, e
 	job.setPhase(func(p *JobPhases) { p.DigestSec = dig.Seconds() })
 	s.m.ObservePhase("digest", dig)
 	return art, nil
-}
-
-// spillSink is a v2 writer encoding into a .tmp-* spill file through a
-// bufio.Writer; Close finishes the stream and flushes it to the file.
-type spillSink struct {
-	*trace.WriterV2
-	bw *bufio.Writer
-}
-
-func (s spillSink) Close() error {
-	if err := s.WriterV2.Close(); err != nil {
-		return err
-	}
-	return s.bw.Flush()
 }
 
 // digest turns one scenario's profile + trace file into its wire

@@ -92,21 +92,25 @@ type Trace struct {
 	Samples  []Sample
 }
 
-// WriteCSV emits one row per sample, resolving table indices to names.
-func (t *Trace) WriteCSV(w io.Writer) error {
+// WriteCSV emits one row per sample of src, in stored order, resolving
+// table indices to names. It streams: an out-of-core v2 reader is
+// written block by block.
+func WriteCSV(w io.Writer, src SampleSource) error {
+	meta := src.Meta()
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"time_ns", "va", "pc", "lat", "core", "op", "level", "region", "kernel",
 	}); err != nil {
 		return err
 	}
-	for i := range t.Samples {
-		s := &t.Samples[i]
+	err := src.Scan(ScanHints{}, func(s *Sample) {
 		op := "L"
 		if s.Store {
 			op = "S"
 		}
-		if err := cw.Write([]string{
+		// A write error is sticky in the csv.Writer's buffer, so
+		// cw.Error reports it after the scan.
+		_ = cw.Write([]string{
 			strconv.FormatUint(s.TimeNs, 10),
 			fmt.Sprintf("%#x", s.VA),
 			fmt.Sprintf("%#x", s.PC),
@@ -114,17 +118,19 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 			strconv.Itoa(int(s.Core)),
 			op,
 			strconv.Itoa(int(s.Level)),
-			t.name(t.Regions, s.Region),
-			t.name(t.Kernels, s.Kernel),
-		}); err != nil {
-			return err
-		}
+			nameOf(meta.Regions, s.Region),
+			nameOf(meta.Kernels, s.Kernel),
+		})
+	})
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()
 }
 
-func (t *Trace) name(table []string, idx int16) string {
+// nameOf resolves a region/kernel table index ("-" when out of range).
+func nameOf(table []string, idx int16) string {
 	if idx < 0 || int(idx) >= len(table) {
 		return "-"
 	}
@@ -136,7 +142,7 @@ func (t *Trace) name(table []string, idx int16) string {
 func (t *Trace) CountByRegion() map[string]int {
 	out := make(map[string]int)
 	for i := range t.Samples {
-		out[t.name(t.Regions, t.Samples[i].Region)]++
+		out[nameOf(t.Regions, t.Samples[i].Region)]++
 	}
 	return out
 }
@@ -145,7 +151,7 @@ func (t *Trace) CountByRegion() map[string]int {
 func (t *Trace) CountByKernel() map[string]int {
 	out := make(map[string]int)
 	for i := range t.Samples {
-		out[t.name(t.Kernels, t.Samples[i].Kernel)]++
+		out[nameOf(t.Kernels, t.Samples[i].Kernel)]++
 	}
 	return out
 }

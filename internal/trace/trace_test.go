@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,7 +64,7 @@ func TestMD5StableAndSensitive(t *testing.T) {
 
 func TestCSVOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleTrace().WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -81,6 +82,52 @@ func TestCSVOutput(t *testing.T) {
 		t.Errorf("row 2 should show '-' for untagged kernel: %q", lines[2])
 	}
 }
+
+// TestWriteCSVFromV2: the CSV of a v2 file written by the buffered
+// writer equals the CSV of the in-memory trace, in both formats, and a
+// failed write is an error, not a short file.
+func TestWriteCSVFromV2(t *testing.T) {
+	tr := sampleTrace()
+	var want bytes.Buffer
+	if err := WriteCSV(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, compress := range []bool{false, true} {
+		var file bytes.Buffer
+		w, err := NewBufferedWriter(&file, tr.Meta(), 2, compress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.EmitBatch(tr.Samples); err != nil {
+			t.Fatal(err)
+		}
+		if file.Len() != 0 {
+			t.Errorf("compress=%t: %d bytes reached the file before Close", compress, file.Len())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := OpenV2(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WriteCSV(&got, rd); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("compress=%t: CSV from v2 differs:\n%s\nvs\n%s", compress, got.String(), want.String())
+		}
+	}
+	if err := WriteCSV(failWriter{}, tr); err == nil {
+		t.Error("WriteCSV to a failing writer returned nil")
+	}
+}
+
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
 
 func TestCounts(t *testing.T) {
 	tr := sampleTrace()

@@ -36,6 +36,7 @@
 package trace
 
 import (
+	"bufio"
 	"crypto/md5"
 	"encoding/binary"
 	"errors"
@@ -141,6 +142,36 @@ func NewWriterV2(w io.Writer, meta Meta, blockSamples int) (*WriterV2, error) {
 // payload bytes are packed differently.
 func NewWriterV21(w io.Writer, meta Meta, blockSamples int) (*WriterV2, error) {
 	return newWriterV2(w, meta, blockSamples, true)
+}
+
+// BufferedWriter is a v2 writer encoding into an io.Writer through a
+// bufio.Writer: the header and index are written field by field, so a
+// file behind it sees a few large writes instead of many small ones.
+// Close finishes the stream and then flushes the buffer; closing the
+// underlying writer stays with the caller.
+type BufferedWriter struct {
+	*WriterV2
+	bw *bufio.Writer
+}
+
+// NewBufferedWriter starts a buffered stream on w, in the v2.1 format
+// when compress is set and in v2 otherwise. blockSamples is as for
+// NewWriterV2.
+func NewBufferedWriter(w io.Writer, meta Meta, blockSamples int, compress bool) (*BufferedWriter, error) {
+	bw := bufio.NewWriter(w)
+	wr, err := newWriterV2(bw, meta, blockSamples, compress)
+	if err != nil {
+		return nil, err
+	}
+	return &BufferedWriter{wr, bw}, nil
+}
+
+// Close writes the final block, the index and the tail, then flushes.
+func (b *BufferedWriter) Close() error {
+	if err := b.WriterV2.Close(); err != nil {
+		return err
+	}
+	return b.bw.Flush()
 }
 
 func newWriterV2(w io.Writer, meta Meta, blockSamples int, compress bool) (*WriterV2, error) {

@@ -26,9 +26,11 @@
 //	}))
 //
 // Configuration follows the paper's Table I environment variables;
-// FromEnv reads NMO_ENABLE, NMO_NAME, NMO_MODE, NMO_PERIOD,
-// NMO_TRACK_RSS, NMO_BUFSIZE and NMO_AUXBUFSIZE from the process
-// environment.
+// FromEnv reads NMO_ENABLE, NMO_NAME, NMO_MODE, NMO_BACKEND, NMO_ARCH,
+// NMO_PERIOD, NMO_TRACK_RSS, NMO_BUFSIZE and NMO_AUXBUFSIZE from the
+// process environment. A run writes no files: its samples go to
+// Profile.Trace, or to the sinks Config.SinkFactory builds (a v2 trace
+// writer, for instance).
 package nmo
 
 import (
