@@ -286,7 +286,7 @@ func engineBatch(n int) []engine.Scenario {
 		cfg.PageBytes = 1024
 		cfg.RingPages = 8
 		cfg.AuxPages = 64
-		cfg.Seed = engine.DeriveSeed(42, i)
+		cfg.Seed = 42 + uint64(i)*7919
 		scs[i] = engine.Scenario{
 			Name:   fmt.Sprintf("stream/trial=%d", i),
 			Spec:   machine.AmpereAltraMax().WithCores(32),
@@ -310,12 +310,12 @@ func BenchmarkEngineParallelSpeedup(b *testing.B) {
 	const batchSize = 8
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if err := engine.FirstError(engine.Runner{Jobs: 1}.RunAll(engineBatch(batchSize))); err != nil {
+		if _, err := engine.Profiles(engine.Runner{Jobs: 1}.RunAll(engineBatch(batchSize))); err != nil {
 			b.Fatal(err)
 		}
 		serial := time.Since(t0)
 		t0 = time.Now()
-		if err := engine.FirstError(engine.Runner{}.RunAll(engineBatch(batchSize))); err != nil {
+		if _, err := engine.Profiles(engine.Runner{}.RunAll(engineBatch(batchSize))); err != nil {
 			b.Fatal(err)
 		}
 		parallel := time.Since(t0)
@@ -413,7 +413,7 @@ func BenchmarkEngineScenarioOverhead(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := engine.FirstError(engine.Runner{Jobs: 1}.RunAll(batch)); err != nil {
+			if _, err := engine.Profiles(engine.Runner{Jobs: 1}.RunAll(batch)); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -150,6 +150,15 @@ func run(workload string, threads, elems, iters, cores int, seed uint64, jobs in
 	for _, name := range names {
 		switch name {
 		case "pagerank", "inmem":
+			// Checked before the batch: the phase-level runs start only
+			// after the cycle-level ones have written their trace files.
+			want := workloads.PageRankThreads
+			if name == "inmem" {
+				want = workloads.InMemThreads
+			}
+			if want > cores {
+				return fmt.Errorf("core: workload wants %d threads, machine has %d cores", want, cores)
+			}
 			cloud = append(cloud, name)
 			continue
 		case "stream", "cfd", "bfs":

@@ -149,6 +149,26 @@ func TestTraceOutRequiresSampling(t *testing.T) {
 	}
 }
 
+// TestPhaseLevelCoresCheckedFirst: a phase-level workload that needs
+// more cores than -cores fails the request before any cycle-level
+// scenario runs, so no trace file is written.
+func TestPhaseLevelCoresCheckedFirst(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("NMO_ENABLE", "1")
+	t.Setenv("NMO_MODE", "sample")
+	t.Setenv("NMO_PERIOD", "700")
+	t.Setenv("NMO_NAME", filepath.Join(dir, "p"))
+	for _, wl := range []string{"stream,pagerank", "stream,cfd,inmem"} {
+		err := run(wl, 2, 2_000, 1, 16, 42, 1, "", "", false, "", 0, "")
+		if want := "core: workload wants 32 threads, machine has 16 cores"; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", wl, err, want)
+		}
+	}
+	if traces, _ := filepath.Glob(filepath.Join(dir, "*.trace.nmo2")); len(traces) != 0 {
+		t.Errorf("rejected runs wrote %v", traces)
+	}
+}
+
 // captureStdout runs fn with os.Stdout redirected and returns what it
 // printed.
 func captureStdout(t *testing.T, fn func() error) string {

@@ -17,9 +17,7 @@ import (
 // reaches but that stay, each with its reason. An exported method is
 // keyed by its name, a package-level function or an unexported method
 // by "pkg.name", and a struct field by "pkg.Type.Field".
-var testOnlyAllowed = map[string]string{
-	"engine.DeriveSeed": "BenchmarkEngineParallelSpeedup's engineBatch, a layer micro-bench, seeds its scenarios with it",
-}
+var testOnlyAllowed = map[string]string{}
 
 // TestNoTestOnlyExports keeps the declarations under internal/ reachable
 // from non-test code. It fails on

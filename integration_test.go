@@ -3,7 +3,6 @@ package nmo_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
@@ -137,11 +136,9 @@ func TestEndToEndDeterminism(t *testing.T) {
 // through the v2 and v2.1 binary formats and back.
 func TestTraceSerializationRoundTrip(t *testing.T) {
 	p := fullPipelineProfile(t, 21)
-	for name, newWriter := range map[string]func(io.Writer, trace.Meta, int) (*trace.WriterV2, error){
-		"v2": trace.NewWriterV2, "v2.1": trace.NewWriterV21,
-	} {
+	for name, compress := range map[string]bool{"v2": false, "v2.1": true} {
 		var buf bytes.Buffer
-		w, err := newWriter(&buf, p.Trace.Meta(), 0)
+		w, err := nmo.NewTraceWriter(&buf, p.Trace.Meta(), compress)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +151,9 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 		rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rd.Compressed() != compress {
+			t.Errorf("%s: file is compressed=%t", name, rd.Compressed())
 		}
 		got, err := rd.ReadAll()
 		if err != nil {

@@ -9,7 +9,7 @@
 // between workers, and results are bit-identical regardless of the
 // worker count (the simulator itself is deterministic — see DESIGN.md
 // §7). Results come back in submission order with per-scenario errors;
-// nothing fails fast unless asked.
+// a failure never stops the rest of the batch.
 //
 // The sweep drivers in internal/experiments and the repro CLIs build
 // their grids as scenario batches and hand them here; the sweep shape
@@ -19,11 +19,9 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"nmo/internal/core"
 	"nmo/internal/machine"
@@ -58,22 +56,15 @@ type Result struct {
 	Name string
 	// Profile is the run's profile on success.
 	Profile *core.Profile
-	// Err is the per-scenario failure, ErrSkipped if a fail-fast
-	// batch aborted before this scenario started.
+	// Err is the per-scenario failure.
 	Err error
 }
 
-// ErrSkipped marks scenarios a fail-fast batch never started.
-var ErrSkipped = errors.New("engine: scenario skipped after earlier failure")
-
 // Runner executes scenario batches. The zero value runs with one
-// worker per available CPU and no fail-fast.
+// worker per available CPU.
 type Runner struct {
 	// Jobs bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Jobs int
-	// FailFast stops handing out new scenarios after the first error;
-	// in-flight scenarios finish, unstarted ones report ErrSkipped.
-	FailFast bool
 }
 
 // jobs resolves the effective worker count for n scenarios.
@@ -94,7 +85,7 @@ func (r Runner) jobs(n int) int {
 // RunAll executes the batch and returns one result per scenario, in
 // submission order. Errors (including panics inside a scenario, which
 // are recovered per worker) land in the corresponding Result; the
-// batch itself always completes unless FailFast is set.
+// batch itself always completes.
 func (r Runner) RunAll(scenarios []Scenario) []Result {
 	return r.RunAllContext(context.Background(), scenarios)
 }
@@ -111,7 +102,6 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 		return results
 	}
 
-	var failed atomic.Bool
 	exec := func(wk *worker, i int) {
 		sc := &scenarios[i]
 		results[i].Name = sc.Name
@@ -119,15 +109,7 @@ func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Resul
 			results[i].Err = err
 			return
 		}
-		if r.FailFast && failed.Load() {
-			results[i].Err = ErrSkipped
-			return
-		}
-		prof, err := runScenario(sc, wk)
-		results[i].Profile, results[i].Err = prof, err
-		if err != nil {
-			failed.Store(true)
-		}
+		results[i].Profile, results[i].Err = runScenario(sc, wk)
 	}
 
 	jobs := r.jobs(len(scenarios))
@@ -213,47 +195,15 @@ func runScenario(sc *Scenario, wk *worker) (prof *core.Profile, err error) {
 	return prof, nil
 }
 
-// FirstError returns the first non-skip error in the batch (submission
-// order), or the first ErrSkipped if nothing else failed, or nil.
-func FirstError(results []Result) error {
-	var skipped error
-	for i := range results {
-		switch {
-		case results[i].Err == nil:
-		case errors.Is(results[i].Err, ErrSkipped):
-			if skipped == nil {
-				skipped = results[i].Err
-			}
-		default:
-			return results[i].Err
-		}
-	}
-	return skipped
-}
-
 // Profiles unwraps a fully successful batch into its profiles, or
-// returns the batch's first error.
+// returns the batch's first error in submission order.
 func Profiles(results []Result) ([]*core.Profile, error) {
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
 	out := make([]*core.Profile, len(results))
 	for i := range results {
+		if results[i].Err != nil {
+			return nil, results[i].Err
+		}
 		out[i] = results[i].Profile
 	}
 	return out, nil
-}
-
-// DeriveSeed deterministically mixes a base seed with a scenario index
-// (splitmix64 finalizer), decorrelating per-trial RNG streams while
-// keeping grids reproducible from one base seed.
-func DeriveSeed(base uint64, idx int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(idx+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 0x9e3779b97f4a7c15
-	}
-	return z
 }

@@ -23,7 +23,7 @@ func testScenario(idx int) Scenario {
 	cfg.RingPages = 8
 	cfg.AuxPages = 64
 	cfg.PageBytes = 1024
-	cfg.Seed = DeriveSeed(42, idx)
+	cfg.Seed = 42 + uint64(idx)*7919
 	return Scenario{
 		Name:   fmt.Sprintf("stream/%d", idx),
 		Spec:   machine.AmpereAltraMax().WithCores(4),
@@ -134,7 +134,7 @@ func TestRunAllDeterministicAcrossJobsPEBS(t *testing.T) {
 
 func TestRunAllDistinctSeedsDecorrelate(t *testing.T) {
 	rs := Runner{}.RunAll(testBatch(3))
-	if err := FirstError(rs); err != nil {
+	if _, err := Profiles(rs); err != nil {
 		t.Fatal(err)
 	}
 	if rs[0].Profile.MD5 == rs[1].Profile.MD5 {
@@ -163,8 +163,8 @@ func TestRunAllErrorIsolation(t *testing.T) {
 	if rs[2].Err == nil {
 		t.Error("oversubscribed scenario did not error")
 	}
-	if err := FirstError(rs); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("FirstError = %v, want the first failure", err)
+	if _, err := Profiles(rs); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("Profiles error = %v, want the first failure", err)
 	}
 }
 
@@ -183,27 +183,9 @@ func TestRunAllPanicRecovered(t *testing.T) {
 	}
 }
 
-func TestRunAllFailFast(t *testing.T) {
-	scs := testBatch(8)
-	scs[0].Workload = func() (workloads.Workload, error) {
-		return nil, errors.New("first failure")
-	}
-	rs := Runner{Jobs: 1, FailFast: true}.RunAll(scs)
-	if rs[0].Err == nil {
-		t.Fatal("failure lost")
-	}
-	skipped := 0
-	for _, r := range rs[1:] {
-		if errors.Is(r.Err, ErrSkipped) {
-			skipped++
-		}
-	}
-	if skipped != len(scs)-1 {
-		t.Errorf("fail-fast skipped %d of %d", skipped, len(scs)-1)
-	}
-}
-
-func TestRunAllNoFailFastByDefault(t *testing.T) {
+// TestRunAllRunsEveryScenarioAfterFailure: a failed scenario never
+// stops the rest of the batch.
+func TestRunAllRunsEveryScenarioAfterFailure(t *testing.T) {
 	scs := testBatch(3)
 	scs[0].Workload = func() (workloads.Workload, error) {
 		return nil, errors.New("first failure")
@@ -226,7 +208,7 @@ func TestRunSingle(t *testing.T) {
 	}
 	// Run must agree with the same scenario through RunAll.
 	rs := Runner{Jobs: 2}.RunAll(testBatch(1))
-	if err := FirstError(rs); err != nil {
+	if _, err := Profiles(rs); err != nil {
 		t.Fatal(err)
 	}
 	if rs[0].Profile.MD5 != prof.MD5 {
@@ -257,26 +239,6 @@ func TestProfiles(t *testing.T) {
 func TestRunAllEmptyBatch(t *testing.T) {
 	if rs := (Runner{}).RunAll(nil); len(rs) != 0 {
 		t.Errorf("empty batch returned %d results", len(rs))
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if s == 0 {
-			t.Fatal("zero derived seed")
-		}
-		if seen[s] {
-			t.Fatalf("derived seed collision at %d", i)
-		}
-		seen[s] = true
-	}
-	if DeriveSeed(42, 7) != DeriveSeed(42, 7) {
-		t.Error("DeriveSeed not deterministic")
-	}
-	if DeriveSeed(42, 7) == DeriveSeed(43, 7) {
-		t.Error("base seed ignored")
 	}
 }
 

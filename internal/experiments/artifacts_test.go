@@ -22,11 +22,7 @@ func TestSweepBuildersMatchPaperSweepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := QuickScale()
-	sc.StreamElems /= 16
-	sc.CFDElems /= 16
-	sc.BFSNodes /= 16
-	sc.Seed = 42
+	sc := paperSweepScale()
 
 	var out bytes.Buffer
 	for _, wl := range []string{"stream", "cfd", "bfs"} {
@@ -48,6 +44,56 @@ func TestSweepBuildersMatchPaperSweepGolden(t *testing.T) {
 	sum := md5.Sum(out.Bytes())
 	if got, want := hex.EncodeToString(sum[:]), strings.TrimSpace(string(golden)); got != want {
 		t.Fatalf("seed-42 tables MD5 %s, golden %s:\n%s", got, want, out.String())
+	}
+}
+
+// paperSweepScale is cmd/nmobench's paper-sweep scale at seed 42:
+// QuickScale with the workload inputs divided by 16.
+func paperSweepScale() Scale {
+	sc := QuickScale()
+	sc.StreamElems /= 16
+	sc.CFDElems /= 16
+	sc.BFSNodes /= 16
+	sc.Seed = 42
+	return sc
+}
+
+// TestSweepArtifactsPinned pins the sweep artifacts the paper-sweep
+// golden leaves out (Fig. 7, Figs. 10–11 and the cross-ISA sweep):
+// each one, rendered through the index at the paper-sweep scale, must
+// hash to its recorded MD5.
+func TestSweepArtifactsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four benchmark-scale sweeps")
+	}
+	want := map[string]string{
+		"fig7":  "1981a139de873c1b378f885f833538fe",
+		"fig10": "7fba5b121038ef957e7bec243c600748",
+		"fig11": "debe6751b4cea07e67501afc650c659d",
+		"xisa":  "2bfc1dee29a081bcca0af5f18fc19cb7",
+	}
+	sel, err := SelectArtifacts("fig7,fig10,fig11,xisa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := paperSweepScale()
+	results := map[*Run]any{}
+	for _, a := range sel {
+		res, ok := results[a.Run]
+		if !ok {
+			if res, err = a.Run.Compute(sc); err != nil {
+				t.Fatal(err)
+			}
+			results[a.Run] = res
+		}
+		var out bytes.Buffer
+		if err := a.Render(&out, sc, res); err != nil {
+			t.Fatal(err)
+		}
+		sum := md5.Sum(out.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[a.ID] {
+			t.Errorf("%s MD5 %s, want %s:\n%s", a.ID, got, want[a.ID], out.String())
+		}
 	}
 }
 

@@ -11,22 +11,22 @@
 // the knobs; DefaultScale is what `nmorepro -exp all` runs, QuickScale
 // keeps unit tests and smoke benches fast.
 //
-// Every sweep submits its full grid (baselines included) as one
-// engine.Runner batch, sharding scenarios across Scale.Jobs workers;
-// aggregation walks results in submission order, so tables are
-// bit-identical at any worker count (DESIGN.md §7).
+// The sensitivity sweeps (Figs. 7–11 and the cross-ISA sweep) share
+// one grid runner: each sweep lists its arms (a baseline plus points of
+// Trials runs each), grid submits them as one engine.Runner batch
+// sharded across Scale.Jobs workers, and every point comes back as one
+// Metrics aggregate. Aggregation walks results in submission order, so
+// tables are bit-identical at any worker count (DESIGN.md §7).
 package experiments
 
 import (
 	"fmt"
 
-	"nmo/internal/analysis"
 	"nmo/internal/core"
 	"nmo/internal/engine"
 	"nmo/internal/machine"
 	"nmo/internal/perfev"
 	"nmo/internal/sampler"
-	"nmo/internal/sim"
 	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
@@ -168,37 +168,6 @@ func (sc Scale) scenario(name, workload string, threads int, cfg core.Config) en
 		Workload: func() (workloads.Workload, error) {
 			return sc.workloadFor(workload, threads)
 		},
-	}
-}
-
-// baselineScenario is the uninstrumented timing run (the paper's
-// main-function timing baseline), submitted as scenario 0 of a sweep.
-func (sc Scale) baselineScenario(workload string, threads int) engine.Scenario {
-	return sc.scenario(workload+"/baseline", workload, threads, core.DefaultConfig())
-}
-
-// trialResult is one profiled run's evaluation metrics.
-type trialResult struct {
-	accuracy   float64
-	overhead   float64
-	samples    uint64
-	collisions uint64 // flagged aux records, the paper's Fig. 8c metric
-	hwColl     uint64
-	truncated  uint64
-	profile    *core.Profile
-}
-
-// evalTrial evaluates Eq. (1) and overhead for one profiled run
-// against the sweep's baseline wall time.
-func evalTrial(p *core.Profile, cfg core.Config, baseline sim.Cycles) trialResult {
-	return trialResult{
-		accuracy:   analysis.Accuracy(p.MemAccesses, p.Sampler.Processed, cfg.EffectivePeriod()),
-		overhead:   analysis.Overhead(baseline, p.Wall),
-		samples:    p.Sampler.Processed,
-		collisions: p.Kernel.FlaggedCollisions,
-		hwColl:     p.Sampler.Collisions,
-		truncated:  p.Sampler.Truncated + p.Sampler.Dropped + p.Kernel.TruncatedRecords,
-		profile:    p,
 	}
 }
 

@@ -28,7 +28,7 @@ func planFixture(t *testing.T, compress bool) []byte {
 	t.Helper()
 	newW := NewWriterV2
 	if compress {
-		newW = NewWriterV21
+		newW = newWriterV21
 	}
 	tr := &Trace{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"},
 		Samples: fixtureSamples()}

@@ -177,7 +177,7 @@ func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 // v2 and v2.1 file to the one-sample-per-batch reference.
 func TestWriterV2EmitBatchByteIdentity(t *testing.T) {
 	src := synthTrace(200)
-	for _, newW := range []func(io.Writer, Meta, int) (*WriterV2, error){NewWriterV2, NewWriterV21} {
+	for _, newW := range []func(io.Writer, Meta, int) (*WriterV2, error){NewWriterV2, newWriterV21} {
 		var ref []byte
 		for _, split := range []int{1, 3, 16, 17, 200} {
 			var got bytes.Buffer

@@ -136,14 +136,6 @@ func NewWriterV2(w io.Writer, meta Meta, blockSamples int) (*WriterV2, error) {
 	return newWriterV2(w, meta, blockSamples, false)
 }
 
-// NewWriterV21 starts a v2.1 stream: the v2 layout with per-block
-// compression. The sample stream, index semantics, and rolling MD5 are
-// identical to a v2 stream over the same samples — only the block
-// payload bytes are packed differently.
-func NewWriterV21(w io.Writer, meta Meta, blockSamples int) (*WriterV2, error) {
-	return newWriterV2(w, meta, blockSamples, true)
-}
-
 // BufferedWriter is a v2 writer encoding into an io.Writer through a
 // bufio.Writer: the header and index are written field by field, so a
 // file behind it sees a few large writes instead of many small ones.

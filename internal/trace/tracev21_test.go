@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 )
 
+// newWriterV21 starts an unbuffered v2.1 stream: the v2 layout with
+// per-block compression.
+func newWriterV21(w io.Writer, meta Meta, blockSamples int) (*WriterV2, error) {
+	return newWriterV2(w, meta, blockSamples, true)
+}
+
 // encodeV21 streams tr through a v2.1 (compressed) writer into memory.
 func encodeV21(tr *Trace, blockSamples int) []byte {
-	return encodeWith(NewWriterV21, tr, blockSamples)
+	return encodeWith(newWriterV21, tr, blockSamples)
 }
 
 // TestSnappyRoundTrip pins the block codec on shapes it must handle:

@@ -110,23 +110,17 @@ type SampleSource = trace.SampleSource
 // TraceReaderV2 reads a blocked, indexed v2 trace file out-of-core.
 type TraceReaderV2 = trace.ReaderV2
 
-// TraceWriterV2 streams samples into the v2 format (it is a TraceSink).
-type TraceWriterV2 = trace.WriterV2
-
 // OpenTraceV2 opens a v2 trace for out-of-core reading: only the
 // header and footer block index load; samples stream block-by-block.
 func OpenTraceV2(r io.ReadSeeker) (*TraceReaderV2, error) { return trace.OpenV2(r) }
 
-// NewTraceWriterV2 starts a streamed v2 trace (blockSamples 0 = the
-// default block granularity).
-func NewTraceWriterV2(w io.Writer, meta TraceMeta, blockSamples int) (*TraceWriterV2, error) {
-	return trace.NewWriterV2(w, meta, blockSamples)
-}
-
-// NewTraceWriterV21 starts a streamed v2.1 trace: the v2 layout with
-// per-block compression, identical sample stream and rolling MD5.
-func NewTraceWriterV21(w io.Writer, meta TraceMeta, blockSamples int) (*TraceWriterV2, error) {
-	return trace.NewWriterV21(w, meta, blockSamples)
+// NewTraceWriter starts a buffered trace stream on w: v2.1 (per-block
+// compression, same sample stream and rolling MD5) when compress is
+// set, v2 otherwise. Return it from Config.SinkFactory to stream a run
+// into a file. Close finishes the stream and flushes it; closing w
+// stays with the caller.
+func NewTraceWriter(w io.Writer, meta TraceMeta, compress bool) (TraceSink, error) {
+	return trace.NewBufferedWriter(w, meta, 0, compress)
 }
 
 // Machine is the simulated ARM platform workloads run on.
