@@ -15,10 +15,10 @@
 //	curl -s localhost:8077/v1/jobs/<id>
 //	curl -s localhost:8077/v1/jobs/<id>/trace -o run.nmo2
 //
-// Admission control: -workers bounds concurrently running jobs,
-// -queue bounds the waiting line (429 beyond it), and -backend-slots
-// caps how many running jobs may occupy one sampling backend, so a
-// flood of SPE sweeps cannot starve PEBS work (and vice versa).
+// Admission control: -workers bounds concurrently running jobs and
+// -queue bounds the waiting line (429 beyond it). A queued job runs
+// as soon as a worker is free: each job simulates its own machine, so
+// SPE and PEBS work never contend for a backend.
 // Identical jobs — same canonical config, machine spec and workload
 // shape — are answered from the cache without re-simulating; the
 // simulator's determinism makes the cached bytes exactly what a fresh
@@ -45,7 +45,6 @@ import (
 
 	"nmo/internal/auth"
 	"nmo/internal/obs"
-	"nmo/internal/sampler"
 	"nmo/internal/service"
 	"nmo/internal/zerocopy"
 )
@@ -58,7 +57,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", os.Getenv("NMO_CACHE_DIR"),
 		"cache spill directory, kept across restarts (default $NMO_CACHE_DIR; empty = a private temporary directory removed on exit)")
 	cacheDiskMiB := flag.Int("cache-disk-mib", 4096, "cache budget: trace bytes in the spill directory, MiB")
-	backendSlots := flag.Int("backend-slots", 0, "max running jobs per sampling backend (0 = unlimited)")
 	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
 		"append-only JSONL audit file: one event per HTTP request and job transition (default $NMO_AUDIT_LOG; empty = off)")
 	debugAddr := flag.String("debug-addr", "",
@@ -80,13 +78,13 @@ func main() {
 		Dir:        *cacheDir,
 		DiskBudget: int64(*cacheDiskMiB) << 20,
 	}
-	if err := run(*addr, *workers, *queueCap, *engineJobs, *backendSlots, ccfg, acfg, *auditLog, *debugAddr); err != nil {
+	if err := run(*addr, *workers, *queueCap, *engineJobs, ccfg, acfg, *auditLog, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "nmod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg service.CacheConfig, acfg auth.Config, auditLog, debugAddr string) error {
+func run(addr string, workers, queueCap, engineJobs int, ccfg service.CacheConfig, acfg auth.Config, auditLog, debugAddr string) error {
 	var audit *obs.AuditLog
 	if auditLog != "" {
 		var err error
@@ -108,12 +106,6 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 		EngineJobs: engineJobs,
 		Metrics:    service.NewMetrics(audit),
 		Quotas:     acfg.Quotas,
-	}
-	if backendSlots > 0 {
-		cfg.BackendSlots = map[sampler.Kind]int{}
-		for _, k := range sampler.Kinds() {
-			cfg.BackendSlots[k] = backendSlots
-		}
 	}
 	cache, err := service.NewCache(ccfg)
 	if err != nil {

@@ -41,7 +41,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8100", "listen address")
 	members := flag.String("members", "", "comma-separated nmod member addresses (required)")
-	replicas := flag.Int("replicas", gateway.DefaultReplicas, "virtual nodes per member on the hash ring")
 	probe := flag.Duration("probe", 2*time.Second, "member health-probe interval")
 	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
 		"append-only JSONL audit file: one event per HTTP request at the gateway edge (default $NMO_AUDIT_LOG; empty = off)")
@@ -60,13 +59,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nmogw:", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *members, *replicas, *probe, acfg, *auditLog, *debugAddr); err != nil {
+	if err := run(*addr, *members, *probe, acfg, *auditLog, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "nmogw:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, members string, replicas int, probe time.Duration, acfg auth.Config, auditLog, debugAddr string) error {
+func run(addr, members string, probe time.Duration, acfg auth.Config, auditLog, debugAddr string) error {
 	var list []string
 	for _, m := range strings.Split(members, ",") {
 		if m = strings.TrimSpace(m); m != "" {
@@ -90,7 +89,6 @@ func run(addr, members string, replicas int, probe time.Duration, acfg auth.Conf
 	}
 	gw, err := gateway.New(gateway.Config{
 		Members:    list,
-		Replicas:   replicas,
 		ProbeEvery: probe,
 		Audit:      audit,
 		Auth:       acfg,
@@ -113,7 +111,7 @@ func run(addr, members string, replicas int, probe time.Duration, acfg auth.Conf
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, gw.ZeroCopy())) }()
 	fmt.Printf("nmogw: listening on %s, routing %d members (%d vnodes each, probe %s, auth %s)\n",
-		addr, len(list), replicas, probe, acfg.Mode)
+		addr, len(list), gateway.DefaultReplicas, probe, acfg.Mode)
 
 	select {
 	case err := <-errc:

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -27,25 +28,39 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiment ids ("+experiments.ArtifactIDs()+") or all")
-	quick := flag.Bool("quick", false, "use the reduced QuickScale configuration")
-	csvDir := flag.String("csv", "", "directory for CSV series dumps (optional)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	jobs := flag.Int("jobs", 0, "parallel scenario workers (0 = one per CPU, 1 = serial; results identical)")
-	backend := flag.String("backend", "",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the selected renderings
+// to stdout and diagnostics to stderr, and returns the exit status (2
+// for a bad flag or flag value, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nmorepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiment ids ("+experiments.ArtifactIDs()+") or all")
+	quick := fs.Bool("quick", false, "use the reduced QuickScale configuration")
+	csvDir := fs.String("csv", "", "directory for CSV series dumps (optional)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	jobs := fs.Int("jobs", 0, "parallel scenario workers (0 = one per CPU, 1 = serial; results identical)")
+	backend := fs.String("backend", "",
 		"sampling backend for the sweeps ("+nmo.SupportedBackends()+"; default spe on ARM)")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, a := range experiments.Artifacts {
-			fmt.Printf("%-6s %s\n", a.ID, a.Title)
+			fmt.Fprintf(stdout, "%-6s %s\n", a.ID, a.Title)
 		}
-		return
+		return 0
 	}
 	sel, err := experiments.SelectArtifacts(*exp)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nmorepro: -exp: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "nmorepro: -exp: %v\n", err)
+		return 2
 	}
 
 	sc := experiments.DefaultScale()
@@ -61,12 +76,16 @@ func main() {
 		kind, err := nmo.ParseBackend(*backend)
 		if err != nil {
 			// The parse error names every supported backend.
-			fmt.Fprintf(os.Stderr, "nmorepro: -backend: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "nmorepro: -backend: %v\n", err)
+			return 2
 		}
 		sc.Backend = kind
 	}
 
+	fail := func(id string, err error) int {
+		fmt.Fprintf(stderr, "nmorepro: %s: %v\n", id, err)
+		return 1
+	}
 	// Results are small next to the runs that make them, so each is
 	// kept for every later artifact that shares its run.
 	results := map[*experiments.Run]any{}
@@ -74,27 +93,23 @@ func main() {
 		res, ok := results[a.Run]
 		if !ok {
 			if res, err = a.Run.Compute(sc); err != nil {
-				fail(a.ID, err)
+				return fail(a.ID, err)
 			}
 			results[a.Run] = res
 		}
-		if err := a.Render(os.Stdout, sc, res); err != nil {
-			fail(a.ID, err)
+		if err := a.Render(stdout, sc, res); err != nil {
+			return fail(a.ID, err)
 		}
 		if a.CSV == nil || *csvDir == "" {
 			continue
 		}
 		for _, s := range a.CSV(res) {
 			if err := dumpCSV(filepath.Join(*csvDir, s.File), s.Series); err != nil {
-				fail(a.ID, err)
+				return fail(a.ID, err)
 			}
 		}
 	}
-}
-
-func fail(id string, err error) {
-	fmt.Fprintf(os.Stderr, "nmorepro: %s: %v\n", id, err)
-	os.Exit(1)
+	return 0
 }
 
 func dumpCSV(path string, s *nmo.Series) error {

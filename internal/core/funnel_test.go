@@ -30,10 +30,10 @@ import (
 //
 // PEBS (internal/pebs): a selected sample is written to the DS buffer,
 // dropped (DS full, or overwritten while a capture was still armed),
-// or still armed when the run ends (at most one per core); the kernel
-// truncates what does not fit the aux area, and decodes the rest:
+// or still armed when the run ends (Armed, at most one per core); the
+// kernel truncates what does not fit the aux area, and decodes the rest:
 //
-//	Selected - Emitted - Dropped in [0, threads]
+//	Selected = Emitted + Dropped + Armed, Armed <= threads
 //	Emitted = Processed + Kernel.TruncatedRecords
 //
 // Both: each core's interval counter expires every Period events
@@ -41,7 +41,8 @@ import (
 func TestSampleFunnelIdentities(t *testing.T) {
 	const threads = 4
 	for _, kind := range sampler.Kinds() {
-		for _, period := range []uint64{128, 1024, 8192} {
+		// At period 16 every PEBS core ends its run with a sample armed.
+		for _, period := range []uint64{16, 128, 1024, 8192} {
 			for _, aux := range []struct {
 				name  string
 				pages int
@@ -81,8 +82,8 @@ func checkFunnel(t *testing.T, kind sampler.Kind, period uint64, threads int, au
 	}
 	switch kind {
 	case sampler.KindSPE:
-		if s.Dropped != 0 {
-			t.Errorf("SPE Dropped = %d, want 0", s.Dropped)
+		if s.Dropped != 0 || s.Armed != 0 {
+			t.Errorf("SPE Dropped = %d, Armed = %d, want 0", s.Dropped, s.Armed)
 		}
 		if s.OpsSeen < p.MemAccesses {
 			t.Errorf("SPE saw %d ops, fewer than the %d memory accesses", s.OpsSeen, p.MemAccesses)
@@ -108,8 +109,8 @@ func checkFunnel(t *testing.T, kind sampler.Kind, period uint64, threads int, au
 		if s.OpsSeen != p.MemAccesses {
 			t.Errorf("PEBS counted %d events, MEM_INST_RETIRED.ANY %d", s.OpsSeen, p.MemAccesses)
 		}
-		if armed := s.Selected - s.Emitted - s.Dropped; s.Emitted+s.Dropped > s.Selected || armed > uint64(threads) {
-			t.Errorf("%d selected, %d written, %d dropped", s.Selected, s.Emitted, s.Dropped)
+		if s.Selected != s.Emitted+s.Dropped+s.Armed || s.Armed > uint64(threads) {
+			t.Errorf("%d selected, %d written, %d dropped, %d armed", s.Selected, s.Emitted, s.Dropped, s.Armed)
 		}
 		if s.Emitted != s.Processed+k.TruncatedRecords || s.SkippedInvalid != 0 {
 			t.Errorf("%d written; decoded %d (+%d skipped), kernel truncated %d",

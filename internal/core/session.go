@@ -17,7 +17,7 @@ import (
 // SamplerAgg aggregates the sampling units' normalized counters plus
 // the decode-side outcomes across all cores of a run. Mechanism-
 // specific counters stay zero on the backend without the mechanism
-// (Collisions on PEBS; Dropped and SkidTotal on SPE).
+// (Collisions on PEBS; Dropped, SkidTotal and Armed on SPE).
 type SamplerAgg struct {
 	sampler.Stats
 	// Processed counts records the decoder accepted — the "samples"
@@ -628,6 +628,7 @@ func (r *run) aggregate() error {
 		prof.Sampler.Corrupted += u.Corrupted
 		prof.Sampler.Dropped += u.Dropped
 		prof.Sampler.SkidTotal += u.SkidTotal
+		prof.Sampler.Armed += u.Armed
 		k := ev.Stats()
 		prof.Kernel.Wakeups += k.Wakeups
 		prof.Kernel.AuxRecords += k.AuxRecords

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"nmo/internal/core"
 	"nmo/internal/machine"
@@ -98,46 +99,31 @@ func (r Runner) RunAll(scenarios []Scenario) []Result {
 // queued work on DELETE without tearing down the worker pool.
 func (r Runner) RunAllContext(ctx context.Context, scenarios []Scenario) []Result {
 	results := make([]Result, len(scenarios))
-	if len(scenarios) == 0 {
-		return results
-	}
-
-	exec := func(wk *worker, i int) {
-		sc := &scenarios[i]
-		results[i].Name = sc.Name
-		if err := ctx.Err(); err != nil {
-			results[i].Err = err
-			return
-		}
-		results[i].Profile, results[i].Err = runScenario(sc, wk)
-	}
-
-	jobs := r.jobs(len(scenarios))
-	if jobs == 1 {
-		// Serial fast path: no goroutines, same code path otherwise.
+	// Workers claim scenario indices from one counter. The calling
+	// goroutine is one of them, so a one-worker batch runs inline with
+	// no goroutine or channel hand-off per scenario.
+	var next atomic.Int64
+	work := func() {
 		var wk worker
-		for i := range scenarios {
-			exec(&wk, i)
+		for i := int(next.Add(1) - 1); i < len(scenarios); i = int(next.Add(1) - 1) {
+			sc := &scenarios[i]
+			results[i].Name = sc.Name
+			if err := ctx.Err(); err != nil {
+				results[i].Err = err
+				continue
+			}
+			results[i].Profile, results[i].Err = runScenario(sc, &wk)
 		}
-		return results
 	}
-
-	idx := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
+	for w := 1; w < r.jobs(len(scenarios)); w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var wk worker
-			for i := range idx {
-				exec(&wk, i)
-			}
+			work()
 		}()
 	}
-	for i := range scenarios {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	return results
 }

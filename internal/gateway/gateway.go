@@ -24,13 +24,12 @@ import (
 type Config struct {
 	// Members are the shard daemon addresses ("host:port" or full
 	// URLs). Their order fixes each shard's index — the routing prefix
-	// baked into gateway job IDs — so every gateway instance configured
-	// with the same list routes identically (the tier holds no state a
-	// restart could lose).
+	// baked into gateway job IDs — and the ring always has
+	// DefaultReplicas virtual nodes per member, so the list is the only
+	// routing input: every gateway instance configured with the same
+	// list routes identically (the tier holds no state a restart could
+	// lose).
 	Members []string
-	// Replicas is the ring's virtual-node count per member (<= 0:
-	// DefaultReplicas).
-	Replicas int
 	// ProbeEvery is the health-probe interval (<= 0: 2s). Probes hit
 	// each member's /v1/healthz, each bounded at 2s.
 	ProbeEvery time.Duration
@@ -99,7 +98,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		byBase:     make(map[string]*member),
-		ring:       NewRing(cfg.Replicas),
+		ring:       NewRing(DefaultReplicas),
 		probeEvery: cfg.ProbeEvery,
 		stop:       make(chan struct{}),
 		zc:         new(zerocopy.Counters),

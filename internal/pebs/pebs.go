@@ -246,7 +246,7 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 		// The previous sample is still waiting out its skid window;
 		// the microcode tracks one capture at a time, so the older
 		// sample is lost. Counted as Dropped to keep the invariant
-		// Selected == Emitted + Dropped (+ at most one still armed).
+		// Selected == Emitted + Dropped + Armed.
 		u.stats.Dropped++
 	}
 	// Arm a capture: record the memory operands now, the IP after the
@@ -309,8 +309,14 @@ func (u *Unit) firePMI(now sim.Cycles) {
 	u.pmiPending = !accepted
 }
 
-// Flush delivers any residual records (end of run).
+// Flush delivers any residual records (end of run). A sample still
+// armed in its skid window has no IP yet: it is counted as Armed and
+// disarmed, not captured.
 func (u *Unit) Flush(now sim.Cycles) {
+	if u.armed {
+		u.stats.Armed++
+		u.armed = false
+	}
 	if len(u.ds) > 0 {
 		u.firePMI(now)
 	}

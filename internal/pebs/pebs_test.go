@@ -302,8 +302,8 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 func TestArmedOverwriteCountsDropped(t *testing.T) {
 	// Period at or below the skid window: counter overflows faster
 	// than armed samples resolve, so older armed samples are lost —
-	// and must be accounted, keeping Selected == Emitted + Dropped
-	// (plus at most one sample still armed at the end).
+	// and must be accounted, keeping Selected == Emitted + Dropped +
+	// Armed.
 	u := NewUnit(Config{Event: EventLoads, Period: 2, SkidOps: 8},
 		xrand.New(3), discardHost)
 	u.Enable()
@@ -316,9 +316,29 @@ func TestArmedOverwriteCountsDropped(t *testing.T) {
 	if st.Dropped == 0 {
 		t.Fatal("no drops despite period <= skid window")
 	}
-	if got := st.Emitted + st.Dropped; got != st.Selected && got != st.Selected-1 {
-		t.Errorf("Selected=%d != Emitted=%d + Dropped=%d (+<=1 armed)",
-			st.Selected, st.Emitted, st.Dropped)
+	if st.Selected != st.Emitted+st.Dropped+st.Armed || st.Armed > 1 {
+		t.Errorf("Selected=%d != Emitted=%d + Dropped=%d + Armed=%d",
+			st.Selected, st.Emitted, st.Dropped, st.Armed)
+	}
+}
+
+// TestFlushCountsArmedSample: a sample still waiting out its skid
+// window when the run ends is counted as Armed and disarmed; it is not
+// captured, so no record reaches the host.
+func TestFlushCountsArmedSample(t *testing.T) {
+	var u *Unit
+	ld := loadOp(1, 2)
+	for seed := uint64(1); u == nil || !u.armed; seed++ {
+		u = NewUnit(Config{Event: EventLoads, Period: 1, SkidOps: 8}, xrand.New(seed),
+			pmiHost(func([]byte) bool { t.Fatal("armed sample delivered"); return true }))
+		u.Enable()
+		u.OnOp(0, &ld, 4, 0, false, false)
+	}
+	u.Flush(1)
+	u.Flush(2)
+	st := u.Stats()
+	if st.Selected != 1 || st.Armed != 1 || st.Emitted != 0 || st.Dropped != 0 || u.armed {
+		t.Errorf("after flush: %+v (armed %t), want 1 selected, 1 armed, disarmed", st, u.armed)
 	}
 }
 

@@ -25,7 +25,7 @@
 //
 // The normalization contract: both units account into the same Stats
 // (backend-specific mechanisms land in dedicated fields — Collisions
-// stays zero on PEBS, Dropped/SkidTotal stay zero on SPE), and both
+// stays zero on PEBS, Dropped/SkidTotal/Armed stay zero on SPE), and both
 // decoders emit the same Sample (PC, VA, raw cycle timestamp, latency,
 // memory level, store flag), so the attribution pipeline above never
 // branches on the ISA. Which unit and decoder a Kind selects, and how
@@ -116,6 +116,9 @@ type Stats struct {
 	Corrupted  uint64 // SPE: mangled records emitted after collisions
 	Dropped    uint64 // PEBS: records lost to DS-buffer overflow (0 on SPE)
 	SkidTotal  uint64 // PEBS: accumulated shadowing skid, in ops (0 on SPE)
+	// Armed counts samples still armed in their skid window at end of
+	// run; counted, not captured; 0 on SPE.
+	Armed uint64
 }
 
 // Unit is one core's sampling hardware. Units are driven

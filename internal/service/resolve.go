@@ -27,7 +27,6 @@ type resolved struct {
 	mach machine.Spec // platform the scenario runs on
 	cfg  core.Config  // resolved profiler configuration
 	key  string       // scenario content-address (hex)
-	kind sampler.Kind // resolved backend (admission-control resource)
 }
 
 // Sanity bounds on workload shapes: generous enough for any paper-
@@ -162,7 +161,6 @@ func resolveScenario(sp ScenarioSpec, index int) (resolved, error) {
 		mach: spec,
 		cfg:  cfg,
 		key:  scenarioKey(sp, spec, cfg),
-		kind: cfg.Backend,
 	}, nil
 }
 
@@ -249,24 +247,3 @@ func resolveJob(spec JobSpec) ([]resolved, string, error) {
 // maxScenarios bounds one job's grid; sweeps larger than this should
 // be split into jobs so the queue stays responsive.
 const maxScenarios = 256
-
-// backends returns the distinct backend kinds a job's scenarios
-// occupy, in first-appearance order — the resources its admission is
-// checked against.
-func backends(rs []resolved) []sampler.Kind {
-	var out []sampler.Kind
-	for i := range rs {
-		k := rs[i].kind
-		found := false
-		for _, o := range out {
-			if o == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, k)
-		}
-	}
-	return out
-}

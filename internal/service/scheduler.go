@@ -18,7 +18,6 @@ import (
 	"nmo/internal/obs"
 	"nmo/internal/postproc"
 	"nmo/internal/report"
-	"nmo/internal/sampler"
 	"nmo/internal/trace"
 )
 
@@ -34,13 +33,6 @@ type SchedConfig struct {
 	// oversubscribe the host; results are bit-identical at any
 	// value).
 	EngineJobs int
-	// BackendSlots caps concurrently *running* jobs per sampling
-	// backend: a job occupies one slot on every backend its scenarios
-	// resolve to, and a worker never starts a job whose backends are
-	// saturated — it picks the next admissible job instead (the
-	// conflict-constrained selection of the queue). nil or a missing
-	// kind means unlimited.
-	BackendSlots map[sampler.Kind]int
 	// MaxJobs bounds retained job records (<= 0: 1024). Terminal jobs
 	// beyond the bound are forgotten oldest-first — their IDs then
 	// 404, but the *results* stay addressable: an identical
@@ -87,8 +79,7 @@ type Job struct {
 	quotaReleased bool
 
 	rs    []resolved
-	kinds []sampler.Kind // distinct backends (admission resources)
-	entry *entry         // cache slot this job serves from / fills
+	entry *entry // cache slot this job serves from / fills
 
 	enqueued time.Time // leader enqueue instant (queue-wait phase)
 
@@ -174,9 +165,9 @@ func (j *Job) finish(art *JobArtifacts, err error) {
 // pool. Submission performs cache admission (hit, coalesce, or
 // enqueue-as-leader) plus tenant quota admission; workers drain
 // per-tenant queues by weighted deficit round robin, and within the
-// chosen tenant pick the highest-priority *admissible* job — one whose
-// backends all have a free slot — so a saturated backend never blocks
-// jobs that only need the other one.
+// chosen tenant run its highest-priority job. A queued job runs as
+// soon as a worker is free: every job simulates on its engine worker's
+// own machine, so jobs share no resource but the workers.
 type Scheduler struct {
 	cfg   SchedConfig
 	cache *Cache
@@ -189,13 +180,12 @@ type Scheduler struct {
 	// active iff it has queued jobs. The queued, running and in-flight
 	// counts live in registry gauges (Metrics.Queued and Running, and
 	// each tenant's), moved under mu.
-	tqs     map[string]*tenantQueue
-	active  []*tenantQueue
-	jobs    map[string]*Job
-	order   []*Job // submission order (job-record pruning)
-	running map[sampler.Kind]int
-	closed  bool
-	seq     uint64
+	tqs    map[string]*tenantQueue
+	active []*tenantQueue
+	jobs   map[string]*Job
+	order  []*Job // submission order (job-record pruning)
+	closed bool
+	seq    uint64
 
 	// baseCtx parents every job context, so Close cancels whatever is
 	// running — including jobs in the pop-to-run window whose cancel
@@ -230,7 +220,7 @@ func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 	}
 	s := &Scheduler{cfg: cfg, cache: cache, m: cfg.Metrics,
 		tqs:  make(map[string]*tenantQueue),
-		jobs: make(map[string]*Job), running: make(map[sampler.Kind]int)}
+		jobs: make(map[string]*Job)}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cond = sync.NewCond(&s.mu)
 	cache.instrument(s.m.Reg)
@@ -277,7 +267,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	job := &Job{
 		ID: newID(), Key: key, Tenant: tenant, Priority: spec.Priority,
 		reqID: reqID, audit: s.m.Audit, tm: tm,
-		rs: rs, kinds: backends(rs), state: StateQueued,
+		rs: rs, state: StateQueued,
 	}
 
 	s.mu.Lock()
@@ -553,69 +543,34 @@ func (s *Scheduler) Close() {
 }
 
 // popLocked removes and returns the next job under weighted deficit
-// round robin across tenants, or nil when nothing is admissible.
+// round robin across tenants, or nil when nothing is queued.
 //
 // The front of the active rotation owns the turn. Entering a turn with
 // no credit replenishes it to the tenant's weight; each popped job
 // costs one credit (unit job cost — jobs are comparable engine
 // batches), and the tenant keeps the front until its credit or its
 // queue runs out, then rotates to the back. Under saturation that
-// yields exact weight ratios (3:1 → A,A,A,B repeating). A tenant whose
-// queued jobs are all inadmissible (saturated backends) passes its
-// turn without burning credit, so backend conflicts never tax a
-// tenant's share. With a single tenant the whole mechanism reduces to
-// the pre-multi-tenant scan: first admissible job in (priority desc,
-// seq asc) order — bit-identical scheduling.
-//
-// Within the chosen tenant, admissibility and ordering are unchanged:
-// every backend the job occupies must have a free slot, and the
-// priority-ordered scan returns the first fit (no head-of-line
-// blocking across backends; FIFO within one backend's contenders).
+// yields exact weight ratios (3:1 → A,A,A,B repeating). Within the
+// tenant the head job runs, first in (priority desc, seq asc) order;
+// with a single tenant this is a plain priority queue.
 func (s *Scheduler) popLocked() *Job {
-	for visited := 0; visited < len(s.active); {
-		tq := s.active[0]
-		if tq.credit <= 0 {
-			tq.credit = tq.weight
-		}
-		if j := s.popTenantLocked(tq); j != nil {
-			tq.credit--
-			if len(tq.jobs) == 0 {
-				s.deactivateLocked(tq)
-			} else if tq.credit == 0 {
-				s.active = append(s.active[1:], tq)
-			}
-			return j
-		}
-		// Nothing admissible for this tenant right now: pass the turn,
-		// keep the credit for when its backends free up.
+	if len(s.active) == 0 {
+		return nil
+	}
+	tq := s.active[0]
+	if tq.credit <= 0 {
+		tq.credit = tq.weight
+	}
+	j := tq.jobs[0]
+	tq.jobs = append(tq.jobs[:0], tq.jobs[1:]...)
+	s.countQueued(j, -1)
+	tq.credit--
+	if len(tq.jobs) == 0 {
+		s.deactivateLocked(tq)
+	} else if tq.credit == 0 {
 		s.active = append(s.active[1:], tq)
-		visited++
 	}
-	return nil
-}
-
-// popTenantLocked removes the tenant's best admissible job, or nil.
-func (s *Scheduler) popTenantLocked(tq *tenantQueue) *Job {
-	for i, j := range tq.jobs {
-		if s.admissibleLocked(j) {
-			tq.jobs = append(tq.jobs[:i], tq.jobs[i+1:]...)
-			s.countQueued(j, -1)
-			return j
-		}
-	}
-	return nil
-}
-
-func (s *Scheduler) admissibleLocked(j *Job) bool {
-	if s.cfg.BackendSlots == nil {
-		return true
-	}
-	for _, k := range j.kinds {
-		if lim, ok := s.cfg.BackendSlots[k]; ok && lim > 0 && s.running[k] >= lim {
-			return false
-		}
-	}
-	return true
+	return j
 }
 
 // releaseQuotaLocked returns a leader job's in-flight quota unit.
@@ -629,8 +584,8 @@ func (s *Scheduler) releaseQuotaLocked(j *Job) {
 	j.tm.InFlight.Dec()
 }
 
-// worker is the scheduler loop: pick an admissible job, reserve its
-// backend slots, run it, release, repeat.
+// worker is the scheduler loop: pop a job, run it, release its
+// quota unit, repeat.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -646,9 +601,6 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		for _, k := range job.kinds {
-			s.running[k]++
-		}
 		s.m.Running.Inc()
 		job.tm.Running.Inc()
 		s.mu.Unlock()
@@ -656,14 +608,9 @@ func (s *Scheduler) worker() {
 		s.runJob(job)
 
 		s.mu.Lock()
-		for _, k := range job.kinds {
-			s.running[k]--
-		}
 		s.m.Running.Dec()
 		job.tm.Running.Dec()
 		s.releaseQuotaLocked(job)
-		// A slot freed: jobs previously inadmissible may fit now.
-		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"nmo/internal/core"
 	"nmo/internal/engine"
 	"nmo/internal/machine"
-	"nmo/internal/sampler"
 	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
@@ -379,71 +378,6 @@ func TestQueueCapRejects(t *testing.T) {
 	st := s.Stats()
 	if st.Rejected == 0 {
 		t.Error("rejection not counted")
-	}
-}
-
-// waitState polls until the job reaches the state (or any terminal
-// one) and reports whether it was observed.
-func waitState(j *Job, want JobState, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		st := j.Info().State
-		if st == want {
-			return true
-		}
-		if st.Terminal() {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return false
-}
-
-// TestBackendSlotsAdmission: a saturated backend queues its
-// contenders, but jobs on the other backend are admitted past them —
-// the conflict-constrained pop.
-func TestBackendSlotsAdmission(t *testing.T) {
-	s := newTestScheduler(t, SchedConfig{
-		Workers:      2,
-		BackendSlots: map[sampler.Kind]int{sampler.KindSPE: 1, sampler.KindPEBS: 1},
-	})
-
-	// A long SPE job saturates the single SPE slot.
-	long := quickSpec(30)
-	long.Elems = 400_000
-	head, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{long}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !waitState(head, StateRunning, 30*time.Second) {
-		t.Fatalf("head job never ran (state %s)", head.Info().State)
-	}
-
-	spe2, err := s.Submit(context.Background(), quickJob(31)) // SPE: must wait for the slot
-	if err != nil {
-		t.Fatal(err)
-	}
-	pebs := quickSpec(32)
-	pebs.Backend = "pebs"
-	jp, err := s.Submit(context.Background(), JobSpec{Scenarios: []ScenarioSpec{pebs}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The PEBS job is admitted past the queued SPE contender (a free
-	// worker exists, and its backend has a free slot).
-	if info := waitDone(t, jp); info.State != StateDone {
-		t.Fatalf("pebs job: %s (%s)", info.State, info.Error)
-	}
-	if head.Info().State == StateRunning {
-		if st := spe2.Info().State; st != StateQueued {
-			t.Errorf("second SPE job is %s while the SPE slot is saturated, want queued", st)
-		}
-	}
-	// Drain: once the head releases the slot, the queued SPE job runs.
-	waitDone(t, head)
-	if info := waitDone(t, spe2); info.State != StateDone {
-		t.Fatalf("queued SPE job: %s (%s)", info.State, info.Error)
 	}
 }
 

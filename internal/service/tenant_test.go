@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -82,8 +83,7 @@ func TestDRRFairShareOrder(t *testing.T) {
 }
 
 // TestDRRSingleTenantOrderUnchanged: with one tenant the DRR machinery
-// must degenerate to the pre-multi-tenant policy — first admissible
-// job in (priority desc, seq asc) order — so single-tenant scheduling
+// must degenerate to the pre-multi-tenant policy — first job in (priority desc, seq asc) order — so single-tenant scheduling
 // is bit-identical to the old scheduler.
 func TestDRRSingleTenantOrderUnchanged(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
@@ -105,6 +105,152 @@ func TestDRRSingleTenantOrderUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("single-tenant pop order = %v, want %v", got, want)
 	}
+}
+
+// stopWorkers ends the scheduler's worker pool, so only the test pops
+// and pop order is observable across unlocked calls such as Cancel.
+// Close later finds no workers to wait for.
+func stopWorkers(s *Scheduler) {
+	s.mu.Lock()
+	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.wg.Wait()
+	s.mu.Lock()
+	s.closed = false
+	s.mu.Unlock()
+}
+
+// refTenant and refDRR are the reference weighted deficit round robin
+// the scheduler must match: active tenants in activation order, the
+// front one replenished to its weight when out of credit, one credit
+// per popped job, rotation when the credit runs out, deactivation (and
+// credit reset) when the queue empties; each queue in (priority desc,
+// seq asc) order.
+type refTenant struct {
+	weight, credit int
+	jobs           []*Job
+}
+
+type refDRR struct {
+	tenants map[string]*refTenant
+	active  []*refTenant
+}
+
+func (r *refDRR) enqueue(j *Job) {
+	t := r.tenants[j.Tenant]
+	if len(t.jobs) == 0 {
+		r.active = append(r.active, t)
+	}
+	i := 0
+	for i < len(t.jobs) && (t.jobs[i].Priority > j.Priority ||
+		t.jobs[i].Priority == j.Priority && t.jobs[i].seq < j.seq) {
+		i++
+	}
+	t.jobs = append(t.jobs[:i], append([]*Job{j}, t.jobs[i:]...)...)
+}
+
+func (r *refDRR) remove(t *refTenant, i int) {
+	t.jobs = append(t.jobs[:i], t.jobs[i+1:]...)
+	if len(t.jobs) > 0 {
+		return
+	}
+	t.credit = 0
+	for k, a := range r.active {
+		if a == t {
+			r.active = append(r.active[:k], r.active[k+1:]...)
+			return
+		}
+	}
+}
+
+func (r *refDRR) pop() *Job {
+	if len(r.active) == 0 {
+		return nil
+	}
+	t := r.active[0]
+	if t.credit == 0 {
+		t.credit = t.weight
+	}
+	j := t.jobs[0]
+	t.credit--
+	r.remove(t, 0)
+	if len(t.jobs) > 0 && t.credit == 0 {
+		r.active = append(r.active[1:], t)
+	}
+	return j
+}
+
+// TestDRRMatchesReference compares every pop of the scheduler with the
+// reference DRR over 200 seeded random schedules: 1–4 tenants at
+// weights 1–4, jobs at priorities 0–3, and enqueues, pops and cancels
+// of queued jobs interleaved.
+func TestDRRMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		quotas := &auth.Quotas{Tenants: map[string]auth.TenantQuota{}}
+		ref := &refDRR{tenants: map[string]*refTenant{}}
+		var names []string
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			name := fmt.Sprintf("t%d", i)
+			w := 1 + rng.Intn(4)
+			names = append(names, name)
+			quotas.Tenants[name] = auth.TenantQuota{Weight: w}
+			ref.tenants[name] = &refTenant{weight: w}
+		}
+		s := newTestScheduler(t, SchedConfig{Workers: 1, Quotas: quotas})
+		stopWorkers(s)
+
+		var queued []*Job // cancel candidates, in enqueue order
+		for step := 0; step < 80; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5:
+				s.mu.Lock()
+				j := enqueueRaw(s, names[rng.Intn(len(names))], rng.Intn(4))
+				j.entry, _ = s.cache.Acquire(j.ID) // Cancel aborts it
+				s.jobs[j.ID] = j                   // Cancel looks it up
+				s.mu.Unlock()
+				ref.enqueue(j)
+				queued = append(queued, j)
+			case op < 9 || len(queued) == 0:
+				s.mu.Lock()
+				got := s.popLocked()
+				s.mu.Unlock()
+				want := ref.pop()
+				if got != want {
+					t.Fatalf("seed %d step %d: pop = %v, reference = %v", seed, step, jobID(got), jobID(want))
+				}
+				for i, q := range queued {
+					if q == got {
+						queued = append(queued[:i], queued[i+1:]...)
+						break
+					}
+				}
+			default:
+				i := rng.Intn(len(queued))
+				j := queued[i]
+				queued = append(queued[:i], queued[i+1:]...)
+				if err := s.Cancel(j.ID); err != nil {
+					t.Fatal(err)
+				}
+				rt := ref.tenants[j.Tenant]
+				for k, q := range rt.jobs {
+					if q == j {
+						ref.remove(rt, k)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// jobID names a popped job for failure messages ("<nil>" when none).
+func jobID(j *Job) string {
+	if j == nil {
+		return "<nil>"
+	}
+	return j.ID
 }
 
 // TestDRRIdleTenantNoCreditBanking: a tenant that goes idle and comes

@@ -7,11 +7,10 @@
 // Three pieces compose the subsystem:
 //
 //   - A bounded-worker Scheduler with FIFO-within-priority queueing
-//     and per-backend admission control: jobs whose scenarios contend
-//     for the same simulated backend (SPE on the Altra model, PEBS on
-//     the Ice Lake model) occupy that backend's slots, a
-//     conflict-constrained selection in the spirit of the
-//     conflict-pair literature (PAPERS.md).
+//     per tenant, drained by weighted deficit round robin. A queued
+//     job runs as soon as a worker is free: each job simulates its own
+//     machine (SPE on the Altra model, PEBS on the Ice Lake model), so
+//     jobs contend for workers only.
 //   - A content-addressed, single-flight result Cache keyed by the
 //     canonical hash of each scenario's resolved core.Config +
 //     machine.Spec + workload shape. Runs are deterministic (jobs=1

@@ -21,8 +21,8 @@
 // show *lower* overhead at period 1000 than at 4000 in Fig. 8b.
 //
 // Unit implements sampler.Unit and Decoder implements sampler.Decoder;
-// the PEBS-only counters of sampler.Stats (Dropped, SkidTotal) stay
-// zero here.
+// the PEBS-only counters of sampler.Stats (Dropped, SkidTotal, Armed)
+// stay zero here.
 package spe
 
 import (
