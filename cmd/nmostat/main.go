@@ -75,11 +75,11 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.workload, "workload", "stream", "stream | cfd | bfs")
-	flag.IntVar(&o.threads, "threads", 32, "worker threads")
-	flag.IntVar(&o.elems, "elems", 2_000_000, "elements/nodes")
-	flag.IntVar(&o.iters, "iters", 2, "iterations (stream/cfd; bfs always runs 3 traversals)")
-	flag.IntVar(&o.cores, "cores", 128, "machine cores")
-	flag.Uint64Var(&o.seed, "seed", 42, "workload seed")
+	flag.IntVar(&o.threads, "threads", service.DefaultThreads, "worker threads")
+	flag.IntVar(&o.elems, "elems", service.DefaultElems, "elements/nodes")
+	flag.IntVar(&o.iters, "iters", service.DefaultIters, "iterations (stream/cfd; bfs always runs 3 traversals)")
+	flag.IntVar(&o.cores, "cores", service.DefaultCores, "machine cores")
+	flag.Uint64Var(&o.seed, "seed", service.DefaultSeed, "workload seed")
 	flag.StringVar(&o.trace, "trace", "", "inspect a trace file instead of running a workload")
 	flag.Uint64Var(&o.fromNs, "from", 0, "trace mode: keep samples with time >= from (ns)")
 	flag.Uint64Var(&o.toNs, "to", 0, "trace mode: keep samples with time < to (ns; 0 = unbounded)")

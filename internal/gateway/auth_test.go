@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -16,101 +15,16 @@ import (
 	"nmo/internal/service"
 )
 
-// newAuthFleet builds n shards and a gateway that all share one HMAC
-// key: the gateway terminates end-user JWTs, the shards run in jwt
-// mode too and trust only the gateway's signed internal header.
-func newAuthFleet(t *testing.T, n int, quotas *auth.Quotas) (*fleet, []byte) {
-	t.Helper()
-	key := []byte("fleet-shared-hmac-key-for-tests!")
-	f := &fleet{}
-	members := make([]string, n)
-	for i := 0; i < n; i++ {
-		sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: quotas}, nil)
-		t.Cleanup(sched.Close)
-		mw, err := auth.NewMiddleware(auth.Config{Mode: auth.ModeJWT, Key: key, Quotas: quotas})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(service.NewServer(sched, service.WithAuth(mw)))
-		t.Cleanup(srv.Close)
-		f.scheds = append(f.scheds, sched)
-		f.shards = append(f.shards, srv)
-		f.clients = append(f.clients, service.NewClient(srv.URL))
-		members[i] = srv.URL
-	}
-	gw, err := New(Config{
-		Members:    members,
-		ProbeEvery: 100 * time.Millisecond,
-		Auth:       auth.Config{Mode: auth.ModeJWT, Key: key, Quotas: quotas},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	f.gw = gw
-	f.front = httptest.NewServer(gw)
-	t.Cleanup(f.front.Close)
-	f.client = service.NewClient(f.front.URL)
-	return f, key
-}
-
-// TestGatewayJWTAuth drives the authenticated fleet end to end: 401
-// envelope without a token, full job lifecycle with one, the tenant
-// principal threaded gateway→shard into the job record, per-tenant
-// series in the gateway's /metrics, and the open operational surface.
+// TestGatewayJWTAuth drives the authenticated fleet end to end past
+// the token checks TestWireConformance makes: with a valid token the
+// whole job lifecycle works, the tenant principal crosses the signed
+// gateway→shard hop into the job record, and the gateway's /metrics
+// carries per-tenant series.
 func TestGatewayJWTAuth(t *testing.T) {
-	f, key := newAuthFleet(t, 2, nil)
+	f := newAuthFleet(t, 2, nil)
 	ctx := context.Background()
 
-	// No token: 401 with the unauthorized envelope on every job route.
-	for _, probe := range []struct{ method, path string }{
-		{"POST", "/v1/jobs"},
-		{"GET", "/v1/jobs/s0-jx"},
-		{"GET", "/v1/jobs/s0-jx/result"},
-		{"GET", "/v1/jobs/s0-jx/trace"},
-		{"DELETE", "/v1/jobs/s0-jx"},
-	} {
-		req, err := http.NewRequest(probe.method, f.front.URL+probe.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("%s %s = %d, want 401", probe.method, probe.path, resp.StatusCode)
-		}
-		var env struct {
-			Error *obs.APIError `json:"error"`
-		}
-		if err := json.Unmarshal(body, &env); err != nil || env.Error == nil ||
-			env.Error.Code != obs.CodeUnauthorized || env.Error.RequestID == "" {
-			t.Errorf("%s %s body %q is not the unauthorized envelope", probe.method, probe.path, body)
-		}
-	}
-
-	// The client surfaces the typed error.
-	if _, err := f.client.Submit(ctx, spec(500)); !errors.Is(err, &service.APIError{Code: obs.CodeUnauthorized}) {
-		t.Fatalf("tokenless submit err = %v, want unauthorized", err)
-	}
-
-	// A forged token (wrong key) is rejected too.
-	forged, err := auth.SignHS256([]byte("not-the-fleet-key"), auth.Claims{Tenant: "ops"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.client.Token = forged
-	if _, err := f.client.Submit(ctx, spec(500)); !errors.Is(err, &service.APIError{Code: obs.CodeUnauthorized}) {
-		t.Fatalf("forged-token submit err = %v, want unauthorized", err)
-	}
-
-	// With a valid token the full lifecycle works and the job lands on
-	// the shard recorded under the token's tenant — the principal
-	// crossed the gateway→shard hop via the signed header.
-	tok, err := auth.SignHS256(key, auth.Claims{Tenant: "ops", Exp: time.Now().Add(time.Hour).Unix()})
+	tok, err := auth.SignHS256(fleetKey, auth.Claims{Tenant: "ops", Exp: time.Now().Add(time.Hour).Unix()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,44 +40,9 @@ func TestGatewayJWTAuth(t *testing.T) {
 		t.Error("trace with token came back empty")
 	}
 
-	// A bare dev header is not a credential in jwt mode.
-	req, _ := http.NewRequest("GET", f.front.URL+"/v1/jobs/"+info.ID, nil)
-	req.Header.Set(auth.TenantHeader, "mallory")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unsigned dev header in jwt mode = %d, want 401", resp.StatusCode)
-	}
-
-	// Shards reject direct tokenless access as well — the fleet has no
-	// open back door behind the gateway.
-	if _, err := f.clients[0].Stats(ctx); err != nil {
-		t.Errorf("shard stats should stay open: %v", err)
-	}
-	if _, err := f.clients[0].Submit(ctx, spec(501)); !errors.Is(err, &service.APIError{Code: obs.CodeUnauthorized}) {
-		t.Fatalf("direct tokenless shard submit err = %v, want unauthorized", err)
-	}
-
-	// The operational read-only surface needs no token anywhere.
-	for _, base := range []string{f.front.URL, f.shards[0].URL} {
-		for _, path := range []string{"/v1/healthz", "/v1/stats", "/metrics"} {
-			resp, err := http.Get(base + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("GET %s%s without token = %d, want 200", base, path, resp.StatusCode)
-			}
-		}
-	}
-
 	// Per-tenant series materialized on the gateway scrape: request
-	// counts for both the 401s (no tenant — absent) and the ops 2xx
-	// traffic, plus ops trace bytes on the trace route.
+	// counts for the ops 2xx traffic, plus ops trace bytes on the trace
+	// route.
 	mresp, err := http.Get(f.front.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +79,10 @@ func TestGatewayRateLimit(t *testing.T) {
 	quotas := &auth.Quotas{Tenants: map[string]auth.TenantQuota{
 		"drip": {RatePerSec: 0.001, Burst: 1},
 	}}
-	f, key := newAuthFleet(t, 1, quotas)
+	f := newAuthFleet(t, 1, quotas)
 	ctx := context.Background()
 
-	tok, err := auth.SignHS256(key, auth.Claims{Tenant: "drip"})
+	tok, err := auth.SignHS256(fleetKey, auth.Claims{Tenant: "drip"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +103,7 @@ func TestGatewayRateLimit(t *testing.T) {
 
 	// Reads are not submissions: status polls pass while the bucket is
 	// dry, so a throttled tenant can still watch its running jobs.
-	otherTok, err := auth.SignHS256(key, auth.Claims{Tenant: "other"})
+	otherTok, err := auth.SignHS256(fleetKey, auth.Claims{Tenant: "other"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -256,7 +257,8 @@ func jobID(shard int, id string) string {
 }
 
 // splitJobID resolves a gateway job ID back to (shard index, inner
-// ID).
+// ID). Only the spelling jobID mints is accepted — no sign, no leading
+// zero — so one job answers to exactly one gateway ID.
 func (g *Gateway) splitJobID(id string) (int, string, error) {
 	rest, ok := strings.CutPrefix(id, "s")
 	if !ok {
@@ -267,7 +269,7 @@ func (g *Gateway) splitJobID(id string) (int, string, error) {
 		return 0, "", fmt.Errorf("unknown job %q (gateway IDs look like s0-j...)", id)
 	}
 	idx, err := strconv.Atoi(idxStr)
-	if err != nil || idx < 0 || idx >= len(g.members) {
+	if err != nil || strconv.Itoa(idx) != idxStr || idx >= len(g.members) {
 		return 0, "", fmt.Errorf("unknown job %q (no shard %q)", id, idxStr)
 	}
 	return idx, inner, nil
@@ -453,15 +455,26 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 			defer cancel()
 			body, err := m.get(ctx, "/metrics", maxExposition)
+			var snap map[string]float64
 			if err == nil {
-				snaps[i], err = obs.ParseText(bytes.NewReader(body))
+				snap, err = obs.ParseText(bytes.NewReader(body))
+			}
+			// Every series is a count or seconds, exact in a float64 up
+			// to 2^53. A value past that, or not a number, is a lie that
+			// would leave the answer unencodable (NaN, ±Inf) or overflow
+			// a sum.
+			for k, v := range snap {
+				if !(math.Abs(v) <= 1<<53) {
+					err = fmt.Errorf("series %.80q: value %v out of range", k, v)
+				}
 			}
 			row := service.MemberStats{Member: m.base, Shard: i}
 			switch {
 			case err == nil:
+				snaps[i] = snap
 				m.healthy.Store(true)
 				row.Healthy = true
-				st := service.StatsFrom(snaps[i])
+				st := service.StatsFrom(snap)
 				row.Stats = &st
 			case r.Context().Err() != nil:
 				// The *requester* went away mid-fan-out; every member

@@ -1,15 +1,16 @@
 package gateway
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
-	"net"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,27 +31,56 @@ type fleet struct {
 
 func newFleet(t *testing.T, n int) *fleet {
 	t.Helper()
-	return newQuotaFleet(t, n, nil)
+	return startFleet(t, n, auth.Config{})
 }
 
 // newQuotaFleet is newFleet with a quota table on every shard and on
 // the gateway (auth mode none: tenancy by dev header).
 func newQuotaFleet(t *testing.T, n int, quotas *auth.Quotas) *fleet {
 	t.Helper()
+	return startFleet(t, n, auth.Config{Quotas: quotas})
+}
+
+// fleetKey is the HMAC key the jwt-mode fixtures share: the gateway
+// terminates end-user JWTs signed with it, and its shards trust only
+// the gateway's internal header signed with it.
+var fleetKey = []byte("fleet-shared-hmac-key-for-tests!")
+
+// newAuthFleet builds n jwt-mode shards behind a jwt-mode gateway, all
+// on fleetKey.
+func newAuthFleet(t *testing.T, n int, quotas *auth.Quotas) *fleet {
+	t.Helper()
+	return startFleet(t, n, auth.Config{Mode: auth.ModeJWT, Key: fleetKey, Quotas: quotas})
+}
+
+// startShard starts one shard daemon with the auth stance a.
+func startShard(t *testing.T, a auth.Config) (*service.Scheduler, *httptest.Server) {
+	t.Helper()
+	sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: a.Quotas}, nil)
+	t.Cleanup(sched.Close)
+	mw, err := auth.NewMiddleware(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(service.NewServer(sched, service.WithAuth(mw)))
+	t.Cleanup(srv.Close)
+	return sched, srv
+}
+
+// startFleet starts n shards and a gateway over them, all with the
+// auth stance a.
+func startFleet(t *testing.T, n int, a auth.Config) *fleet {
+	t.Helper()
 	f := &fleet{}
 	members := make([]string, n)
-	for i := 0; i < n; i++ {
-		sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: quotas}, nil)
-		t.Cleanup(sched.Close)
-		srv := httptest.NewServer(service.NewServer(sched))
-		t.Cleanup(srv.Close)
+	for i := range members {
+		sched, srv := startShard(t, a)
 		f.scheds = append(f.scheds, sched)
 		f.shards = append(f.shards, srv)
 		f.clients = append(f.clients, service.NewClient(srv.URL))
 		members[i] = srv.URL
 	}
-	gw, err := New(Config{Members: members, ProbeEvery: 100 * time.Millisecond,
-		Auth: auth.Config{Quotas: quotas}})
+	gw, err := New(Config{Members: members, ProbeEvery: 100 * time.Millisecond, Auth: a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,124 +350,6 @@ func TestGatewayFailover(t *testing.T) {
 	}
 }
 
-// TestGatewayTraceFilterPushdown: ?from/to/core reach the shard
-// unchanged, so a filtered stream through the gateway is byte-for-byte
-// the shard's own filtered restream.
-func TestGatewayTraceFilterPushdown(t *testing.T) {
-	f := newFleet(t, 2)
-	info := submitWait(t, f.client, spec(3))
-	shard, inner, err := f.gw.splitJobID(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := service.NewTraceOptions()
-	opt.Core = 0
-	viaGW, _ := fetchTrace(t, f.client, info.ID, opt)
-	direct, _ := fetchTrace(t, f.clients[shard], inner, opt)
-	if len(viaGW) == 0 || !bytes.Equal(viaGW, direct) {
-		t.Fatalf("filtered stream differs through the gateway: %d vs %d bytes", len(viaGW), len(direct))
-	}
-}
-
-// TestGatewayErrors: malformed specs bounce at the gateway without a
-// network hop, unknown and mis-prefixed job IDs 404, and a job
-// canceled through the gateway reports canceled.
-func TestGatewayErrors(t *testing.T) {
-	f := newFleet(t, 2)
-
-	resp, err := http.Post(f.front.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"scenarios":[{"workload":"nope"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad workload through gateway: %d, want 400", resp.StatusCode)
-	}
-	if n := f.scheds[0].Stats().Submitted + f.scheds[1].Stats().Submitted; n != 0 {
-		t.Fatalf("invalid spec reached %d shard(s)", n)
-	}
-
-	for _, id := range []string{"jdeadbeef", "s99-jdeadbeef", "s1x-j0", "s0-"} {
-		if _, err := f.client.Job(context.Background(), id); err == nil ||
-			!strings.Contains(err.Error(), "404") {
-			t.Fatalf("job %q: err = %v, want 404", id, err)
-		}
-	}
-
-	// Unknown-but-well-formed inner IDs proxy through to the shard's
-	// own 404.
-	if _, err := f.client.Job(context.Background(), "s0-jdeadbeef"); err == nil ||
-		!strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown inner job: err = %v, want shard 404", err)
-	}
-
-	// Inner IDs crafted to decode into path or query metacharacters
-	// must be re-escaped on the proxy hop: they address a (nonexistent)
-	// job of that literal name — never another shard endpoint.
-	for _, path := range []string{
-		"/v1/jobs/s0-j%2F..%2F..%2Fstats", // traversal to /v1/stats
-		"/v1/jobs/s0-j1%3Fscenario%3D9",   // query smuggling
-		"/v1/jobs/s0-jx%2Ftrace",          // sub-route injection
-	} {
-		req, err := http.NewRequest(http.MethodGet, f.front.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("injection path %q: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
-// TestGatewaySubmitOneJSONValue: a submission is exactly one JSON
-// value. Data after the spec is a 400 at the gateway that reaches no
-// shard; trailing whitespace, as json.Encoder writes it, passes both
-// tiers.
-func TestGatewaySubmitOneJSONValue(t *testing.T) {
-	f := newFleet(t, 2)
-	raw, err := json.Marshal(spec(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func(body string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(f.front.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	for _, tail := range []string{` {"scenarios":[]}`, `{}`, "x", "}"} {
-		resp := post(string(raw) + tail)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("spec + %q: status %d, want 400", tail, resp.StatusCode)
-		}
-	}
-	if n := f.scheds[0].Stats().Submitted + f.scheds[1].Stats().Submitted; n != 0 {
-		t.Fatalf("spec with trailing data reached %d shard(s)", n)
-	}
-
-	resp := post(string(raw) + "\n")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spec + newline: status %d, want 200", resp.StatusCode)
-	}
-	var info service.JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.client.Wait(context.Background(), info.ID, time.Millisecond); err != nil {
-		t.Fatalf("wait %s: %v", info.ID, err)
-	}
-}
-
 // TestGatewayNewRejectsMembers: a member list the gateway cannot speak
 // to fails at construction — none at all, a duplicate (after
 // normalization), or a scheme other than plain http, which the raw
@@ -453,36 +365,6 @@ func TestGatewayNewRejectsMembers(t *testing.T) {
 			gw.Close()
 			t.Errorf("New accepted members %q", members)
 		}
-	}
-}
-
-// TestGatewayIDRewrite: every JobInfo that crosses the gateway —
-// submit, status, cancel — carries the gateway-qualified ID, never the
-// member-local one.
-func TestGatewayIDRewrite(t *testing.T) {
-	f := newFleet(t, 2)
-	info := submitWait(t, f.client, spec(9))
-	status, err := f.client.Job(context.Background(), info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status.ID != info.ID {
-		t.Fatalf("status rewrote ID %q -> %q", info.ID, status.ID)
-	}
-	// Cancel a fresh (already-done, but the route is what's under
-	// test) job over the gateway: the response must re-qualify too.
-	req, _ := http.NewRequest(http.MethodDelete, f.front.URL+"/v1/jobs/"+info.ID, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var canceled service.JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&canceled); err != nil {
-		t.Fatal(err)
-	}
-	if canceled.ID != info.ID {
-		t.Fatalf("cancel rewrote ID %q -> %q", info.ID, canceled.ID)
 	}
 }
 
@@ -514,182 +396,137 @@ func mustShard(t *testing.T, f *fleet, id string) int {
 	return shard
 }
 
-// TestGatewayTracePassThrough: an unfiltered trace relayed through the
-// gateway keeps its identity-encoded, sized shape — Content-Length and
-// X-Nmo-Trace-Md5 from the shard, no chunking — while the shard
-// serves the blob from its spill file, and the bytes match the direct
-// fetch exactly. This pins the pass-through (non-rebuffered) proxy
-// path the shard→gateway→client zero-copy chain needs.
-func TestGatewayTracePassThrough(t *testing.T) {
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	t.Cleanup(sched.Close)
-	shard := httptest.NewServer(service.NewServer(sched))
-	t.Cleanup(shard.Close)
-	gw, err := New(Config{Members: []string{shard.URL}, ProbeEvery: 100 * time.Millisecond})
+// statsFleet is a gateway over two fake members whose /metrics
+// handlers a test swaps between requests; /v1/stats is read through
+// the gateway's real handler.
+type statsFleet struct {
+	gw      *Gateway
+	metrics [2]atomic.Value // http.HandlerFunc
+}
+
+func newStatsFleet(t testing.TB) *statsFleet {
+	t.Helper()
+	sf := &statsFleet{}
+	members := make([]string, len(sf.metrics))
+	for i := range sf.metrics {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok\n") })
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+			sf.metrics[i].Load().(http.HandlerFunc)(w, r)
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		members[i] = srv.URL
+		sf.serve(i, nil)
+	}
+	gw, err := New(Config{Members: members, ProbeEvery: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
-	front := httptest.NewServer(gw)
-	t.Cleanup(front.Close)
-
-	info := submitWait(t, service.NewClient(front.URL), spec(77))
-	_, inner, err := gw.splitJobID(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(front.URL + "/v1/jobs/" + info.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ContentLength < 0 || len(resp.TransferEncoding) != 0 {
-		t.Errorf("gateway re-framed the sized response: CL=%d TE=%v",
-			resp.ContentLength, resp.TransferEncoding)
-	}
-	if resp.ContentLength != int64(body.Len()) {
-		t.Errorf("Content-Length %d != body %d bytes", resp.ContentLength, body.Len())
-	}
-	direct, md5Direct := fetchTrace(t, service.NewClient(shard.URL), inner, service.NewTraceOptions())
-	if got := resp.Header.Get("X-Nmo-Trace-Md5"); got != md5Direct {
-		t.Errorf("gateway X-Nmo-Trace-Md5 %q != shard's %q", got, md5Direct)
-	}
-	if !bytes.Equal(body.Bytes(), direct) {
-		t.Error("gateway-relayed bytes differ from the direct shard fetch")
-	}
+	sf.gw = gw
+	return sf
 }
 
-// rawExchange sends one request on conn and reads its response, body
-// included, within 1 s.
-func rawExchange(t *testing.T, conn net.Conn, br *bufio.Reader, method, path string) *http.Response {
+// serve makes member i answer /metrics with body.
+func (sf *statsFleet) serve(i int, body []byte) {
+	sf.metrics[i].Store(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.Write(body) }))
+}
+
+// stats reads the gateway's /v1/stats, which must be a 200 FleetStats
+// with one row per member.
+func (sf *statsFleet) stats(t *testing.T) service.FleetStats {
 	t.Helper()
-	conn.SetDeadline(time.Now().Add(time.Second))
-	req, err := http.NewRequest(method, "http://fleet"+path, nil)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	sf.gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var fs service.FleetStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &fs); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("/v1/stats = %d %q (%v), want a 200 FleetStats", rec.Code, rec.Body.Bytes(), err)
 	}
-	if err := req.Write(conn); err != nil {
-		t.Fatalf("%s %s: %v", method, path, err)
+	if len(fs.Members) != len(sf.metrics) {
+		t.Fatalf("fleet stats has %d member rows, want %d", len(fs.Members), len(sf.metrics))
 	}
-	resp, err := http.ReadResponse(br, req)
-	if err != nil {
-		t.Fatalf("%s %s: %v", method, path, err)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatalf("%s %s body: %v", method, path, err)
-	}
-	resp.Body.Close()
-	return resp
+	return fs
 }
 
-// TestGatewayHead: HEAD on a job's status, result and trace answers
-// what the shard answers, and the client's keep-alive conn then serves
-// its next request at once — a relay waiting for the body a HEAD
-// answer never carries would leave the conn wedged.
-func TestGatewayHead(t *testing.T) {
-	f := newFleet(t, 2)
-	// A wedged relay holds a shard conn open; dropping the shard conns
-	// first lets the fixture shut down.
-	t.Cleanup(func() {
-		for _, s := range f.shards {
-			s.CloseClientConnections()
+// FuzzGatewayStats feeds two members' expositions to the gateway's
+// /v1/stats as untrusted input. Whatever they send, the answer is a
+// 200 FleetStats. A member whose body obs.ParseText rejects, or holds
+// a value that is not a number or past 2^53, is an error row with no
+// Stats; any other is a healthy row read with service.StatsFrom. The
+// fleet row's job-side counters — the series the gateway's own
+// registry never carries — are StatsFrom over the sum of the bodies
+// that parsed: a lying member never half-counts.
+func FuzzGatewayStats(f *testing.F) {
+	honest := []byte("# TYPE nmo_jobs_submitted_total counter\nnmo_jobs_submitted_total 1\nnmo_engine_runs_total 1\nnmo_cache_hits_total 0\n")
+	f.Add(honest, []byte("nmo_engine_runs_total 1e9\nnmo_jobs_submitted_total{x=\"1\" 7\n"))
+	f.Add(honest, honest)
+	f.Add([]byte("nmo_uptime_seconds NaN\n"), []byte("nmo_job_phase_seconds_count{phase=\"run\"} 1\nnmo_job_phase_seconds_sum{phase=\"run\"} 1e308\n"))
+	f.Add([]byte("nmo_uptime_seconds -Inf\n"), []byte("nmo_engine_runs_total 9007199254740992\nnmo_cache_hits_total -9007199254740993\n"))
+	f.Add([]byte(""), []byte("nmo_cache_hits_total 3 17\n"))
+	f.Add([]byte("nmo_tenant_weight{tenant=\"a\"} 2\nnmo_tenant_jobs_submitted_total{tenant=\"a\"} 4\n"),
+		[]byte("nmo_jobs_submitted_total -5\nnmo_jobs_submitted_total 5\n"))
+	sf := newStatsFleet(f)
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		bodies := [][]byte{a, b}
+		for i, body := range bodies {
+			sf.serve(i, body)
 		}
-	})
-	info := submitWait(t, f.client, spec(5))
-	shard, inner, err := f.gw.splitJobID(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, suffix := range []string{"", "/result", "/trace"} {
-		want, err := http.Head(f.shards[shard].URL + "/v1/jobs/" + inner + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want.Body.Close()
-		conn, err := net.Dial("tcp", f.front.Listener.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(conn)
-		got := rawExchange(t, conn, br, http.MethodHead, "/v1/jobs/"+info.ID+suffix)
-		if got.StatusCode != want.StatusCode {
-			t.Errorf("HEAD %s: gateway %s, shard %s", suffix, got.Status, want.Status)
-		}
-		wantLen := want.ContentLength
-		if suffix == "" { // the gateway rewrites the JobInfo: its own GET sets the length
-			g, err := http.Get(f.front.URL + "/v1/jobs/" + info.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Body.Close()
-			wantLen = g.ContentLength
-		}
-		if got.ContentLength != wantLen || wantLen <= 0 {
-			t.Errorf("HEAD %s: Content-Length %d, want %d", suffix, got.ContentLength, wantLen)
-		}
-		if h := rawExchange(t, conn, br, http.MethodGet, "/v1/healthz"); h.StatusCode != http.StatusOK {
-			t.Errorf("healthz after HEAD %s: %s", suffix, h.Status)
-		}
-		conn.Close()
-	}
-}
-
-// TestGatewayStatsLyingMember: a member's exposition is read as
-// untrusted input. A malformed line, or a body past the cap, makes
-// that member's row an error, while the honest member's numbers still
-// reach the fleet row.
-func TestGatewayStatsLyingMember(t *testing.T) {
-	honest := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	t.Cleanup(honest.Close)
-	good := httptest.NewServer(service.NewServer(honest))
-	t.Cleanup(good.Close)
-	submitWait(t, service.NewClient(good.URL), spec(9))
-
-	for name, metrics := range map[string]http.HandlerFunc{
-		"malformed": func(w http.ResponseWriter, _ *http.Request) {
-			io.WriteString(w, "nmo_engine_runs_total 1e9\nnmo_jobs_submitted_total{x=\"1\" 7\n")
-		},
-		"endless": func(w http.ResponseWriter, r *http.Request) {
-			line := []byte("nmo_engine_runs_total 1\n")
-			for r.Context().Err() == nil {
-				if _, err := w.Write(line); err != nil {
-					return
+		fs := sf.stats(t)
+		sum := map[string]float64{}
+		for i, body := range bodies {
+			row := fs.Members[i]
+			snap, err := obs.ParseText(bytes.NewReader(body))
+			for k, v := range snap {
+				if math.IsNaN(v) || math.Abs(v) > 1<<53 {
+					err = fmt.Errorf("%s is %v", k, v)
 				}
 			}
-		},
-	} {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "ok\n") })
-		mux.HandleFunc("/metrics", metrics)
-		liar := httptest.NewServer(mux)
-		gw, err := New(Config{Members: []string{good.URL, liar.URL}, ProbeEvery: time.Hour})
-		if err != nil {
-			t.Fatal(err)
+			if err != nil {
+				if row.Healthy || row.Stats != nil || row.Error == "" {
+					t.Fatalf("member %d sent a body to reject (%v); row = %+v, want an error row", i, err, row)
+				}
+				continue
+			}
+			if !row.Healthy || row.Stats == nil {
+				t.Fatalf("member %d sent a well-formed body; row = %+v, want a healthy row", i, row)
+			}
+			got, _ := json.Marshal(row.Stats)
+			want, _ := json.Marshal(service.StatsFrom(snap))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("member %d row %s, want StatsFrom of its body %s", i, got, want)
+			}
+			for k, v := range snap {
+				sum[k] += v
+			}
 		}
-		front := httptest.NewServer(gw)
-		resp, err := http.Get(front.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
+		want := service.StatsFrom(sum)
+		if fs.Submitted != want.Submitted || fs.EngineRuns != want.EngineRuns || fs.CacheHits != want.CacheHits {
+			t.Fatalf("fleet row %d submitted / %d runs / %d hits, want %d / %d / %d from the bodies that parsed",
+				fs.Submitted, fs.EngineRuns, fs.CacheHits, want.Submitted, want.EngineRuns, want.CacheHits)
 		}
-		var fs service.FleetStats
-		err = json.NewDecoder(resp.Body).Decode(&fs)
-		resp.Body.Close()
-		front.Close()
-		gw.Close()
-		liar.Close()
-		if err != nil {
-			t.Fatal(err)
+	})
+}
+
+// TestGatewayStatsLyingMember: an endless member body, past the
+// exposition cap, makes that member's row an error, while the honest
+// member's numbers still reach the fleet row.
+func TestGatewayStatsLyingMember(t *testing.T) {
+	sf := newStatsFleet(t)
+	sf.serve(0, []byte("nmo_jobs_submitted_total 1\nnmo_engine_runs_total 1\n"))
+	sf.metrics[1].Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		line := []byte("nmo_engine_runs_total 1\n")
+		for r.Context().Err() == nil {
+			if _, err := w.Write(line); err != nil {
+				return
+			}
 		}
-		if row := fs.Members[1]; row.Healthy || row.Stats != nil || row.Error == "" {
-			t.Errorf("%s: lying member's row = %+v, want an error row", name, row)
-		}
-		if !fs.Members[0].Healthy || fs.Submitted != 1 || fs.EngineRuns != 1 {
-			t.Errorf("%s: fleet row %d submitted / %d runs, want the honest member's 1 / 1", name, fs.Submitted, fs.EngineRuns)
-		}
+	}))
+	fs := sf.stats(t)
+	if row := fs.Members[1]; row.Healthy || row.Stats != nil || row.Error == "" {
+		t.Errorf("endless member's row = %+v, want an error row", row)
+	}
+	if !fs.Members[0].Healthy || fs.Submitted != 1 || fs.EngineRuns != 1 {
+		t.Errorf("fleet row %d submitted / %d runs, want the honest member's 1 / 1", fs.Submitted, fs.EngineRuns)
 	}
 }

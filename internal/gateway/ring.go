@@ -6,8 +6,7 @@
 // sized trace streams with the ?from/to/core push-down intact —
 // and merges /v1/stats across members into one fleet view.
 //
-// Placement must respect the same constraint structure the scheduler's
-// per-backend admission does: a job conflicts with the shard that is
+// Placement has one constraint: a job conflicts with the shard that is
 // already computing its key (rerunning it elsewhere wastes a worker
 // and splits the cache), which is exactly what hashing the content
 // address avoids — the conflict-aware assignment is computed by the

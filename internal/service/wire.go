@@ -40,9 +40,10 @@ import (
 // errors.Is(err, &service.APIError{Code: ...}).
 type APIError = obs.APIError
 
-// The CLI/wire defaults, shared with cmd/nmoprof's flag defaults so a
-// defaulted remote submission and a defaulted local invocation are the
-// same scenario by construction (zero wire fields resolve to these).
+// The CLI/wire defaults, shared with cmd/nmoprof's and cmd/nmostat's
+// flag defaults so a defaulted remote submission, a defaulted local
+// invocation and nmostat's Eq. 1 baseline are the same scenario by
+// construction (zero wire fields resolve to these).
 const (
 	DefaultThreads = 32
 	DefaultElems   = 2_000_000
