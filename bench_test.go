@@ -484,8 +484,10 @@ func attachCoreEvents(b *testing.B, m *machine.Machine) {
 }
 
 // BenchmarkCacheAccess times an L1-shaped cache (64 KB, 4-way) on its
-// two paths: "miss" walks addresses that never repeat, so every access
-// picks a victim; "hit" cycles over 256 lines that stay resident.
+// three paths: "miss" walks addresses that never repeat, so every
+// access evicts; "hit" cycles over 256 lines, one per set, that stay
+// at the front of their sets; "rotate-3" cycles three lines of one set
+// (STREAM's a/b/c arrays), so every access hits behind the front.
 func BenchmarkCacheAccess(b *testing.B) {
 	b.Run("miss", func(b *testing.B) {
 		c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
@@ -501,10 +503,19 @@ func BenchmarkCacheAccess(b *testing.B) {
 			c.Access(uint64(i%256) * 64)
 		}
 	})
+	b.Run("rotate-3", func(b *testing.B) {
+		c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
+		const setStride = 64 << 10 / 4 // sets × line bytes
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i%3) * setStride)
+		}
+	})
 }
 
 // BenchmarkTLBAccess times the Altra's 48-entry TLB: "same-page" hits
-// one page over and over; "round-robin-64" cycles 64 pages, one more
+// one page over and over; "rotate-3" cycles three pages, so every
+// access hits behind the front; "round-robin-64" cycles 64 pages, more
 // than LRU can keep, so every access misses and replaces.
 func BenchmarkTLBAccess(b *testing.B) {
 	spec := machine.AmpereAltraMax()
@@ -514,6 +525,13 @@ func BenchmarkTLBAccess(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t.Access(uint64(i*8) % page)
+		}
+	})
+	b.Run("rotate-3", func(b *testing.B) {
+		t := memsim.NewTLB(spec.TLBEntries, spec.PageBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			t.Access(uint64(i%3) * page)
 		}
 	})
 	b.Run("round-robin-64", func(b *testing.B) {

@@ -49,16 +49,15 @@ func (l Level) String() string {
 // only tags (no data), which is all a profiling study needs. The zero
 // value is not usable; construct with NewCache.
 //
-// The implementation is tuned for the inner loop: a lookup on a
-// 4–8 way cache is a handful of comparisons over a contiguous tag
-// slice, and a hit records recency with one store (see touch).
+// Each set's slice of tags is its recency order, most recently used
+// first, with invalid entries at the tail (see mtfAccess): a hit on
+// the front way writes nothing, and no per-way state but the tag is
+// kept.
 type Cache struct {
 	ways     int
 	lineBits uint
 	setMask  uint64
-	tags     []uint64 // sets*ways entries; 0 = invalid
-	stamp    []uint64 // per entry: clock at its last touch
-	clock    uint64
+	tags     []uint64 // sets*ways entries, each set in recency order; 0 = invalid
 }
 
 // CacheConfig describes a cache's geometry.
@@ -91,7 +90,6 @@ func NewCache(cfg CacheConfig) *Cache {
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*cfg.Ways),
-		stamp:    make([]uint64, sets*cfg.Ways),
 	}
 }
 
@@ -104,61 +102,41 @@ func (c *Cache) Access(addr uint64) bool {
 	// Tag 0 marks an invalid entry, so bias stored tags by +1.
 	tag := line + 1
 	set := int(line&c.setMask) * c.ways
-	ways := c.tags[set : set+c.ways]
+	return mtfAccess(c.tags[set:set+c.ways], tag)
+}
+
+// mtfAccess looks tag up in ways, a set ordered from most to least
+// recently used whose invalid (0) entries form the tail, and moves it
+// to the front. A hit on the front entry writes nothing. Otherwise
+// each entry ripples one slot back until the tag or the first invalid
+// entry is reached; on a full miss the last entry falls off. This is
+// exact LRU (Mattson et al.'s stack), and it reports whether tag was
+// resident.
+//
+// The shift is a plain loop rather than copy: copy calls memmove on
+// every hit behind the front, which costs more than the few entries
+// a set holds.
+func mtfAccess(ways []uint64, tag uint64) bool {
+	if ways[0] == tag {
+		return true
+	}
+	prev := tag
 	for i, t := range ways {
-		if t == tag {
-			c.touch(set + i)
-			return true
-		}
-	}
-	victim := set + lruVictim(ways, c.stamp[set:set+c.ways])
-	c.tags[victim] = tag
-	c.touch(victim)
-	return false
-}
-
-// Probe reports whether addr is present without updating any state.
-func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineBits
-	tag := line + 1
-	set := int(line&c.setMask) * c.ways
-	for _, t := range c.tags[set : set+c.ways] {
+		ways[i] = prev
 		if t == tag {
 			return true
 		}
-	}
-	return false
-}
-
-// touch makes entry i the most recently used of its set.
-func (c *Cache) touch(i int) {
-	c.clock++
-	c.stamp[i] = c.clock
-}
-
-// lruVictim picks the way a miss replaces: the first invalid way, or
-// else the least recently used one. Every valid way was stamped when
-// it was installed and stamps are unique, so the smallest stamp is the
-// unique LRU way — the victim a move-to-front rank list would pick.
-// Stamps of invalid ways are never read, which is why Reset leaves
-// them stale.
-func lruVictim(tags, stamp []uint64) int {
-	victim := 0
-	for i, t := range tags {
 		if t == 0 {
-			return i
+			return false
 		}
-		if stamp[i] < stamp[victim] {
-			victim = i
-		}
+		prev = t
 	}
-	return victim
+	return false
 }
 
 // Reset invalidates the cache.
 func (c *Cache) Reset() {
 	clear(c.tags)
-	c.clock = 0
 }
 
 // LineBytes returns the cache line size in bytes.

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -62,26 +63,38 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.Access(b) // miss, install; set now {a, b}, a is LRU
 	c.Access(a) // hit; b becomes LRU
 	c.Access(x) // miss, must evict b
-	if !c.Probe(a) {
+	if !probe(c, a) {
 		t.Error("a was evicted; want b evicted (LRU)")
 	}
-	if c.Probe(b) {
+	if probe(c, b) {
 		t.Error("b still resident; want b evicted (LRU)")
 	}
-	if !c.Probe(x) {
+	if !probe(c, x) {
 		t.Error("x not resident after install")
 	}
 }
 
+// probe reports whether addr is resident in c without updating any
+// state: the tests' view of a cache's contents.
+func probe(c *Cache, addr uint64) bool {
+	line := addr >> c.lineBits
+	set := int(line&c.setMask) * c.ways
+	return slices.Contains(c.tags[set:set+c.ways], line+1)
+}
+
 func TestCacheProbeDoesNotModify(t *testing.T) {
 	c := NewCache(CacheConfig{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4})
-	c.Probe(0x2000)
+	probe(c, 0x2000)
 	if c.Access(0x2000) {
-		t.Error("Probe installed the line; Access should have missed")
+		t.Error("probe installed the line; Access should have missed")
 	}
-	clock := c.clock
-	if !c.Probe(0x2000) || c.clock != clock {
-		t.Error("Probe missed a resident line or touched its recency")
+	// 0x2000 is behind the front of its set, where an Access would
+	// move it: the probe must leave the order as it found it.
+	c.Access(0x2000 + 4<<10)
+	set := int(0x2000>>c.lineBits&c.setMask) * c.ways
+	before := slices.Clone(c.tags[set : set+c.ways])
+	if !probe(c, 0x2000) || !slices.Equal(c.tags[set:set+c.ways], before) {
+		t.Error("probe missed a resident line or touched its recency")
 	}
 }
 
@@ -90,8 +103,8 @@ func TestCacheReset(t *testing.T) {
 	c.Access(0x40)
 	c.Access(0x40)
 	c.Reset()
-	if c.Probe(0x40) {
-		t.Error("Probe finds a line after Reset")
+	if probe(c, 0x40) {
+		t.Error("probe finds a line after Reset")
 	}
 	if c.Access(0x40) {
 		t.Error("line survived Reset")
@@ -122,13 +135,13 @@ func TestCacheFittingWorkingSetProperty(t *testing.T) {
 	}
 }
 
-// Property: an access hits exactly when a Probe just before it finds
+// Property: an access hits exactly when a probe just before it finds
 // the line, and leaves the line resident.
 func TestCacheStatsConservationProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
 		c := NewCache(CacheConfig{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
 		for _, a := range addrs {
-			if c.Probe(uint64(a)) != c.Access(uint64(a)) || !c.Probe(uint64(a)) {
+			if probe(c, uint64(a)) != c.Access(uint64(a)) || !probe(c, uint64(a)) {
 				return false
 			}
 		}
@@ -351,7 +364,7 @@ func TestHierarchyStreamBypassesCaches(t *testing.T) {
 	if r.Level != LevelDRAM {
 		t.Errorf("stream level = %v, want DRAM", r.Level)
 	}
-	if h.L1.Probe(0) {
+	if probe(h.L1, 0) {
 		t.Error("Stream polluted L1")
 	}
 	if busy, want := h.DRAM.deviceClock, float64(1<<20)/h.DRAM.cfg.PeakBytesPerCycle; busy != want {

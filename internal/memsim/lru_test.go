@@ -11,8 +11,9 @@ import (
 // mtfLRU is the reference replacement policy: each set is a list of
 // resident tags ordered most- to least-recently used. A hit moves its
 // tag to the front; a miss pushes the new tag to the front and drops
-// the last one once the set is full. The recency stamps must
-// reproduce it exactly.
+// the last one once the set is full. Cache and TLB keep each set in
+// this order in place, so a set's slice must equal the reference list,
+// zero-padded, after every access.
 type mtfLRU struct {
 	ways int
 	sets [][]uint64
@@ -44,22 +45,11 @@ func (r *mtfLRU) reset() {
 	}
 }
 
-// resident returns the sorted valid tags of one set of a tag array.
-func resident(tags []uint64) []uint64 {
-	var out []uint64
-	for _, t := range tags {
-		if t != 0 {
-			out = append(out, t)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// sorted returns a sorted copy of a reference set.
-func sorted(s []uint64) []uint64 {
-	out := slices.Clone(s)
-	slices.Sort(out)
+// padded returns a reference set zero-padded to ways entries: the
+// layout Cache and TLB keep it in.
+func padded(s []uint64, ways int) []uint64 {
+	out := make([]uint64, ways)
+	copy(out, s)
 	return out
 }
 
@@ -104,8 +94,8 @@ func TestCacheMatchesMoveToFrontLRU(t *testing.T) {
 					if got := c.Access(a); got != want {
 						t.Fatalf("access %d (addr %#x): hit=%v, reference %v", i, a, got, want)
 					}
-					got := resident(c.tags[set*ways : (set+1)*ways])
-					if !slices.Equal(got, sorted(ref.sets[set])) {
+					got := c.tags[set*ways : (set+1)*ways]
+					if !slices.Equal(got, padded(ref.sets[set], ways)) {
 						t.Fatalf("access %d: set %d holds %v, reference %v", i, set, got, ref.sets[set])
 					}
 				}
@@ -132,8 +122,8 @@ func TestTLBMatchesMoveToFrontLRU(t *testing.T) {
 					if got := tlb.Access(a); got != want {
 						t.Fatalf("access %d (addr %#x): hit=%v, reference %v", i, a, got, want)
 					}
-					if got := resident(tlb.entries); !slices.Equal(got, sorted(ref.sets[0])) {
-						t.Fatalf("access %d: TLB holds %d pages, reference %d", i, len(got), len(ref.sets[0]))
+					if !slices.Equal(tlb.entries, padded(ref.sets[0], entries)) {
+						t.Fatalf("access %d: TLB order differs from the reference's %d pages", i, len(ref.sets[0]))
 					}
 				}
 			})
@@ -165,4 +155,64 @@ func TestTLBBeyond255Entries(t *testing.T) {
 	if h := walk(entries + 1); h != 0 {
 		t.Errorf("cyclic walk over %d pages hit %d times in a %d-entry LRU TLB", entries+1, h, entries)
 	}
+}
+
+// FuzzCacheMatchesMoveToFront drives one cache or TLB and the
+// reference side by side. The geometry comes from the input: a cache
+// of 1–20 ways (the Ice Lake spec's L1 is 12-way, its L2 20-way) over
+// 1–16 sets, or a 48- or 64-entry TLB. Each stream byte is an access
+// to line or page b, except 0xff, which resets both models.
+func FuzzCacheMatchesMoveToFront(f *testing.F) {
+	f.Add(false, uint8(11), uint8(2), []byte{1, 5, 1, 9, 13, 5, 0xff, 1, 1, 17})
+	f.Add(false, uint8(19), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0})
+	f.Add(false, uint8(0), uint8(4), []byte{3, 19, 3, 35, 19, 0xff, 3})
+	f.Add(true, uint8(0), uint8(0), []byte{1, 2, 3, 1, 2, 3, 0xff, 4})
+	f.Add(true, uint8(1), uint8(0), []byte{7, 8, 7, 9, 200, 8})
+	const lineBytes, pageBytes = 64, 64 << 10
+	f.Fuzz(func(t *testing.T, tlb bool, ways, setBits uint8, stream []byte) {
+		var access func(uint64) bool
+		var reset func()
+		var set func(uint64) (int, []uint64) // reference set index and model slice
+		var ref *mtfLRU
+		var n int
+		unit := uint64(lineBytes)
+		if tlb {
+			unit = pageBytes
+			n = 48
+			if ways%2 == 1 {
+				n = 64
+			}
+			tl := NewTLB(n, pageBytes)
+			access, reset = tl.Access, tl.Reset
+			set = func(uint64) (int, []uint64) { return 0, tl.entries }
+			ref = newMTF(1, n)
+		} else {
+			n = 1 + int(ways)%20
+			sets := 1 << (setBits % 5)
+			c := NewCache(CacheConfig{SizeBytes: sets * n * lineBytes, LineBytes: lineBytes, Ways: n})
+			access, reset = c.Access, c.Reset
+			set = func(line uint64) (int, []uint64) {
+				s := int(line) % sets
+				return s, c.tags[s*n : (s+1)*n]
+			}
+			ref = newMTF(sets, n)
+		}
+		for i, b := range stream {
+			if b == 0xff {
+				reset()
+				ref.reset()
+				continue
+			}
+			line := uint64(b)
+			s, got := set(line)
+			want := ref.access(s, line+1)
+			// Vary the offset within the line or page: it must not matter.
+			if hit := access(line*unit + uint64(i)%unit); hit != want {
+				t.Fatalf("access %d (line %d): hit=%v, reference %v", i, line, hit, want)
+			}
+			if !slices.Equal(got, padded(ref.sets[s], n)) {
+				t.Fatalf("access %d: set %d holds %v, reference %v", i, s, got, ref.sets[s])
+			}
+		}
+	})
 }

@@ -11,9 +11,7 @@ package memsim
 // effects behind the per-workload collision differences in Fig. 8c.
 type TLB struct {
 	pageBits uint
-	entries  []uint64 // page+1; 0 = invalid
-	stamp    []uint64 // per entry: clock at its last touch
-	clock    uint64
+	entries  []uint64 // page+1 in recency order (see mtfAccess); 0 = invalid
 }
 
 // NewTLB constructs a TLB with the given number of entries and page
@@ -32,34 +30,16 @@ func NewTLB(entries, pageBytes int) *TLB {
 	return &TLB{
 		pageBits: bits,
 		entries:  make([]uint64, entries),
-		stamp:    make([]uint64, entries),
 	}
 }
 
 // Access looks up the page of addr, installing it on miss. Returns
 // whether it hit.
 func (t *TLB) Access(addr uint64) bool {
-	page := addr>>t.pageBits + 1
-	for i, e := range t.entries {
-		if e == page {
-			t.touch(i)
-			return true
-		}
-	}
-	victim := lruVictim(t.entries, t.stamp)
-	t.entries[victim] = page
-	t.touch(victim)
-	return false
-}
-
-// touch makes entry i the most recently used (see Cache.touch).
-func (t *TLB) touch(i int) {
-	t.clock++
-	t.stamp[i] = t.clock
+	return mtfAccess(t.entries, addr>>t.pageBits+1)
 }
 
 // Reset invalidates all entries.
 func (t *TLB) Reset() {
 	clear(t.entries)
-	t.clock = 0
 }
