@@ -463,6 +463,34 @@ func TestScenarioKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestContentAddressPinned: the content address of a few specs is
+// fixed. A change to core.Config's canonical encoding, the resolved
+// defaults or the key layout moves it, and with it every cached and
+// spilled result, so such a change must be deliberate.
+func TestContentAddressPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec ScenarioSpec
+		want string
+	}{
+		{ScenarioSpec{Workload: "stream"},
+			"a3c66bee772ed05e6c032a6c48b63f32fa967b36e6c5adb485943d3b2ff24517"},
+		{ScenarioSpec{Workload: "bfs", Threads: 4, Elems: 4096},
+			"4ed6ef9165eb404f94ca252b1c12020527d2c42cda370e4459d25bbececa2764"},
+		{ScenarioSpec{Workload: "cfd", Backend: "pebs", Period: 1000},
+			"e7a71286df581e873332578d517fd99cd9d0730892838fd931e1c8c3dfe98db9"},
+		{ScenarioSpec{Workload: "stream", Mode: "counters", TrackRSS: true},
+			"fcd31873b0cfae36e3c6d5727253bf8fbc391d5dbedb10abfb14588bfadb27bb"},
+	} {
+		got, err := ContentAddress(JobSpec{Scenarios: []ScenarioSpec{c.spec}})
+		if err != nil {
+			t.Fatalf("%+v: %v", c.spec, err)
+		}
+		if got != c.want {
+			t.Errorf("%+v: content address %s, want %s", c.spec, got, c.want)
+		}
+	}
+}
+
 // TestCacheEviction: completed entries evict LRU by blob bytes once
 // the byte budget is exceeded, an Acquire hit refreshes recency, and
 // nothing in flight is ever evicted.
