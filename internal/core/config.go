@@ -81,7 +81,10 @@ func (m Mode) Counters() bool { return m == ModeCounters || m == ModeFull }
 
 // Config is the profiler configuration. The first block corresponds
 // one-to-one to the paper's Table I environment variables; the second
-// block holds the knobs the paper sets through code or perf attrs.
+// block holds the knobs the paper sets through code or perf attrs and
+// the simulation's own scaling knobs. The SPE operation filter is not
+// a knob: NMO always samples loads and stores with no latency filter
+// (PMSCR 0x600000001), which is what samplingAttr programs.
 type Config struct {
 	// Enable gates all collection (NMO_ENABLE, default off).
 	Enable bool
@@ -114,20 +117,10 @@ type Config struct {
 	// sweep is specified in pages.
 	RingPages int
 	AuxPages  int
-	// SampleLoads / SampleStores select the SPE operation filter;
-	// both default on (the paper's 0x600000001). Branches are never
-	// sampled (§IV-A).
-	SampleLoads  bool
-	SampleStores bool
 	// Jitter enables interval-counter dither (default on).
 	Jitter bool
-	// MinLatencyFilter drops samples below the latency threshold.
-	MinLatencyFilter uint16
 	// IntervalSec is the temporal collector resolution (default 1 s).
 	IntervalSec float64
-	// MaxSamples bounds stored samples; further samples are counted
-	// but not retained (default 4M).
-	MaxSamples int
 	// Seed drives SPE dither and any randomized decisions.
 	Seed uint64
 	// PageBytes overrides the perf mmap page size (0 = the machine's
@@ -139,7 +132,7 @@ type Config struct {
 	// the aux buffer).
 	AuxWatermarkBytes uint32
 	// SinkFactory replaces the default Collect sink with a custom sink
-	// chain (nil = collect into Profile.Trace, the compat path).
+	// chain (nil = collect every sample into Profile.Trace).
 	SinkFactory SinkFactory
 	// Costs overrides the kernel cost model (zero fields keep the
 	// calibrated defaults); the scaled-down experiments shrink costs
@@ -151,19 +144,16 @@ type Config struct {
 // knobs at their code defaults.
 func DefaultConfig() Config {
 	return Config{
-		Enable:       false,
-		Name:         "nmo",
-		Mode:         ModeNone,
-		Period:       0,
-		TrackRSS:     false,
-		BufMiB:       1,
-		AuxMiB:       1,
-		SampleLoads:  true,
-		SampleStores: true,
-		Jitter:       true,
-		IntervalSec:  1.0,
-		MaxSamples:   4 << 20,
-		Seed:         1,
+		Enable:      false,
+		Name:        "nmo",
+		Mode:        ModeNone,
+		Period:      0,
+		TrackRSS:    false,
+		BufMiB:      1,
+		AuxMiB:      1,
+		Jitter:      true,
+		IntervalSec: 1.0,
+		Seed:        1,
 	}
 }
 
@@ -241,21 +231,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown NMO_ARCH %q (supported: %s, %s)",
 			c.Arch, isa.ArchARM64, isa.ArchX86)
 	}
-	if c.Mode.Sampling() && c.EffectiveAuxPages(0) <= 0 {
-		return fmt.Errorf("core: sampling requires an aux buffer")
-	}
-	if c.Mode.Sampling() && !c.SampleLoads && !c.SampleStores {
-		// Enforced uniformly here: SPE would reject the empty filter
-		// at perf_event_open, but PEBS has no equivalent check (its
-		// raw event always names a population) and would silently
-		// sample everything.
-		return fmt.Errorf("core: sampling selects no operation classes (loads/stores both off)")
-	}
 	if c.IntervalSec < 0 {
 		return fmt.Errorf("core: negative interval %v", c.IntervalSec)
-	}
-	if c.MaxSamples < 0 {
-		return fmt.Errorf("core: negative MaxSamples")
 	}
 	return nil
 }
@@ -263,13 +240,13 @@ func (c Config) Validate() error {
 // CanonicalBytes returns a deterministic encoding of every field that
 // can change what a run computes: the Table I knobs, the code-level
 // attr knobs, the seed, and the kernel cost model, in fixed order.
-// Delivery-only fields are excluded on purpose — Name, SinkFactory and
-// MaxSamples choose where the sample stream goes and how much of it is
-// kept, not what the stream contains — so two configurations with
-// equal CanonicalBytes produce bit-identical profiles (the simulator
-// is deterministic, DESIGN.md §7). The service layer's content-addressed result cache hashes this
-// encoding; core owns it so the semantic/delivery split stays next to
-// the fields it classifies.
+// Delivery-only fields are excluded on purpose — Name and SinkFactory
+// choose where the sample stream goes, not what it contains — so two
+// configurations with equal CanonicalBytes produce bit-identical
+// profiles (the simulator is deterministic, DESIGN.md §7). The service
+// layer's content-addressed result cache hashes this encoding; core
+// owns it so the semantic/delivery split stays next to the fields it
+// classifies.
 func (c Config) CanonicalBytes() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "enable=%t\n", c.Enable)
@@ -282,9 +259,12 @@ func (c Config) CanonicalBytes() []byte {
 	fmt.Fprintf(&b, "auxmib=%d\n", c.AuxMiB)
 	fmt.Fprintf(&b, "ringpages=%d\n", c.RingPages)
 	fmt.Fprintf(&b, "auxpages=%d\n", c.AuxPages)
-	fmt.Fprintf(&b, "loads=%t\nstores=%t\n", c.SampleLoads, c.SampleStores)
+	// The operation filter and latency threshold were once knobs;
+	// they stay in the encoding as the fixed values samplingAttr
+	// programs, so no content address moves.
+	b.WriteString("loads=true\nstores=true\n")
 	fmt.Fprintf(&b, "jitter=%t\n", c.Jitter)
-	fmt.Fprintf(&b, "minlat=%d\n", c.MinLatencyFilter)
+	b.WriteString("minlat=0\n")
 	fmt.Fprintf(&b, "interval=%g\n", c.IntervalSec)
 	fmt.Fprintf(&b, "seed=%d\n", c.Seed)
 	fmt.Fprintf(&b, "pagebytes=%d\n", c.PageBytes)

@@ -40,9 +40,6 @@ type Profile struct {
 	// under the default Collect sink; name tables only when a custom
 	// SinkFactory consumed the samples instead).
 	Trace *trace.Trace
-	// TraceTruncated counts samples dropped at the MaxSamples cap —
-	// the high-pressure runs the cap silently clipped before.
-	TraceTruncated uint64
 	// Capacity (GiB) and Bandwidth (GiB/s) temporal series
 	// (ModeCounters+; capacity additionally requires TrackRSS).
 	Capacity  trace.Series
@@ -61,7 +58,9 @@ type Profile struct {
 	Sampler SamplerAgg
 	// Kernel sums the perf kernel-side accounting across cores.
 	Kernel perfev.EventStats
-	// MD5 is the trace checksum (NMO hashes its sample trace).
+	// MD5 is the trace checksum (NMO hashes its sample trace): the
+	// rolling hash of every sample the run emitted, whichever sink
+	// consumed them.
 	MD5 [16]byte
 }
 
@@ -131,19 +130,16 @@ type run struct {
 
 	// Sample pipeline (setupEvents, sampling modes only): decoded
 	// samples flow through the attribution boundary into the sink
-	// chain. collect is the default in-memory sink (nil when a custom
-	// SinkFactory replaced it).
+	// chain.
 	sink     trace.Sink
 	boundary *emitBoundary
-	collect  *trace.Collect
 	// batch is the decode stage's span arena: decodeSpan gathers each
 	// drained span's samples here and hands the boundary one slice, so
 	// the steady state allocates nothing per PMI.
 	batch []trace.Sample
-	// sum16 reads the run's checksum from the factory's sink, or from a
-	// rolling hash riding along when that sink has none (chosen once,
-	// in setupSinks); nil on the Collect path, which hashes the stored
-	// trace at aggregate time instead.
+	// sum16 reads the run's checksum from the sink, or from a rolling
+	// hash riding along when the sink has none (chosen once, in
+	// setupSinks); nil when the run does not sample.
 	sum16 func() [16]byte
 
 	// Live tagged-phase state (setupMarkers/execute): label -> startNs
@@ -293,13 +289,6 @@ func (r *run) setupEvents() error {
 		return fmt.Errorf("core: backend %s requires %s hardware, machine %q is %s",
 			kind, kind.Arch(), r.spec.Name, r.spec.Arch)
 	}
-	if kind == sampler.KindPEBS && cfg.MinLatencyFilter > 0 {
-		// SPE's PMSLATFR has no PEBS equivalent in this model; honoring
-		// the same config on both backends would silently compare a
-		// latency-filtered SPE population against an unfiltered PEBS
-		// one, so the combination is rejected instead of ignored.
-		return fmt.Errorf("core: MinLatencyFilter is SPE-only (no PEBS latency filter)")
-	}
 	dec, err := perfev.NewDecoder(kind)
 	if err != nil {
 		return fmt.Errorf("core: %v", err)
@@ -334,30 +323,26 @@ func (r *run) setupEvents() error {
 }
 
 // setupSinks builds the run's sample-sink chain and the attribution
-// boundary in front of it. The default chain is the Collect compat
-// sink (materialize into Profile.Trace under the MaxSamples cap); a
-// SinkFactory replaces it, which makes the run's sample memory
-// whatever the factory's sink retains.
+// boundary in front of it. The sink is the SinkFactory's, or by
+// default a Collect that materializes every sample into Profile.Trace;
+// either way the run's sample memory is whatever that sink retains.
 func (r *run) setupSinks() error {
-	cfg := &r.s.cfg
-	if cfg.SinkFactory == nil {
-		r.collect = trace.NewCollect(r.prof.Trace, cfg.MaxSamples)
-		r.sink = r.collect
-	} else {
-		s, err := cfg.SinkFactory(r.prof.Trace.Meta())
-		if err != nil {
+	var s trace.Sink = &trace.Collect{Trace: r.prof.Trace}
+	if f := r.s.cfg.SinkFactory; f != nil {
+		var err error
+		if s, err = f(r.prof.Trace.Meta()); err != nil {
 			return fmt.Errorf("core: sink factory: %w", err)
 		}
-		// The checksum comes from the sink when it keeps one (a v2
-		// writer's rolling hash); otherwise — e.g. a factory returning
-		// a bare Tee — a rolling hash rides along, so Profile.MD5
-		// never silently stays zero.
-		if h, ok := s.(interface{ Sum16() [16]byte }); ok {
-			r.sink, r.sum16 = s, h.Sum16
-		} else {
-			hash := trace.NewHash()
-			r.sink, r.sum16 = trace.NewTee(s, hash), hash.Sum16
-		}
+	}
+	// The checksum comes from the sink when it keeps one (a v2
+	// writer's rolling hash); otherwise — Collect, or a factory
+	// returning a bare Tee — a rolling hash rides along, so
+	// Profile.MD5 never silently stays zero.
+	if h, ok := s.(interface{ Sum16() [16]byte }); ok {
+		r.sink, r.sum16 = s, h.Sum16
+	} else {
+		hash := trace.NewHash()
+		r.sink, r.sum16 = trace.NewTee(s, hash), hash.Sum16
 	}
 	r.boundary = newEmitBoundary(r.sink, r.open)
 	return nil
@@ -373,19 +358,14 @@ func (r *run) pageBytes() int {
 	return r.spec.PageBytes
 }
 
-// samplingAttr builds the perf attribute for the chosen backend: the
-// arm_spe_pmu config-bit layout on arm64, a precise MEM_INST_RETIRED
-// raw event on x86_64.
+// samplingAttr builds the perf attribute for the chosen backend. Both
+// sample every load and store: on arm64 the arm_spe_pmu config NMO
+// programs (0x600000001: timestamps, loads, stores; no latency filter),
+// plus the interval jitter bit; on x86_64 a precise
+// MEM_INST_RETIRED.ANY raw event.
 func (r *run) samplingAttr(kind sampler.Kind) *perfev.Attr {
 	cfg := &r.s.cfg
 	if kind == sampler.KindPEBS {
-		code := perfev.RawMemInstRetiredAny
-		switch {
-		case cfg.SampleLoads && !cfg.SampleStores:
-			code = perfev.RawMemInstRetiredAllLoads
-		case cfg.SampleStores && !cfg.SampleLoads:
-			code = perfev.RawMemInstRetiredAllStores
-		}
 		wm := cfg.AuxWatermarkBytes
 		if wm == 0 {
 			// SPE's kernel-side default is half the aux buffer; the
@@ -396,7 +376,7 @@ func (r *run) samplingAttr(kind sampler.Kind) *perfev.Attr {
 		}
 		return &perfev.Attr{
 			Type:         perfev.TypeRaw,
-			Config:       code,
+			Config:       perfev.RawMemInstRetiredAny,
 			SamplePeriod: cfg.EffectivePeriod(),
 			AuxWatermark: wm,
 			// precise_ip 1: PEBS with the hardware's inherent
@@ -407,16 +387,9 @@ func (r *run) samplingAttr(kind sampler.Kind) *perfev.Attr {
 	}
 	attr := &perfev.Attr{
 		Type:         perfev.TypeArmSPE,
-		Config:       perfev.SPETSEnable,
-		Config2:      uint64(cfg.MinLatencyFilter),
+		Config:       perfev.SPEConfigLoadStore,
 		SamplePeriod: cfg.EffectivePeriod(),
 		AuxWatermark: cfg.AuxWatermarkBytes,
-	}
-	if cfg.SampleLoads {
-		attr.Config |= perfev.SPELoadFilter
-	}
-	if cfg.SampleStores {
-		attr.Config |= perfev.SPEStoreFilter
 	}
 	if cfg.Jitter {
 		attr.Config |= perfev.SPEJitter
@@ -640,14 +613,8 @@ func (r *run) aggregate() error {
 		prof.Kernel.IRQCycles += k.IRQCycles
 	}
 
-	// Seal the trace checksum. The Collect path hashes the stored
-	// (possibly capped) trace, exactly as the batch pipeline did; the
-	// streaming paths report the rolling hash of the full emitted
-	// stream — equal to a Collect hash whenever the cap did not bite.
-	if r.collect != nil {
-		prof.MD5 = prof.Trace.MD5()
-		prof.TraceTruncated = r.collect.Truncated
-	} else if r.sum16 != nil {
+	// Seal the trace checksum: the rolling hash of the emitted stream.
+	if r.sum16 != nil {
 		prof.MD5 = r.sum16()
 	}
 	return nil

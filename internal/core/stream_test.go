@@ -31,11 +31,15 @@ func runWith(t *testing.T, cfg Config) *Profile {
 
 // TestAggregateSinkMatchesCollect is the aggregate-only contract: a
 // run whose sink chain retains nothing (the sweeps' rolling hash) must
-// produce the same rolling MD5 as the Collect compat run, with zero
-// sample-slice growth. The checksum covers every sample's region and
-// kernel index, so equal MD5s mean equal attribution.
+// produce the same rolling MD5 as the default Collect run, with zero
+// sample-slice growth, and the Collect run's MD5 must be the batch
+// hash of the trace it stored. The checksum covers every sample's
+// region and kernel index, so equal MD5s mean equal attribution.
 func TestAggregateSinkMatchesCollect(t *testing.T) {
 	collected := runWith(t, sampleConfig(500))
+	if collected.MD5 != collected.Trace.MD5() {
+		t.Fatal("Collect run's MD5 is not the hash of its stored trace")
+	}
 
 	cfg := sampleConfig(500)
 	cfg.SinkFactory = func(trace.Meta) (trace.Sink, error) {
@@ -165,31 +169,10 @@ func TestCustomSinkWithoutSum16GetsFallbackHash(t *testing.T) {
 	}
 }
 
-// TestMaxSamplesTruncationSurfaced: the cap is counted, not silent.
-func TestMaxSamplesTruncationSurfaced(t *testing.T) {
-	cfg := sampleConfig(200)
-	cfg.MaxSamples = 100
-	s, _ := NewSession(cfg, testMachine(1))
-	w := workloads.NewStream(workloads.StreamConfig{Elems: 100_000, Threads: 1, Iters: 2})
-	p, err := s.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Trace.Samples) != 100 {
-		t.Fatalf("stored %d, cap 100", len(p.Trace.Samples))
-	}
-	if want := p.Sampler.Processed - 100; p.TraceTruncated != want {
-		t.Errorf("TraceTruncated = %d, want %d", p.TraceTruncated, want)
-	}
-}
-
-// TestTraceOutUncapped: the streamed file keeps every processed sample
-// even when MaxSamples would have clipped an in-memory trace — the
-// exact high-pressure case the cap used to silently truncate.
+// TestTraceOutUncapped: the streamed file keeps every processed sample.
 func TestTraceOutUncapped(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := sampleConfig(200)
-	cfg.MaxSamples = 100
 	cfg.SinkFactory = bufferedFactory(&buf, 0, false)
 	s, _ := NewSession(cfg, testMachine(1))
 	w := workloads.NewStream(workloads.StreamConfig{Elems: 100_000, Threads: 1, Iters: 2})
@@ -197,8 +180,8 @@ func TestTraceOutUncapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sampler.Processed <= 100 {
-		t.Fatalf("test needs >100 processed samples, got %d", p.Sampler.Processed)
+	if p.Sampler.Processed == 0 {
+		t.Fatal("test needs processed samples, got none")
 	}
 	rd, err := trace.OpenV2(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -206,9 +189,6 @@ func TestTraceOutUncapped(t *testing.T) {
 	}
 	if rd.TotalSamples() != p.Sampler.Processed {
 		t.Errorf("file has %d samples, processed %d", rd.TotalSamples(), p.Sampler.Processed)
-	}
-	if p.TraceTruncated != 0 {
-		t.Errorf("streamed run reports truncation: %d", p.TraceTruncated)
 	}
 }
 

@@ -219,14 +219,7 @@ func regionTrace(id, title, workload string, threads int, plotTitle string) Arti
 				t.AddRow("kernel:"+name, res.ByKernel[name])
 			}
 			t.AddRow("locality(4KB)", fmt.Sprintf("%.3f", res.Locality))
-			if res.Truncated > 0 {
-				t.AddRow("truncated(MaxSamples)", res.Truncated)
-			}
-			t.Render(b)
-			if res.Truncated > 0 {
-				fmt.Fprintf(b, "WARNING: %d samples dropped at the MaxSamples cap; the figure is clipped\n", res.Truncated)
-			}
-			b.WriteByte('\n')
+			renderTable(b, t)
 		})
 }
 

@@ -186,7 +186,6 @@ func (sc Scale) samplingConfig(period uint64, trial int) core.Config {
 	cfg.RingPages = 8
 	cfg.AuxPages = 1024
 	cfg.Seed = sc.Seed + uint64(trial)*7919
-	cfg.MaxSamples = 1 << 22
 	// Kernel costs scaled with the shortened runs (DESIGN.md §2
 	// discusses the scaling).
 	cfg.Costs = perfev.Costs{
@@ -204,8 +203,7 @@ func (sc Scale) samplingConfig(period uint64, trial int) core.Config {
 // that becomes Profile.MD5, with no per-sample retention or
 // allocation. The sweeps that consume only counters and wall times
 // (period, aux, thread, cross-backend grids) run every scenario
-// through it, so sweep memory no longer grows with samples × scenarios
-// and MaxSamples cannot clip the high-pressure points.
+// through it, so sweep memory does not grow with samples × scenarios.
 func AggregateSinks(trace.Meta) (trace.Sink, error) {
 	return trace.NewHash(), nil
 }

@@ -92,10 +92,6 @@ type RegionTraceResult struct {
 	// 4 KB of each other — high for STREAM's per-thread segments,
 	// low for CFD's 32-thread irregular gathers.
 	Locality float64
-	// Truncated counts samples dropped at the MaxSamples cap (0 when
-	// the trace is complete) — surfaced so a clipped figure is never
-	// mistaken for a full one.
-	Truncated uint64
 }
 
 // RegionTrace profiles a workload with SPE sampling and region/kernel
@@ -114,13 +110,12 @@ func RegionTrace(sc Scale, workload string, threads int, timeBins, addrBins int)
 	}
 	p.Trace.SortByTime()
 	return &RegionTraceResult{
-		Workload:  p.Workload,
-		Threads:   threads,
-		Trace:     p.Trace,
-		Heatmap:   analysis.BuildHeatmap(p.Trace, timeBins, addrBins),
-		ByRegion:  p.Trace.CountByRegion(),
-		ByKernel:  p.Trace.CountByKernel(),
-		Locality:  analysis.SpatialLocality(p.Trace, 65536),
-		Truncated: p.TraceTruncated,
+		Workload: p.Workload,
+		Threads:  threads,
+		Trace:    p.Trace,
+		Heatmap:  analysis.BuildHeatmap(p.Trace, timeBins, addrBins),
+		ByRegion: p.Trace.CountByRegion(),
+		ByKernel: p.Trace.CountByKernel(),
+		Locality: analysis.SpatialLocality(p.Trace, 65536),
 	}, nil
 }

@@ -95,10 +95,6 @@ type ScenarioSpec struct {
 	TrackRSS bool `json:"track_rss,omitempty"`
 	// BufMiB / AuxMiB size the ring and aux buffers in MiB (0 = the
 	// Table I default of 1).
-	//
-	// There is deliberately no MaxSamples knob: the service streams
-	// every scenario into a v2 blob, and streamed runs lift the
-	// retention cap exactly as local -trace-out runs do.
 	BufMiB int `json:"buf_mib,omitempty"`
 	AuxMiB int `json:"aux_mib,omitempty"`
 	// BlockSamples overrides the v2 block granularity of the stored

@@ -25,8 +25,8 @@ func (t *Trace) Meta() Meta {
 // crosses the sink boundary is a []Sample slice: one virtual call plus
 // a tight concrete loop per batch (or, for the hash and the v2 writer,
 // one bulk encode and one hash write). A run's memory footprint is
-// whatever its sinks retain — an aggregate-only chain holds O(1), the
-// Collect compat sink holds everything.
+// whatever its sinks retain — an aggregate-only chain holds O(1),
+// Collect holds everything.
 //
 // A sink's final state must not depend on how the stream was split
 // into batches. The batch slice is caller-owned and reused after the
@@ -71,34 +71,14 @@ func (t *Tee) Close() error {
 	return first
 }
 
-// Collect is the compatibility sink: it materializes the stream into an
-// in-memory *Trace, exactly as the pre-streaming pipeline did. Max
-// bounds retained samples (< 0 = unlimited, matching MaxSamples
-// semantics where 0 stores nothing); samples arriving past the cap are
-// counted in Truncated instead of being silently dropped.
+// Collect materializes the stream into an in-memory *Trace (which must
+// carry the stream's name tables already), keeping every sample.
 type Collect struct {
 	Trace *Trace
-	Max   int
-	// Truncated counts samples dropped at the Max cap.
-	Truncated uint64
 }
 
-// NewCollect builds a collecting sink over tr (which must carry the
-// stream's name tables already).
-func NewCollect(tr *Trace, max int) *Collect {
-	return &Collect{Trace: tr, Max: max}
-}
-
-// EmitBatch appends copies of the batch, counting the samples past the
-// cap as truncated.
+// EmitBatch appends copies of the batch.
 func (c *Collect) EmitBatch(batch []Sample) error {
-	if c.Max >= 0 {
-		room := max(c.Max-len(c.Trace.Samples), 0)
-		if room < len(batch) {
-			c.Truncated += uint64(len(batch) - room)
-			batch = batch[:room]
-		}
-	}
 	c.Trace.Samples = append(c.Trace.Samples, batch...)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -36,38 +35,12 @@ func emitAll(t *testing.T, sk Sink, tr *Trace) {
 func TestCollectMatchesTrace(t *testing.T) {
 	src := synthTrace(100)
 	dst := &Trace{Workload: src.Workload, Regions: src.Regions, Kernels: src.Kernels}
-	c := NewCollect(dst, 1<<20)
-	emitAll(t, c, src)
-	if len(dst.Samples) != 100 || c.Truncated != 0 {
-		t.Fatalf("collected %d, truncated %d", len(dst.Samples), c.Truncated)
+	emitAll(t, &Collect{Trace: dst}, src)
+	if len(dst.Samples) != 100 {
+		t.Fatalf("collected %d", len(dst.Samples))
 	}
 	if dst.MD5() != src.MD5() {
 		t.Error("collected trace hashes differently")
-	}
-}
-
-func TestCollectCapCountsTruncated(t *testing.T) {
-	src := synthTrace(100)
-	dst := &Trace{}
-	c := NewCollect(dst, 30)
-	emitAll(t, c, src)
-	if len(dst.Samples) != 30 {
-		t.Errorf("stored %d, cap 30", len(dst.Samples))
-	}
-	if c.Truncated != 70 {
-		t.Errorf("truncated = %d, want 70", c.Truncated)
-	}
-	// Max < 0 means unlimited; Max == 0 stores nothing (MaxSamples
-	// semantics).
-	unl := NewCollect(&Trace{}, -1)
-	emitAll(t, unl, src)
-	if len(unl.Trace.Samples) != 100 || unl.Truncated != 0 {
-		t.Error("negative cap should be unlimited")
-	}
-	zero := NewCollect(&Trace{}, 0)
-	emitAll(t, zero, src)
-	if len(zero.Trace.Samples) != 0 || zero.Truncated != 100 {
-		t.Errorf("zero cap: stored %d truncated %d", len(zero.Trace.Samples), zero.Truncated)
 	}
 }
 
@@ -84,7 +57,7 @@ func TestTeeFansOut(t *testing.T) {
 	src := synthTrace(40)
 	h1, h2 := NewHash(), NewHash()
 	dst := &Trace{}
-	tee := NewTee(h1, NewCollect(dst, -1), h2)
+	tee := NewTee(h1, &Collect{Trace: dst}, h2)
 	emitAll(t, tee, src)
 	if h1.Sum16() != src.MD5() || h2.Sum16() != src.MD5() {
 		t.Error("tee'd hashes diverge")
@@ -118,14 +91,10 @@ func TestTeeBatchStopsAtFirstError(t *testing.T) {
 func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 	src := synthTrace(333)
 	type state struct {
-		sum               [16]byte
-		collected         [16]byte
-		stored, truncated []int
-		levels            [4]uint64
+		sum       [16]byte
+		collected [16]byte
+		levels    [4]uint64
 	}
-	// Collect caps: 50 falls mid-batch for every split from 16 up; 333
-	// lands exactly on the end of the stream.
-	caps := []int{0, 50, 333}
 	run := func(split int) state {
 		var st state
 		h := NewHash()
@@ -133,17 +102,8 @@ func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 		st.sum = h.Sum16()
 
 		dst := &Trace{}
-		emitBatches(t, NewCollect(dst, -1), src, split)
+		emitBatches(t, &Collect{Trace: dst}, src, split)
 		st.collected = dst.MD5()
-		for _, c := range caps {
-			cs := NewCollect(&Trace{}, c)
-			emitBatches(t, cs, src, split)
-			st.stored = append(st.stored, len(cs.Trace.Samples))
-			st.truncated = append(st.truncated, int(cs.Truncated))
-			if cs.Trace.MD5() != (&Trace{Samples: src.Samples[:c]}).MD5() {
-				t.Errorf("split %d cap %d: stored samples are not the stream prefix", split, c)
-			}
-		}
 
 		var lh LevelHist
 		emitBatches(t, NewTee(&lh), src, split)
@@ -154,9 +114,6 @@ func TestBatchSinksMatchSequentialEmit(t *testing.T) {
 	ref := run(1)
 	if ref.sum != src.MD5() || ref.collected != src.MD5() {
 		t.Fatalf("reference diverges from the trace: %+v", ref)
-	}
-	if want := []int{0, 50, 333}; !slices.Equal(ref.stored, want) || !slices.Equal(ref.truncated, []int{333, 283, 0}) {
-		t.Fatalf("reference collect caps: stored %v truncated %v", ref.stored, ref.truncated)
 	}
 	var levels [4]uint64
 	for i := range src.Samples {

@@ -164,7 +164,10 @@ func (t *Trace) SortByTime() {
 }
 
 // MD5 returns the hash of the binary sample payload — the integrity
-// checksum NMO computes over its sample trace.
+// checksum NMO computes over its sample trace. Runs compute it online
+// (Hash, WriterV2.Sum16) and readers recompute it (ReaderV2.VerifyMD5);
+// this one-shot pass over a materialized trace is the batch reference
+// those are tested against.
 func (t *Trace) MD5() [16]byte {
 	h := md5.New()
 	var buf [sampleWireSize]byte

@@ -28,9 +28,11 @@
 // Configuration follows the paper's Table I environment variables;
 // FromEnv reads NMO_ENABLE, NMO_NAME, NMO_MODE, NMO_BACKEND, NMO_ARCH,
 // NMO_PERIOD, NMO_TRACK_RSS, NMO_BUFSIZE and NMO_AUXBUFSIZE from the
-// process environment. A run writes no files: its samples go to
-// Profile.Trace, or to the sinks Config.SinkFactory builds (a v2 trace
-// writer, for instance).
+// process environment. Sampling always follows NMO's SPE programming:
+// every load and store, no latency filter. A run writes no files: its
+// samples go to Profile.Trace in full, or to the sinks
+// Config.SinkFactory builds (a v2 trace writer, for instance), and
+// Profile.MD5 is the rolling checksum of that stream either way.
 package nmo
 
 import (
