@@ -218,7 +218,7 @@ func regionTrace(id, title, workload string, threads int, plotTitle string) Arti
 			for _, name := range report.SortedKeys(res.ByKernel) {
 				t.AddRow("kernel:"+name, res.ByKernel[name])
 			}
-			t.AddRow("locality(4KB)", fmt.Sprintf("%.3f", res.Locality))
+			t.AddRow("locality(64KiB)", fmt.Sprintf("%.3f", res.Locality))
 			renderTable(b, t)
 		})
 }

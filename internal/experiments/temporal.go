@@ -89,7 +89,7 @@ type RegionTraceResult struct {
 	ByRegion map[string]int
 	ByKernel map[string]int
 	// Locality is the fraction of time-consecutive samples within
-	// 4 KB of each other — high for STREAM's per-thread segments,
+	// 64 KiB of each other — high for STREAM's per-thread segments,
 	// low for CFD's 32-thread irregular gathers.
 	Locality float64
 }
