@@ -327,12 +327,14 @@ func (r *run) setupEvents() error {
 // default a Collect that materializes every sample into Profile.Trace;
 // either way the run's sample memory is whatever that sink retains.
 func (r *run) setupSinks() error {
-	var s trace.Sink = &trace.Collect{Trace: r.prof.Trace}
+	var s trace.Sink
 	if f := r.s.cfg.SinkFactory; f != nil {
 		var err error
 		if s, err = f(r.prof.Trace.Meta()); err != nil {
 			return fmt.Errorf("core: sink factory: %w", err)
 		}
+	} else {
+		s = &trace.Collect{Trace: r.prof.Trace}
 	}
 	// The checksum comes from the sink when it keeps one (a v2
 	// writer's rolling hash); otherwise — Collect, or a factory
