@@ -84,7 +84,8 @@ func (m Mode) Counters() bool { return m == ModeCounters || m == ModeFull }
 // block holds the knobs the paper sets through code or perf attrs and
 // the simulation's own scaling knobs. The SPE operation filter is not
 // a knob: NMO always samples loads and stores with no latency filter
-// (PMSCR 0x600000001), which is what samplingAttr programs.
+// (arm_spe_pmu config 0x600000001), which is what samplingAttr
+// programs.
 type Config struct {
 	// Enable gates all collection (NMO_ENABLE, default off).
 	Enable bool
@@ -259,9 +260,9 @@ func (c Config) CanonicalBytes() []byte {
 	fmt.Fprintf(&b, "auxmib=%d\n", c.AuxMiB)
 	fmt.Fprintf(&b, "ringpages=%d\n", c.RingPages)
 	fmt.Fprintf(&b, "auxpages=%d\n", c.AuxPages)
-	// The operation filter and latency threshold were once knobs;
-	// they stay in the encoding as the fixed values samplingAttr
-	// programs, so no content address moves.
+	// Fixed lines for the operation filter and latency threshold
+	// samplingAttr always programs: dropping them would move every
+	// content address (TestContentAddressPinned).
 	b.WriteString("loads=true\nstores=true\n")
 	fmt.Fprintf(&b, "jitter=%t\n", c.Jitter)
 	b.WriteString("minlat=0\n")
