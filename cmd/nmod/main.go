@@ -36,121 +36,88 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"nmo/internal/auth"
 	"nmo/internal/obs"
 	"nmo/internal/service"
-	"nmo/internal/zerocopy"
 )
 
 func main() {
-	addr := flag.String("addr", ":8077", "listen address")
-	workers := flag.Int("workers", 2, "concurrently running jobs")
-	queueCap := flag.Int("queue", 64, "max queued jobs (submissions beyond it get 429)")
-	engineJobs := flag.Int("engine-jobs", 1, "engine worker-pool size per job (results identical at any value)")
-	cacheDir := flag.String("cache-dir", os.Getenv("NMO_CACHE_DIR"),
-		"cache spill directory, kept across restarts (default $NMO_CACHE_DIR; empty = a private temporary directory removed on exit)")
-	cacheDiskMiB := flag.Int("cache-disk-mib", 4096, "cache budget: trace bytes in the spill directory, MiB")
-	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
-		"append-only JSONL audit file: one event per HTTP request and job transition (default $NMO_AUDIT_LOG; empty = off)")
-	debugAddr := flag.String("debug-addr", "",
-		"private listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
-	authMode := flag.String("auth-mode", "none",
-		"request authentication: none (dev X-Nmo-Tenant header tenancy) or jwt (HS256 bearer tokens)")
-	authKeyFile := flag.String("auth-hmac-key-file", "",
-		"file holding the HS256 verification key (required for -auth-mode jwt; also verifies the gateway's signed tenant header)")
-	quotasFile := flag.String("tenant-quotas", "",
-		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
-	flag.Parse()
-
-	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nmod:", err)
-		os.Exit(1)
-	}
-	ccfg := service.CacheConfig{
-		Dir:        *cacheDir,
-		DiskBudget: int64(*cacheDiskMiB) << 20,
-	}
-	if err := run(*addr, *workers, *queueCap, *engineJobs, ccfg, acfg, *auditLog, *debugAddr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nmod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, queueCap, engineJobs int, ccfg service.CacheConfig, acfg auth.Config, auditLog, debugAddr string) error {
+// run serves a shard daemon configured by args until ctx ends, then
+// drains in-flight HTTP and closes the scheduler, which cancels
+// whatever is still queued.
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("nmod", flag.ExitOnError)
+	addr := fs.String("addr", ":8077", "listen address")
+	workers := fs.Int("workers", 2, "concurrently running jobs")
+	queueCap := fs.Int("queue", 64, "max queued jobs (submissions beyond it get 429)")
+	engineJobs := fs.Int("engine-jobs", 1, "engine worker-pool size per job (results identical at any value)")
+	cacheDir := fs.String("cache-dir", os.Getenv("NMO_CACHE_DIR"),
+		"cache spill directory, kept across restarts (default $NMO_CACHE_DIR; empty = a private temporary directory removed on exit)")
+	cacheDiskMiB := fs.Int("cache-disk-mib", 4096, "cache budget: trace bytes in the spill directory, MiB")
+	auditLog := fs.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
+		"append-only JSONL audit file: one event per HTTP request and job transition (default $NMO_AUDIT_LOG; empty = off)")
+	debugAddr := fs.String("debug-addr", "",
+		"private listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
+	authMode := fs.String("auth-mode", "none",
+		"request authentication: none (dev X-Nmo-Tenant header tenancy) or jwt (HS256 bearer tokens)")
+	authKeyFile := fs.String("auth-hmac-key-file", "",
+		"file holding the HS256 verification key (required for -auth-mode jwt; also verifies the gateway's signed tenant header)")
+	quotasFile := fs.String("tenant-quotas", "",
+		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
+	fs.Parse(args)
+
+	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
+	if err != nil {
+		return err
+	}
 	var audit *obs.AuditLog
-	if auditLog != "" {
-		var err error
-		if audit, err = obs.OpenAudit(auditLog); err != nil {
-			return fmt.Errorf("audit log %s: %w", auditLog, err)
+	if *auditLog != "" {
+		if audit, err = obs.OpenAudit(*auditLog); err != nil {
+			return fmt.Errorf("audit log %s: %w", *auditLog, err)
 		}
 		defer audit.Close()
 	}
-	if debugAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(debugAddr, obs.DebugHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "nmod: debug listener:", err)
-			}
-		}()
+	if *debugAddr != "" {
+		dbg, err := obs.ServeDebug(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer dbg.Close()
 	}
-	cfg := service.SchedConfig{
-		Workers:    workers,
-		QueueCap:   queueCap,
-		EngineJobs: engineJobs,
-		Metrics:    service.NewMetrics(audit),
-		Quotas:     acfg.Quotas,
-	}
-	cache, err := service.NewCache(ccfg)
+	cache, err := service.NewCache(service.CacheConfig{Dir: *cacheDir, DiskBudget: int64(*cacheDiskMiB) << 20})
 	if err != nil {
-		return fmt.Errorf("cache dir %s: %w", ccfg.Dir, err)
+		return fmt.Errorf("cache dir %s: %w", *cacheDir, err)
 	}
-	sched := service.NewScheduler(cfg, cache)
+	sched := service.NewScheduler(service.SchedConfig{Workers: *workers, QueueCap: *queueCap, EngineJobs: *engineJobs,
+		Metrics: service.NewMetrics(audit), Quotas: acfg.Quotas}, cache)
 	defer sched.Close() // closes the cache too: a private spill dir is removed
-
-	// The listener is wrapped for the zero-copy data plane: accepted
-	// conns count the stored extents of trace serves that
-	// the Go runtime moves by sendfile(2), and ConnContext lets the
-	// trace handler tell which bytes the conn already counted. Counters are shared with the handler so
-	// /v1/stats sees both sides.
-	mw, err := auth.NewMiddleware(acfg)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	h := service.NewServer(sched, service.WithAuth(mw))
-	srv := &http.Server{Addr: addr, Handler: h, ConnContext: zerocopy.ConnContext}
-
-	ln, err := net.Listen("tcp", addr)
+	d, _, err := service.StartShard(ln, sched, acfg)
 	if err != nil {
 		return err
 	}
-
-	// Graceful shutdown: stop accepting, drain in-flight HTTP, then
-	// the deferred scheduler Close cancels whatever is still queued.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, h.ZeroCopy())) }()
 	tier := "private spill dir"
-	if ccfg.Dir != "" {
-		tier = "spill dir " + ccfg.Dir
+	if *cacheDir != "" {
+		tier = "spill dir " + *cacheDir
 	}
-	fmt.Printf("nmod: listening on %s (%d workers, engine-jobs %d, queue %d, cache %s, auth %s)\n",
-		addr, workers, engineJobs, queueCap, tier, acfg.Mode)
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("nmod: shutting down")
-	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shctx)
+	fmt.Fprintf(out, "nmod: listening on %s (%d workers, engine-jobs %d, queue %d, cache %s, auth %s)\n",
+		d.Addr(), *workers, *engineJobs, *queueCap, tier, acfg.Mode)
+	return d.Wait(ctx)
 }

@@ -24,8 +24,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,91 +35,69 @@ import (
 	"nmo/internal/auth"
 	"nmo/internal/gateway"
 	"nmo/internal/obs"
-	"nmo/internal/zerocopy"
 )
 
 func main() {
-	addr := flag.String("addr", ":8100", "listen address")
-	members := flag.String("members", "", "comma-separated nmod member addresses (required)")
-	probe := flag.Duration("probe", 2*time.Second, "member health-probe interval")
-	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
-		"append-only JSONL audit file: one event per HTTP request at the gateway edge (default $NMO_AUDIT_LOG; empty = off)")
-	debugAddr := flag.String("debug-addr", "",
-		"private listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
-	authMode := flag.String("auth-mode", "none",
-		"request authentication: none (dev X-Nmo-Tenant header tenancy) or jwt (HS256 bearer tokens)")
-	authKeyFile := flag.String("auth-hmac-key-file", "",
-		"file holding the HS256 verification key (required for -auth-mode jwt; also signs the tenant header forwarded to shards)")
-	quotasFile := flag.String("tenant-quotas", "",
-		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
-	flag.Parse()
-
-	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nmogw:", err)
-		os.Exit(1)
-	}
-	if err := run(*addr, *members, *probe, acfg, *auditLog, *debugAddr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nmogw:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, members string, probe time.Duration, acfg auth.Config, auditLog, debugAddr string) error {
+// run serves a gateway configured by args until ctx ends, then drains
+// in-flight HTTP and stops the prober.
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("nmogw", flag.ExitOnError)
+	addr := fs.String("addr", ":8100", "listen address")
+	members := fs.String("members", "", "comma-separated nmod member addresses (required)")
+	probe := fs.Duration("probe", 2*time.Second, "member health-probe interval")
+	auditLog := fs.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
+		"append-only JSONL audit file: one event per HTTP request at the gateway edge (default $NMO_AUDIT_LOG; empty = off)")
+	debugAddr := fs.String("debug-addr", "",
+		"private listen address serving net/http/pprof under /debug/pprof/ (empty = off)")
+	authMode := fs.String("auth-mode", "none",
+		"request authentication: none (dev X-Nmo-Tenant header tenancy) or jwt (HS256 bearer tokens)")
+	authKeyFile := fs.String("auth-hmac-key-file", "",
+		"file holding the HS256 verification key (required for -auth-mode jwt; also signs the tenant header forwarded to shards)")
+	quotasFile := fs.String("tenant-quotas", "",
+		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
+	fs.Parse(args)
+
+	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
+	if err != nil {
+		return err
+	}
 	var list []string
-	for _, m := range strings.Split(members, ",") {
+	for _, m := range strings.Split(*members, ",") {
 		if m = strings.TrimSpace(m); m != "" {
 			list = append(list, m)
 		}
 	}
 	var audit *obs.AuditLog
-	if auditLog != "" {
-		var err error
-		if audit, err = obs.OpenAudit(auditLog); err != nil {
-			return fmt.Errorf("audit log %s: %w", auditLog, err)
+	if *auditLog != "" {
+		if audit, err = obs.OpenAudit(*auditLog); err != nil {
+			return fmt.Errorf("audit log %s: %w", *auditLog, err)
 		}
 		defer audit.Close()
 	}
-	if debugAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(debugAddr, obs.DebugHandler()); err != nil {
-				fmt.Fprintln(os.Stderr, "nmogw: debug listener:", err)
-			}
-		}()
+	if *debugAddr != "" {
+		dbg, err := obs.ServeDebug(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer dbg.Close()
 	}
-	gw, err := gateway.New(gateway.Config{
-		Members:    list,
-		ProbeEvery: probe,
-		Audit:      audit,
-		Auth:       acfg,
-	})
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	defer gw.Close()
-
-	// Wrapped listener + ConnContext: the splice proxy hop runs only
-	// on wrapped client conns, which count the sized shard trace
-	// bodies the Go runtime splices shard-socket → client-socket.
-	srv := &http.Server{Addr: addr, Handler: gw, ConnContext: zerocopy.ConnContext}
-	ln, err := net.Listen("tcp", addr)
+	d, _, err := gateway.Start(ln, gateway.Config{Members: list, ProbeEvery: *probe, Audit: audit, Auth: acfg})
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, gw.ZeroCopy())) }()
-	fmt.Printf("nmogw: listening on %s, routing %d members (%d vnodes each, probe %s, auth %s)\n",
-		addr, len(list), gateway.DefaultReplicas, probe, acfg.Mode)
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Println("nmogw: shutting down")
-	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shctx)
+	fmt.Fprintf(out, "nmogw: listening on %s, routing %d members (%d vnodes each, probe %s, auth %s)\n",
+		d.Addr(), len(list), gateway.DefaultReplicas, *probe, acfg.Mode)
+	return d.Wait(ctx)
 }

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"flag"
-	"net/http/httptest"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nmo"
+	"nmo/internal/auth"
 	"nmo/internal/engine"
 	"nmo/internal/service"
 	"nmo/internal/trace"
@@ -223,17 +225,33 @@ func TestStatDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// startShard starts a one-worker nmod shard on the daemon start path
+// and returns its URL; the shard closes when the test ends.
+func startShard(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := service.StartShard(ln, service.NewScheduler(service.SchedConfig{Workers: 1}, nil), auth.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		d.Close(ctx)
+	})
+	return "http://" + d.Addr().String()
+}
+
 // TestRemoteInspect drives the -remote mode against an in-process nmod
 // service: the inspector downloads the job's trace over HTTP (time
 // filters pushed down to the daemon) and its tables must match an
 // inspection of the byte-identical local file.
 func TestRemoteInspect(t *testing.T) {
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(service.NewServer(sched))
-	defer srv.Close()
-
-	client := service.NewClient(srv.URL)
+	url := startShard(t)
+	client := service.NewClient(url)
 	ctx := context.Background()
 	info, err := client.Submit(ctx, service.JobSpec{Scenarios: []service.ScenarioSpec{{
 		Workload: "stream", Threads: 4, Elems: 30_000, Iters: 2, Cores: 8, Seed: 42, Period: 700,
@@ -247,7 +265,7 @@ func TestRemoteInspect(t *testing.T) {
 
 	var remoteOut bytes.Buffer
 	err = run(&remoteOut, options{
-		remote: srv.URL, job: info.ID, core: -1,
+		remote: url, job: info.ID, core: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +309,7 @@ func TestRemoteInspect(t *testing.T) {
 
 	// Filtered remote inspection: the daemon trims server-side.
 	var filtered bytes.Buffer
-	if err := run(&filtered, options{remote: srv.URL, job: info.ID, core: 1}); err != nil {
+	if err := run(&filtered, options{remote: url, job: info.ID, core: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(filtered.String(), "server-side filtered restream") {
@@ -300,7 +318,7 @@ func TestRemoteInspect(t *testing.T) {
 	// The -core range check runs before any download.
 	for _, core := range []int{-3, 40000} {
 		var out bytes.Buffer
-		if err := run(&out, options{remote: srv.URL, job: info.ID, core: core}); err == nil || out.Len() != 0 {
+		if err := run(&out, options{remote: url, job: info.ID, core: core}); err == nil || out.Len() != 0 {
 			t.Errorf("remote -core %d: err %v, output %q; want an error before any fetch", core, err, out.String())
 		}
 	}
@@ -310,12 +328,8 @@ func TestRemoteInspect(t *testing.T) {
 // carry the daemon's scheduler counters, including the spill store's
 // byte gauge.
 func TestRemoteStats(t *testing.T) {
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(service.NewServer(sched))
-	defer srv.Close()
-
-	client := service.NewClient(srv.URL)
+	url := startShard(t)
+	client := service.NewClient(url)
 	ctx := context.Background()
 	info, err := client.Submit(ctx, service.JobSpec{Scenarios: []service.ScenarioSpec{{
 		Workload: "stream", Threads: 2, Elems: 10_000, Iters: 1, Cores: 4, Seed: 42, Period: 700,
@@ -328,7 +342,7 @@ func TestRemoteStats(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := run(&buf, options{remote: srv.URL, stats: true}); err != nil {
+	if err := run(&buf, options{remote: url, stats: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -43,7 +43,7 @@ func TestGatewayJWTAuth(t *testing.T) {
 	// Per-tenant series materialized on the gateway scrape: request
 	// counts for the ops 2xx traffic, plus ops trace bytes on the trace
 	// route.
-	mresp, err := http.Get(f.front.URL + "/metrics")
+	mresp, err := http.Get(f.url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGatewayRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := service.NewClient(f.front.URL)
+	other := service.NewClient(f.url)
 	other.Token = otherTok
 	if _, err := other.Submit(ctx, spec(512)); err != nil {
 		t.Fatalf("unthrottled tenant rejected: %v", err)
@@ -121,7 +121,7 @@ func TestGatewayDevTenantHeader(t *testing.T) {
 	f := newFleet(t, 1)
 
 	body := strings.NewReader(mustJSON(t, spec(520)))
-	req, err := http.NewRequest("POST", f.front.URL+"/v1/jobs", body)
+	req, err := http.NewRequest("POST", f.url+"/v1/jobs", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func mustJSON(t *testing.T, v interface{}) string {
 func TestGatewayEnvelope404And405(t *testing.T) {
 	f := newFleet(t, 1)
 
-	resp, err := http.Get(f.front.URL + "/v1/not-a-route")
+	resp, err := http.Get(f.url + "/v1/not-a-route")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestGatewayEnvelope404And405(t *testing.T) {
 		t.Errorf("gateway 404 = %d %q, want not_found envelope", resp.StatusCode, raw)
 	}
 
-	req, _ := http.NewRequest("PUT", f.front.URL+"/v1/jobs", nil)
+	req, _ := http.NewRequest("PUT", f.url+"/v1/jobs", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

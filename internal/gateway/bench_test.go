@@ -3,14 +3,11 @@ package gateway
 import (
 	"context"
 	"io"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
 	"nmo/internal/service"
-	"nmo/internal/zerocopy"
 )
 
 // BenchmarkGatewayOverhead isolates the routing tier's cost: identical
@@ -58,29 +55,17 @@ func BenchmarkGatewayOverhead(b *testing.B) {
 	}
 
 	b.Run("direct", func(b *testing.B) {
-		sched := service.NewScheduler(service.SchedConfig{Workers: 2}, nil)
-		defer sched.Close()
-		srv := httptest.NewServer(service.NewServer(sched))
-		defer srv.Close()
-		run(b, service.NewClient(srv.URL))
+		_, shard := startShard(b, auth.Config{})
+		run(b, service.NewClient(baseURL(shard)))
 	})
 	b.Run("proxied", func(b *testing.B) {
 		members := make([]string, 2)
 		for i := range members {
-			sched := service.NewScheduler(service.SchedConfig{Workers: 2}, nil)
-			defer sched.Close()
-			srv := httptest.NewServer(service.NewServer(sched))
-			defer srv.Close()
-			members[i] = srv.URL
+			_, shard := startShard(b, auth.Config{})
+			members[i] = baseURL(shard)
 		}
-		gw, err := New(Config{Members: members})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer gw.Close()
-		front := httptest.NewServer(gw)
-		defer front.Close()
-		run(b, service.NewClient(front.URL))
+		_, frontURL := startGateway(b, Config{Members: members})
+		run(b, service.NewClient(frontURL))
 	})
 }
 
@@ -95,21 +80,7 @@ func BenchmarkGatewayOverhead(b *testing.B) {
 // described in DESIGN.md §14. CI's benchstat gate watches it for
 // regressions.
 func BenchmarkGatewaySplice(b *testing.B) {
-	serve := func(handler http.Handler, ctr *zerocopy.Counters) (string, *http.Server) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := &http.Server{Handler: handler, ConnContext: zerocopy.ConnContext}
-		go srv.Serve(zerocopy.WrapListener(ln, ctr))
-		return "http://" + ln.Addr().String(), srv
-	}
-
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	defer sched.Close()
-	shardH := service.NewServer(sched)
-	shardURL, shardSrv := serve(shardH, shardH.ZeroCopy())
-	defer shardSrv.Close()
+	shard, _ := serveShard(b, service.NewScheduler(service.SchedConfig{Workers: 1}, nil), auth.Config{})
 
 	js := spec(1)
 	js.Scenarios[0].Elems = 200_000
@@ -117,13 +88,7 @@ func BenchmarkGatewaySplice(b *testing.B) {
 	js.Scenarios[0].Period = 64
 
 	b.Run("splice", func(b *testing.B) {
-		gw, err := New(Config{Members: []string{shardURL}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer gw.Close()
-		frontURL, frontSrv := serve(gw, gw.ZeroCopy())
-		defer frontSrv.Close()
+		gw, frontURL := startGateway(b, Config{Members: []string{baseURL(shard)}})
 		client := service.NewClient(frontURL)
 		ctx := context.Background()
 

@@ -204,6 +204,7 @@ func runLyingUpstream(t *testing.T, lie func(tc *net.TCPConn) bool, fail, wrappe
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hand-built, not Start: the unwrapped leg serves without a wrapped conn.
 	front := &http.Server{Handler: gw}
 	if wrapped {
 		front.ConnContext = zerocopy.ConnContext

@@ -157,6 +157,17 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
+// Start serves a gateway over cfg's members on ln. Closing the daemon
+// stops the prober and closes the pooled conns; on error ln is closed.
+func Start(ln net.Listener, cfg Config) (*service.Daemon, *Gateway, error) {
+	g, err := New(cfg)
+	if err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	return service.Serve(ln, g, g.ZeroCopy(), g.Close), g, nil
+}
+
 // forwardHeader is the header of a proxied gateway→shard hop: the
 // request ID, plus the authenticated principal — the tenant and an
 // HMAC over it when a key is configured (the shard verifies the

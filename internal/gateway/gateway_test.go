@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,10 +22,10 @@ import (
 
 // fleet is a test fixture: n in-process shards behind one gateway.
 type fleet struct {
-	shards  []*httptest.Server
+	shards  []*service.Daemon
 	scheds  []*service.Scheduler
 	gw      *Gateway
-	front   *httptest.Server
+	url     string // the gateway's
 	client  *service.Client
 	clients []*service.Client // direct per-shard clients
 }
@@ -53,18 +54,60 @@ func newAuthFleet(t *testing.T, n int, quotas *auth.Quotas) *fleet {
 	return startFleet(t, n, auth.Config{Mode: auth.ModeJWT, Key: fleetKey, Quotas: quotas})
 }
 
-// startShard starts one shard daemon with the auth stance a.
-func startShard(t *testing.T, a auth.Config) (*service.Scheduler, *httptest.Server) {
+// baseURL is the URL a client reaches d at.
+func baseURL(d *service.Daemon) string { return "http://" + d.Addr().String() }
+
+// closeAtCleanup closes d when the test ends, forcing what is still
+// in flight after 5 s.
+func closeAtCleanup(t testing.TB, d *service.Daemon) {
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		d.Close(ctx)
+	})
+}
+
+// listen opens a loopback listener on a free port.
+func listen(t testing.TB) net.Listener {
 	t.Helper()
-	sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: a.Quotas}, nil)
-	t.Cleanup(sched.Close)
-	mw, err := auth.NewMiddleware(a)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(service.NewServer(sched, service.WithAuth(mw)))
-	t.Cleanup(srv.Close)
-	return sched, srv
+	return ln
+}
+
+// serveShard serves sched as a shard daemon with the auth stance a, on
+// the production start path.
+func serveShard(t testing.TB, sched *service.Scheduler, a auth.Config) (*service.Daemon, *service.Server) {
+	t.Helper()
+	d, h, err := service.StartShard(listen(t), sched, a)
+	if err != nil {
+		sched.Close()
+		t.Fatal(err)
+	}
+	closeAtCleanup(t, d)
+	return d, h
+}
+
+// startShard starts one two-worker shard daemon with the auth stance a.
+func startShard(t testing.TB, a auth.Config) (*service.Scheduler, *service.Daemon) {
+	t.Helper()
+	sched := service.NewScheduler(service.SchedConfig{Workers: 2, Quotas: a.Quotas}, nil)
+	d, _ := serveShard(t, sched, a)
+	return sched, d
+}
+
+// startGateway starts a gateway daemon on the production start path
+// and returns it with its URL.
+func startGateway(t testing.TB, cfg Config) (*Gateway, string) {
+	t.Helper()
+	d, gw, err := Start(listen(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAtCleanup(t, d)
+	return gw, baseURL(d)
 }
 
 // startFleet starts n shards and a gateway over them, all with the
@@ -74,21 +117,14 @@ func startFleet(t *testing.T, n int, a auth.Config) *fleet {
 	f := &fleet{}
 	members := make([]string, n)
 	for i := range members {
-		sched, srv := startShard(t, a)
+		sched, d := startShard(t, a)
+		members[i] = baseURL(d)
 		f.scheds = append(f.scheds, sched)
-		f.shards = append(f.shards, srv)
-		f.clients = append(f.clients, service.NewClient(srv.URL))
-		members[i] = srv.URL
+		f.shards = append(f.shards, d)
+		f.clients = append(f.clients, service.NewClient(members[i]))
 	}
-	gw, err := New(Config{Members: members, ProbeEvery: 100 * time.Millisecond, Auth: a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	f.gw = gw
-	f.front = httptest.NewServer(gw)
-	t.Cleanup(f.front.Close)
-	f.client = service.NewClient(f.front.URL)
+	f.gw, f.url = startGateway(t, Config{Members: members, ProbeEvery: 100 * time.Millisecond, Auth: a})
+	f.client = service.NewClient(f.url)
 	return f
 }
 
@@ -277,7 +313,7 @@ func TestGatewayStatsMerge(t *testing.T) {
 		}
 	}
 	// …and the full body carries the per-member rows.
-	resp, err := http.Get(f.front.URL + "/v1/stats")
+	resp, err := http.Get(f.url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +354,7 @@ func TestGatewayFailover(t *testing.T) {
 	submitWait(t, f.client, spec(1))
 
 	victim := 1
-	f.shards[victim].Close() // connections now refuse
-	f.scheds[victim].Close()
+	f.shards[victim].Close(context.Background()) // connections now refuse
 
 	// 10 distinct keys: about half belonged to the victim's arcs; all
 	// must complete on the survivor via the ring-successor walk.
@@ -330,7 +365,7 @@ func TestGatewayFailover(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(f.front.URL + "/v1/stats")
+	resp, err := http.Get(f.url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +380,10 @@ func TestGatewayFailover(t *testing.T) {
 	if !fleetStats.Members[1-victim].Healthy {
 		t.Fatalf("survivor reported unhealthy: %+v", fleetStats.Members[1-victim])
 	}
-	if resp, err := http.Get(f.front.URL + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Get(f.url + "/v1/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("gateway healthz with one survivor: %v (%v)", resp.Status, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 

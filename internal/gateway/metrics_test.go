@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
 	"nmo/internal/obs"
 	"nmo/internal/service"
 )
@@ -46,21 +46,12 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 	sched := service.NewScheduler(service.SchedConfig{
 		Workers: 2, Metrics: service.NewMetrics(shardAudit),
 	}, nil)
-	t.Cleanup(sched.Close)
-	shard := httptest.NewServer(service.NewServer(sched))
-	t.Cleanup(shard.Close)
-
-	gw, err := New(Config{Members: []string{shard.URL},
+	shard, _ := serveShard(t, sched, auth.Config{})
+	_, frontURL := startGateway(t, Config{Members: []string{baseURL(shard)},
 		ProbeEvery: 100 * time.Millisecond, Audit: gwAudit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	front := httptest.NewServer(gw)
-	t.Cleanup(front.Close)
 
 	body := `{"scenarios":[{"workload":"stream","threads":2,"elems":20000,"iters":1,"cores":4,"period":700}]}`
-	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(frontURL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +68,7 @@ func TestGatewayRequestIDPropagation(t *testing.T) {
 		t.Errorf("shard job record request_id %q != gateway-minted %q", info.RequestID, reqID)
 	}
 
-	client := service.NewClient(front.URL)
+	client := service.NewClient(frontURL)
 	done, err := client.Wait(context.Background(), info.ID, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +122,7 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	f := newFleet(t, 2)
 	submitWait(t, f.client, spec(42))
 
-	resp, err := http.Get(f.front.URL + "/metrics")
+	resp, err := http.Get(f.url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

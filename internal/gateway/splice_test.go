@@ -11,23 +11,18 @@ import (
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
 	"nmo/internal/service"
 	"nmo/internal/zerocopy"
 )
 
-// serveZC starts handler on a real TCP listener wired like the
-// production commands: wrapped listener + ConnContext, so accepted
-// conns carry the zero-copy state the splice/sendfile tiers need.
+// serveZC serves handler, whose data-plane counters are ctr, on the
+// daemon start path and returns its URL.
 func serveZC(t *testing.T, handler http.Handler, ctr *zerocopy.Counters) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: handler, ConnContext: zerocopy.ConnContext}
-	go srv.Serve(zerocopy.WrapListener(ln, ctr))
-	t.Cleanup(func() { srv.Close() })
-	return "http://" + ln.Addr().String()
+	d := service.Serve(listen(t), handler, ctr, nil)
+	closeAtCleanup(t, d)
+	return baseURL(d)
 }
 
 // waitReach polls a data-plane counter until it reaches want, for up
@@ -52,17 +47,9 @@ func waitReach(read func() int64, want int64) int64 {
 // whole response would relay through the buffered prefix and never
 // reach the splice.
 func TestGatewaySpliceRelay(t *testing.T) {
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	t.Cleanup(sched.Close)
-	shardH := service.NewServer(sched)
-	shardURL := serveZC(t, shardH, shardH.ZeroCopy())
-
-	gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	frontURL := serveZC(t, gw, gw.ZeroCopy())
+	shard, shardH := serveShard(t, service.NewScheduler(service.SchedConfig{Workers: 1}, nil), auth.Config{})
+	shardURL := baseURL(shard)
+	gw, frontURL := startGateway(t, Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
 	client := service.NewClient(frontURL)
 
 	// A transfer-dominated blob: hundreds of KiB, far past the 32 KiB
@@ -172,21 +159,15 @@ func TestGatewaySpliceRelay(t *testing.T) {
 // ConnContext) runs the same relay but must credit every trace byte
 // as fallback, never as splice, and serve identical bytes.
 func TestGatewaySpliceFallback(t *testing.T) {
-	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, nil)
-	t.Cleanup(sched.Close)
-	shardH := service.NewServer(sched)
-	shardURL := serveZC(t, shardH, shardH.ZeroCopy())
-
+	shard, _ := serveShard(t, service.NewScheduler(service.SchedConfig{Workers: 1}, nil), auth.Config{})
+	shardURL := baseURL(shard)
 	gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: gw} // deliberately unwrapped
+	ln := listen(t)
+	srv := &http.Server{Handler: gw} // deliberately unwrapped: the front under test is not zero-copy
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	client := service.NewClient("http://" + ln.Addr().String())
@@ -241,12 +222,7 @@ func TestGatewaySpliceClientCancel(t *testing.T) {
 	go shardSrv.Serve(shardLn)
 	t.Cleanup(func() { shardSrv.Close() })
 
-	gw, err := New(Config{Members: []string{"http://" + shardLn.Addr().String()}, ProbeEvery: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	frontURL := serveZC(t, gw, gw.ZeroCopy())
+	gw, frontURL := startGateway(t, Config{Members: []string{"http://" + shardLn.Addr().String()}, ProbeEvery: time.Hour})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

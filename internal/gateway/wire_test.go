@@ -99,18 +99,11 @@ func wireTokens(t *testing.T) map[string]string {
 func startWireFronts(t *testing.T, a auth.Config, tok string, js service.JobSpec) []*wireFront {
 	t.Helper()
 	sched, bare := startShard(t, a)
-	fronts := []*wireFront{{name: "shard", addr: bare.Listener.Addr().String(), scheds: []*service.Scheduler{sched}}}
+	fronts := []*wireFront{{name: "shard", addr: bare.Addr().String(), scheds: []*service.Scheduler{sched}}}
 	for _, n := range []int{1, 2} {
 		f := startFleet(t, n, a)
-		// A relay wedged on a bodiless answer holds a shard conn open;
-		// dropping the shard conns first lets the fixture shut down.
-		t.Cleanup(func() {
-			for _, s := range f.shards {
-				s.CloseClientConnections()
-			}
-		})
 		fronts = append(fronts, &wireFront{name: fmt.Sprintf("gateway/%d", n),
-			addr: f.front.Listener.Addr().String(), gw: f.gw, scheds: f.scheds})
+			addr: strings.TrimPrefix(f.url, "http://"), gw: f.gw, scheds: f.scheds})
 	}
 	tenant := auth.DefaultTenant
 	if a.Mode == auth.ModeJWT {

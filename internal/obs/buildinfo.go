@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -42,15 +44,23 @@ func RegisterBuildInfo(reg *Registry) {
 	reg.GaugeFunc("nmo_uptime_seconds", "Seconds since the process started.", Uptime)
 }
 
-// DebugHandler serves the net/http/pprof endpoints under
-// /debug/pprof/ on a private mux — the daemons mount it only behind
-// the opt-in -debug-addr listener, never on the public API port.
-func DebugHandler() http.Handler {
+// ServeDebug serves the net/http/pprof endpoints under /debug/pprof/
+// on a private mux at addr — the daemons' opt-in -debug-addr
+// listener, never the public API port. The listener is open when it
+// returns, so a taken or malformed addr fails the daemon's start;
+// closing the returned server stops it.
+func ServeDebug(addr string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("debug listener: %w", err)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(ln)
+	return srv, nil
 }

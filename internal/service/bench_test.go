@@ -8,12 +8,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
-
-	"nmo/internal/zerocopy"
 )
 
 // benchSpec is deliberately tiny: the benchmark measures the service
@@ -38,10 +35,8 @@ func benchSpec(seed uint64) JobSpec {
 func BenchmarkServiceThroughput(b *testing.B) {
 	run := func(b *testing.B, cache *Cache, spec func(i int) JobSpec) {
 		sched := NewScheduler(SchedConfig{Workers: 2, QueueCap: 1 << 16}, cache)
-		defer sched.Close()
-		srv := httptest.NewServer(NewServer(sched))
-		defer srv.Close()
-		client := NewClient(srv.URL)
+		d, _ := startShard(b, listen(b), sched)
+		client := NewClient(d.Addr().String())
 		ctx := context.Background()
 
 		b.ResetTimer()
@@ -77,11 +72,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // payload* delivered — the raw blob size — so the compressed number
 // directly shows what shipping fewer wire bytes buys.
 func BenchmarkServiceTraceStream(b *testing.B) {
-	sched := NewScheduler(SchedConfig{Workers: 1}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(NewServer(sched))
-	defer srv.Close()
-	client := NewClient(srv.URL)
+	_, _, client := newTestServer(b, SchedConfig{Workers: 1})
 	ctx := context.Background()
 
 	submit := func(compress bool) (string, int64) {
@@ -164,17 +155,12 @@ func BenchmarkTraceServeSendfile(b *testing.B) {
 	blob := job.Artifacts().Traces[0]
 
 	run := func(b *testing.B) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := &http.Server{Handler: h, ConnContext: zerocopy.ConnContext}
-		go srv.Serve(zerocopy.WrapListener(ln, h.ZeroCopy()))
-		defer srv.Close()
+		d := Serve(listen(b), h, h.ZeroCopy(), nil) // h, and its scheduler, outlive this server
+		defer closeDaemon(d)
 
 		// The drain client: one persistent conn, a precomputed request,
 		// headers parsed in user space, body spliced to /dev/null.
-		addr := ln.Addr().String()
+		addr := d.Addr().String()
 		tc, err := net.Dial("tcp", addr)
 		if err != nil {
 			b.Fatal(err)

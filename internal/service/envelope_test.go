@@ -49,7 +49,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) *obs.APIError {
 // conflict and a further submission a 429 queue_full. It also keeps the
 // 405 row for an unknown verb on /v1/jobs, with its Allow header.
 func TestErrorEnvelopeGolden(t *testing.T) {
-	srv, _, client := newTestServer(t, SchedConfig{Workers: 1, QueueCap: 1})
+	url, _, client := newTestServer(t, SchedConfig{Workers: 1, QueueCap: 1})
 	ctx := context.Background()
 
 	var slowScens []ScenarioSpec
@@ -78,7 +78,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+			r, err := http.NewRequest(tc.method, url+tc.path, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

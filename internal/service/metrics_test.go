@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -50,11 +49,7 @@ func cacheStats(c *Cache) SchedStats {
 // JSON agree exactly on every shared counter. Both views render the
 // same registry words, so any drift is a wiring bug.
 func TestMetricsStatsAgree(t *testing.T) {
-	sched := NewScheduler(SchedConfig{Workers: 2}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(NewServer(sched))
-	defer srv.Close()
-	client := NewClient(srv.URL)
+	url, _, client := newTestServer(t, SchedConfig{Workers: 2})
 	ctx := context.Background()
 
 	spec := func(seed uint64) JobSpec {
@@ -86,7 +81,7 @@ func TestMetricsStatsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mx := scrapeMetrics(t, srv.URL)
+	mx := scrapeMetrics(t, url)
 
 	checks := []struct {
 		series string
@@ -121,13 +116,13 @@ func TestMetricsStatsAgree(t *testing.T) {
 
 	// The workload's known shape: 3 accepted, 1 rejected, 2 engine
 	// runs (the duplicate must not re-simulate), 1 cache hit, and the
-	// trace download moved bytes through the fallback path (httptest
-	// conns are not zero-copy wrapped).
+	// trace download moved bytes through the sendfile path (the
+	// daemon's conns are zero-copy wrapped).
 	if st.Submitted != 3 || st.Rejected != 1 || st.EngineRuns != 2 || st.CacheHits != 1 {
 		t.Errorf("workload counters off: %+v", st)
 	}
-	if st.ZcFallbackBytes <= 0 {
-		t.Errorf("trace download did not count fallback bytes: %+v", st)
+	if st.ZcSendfileBytes <= 0 {
+		t.Errorf("trace download did not count sendfile bytes: %+v", st)
 	}
 	if st.UptimeSec <= 0 {
 		t.Errorf("uptime not reported: %+v", st)
@@ -187,11 +182,7 @@ func TestMetricsStatsAgree(t *testing.T) {
 // a finished leader job reports all five phases; a cache-served job
 // reports only the lookup.
 func TestJobPhasesExposed(t *testing.T) {
-	sched := NewScheduler(SchedConfig{Workers: 1}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(NewServer(sched))
-	defer srv.Close()
-	client := NewClient(srv.URL)
+	_, _, client := newTestServer(t, SchedConfig{Workers: 1})
 	ctx := context.Background()
 
 	spec := JobSpec{Scenarios: []ScenarioSpec{{
@@ -259,18 +250,15 @@ func auditFile(t *testing.T, name string) (*obs.AuditLog, func() string) {
 // the job record, and the job's audit lines.
 func TestRequestIDOnJob(t *testing.T) {
 	audit, auditLog := auditFile(t, "audit.jsonl")
-	sched := NewScheduler(SchedConfig{Workers: 1, Metrics: NewMetrics(audit)}, nil)
-	defer sched.Close()
-	srv := httptest.NewServer(NewServer(sched))
-	defer srv.Close()
+	url, _, client := newTestServer(t, SchedConfig{Workers: 1, Metrics: NewMetrics(audit)})
 
 	body := `{"scenarios":[{"workload":"stream","threads":2,"elems":10000,"iters":1,"cores":4,"period":700}]}`
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/jobs", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set(obs.RequestIDHeader, "r-e2e-test")
-	resp, err := srv.Client().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +273,7 @@ func TestRequestIDOnJob(t *testing.T) {
 	if info.RequestID != "r-e2e-test" {
 		t.Errorf("job record request_id = %q", info.RequestID)
 	}
-	if _, err := NewClient(srv.URL).Wait(context.Background(), info.ID, 0); err != nil {
+	if _, err := client.Wait(context.Background(), info.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(auditLog(), `"req_id":"r-e2e-test"`) ||

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,18 +25,8 @@ func newSpillServer(t *testing.T, dir string) (*Scheduler, *Client, func()) {
 		t.Fatal(err)
 	}
 	sched := NewScheduler(SchedConfig{Workers: 1}, cache)
-	srv := httptest.NewServer(NewServer(sched))
-	client := NewClient(srv.URL)
-	closed := false
-	closeAll := func() {
-		if !closed {
-			closed = true
-			srv.Close()
-			sched.Close()
-		}
-	}
-	t.Cleanup(closeAll)
-	return sched, client, closeAll
+	d, _ := startShard(t, listen(t), sched)
+	return sched, NewClient(d.Addr().String()), func() { closeDaemon(d) }
 }
 
 // spillFiles lists the non-quarantined entry files in a spill dir.
@@ -266,10 +255,8 @@ func TestSpillQuarantine(t *testing.T) {
 
 	// The healthy entry answers its job from the cache, byte-exact.
 	sched2 := NewScheduler(SchedConfig{Workers: 1}, cache)
-	t.Cleanup(sched2.Close)
-	srv := httptest.NewServer(NewServer(sched2))
-	t.Cleanup(srv.Close)
-	client2 := NewClient(srv.URL)
+	d, _ := startShard(t, listen(t), sched2)
+	client2 := NewClient(d.Addr().String())
 	info, err := client2.Submit(ctx, quickJob(93))
 	if err != nil {
 		t.Fatal(err)

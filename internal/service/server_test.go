@@ -3,23 +3,54 @@ package service
 import (
 	"bytes"
 	"context"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
 	"nmo/internal/trace"
 )
 
-// newTestServer spins a full HTTP stack over a fresh scheduler.
-func newTestServer(t *testing.T, cfg SchedConfig) (*httptest.Server, *Scheduler, *Client) {
+// listen opens a loopback listener on a free port.
+func listen(t testing.TB) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// closeDaemon closes d, forcing what is still in flight after 5 s.
+func closeDaemon(d *Daemon) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	d.Close(ctx)
+}
+
+// startShard serves sched as a shard daemon on ln, through the
+// production start path with sched's quota table, until the test ends.
+func startShard(t testing.TB, ln net.Listener, sched *Scheduler) (*Daemon, *Server) {
+	t.Helper()
+	d, h, err := StartShard(ln, sched, auth.Config{Quotas: sched.cfg.Quotas})
+	if err != nil {
+		sched.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeDaemon(d) })
+	return d, h
+}
+
+// newTestServer starts a shard daemon over a fresh scheduler and
+// returns its URL and a client of it.
+func newTestServer(t testing.TB, cfg SchedConfig) (string, *Scheduler, *Client) {
 	t.Helper()
 	sched := NewScheduler(cfg, nil)
-	t.Cleanup(sched.Close)
-	srv := httptest.NewServer(NewServer(sched))
-	t.Cleanup(srv.Close)
-	return srv, sched, NewClient(srv.URL)
+	d, _ := startShard(t, listen(t), sched)
+	url := "http://" + d.Addr().String()
+	return url, sched, NewClient(url)
 }
 
 // TestHTTPEndToEnd drives the whole loop a remote CLI performs:

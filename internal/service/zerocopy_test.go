@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
@@ -14,14 +13,12 @@ import (
 	"time"
 
 	"nmo/internal/trace"
-	"nmo/internal/zerocopy"
 )
 
-// zcServer is a real-TCP server wired exactly like cmd/nmod: wrapped
-// listener + ConnContext, so accepted conns carry the zero-copy state
-// and /trace serves take the sendfile/span-plan tiers. httptest can't
-// stand in here — its conns are never wrapped, so it only ever
-// exercises the fallback copy.
+// zcServer is a shard started like cmd/nmod's, so accepted conns carry
+// the zero-copy state and /trace serves take the sendfile/span-plan
+// tiers. httptest can't stand in here — its conns are never wrapped,
+// so it only ever exercises the fallback copy.
 type zcServer struct {
 	h       *Server
 	client  *Client
@@ -57,20 +54,9 @@ func runJob(t testing.TB, sched *Scheduler, spec JobSpec) *TraceBlob {
 
 func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
 	t.Helper()
-	h := NewServer(sched)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	accepts := new(int64)
-	srv := &http.Server{Handler: h, ConnContext: zerocopy.ConnContext}
-	go srv.Serve(zerocopy.WrapListener(countingListener{ln, accepts}, h.ZeroCopy()))
-	t.Cleanup(func() { srv.Close() })
-	return &zcServer{
-		h:       h,
-		client:  NewClient("http://" + ln.Addr().String()),
-		accepts: accepts,
-	}
+	d, h := startShard(t, countingListener{listen(t), accepts}, sched)
+	return &zcServer{h: h, client: NewClient(d.Addr().String()), accepts: accepts}
 }
 
 // waitReach polls a data-plane counter until it reaches want, for up
@@ -109,6 +95,7 @@ func TestTraceServeMatrix(t *testing.T) {
 			// Both servers front the same scheduler, so both serve
 			// the exact same stored blob.
 			zc := newZCServer(t, sched)
+			// httptest never wraps its conns: the forced-fallback plane.
 			fb := httptest.NewServer(NewServer(sched))
 			t.Cleanup(fb.Close)
 			fbClient := NewClient(fb.URL)
