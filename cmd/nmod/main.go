@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,17 +51,26 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	err := run(ctx, os.Args[1:], os.Stdout)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "nmod:", err)
 		os.Exit(1)
 	}
 }
 
+// errUsage marks a command line the flag set rejected, after printing
+// the error and the usage.
+var errUsage = errors.New("bad command line")
+
 // run serves a shard daemon configured by args until ctx ends, then
 // drains in-flight HTTP and closes the scheduler, which cancels
 // whatever is still queued.
 func run(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("nmod", flag.ExitOnError)
+	fs := flag.NewFlagSet("nmod", flag.ContinueOnError)
 	addr := fs.String("addr", ":8077", "listen address")
 	workers := fs.Int("workers", 2, "concurrently running jobs")
 	queueCap := fs.Int("queue", 64, "max queued jobs (submissions beyond it get 429)")
@@ -78,7 +88,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"file holding the HS256 verification key (required for -auth-mode jwt; also verifies the gateway's signed tenant header)")
 	quotasFile := fs.String("tenant-quotas", "",
 		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
 	if err != nil {

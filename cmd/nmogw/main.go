@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,16 +41,25 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	err := run(ctx, os.Args[1:], os.Stdout)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "nmogw:", err)
 		os.Exit(1)
 	}
 }
 
+// errUsage marks a command line the flag set rejected, after printing
+// the error and the usage.
+var errUsage = errors.New("bad command line")
+
 // run serves a gateway configured by args until ctx ends, then drains
 // in-flight HTTP and stops the prober.
 func run(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("nmogw", flag.ExitOnError)
+	fs := flag.NewFlagSet("nmogw", flag.ContinueOnError)
 	addr := fs.String("addr", ":8100", "listen address")
 	members := fs.String("members", "", "comma-separated nmod member addresses (required)")
 	probe := fs.Duration("probe", 2*time.Second, "member health-probe interval")
@@ -63,7 +73,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"file holding the HS256 verification key (required for -auth-mode jwt; also signs the tenant header forwarded to shards)")
 	quotasFile := fs.String("tenant-quotas", "",
 		"JSON tenant quota table: fair-share weights, rate limits, max in-flight (empty = unlimited)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	acfg, err := auth.LoadConfig(*authMode, *authKeyFile, *quotasFile)
 	if err != nil {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -11,7 +13,9 @@ import (
 	"testing"
 
 	"nmo"
+	"nmo/internal/auth"
 	"nmo/internal/postproc"
+	"nmo/internal/service"
 	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
@@ -19,8 +23,18 @@ import (
 // TestDefaultTraceIsV2: a local run without -trace-out streams into
 // <base>.trace.nmo2 (v2.1 under -trace-compress) whose footer MD5 and
 // recomputed payload MD5 both equal the printed trace MD5, and a run
-// with -trace-out writes the same bytes to the named file.
+// with -trace-out writes the same bytes to the named file, locally and
+// with -remote against a shard on the daemons' start path.
 func TestDefaultTraceIsV2(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, _, err := service.StartShard(ln, service.NewScheduler(service.SchedConfig{Workers: 1}, nil), auth.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Close(context.Background())
 	dir := t.TempDir()
 	t.Setenv("NMO_ENABLE", "1")
 	t.Setenv("NMO_MODE", "sample")
@@ -55,20 +69,23 @@ func TestDefaultTraceIsV2(t *testing.T) {
 			t.Errorf("compress=%t: footer MD5 %s, payload MD5 %x, printed %s", compress, got, sum.MD5, m[1])
 		}
 
-		named := filepath.Join(dir, "named.nmo2")
-		captureStdout(t, func() error {
-			return run("stream", 4, 20_000, 2, 8, 42, 1, "", named, compress, "", 0, "")
-		})
 		def, err := os.ReadFile(filepath.Join(dir, "t.trace.nmo2"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(named)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(def, got) {
-			t.Errorf("compress=%t: -trace-out file differs from the default trace file", compress)
+		for _, remote := range []string{"", shard.Addr().String()} {
+			named := filepath.Join(dir, "named.nmo2")
+			os.Remove(named)
+			captureStdout(t, func() error {
+				return run("stream", 4, 20_000, 2, 8, 42, 1, "", named, compress, remote, 0, "")
+			})
+			got, err := os.ReadFile(named)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(def, got) {
+				t.Errorf("compress=%t remote=%q: -trace-out file differs from the default trace file", compress, remote)
+			}
 		}
 	}
 }

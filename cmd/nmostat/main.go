@@ -288,9 +288,10 @@ func inspectTrace(out io.Writer, o options) error {
 	} else {
 		t.AddRow("blocks read / skipped", fmt.Sprintf("%d / %d", read, skipped))
 	}
+	corrupt := !filtered && sum.MD5 != rd.MD5()
 	if !filtered {
 		status := "ok"
-		if sum.MD5 != rd.MD5() {
+		if corrupt {
 			status = "MISMATCH"
 		}
 		t.AddRow("payload MD5", fmt.Sprintf("%x (%s)", rd.MD5(), status))
@@ -300,6 +301,11 @@ func inspectTrace(out io.Writer, o options) error {
 		sum.Lat.Percentile(50), sum.Lat.Percentile(90), sum.Lat.Percentile(99)))
 	if err := t.Render(out); err != nil {
 		return err
+	}
+	if corrupt {
+		// The table shows the mismatch; the exit status is what a
+		// script checks.
+		return fmt.Errorf("trace %s: payload MD5 %x, footer %x (corrupt trace)", o.trace, sum.MD5, rd.MD5())
 	}
 
 	for _, sect := range []struct {

@@ -142,6 +142,9 @@ func TestInspectTraceV2AndV21(t *testing.T) {
 	if !strings.Contains(outV2, "(ok)") || !strings.Contains(outV21, "(ok)") {
 		t.Errorf("checksum did not verify:\n%s\n%s", outV2, outV21)
 	}
+	if !strings.Contains(outV21, "block compression") {
+		t.Errorf("v2.1 summary lacks the block compression row:\n%s", outV21)
+	}
 	// Same sample tables from both formats: compare the shared suffix
 	// (region/kernel/core/level sections).
 	tail := func(s string) string {
@@ -203,6 +206,22 @@ func TestInspectTraceCorruptFails(t *testing.T) {
 	}
 	if err := run(&buf, options{trace: trunc, core: -1}); err == nil {
 		t.Fatal("truncated trace accepted")
+	}
+	// One flipped payload byte (a sample's address) leaves the file
+	// well formed; only the checksum catches it, and it must fail the
+	// command, not just print MISMATCH.
+	rd, err := trace.OpenV2(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := filepath.Join(dir, "flipped.nmo2")
+	full[rd.Block(0).Offset+8] ^= 1
+	if err := os.WriteFile(flipped, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run(&buf, options{trace: flipped, core: -1}); err == nil || !strings.Contains(buf.String(), "(MISMATCH)") {
+		t.Fatalf("flipped payload byte: err = %v, output:\n%s\nwant an error after a MISMATCH row", err, buf.String())
 	}
 }
 

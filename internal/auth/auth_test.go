@@ -109,6 +109,13 @@ func TestVerifyHS256Table(t *testing.T) {
 			wantErr: true,
 		},
 		{
+			// Encoded and signed by hand, not by SignHS256: a token
+			// minted elsewhere (openssl, a JWT library) is accepted.
+			name:       "hand-minted HS256",
+			token:      forgeToken(t, map[string]any{"alg": "HS256", "typ": "JWT"}, Claims{Sub: "smoke", Exp: future}, testKey),
+			wantTenant: "smoke",
+		},
+		{
 			name:    "alg none rejected",
 			token:   forgeToken(t, map[string]any{"alg": "none", "typ": "JWT"}, Claims{Sub: "alice", Exp: future}, nil),
 			wantErr: true,
