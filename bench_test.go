@@ -247,31 +247,6 @@ func BenchmarkAblationWatermark(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTrackingSlots compares the real single-slot SPE
-// against a hypothetical dual-slot unit (spe.Config knob): the second
-// slot absorbs most collisions.
-func BenchmarkAblationTrackingSlots(b *testing.B) {
-	run := func(slots int) uint64 {
-		sink := &countSink{}
-		cfg := spe.Config{Period: 64, SampleLoads: true, TrackingSlots: slots}
-		u := spe.NewUnit(cfg, xrand.New(7), sink)
-		u.Enable()
-		op := benchOp()
-		now := sim.Cycles(0)
-		for i := 0; i < 2_000_000; i++ {
-			u.OnOp(now, &op, 1800, 3, false, false)
-			now += 2
-		}
-		return u.Stats().Collisions
-	}
-	for i := 0; i < b.N; i++ {
-		one := run(1)
-		two := run(2)
-		b.ReportMetric(float64(one), "collisions-1slot")
-		b.ReportMetric(float64(two), "collisions-2slot")
-	}
-}
-
 // --- Engine: parallel scenario execution ---
 
 // engineBatch builds a grid of sampling scenarios (the shape of one
@@ -457,7 +432,7 @@ func BenchmarkMachineOpThroughput(b *testing.B) {
 // does: the two counting events, which read the machine's free-running
 // counters and are not probes, and an SPE sampling event (period 1000,
 // mapped ring and aux) in core 0's one probe slot.
-func attachCoreEvents(b *testing.B, m *machine.Machine) {
+func attachCoreEvents(b testing.TB, m *machine.Machine) {
 	b.Helper()
 	k := perfev.NewKernel(1, perfev.Costs{}, nil)
 	k.SetCounters(m)
@@ -545,12 +520,12 @@ func BenchmarkTLBAccess(b *testing.B) {
 
 func BenchmarkSPEUnitHotPath(b *testing.B) {
 	sink := &countSink{}
-	u := spe.NewUnit(spe.Config{Period: 4096, SampleLoads: true}, xrand.New(1), sink)
+	u := spe.NewUnit(spe.Config{Period: 4096}, xrand.New(1), sink)
 	u.Enable()
 	op := benchOp()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u.OnOp(sim.Cycles(i), &op, 4, 0, false, false)
+		u.OnOp(sim.Cycles(i), &op, 4, 0, false)
 	}
 }
 

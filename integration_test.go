@@ -251,7 +251,7 @@ func TestGoldenTracePEBS(t *testing.T) {
 		t.Fatalf("backend = %q, want pebs", p.Backend)
 	}
 	const wantMD5 = "68f9d8f9340b3e744fc25bef55769f33"
-	wantSampler := []uint64{2400000, 2336, 0, 0, 2336, 0, 0, 0, 9138, 0, 2336, 0}
+	wantSampler := []uint64{2400000, 2336, 0, 0, 2336, 0, 0, 0, 0, 9138, 0, 2336, 0}
 	wantKernel := []uint64{96, 112, 0, 0, 0, 0, 112128, 1215360}
 	got := fmt.Sprintf("%x", p.MD5)
 	gotSampler, gotKernel := counterValues(p.Sampler), counterValues(p.Kernel)

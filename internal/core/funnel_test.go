@@ -21,10 +21,11 @@ import (
 //
 // SPE (internal/spe): a selected sample collides (and may then write a
 // corrupted record), is filtered, or is written; the host rejects a
-// written record as truncated. With A the corrupted records attempted
-// after collisions, Corrupted <= A <= Collisions and
+// written record as truncated. A rejected corrupted record is counted
+// in Truncated and in CorruptedTruncated, an accepted one in Corrupted:
 //
-//	Emitted + Truncated + Corrupted = Selected - Collisions - Filtered + A
+//	Emitted + Truncated = Selected - Collisions - Filtered + CorruptedTruncated
+//	Corrupted + CorruptedTruncated <= Collisions
 //	Kernel.TruncatedRecords = Truncated
 //	Processed = Emitted, SkippedInvalid = Corrupted
 //
@@ -88,12 +89,12 @@ func checkFunnel(t *testing.T, kind sampler.Kind, period uint64, threads int, au
 		if s.OpsSeen < p.MemAccesses {
 			t.Errorf("SPE saw %d ops, fewer than the %d memory accesses", s.OpsSeen, p.MemAccesses)
 		}
-		// A: corrupted records attempted after collisions.
-		written := s.Emitted + s.Truncated + s.Corrupted
-		decided := s.Selected - s.Collisions - s.Filtered
-		if a := written - decided; written < decided || a < s.Corrupted || a > s.Collisions {
-			t.Errorf("%d records written for %d samples past collisions and filter (%d collisions, %d corrupted)",
-				written, decided, s.Collisions, s.Corrupted)
+		if s.Emitted+s.Truncated != s.Selected-s.Collisions-s.Filtered+s.CorruptedTruncated {
+			t.Errorf("%d emitted + %d truncated, want %d selected - %d collisions - %d filtered + %d corrupted truncated",
+				s.Emitted, s.Truncated, s.Selected, s.Collisions, s.Filtered, s.CorruptedTruncated)
+		}
+		if s.Corrupted+s.CorruptedTruncated > s.Collisions {
+			t.Errorf("%d + %d corrupted records for %d collisions", s.Corrupted, s.CorruptedTruncated, s.Collisions)
 		}
 		if k.TruncatedRecords != s.Truncated {
 			t.Errorf("kernel truncated %d records, unit %d", k.TruncatedRecords, s.Truncated)
@@ -103,7 +104,7 @@ func checkFunnel(t *testing.T, kind sampler.Kind, period uint64, threads int, au
 				s.Processed, s.SkippedInvalid, s.Emitted, s.Corrupted)
 		}
 	case sampler.KindPEBS:
-		if s.Collisions != 0 || s.Filtered != 0 || s.Truncated != 0 || s.Corrupted != 0 {
+		if s.Collisions != 0 || s.Filtered != 0 || s.Truncated != 0 || s.Corrupted != 0 || s.CorruptedTruncated != 0 {
 			t.Errorf("PEBS reports SPE-only losses: %+v", s)
 		}
 		if s.OpsSeen != p.MemAccesses {

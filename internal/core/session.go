@@ -17,7 +17,8 @@ import (
 // SamplerAgg aggregates the sampling units' normalized counters plus
 // the decode-side outcomes across all cores of a run. Mechanism-
 // specific counters stay zero on the backend without the mechanism
-// (Collisions on PEBS; Dropped, SkidTotal and Armed on SPE).
+// (Collisions, Corrupted and CorruptedTruncated on PEBS; Dropped,
+// SkidTotal and Armed on SPE).
 type SamplerAgg struct {
 	sampler.Stats
 	// Processed counts records the decoder accepted — the "samples"
@@ -601,6 +602,7 @@ func (r *run) aggregate() error {
 		prof.Sampler.Emitted += u.Emitted
 		prof.Sampler.Truncated += u.Truncated
 		prof.Sampler.Corrupted += u.Corrupted
+		prof.Sampler.CorruptedTruncated += u.CorruptedTruncated
 		prof.Sampler.Dropped += u.Dropped
 		prof.Sampler.SkidTotal += u.SkidTotal
 		prof.Sampler.Armed += u.Armed

@@ -15,7 +15,7 @@ import (
 // counting events read the per-core counters (MemAccesses,
 // BusAccesses) instead of observing ops.
 type Probe interface {
-	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) sim.Cycles
+	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss bool) sim.Cycles
 }
 
 // MarkerFunc receives annotation pseudo-ops (nmo_start / nmo_stop /
@@ -70,13 +70,12 @@ type Machine struct {
 	cores []*core
 	slc   *memsim.Cache
 	dram  *memsim.DRAM
-	numa  *memsim.NUMADomain // nil for single-node machines
 
 	// mlpRecip is the precomputed reciprocal of spec.MLP (mlpReciprocal).
 	mlpRecip uint64
 
 	now      sim.Cycles
-	ran      bool // a Run has dirtied the shared SLC/DRAM/NUMA state
+	ran      bool // a Run has dirtied the shared SLC/DRAM state
 	markerFn MarkerFunc
 	ticks    []TickFunc
 
@@ -93,9 +92,6 @@ func New(spec Spec) *Machine {
 		slc:      memsim.NewCache(spec.SLC),
 		dram:     memsim.NewDRAM(spec.DRAM),
 		mlpRecip: mlpReciprocal(spec.MLP),
-	}
-	if spec.NUMA.Nodes > 1 {
-		m.numa = memsim.NewNUMADomain(spec.NUMA, spec.DRAM)
 	}
 	m.cores = make([]*core, spec.Cores)
 	for i := range m.cores {
@@ -119,11 +115,6 @@ func (m *Machine) bind(c *core) {
 		SLC:  m.slc,
 		DRAM: m.dram,
 		Lat:  m.spec.Lat,
-	}
-	if m.numa != nil {
-		c.hier.NUMA = m.numa
-		// Cores split evenly across sockets.
-		c.hier.NodeID = c.id * m.spec.NUMA.Nodes / m.spec.Cores
 	}
 	c.buf = make([]isa.Op, opBufLen)
 }
@@ -280,9 +271,6 @@ func (m *Machine) reset() {
 	if m.ran {
 		m.slc.Reset()
 		m.dram.Reset()
-		if m.numa != nil {
-			m.numa.Reset()
-		}
 	}
 	m.ran = true
 	for _, c := range m.cores {
@@ -335,14 +323,14 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 
 	var lat uint32
 	var level uint8
-	var tlbMiss, remote bool
+	var tlbMiss bool
 	var cost sim.Cycles
 
 	switch op.Kind {
 	case isa.KindLoad, isa.KindStore:
 		r := &c.res
 		c.hier.Access(c.cycles, op.Addr, op.Size, r)
-		lat, level, tlbMiss, remote = r.Latency, uint8(r.Level), r.TLBMiss, r.Remote
+		lat, level, tlbMiss = r.Latency, uint8(r.Level), r.TLBMiss
 		c.memAccesses++
 		if r.Level == memsim.LevelDRAM {
 			c.busAccesses++
@@ -403,6 +391,6 @@ func (m *Machine) execOp(c *core, op *isa.Op) {
 
 	c.cycles += cost
 	if c.probe != nil {
-		c.cycles += c.probe.OnOp(now, op, tracked, level, tlbMiss, remote)
+		c.cycles += c.probe.OnOp(now, op, tracked, level, tlbMiss)
 	}
 }

@@ -223,7 +223,7 @@ type chargeProbe struct {
 	memOps  uint64
 }
 
-func (p *chargeProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb, remote bool) sim.Cycles {
+func (p *chargeProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb bool) sim.Cycles {
 	p.seen++
 	if op.Kind.IsMemory() {
 		p.memOps++
@@ -369,7 +369,7 @@ func mixedStream(seed uint64, n int) *isa.SliceStream {
 // levelProbe counts the memory ops it sees at each hierarchy level.
 type levelProbe [memsim.NumLevels]uint64
 
-func (p *levelProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb, remote bool) sim.Cycles {
+func (p *levelProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb bool) sim.Cycles {
 	if op.Kind.IsMemory() {
 		p[level]++
 	}
@@ -402,39 +402,36 @@ func runLevels(t *testing.T, m *Machine, streams []isa.Stream) (RunResult, []lev
 // hierarchies of cores that sit the next run out must not leak. Cores
 // that never received a stream must never have built a hierarchy.
 func TestMachineReuseMatchesFresh(t *testing.T) {
-	for _, nodes := range []int{1, 2} {
-		spec := smallSpec(8)
-		spec.NUMA = memsim.NUMAConfig{Nodes: nodes}
-		m := New(spec)
-		runs := [][]uint64{{1, 2}, {3, 4, 5, 6}, {0, 0, 7}} // seed 0 = idle core
-		for r, seeds := range runs {
-			streams := func() []isa.Stream {
-				out := make([]isa.Stream, len(seeds))
-				for i, s := range seeds {
-					if s != 0 {
-						out[i] = mixedStream(s, 20000)
-					}
+	spec := smallSpec(8)
+	m := New(spec)
+	runs := [][]uint64{{1, 2}, {3, 4, 5, 6}, {0, 0, 7}} // seed 0 = idle core
+	for r, seeds := range runs {
+		streams := func() []isa.Stream {
+			out := make([]isa.Stream, len(seeds))
+			for i, s := range seeds {
+				if s != 0 {
+					out[i] = mixedStream(s, 20000)
 				}
-				return out
 			}
-			got, gotLevels := runLevels(t, m, streams())
-			want, wantLevels := runLevels(t, New(spec), streams())
-			if got != want || !reflect.DeepEqual(gotLevels, wantLevels) {
-				t.Errorf("nodes=%d run %d on a reused machine:\n got %+v %v\nwant %+v %v",
-					nodes, r, got, gotLevels, want, wantLevels)
-			}
-			var levels uint64
-			for _, lv := range gotLevels {
-				levels += lv[memsim.LevelL1] + lv[memsim.LevelDRAM]
-			}
-			if levels == 0 {
-				t.Errorf("nodes=%d run %d: no L1 or DRAM accesses counted", nodes, r)
-			}
+			return out
 		}
-		for i := 4; i < spec.Cores; i++ {
-			if m.cores[i].hier != nil {
-				t.Errorf("nodes=%d: core %d never ran a stream but holds a hierarchy", nodes, i)
-			}
+		got, gotLevels := runLevels(t, m, streams())
+		want, wantLevels := runLevels(t, New(spec), streams())
+		if got != want || !reflect.DeepEqual(gotLevels, wantLevels) {
+			t.Errorf("run %d on a reused machine:\n got %+v %v\nwant %+v %v",
+				r, got, gotLevels, want, wantLevels)
+		}
+		var levels uint64
+		for _, lv := range gotLevels {
+			levels += lv[memsim.LevelL1] + lv[memsim.LevelDRAM]
+		}
+		if levels == 0 {
+			t.Errorf("run %d: no L1 or DRAM accesses counted", r)
+		}
+	}
+	for i := 4; i < spec.Cores; i++ {
+		if m.cores[i].hier != nil {
+			t.Errorf("core %d never ran a stream but holds a hierarchy", i)
 		}
 	}
 }
@@ -464,77 +461,6 @@ func TestWithHelpers(t *testing.T) {
 	n := s.normalize()
 	if n.Cores != 8 || n.Freq.Hz != 1_000_000 {
 		t.Errorf("normalize clobbered: %+v", n)
-	}
-}
-
-// dramProbe counts the DRAM-served accesses it sees, local and remote.
-type dramProbe struct{ local, remote uint64 }
-
-func (p *dramProbe) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlb, remote bool) sim.Cycles {
-	switch {
-	case remote:
-		p.remote++
-	case level == uint8(memsim.LevelDRAM):
-		p.local++
-	}
-	return 0
-}
-
-func TestNUMAMachineRemoteAccesses(t *testing.T) {
-	spec := smallSpec(4)
-	spec.NUMA = memsim.NUMAConfig{Nodes: 2, InterleaveBytes: 1 << 30, InterconnectLatency: 100}
-	m := New(spec)
-	// Cores 0,1 on node 0; cores 2,3 on node 1. All cores stream from
-	// the first GiB (node 0): half the machine accesses remotely. The
-	// probes see each DRAM access with the remote bit the sampler gets.
-	streams := make([]isa.Stream, 4)
-	probes := make([]*dramProbe, 4)
-	for i := range streams {
-		streams[i] = seqLoads(20000, uint64(i)*4<<20, 64)
-		probes[i] = &dramProbe{}
-		if err := m.AttachProbe(i, probes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Run(streams); err != nil {
-		t.Fatal(err)
-	}
-	var local, remote uint64
-	for _, p := range probes {
-		local, remote = local+p.local, remote+p.remote
-	}
-	if remote == 0 {
-		t.Fatal("no remote accesses despite cross-node placement")
-	}
-	if local == 0 {
-		t.Fatal("no local accesses")
-	}
-	frac := float64(remote) / float64(local+remote)
-	if frac < 0.3 || frac > 0.7 {
-		t.Errorf("remote fraction = %v, want ~0.5", frac)
-	}
-	if bus := busTotal(m); bus != local+remote {
-		t.Errorf("bus accesses = %d, want %d", bus, local+remote)
-	}
-}
-
-func TestNUMARemoteSlower(t *testing.T) {
-	mk := func(nodes int) sim.Cycles {
-		spec := smallSpec(2)
-		spec.NUMA = memsim.NUMAConfig{Nodes: nodes, InterleaveBytes: 1 << 30,
-			InterconnectLatency: 400}
-		m := New(spec)
-		// Core 1 (node 1 when nodes=2) streams node-0 memory.
-		streams := []isa.Stream{nil, seqLoads(50000, 0, 64)}
-		res, err := m.Run(streams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Wall
-	}
-	uma, numa := mk(1), mk(2)
-	if numa <= uma {
-		t.Errorf("remote run (%d) not slower than local (%d)", numa, uma)
 	}
 }
 

@@ -42,10 +42,8 @@ type Spec struct {
 	TLBEntries int
 	// PageBytes is the system page size (64 KB on the testbed).
 	PageBytes int
-	// DRAM configures main memory (per NUMA node when NUMA is set).
+	// DRAM configures main memory.
 	DRAM memsim.DRAMConfig
-	// NUMA configures the socket topology (zero value = single node).
-	NUMA memsim.NUMAConfig
 	// Lat holds hierarchy hit latencies.
 	Lat memsim.Latencies
 	// MemCapacityBytes is the installed memory (capacity reporting).

@@ -13,12 +13,7 @@ type Hierarchy struct {
 	TLB *TLB
 
 	SLC  *Cache // shared; may be nil in reduced configurations
-	DRAM *DRAM  // shared; ignored when NUMA is set
-
-	// NUMA, when non-nil, routes memory through a multi-socket domain
-	// instead of DRAM; NodeID is the socket this core belongs to.
-	NUMA   *NUMADomain
-	NodeID int
+	DRAM *DRAM  // shared
 
 	Lat Latencies
 }
@@ -50,9 +45,6 @@ type AccessResult struct {
 	// absorb as execution time.
 	StallCycles uint32
 	TLBMiss     bool
-	// Remote marks accesses served by another NUMA node's memory
-	// (reported through the SPE events packet's remote bit).
-	Remote bool
 }
 
 // Access simulates a load or store of size bytes at addr, issued at
@@ -65,7 +57,6 @@ type AccessResult struct {
 // stalls on store forwarding.
 func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, res *AccessResult) {
 	var lat, wait, stall uint32
-	var remote bool
 	tlbMiss := h.TLB != nil && !h.TLB.Access(addr)
 	if tlbMiss {
 		lat = h.Lat.TLBMiss
@@ -87,17 +78,12 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, res *Access
 		if size > line {
 			line = size
 		}
-		var r DRAMResult
-		if h.NUMA != nil {
-			r, remote = h.NUMA.Access(now, h.NodeID, addr, line)
-		} else {
-			r = h.DRAM.Access(now, line)
-		}
+		r := h.DRAM.Access(now, line)
 		lat += h.Lat.SLC + r.Latency
 		wait, stall = r.WaitCycles, r.StallCycles
 	}
 	res.Level, res.Latency, res.WaitCycles, res.StallCycles = level, lat, wait, stall
-	res.TLBMiss, res.Remote = tlbMiss, remote
+	res.TLBMiss = tlbMiss
 }
 
 // Stream models a bulk transfer of size bytes that bypasses the
@@ -105,14 +91,9 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, res *Access
 // phase-level CloudSuite workloads). It consumes DRAM bandwidth and
 // writes the transfer's outcome into res.
 func (h *Hierarchy) Stream(now sim.Cycles, size uint32, res *AccessResult) {
-	var r DRAMResult
-	if h.NUMA != nil {
-		r, _ = h.NUMA.Access(now, h.NodeID, 0, size)
-	} else {
-		r = h.DRAM.Access(now, size)
-	}
+	r := h.DRAM.Access(now, size)
 	res.Level, res.Latency, res.WaitCycles, res.StallCycles = LevelDRAM, r.Latency, r.WaitCycles, r.StallCycles
-	res.TLBMiss, res.Remote = false, false
+	res.TLBMiss = false
 }
 
 // Reset clears the private structures. Shared structures (SLC, DRAM)

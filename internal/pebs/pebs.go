@@ -8,9 +8,10 @@
 //
 // PEBS differs from SPE in mechanism:
 //
-//   - the sampled population is a specific *event* (e.g. retired
-//     loads), not every decoded operation: the hardware counter
-//     counts event occurrences and arms PEBS when it overflows;
+//   - the sampled population is a specific *event* (here retired
+//     memory instructions), not every decoded operation: the hardware
+//     counter counts event occurrences and arms PEBS when it
+//     overflows;
 //   - the record is written by microcode at the sampling point into
 //     the Debug Store (DS) buffer without tracking the operation
 //     through the pipeline — there is no SPE-style collision, but
@@ -26,8 +27,8 @@
 // Unit implements sampler.Unit and Decoder implements sampler.Decoder.
 // In sampler.Stats terms OpsSeen counts population events, Selected
 // counter overflows and Emitted records written to the DS buffer; the
-// SPE-only counters (Collisions, Filtered, Truncated, Corrupted) stay
-// zero here.
+// SPE-only counters (Collisions, Filtered, Truncated, Corrupted,
+// CorruptedTruncated) stay zero here.
 package pebs
 
 import (
@@ -42,33 +43,6 @@ import (
 
 // RecordSize is the size of one encoded PEBS record.
 const RecordSize = 48
-
-// Event selects the sampled population.
-type Event uint8
-
-const (
-	// EventLoads samples retired load instructions
-	// (MEM_INST_RETIRED.ALL_LOADS).
-	EventLoads Event = iota
-	// EventStores samples retired store instructions
-	// (MEM_INST_RETIRED.ALL_STORES).
-	EventStores
-	// EventMemAll samples all retired memory instructions.
-	EventMemAll
-)
-
-// matches reports whether op belongs to the sampled population.
-func (e Event) matches(op *isa.Op) bool {
-	switch e {
-	case EventLoads:
-		return op.Kind == isa.KindLoad || op.Kind == isa.KindBlockLoad
-	case EventStores:
-		return op.Kind == isa.KindStore || op.Kind == isa.KindBlockStore
-	case EventMemAll:
-		return op.Kind.IsMemory()
-	}
-	return false
-}
 
 // Record is a decoded PEBS memory record.
 type Record struct {
@@ -116,40 +90,35 @@ func Decode(src []byte, r *Record) error {
 	return nil
 }
 
-// Config programs a PEBS unit.
+// Config programs a PEBS unit. NMO opens one PEBS event,
+// MEM_INST_RETIRED.ANY at precise_ip 1, so the unit counts every
+// retired memory instruction and applies precise_ip 1's skid.
 type Config struct {
-	// Event selects the sampled population.
-	Event Event
 	// Period is the counter reload value: one sample every Period
-	// event occurrences.
+	// memory instructions.
 	Period uint64
-	// SkidOps is the maximum shadowing skid in *operations*: the
-	// recorded IP belongs to an instruction up to SkidOps later than
-	// the one that overflowed the counter. Yi et al. (the paper's
-	// reference [26]) measured small but systematic skid; 0 disables.
-	SkidOps int
-	// DSBytes is the Debug Store buffer capacity in bytes.
-	DSBytes int
 	// PMIThreshold is the fill level (bytes) at which the PMI fires;
-	// 0 defaults to 7/8 of the buffer, roughly Linux's layout.
+	// 0 defaults to 7/8 of the Debug Store buffer, roughly Linux's
+	// layout.
 	PMIThreshold int
 }
+
+// maxSkidOps is the maximum shadowing skid in *operations* at
+// precise_ip 1: the recorded IP belongs to an instruction up to
+// maxSkidOps later than the one that overflowed the counter. Yi et al.
+// (the paper's reference [26]) measured small but systematic skid.
+const maxSkidOps = 8
+
+// dsBaseBytes is the Debug Store buffer capacity, unless a larger PMI
+// threshold sizes it.
+const dsBaseBytes = 64 << 10
 
 func (c Config) withDefaults() Config {
 	if c.Period == 0 {
 		c.Period = 10007
 	}
-	if c.DSBytes == 0 {
-		c.DSBytes = 64 << 10
-	}
 	if c.PMIThreshold == 0 {
-		c.PMIThreshold = c.DSBytes * 7 / 8
-	}
-	if c.PMIThreshold > c.DSBytes {
-		// An explicitly programmed threshold sizes the buffer: grow
-		// the DS area (with headroom past the threshold) rather than
-		// silently clamping the PMI cadence.
-		c.DSBytes = c.PMIThreshold + c.PMIThreshold/8 + RecordSize
+		c.PMIThreshold = dsBaseBytes * 7 / 8
 	}
 	return c
 }
@@ -169,7 +138,7 @@ type Unit struct {
 	enabled bool
 
 	counter uint64
-	ds      []byte
+	ds      []byte // the DS buffer; its capacity is the buffer's size
 	// pmiPending marks a fired-but-unaccepted PMI: the DS is retained
 	// and service retried on later captures.
 	pmiPending bool
@@ -190,11 +159,18 @@ type Unit struct {
 // to host.
 func NewUnit(cfg Config, rng *xrand.RNG, host sampler.Host) *Unit {
 	cfg = cfg.withDefaults()
+	size := dsBaseBytes
+	if cfg.PMIThreshold > size {
+		// An explicitly programmed threshold sizes the buffer (with
+		// headroom past the threshold) rather than silently clamping
+		// the PMI cadence.
+		size = cfg.PMIThreshold + cfg.PMIThreshold/8 + RecordSize
+	}
 	return &Unit{
 		cfg:     cfg,
 		rng:     rng,
 		host:    host,
-		ds:      make([]byte, 0, cfg.DSBytes),
+		ds:      make([]byte, 0, size),
 		counter: cfg.Period,
 	}
 }
@@ -205,19 +181,12 @@ func (u *Unit) Enable() {
 	u.counter = u.cfg.Period
 }
 
-// Disable stops sampling and discards in-flight state.
-func (u *Unit) Disable() {
-	u.enabled = false
-	u.armed = false
-}
-
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() sampler.Stats { return u.stats }
 
-// OnOp observes one operation. The TLB and NUMA outcomes are ignored:
-// PEBS hardware does not see them (they ride in SPE event packets
-// only).
-func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) {
+// OnOp observes one operation. The TLB outcome is ignored: PEBS
+// hardware does not see it (it rides in SPE event packets only).
+func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss bool) {
 	if !u.enabled {
 		return
 	}
@@ -232,7 +201,7 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 		}
 	}
 
-	if !u.cfg.Event.matches(op) {
+	if !op.Kind.IsMemory() {
 		return
 	}
 	u.stats.OpsSeen++
@@ -252,11 +221,7 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 	// Arm a capture: record the memory operands now, the IP after the
 	// skid window.
 	u.armed = true
-	if u.cfg.SkidOps > 0 {
-		u.armedSkid = u.rng.Intn(u.cfg.SkidOps + 1)
-	} else {
-		u.armedSkid = 0
-	}
+	u.armedSkid = u.rng.Intn(maxSkidOps + 1)
 	u.pendAddr = op.Addr
 	u.pendLat = lat
 	u.pendSrc = level
@@ -271,14 +236,14 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 // capture writes the armed record with ip, possibly firing the PMI.
 func (u *Unit) capture(now sim.Cycles, ip uint64) {
 	u.armed = false
-	if u.pmiPending && len(u.ds)+RecordSize > u.cfg.DSBytes {
+	if u.pmiPending && len(u.ds)+RecordSize > cap(u.ds) {
 		// DS full behind a pended PMI: retry service first — the
 		// kernel may have finished the previous interrupt — so a
 		// finite service window causes transient loss, not a
 		// permanent stall.
 		u.firePMI(now)
 	}
-	if len(u.ds)+RecordSize > u.cfg.DSBytes {
+	if len(u.ds)+RecordSize > cap(u.ds) {
 		u.stats.Dropped++
 		return
 	}

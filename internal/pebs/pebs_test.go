@@ -33,6 +33,27 @@ func (h pmiHost) ServicePMI(_ sim.Cycles, recs []byte, recSize int) bool {
 // discardHost accepts every PMI and keeps nothing.
 var discardHost = pmiHost(func([]byte) bool { return true })
 
+// feedCaptured runs each op through u and closes its skid window, so
+// every sample an op arms is captured before the next op.
+func feedCaptured(u *Unit, now sim.Cycles, ops ...isa.Op) sim.Cycles {
+	for i := range ops {
+		u.OnOp(now, &ops[i], 4, 0, false)
+		now = closeSkid(u, now+1)
+	}
+	return now
+}
+
+// closeSkid runs enough ALU ops through u to close the longest skid
+// window, capturing a sample still armed.
+func closeSkid(u *Unit, now sim.Cycles) sim.Cycles {
+	alu := isa.Op{Kind: isa.KindALU, PC: 0x44}
+	for j := 0; j <= maxSkidOps; j++ {
+		u.OnOp(now, &alu, 1, 0, false)
+		now++
+	}
+	return now
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	f := func(ip, addr, tsc uint64, lat uint32, src uint8, store bool) bool {
 		in := Record{IP: ip, Addr: addr, TSC: tsc, Latency: lat, Source: src, Store: store}
@@ -53,22 +74,24 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEventMatching: the population MEM_INST_RETIRED.ANY counts is
+// every memory instruction, block transfers included, and nothing else.
 func TestEventMatching(t *testing.T) {
-	ld := loadOp(1, 2)
-	st := isa.Op{Kind: isa.KindStore, Addr: 1, PC: 2, Size: 8}
-	alu := isa.Op{Kind: isa.KindALU}
-	cases := []struct {
-		ev   Event
-		op   *isa.Op
+	u := NewUnit(Config{Period: 1 << 40}, xrand.New(1), discardHost)
+	u.Enable()
+	for _, c := range []struct {
+		kind isa.Kind
 		want bool
 	}{
-		{EventLoads, &ld, true}, {EventLoads, &st, false}, {EventLoads, &alu, false},
-		{EventStores, &st, true}, {EventStores, &ld, false},
-		{EventMemAll, &ld, true}, {EventMemAll, &st, true}, {EventMemAll, &alu, false},
-	}
-	for _, c := range cases {
-		if got := c.ev.matches(c.op); got != c.want {
-			t.Errorf("event %d matches(%v) = %v", c.ev, c.op.Kind, got)
+		{isa.KindLoad, true}, {isa.KindStore, true},
+		{isa.KindBlockLoad, true}, {isa.KindBlockStore, true},
+		{isa.KindALU, false}, {isa.KindBranch, false}, {isa.KindSIMD, false},
+	} {
+		before := u.Stats().OpsSeen
+		op := isa.Op{Kind: c.kind, Addr: 1, PC: 2, Size: 8}
+		u.OnOp(0, &op, 4, 0, false)
+		if got := u.Stats().OpsSeen > before; got != c.want {
+			t.Errorf("%v counted = %v, want %v", c.kind, got, c.want)
 		}
 	}
 }
@@ -78,7 +101,7 @@ func TestSamplingRateCountsEventsNotOps(t *testing.T) {
 	// change the number of samples.
 	run := func(aluPerLoad int) uint64 {
 		var written uint64
-		u := NewUnit(Config{Event: EventLoads, Period: 100},
+		u := NewUnit(Config{Period: 100},
 			xrand.New(1), pmiHost(func(recs []byte) bool {
 				written += uint64(len(recs) / RecordSize)
 				return true
@@ -88,14 +111,15 @@ func TestSamplingRateCountsEventsNotOps(t *testing.T) {
 		alu := isa.Op{Kind: isa.KindALU, PC: 0x44}
 		now := sim.Cycles(0)
 		for i := 0; i < 50_000; i++ {
-			u.OnOp(now, &ld, 4, 0, false, false)
+			u.OnOp(now, &ld, 4, 0, false)
 			for j := 0; j < aluPerLoad; j++ {
 				now++
-				u.OnOp(now, &alu, 1, 0, false, false)
+				u.OnOp(now, &alu, 1, 0, false)
 			}
 			now++
 		}
-		u.Flush(now)
+		// Close the last sample's skid window before the flush.
+		u.Flush(closeSkid(u, now))
 		return written
 	}
 	dense, sparse := run(0), run(9)
@@ -110,7 +134,7 @@ func TestSamplingRateCountsEventsNotOps(t *testing.T) {
 func TestNoCollisionsUnlikeSPE(t *testing.T) {
 	// Long latencies never cause PEBS drops (no tracking slot).
 	var got int
-	u := NewUnit(Config{Event: EventLoads, Period: 10},
+	u := NewUnit(Config{Period: 10},
 		xrand.New(1), pmiHost(func(recs []byte) bool {
 			got += len(recs) / RecordSize
 			return true
@@ -118,9 +142,9 @@ func TestNoCollisionsUnlikeSPE(t *testing.T) {
 	u.Enable()
 	ld := loadOp(0x2000, 0x40)
 	for i := 0; i < 10_000; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 50_000, 3, false, false)
+		u.OnOp(sim.Cycles(i), &ld, 50_000, 3, false)
 	}
-	u.Flush(sim.Cycles(10_000))
+	u.Flush(closeSkid(u, 10_000))
 	if got != 1000 {
 		t.Errorf("records = %d, want 1000 (no collisions)", got)
 	}
@@ -132,7 +156,7 @@ func TestNoCollisionsUnlikeSPE(t *testing.T) {
 func TestSkidMovesIP(t *testing.T) {
 	// With skid enabled, some records carry the PC of a later op.
 	var ips []uint64
-	u := NewUnit(Config{Event: EventLoads, Period: 7, SkidOps: 3},
+	u := NewUnit(Config{Period: 7},
 		xrand.New(3), pmiHost(func(recs []byte) bool {
 			DecodeAll(recs, func(r *Record) { ips = append(ips, r.IP) })
 			return true
@@ -141,7 +165,7 @@ func TestSkidMovesIP(t *testing.T) {
 	now := sim.Cycles(0)
 	for i := 0; i < 7_000; i++ {
 		op := loadOp(uint64(0x1000+i*8), uint64(0x400000+i*4))
-		u.OnOp(now, &op, 4, 0, false, false)
+		u.OnOp(now, &op, 4, 0, false)
 		now++
 	}
 	u.Flush(now)
@@ -149,7 +173,7 @@ func TestSkidMovesIP(t *testing.T) {
 		t.Fatal("no records")
 	}
 	if u.Stats().SkidTotal == 0 {
-		t.Error("no skid accumulated with SkidOps=3")
+		t.Error("no skid accumulated")
 	}
 	// Addresses remain the *sampled* op's (operands are precise in
 	// PEBS); only the IP skids. Verify addresses are period-spaced.
@@ -158,7 +182,7 @@ func TestSkidMovesIP(t *testing.T) {
 
 func TestSkidAddressStaysPrecise(t *testing.T) {
 	var recs []Record
-	u := NewUnit(Config{Event: EventLoads, Period: 5, SkidOps: 2},
+	u := NewUnit(Config{Period: 10},
 		xrand.New(9), pmiHost(func(raw []byte) bool {
 			DecodeAll(raw, func(r *Record) { recs = append(recs, *r) })
 			return true
@@ -167,7 +191,7 @@ func TestSkidAddressStaysPrecise(t *testing.T) {
 	now := sim.Cycles(0)
 	for i := 0; i < 1_000; i++ {
 		op := loadOp(uint64(0x1000+i*8), uint64(0x400000+i*4))
-		u.OnOp(now, &op, 4, 0, false, false)
+		u.OnOp(now, &op, 4, 0, false)
 		now++
 	}
 	u.Flush(now)
@@ -175,10 +199,10 @@ func TestSkidAddressStaysPrecise(t *testing.T) {
 		t.Fatal("no records")
 	}
 	for _, r := range recs {
-		// Sampled ops are every 5th load: index 4, 9, 14, ... so
-		// addresses are 0x1000 + idx*8 with idx % 5 == 4.
+		// Sampled ops are every 10th load: index 9, 19, 29, ... so
+		// addresses are 0x1000 + idx*8 with idx % 10 == 9.
 		idx := (r.Addr - 0x1000) / 8
-		if idx%5 != 4 {
+		if idx%10 != 9 {
 			t.Fatalf("record addr %#x (idx %d) not on the sampling grid", r.Addr, idx)
 		}
 		if r.IP < 0x400000 || r.IP < 0x400000+uint64(idx)*4 {
@@ -189,8 +213,7 @@ func TestSkidAddressStaysPrecise(t *testing.T) {
 
 func TestPMIThresholdAndCost(t *testing.T) {
 	var pmis int
-	u := NewUnit(Config{Event: EventLoads, Period: 1, DSBytes: RecordSize * 8,
-		PMIThreshold: RecordSize * 4},
+	u := NewUnit(Config{Period: 1, PMIThreshold: RecordSize * 4},
 		xrand.New(1), pmiHost(func(recs []byte) bool {
 			pmis++
 			if len(recs) != RecordSize*4 {
@@ -200,48 +223,44 @@ func TestPMIThresholdAndCost(t *testing.T) {
 		}))
 	u.Enable()
 	ld := loadOp(1, 2)
-	for i := 0; i < 8; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
-	}
+	feedCaptured(u, 0, ld, ld, ld, ld, ld, ld, ld, ld)
 	if pmis != 2 {
 		t.Errorf("PMIs = %d, want 2", pmis)
 	}
 }
 
+// TestDSOverflowDropsWithoutHandler: with every PMI rejected the DS
+// buffer fills to its capacity, the 64 KiB base or, for a threshold
+// past it, the threshold plus headroom, and every later capture is
+// dropped.
 func TestDSOverflowDropsWithoutHandler(t *testing.T) {
-	// A host that takes and discards every span: the buffer fills at
-	// the threshold's firePMI (which clears it), so use threshold >
-	// capacity to force drops.
-	u := NewUnit(Config{Event: EventLoads, Period: 1,
-		DSBytes: RecordSize * 2, PMIThreshold: RecordSize * 2},
-		xrand.New(1), discardHost)
-	u.Enable()
-	ld := loadOp(1, 2)
-	for i := 0; i < 10; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
-	}
-	st := u.Stats()
-	if st.Emitted == 0 {
-		t.Error("nothing written")
-	}
-	// Each threshold PMI empties the DS, so it takes more records
-	// than it holds.
-	if st.Emitted <= 2 {
-		t.Errorf("%d records written to a 2-record DS: no PMI emptied it", st.Emitted)
+	reject := pmiHost(func([]byte) bool { return false })
+	for _, threshold := range []int{0, 2 * dsBaseBytes} {
+		u := NewUnit(Config{Period: 1, PMIThreshold: threshold}, xrand.New(1), reject)
+		u.Enable()
+		if cap(u.ds) < max(threshold, dsBaseBytes) {
+			t.Fatalf("threshold %d: DS holds %d bytes", threshold, cap(u.ds))
+		}
+		fit := uint64(cap(u.ds) / RecordSize)
+		ld := loadOp(1, 2)
+		for i := uint64(0); i < fit+10; i++ {
+			feedCaptured(u, sim.Cycles(i), ld)
+		}
+		if st := u.Stats(); st.Emitted != fit || st.Dropped != 10 {
+			t.Errorf("threshold %d: %d written, %d dropped; want %d, 10", threshold, st.Emitted, st.Dropped, fit)
+		}
 	}
 }
 
 func TestDisabled(t *testing.T) {
-	u := NewUnit(Config{Event: EventLoads, Period: 1}, xrand.New(1), nil)
+	u := NewUnit(Config{Period: 1}, xrand.New(1), nil)
 	ld := loadOp(1, 2)
-	u.OnOp(0, &ld, 4, 0, false, false)
+	u.OnOp(0, &ld, 4, 0, false)
 	if u.Stats().OpsSeen != 0 {
 		t.Error("disabled unit observed events")
 	}
 	u.Enable()
-	u.OnOp(1, &ld, 4, 0, false, false)
-	u.Disable()
-	u.OnOp(2, &ld, 4, 0, false, false)
+	u.OnOp(1, &ld, 4, 0, false)
 	if u.Stats().OpsSeen != 1 {
 		t.Errorf("events = %d, want 1", u.Stats().OpsSeen)
 	}
@@ -249,11 +268,8 @@ func TestDisabled(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	u := NewUnit(Config{}, xrand.New(1), nil)
-	if u.cfg.Period == 0 || u.cfg.DSBytes == 0 || u.cfg.PMIThreshold == 0 {
-		t.Errorf("defaults not applied: %+v", u.cfg)
-	}
-	if u.cfg.PMIThreshold > u.cfg.DSBytes {
-		t.Error("threshold beyond capacity")
+	if u.cfg.Period != 10007 || u.cfg.PMIThreshold != dsBaseBytes*7/8 || cap(u.ds) != dsBaseBytes {
+		t.Errorf("defaults not applied: %+v, DS %d bytes", u.cfg, cap(u.ds))
 	}
 }
 
@@ -264,8 +280,7 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 	// the unit permanently.
 	reject := true
 	var accepted int
-	u := NewUnit(Config{Event: EventLoads, Period: 1,
-		DSBytes: RecordSize * 8, PMIThreshold: RecordSize * 4},
+	u := NewUnit(Config{Period: 1, PMIThreshold: RecordSize * 4},
 		xrand.New(1), pmiHost(func(recs []byte) bool {
 			if reject {
 				return false
@@ -275,8 +290,9 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 		}))
 	u.Enable()
 	ld := loadOp(1, 2)
-	for i := 0; i < 32; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
+	now := sim.Cycles(0)
+	for i := 0; i < dsBaseBytes/RecordSize+32; i++ {
+		now = feedCaptured(u, now, ld)
 	}
 	st := u.Stats()
 	if st.Dropped == 0 {
@@ -287,8 +303,8 @@ func TestRejectedPMIRetriesAndRecovers(t *testing.T) {
 	}
 	droppedBefore := st.Dropped
 	reject = false
-	for i := 32; i < 64; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
+	for i := 0; i < 32; i++ {
+		now = feedCaptured(u, now, ld)
 	}
 	if accepted == 0 {
 		t.Fatal("service never resumed after the rejection window")
@@ -304,12 +320,12 @@ func TestArmedOverwriteCountsDropped(t *testing.T) {
 	// than armed samples resolve, so older armed samples are lost —
 	// and must be accounted, keeping Selected == Emitted + Dropped +
 	// Armed.
-	u := NewUnit(Config{Event: EventLoads, Period: 2, SkidOps: 8},
+	u := NewUnit(Config{Period: 2},
 		xrand.New(3), discardHost)
 	u.Enable()
 	ld := loadOp(1, 2)
 	for i := 0; i < 100_000; i++ {
-		u.OnOp(sim.Cycles(i), &ld, 4, 0, false, false)
+		u.OnOp(sim.Cycles(i), &ld, 4, 0, false)
 	}
 	u.Flush(100_000)
 	st := u.Stats()
@@ -329,10 +345,10 @@ func TestFlushCountsArmedSample(t *testing.T) {
 	var u *Unit
 	ld := loadOp(1, 2)
 	for seed := uint64(1); u == nil || !u.armed; seed++ {
-		u = NewUnit(Config{Event: EventLoads, Period: 1, SkidOps: 8}, xrand.New(seed),
+		u = NewUnit(Config{Period: 1}, xrand.New(seed),
 			pmiHost(func([]byte) bool { t.Fatal("armed sample delivered"); return true }))
 		u.Enable()
-		u.OnOp(0, &ld, 4, 0, false, false)
+		u.OnOp(0, &ld, 4, 0, false)
 	}
 	u.Flush(1)
 	u.Flush(2)
@@ -349,7 +365,7 @@ func TestFlushCountsArmedSample(t *testing.T) {
 func TestPEBSUnitSemantics(t *testing.T) {
 	var spans [][]byte
 	var u sampler.Unit = NewUnit(Config{
-		Event: EventMemAll, Period: 10, SkidOps: 4, PMIThreshold: 10 * RecordSize,
+		Period: 10, PMIThreshold: 10 * RecordSize,
 	}, xrand.New(7), pmiHost(func(recs []byte) bool {
 		spans = append(spans, append([]byte(nil), recs...))
 		return true
@@ -359,8 +375,8 @@ func TestPEBSUnitSemantics(t *testing.T) {
 	load := isa.Op{Kind: isa.KindLoad, Addr: 0x1000, PC: 0x40, Size: 8}
 	alu := isa.Op{Kind: isa.KindALU}
 	for i := 0; i < 5000; i++ {
-		u.OnOp(sim.Cycles(i*2), &load, 120, 3, false, false)
-		u.OnOp(sim.Cycles(i*2+1), &alu, 1, 0, false, false) // not in the population
+		u.OnOp(sim.Cycles(i*2), &load, 120, 3, false)
+		u.OnOp(sim.Cycles(i*2+1), &alu, 1, 0, false) // not in the population
 	}
 	u.Flush(1 << 30)
 
@@ -375,7 +391,7 @@ func TestPEBSUnitSemantics(t *testing.T) {
 		t.Errorf("PEBS reported SPE-only mechanisms: %+v", st)
 	}
 	if st.SkidTotal == 0 {
-		t.Error("no shadowing skid accumulated despite SkidOps=4")
+		t.Error("no shadowing skid accumulated")
 	}
 	if len(spans) == 0 {
 		t.Fatal("no PMI spans delivered")

@@ -42,15 +42,11 @@ type Event struct {
 	kernel *Kernel
 	attr   Attr
 
-	enabled bool
-
 	// Counting state: read is the hardware counter behind the event
-	// (nil when the kernel has none for its config), count what it
-	// accrued over earlier enabled intervals, and base its value when
-	// the current interval began.
-	read  func() uint64
-	count uint64
-	base  uint64
+	// (nil when the kernel has none for its config), and base its
+	// value when the event was opened.
+	read func() uint64
+	base uint64
 
 	// Sampling state.
 	unit            sampler.Unit
@@ -72,15 +68,17 @@ type Event struct {
 	stats EventStats
 }
 
+// newEvent opens an event enabled, as perf_event_open does without
+// attr.disabled: a counter snapshots its hardware counter, a sampling
+// unit starts from a fresh interval reload.
 func newEvent(k *Kernel, attr Attr, core int) *Event {
 	ev := &Event{kernel: k, attr: attr}
 	if attr.IsSampling() {
 		ev.unit = attr.newUnit(k.rng.Derive(uint64(core)*2+1), ev)
+		ev.unit.Enable()
 	} else {
 		ev.read = k.counter(attr.Config, core)
-	}
-	if !attr.Disabled {
-		ev.Enable()
+		ev.base = ev.hw()
 	}
 	return ev
 }
@@ -141,24 +139,10 @@ func (e *Event) MmapAux(npages int) error {
 // SetWakeup registers the monitor callback (epoll equivalent).
 func (e *Event) SetWakeup(fn WakeupFunc) { e.wakeup = fn }
 
-// Enable starts counting/sampling (PERF_EVENT_IOC_ENABLE).
-func (e *Event) Enable() {
-	if !e.enabled {
-		e.base = e.hw()
-	}
-	e.enabled = true
-	if e.unit != nil {
-		e.unit.Enable()
-	}
-}
-
 // ReadCount returns the counter value (read(2) on a counting fd): what
-// the hardware counter advanced by while the event was enabled.
+// the hardware counter advanced by since the event was opened.
 func (e *Event) ReadCount() uint64 {
-	if e.enabled {
-		return e.count + e.hw() - e.base
-	}
-	return e.count
+	return e.hw() - e.base
 }
 
 // hw reads the backing hardware counter (0 when there is none).
@@ -174,11 +158,11 @@ func (e *Event) hw() uint64 {
 // machine's counters and are never attached). It returns the interrupt
 // time (in cycles) to charge to the core — zero except when a buffer
 // management interrupt fired.
-func (e *Event) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) sim.Cycles {
-	if !e.enabled || e.unit == nil {
+func (e *Event) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss bool) sim.Cycles {
+	if e.unit == nil {
 		return 0
 	}
-	e.unit.OnOp(now, op, lat, level, tlbMiss, remote)
+	e.unit.OnOp(now, op, lat, level, tlbMiss)
 	p := e.irqPenalty
 	e.irqPenalty = 0
 	return p

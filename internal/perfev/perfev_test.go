@@ -52,7 +52,7 @@ func feedLoads(ev *Event, n int, spacing sim.Cycles, lat uint32) sim.Cycles {
 	now := sim.Cycles(1)
 	for i := 0; i < n; i++ {
 		op.Addr = 0x10000 + uint64(i)*8
-		ev.OnOp(now, &op, lat, 0, false, false)
+		ev.OnOp(now, &op, lat, 0, false)
 		now += spacing
 	}
 	return now
@@ -66,10 +66,18 @@ func TestAttrValidation(t *testing.T) {
 		ok   bool
 	}{
 		{Attr{Type: TypeArmSPE, Config: SPEConfigLoadStore, SamplePeriod: 100}, 0, true},
+		{Attr{Type: TypeArmSPE, Config: SPEConfigLoadStore | SPEJitter, SamplePeriod: 100}, 0, true},
 		{Attr{Type: TypeArmSPE, Config: SPEConfigLoadStore}, 0, false},             // no period
 		{Attr{Type: TypeArmSPE, Config: SPETSEnable, SamplePeriod: 100}, 0, false}, // no filters
+		// Programmings the unit does not model are rejected, not
+		// sampled as loads+stores.
+		{Attr{Type: TypeArmSPE, Config: SPEConfigLoadStore | SPEBranchFilter, SamplePeriod: 100}, 0, false},
+		{Attr{Type: TypeArmSPE, Config: SPEConfigLoadStore | SPEPAEnable, SamplePeriod: 100}, 0, false},
+		{Attr{Type: TypeArmSPE, Config: SPETSEnable | SPELoadFilter, SamplePeriod: 100}, 0, false},
+		{Attr{Type: TypeArmSPE, Config: SPELoadFilter | SPEStoreFilter, SamplePeriod: 100}, 0, false},
 		{Attr{Type: TypeRaw, Config: RawMemAccess}, 0, true},
 		{Attr{Type: 77}, 0, false},                            // unknown type
+		{Attr{Type: 0}, 0, false},                             // PERF_TYPE_HARDWARE
 		{Attr{Type: TypeRaw, Config: RawMemAccess}, 9, false}, // bad core
 	}
 	for i, c := range cases {
@@ -130,20 +138,6 @@ func TestCountingBusAccessOnlyDRAM(t *testing.T) {
 	run(op, op) // cold miss to DRAM, then an L1 hit
 	if got := ev.ReadCount(); got != 1 {
 		t.Errorf("bus_access count = %d, want 1 (only the DRAM access)", got)
-	}
-}
-
-func TestCountingDisabled(t *testing.T) {
-	ev, run := countingRun(t, Attr{Type: TypeRaw, Config: RawMemAccess, Disabled: true})
-	op := isa.Op{Kind: isa.KindLoad, Addr: 1, Size: 8}
-	run(op)
-	if ev.ReadCount() != 0 {
-		t.Error("disabled event counted")
-	}
-	ev.Enable()
-	run(op)
-	if ev.ReadCount() != 1 {
-		t.Error("enabled event did not count")
 	}
 }
 
@@ -255,7 +249,7 @@ func TestIRQPenaltyCharged(t *testing.T) {
 	op := isa.Op{Kind: isa.KindLoad, Addr: 0x1000, Size: 8}
 	now := sim.Cycles(1)
 	for i := 0; i < 1_000_000; i++ {
-		charged += ev.OnOp(now, &op, 4, 0, false, false)
+		charged += ev.OnOp(now, &op, 4, 0, false)
 		now += 4
 	}
 	if charged == 0 {
@@ -307,7 +301,7 @@ func TestCollisionFlagPropagates(t *testing.T) {
 	op := isa.Op{Kind: isa.KindLoad, Addr: 0x2000, Size: 8}
 	now := sim.Cycles(1)
 	for i := 0; i < 2_000_000; i++ {
-		ev.OnOp(now, &op, 2000, 3, false, false)
+		ev.OnOp(now, &op, 2000, 3, false)
 		now += 2
 	}
 	ev.FinalDrain(1 << 40)
@@ -422,7 +416,7 @@ func TestDefaultCostsApplied(t *testing.T) {
 func pebsAttr(period uint64, watermark uint32) *Attr {
 	return &Attr{
 		Type: TypeRaw, Config: RawMemInstRetiredAny,
-		SamplePeriod: period, Precise: 2, AuxWatermark: watermark,
+		SamplePeriod: period, Precise: 1, AuxWatermark: watermark,
 	}
 }
 
@@ -453,11 +447,16 @@ func TestPEBSAttrValidation(t *testing.T) {
 		attr Attr
 		ok   bool
 	}{
-		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, SamplePeriod: 100, Precise: 2}, true},
-		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAllLoads, SamplePeriod: 100, Precise: 1}, true},
-		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, Precise: 2}, false},            // no period
-		{Attr{Type: TypeRaw, Config: RawBusAccess, SamplePeriod: 100, Precise: 2}, false}, // not PEBS-capable
+		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, SamplePeriod: 100, Precise: 1}, true},
+		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, Precise: 1}, false},            // no period
+		{Attr{Type: TypeRaw, Config: RawBusAccess, SamplePeriod: 100, Precise: 1}, false}, // not PEBS-capable
 		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny}, true},                         // plain counter is fine
+		// Programmings the unit does not model are rejected, not
+		// sampled as precise_ip 1 on every memory instruction.
+		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, SamplePeriod: 100, Precise: 2}, false},
+		{Attr{Type: TypeRaw, Config: RawMemInstRetiredAny, SamplePeriod: 100, Precise: 3}, false},
+		{Attr{Type: TypeRaw, Config: 0x81d0, SamplePeriod: 100, Precise: 1}, false}, // MEM_INST_RETIRED.ALL_LOADS
+		{Attr{Type: TypeRaw, Config: 0x82d0, SamplePeriod: 100, Precise: 1}, false}, // MEM_INST_RETIRED.ALL_STORES
 	}
 	for i, c := range cases {
 		_, err := k.Open(&c.attr, 0)

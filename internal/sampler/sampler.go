@@ -110,12 +110,15 @@ type Stats struct {
 	OpsSeen    uint64 // operations (SPE) / population events (PEBS) observed
 	Selected   uint64 // interval/counter expiries
 	Collisions uint64 // SPE: samples dropped, tracking slot busy (0 on PEBS)
-	Filtered   uint64 // samples dropped by the programmable filter
+	Filtered   uint64 // SPE: selected non-memory ops, dropped by the load/store filter
 	Emitted    uint64 // records accepted by the host
 	Truncated  uint64 // records rejected by the host (buffer full)
-	Corrupted  uint64 // SPE: mangled records emitted after collisions
-	Dropped    uint64 // PEBS: records lost to DS-buffer overflow (0 on SPE)
-	SkidTotal  uint64 // PEBS: accumulated shadowing skid, in ops (0 on SPE)
+	Corrupted  uint64 // SPE: mangled records after collisions, accepted by the host
+	// CorruptedTruncated counts the SPE mangled records the host
+	// rejected; they are in Truncated too. 0 on PEBS.
+	CorruptedTruncated uint64
+	Dropped            uint64 // PEBS: records lost to DS-buffer overflow (0 on SPE)
+	SkidTotal          uint64 // PEBS: accumulated shadowing skid, in ops (0 on SPE)
 	// Armed counts samples still armed in their skid window at end of
 	// run; counted, not captured; 0 on SPE.
 	Armed uint64
@@ -127,11 +130,9 @@ type Stats struct {
 type Unit interface {
 	// Enable starts sampling (counter restarts from a fresh reload).
 	Enable()
-	// Disable stops sampling; in-flight state is abandoned.
-	Disable()
 	// OnOp observes one decoded operation. Interrupt time raised while
 	// handling it is charged through the Host, not returned here.
-	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool)
+	OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss bool)
 	// Flush delivers any residual hardware-buffered records to the
 	// Host (end of run). SPE buffers nothing unit-side; PEBS flushes
 	// the DS buffer.

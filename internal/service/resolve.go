@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"nmo/internal/core"
 	"nmo/internal/machine"
@@ -186,11 +188,28 @@ func scenarioKey(sp ScenarioSpec, mach machine.Spec, cfg core.Config) string {
 	h.Write([]byte{0})
 	// machine.Spec and the workload fields are plain data; JSON
 	// encodes them deterministically.
-	enc := json.NewEncoder(h)
-	enc.Encode(mach)
+	writeSpecKey(h, mach)
 	fmt.Fprintf(h, "workload=%s\nthreads=%d\nelems=%d\niters=%d\nseed=%d\nblock=%d\ncompress=%t\n",
 		sp.Workload, sp.Threads, sp.Elems, sp.Iters, sp.Seed, sp.BlockSamples, sp.Compress)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// retiredSpecMember is the JSON member machine.Spec carried before
+// Lat for a two-socket memory topology that no platform enabled, so
+// every key holds it zeroed. Writing it in place keeps the content
+// addresses of existing spill directories and gateway routes.
+const retiredSpecMember = `"NUMA":{"Nodes":0,"InterconnectLatency":0,"InterleaveBytes":0},`
+
+// writeSpecKey writes mach's JSON line, as json.Encoder writes it, to
+// w, with retiredSpecMember ahead of its Lat member.
+func writeSpecKey(w io.Writer, mach machine.Spec) {
+	b, _ := json.Marshal(mach) // plain data: cannot fail
+	// A string member escapes its quotes, so this is the Lat member.
+	i := bytes.Index(b, []byte(`,"Lat":`)) + 1
+	w.Write(b[:i])
+	io.WriteString(w, retiredSpecMember)
+	w.Write(b[i:])
+	w.Write([]byte{'\n'})
 }
 
 // ContentAddress resolves a job spec to its content-address — the key

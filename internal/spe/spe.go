@@ -12,9 +12,10 @@
 //     pipeline, the new sample is dropped and counted as a
 //     **collision** (this is the mechanism behind the accuracy
 //     collapse at small sampling periods, Figs. 7–8);
-//  3. on completion the sample passes a programmable filter (operation
-//     type, minimum latency); surviving samples are encoded as packet
-//     records and written to the aux buffer through the sampler.Host.
+//  3. on completion the sample passes the operation-type filter NMO
+//     programs (loads and stores); surviving samples are encoded as
+//     packet records and written to the aux buffer through the
+//     sampler.Host.
 //
 // Collided samples are discarded before filtering and before any
 // buffer write, so they cost no time — which is why STREAM and CFD
@@ -33,51 +34,26 @@ import (
 	"nmo/internal/xrand"
 )
 
-// Config programs the sampling unit. It corresponds to the PMSCR /
-// PMSIRR / PMSFCR system registers, which the perf driver fills from
-// the perf_event_attr config fields.
+// Config programs the sampling unit. It holds what the perf driver
+// fills into PMSIRR and PMSCR from the one perf_event_attr NMO opens
+// (arm_spe_pmu 0x600000001, optionally with jitter): the unit samples
+// loads and stores with timestamps, has no latency filter and no
+// physical addresses, and counts its timer in CPU cycles.
 type Config struct {
 	// Period is the sampling interval (operations between samples).
 	Period uint64
-	// JitterBits sets the width of the random perturbation applied to
-	// the interval counter on reload; 0 disables dither.
-	JitterBits uint
-	// SampleLoads / SampleStores / SampleBranches enable operation
-	// classes (PMSFCR.LD/ST/B). NMO never enables branches because of
-	// the known Neoverse sampling bias (§IV-A).
-	SampleLoads    bool
-	SampleStores   bool
-	SampleBranches bool
-	// MinLatency discards samples whose total latency is below the
-	// threshold (PMSLATFR); 0 keeps everything.
-	MinLatency uint16
-	// CollectPA includes physical addresses in records (pa_enable).
-	CollectPA bool
-	// TrackingSlots is the number of in-flight samples the unit can
-	// track. Real SPE implementations have one; the knob exists for
-	// the ablation study in bench_test.go.
-	TrackingSlots int
-	// TimerDiv is the number of CPU cycles per SPE timer tick.
-	TimerDiv uint64
-	// CorruptOnCollision, when nonzero, makes roughly 1/N collisions
-	// leave a mangled (zero-timestamp) record in the aux stream, as
-	// observed on real hardware; the NMO decoder must skip these.
-	CorruptOnCollision uint32
+	// Jitter dithers each interval counter reload by an 8-bit
+	// random perturbation, to avoid phase lock.
+	Jitter bool
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.Period == 0 {
-		c.Period = 4096
-	}
-	if c.TrackingSlots <= 0 {
-		c.TrackingSlots = 1
-	}
-	if c.TimerDiv == 0 {
-		c.TimerDiv = 1
-	}
-	return c
-}
+// jitterBits is the width of the reload dither when Config.Jitter is set.
+const jitterBits = 8
+
+// corruptOneIn makes roughly one collision in this many leave a
+// mangled (zero-timestamp) record in the aux stream, as observed on
+// real hardware; the NMO decoder must skip these.
+const corruptOneIn = 64
 
 // Unit is one core's SPE sampling hardware. Not safe for concurrent
 // use; the machine drives each core single-threaded.
@@ -87,8 +63,8 @@ type Unit struct {
 	host    sampler.Host
 	enabled bool
 
-	counter int64
-	slots   []sim.Cycles // busy-until per tracking slot
+	counter   int64
+	busyUntil sim.Cycles // the tracking slot holds a sample until then
 
 	stats sampler.Stats
 	buf   [spepkt.RecordSize]byte
@@ -96,15 +72,12 @@ type Unit struct {
 
 // NewUnit constructs a disabled unit that streams its records to
 // host. rng must be non-nil; sampling perturbation and collision
-// corruption draw from it.
+// corruption draw from it. A zero Period defaults to 4096.
 func NewUnit(cfg Config, rng *xrand.RNG, host sampler.Host) *Unit {
-	cfg = cfg.withDefaults()
-	u := &Unit{
-		cfg:   cfg,
-		rng:   rng,
-		host:  host,
-		slots: make([]sim.Cycles, cfg.TrackingSlots),
+	if cfg.Period == 0 {
+		cfg.Period = 4096
 	}
+	u := &Unit{cfg: cfg, rng: rng, host: host}
 	u.reload()
 	return u
 }
@@ -116,15 +89,6 @@ func (u *Unit) Enable() {
 	u.reload()
 }
 
-// Disable stops sampling immediately. In-flight tracked samples are
-// abandoned.
-func (u *Unit) Disable() {
-	u.enabled = false
-	for i := range u.slots {
-		u.slots[i] = 0
-	}
-}
-
 // Stats returns a copy of the counters.
 func (u *Unit) Stats() sampler.Stats { return u.stats }
 
@@ -134,7 +98,10 @@ func (u *Unit) Flush(sim.Cycles) {}
 
 // reload resets the interval counter to period plus dither.
 func (u *Unit) reload() {
-	p := int64(u.cfg.Period) + u.rng.Perturb(u.cfg.JitterBits)
+	p := int64(u.cfg.Period)
+	if u.cfg.Jitter {
+		p += u.rng.Perturb(jitterBits)
+	}
 	if p < 1 {
 		p = 1
 	}
@@ -148,7 +115,7 @@ func (u *Unit) reload() {
 //
 // The hot path — counter decrement, no expiry — is a handful of
 // instructions; everything else happens at most once per period.
-func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss, remote bool) {
+func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss bool) {
 	if !u.enabled {
 		return
 	}
@@ -160,32 +127,20 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 	u.stats.Selected++
 	u.reload()
 
-	// Claim a tracking slot; all busy means collision, and the sample
-	// is dropped before filtering (Fig. 1; §VII).
-	slot := -1
-	for i, busyUntil := range u.slots {
-		if busyUntil <= now {
-			slot = i
-			break
-		}
-	}
-	if slot < 0 {
+	// The tracking slot is busy: collision, and the sample is dropped
+	// before filtering (Fig. 1; §VII).
+	if u.busyUntil > now {
 		u.stats.Collisions++
-		if u.cfg.CorruptOnCollision > 0 &&
-			u.rng.Uint32()%u.cfg.CorruptOnCollision == 0 {
+		if u.rng.Uint32()%corruptOneIn == 0 {
 			u.emitCorrupted(now)
 		}
 		return
 	}
 	done := now + sim.Cycles(lat)
-	u.slots[slot] = done
+	u.busyUntil = done
 
-	// Programmable filter: operation class and minimum latency.
-	if !u.classEnabled(op.Kind) {
-		u.stats.Filtered++
-		return
-	}
-	if op.Kind.IsMemory() && uint16(lat) < u.cfg.MinLatency {
+	// Filter: loads and stores only.
+	if !op.Kind.IsMemory() {
 		u.stats.Filtered++
 		return
 	}
@@ -193,8 +148,8 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 	rec := spepkt.Record{
 		PC:       op.PC,
 		VA:       op.Addr,
-		TS:       u.timestamp(done),
-		Events:   spepkt.EventsForOutcome(level, tlbMiss, remote),
+		TS:       timestamp(done),
+		Events:   spepkt.EventsForOutcome(level, tlbMiss),
 		IssueLat: issueLat(lat),
 		TotalLat: clamp16(lat),
 		Op:       opType(op.Kind),
@@ -202,11 +157,6 @@ func (u *Unit) OnOp(now sim.Cycles, op *isa.Op, lat uint32, level uint8, tlbMiss
 	}
 	if tlbMiss {
 		rec.XlatLat = 28
-	}
-	if u.cfg.CollectPA {
-		// The simulation has no real page tables; model an identity-
-		// with-offset mapping so PA-enabled traces are distinguishable.
-		rec.PA = op.Addr ^ 0xFFFF_0000_0000
 	}
 	spepkt.Encode(u.buf[:], &rec)
 	if u.host.WriteRecord(done, u.buf[:]) {
@@ -229,30 +179,15 @@ func (u *Unit) emitCorrupted(now sim.Cycles) {
 		u.stats.Corrupted++
 	} else {
 		u.stats.Truncated++
+		u.stats.CorruptedTruncated++
 	}
 }
 
-func (u *Unit) classEnabled(k isa.Kind) bool {
-	switch k {
-	case isa.KindLoad, isa.KindBlockLoad:
-		return u.cfg.SampleLoads
-	case isa.KindStore, isa.KindBlockStore:
-		return u.cfg.SampleStores
-	case isa.KindBranch:
-		return u.cfg.SampleBranches
-	default:
-		return false
-	}
-}
-
-// timestamp converts a completion cycle to a raw SPE timer value,
-// guaranteed nonzero (a zero timestamp marks a corrupt record).
-func (u *Unit) timestamp(done sim.Cycles) uint64 {
-	t := uint64(done) / u.cfg.TimerDiv
-	if t == 0 {
-		t = 1
-	}
-	return t
+// timestamp converts a completion cycle to a raw SPE timer value (one
+// tick per CPU cycle), guaranteed nonzero (a zero timestamp marks a
+// corrupt record).
+func timestamp(done sim.Cycles) uint64 {
+	return max(uint64(done), 1)
 }
 
 // issueLat approximates the front-end portion of the pipeline latency.

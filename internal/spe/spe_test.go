@@ -46,8 +46,6 @@ func newUnit(cfg Config, sink sampler.Host) *Unit {
 	if cfg.Period == 0 {
 		cfg.Period = 10
 	}
-	cfg.SampleLoads = true
-	cfg.SampleStores = true
 	return NewUnit(cfg, xrand.New(1), sink)
 }
 
@@ -56,7 +54,7 @@ func TestDisabledUnitIgnoresOps(t *testing.T) {
 	u := newUnit(Config{}, sink)
 	op := loadOp(0x1000)
 	for i := 0; i < 100; i++ {
-		u.OnOp(sim.Cycles(i), &op, 4, 0, false, false)
+		u.OnOp(sim.Cycles(i), &op, 4, 0, false)
 	}
 	if st := u.Stats(); st.OpsSeen != 0 || len(sink.records) != 0 {
 		t.Errorf("disabled unit was active: %+v", st)
@@ -71,7 +69,7 @@ func TestSamplingRate(t *testing.T) {
 	const n = 100000
 	now := sim.Cycles(0)
 	for i := 0; i < n; i++ {
-		u.OnOp(now, &op, 4, 0, false, false)
+		u.OnOp(now, &op, 4, 0, false)
 		now += 4
 	}
 	st := u.Stats()
@@ -88,19 +86,17 @@ func TestSamplingRate(t *testing.T) {
 }
 
 func TestJitterChangesSelection(t *testing.T) {
-	run := func(jitter uint) uint64 {
+	run := func(jitter bool) uint64 {
 		sink := &memSink{}
-		cfg := Config{Period: 97, JitterBits: jitter}
-		cfg.SampleLoads = true
-		u := NewUnit(cfg, xrand.New(42), sink)
+		u := NewUnit(Config{Period: 97, Jitter: jitter}, xrand.New(42), sink)
 		u.Enable()
 		op := loadOp(0x1000)
 		for i := 0; i < 50000; i++ {
-			u.OnOp(sim.Cycles(i*4), &op, 4, 0, false, false)
+			u.OnOp(sim.Cycles(i*4), &op, 4, 0, false)
 		}
 		return u.Stats().Selected
 	}
-	a, b := run(0), run(6)
+	a, b := run(false), run(true)
 	if a == 0 || b == 0 {
 		t.Fatal("no samples selected")
 	}
@@ -120,7 +116,7 @@ func TestCollisionWhenTrackingBusy(t *testing.T) {
 	// after the first, within the tracking window, collides.
 	now := sim.Cycles(0)
 	for i := 0; i < 100; i++ {
-		u.OnOp(now, &op, 1000, 3, false, false)
+		u.OnOp(now, &op, 1000, 3, false)
 		now++
 	}
 	st := u.Stats()
@@ -144,7 +140,7 @@ func TestNoCollisionAfterTrackingCompletes(t *testing.T) {
 	// before the next selection.
 	now := sim.Cycles(0)
 	for i := 0; i < 1000; i++ {
-		u.OnOp(now, &op, 50, 1, false, false)
+		u.OnOp(now, &op, 50, 1, false)
 		now += 100
 	}
 	if st := u.Stats(); st.Collisions != 0 {
@@ -152,31 +148,9 @@ func TestNoCollisionAfterTrackingCompletes(t *testing.T) {
 	}
 }
 
-func TestDualSlotAblation(t *testing.T) {
-	count := func(slots int) uint64 {
-		sink := &memSink{}
-		cfg := Config{Period: 10, TrackingSlots: slots}
-		cfg.SampleLoads = true
-		u := NewUnit(cfg, xrand.New(7), sink)
-		u.Enable()
-		op := loadOp(0x2000)
-		now := sim.Cycles(0)
-		for i := 0; i < 10000; i++ {
-			u.OnOp(now, &op, 300, 3, false, false)
-			now += 2
-		}
-		return u.Stats().Collisions
-	}
-	one, two := count(1), count(2)
-	if two >= one {
-		t.Errorf("2 slots should collide less: 1-slot=%d 2-slot=%d", one, two)
-	}
-}
-
 func TestFilterByClass(t *testing.T) {
 	sink := &memSink{}
-	cfg := Config{Period: 1, SampleLoads: true} // stores & branches off
-	u := NewUnit(cfg, xrand.New(1), sink)
+	u := newUnit(Config{Period: 1}, sink)
 	u.Enable()
 	ops := []isa.Op{
 		{Kind: isa.KindLoad, Addr: 0x10, PC: 1},
@@ -187,55 +161,27 @@ func TestFilterByClass(t *testing.T) {
 	now := sim.Cycles(0)
 	for i := 0; i < 100; i++ {
 		for j := range ops {
-			u.OnOp(now, &ops[j], 2, 0, false, false)
+			u.OnOp(now, &ops[j], 2, 0, false)
 			now += 10
 		}
 	}
 	for _, r := range sink.records {
-		if r.Op != spepkt.OpLoad || r.VA != 0x10 {
-			t.Fatalf("non-load leaked through filter: %+v", r)
+		if r.VA != 0x10 && r.VA != 0x20 {
+			t.Fatalf("non-memory op leaked through filter: %+v", r)
 		}
 	}
-	st := u.Stats()
-	if st.Filtered == 0 {
-		t.Error("filter dropped nothing")
-	}
-	if st.Emitted == 0 {
-		t.Error("no loads emitted")
-	}
-}
-
-func TestMinLatencyFilter(t *testing.T) {
-	sink := &memSink{}
-	cfg := Config{Period: 1, SampleLoads: true, MinLatency: 100}
-	u := NewUnit(cfg, xrand.New(1), sink)
-	u.Enable()
-	fast := loadOp(0x100)
-	slow := loadOp(0x200)
-	now := sim.Cycles(0)
-	for i := 0; i < 50; i++ {
-		u.OnOp(now, &fast, 4, 0, false, false)
-		now += 1000
-		u.OnOp(now, &slow, 250, 3, false, false)
-		now += 1000
-	}
-	for _, r := range sink.records {
-		if r.VA != 0x200 {
-			t.Fatalf("fast access leaked through latency filter: %+v", r)
-		}
-	}
-	if len(sink.records) == 0 {
-		t.Fatal("slow accesses not recorded")
+	// Every op is selected; the branch and the ALU op are filtered.
+	if st := u.Stats(); st.Filtered != 200 || st.Emitted != 200 {
+		t.Errorf("filtered %d, emitted %d; want 200 each", st.Filtered, st.Emitted)
 	}
 }
 
 func TestRecordContents(t *testing.T) {
 	sink := &memSink{}
-	cfg := Config{Period: 1, SampleLoads: true, SampleStores: true, TimerDiv: 4}
-	u := NewUnit(cfg, xrand.New(1), sink)
+	u := newUnit(Config{Period: 1}, sink)
 	u.Enable()
 	op := isa.Op{Kind: isa.KindStore, Addr: 0xABCD, PC: 0x400100, Size: 8}
-	u.OnOp(1000, &op, 200, 3, true, false)
+	u.OnOp(1000, &op, 200, 3, true)
 	if len(sink.records) != 1 {
 		t.Fatalf("records = %d, want 1", len(sink.records))
 	}
@@ -255,29 +201,12 @@ func TestRecordContents(t *testing.T) {
 	if r.Events&spepkt.EvTLBWalk == 0 || r.XlatLat == 0 {
 		t.Error("TLB walk not reflected in events/xlat latency")
 	}
-	// Completion at cycle 1200, timer div 4 => raw TS 300.
-	if r.TS != 300 {
-		t.Errorf("TS = %d, want 300", r.TS)
+	// Completion at cycle 1200; the timer ticks once per cycle.
+	if r.TS != 1200 {
+		t.Errorf("TS = %d, want 1200", r.TS)
 	}
-}
-
-func TestCollectPA(t *testing.T) {
-	sink := &memSink{}
-	cfg := Config{Period: 1, SampleLoads: true, CollectPA: true}
-	u := NewUnit(cfg, xrand.New(1), sink)
-	u.Enable()
-	op := loadOp(0x1234)
-	u.OnOp(10, &op, 4, 0, false, false)
-	if len(sink.records) != 1 || sink.records[0].PA == 0 {
-		t.Fatalf("PA not collected: %+v", sink.records)
-	}
-	// PA disabled => zero.
-	sink2 := &memSink{}
-	u2 := newUnit(Config{Period: 1}, sink2)
-	u2.Enable()
-	u2.OnOp(10, &op, 4, 0, false, false)
-	if len(sink2.records) != 1 || sink2.records[0].PA != 0 {
-		t.Fatalf("PA leaked with pa_enable off: %+v", sink2.records)
+	if r.PA != 0 {
+		t.Errorf("PA = %#x, want 0 (pa_enable is never set)", r.PA)
 	}
 }
 
@@ -288,7 +217,7 @@ func TestTruncationCountsWhenSinkFull(t *testing.T) {
 	op := loadOp(0x99)
 	now := sim.Cycles(0)
 	for i := 0; i < 10; i++ {
-		u.OnOp(now, &op, 4, 0, false, false)
+		u.OnOp(now, &op, 4, 0, false)
 		now += 1000
 	}
 	st := u.Stats()
@@ -297,23 +226,31 @@ func TestTruncationCountsWhenSinkFull(t *testing.T) {
 	}
 }
 
+// TestCorruptOnCollision: about one collision in 64 leaves a mangled
+// record the decoder skips. One the host rejects is truncated, and
+// counted in CorruptedTruncated as well.
 func TestCorruptOnCollision(t *testing.T) {
-	sink := &memSink{}
-	cfg := Config{Period: 2, SampleLoads: true, CorruptOnCollision: 2}
-	u := NewUnit(cfg, xrand.New(3), sink)
-	u.Enable()
-	op := loadOp(0x77)
-	now := sim.Cycles(0)
-	for i := 0; i < 10000; i++ {
-		u.OnOp(now, &op, 5000, 3, false, false)
-		now++
+	run := func(sink *memSink) sampler.Stats {
+		u := newUnit(Config{Period: 2}, sink)
+		u.Enable()
+		op := loadOp(0x77)
+		now := sim.Cycles(0)
+		for i := 0; i < 20000; i++ {
+			u.OnOp(now, &op, 5000, 3, false)
+			now++
+		}
+		return u.Stats()
 	}
-	st := u.Stats()
+	sink := &memSink{}
+	st := run(sink)
 	if st.Collisions == 0 {
 		t.Fatal("test setup produced no collisions")
 	}
-	if st.Corrupted == 0 {
-		t.Error("no corrupted records emitted")
+	if st.Corrupted == 0 || st.CorruptedTruncated != 0 {
+		t.Errorf("corrupted %d accepted, %d rejected by an accepting host", st.Corrupted, st.CorruptedTruncated)
+	}
+	if st.Corrupted*32 > st.Collisions || st.Corrupted*128 < st.Collisions {
+		t.Errorf("%d corrupted records for %d collisions, want about 1 in 64", st.Corrupted, st.Collisions)
 	}
 	// Corrupted records must be skipped by the decoder.
 	skipped := 0
@@ -326,26 +263,36 @@ func TestCorruptOnCollision(t *testing.T) {
 	if skipped != int(st.Corrupted) {
 		t.Errorf("decoder skipped %d, unit emitted %d corrupted", skipped, st.Corrupted)
 	}
+
+	// The same run into a full host: the same collisions, every
+	// record truncated.
+	full := run(&memSink{full: true})
+	if full.Corrupted != 0 || full.CorruptedTruncated != st.Corrupted || full.Emitted != 0 {
+		t.Errorf("full host: %+v, want %d corrupted records rejected", full, st.Corrupted)
+	}
+	if full.Truncated != full.Selected-full.Collisions-full.Filtered+full.CorruptedTruncated {
+		t.Errorf("full host: %d truncated for %+v", full.Truncated, full)
+	}
 }
 
+// TestEnableDisable: a unit is disabled until Enable, and from then
+// on observes every op.
 func TestEnableDisable(t *testing.T) {
 	sink := &memSink{}
 	u := newUnit(Config{Period: 5}, sink)
 	op := loadOp(0x1)
+	for i := 0; i < 100; i++ {
+		u.OnOp(sim.Cycles(i*10), &op, 4, 0, false)
+	}
+	if u.Stats().OpsSeen != 0 {
+		t.Fatalf("disabled unit saw %d ops", u.Stats().OpsSeen)
+	}
 	u.Enable()
 	for i := 0; i < 100; i++ {
-		u.OnOp(sim.Cycles(i*10), &op, 4, 0, false, false)
+		u.OnOp(sim.Cycles(1000+i*10), &op, 4, 0, false)
 	}
-	if u.Stats().OpsSeen != 100 {
-		t.Fatalf("enabled unit saw %d ops, want 100", u.Stats().OpsSeen)
-	}
-	u.Disable()
-	before := u.Stats().OpsSeen
-	for i := 0; i < 100; i++ {
-		u.OnOp(sim.Cycles(1000+i*10), &op, 4, 0, false, false)
-	}
-	if u.Stats().OpsSeen != before {
-		t.Error("ops counted while disabled")
+	if st := u.Stats(); st.OpsSeen != 100 || st.Selected != 20 {
+		t.Errorf("enabled unit saw %d ops, selected %d; want 100, 20", st.OpsSeen, st.Selected)
 	}
 }
 
@@ -353,14 +300,14 @@ func TestEstimatorUnbiased(t *testing.T) {
 	// samples*period should estimate the op count within a few
 	// percent when there are no collisions (Eq. 1's premise).
 	sink := &memSink{}
-	cfg := Config{Period: 1000, JitterBits: 8, SampleLoads: true, SampleStores: true}
+	cfg := Config{Period: 1000, Jitter: true}
 	u := NewUnit(cfg, xrand.New(11), sink)
 	u.Enable()
 	op := loadOp(0x1000)
 	const n = 2_000_000
 	now := sim.Cycles(0)
 	for i := 0; i < n; i++ {
-		u.OnOp(now, &op, 4, 0, false, false)
+		u.OnOp(now, &op, 4, 0, false)
 		now += 8
 	}
 	st := u.Stats()
@@ -373,9 +320,8 @@ func TestEstimatorUnbiased(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	u := NewUnit(Config{}, xrand.New(1), &memSink{})
-	cfg := u.cfg
-	if cfg.Period == 0 || cfg.TrackingSlots != 1 || cfg.TimerDiv == 0 {
-		t.Errorf("defaults not applied: %+v", cfg)
+	if u.cfg.Period != 4096 {
+		t.Errorf("defaults not applied: %+v", u.cfg)
 	}
 }
 
@@ -384,15 +330,12 @@ func TestConfigDefaults(t *testing.T) {
 // sampled op, and the structural absence of the PEBS-only mechanisms.
 func TestSPEUnitSemantics(t *testing.T) {
 	host := &memSink{}
-	var u sampler.Unit = NewUnit(Config{
-		Period: 10, SampleLoads: true, SampleStores: true,
-		TimerDiv: 1, CorruptOnCollision: 64,
-	}, xrand.New(7), host)
+	var u sampler.Unit = NewUnit(Config{Period: 10}, xrand.New(7), host)
 	u.Enable()
 
 	op := isa.Op{Kind: isa.KindLoad, Addr: 0x2000, PC: 0x80, Size: 8}
 	for i := 0; i < 1000; i++ {
-		u.OnOp(sim.Cycles(i*100), &op, 4, 1, false, false)
+		u.OnOp(sim.Cycles(i*100), &op, 4, 1, false)
 	}
 	u.Flush(1 << 30) // no-op on SPE
 

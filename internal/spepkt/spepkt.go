@@ -29,11 +29,14 @@
 //	off 22: 0x9a  xlat lat     (2-byte payload, cycles)
 //	off 25: 0x00  padding ×5
 //	off 30: 0xb2  data VA      (8-byte payload at offset 31)
-//	off 39: 0xb3  data PA      (8-byte payload; zero if PA disabled)
+//	off 39: 0xb3  data PA      (8-byte payload; always zero)
 //	off 48: 0x00  padding ×7
 //	off 55: 0x71  timestamp    (8-byte payload at offset 56)
 //
-// All multi-byte payloads are little-endian, as on real SPE.
+// All multi-byte payloads are little-endian, as on real SPE. The data
+// PA packet keeps its place in the layout, but its payload is always
+// zero: NMO's config leaves pa_enable clear, and internal/perfev
+// rejects one that sets it.
 package spepkt
 
 import (
@@ -119,7 +122,7 @@ const (
 type Record struct {
 	PC       uint64
 	VA       uint64
-	PA       uint64 // zero unless PA collection enabled
+	PA       uint64 // always zero: NMO does not enable pa_enable
 	TS       uint64 // raw SPE timer value (pre timescale conversion)
 	Events   uint16
 	IssueLat uint16
@@ -292,7 +295,7 @@ func SourceForLevel(level uint8) uint8 {
 
 // EventsForOutcome builds the events bitmask for a sample given the
 // hierarchy outcome.
-func EventsForOutcome(level uint8, tlbMiss, remote bool) uint16 {
+func EventsForOutcome(level uint8, tlbMiss bool) uint16 {
 	ev := EvRetired
 	if level >= 1 {
 		ev |= EvL1Refill
@@ -305,9 +308,6 @@ func EventsForOutcome(level uint8, tlbMiss, remote bool) uint16 {
 	}
 	if tlbMiss {
 		ev |= EvTLBWalk
-	}
-	if remote {
-		ev |= EvRemote
 	}
 	return ev
 }

@@ -181,23 +181,17 @@ func TestSourceForLevel(t *testing.T) {
 }
 
 func TestEventsForOutcome(t *testing.T) {
-	if ev := EventsForOutcome(0, false, false); ev != EvRetired {
+	if ev := EventsForOutcome(0, false); ev != EvRetired {
 		t.Errorf("L1 hit events = %#x, want retired only", ev)
 	}
-	ev := EventsForOutcome(3, true, false)
+	ev := EventsForOutcome(3, true)
 	for _, want := range []uint16{EvRetired, EvL1Refill, EvLLCAccess, EvLLCMiss, EvTLBWalk} {
 		if ev&want == 0 {
 			t.Errorf("DRAM+TLB-miss events %#x missing bit %#x", ev, want)
 		}
 	}
-	if ev := EventsForOutcome(1, false, false); ev&EvLLCMiss != 0 {
+	if ev := EventsForOutcome(1, false); ev&EvLLCMiss != 0 {
 		t.Errorf("L2 hit should not set LLC miss: %#x", ev)
-	}
-	if ev := EventsForOutcome(3, false, true); ev&EvRemote == 0 {
-		t.Errorf("remote access events %#x missing remote bit", ev)
-	}
-	if ev := EventsForOutcome(3, false, false); ev&EvRemote != 0 {
-		t.Errorf("local access carries remote bit: %#x", ev)
 	}
 }
 
